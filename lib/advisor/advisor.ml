@@ -26,6 +26,7 @@ type measured_row = {
   m_predicted : float;
   m_karp_flatt : float;
   m_within_band : bool;
+  m_refused : int;
 }
 
 type nest = {
@@ -211,7 +212,9 @@ let analyze ?cores (w : Workloads.Workload.t) : report =
 (* ------------------------------------------------------------------ *)
 (* Ground truth: the bench parexec plumbing — one Measure-mode run
    (per-nest sequential baselines) and one Parallel run over a fresh
-   pool, joined by loop id. *)
+   pool, joined by loop id. The Measure run times every instance, the
+   Parallel run only those the work gate forked, so the sequential
+   side is priced at the parallel side's iterations. *)
 
 let measure ?(jobs = 2) (r : report) (w : Workloads.Workload.t) =
   let m = PE.create ~mode:PE.Measure ~jobs:1 () in
@@ -229,7 +232,7 @@ let measure ?(jobs = 2) (r : report) (w : Workloads.Workload.t) =
                  match
                    List.find_opt (fun (i, _, _) -> i = id) seq_rows
                  with
-                 | Some (_, _, (ss : PE.nest_stats)) -> ss.seq_ms
+                 | Some (_, _, ss) -> PE.seq_equivalent_ms ~seq:ss ~par:ps
                  | None -> 0.
                in
                let nest_speedup =
@@ -262,7 +265,8 @@ let measure ?(jobs = 2) (r : report) (w : Workloads.Workload.t) =
                      Js_parallel.Amdahl.karp_flatt
                        ~measured_speedup:nest_speedup ~workers:jobs;
                    m_within_band =
-                     within_band ~predicted ~measured:program }
+                     within_band ~predicted ~measured:program;
+                   m_refused = ps.refused }
              end)
           (PE.nest_rows p))
   in
@@ -304,6 +308,14 @@ let json_of_nest (n : nest) : Ceres_util.Json.t =
       ("blockers", List (List.map json_of_fact n.blockers));
       ("hints", List (List.map (fun h -> Str h) n.hints)) ]
 
+(* A nest the work gate refused some instances of is flagged, not
+   graded: its parallel instances are the ones the gate expected to
+   pay, so their speedup says little about the nest as a whole. *)
+let grade (m : measured_row) =
+  if m.m_refused > 0 then "refused"
+  else if m.m_within_band then "ok"
+  else "off-model"
+
 let json_of_measured (m : measured_row) : Ceres_util.Json.t =
   let open Ceres_util.Json in
   Obj
@@ -317,7 +329,9 @@ let json_of_measured (m : measured_row) : Ceres_util.Json.t =
       ("program_speedup", Fixed (2, m.m_program_speedup));
       ("predicted", Fixed (2, m.m_predicted));
       ("karp_flatt", Fixed (2, m.m_karp_flatt));
-      ("within_band", Bool m.m_within_band) ]
+      ("within_band", Bool m.m_within_band);
+      ("refused", Int m.m_refused);
+      ("grade", Str (grade m)) ]
 
 let json_of_report (r : report) : Ceres_util.Json.t =
   let open Ceres_util.Json in
@@ -411,6 +425,9 @@ let to_text (r : report) =
                 %.2fx vs predicted %.2fx @%d (karp-flatt %.2f) [%s]\n"
                m.m_label m.m_seq_ms m.m_par_ms m.m_nest_speedup
                m.m_program_speedup m.m_predicted m.m_jobs m.m_karp_flatt
-               (if m.m_within_band then "ok" else "off-model")))
+               (if m.m_refused > 0 then
+                  Printf.sprintf "refused %d instance(s) below break-even"
+                    m.m_refused
+                else grade m)))
        ms);
   Buffer.contents buf

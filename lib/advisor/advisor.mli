@@ -29,7 +29,9 @@ type measured_row = {
   m_label : string;
   m_fraction : float;  (** this loop's share of program busy time *)
   m_jobs : int;  (** pool domains the parallel run used *)
-  m_seq_ms : float;  (** wall ms, individually-timed sequential run *)
+  m_seq_ms : float;
+      (** wall ms of the individually-timed sequential run, priced at
+          the iterations the parallel instances ran *)
   m_par_ms : float;  (** wall ms across parallel instances *)
   m_nest_speedup : float;  (** seq_ms / par_ms; 0 when unmeasurable *)
   m_program_speedup : float;
@@ -42,6 +44,9 @@ type measured_row = {
       (** measured program speedup within the documented tolerance
           band of the prediction (|pred - meas| <= 0.25 * pred);
           [false] flags an off-model nest *)
+  m_refused : int;
+      (** instances the work gate ran sequentially; a nest with any is
+          flagged [refused] instead of graded ok/off-model *)
 }
 
 (** One ranked plan entry (a hot nest root). *)
@@ -97,6 +102,10 @@ val measure : ?jobs:int -> report -> Workloads.Workload.t -> int
     nest that completed a parallel instance into [report.measured].
     Returns how many nests were measured. Wall-clock based — never
     part of the golden-compared output. *)
+
+val grade : measured_row -> string
+(** ["refused"] when the work gate ran any instance sequentially, else
+    ["ok"] within the band or ["off-model"] outside it. *)
 
 val json_of_report : report -> Ceres_util.Json.t
 (** Deterministic document; the [measured]/[measured_nests] members

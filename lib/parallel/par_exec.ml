@@ -27,9 +27,17 @@
    sequentially, and the fallback is counted. The observable state
    (console, heap, virtual clock busy ticks) is therefore byte-for-byte
    identical to sequential execution by construction. The fallback
-   ladder is: static proof -> fork/merge parallel execution;
-   [Needs_runtime_check] -> the existing {!Speculative} validation
-   path; everything else (or any poison) -> sequential. *)
+   ladder is: static proof -> fork/merge parallel execution; anything
+   else, [Needs_runtime_check] nests included, or any poison ->
+   sequential.
+
+   Forking is not free: every chunk clones the whole heap and diffs it
+   back. Each instance therefore gets one chunk per pool participant,
+   and a deterministic work gate keeps small instances off the pool:
+   after a nest's first parallel instance, a later one forks only when
+   its predicted busy vticks (the nest's vticks per trip so far, times
+   this instance's trips) reach [break_even]. A refused instance
+   returns to the plain interpreter, untimed. *)
 
 open Interp
 open Interp.Value
@@ -51,40 +59,9 @@ type nest_stats = {
   mutable fork_ms : float;
   mutable merge_ms : float;
   mutable fallbacks : int;
+  mutable refused : int; (* instances the work gate ran sequentially *)
   mutable busy_ticks : int64; (* vticks attributed to the nest *)
 }
-
-type t = {
-  mode : mode;
-  jobs : int;
-  min_trips : int;
-  plan : (int, kind) Hashtbl.t;
-  labels : (int, string) Hashtbl.t;
-  nests : (int, nest_stats) Hashtbl.t;
-  mutable oid_floor : int;
-  mutable sid_floor : int;
-  mutable total_fallbacks : int;
-}
-
-let oid_stride = 1 lsl 28
-let sid_stride = 1 lsl 24
-
-let create ?(min_trips = 8) ~mode ~jobs () =
-  { mode; jobs = max 1 jobs; min_trips; plan = Hashtbl.create 16;
-    labels = Hashtbl.create 16; nests = Hashtbl.create 16; oid_floor = 0;
-    sid_floor = 0; total_fallbacks = 0 }
-
-let nest_stats t id =
-  match Hashtbl.find_opt t.nests id with
-  | Some s -> s
-  | None ->
-    let s =
-      { instances = 0; seq_instances = 0; iterations = 0; chunks = 0;
-        par_ms = 0.; seq_ms = 0.; fork_ms = 0.; merge_ms = 0.; fallbacks = 0;
-        busy_ticks = 0L }
-    in
-    Hashtbl.add t.nests id s;
-    s
 
 (* ------------------------------------------------------------------ *)
 (* Eligibility: affine headers, side-effect-free bound probing        *)
@@ -318,8 +295,9 @@ let accum_sites acc (body : Ast.stmt) : int =
 (* Pick the execution plan for one proven accumulator; [None] = no
    deterministic parallel schedule exists (products, unrecognized
    operators, multi-site order-sensitive sums) and the nest falls
-   back to sequential execution. *)
-let acc_task_of (lv : loop_visit) ~trips (a : Analysis.Verdict.acc) :
+   back to sequential execution. A journal plan is further bounded by
+   [journal_cap] trips, checked per instance. *)
+let acc_task_of (lv : loop_visit) (a : Analysis.Verdict.acc) :
     acc_task option =
   let mk plan = Some { a_name = a.aname; a_op = a.op; a_plan = plan } in
   match a.Analysis.Verdict.op with
@@ -330,9 +308,7 @@ let acc_task_of (lv : loop_visit) ~trips (a : Analysis.Verdict.acc) :
   | Analysis.Verdict.Sum when a.Analysis.Verdict.order_insensitive ->
     mk (Afold 0.)
   | Analysis.Verdict.Sum ->
-    if trips <= journal_cap && accum_sites a.aname lv.lv_body = 1 then
-      mk Ajournal
-    else None
+    if accum_sites a.aname lv.lv_body = 1 then mk Ajournal else None
   | Analysis.Verdict.Prod | Analysis.Verdict.Other -> None
 
 (* Fold partials with the interpreter's own operator semantics so the
@@ -350,6 +326,90 @@ let combine_of st (op : Analysis.Verdict.acc_op) : float -> float -> float =
   | Analysis.Verdict.Bxor -> i32 Int32.logxor
   | Analysis.Verdict.Sum | Analysis.Verdict.Prod | Analysis.Verdict.Other ->
     ( +. )
+
+(* ------------------------------------------------------------------ *)
+(* Per-session state: loop shapes, nest counters, the work gate       *)
+(* ------------------------------------------------------------------ *)
+
+(* What a planned loop's first entry learns about it, kept for every
+   later entry: the affine header and one execution plan per proven
+   accumulator ([tasks = None] when some accumulator has no
+   deterministic parallel schedule). *)
+type shape = { h : header; tasks : acc_task list option }
+
+type t = {
+  mode : mode;
+  jobs : int;
+  plan : (int, kind) Hashtbl.t;
+  labels : (int, string) Hashtbl.t;
+  shapes : (int, shape option) Hashtbl.t; (* [None] = never eligible *)
+  nests : (int, nest_stats) Hashtbl.t;
+  mutable oid_floor : int;
+  mutable sid_floor : int;
+  mutable total_fallbacks : int;
+}
+
+let oid_stride = 1 lsl 28
+let sid_stride = 1 lsl 24
+
+let create ~mode ~jobs () =
+  { mode; jobs = max 1 jobs; plan = Hashtbl.create 16;
+    labels = Hashtbl.create 16; shapes = Hashtbl.create 16;
+    nests = Hashtbl.create 16; oid_floor = 0; sid_floor = 0;
+    total_fallbacks = 0 }
+
+let nest_stats t id =
+  match Hashtbl.find_opt t.nests id with
+  | Some s -> s
+  | None ->
+    let s =
+      { instances = 0; seq_instances = 0; iterations = 0; chunks = 0;
+        par_ms = 0.; seq_ms = 0.; fork_ms = 0.; merge_ms = 0.; fallbacks = 0;
+        refused = 0; busy_ticks = 0L }
+    in
+    Hashtbl.add t.nests id s;
+    s
+
+(* The header and body scans run once per loop id, on its first entry;
+   loop ids are only unique within one program, hence one table per
+   instance of [t]. *)
+let shape t kind (lv : loop_visit) : shape option =
+  match Hashtbl.find_opt t.shapes lv.lv_id with
+  | Some sh -> sh
+  | None ->
+    let sh =
+      match header_of lv with
+      | Some h when not (stmt_abrupt ~bd:1 lv.lv_body) ->
+        let vaccs = match kind with Kparallel -> [] | Kreduction accs -> accs in
+        let tasks = List.filter_map (acc_task_of lv) vaccs in
+        Some
+          { h;
+            tasks =
+              (if List.length tasks = List.length vaccs then Some tasks
+               else None) }
+      | _ -> None
+    in
+    Hashtbl.add t.shapes lv.lv_id sh;
+    sh
+
+(* An instance splits into at least two chunks of two trips. *)
+let min_trips = 4
+
+(* Break-even of the work gate, in busy vticks per instance (DESIGN.md
+   §11). A 2-chunk instance of [w] vticks costs about [w * c / 2 + o]
+   wall time against [w * c] sequentially, where [c] is the wall cost
+   of a vtick and [o] the instance's fixed fork + diff + merge cost;
+   it pays once [w > 2 * o / c]. *)
+let break_even = 100_000
+
+(* The first instance forks to measure the nest's busy vticks per
+   trip; being deterministic, they make the gate decide the same way
+   on every run. *)
+let admits t id trips =
+  match Hashtbl.find_opt t.nests id with
+  | Some s when s.iterations > 0 ->
+    Int64.to_int s.busy_ticks * trips / s.iterations >= break_even
+  | _ -> true
 
 (* ------------------------------------------------------------------ *)
 (* Chunk execution                                                    *)
@@ -451,16 +511,18 @@ let run_chunk master ~scope ~this ~(lv : loop_visit) ~(h : header) ~accs
 (* The parallel instance: fork, run, validate, merge-or-poison        *)
 (* ------------------------------------------------------------------ *)
 
-let run_parallel t pool st scope this (lv : loop_visit) kind (h : header) lo
+let run_parallel t pool st scope this (lv : loop_visit) (h : header) tasks lo
     trips : bool =
-  let vaccs = match kind with Kparallel -> [] | Kreduction accs -> accs in
-  let tasks = List.filter_map (acc_task_of lv ~trips) vaccs in
-  (* every accumulator needs a deterministic plan and a resolvable
-     numeric entry value — an exact integer for order-insensitive [+],
-     whose reordered total is only sequential-identical over exact
-     integer arithmetic; any number for the other plans *)
+  let journaled =
+    List.exists (fun a -> match a.a_plan with Ajournal -> true | Afold _ -> false)
+      tasks
+  in
+  (* every accumulator needs a resolvable numeric entry value — an
+     exact integer for order-insensitive [+], whose reordered total is
+     only sequential-identical over exact integer arithmetic; any
+     number for the other plans *)
   let entries =
-    if List.length tasks <> List.length vaccs then []
+    if journaled && trips > journal_cap then []
     else
       List.filter_map
         (fun task ->
@@ -479,150 +541,141 @@ let run_parallel t pool st scope this (lv : loop_visit) kind (h : header) lo
              | None -> None)
         tasks
   in
-  if List.length entries <> List.length vaccs then false
+  if List.length entries <> List.length tasks then false
   else begin
     let wall0 = Unix.gettimeofday () in
-    let nchunks = min (t.jobs * 2) (trips / 2) in
-    if nchunks < 2 then false
-    else begin
-      let base = trips / nchunks and rem = trips mod nchunks in
-      let count k = base + if k < rem then 1 else 0 in
-      let start_index k = (k * base) + min k rem in
-      let base_oid = max st.next_oid t.oid_floor in
-      let base_sid = max st.next_sid t.sid_floor in
-      let results : chunk_result option array = Array.make nchunks None in
-      let run k =
-        run_chunk st ~scope ~this ~lv ~h ~accs:tasks
-          ~next_oid:(base_oid + ((k + 1) * oid_stride))
-          ~next_sid:(base_sid + ((k + 1) * sid_stride))
-          ~start_iv:(lo +. (float_of_int (start_index k) *. h.step))
-          ~trips:(count k) ~is_last:(k = nchunks - 1)
-      in
-      (match kind with
-       | Kparallel ->
-         Pool.parallel_for pool ~lo:0 ~hi:nchunks ~chunk:1 (fun k ->
-             results.(k) <- Some (run k))
-       | Kreduction _ ->
-         (* per-chunk results combine exactly once, in ascending chunk
-            order, mirroring the sequential fold *)
-         let ordered =
-           Pool.parallel_reduce pool ~lo:0 ~hi:nchunks ~chunk:1 ~init:[]
-             ~body:(fun k -> [ (k, run k) ])
-             ~combine:( @ ) ()
-         in
-         List.iter (fun (k, r) -> results.(k) <- Some r) ordered);
-      (* the id bands above are burnt either way *)
-      t.oid_floor <- base_oid + ((nchunks + 1) * oid_stride);
-      t.sid_floor <- base_sid + ((nchunks + 1) * sid_stride);
-      st.next_oid <- max st.next_oid t.oid_floor;
-      st.next_sid <- max st.next_sid t.sid_floor;
-      let merge0 = Unix.gettimeofday () in
-      (* phase A: validate everything before touching the master *)
-      let poisoned = ref None in
-      let taint why = if !poisoned = None then poisoned := Some why in
-      let chunks = Array.to_list (Array.map Option.to_list results) in
-      let chunks = List.concat chunks in
-      if List.length chunks <> nchunks then taint "chunk skipped";
-      List.iter
-        (fun r ->
-           (match r.c_status with Error why -> taint why | Ok () -> ());
-           match Fork.check_clean r.c_fork with
-           | Error why -> taint why
-           | Ok () -> ())
-        chunks;
-      let skip = List.map (fun (_, home, _) -> home) entries in
-      let diffs =
-        if !poisoned <> None then []
-        else
-          List.map
-            (fun r ->
-               let d = Fork.diff ~skip r.c_fork in
-               (match d.Fork.poison with Some why -> taint why | None -> ());
-               d)
-            chunks
-      in
-      if !poisoned = None && not (Fork.growths_admissible diffs) then
-        taint "conflicting array growth";
-      let busy_total =
-        List.fold_left
-          (fun acc r -> Int64.add acc (Fork.busy_delta r.c_fork))
-          0L chunks
-      in
-      if
-        !poisoned = None
-        && Int64.compare
-             (Int64.add (Ceres_util.Vclock.busy st.clock) busy_total)
-             st.budget
-           > 0
-      then taint "budget would be exhausted";
-      (* reduction totals, ascending chunk order: folded accumulators
-         combine [entry ⊕ partials] with the operator itself;
-         journaled accumulators replay every iteration's contribution
-         in global order, reproducing the sequential float fold *)
-      let totals =
+    (* one chunk per participant: every chunk pays a whole-heap fork
+       and diff, so more chunks than domains buy no balance; two at
+       [-j 1], so the fork/merge path still runs *)
+    let nchunks = min (max 2 t.jobs) (trips / 2) in
+    let base = trips / nchunks and rem = trips mod nchunks in
+    let count k = base + if k < rem then 1 else 0 in
+    let start_index k = (k * base) + min k rem in
+    let base_oid = max st.next_oid t.oid_floor in
+    let base_sid = max st.next_sid t.sid_floor in
+    let results : chunk_result option array = Array.make nchunks None in
+    let run k =
+      run_chunk st ~scope ~this ~lv ~h ~accs:tasks
+        ~next_oid:(base_oid + ((k + 1) * oid_stride))
+        ~next_sid:(base_sid + ((k + 1) * sid_stride))
+        ~start_iv:(lo +. (float_of_int (start_index k) *. h.step))
+        ~trips:(count k) ~is_last:(k = nchunks - 1)
+    in
+    (* chunk results land by index; the merge below walks them in
+       ascending chunk order, mirroring the sequential fold *)
+    Pool.parallel_for pool ~lo:0 ~hi:nchunks ~chunk:1 (fun k ->
+        results.(k) <- Some (run k));
+    (* the id bands above are burnt either way *)
+    t.oid_floor <- base_oid + ((nchunks + 1) * oid_stride);
+    t.sid_floor <- base_sid + ((nchunks + 1) * sid_stride);
+    st.next_oid <- max st.next_oid t.oid_floor;
+    st.next_sid <- max st.next_sid t.sid_floor;
+    let merge0 = Unix.gettimeofday () in
+    (* phase A: validate everything before touching the master *)
+    let poisoned = ref None in
+    let taint why = if !poisoned = None then poisoned := Some why in
+    let chunks = Array.to_list (Array.map Option.to_list results) in
+    let chunks = List.concat chunks in
+    if List.length chunks <> nchunks then taint "chunk skipped";
+    List.iter
+      (fun r ->
+         (match r.c_status with Error why -> taint why | Ok () -> ());
+         match Fork.check_clean r.c_fork with
+         | Error why -> taint why
+         | Ok () -> ())
+      chunks;
+    let skip = List.map (fun (_, home, _) -> home) entries in
+    let diffs =
+      if !poisoned <> None then []
+      else
         List.map
-          (fun (task, home, entry) ->
-             let total =
-               match task.a_plan with
-               | Afold id0 ->
-                 let combine = combine_of st task.a_op in
-                 List.fold_left
-                   (fun acc r ->
-                      let p =
-                        match List.assoc_opt task.a_name r.c_partials with
-                        | Some p -> p
-                        | None ->
-                          taint "missing reduction partial";
-                          id0
-                      in
-                      let acc = combine acc p in
-                      if
-                        task.a_op = Analysis.Verdict.Sum
-                        && (not (Float.is_integer acc)
-                            || Float.abs acc > 2. ** 53.)
-                      then taint "reduction overflow";
-                      acc)
-                   entry chunks
-               | Ajournal ->
-                 List.fold_left
-                   (fun acc r ->
-                      match List.assoc_opt task.a_name r.c_journals with
-                      | Some arr -> Array.fold_left ( +. ) acc arr
+          (fun r ->
+             let d = Fork.diff ~skip r.c_fork in
+             (match d.Fork.poison with Some why -> taint why | None -> ());
+             d)
+          chunks
+    in
+    if !poisoned = None && not (Fork.growths_admissible diffs) then
+      taint "conflicting array growth";
+    let busy_total =
+      List.fold_left
+        (fun acc r -> Int64.add acc (Fork.busy_delta r.c_fork))
+        0L chunks
+    in
+    if
+      !poisoned = None
+      && Int64.compare
+           (Int64.add (Ceres_util.Vclock.busy st.clock) busy_total)
+           st.budget
+         > 0
+    then taint "budget would be exhausted";
+    (* reduction totals, ascending chunk order: folded accumulators
+       combine [entry ⊕ partials] with the operator itself;
+       journaled accumulators replay every iteration's contribution
+       in global order, reproducing the sequential float fold *)
+    let totals =
+      List.map
+        (fun (task, home, entry) ->
+           let total =
+             match task.a_plan with
+             | Afold id0 ->
+               let combine = combine_of st task.a_op in
+               List.fold_left
+                 (fun acc r ->
+                    let p =
+                      match List.assoc_opt task.a_name r.c_partials with
+                      | Some p -> p
                       | None ->
-                        taint "missing reduction journal";
-                        acc)
-                   entry chunks
-             in
-             (home, total))
-          entries
-      in
-      match !poisoned with
-      | Some _ ->
-        t.total_fallbacks <- t.total_fallbacks + 1;
-        (nest_stats t lv.lv_id).fallbacks <-
-          (nest_stats t lv.lv_id).fallbacks + 1;
-        false
-      | None ->
-        (* phase B: commit in chunk order *)
-        List.iter Fork.apply_diff diffs;
-        List.iter
-          (fun (home, sum) ->
-             scope_write home.Fork.owner home.Fork.slot home.Fork.name
-               (Num sum))
-          totals;
-        Ceres_util.Vclock.advance st.clock (Int64.to_int busy_total);
-        let now = Unix.gettimeofday () in
-        let s = nest_stats t lv.lv_id in
-        s.instances <- s.instances + 1;
-        s.iterations <- s.iterations + trips;
-        s.chunks <- s.chunks + nchunks;
-        s.par_ms <- s.par_ms +. ((now -. wall0) *. 1000.);
-        s.fork_ms <-
-          s.fork_ms +. List.fold_left (fun a r -> a +. r.c_fork_ms) 0. chunks;
-        s.merge_ms <- s.merge_ms +. ((now -. merge0) *. 1000.);
-        s.busy_ticks <- Int64.add s.busy_ticks busy_total;
-        true
-    end
+                        taint "missing reduction partial";
+                        id0
+                    in
+                    let acc = combine acc p in
+                    if
+                      task.a_op = Analysis.Verdict.Sum
+                      && (not (Float.is_integer acc)
+                          || Float.abs acc > 2. ** 53.)
+                    then taint "reduction overflow";
+                    acc)
+                 entry chunks
+             | Ajournal ->
+               List.fold_left
+                 (fun acc r ->
+                    match List.assoc_opt task.a_name r.c_journals with
+                    | Some arr -> Array.fold_left ( +. ) acc arr
+                    | None ->
+                      taint "missing reduction journal";
+                      acc)
+                 entry chunks
+           in
+           (home, total))
+        entries
+    in
+    match !poisoned with
+    | Some _ ->
+      t.total_fallbacks <- t.total_fallbacks + 1;
+      (nest_stats t lv.lv_id).fallbacks <-
+        (nest_stats t lv.lv_id).fallbacks + 1;
+      false
+    | None ->
+      (* phase B: commit in chunk order *)
+      List.iter Fork.apply_diff diffs;
+      List.iter
+        (fun (home, sum) ->
+           scope_write home.Fork.owner home.Fork.slot home.Fork.name
+             (Num sum))
+        totals;
+      Ceres_util.Vclock.advance st.clock (Int64.to_int busy_total);
+      let now = Unix.gettimeofday () in
+      let s = nest_stats t lv.lv_id in
+      s.instances <- s.instances + 1;
+      s.iterations <- s.iterations + trips;
+      s.chunks <- s.chunks + nchunks;
+      s.par_ms <- s.par_ms +. ((now -. wall0) *. 1000.);
+      s.fork_ms <-
+        s.fork_ms +. List.fold_left (fun a r -> a +. r.c_fork_ms) 0. chunks;
+      s.merge_ms <- s.merge_ms +. ((now -. merge0) *. 1000.);
+      s.busy_ticks <- Int64.add s.busy_ticks busy_total;
+      true
   end
 
 (* Sequential but *timed* execution of an eligible nest: gives the
@@ -661,18 +714,24 @@ let hook t st scope this (lv : loop_visit) : bool =
   match Hashtbl.find_opt t.plan lv.lv_id with
   | None -> false
   | Some kind -> (
-    match header_of lv with
+    match shape t kind lv with
     | None -> false
-    | Some h ->
-      if stmt_abrupt ~bd:1 lv.lv_body then false
-      else (
-        match trip_count st scope h with
-        | None -> false
-        | Some (_, trips) when trips < t.min_trips -> false
-        | Some (lo, trips) -> (
-          match t.mode with
-          | Measure -> run_measured t st scope this lv trips
-          | Parallel pool -> run_parallel t pool st scope this lv kind h lo trips)))
+    | Some { h; tasks } -> (
+      match trip_count st scope h with
+      | None -> false
+      | Some (_, trips) when trips < min_trips -> false
+      | Some (lo, trips) -> (
+        match t.mode, tasks with
+        | Measure, _ -> run_measured t st scope this lv trips
+        | Parallel _, None -> false
+        | Parallel pool, Some tasks ->
+          if admits t lv.lv_id trips then
+            run_parallel t pool st scope this lv h tasks lo trips
+          else begin
+            let s = nest_stats t lv.lv_id in
+            s.refused <- s.refused + 1;
+            false
+          end)))
 
 let install t (st : state) ~(report : Analysis.Driver.report) =
   List.iter
@@ -707,6 +766,10 @@ let nest_rows t =
   in
   List.sort (fun (a, _, _) (b, _, _) -> compare a b) rows
 
+let seq_equivalent_ms ~seq ~par =
+  if seq.iterations = 0 then 0.
+  else seq.seq_ms *. float_of_int par.iterations /. float_of_int seq.iterations
+
 let json_of_nest (id, label, s) =
   J.Obj
     [ ("id", J.Int id);
@@ -720,6 +783,8 @@ let json_of_nest (id, label, s) =
       ("fork_ms", J.Fixed (3, s.fork_ms));
       ("merge_ms", J.Fixed (3, s.merge_ms));
       ("fallbacks", J.Int s.fallbacks);
+      ("refused", J.Int s.refused);
+      ("break_even", J.Int break_even);
       ("busy_ticks", J.Int (Int64.to_int s.busy_ticks)) ]
 
 let stats_json ?pool t =

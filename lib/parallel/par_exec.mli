@@ -18,7 +18,13 @@
     conflicting array growth — poisons the instance: the forks are
     discarded and the untouched master re-runs the loop sequentially,
     so observable output is byte-identical to sequential execution by
-    construction. *)
+    construction.
+
+    Each parallel instance runs one chunk per pool participant (two at
+    [-j 1]). A deterministic work gate keeps instances too small to
+    repay their forks on the plain interpreter: after a nest's first
+    parallel instance, a later one forks only when its predicted busy
+    vticks reach a fixed break-even. *)
 
 type kind = Kparallel | Kreduction of Analysis.Verdict.acc list
 
@@ -30,9 +36,14 @@ type mode =
 
 type t
 
-val create : ?min_trips:int -> mode:mode -> jobs:int -> unit -> t
-(** [min_trips] (default 8) is the smallest trip count worth forking
-    for; below it the nest runs sequentially. *)
+val create : mode:mode -> jobs:int -> unit -> t
+(** An instance needs at least 4 trips (two chunks of two) to run in
+    parallel or be timed in [Measure] mode. In [Parallel] mode, an
+    instance of a nest that already completed a parallel instance
+    forks only when the nest's busy vticks per trip times the
+    instance's trips reach the gate's break-even (100k vticks,
+    derivation in DESIGN.md §11); otherwise it runs on the plain
+    interpreter and counts as [refused]. *)
 
 val install : t -> Interp.Value.state -> report:Analysis.Driver.report -> unit
 (** Install the [on_loop] hook on [st], planning every nest the report
@@ -43,7 +54,8 @@ val nests_run : t -> int
 
 val stats_json : ?pool:Pool.t -> t -> string
 (** Per-nest telemetry — instances, chunks, iterations, fork/merge
-    wall-clock, fallbacks, attributed busy vticks — plus the pool
+    wall-clock, fallbacks, gate refusals with the break-even they
+    were judged against, attributed busy vticks — plus the pool
     counters when [pool] is given. *)
 
 (**/**)
@@ -58,9 +70,17 @@ type nest_stats = {
   mutable fork_ms : float;
   mutable merge_ms : float;
   mutable fallbacks : int;
+  mutable refused : int;
   mutable busy_ticks : int64;
 }
 
 val nest_rows : t -> (int * string * nest_stats) list
 (** (loop id, label, stats), ascending id — consumed by [bench] to
     build the measured-speedup table. *)
+
+val seq_equivalent_ms : seq:nest_stats -> par:nest_stats -> float
+(** Sequential wall time of the iterations [par] ran in parallel:
+    [seq]'s per-iteration time (a [Measure] row) times
+    [par.iterations]. Dividing it by [par.par_ms] compares like with
+    like when the gate ran some instances sequentially. 0 when [seq]
+    timed no iteration. *)

@@ -78,6 +78,87 @@ let test_proven_nests_execute () =
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
+(* Chunking and the work gate: one chunk per domain, and a gate that
+   decides from deterministic vticks, so its decisions repeat exactly
+   and keep the big nests parallel while refusing the small ones. *)
+
+module PE = Js_parallel.Par_exec
+
+let exec_apps =
+  [ "HAAR.js"; "CamanJS"; "fluidSim"; "MyScript"; "Raytracing";
+    "Normal Mapping" ]
+
+let measure_rows w =
+  let pe = PE.create ~mode:PE.Measure ~jobs:1 () in
+  ignore (Workloads.Harness.run_plain ~par:pe w);
+  PE.nest_rows pe
+
+let find_nest rows label =
+  let _, _, s = List.find (fun (_, l, _) -> Helpers.contains ~sub:label l) rows in
+  s
+
+let test_gate_deterministic () =
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      let counts () =
+        let _, pe = run_par ~pool ~jobs:2 (workload "fluidSim") in
+        List.map
+          (fun (id, _, (s : PE.nest_stats)) ->
+             (id, (s.instances, s.chunks, s.refused)))
+          (PE.nest_rows pe)
+      in
+      let first = counts () in
+      Alcotest.(check (list (pair int (triple int int int))))
+        "fluidSim: per-nest instances, chunks, refused repeat" first
+        (counts ());
+      Alcotest.(check bool) "fluidSim: the gate refused instances" true
+        (List.exists (fun (_, (_, _, refused)) -> refused > 0) first))
+
+let test_gate_admits_big_nests () =
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun (name, labels) ->
+           let w = workload name in
+           let seq = measure_rows w in
+           let _, pe = run_par ~pool ~jobs:2 w in
+           List.iter
+             (fun label ->
+                let m = find_nest seq label in
+                let p = find_nest (PE.nest_rows pe) label in
+                Alcotest.(check (pair int int))
+                  (Printf.sprintf "%s %s: (instances, refused)" name label)
+                  (m.seq_instances, 0) (p.instances, p.refused))
+             labels)
+        [ ("Raytracing", [ "in render" ]);
+          ("CamanJS", [ "in processPixels"; "in boxBlur"; "in levels" ]) ])
+
+let test_gate_refuses_small_nest () =
+  let w = workload "MyScript" in
+  let seq = run_seq w in
+  let m = find_nest (measure_rows w) "in analyzeStroke" in
+  Alcotest.(check bool) "analyzeStroke: several instances" true
+    (m.seq_instances > 1);
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      let par, pe = run_par ~pool ~jobs:2 w in
+      Alcotest.check obs_testable "MyScript: par ≡ seq at -j 2" seq par;
+      let p = find_nest (PE.nest_rows pe) "in analyzeStroke" in
+      Alcotest.(check (pair int int))
+        "analyzeStroke: first instance parallel, the rest refused"
+        (1, m.seq_instances - 1) (p.instances, p.refused))
+
+let test_one_chunk_per_domain () =
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun name ->
+           let _, pe = run_par ~pool ~jobs:2 (workload name) in
+           List.iter
+             (fun (_, label, (s : PE.nest_stats)) ->
+                Alcotest.(check int)
+                  (Printf.sprintf "%s %s: 2 chunks per instance" name label)
+                  (2 * s.instances) s.chunks)
+             (PE.nest_rows pe))
+        exec_apps)
+
+(* ------------------------------------------------------------------ *)
 (* Generated additive reductions: the merged accumulator must equal
    the sequential run and the plain [fold_left] over the inputs. *)
 
@@ -143,5 +224,13 @@ let suite =
       test_all_workloads_deterministic;
     Alcotest.test_case "proven nests execute via pool (-j 1/2/4)" `Slow
       test_proven_nests_execute;
+    Alcotest.test_case "work gate: fluidSim decisions repeat" `Slow
+      test_gate_deterministic;
+    Alcotest.test_case "work gate: Raytracing, CamanJS never refused" `Slow
+      test_gate_admits_big_nests;
+    Alcotest.test_case "work gate: MyScript refused after 1st, par ≡ seq"
+      `Slow test_gate_refuses_small_nest;
+    Alcotest.test_case "-j 2: 2 chunks per parallel instance" `Slow
+      test_one_chunk_per_domain;
     qtest (generated_reductions_deterministic (Lazy.force shared_pool));
     qtest (parallel_reduce_equals_fold (Lazy.force shared_pool)) ]
