@@ -876,13 +876,16 @@ let bench_passes : (string * (Workloads.Workload.t -> unit)) list =
     ("deps", fun w -> ignore (Workloads.Harness.run_dependence w));
     ("pipeline", fun w -> ignore (Workloads.Harness.inspect w)) ]
 
+(* Allocation via [Gc.quick_stat], which sums every domain: the
+   pool-parallel pass allocates mostly on its worker domains, which
+   [Gc.counters] (calling domain only) would miss. *)
 let measure f =
-  let m0, _, j0 = Gc.counters () in
+  let s0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
   f ();
   let wall = 1000. *. (Unix.gettimeofday () -. t0) in
-  let m1, _, j1 = Gc.counters () in
-  (wall, m1 -. m0, j1 -. j0)
+  let s1 = Gc.quick_stat () in
+  (wall, s1.minor_words -. s0.minor_words, s1.major_words -. s0.major_words)
 
 let json_bench names : Ceres_util.Json.t =
   let open Ceres_util.Json in

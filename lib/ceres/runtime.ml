@@ -38,6 +38,15 @@
 
 module Symbol = Ceres_util.Symbol
 
+(* Write sites of the polymorphism check, keyed (location name, line)
+   without polymorphic compare on the per-write lookup. *)
+module Sites = Hashtbl.Make (struct
+  type t = string * int
+
+  let equal (n1, l1) (n2, l2) = Int.equal l1 l2 && String.equal n1 n2
+  let hash = Hashtbl.hash
+end)
+
 type access_kind =
   | Var_write of string
       (** plain reassignment of a shared variable: a leaked loop-local
@@ -137,9 +146,9 @@ type t = {
   focus : Jsir.Ast.loop_id list; (* [] = record everywhere *)
   mutable recursion_warnings : int;
   mutable accesses_checked : int;
-  type_sites : (string * int, (string, unit) Hashtbl.t) Hashtbl.t;
-      (* (location name, line) -> set of observed value types; backs the
-         polymorphism check of the paper's Sec. 4.2 *)
+  type_sites : string list ref Sites.t;
+      (* (location name, line) -> distinct observed value types; backs
+         the polymorphism check of the paper's Sec. 4.2 *)
 }
 
 let create ?(focus = []) ~symtab (infos : Jsir.Loops.info array) : t =
@@ -168,7 +177,7 @@ let create ?(focus = []) ~symtab (infos : Jsir.Loops.info array) : t =
     focus;
     recursion_warnings = 0;
     accesses_checked = 0;
-    type_sites = Hashtbl.create 256 }
+    type_sites = Sites.create 256 }
 
 let next_seq t =
   t.seq <- t.seq + 1;
@@ -552,31 +561,28 @@ let on_prop_read t ~oid ~prop ~line =
    polymorphic when it stores values of more than one type there, not
    counting undefined/null ("we do not consider a variable polymorphic
    if it changes between defined, undefined, and null"). *)
+let rec mem_tag tag = function
+  | [] -> false
+  | x :: rest -> String.equal x tag || mem_tag tag rest
+
 let note_type t ~name ~line ~type_tag =
   if t.rec_now then begin
     match type_tag with
     | "undefined" -> ()
     | tag ->
       let key = (name, line) in
-      let set =
-        match Hashtbl.find_opt t.type_sites key with
-        | Some set -> set
-        | None ->
-          let set = Hashtbl.create 2 in
-          Hashtbl.replace t.type_sites key set;
-          set
-      in
-      Hashtbl.replace set tag ()
+      (match Sites.find t.type_sites key with
+       | tags -> if not (mem_tag tag !tags) then tags := tag :: !tags
+       | exception Not_found -> Sites.add t.type_sites key (ref [ tag ]))
   end
 
 (* Write sites (inside recorded loops) that stored more than one
    non-null type, with the types observed. *)
 let polymorphic_sites t =
-  Hashtbl.fold
-    (fun (name, line) set acc ->
+  Sites.fold
+    (fun (name, line) tags acc ->
        let tags =
-         Hashtbl.fold (fun tag () acc -> tag :: acc) set []
-         |> List.filter (fun tag -> tag <> "null")
+         List.filter (fun tag -> tag <> "null") !tags
          |> List.sort compare
        in
        if List.length tags >= 2 then (name, line, tags) :: acc else acc)
@@ -584,7 +590,7 @@ let polymorphic_sites t =
   |> List.sort compare
 
 let monomorphic_site_count t =
-  Hashtbl.length t.type_sites - List.length (polymorphic_sites t)
+  Sites.length t.type_sites - List.length (polymorphic_sites t)
 
 (* DOM/canvas traffic attribution: charge every open loop. *)
 let on_host_access t =

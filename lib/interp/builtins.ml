@@ -418,7 +418,7 @@ let install_object st =
         let key = str_arg st 0 args in
         (match o.arr, array_index_of_key key with
          | Some a, Some i -> Bool (i < a.len)
-         | _ -> Bool (Hashtbl.mem o.props key))
+         | _ -> Bool (Strtbl.mem o.props key))
       | _ -> Bool false);
   let ctor =
     make_host_fn st "Object" (fun st _ args ->

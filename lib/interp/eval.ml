@@ -23,11 +23,12 @@ let cost_prop = 1
 let cost_call = 4
 let cost_alloc = 3
 
-let tick st n =
+(* Allocation-free: the clock's counters are native ints, so a tick is
+   an add, the probe's load + branch, and an int compare. *)
+let[@inline] tick st n =
   Ceres_util.Vclock.advance st.clock n;
   (match st.on_tick with None -> () | Some probe -> probe n);
-  if Int64.compare (Ceres_util.Vclock.busy st.clock) st.budget > 0 then
-    raise Budget_exhausted
+  if st.clock.busy_ticks > st.budget then raise Budget_exhausted
 
 (* ------------------------------------------------------------------ *)
 (* Hoisting: collect var-declared names and function declarations of a
@@ -145,10 +146,10 @@ let attach_global st (p : program) =
          if not (Hashtbl.mem gl name) then begin
            Hashtbl.replace gl name slot;
            g.syms.(slot) <- glay.l_syms.(slot);
-           match Hashtbl.find_opt g.vars name with
+           match Strtbl.find_opt g.vars name with
            | Some cell ->
              g.slots.(slot) <- cell.v;
-             Hashtbl.remove g.vars name
+             Strtbl.remove g.vars name
            | None -> ()
          end)
       glay.l_table;
@@ -180,7 +181,9 @@ let set_prop st v key value =
   | Obj o ->
     (* Writing a DOM element property (innerHTML, textContent, style
        members, ...) mutates browser state: report it as DOM traffic. *)
-    if o.host_tag = Some "element" then st.on_host_access "dom" ("set " ^ key);
+    (match o.host_tag with
+     | Some "element" -> st.on_host_access "dom" ("set " ^ key)
+     | _ -> ());
     set_prop_obj o key value
   | Undefined | Null ->
     type_error st
@@ -189,6 +192,28 @@ let set_prop st v key value =
 
 (* ------------------------------------------------------------------ *)
 (* Calls                                                               *)
+
+(* The helpers below are top-level functions rather than local
+   closures, so calls and statements allocate none of their own. *)
+let exit_call st =
+  st.on_call_exit ();
+  st.call_depth <- st.call_depth - 1
+
+let rec bind_params slots param_slots i = function
+  | [] -> ()
+  | a :: rest ->
+    if i < Array.length param_slots then begin
+      Array.unsafe_set slots (Array.unsafe_get param_slots i) a;
+      bind_params slots param_slots (i + 1) rest
+    end
+
+(* A break/continue label [l] targets the loop carrying [label]; [None]
+   targets the innermost loop. *)
+let targets label l =
+  match l, label with
+  | None, _ -> true
+  | Some l, Some label -> String.equal l label
+  | Some _, None -> false
 
 let rec call st (callee : value) (this : value) (args : value list) : value =
   tick st cost_call;
@@ -199,23 +224,23 @@ let rec call st (callee : value) (this : value) (args : value list) : value =
       st.call_depth <- st.call_depth - 1;
       throw_error st "RangeError" "maximum call stack size exceeded"
     end;
-    let result =
-      Fun.protect
-        ~finally:(fun () -> st.call_depth <- st.call_depth - 1)
-        (fun () ->
-           match c with
-           | Host (name, fn) ->
-             st.on_call_enter (Some name);
-             Fun.protect
-               ~finally:(fun () -> st.on_call_exit ())
-               (fun () -> fn st this args)
-           | Closure { fn; captured } ->
-             st.on_call_enter fn.fname;
-             Fun.protect
-               ~finally:(fun () -> st.on_call_exit ())
-               (fun () -> call_closure st fo fn captured this args))
-    in
-    result
+    (* One handler, no closures: the exit hook, then the depth
+       decrement, on the normal and the exceptional path alike. *)
+    (match
+       match c with
+       | Host (name, fn) ->
+         st.on_call_enter (Some name);
+         fn st this args
+       | Closure { fn; captured } ->
+         st.on_call_enter fn.fname;
+         call_closure st fo fn captured this args
+     with
+     | v ->
+       exit_call st;
+       v
+     | exception e ->
+       exit_call st;
+       raise e)
   | _ -> type_error st (type_of callee ^ " is not a function")
 
 and call_closure st fo (fn : func) captured this args =
@@ -236,7 +261,7 @@ and call_closure_fast st fo (fn : func) (lay : layout) captured this args =
       ->
       let wrapper = fresh_scope st (Some captured) in
       declare wrapper name;
-      (match Hashtbl.find_opt wrapper.vars name with
+      (match Strtbl.find_opt wrapper.vars name with
        | Some cell -> cell.v <- Obj fo
        | None -> ());
       wrapper
@@ -253,17 +278,7 @@ and call_closure_fast st fo (fn : func) (lay : layout) captured this args =
      in
      enclosing captured);
   let slots = scope.slots in
-  let param_slots = lay.l_param_slots in
-  let nparams = Array.length param_slots in
-  let rec bind i = function
-    | [] -> ()
-    | a :: rest ->
-      if i < nparams then begin
-        Array.unsafe_set slots (Array.unsafe_get param_slots i) a;
-        bind (i + 1) rest
-      end
-  in
-  bind 0 args;
+  bind_params slots lay.l_param_slots 0 args;
   if lay.l_uses_arguments then
     slots.(lay.l_arguments) <- Obj (make_array st (Array.of_list args));
   List.iter
@@ -282,7 +297,7 @@ and call_closure_dyn st fo (fn : func) captured this args =
     | Some name when not (var_exists captured name) ->
       let wrapper = fresh_scope st (Some captured) in
       declare wrapper name;
-      (match Hashtbl.find_opt wrapper.vars name with
+      (match Strtbl.find_opt wrapper.vars name with
        | Some cell -> cell.v <- Obj fo
        | None -> ());
       wrapper
@@ -297,7 +312,7 @@ and call_closure_dyn st fo (fn : func) captured this args =
       bind ps []
     | p :: ps, a :: rest ->
       declare scope p;
-      (match Hashtbl.find_opt scope.vars p with
+      (match Strtbl.find_opt scope.vars p with
        | Some cell -> cell.v <- a
        | None -> ());
       bind ps rest
@@ -305,7 +320,7 @@ and call_closure_dyn st fo (fn : func) captured this args =
   bind fn.params args;
   (* [arguments] array, used by a couple of workloads. *)
   declare scope "arguments";
-  (match Hashtbl.find_opt scope.vars "arguments" with
+  (match Strtbl.find_opt scope.vars "arguments" with
    | Some cell -> cell.v <- Obj (make_array st (Array.of_list args))
    | None -> ());
   hoist_into st scope fn.body;
@@ -347,7 +362,7 @@ and eval st scope this (e : expr) : value =
     if lex >= 0 then get_lex st scope lex else get_var st scope name
   | Array_lit elems ->
     tick st cost_alloc;
-    let values = List.map (eval st scope this) elems in
+    let values = eval_list st scope this elems in
     Obj (make_array st (Array.of_list values))
   | Object_lit props ->
     tick st cost_alloc;
@@ -382,24 +397,24 @@ and eval st scope this (e : expr) : value =
      | Member (oe, field) ->
        let base = eval st scope this oe in
        let fn = get_prop st base field in
-       let args = List.map (eval st scope this) arg_es in
+       let args = eval_list st scope this arg_es in
        st.on_call_site e.at.left.line fn (List.length args);
        call st fn base args
      | Index (oe, ie) ->
        let base = eval st scope this oe in
        let idx = eval st scope this ie in
        let fn = get_prop st base (to_string st idx) in
-       let args = List.map (eval st scope this) arg_es in
+       let args = eval_list st scope this arg_es in
        st.on_call_site e.at.left.line fn (List.length args);
        call st fn base args
      | _ ->
        let fn = eval st scope this callee_e in
-       let args = List.map (eval st scope this) arg_es in
+       let args = eval_list st scope this arg_es in
        st.on_call_site e.at.left.line fn (List.length args);
        call st fn (Obj st.global_obj) args)
   | New (callee_e, arg_es) ->
     let fn = eval st scope this callee_e in
-    let args = List.map (eval st scope this) arg_es in
+    let args = eval_list st scope this arg_es in
     construct st fn args
   | Unop (op, operand) -> eval_unop st scope this op operand
   | Binop (op, l, r) ->
@@ -492,16 +507,24 @@ and read_ref st scope = function
      | Some a when i < a.len -> Array.unsafe_get a.elems i
      | _ -> get_prop_obj o (string_of_int i))
 
-and write_ref st scope = function
-  | `Var name -> fun v -> set_var st scope name v
-  | `Lex lex -> fun v -> set_lex st scope lex v
-  | `Slot (base, key) -> fun v -> set_prop st base key v
+and write_ref st scope r v =
+  match r with
+  | `Var name -> set_var st scope name v
+  | `Lex lex -> set_lex st scope lex v
+  | `Slot (base, key) -> set_prop st base key v
   | `Elem (o, i) ->
-    fun v ->
-      tick st cost_prop;
-      (match o.arr with
-       | Some a -> array_store_set a i v
-       | None -> set_prop_obj o (string_of_int i) v)
+    tick st cost_prop;
+    (match o.arr with
+     | Some a -> array_store_set a i v
+     | None -> set_prop_obj o (string_of_int i) v)
+
+(* [List.map (eval st scope this)] without the partial application;
+   left to right, like [List.map]. *)
+and eval_list st scope this = function
+  | [] -> []
+  | e :: rest ->
+    let v = eval st scope this e in
+    v :: eval_list st scope this rest
 
 and eval_unop st scope this op operand =
   match op with
@@ -634,8 +657,6 @@ and exec_stmt st scope this (s : stmt) : completion =
   exec_stmt_labeled st scope this ~label:None s
 
 and exec_stmt_labeled st scope this ~label (s : stmt) : completion =
-  let for_me = function None -> true | Some l -> label = Some l in
-  ignore for_me;
   tick st cost_node;
   match s.s with
   | Empty -> Cnormal
@@ -665,8 +686,8 @@ and exec_stmt_labeled st scope this ~label (s : stmt) : completion =
       if to_boolean (eval st scope this cond) then
         match exec_stmt st scope this body with
         | Cnormal -> loop ()
-        | Ccontinue l when for_me l -> loop ()
-        | Cbreak l when for_me l -> Cnormal
+        | Ccontinue l when targets label l -> loop ()
+        | Cbreak l when targets label l -> Cnormal
         | (Creturn _ | Cbreak _ | Ccontinue _) as r -> r
       else Cnormal
     in
@@ -676,9 +697,9 @@ and exec_stmt_labeled st scope this ~label (s : stmt) : completion =
       match exec_stmt st scope this body with
       | Cnormal ->
         if to_boolean (eval st scope this cond) then loop () else Cnormal
-      | Ccontinue l when for_me l ->
+      | Ccontinue l when targets label l ->
         if to_boolean (eval st scope this cond) then loop () else Cnormal
-      | Cbreak l when for_me l -> Cnormal
+      | Cbreak l when targets label l -> Cnormal
       | (Creturn _ | Cbreak _ | Ccontinue _) as r -> r
     in
     loop ()
@@ -719,10 +740,10 @@ and exec_stmt_labeled st scope this ~label (s : stmt) : completion =
         | Cnormal ->
           step ();
           loop ()
-        | Ccontinue l when for_me l ->
+        | Ccontinue l when targets label l ->
           step ();
           loop ()
-        | Cbreak l when for_me l -> Cnormal
+        | Cbreak l when targets label l -> Cnormal
         | (Creturn _ | Cbreak _ | Ccontinue _) as r -> r
       else Cnormal
     in
@@ -746,8 +767,8 @@ and exec_stmt_labeled st scope this ~label (s : stmt) : completion =
         set_var st scope name (Str k);
         (match exec_stmt st scope this body with
          | Cnormal -> loop rest
-         | Ccontinue l when for_me l -> loop rest
-         | Cbreak l when for_me l -> Cnormal
+         | Ccontinue l when targets label l -> loop rest
+         | Cbreak l when targets label l -> Cnormal
          | (Creturn _ | Cbreak _ | Ccontinue _) as r -> r)
     in
     loop keys
@@ -844,7 +865,7 @@ let create ?(seed = 20150207) ?(budget = default_budget)
   (* Bootstrapping: build a provisional record with placeholder protos,
      then tie the knot. *)
   let dummy_obj =
-    { oid = -1; props = Hashtbl.create 1; key_order = []; proto = None;
+    { oid = -1; props = Strtbl.create 1; key_order = []; proto = None;
       call = None; arr = None; host_tag = None }
   in
   let st =
@@ -852,7 +873,7 @@ let create ?(seed = 20150207) ?(budget = default_budget)
       prng;
       symtab = Ceres_util.Symbol.create ();
       global_scope =
-        { sid = 0; vars = Hashtbl.create 64; parent = None;
+        { sid = 0; vars = Strtbl.create 64; parent = None;
           ltab = None; slots = [||]; syms = [||]; fup = None };
       global_obj = dummy_obj;
       object_proto = dummy_obj;
@@ -865,7 +886,7 @@ let create ?(seed = 20150207) ?(budget = default_budget)
       next_sid = 1;
       call_depth = 0;
       max_call_depth = 2000;
-      budget;
+      budget = Int64.to_int budget;
       console = [];
       echo_console = false;
       intrinsics = Hashtbl.create 32;
@@ -883,7 +904,7 @@ let create ?(seed = 20150207) ?(budget = default_budget)
       on_loop = None }
   in
   let object_proto =
-    { oid = 0; props = Hashtbl.create 16; key_order = []; proto = None;
+    { oid = 0; props = Strtbl.create 16; key_order = []; proto = None;
       call = None; arr = None; host_tag = None }
   in
   st.object_proto <- object_proto;

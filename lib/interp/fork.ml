@@ -24,17 +24,27 @@ exception Par_abort of string
 (* Raised (e.g. by the clone's [on_host_access]) to poison a chunk
    before it can touch shared host state. *)
 
+(* Id-keyed tables. [Hashtbl.hash] is the generic table's hash, so
+   [diff] walks [obj_fwd]/[scope_fwd] — and emits its edits — in the
+   same order a generic [(int, _) Hashtbl.t] would. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   master : state;
   clone : state;
-  obj_fwd : (int, obj) Hashtbl.t; (* shared oid -> clone object *)
-  obj_rev : (int, obj) Hashtbl.t; (* shared oid -> master object *)
-  scope_fwd : (int, scope) Hashtbl.t; (* shared sid -> clone scope *)
-  scope_rev : (int, scope) Hashtbl.t; (* shared sid -> master scope *)
-  fresh_scopes : (int, scope) Hashtbl.t;
+  obj_fwd : obj Itbl.t; (* shared oid -> clone object *)
+  obj_rev : obj Itbl.t; (* shared oid -> master object *)
+  scope_fwd : scope Itbl.t; (* shared sid -> clone scope *)
+  scope_rev : scope Itbl.t; (* shared sid -> master scope *)
+  fresh_scopes : scope Itbl.t;
       (* fresh clone sid -> master-side copy, built during remap (scope
          parents are immutable, so fresh scopes are copied, not adopted) *)
-  adopted : (int, unit) Hashtbl.t; (* fresh oids already rewired *)
+  adopted : unit Itbl.t; (* fresh oids already rewired *)
   entry_busy : int64;
 }
 
@@ -50,41 +60,41 @@ type var_home = {
 
 let fork (master : state) ~(scope : scope) ~(this : value) ~(next_oid : int)
     ~(next_sid : int) : t =
-  let obj_fwd = Hashtbl.create 1024 in
-  let obj_rev = Hashtbl.create 1024 in
-  let scope_fwd = Hashtbl.create 64 in
-  let scope_rev = Hashtbl.create 64 in
+  let obj_fwd = Itbl.create 1024 in
+  let obj_rev = Itbl.create 1024 in
+  let scope_fwd = Itbl.create 64 in
+  let scope_rev = Itbl.create 64 in
   let obj_q : (obj * obj) Queue.t = Queue.create () in
   let scope_q : (scope * scope) Queue.t = Queue.create () in
   (* Shells are memoised before their contents are filled (via the
      queues), so cyclic object graphs and closures capturing scopes
      that are still being copied both terminate. *)
   let rec obj_shell (o : obj) : obj =
-    match Hashtbl.find_opt obj_fwd o.oid with
+    match Itbl.find_opt obj_fwd o.oid with
     | Some c -> c
     | None ->
       let c =
-        { oid = o.oid; props = Hashtbl.create (max 8 (Hashtbl.length o.props));
+        { oid = o.oid; props = Strtbl.create (max 8 (Strtbl.length o.props));
           key_order = o.key_order; proto = None; call = None; arr = None;
           host_tag = o.host_tag }
       in
-      Hashtbl.add obj_fwd o.oid c;
-      Hashtbl.add obj_rev o.oid o;
+      Itbl.add obj_fwd o.oid c;
+      Itbl.add obj_rev o.oid o;
       Queue.add (o, c) obj_q;
       c
   and scope_shell (s : scope) : scope =
-    match Hashtbl.find_opt scope_fwd s.sid with
+    match Itbl.find_opt scope_fwd s.sid with
     | Some c -> c
     | None ->
       (* the parent chain is acyclic and carries no values, so plain
          recursion is safe here *)
       let parent = Option.map scope_shell s.parent in
       let c =
-        { sid = s.sid; vars = Hashtbl.create (max 4 (Hashtbl.length s.vars));
+        { sid = s.sid; vars = Strtbl.create (max 4 (Strtbl.length s.vars));
           parent; ltab = s.ltab; slots = [||]; syms = s.syms; fup = None }
       in
-      Hashtbl.add scope_fwd s.sid c;
-      Hashtbl.add scope_rev s.sid s;
+      Itbl.add scope_fwd s.sid c;
+      Itbl.add scope_rev s.sid s;
       Queue.add (s, c) scope_q;
       c
   in
@@ -92,7 +102,7 @@ let fork (master : state) ~(scope : scope) ~(this : value) ~(next_oid : int)
     match v with Obj o -> Obj (obj_shell o) | v -> v
   in
   let fill_obj ((o : obj), (c : obj)) =
-    Hashtbl.iter (fun k v -> Hashtbl.replace c.props k (cval v)) o.props;
+    Strtbl.iter (fun k v -> Strtbl.replace c.props k (cval v)) o.props;
     c.proto <- Option.map obj_shell o.proto;
     (match o.call with
      | None -> ()
@@ -107,8 +117,8 @@ let fork (master : state) ~(scope : scope) ~(this : value) ~(next_oid : int)
   in
   let fill_scope ((s : scope), (c : scope)) =
     c.slots <- Array.map cval s.slots;
-    Hashtbl.iter
-      (fun k (cell : cell) -> Hashtbl.replace c.vars k { v = cval cell.v })
+    Strtbl.iter
+      (fun k (cell : cell) -> Strtbl.replace c.vars k { v = cval cell.v })
       s.vars;
     c.fup <- Option.map scope_shell s.fup
   in
@@ -168,13 +178,13 @@ let fork (master : state) ~(scope : scope) ~(this : value) ~(next_oid : int)
       on_loop = None }
   in
   { master; clone; obj_fwd; obj_rev; scope_fwd; scope_rev;
-    fresh_scopes = Hashtbl.create 16; adopted = Hashtbl.create 16;
+    fresh_scopes = Itbl.create 16; adopted = Itbl.create 16;
     entry_busy = Ceres_util.Vclock.busy master.clock }
 
-let scope_in t (s : scope) : scope = Hashtbl.find t.scope_fwd s.sid
+let scope_in t (s : scope) : scope = Itbl.find t.scope_fwd s.sid
 let value_in t (v : value) : value =
   match v with
-  | Obj o -> Obj (Hashtbl.find t.obj_fwd o.oid)
+  | Obj o -> Obj (Itbl.find t.obj_fwd o.oid)
   | v -> v
 
 let busy_delta t =
@@ -257,23 +267,23 @@ let diff ?(skip = []) (t : t) : diff =
       (fun h -> h.owner == ms && h.slot < 0 && String.equal h.name k)
       skip
   in
-  Hashtbl.iter
+  Itbl.iter
     (fun oid (c : obj) ->
-       let m = Hashtbl.find t.obj_rev oid in
-       Hashtbl.iter
+       let m = Itbl.find t.obj_rev oid in
+       Strtbl.iter
          (fun k cv ->
-            match Hashtbl.find_opt m.props k with
+            match Strtbl.find_opt m.props k with
             | Some mv -> if not (same_value mv cv) then add (Set_prop (m, k, cv))
             | None -> ())
          c.props;
        if not (c.key_order == m.key_order) then
          List.iter
            (fun k ->
-              if not (Hashtbl.mem m.props k) && Hashtbl.mem c.props k then
-                add (Add_prop (m, k, Hashtbl.find c.props k)))
+              if not (Strtbl.mem m.props k) && Strtbl.mem c.props k then
+                add (Add_prop (m, k, Strtbl.find c.props k)))
            (List.rev c.key_order);
-       Hashtbl.iter
-         (fun k _ -> if not (Hashtbl.mem c.props k) then add (Del_prop (m, k)))
+       Strtbl.iter
+         (fun k _ -> if not (Strtbl.mem c.props k) then add (Del_prop (m, k)))
          m.props;
        (match m.proto, c.proto with
         | None, None -> ()
@@ -312,9 +322,9 @@ let diff ?(skip = []) (t : t) : diff =
          end
        | _, _ -> taint "array-ness changed inside chunk")
     t.obj_fwd;
-  Hashtbl.iter
+  Itbl.iter
     (fun sid (c : scope) ->
-       let m = Hashtbl.find t.scope_rev sid in
+       let m = Itbl.find t.scope_rev sid in
        if Array.length c.slots <> Array.length m.slots then
          taint "frame layout changed inside chunk"
        else
@@ -322,10 +332,10 @@ let diff ?(skip = []) (t : t) : diff =
            if (not (skip_slot m i)) && not (same_value m.slots.(i) c.slots.(i))
            then add (Set_slot (m, i, c.slots.(i)))
          done;
-       Hashtbl.iter
+       Strtbl.iter
          (fun k (ccell : cell) ->
             if not (skip_var m k) then
-              match Hashtbl.find_opt m.vars k with
+              match Strtbl.find_opt m.vars k with
               | Some mcell ->
                 if not (same_value mcell.v ccell.v) then
                   add (Set_cell (mcell, ccell.v))
@@ -348,19 +358,19 @@ let remapper t =
   let obj_q : obj Queue.t = Queue.create () in
   let scope_q : scope Queue.t = Queue.create () in
   let rec robj (o : obj) : obj =
-    match Hashtbl.find_opt t.obj_rev o.oid with
+    match Itbl.find_opt t.obj_rev o.oid with
     | Some m -> m
     | None ->
-      if not (Hashtbl.mem t.adopted o.oid) then begin
-        Hashtbl.add t.adopted o.oid ();
+      if not (Itbl.mem t.adopted o.oid) then begin
+        Itbl.add t.adopted o.oid ();
         Queue.add o obj_q
       end;
       o
   and rscope (s : scope) : scope =
-    match Hashtbl.find_opt t.scope_rev s.sid with
+    match Itbl.find_opt t.scope_rev s.sid with
     | Some m -> m
     | None -> (
-      match Hashtbl.find_opt t.fresh_scopes s.sid with
+      match Itbl.find_opt t.fresh_scopes s.sid with
       | Some copy -> copy
       | None ->
         let parent = Option.map rscope s.parent in
@@ -368,7 +378,7 @@ let remapper t =
           { sid = s.sid; vars = s.vars; parent; ltab = s.ltab; slots = s.slots;
             syms = s.syms; fup = None }
         in
-        Hashtbl.add t.fresh_scopes s.sid copy;
+        Itbl.add t.fresh_scopes s.sid copy;
         Queue.add s scope_q;
         copy)
   in
@@ -378,8 +388,8 @@ let remapper t =
   let rec drain () =
     if not (Queue.is_empty obj_q) then begin
       let o = Queue.pop obj_q in
-      let keys = Hashtbl.fold (fun k _ acc -> k :: acc) o.props [] in
-      List.iter (fun k -> Hashtbl.replace o.props k (rval (Hashtbl.find o.props k))) keys;
+      let keys = Strtbl.fold (fun k _ acc -> k :: acc) o.props [] in
+      List.iter (fun k -> Strtbl.replace o.props k (rval (Strtbl.find o.props k))) keys;
       o.proto <- Option.map robj o.proto;
       (match o.call with
        | Some (Closure { fn; captured }) ->
@@ -395,11 +405,11 @@ let remapper t =
     end
     else if not (Queue.is_empty scope_q) then begin
       let s = Queue.pop scope_q in
-      let copy = Hashtbl.find t.fresh_scopes s.sid in
+      let copy = Itbl.find t.fresh_scopes s.sid in
       for i = 0 to Array.length s.slots - 1 do
         s.slots.(i) <- rval s.slots.(i)
       done;
-      Hashtbl.iter (fun _ (cell : cell) -> cell.v <- rval cell.v) s.vars;
+      Strtbl.iter (fun _ (cell : cell) -> cell.v <- rval cell.v) s.vars;
       copy.fup <- Option.map rscope s.fup;
       drain ()
     end
@@ -429,7 +439,7 @@ let apply_diff (d : diff) =
   List.iter
     (fun e ->
        (match e with
-        | Set_prop (m, k, v) -> Hashtbl.replace m.props k (rval v)
+        | Set_prop (m, k, v) -> Strtbl.replace m.props k (rval v)
         | Add_prop (m, k, v) -> raw_set_prop m k (rval v)
         | Del_prop (m, k) -> raw_delete m k
         | Set_proto (m, p) ->
@@ -444,7 +454,7 @@ let apply_diff (d : diff) =
           | None -> assert false)
         | Set_slot (ms, i, v) -> ms.slots.(i) <- rval v
         | Set_cell (cell, v) -> cell.v <- rval v
-        | New_var (ms, k, v) -> Hashtbl.replace ms.vars k { v = rval v });
+        | New_var (ms, k, v) -> Strtbl.replace ms.vars k { v = rval v });
        drain ())
     d.edits;
   List.iter
@@ -475,7 +485,7 @@ let apply_diff (d : diff) =
    chunk order is sequential push order; a single positional grower is
    sequential scatter; anything else cannot be merged deterministically. *)
 let growths_admissible (ds : diff list) : bool =
-  let tbl = Hashtbl.create 8 in
+  let tbl = Itbl.create 8 in
   List.iter
     (fun d ->
        List.iter
@@ -486,14 +496,14 @@ let growths_admissible (ds : diff list) : bool =
               | Gpositional (m, _, _) -> m.oid, true
             in
             let appends, positionals =
-              Option.value ~default:(0, 0) (Hashtbl.find_opt tbl oid)
+              Option.value ~default:(0, 0) (Itbl.find_opt tbl oid)
             in
-            Hashtbl.replace tbl oid
+            Itbl.replace tbl oid
               (if positional then (appends, positionals + 1)
                else (appends + 1, positionals)))
          d.growths)
     ds;
-  Hashtbl.fold
+  Itbl.fold
     (fun _ (appends, positionals) ok ->
        ok && (positionals = 0 || appends + positionals = 1))
     tbl true

@@ -14,6 +14,8 @@
    invocation (plus the global scope), each with a unique [sid] that
    the dependence analysis stamps at creation. *)
 
+module Strtbl = Ceres_util.Strtbl
+
 type value =
   | Num of float
   | Str of string
@@ -24,7 +26,7 @@ type value =
 
 and obj = {
   oid : int;
-  props : (string, value) Hashtbl.t;
+  props : value Strtbl.t;
   mutable key_order : string list; (* reversed insertion order *)
   mutable proto : obj option;
   mutable call : callable option;
@@ -46,7 +48,7 @@ and host_fn = state -> value -> value list -> value
 
 and scope = {
   sid : int;
-  vars : (string, cell) Hashtbl.t;
+  vars : cell Strtbl.t;
       (* dynamic side table: catch parameters, wrapper bindings,
          implicit globals, and every binding of an unresolved frame *)
   parent : scope option;
@@ -83,7 +85,7 @@ and state = {
   mutable next_sid : int;
   mutable call_depth : int;
   max_call_depth : int;
-  mutable budget : int64; (* max busy vticks; raise Budget_exhausted past it *)
+  mutable budget : int; (* max busy vticks; raise Budget_exhausted past it *)
   mutable console : string list; (* reversed log of console output *)
   mutable echo_console : bool;
   intrinsics : (string, intrinsic) Hashtbl.t;
@@ -164,7 +166,7 @@ let fresh_oid st =
 
 let make_obj ?proto st =
   { oid = fresh_oid st;
-    props = Hashtbl.create 8;
+    props = Strtbl.create 8;
     key_order = [];
     proto = (match proto with Some p -> p | None -> Some st.object_proto);
     call = None;
@@ -206,15 +208,17 @@ let array_index_of_key key =
     go 0 0
   end
 
+(* One hash per write: a size change tells a new key from an update. *)
 let raw_set_prop o key v =
-  if not (Hashtbl.mem o.props key) then o.key_order <- key :: o.key_order;
-  Hashtbl.replace o.props key v
+  let n = Strtbl.length o.props in
+  Strtbl.replace o.props key v;
+  if Strtbl.length o.props > n then o.key_order <- key :: o.key_order
 
-let raw_get_own o key = Hashtbl.find_opt o.props key
+let raw_get_own o key = Strtbl.find_opt o.props key
 
 let raw_delete_prop o key =
-  if Hashtbl.mem o.props key then begin
-    Hashtbl.remove o.props key;
+  if Strtbl.mem o.props key then begin
+    Strtbl.remove o.props key;
     o.key_order <- List.filter (fun k -> not (String.equal k key)) o.key_order;
     true
   end
@@ -264,9 +268,9 @@ let rec get_prop_obj o key =
   | None -> lookup_chain o key
 
 and lookup_chain o key =
-  match raw_get_own o key with
-  | Some v -> v
-  | None ->
+  match Strtbl.find o.props key with
+  | v -> v
+  | exception Not_found ->
     (match o.proto with
      | Some p -> get_prop_obj p key
      | None -> Undefined)
@@ -292,7 +296,7 @@ let set_prop_obj o key v =
 
 let has_prop_obj o key =
   let rec chain o =
-    Hashtbl.mem o.props key
+    Strtbl.mem o.props key
     || (match o.proto with Some p -> chain p | None -> false)
   in
   (match o.arr with
@@ -422,7 +426,7 @@ let fresh_scope st parent =
   let sid = st.next_sid in
   st.next_sid <- st.next_sid + 1;
   let scope =
-    { sid; vars = Hashtbl.create 8; parent;
+    { sid; vars = Strtbl.create 8; parent;
       ltab = None; slots = [||]; syms = [||]; fup = None }
   in
   st.on_scope_create scope;
@@ -435,13 +439,13 @@ let scope_slot scope name =
   | Some t -> (match Hashtbl.find_opt t name with Some s -> s | None -> -1)
 
 let declare scope name =
-  if scope_slot scope name < 0 && not (Hashtbl.mem scope.vars name) then
-    Hashtbl.replace scope.vars name { v = Undefined }
+  if scope_slot scope name < 0 && not (Strtbl.mem scope.vars name) then
+    Strtbl.replace scope.vars name { v = Undefined }
 
 (* Where [name] lives, walking out from [scope]: the owning scope and
    its slot there (-1 = a dynamic cell in that scope's [vars]). *)
 let rec var_home scope name =
-  if Hashtbl.length scope.vars > 0 && Hashtbl.mem scope.vars name then
+  if Strtbl.length scope.vars > 0 && Strtbl.mem scope.vars name then
     Some (scope, -1)
   else
     let s = scope_slot scope name in
@@ -458,11 +462,11 @@ let owner_scope scope name =
 
 let scope_read scope slot name =
   if slot >= 0 then scope.slots.(slot)
-  else (Hashtbl.find scope.vars name).v
+  else (Strtbl.find scope.vars name).v
 
 let scope_write scope slot name v =
   if slot >= 0 then scope.slots.(slot) <- v
-  else (Hashtbl.find scope.vars name).v <- v
+  else (Strtbl.find scope.vars name).v <- v
 
 let get_var st scope name =
   match var_home scope name with
@@ -480,7 +484,7 @@ let set_var st scope name v =
   | None ->
     (* Implicit global, as in sloppy-mode JS. *)
     declare st.global_scope name;
-    (match Hashtbl.find_opt st.global_scope.vars name with
+    (match Strtbl.find_opt st.global_scope.vars name with
      | Some cell -> cell.v <- v
      | None -> assert false)
 

@@ -12,6 +12,10 @@
     glue and the tests all pattern-match on them. Treat direct mutation
     outside those layers as off-limits. *)
 
+module Strtbl = Ceres_util.Strtbl
+(** Property maps and dynamic scope tables: string-keyed, with the
+    generic table's hash, so iteration order is the generic one. *)
+
 type value =
   | Num of float
   | Str of string
@@ -22,7 +26,7 @@ type value =
 
 and obj = {
   oid : int; (** unique object identity *)
-  props : (string, value) Hashtbl.t;
+  props : value Strtbl.t;
   mutable key_order : string list; (** reversed insertion order *)
   mutable proto : obj option;
   mutable call : callable option; (** Some = the object is a function *)
@@ -45,7 +49,7 @@ and host_fn = state -> value -> value list -> value
 
 and scope = {
   sid : int; (** unique scope identity, stamped by the analysis *)
-  vars : (string, cell) Hashtbl.t;
+  vars : cell Strtbl.t;
       (** dynamic side table: catch parameters, wrapper bindings,
           implicit globals, bindings of unresolved frames *)
   parent : scope option;
@@ -79,7 +83,7 @@ and state = {
   mutable next_sid : int;
   mutable call_depth : int;
   max_call_depth : int; (** exceeded -> catchable RangeError *)
-  mutable budget : int64; (** max busy vticks; {!Budget_exhausted} past it *)
+  mutable budget : int; (** max busy vticks; {!Budget_exhausted} past it *)
   mutable console : string list; (** reversed console output *)
   mutable echo_console : bool;
   intrinsics : (string, intrinsic) Hashtbl.t;

@@ -606,7 +606,7 @@ let run_parallel t pool st scope this (lv : loop_visit) (h : header) tasks lo
       !poisoned = None
       && Int64.compare
            (Int64.add (Ceres_util.Vclock.busy st.clock) busy_total)
-           st.budget
+           (Int64.of_int st.budget)
          > 0
     then taint "budget would be exhausted";
     (* reduction totals, ascending chunk order: folded accumulators

@@ -33,6 +33,7 @@ type report = {
   client_faults : int;
   wall_ms : float;
   throughput_rps : float;
+  samples : int;
   p50_ms : float;
   p95_ms : float;
   p99_ms : float;
@@ -81,7 +82,7 @@ type client_tally = {
   mutable c_timed_out : int;
   mutable c_dropped : int;
   mutable c_faults : int;
-  mutable c_latencies : float list; (* ms, well-behaved exchanges only *)
+  mutable c_latencies : float list; (* ms, [Ok_resp] exchanges only *)
 }
 
 let connect path =
@@ -167,9 +168,12 @@ let run_client cfg ~client tally =
               match input_line ic with
               | resp ->
                 let dt = (Unix.gettimeofday () -. t0) *. 1000. in
-                tally.c_latencies <- dt :: tally.c_latencies;
+                (* shed, failed and timed-out replies return early and
+                   would drag the percentiles down: not samples *)
                 (match classify resp with
-                 | Ok_resp -> tally.c_ok <- tally.c_ok + 1
+                 | Ok_resp ->
+                   tally.c_ok <- tally.c_ok + 1;
+                   tally.c_latencies <- dt :: tally.c_latencies
                  | Shed_resp -> tally.c_shed <- tally.c_shed + 1
                  | Timed_out_resp ->
                    tally.c_timed_out <- tally.c_timed_out + 1
@@ -226,6 +230,7 @@ let run cfg =
     wall_ms;
     throughput_rps =
       (if wall_ms > 0. then float_of_int sent /. (wall_ms /. 1000.) else 0.);
+    samples = Array.length latencies;
     p50_ms = percentile latencies 0.50;
     p95_ms = percentile latencies 0.95;
     p99_ms = percentile latencies 0.99;
@@ -242,6 +247,7 @@ let report_json (r : report) : Ceres_util.Json.t =
       ("client_faults", Int r.client_faults);
       ("wall_ms", Fixed (1, r.wall_ms));
       ("throughput_rps", Fixed (1, r.throughput_rps));
+      ("samples", Int r.samples);
       ( "latency_ms",
         Obj
           [ ("p50", Fixed (2, r.p50_ms));

@@ -29,7 +29,8 @@ type report = {
   client_faults : int;  (** drops this generator inflicted on purpose *)
   wall_ms : float;
   throughput_rps : float;
-  p50_ms : float;
+  samples : int;  (** latency samples: one per [ok] reply *)
+  p50_ms : float;  (** percentiles over the [ok] replies only *)
   p95_ms : float;
   p99_ms : float;
   max_ms : float;

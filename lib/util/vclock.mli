@@ -12,7 +12,17 @@
     to model the time between scripted user interactions — this is what
     makes "total time" exceed "active time" exactly as in the paper. *)
 
-type t
+type t = private {
+  rate : int;
+  mutable busy_ticks : int;
+  mutable idle_ticks : int;
+}
+(** The counters are native ints (63 bits hold 4.6e18 vticks), so
+    advancing the clock never allocates. The record is readable so the
+    interpreter's per-node budget check is a field load and an int
+    compare; it changes only through {!advance} and {!advance_idle}.
+    Everything else reads the clock through the [int64] accessors
+    below. *)
 
 val create : ?ticks_per_ms:int -> unit -> t
 (** Fresh clock at time zero. *)

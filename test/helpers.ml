@@ -72,3 +72,19 @@ let warning_strings (infos, rt) =
 
 let has_warning (infos, rt) ~sub =
   List.exists (fun s -> contains ~sub s) (warning_strings (infos, rt))
+
+let read_file path =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
+(* A committed golden, [rel] under [test/golden/]. The cwd is [test/]
+   under [dune runtest] and the root under [dune exec test/test_main.exe]. *)
+let golden rel =
+  let p = Filename.concat "golden" rel in
+  read_file (if Sys.file_exists p then p else Filename.concat "test" p)
+
+(* The built CLI, present under [dune runtest] (a declared dependency). *)
+let jsceres = "../bin/jsceres.exe"

@@ -77,26 +77,15 @@ let amdahl_monotone_law =
 let golden_name (w : Workloads.Workload.t) =
   String.map (fun c -> if c = ' ' then '_' else c) w.name ^ ".json"
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let test_goldens () =
   (* Regenerate with [make advise ADVISE_REGEN=1] after an intentional
      model or analyzer change. *)
   List.iter
     (fun (w : Workloads.Workload.t) ->
-       let path =
-         let p = Filename.concat "golden/advise" (golden_name w) in
-         if Sys.file_exists p then p else Filename.concat "test" p
-       in
        let actual = Advisor.to_json (Advisor.analyze w) in
        Alcotest.(check string)
          (w.name ^ " matches golden")
-         (read_file path) actual)
+         (Helpers.golden ("advise/" ^ golden_name w)) actual)
     Workloads.Registry.all
 
 let test_deterministic () =
@@ -167,7 +156,7 @@ let test_timeline_export () =
   let path = Filename.temp_file "jsceres_timeline" ".jsonl" in
   Trace.write_file path;
   let lines =
-    String.split_on_char '\n' (String.trim (read_file path))
+    String.split_on_char '\n' (String.trim (Helpers.read_file path))
     |> List.filter (fun l -> l <> "")
   in
   Sys.remove path;

@@ -220,19 +220,7 @@ let test_goldens () =
      after an intentional analyzer change. *)
   List.iter
     (fun (w : Workloads.Workload.t) ->
-       let path =
-         (* cwd is [test/] under [dune runtest], the root under
-            [dune exec test/test_main.exe] *)
-         let p = Filename.concat "golden/analyze" (golden_name w) in
-         if Sys.file_exists p then p else Filename.concat "test" p
-       in
-       let expected =
-         let ic = open_in_bin path in
-         let n = in_channel_length ic in
-         let s = really_input_string ic n in
-         close_in ic;
-         s
-       in
+       let expected = Helpers.golden ("analyze/" ^ golden_name w) in
        let actual =
          Analysis.Driver.to_json
            (Analysis.Driver.analyze (Jsir.Parser.parse_program w.source))

@@ -566,6 +566,90 @@ let test_nested_timeouts () =
   ignore (Interp.Events.run_until st ~until_ms:1_000.);
   check_with_state st "chain ran to completion" (Helpers.num 5.) "n"
 
+(* ------------------------------------------------------------------ *)
+(* Hot-path semantics *)
+
+(* The budget trips on the same tick as it always has: advance, probe,
+   then compare. Calls, property reads and writes and plain nodes all
+   tick, so a change to any of their costs or to the check moves the
+   pinned reading. *)
+let test_budget_exact_tick () =
+  let st = Interp.Eval.create ~budget:5_000L () in
+  Interp.Builtins.install st;
+  let ticks = ref 0 in
+  st.on_tick <- Some (fun _ -> incr ticks);
+  let src =
+    "function f(o, i) { o.x = o.x + i; return o.x; }\n\
+     var o = { x: 0 };\n\
+     for (var i = 0; ; i++) { f(o, i); }"
+  in
+  (match Interp.Eval.run_program st (Jsir.Parser.parse_program src) with
+   | exception Interp.Value.Budget_exhausted -> ()
+   | () -> Alcotest.fail "expected Budget_exhausted");
+  Alcotest.(check int64) "busy vticks at the raise" 5001L
+    (Ceres_util.Vclock.busy st.clock);
+  Alcotest.(check int) "ticks probed" 4375 !ticks;
+  Alcotest.(check int) "call depth unwound" 0 st.call_depth
+
+(* Every call that enters leaves: the exit hook runs and the depth
+   drops on the exceptional path too, whether a JS exception is caught
+   above a host callback or the budget escapes the whole program. *)
+let count_calls st =
+  let enters = ref 0 and exits = ref 0 in
+  st.Interp.Value.on_call_enter <- (fun _ -> incr enters);
+  st.on_call_exit <- (fun () -> incr exits);
+  (enters, exits)
+
+let test_call_unwinding () =
+  let st, _ = Helpers.fresh_state () in
+  let enters, exits = count_calls st in
+  Interp.Eval.run_program st
+    (Jsir.Parser.parse_program
+       "function inner(x) { if (x == 2) { throw \"boom\"; } return x; }\n\
+        function middle(a) { a.forEach(function (x) { inner(x); }); }\n\
+        var caught = \"\";\n\
+        function outer() { try { middle([1, 2, 3]); } catch (e) { caught = e; } }\n\
+        outer();");
+  check_with_state st "exception caught" (Helpers.str "boom") "caught";
+  Alcotest.(check int) "call depth after a caught throw" 0 st.call_depth;
+  Alcotest.(check bool) "calls observed" true (!enters >= 6);
+  Alcotest.(check int) "enters = exits (throw)" !enters !exits;
+  let st = Interp.Eval.create ~budget:20_000L () in
+  Interp.Builtins.install st;
+  let enters, exits = count_calls st in
+  (match
+     Interp.Eval.run_program st
+       (Jsir.Parser.parse_program
+          "function spin() { while (true) {} }\n\
+           function g() { [1, 2].forEach(function () { spin(); }); }\n\
+           function h() { g(); }\n\
+           h();")
+   with
+   | exception Interp.Value.Budget_exhausted -> ()
+   | () -> Alcotest.fail "expected Budget_exhausted");
+  Alcotest.(check int) "call depth after the budget escaped" 0 st.call_depth;
+  Alcotest.(check int) "nested calls entered" 5 !enters;
+  Alcotest.(check int) "enters = exits (budget)" !enters !exits
+
+(* The clock's counters are native ints: exact well past 2^32. *)
+let test_vclock_past_2_32 () =
+  let c = Ceres_util.Vclock.create () in
+  let big = 1 lsl 40 in
+  Ceres_util.Vclock.advance c big;
+  Ceres_util.Vclock.advance c 3;
+  Ceres_util.Vclock.advance_idle c (Int64.shift_left 1L 33);
+  Ceres_util.Vclock.advance_idle c 5L;
+  Alcotest.(check int64) "busy" 1099511627779L (Ceres_util.Vclock.busy c);
+  Alcotest.(check int64) "idle" 8589934597L (Ceres_util.Vclock.idle c);
+  Alcotest.(check int64) "now = busy + idle" 1108101562376L
+    (Ceres_util.Vclock.now c);
+  let c' = Ceres_util.Vclock.copy c in
+  Ceres_util.Vclock.advance c' 1;
+  Alcotest.(check int64) "copy is independent" 1099511627779L
+    (Ceres_util.Vclock.busy c);
+  Alcotest.(check int64) "copy advanced" 1099511627780L
+    (Ceres_util.Vclock.busy c')
+
 let suite =
   [ ("arithmetic", `Quick, test_arithmetic);
     ("bitwise", `Quick, test_bitwise);
@@ -602,6 +686,9 @@ let suite =
     ("type errors catchable", `Quick, test_type_errors_catchable);
     ("stack overflow", `Quick, test_stack_overflow_is_range_error);
     ("budget exhausted", `Quick, test_budget_exhausted);
+    ("budget trips on the same tick", `Quick, test_budget_exact_tick);
+    ("calls unwind on every path", `Quick, test_call_unwinding);
+    ("vclock exact past 2^32", `Quick, test_vclock_past_2_32);
     ("event loop ordering", `Quick, test_event_loop_ordering);
     ("event loop window", `Quick, test_event_loop_window);
     ("clearTimeout", `Quick, test_clear_timeout);

@@ -143,6 +143,22 @@ let test_shedding () =
       Alcotest.(check int) "nothing admitted" 0
         (Js_parallel.Telemetry.requests_admitted ()))
 
+(* Loadgen percentiles cover well-behaved replies only: against a gate
+   that sheds every execution request, the shed replies are counted
+   but contribute no latency samples. *)
+let test_loadgen_samples_ok_only () =
+  with_server
+    ~config_override:(fun c ->
+      { c with Server.max_inflight = 0; queue_capacity = 0 })
+    (fun ~path ~server:_ ->
+      let r =
+        Service.Loadgen.run
+          { Service.Loadgen.socket_path = path; clients = 1;
+            requests_per_client = 4; seed = 1; chaos_clients = false }
+      in
+      Alcotest.(check bool) "shed reported" true (r.shed > 0);
+      Alcotest.(check int) "one sample per ok reply" r.ok r.samples)
+
 (* Deadline: a watchdog budget small enough that real workloads
    overrun it turns into a workload-failed response naming the vclock
    budget, and the timed-out counter moves. *)
@@ -413,6 +429,8 @@ let suite =
   [ Alcotest.test_case "socket roundtrip + health" `Slow test_basic_roundtrip;
     Alcotest.test_case "session crash confinement" `Slow test_confinement;
     Alcotest.test_case "admission sheds with structure" `Slow test_shedding;
+    Alcotest.test_case "loadgen samples ok replies only" `Slow
+      test_loadgen_samples_ok_only;
     Alcotest.test_case "deadline via vclock watchdog" `Slow test_deadline;
     Alcotest.test_case "interleaved = serial transcripts" `Slow
       test_determinism;

@@ -397,13 +397,11 @@ let test_exit_codes_unit () =
   Alcotest.(check int) "sequential verdict" Service.Exit.verdict
     (Service.Response.exit_code seq)
 
-let jsceres = "../bin/jsceres.exe"
-
 let test_exit_codes_cli () =
-  if not (Sys.file_exists jsceres) then
+  if not (Sys.file_exists Helpers.jsceres) then
     Alcotest.skip ()
   else begin
-    let run args = Sys.command (jsceres ^ " " ^ args ^ " >/dev/null 2>&1") in
+    let run args = Sys.command (Helpers.jsceres ^ " " ^ args ^ " >/dev/null 2>&1") in
     Alcotest.(check int) "list exits 0" 0 (run "list");
     Alcotest.(check int) "unknown workload exits 1" 1 (run "profile nosuch");
     Alcotest.(check int) "sequential verdict exits 2" 2 (run "analyze MyScript")
