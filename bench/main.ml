@@ -15,9 +15,10 @@ module PE = Js_parallel.Par_exec
 
 (* The plain session once sequential (Measure mode also times each
    proven nest — the per-nest baseline) and once with the proven nests
-   forked across a 2-domain pool. The two Par_exec instances are
-   joined by loop id into the per-nest speedup rows. *)
-let exec_passes () =
+   forked across [pool], a 2-domain pool the caller spawns outside the
+   timed pass. The two Par_exec instances are joined by loop id into
+   the per-nest speedup rows. *)
+let exec_passes pool =
   let measure_pe = ref None and par_pe = ref None in
   let passes =
     [ ( "exec-seq",
@@ -27,10 +28,9 @@ let exec_passes () =
           ignore (Workloads.Harness.run_plain ~par:pe w) );
       ( "exec-par-j2",
         fun w ->
-          Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
-              let pe = PE.create ~mode:(PE.Parallel pool) ~jobs:2 () in
-              par_pe := Some pe;
-              ignore (Workloads.Harness.run_plain ~par:pe w)) ) ]
+          let pe = PE.create ~mode:(PE.Parallel pool) ~jobs:2 () in
+          par_pe := Some pe;
+          ignore (Workloads.Harness.run_plain ~par:pe w) ) ]
   in
   (passes, measure_pe, par_pe)
 
@@ -902,6 +902,9 @@ let json_bench names : Ceres_util.Json.t =
              exit 1)
         names
   in
+  (* one pool for the whole run: domain spawn and join stay outside
+     every [measure] *)
+  Js_parallel.Pool.with_pool ~domains:2 @@ fun pool ->
   Obj
     [ ("schema", Str "jsceres-bench-1");
       ("jobs", Int 1);
@@ -909,7 +912,7 @@ let json_bench names : Ceres_util.Json.t =
         List
           (List.map
              (fun (w : Workloads.Workload.t) ->
-                let exec, measure_pe, par_pe = exec_passes () in
+                let exec, measure_pe, par_pe = exec_passes pool in
                 let passes_json =
                   List
                     (List.map

@@ -1137,7 +1137,7 @@ let analyze_loop (fx : Effects.t) ~(rng : Range.t)
       let st =
         match init with
         | Some (Ast.Init_var ds) ->
-          walk_stmt st { s = Ast.Var_decl ds; sat = s.sat }
+          walk_stmt st (Ast.mk_stmt ~at:s.sat (Ast.Var_decl ds))
         | Some (Ast.Init_expr e) -> walk_expr st e
         | None -> st
       in

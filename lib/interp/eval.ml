@@ -23,67 +23,16 @@ let cost_prop = 1
 let cost_call = 4
 let cost_alloc = 3
 
-(* Allocation-free: the clock's counters are native ints, so a tick is
-   an add, the probe's load + branch, and an int compare. *)
+(* Allocation- and call-free: the clock's counters are native ints, so a
+   tick is an add, the probe's load + branch, and an int compare. The
+   add is done here rather than through [Vclock.advance]: dune's dev
+   profile compiles with [-opaque], so that would be a cross-module call
+   on every node, plus a sign check the constant costs never need. *)
 let[@inline] tick st n =
-  Ceres_util.Vclock.advance st.clock n;
+  let clock = st.clock in
+  clock.busy_ticks <- clock.busy_ticks + n;
   (match st.on_tick with None -> () | Some probe -> probe n);
-  if st.clock.busy_ticks > st.budget then raise Budget_exhausted
-
-(* ------------------------------------------------------------------ *)
-(* Hoisting: collect var-declared names and function declarations of a
-   function (or program) body, without descending into nested
-   functions. *)
-
-let rec hoisted_names acc stmts =
-  List.fold_left hoisted_of_stmt acc stmts
-
-and hoisted_of_stmt acc (s : stmt) =
-  match s.s with
-  | Var_decl decls -> List.fold_left (fun acc (n, _) -> n :: acc) acc decls
-  | Func_decl f ->
-    (match f.fname with Some n -> n :: acc | None -> acc)
-  | If (_, t, e) ->
-    let acc = hoisted_of_stmt acc t in
-    (match e with Some e -> hoisted_of_stmt acc e | None -> acc)
-  | While (_, _, body) | Do_while (_, body, _) -> hoisted_of_stmt acc body
-  | For (_, init, _, _, body) ->
-    let acc =
-      match init with
-      | Some (Init_var decls) ->
-        List.fold_left (fun acc (n, _) -> n :: acc) acc decls
-      | _ -> acc
-    in
-    hoisted_of_stmt acc body
-  | For_in (_, binder, _, body) ->
-    let acc =
-      match binder with Binder_var n -> n :: acc | Binder_ident _ -> acc
-    in
-    hoisted_of_stmt acc body
-  | Try (body, catch, finally) ->
-    let acc = hoisted_names acc body in
-    let acc =
-      match catch with Some (_, cb) -> hoisted_names acc cb | None -> acc
-    in
-    (match finally with Some fb -> hoisted_names acc fb | None -> acc)
-  | Block body -> hoisted_names acc body
-  | Switch (_, cases) ->
-    List.fold_left (fun acc (_, body) -> hoisted_names acc body) acc cases
-  | Labeled (_, body) -> hoisted_of_stmt acc body
-  | Expr_stmt _ | Return _ | Break _ | Continue _ | Throw _ | Empty -> acc
-
-let rec function_decls acc stmts =
-  List.fold_left
-    (fun acc (s : stmt) ->
-       match s.s with
-       | Func_decl f -> f :: acc
-       | Block body -> function_decls acc body
-       | Labeled (_, body) -> function_decls acc [ body ]
-       | If (_, t, e) ->
-         let acc = function_decls acc [ t ] in
-         (match e with Some e -> function_decls acc [ e ] | None -> acc)
-       | _ -> acc)
-    acc stmts
+  if clock.busy_ticks > st.budget then raise Budget_exhausted
 
 (* ------------------------------------------------------------------ *)
 
@@ -99,11 +48,14 @@ let make_closure st scope (f : func) =
    | None -> ());
   fo
 
+(* [var] and function-declaration hoisting, with the resolver's
+   collection walk: the names an unresolved frame declares are exactly
+   the slots a resolved one gets. *)
 let hoist_into st scope stmts =
-  let names = hoisted_names [] stmts in
+  let names = Jsir.Resolve.hoisted_names [] stmts in
   List.iter (declare scope) names;
   (* Function declarations are initialised at scope entry. *)
-  let decls = List.rev (function_decls [] stmts) in
+  let decls = List.rev (Jsir.Resolve.function_decls [] stmts) in
   List.iter
     (fun (f : func) ->
        match f.fname with
@@ -353,7 +305,7 @@ and eval st scope this (e : expr) : value =
   match e.e with
   | Number f -> Num f
   | String s -> Str s
-  | Bool b -> Bool b
+  | Bool b -> vbool b
   | Null -> Null
   | Undefined -> Undefined
   | This -> this
@@ -384,7 +336,7 @@ and eval st scope this (e : expr) : value =
        [-0.] must fall through (its key is "-0", not an index). *)
     (match base, idx with
      | Obj ({ arr = Some a; _ } as o), Num f
-       when Float.is_integer f && (not (Float.sign_bit f))
+       when Float.of_int (int_of_float f) = f && (not (Float.sign_bit f))
             && f < 1073741824. ->
        tick st cost_prop;
        let i = int_of_float f in
@@ -430,6 +382,11 @@ and eval st scope this (e : expr) : value =
   | Cond (c, t, f) ->
     if to_boolean (eval st scope this c) then eval st scope this t
     else eval st scope this f
+  | Assign (Tgt_ident _, None, rhs) when e.lex >= 0 ->
+    (* a resolved name: write the slot, no reference built *)
+    let v = eval st scope this rhs in
+    set_lex st scope e.lex v;
+    v
   | Assign (tgt, None, rhs) ->
     let r = eval_ref st scope this e.lex tgt in
     let v = eval st scope this rhs in
@@ -442,6 +399,15 @@ and eval st scope this (e : expr) : value =
     let v = eval_binop st op old_v rhs_v in
     write_ref st scope r v;
     v
+  | Update (kind, prefix, Tgt_ident _) when e.lex >= 0 ->
+    let old_v = get_lex st scope e.lex in
+    let old_n = match old_v with Num f -> f | v -> to_number st v in
+    let new_v =
+      Num (match kind with Incr -> old_n +. 1. | Decr -> old_n -. 1.)
+    in
+    set_lex st scope e.lex new_v;
+    if prefix then new_v
+    else (match old_v with Num _ -> old_v | _ -> Num old_n)
   | Update (kind, prefix, tgt) ->
     let r = eval_ref st scope this e.lex tgt in
     let old_n = to_number st (read_ref st scope r) in
@@ -492,7 +458,7 @@ and eval_ref st scope this lex (tgt : target) =
     let idx = eval st scope this ie in
     (match base, idx with
      | Obj ({ arr = Some _; host_tag = None; _ } as o), Num f
-       when Float.is_integer f && (not (Float.sign_bit f))
+       when Float.of_int (int_of_float f) = f && (not (Float.sign_bit f))
             && f < 1073741824. ->
        `Elem (o, int_of_float f)
      | _ -> `Slot (base, to_string st idx))
@@ -561,14 +527,34 @@ and eval_unop st scope this op operand =
      | _ -> Bool true)
   | Neg -> Num (-.to_number st (eval st scope this operand))
   | Positive -> Num (to_number st (eval st scope this operand))
-  | Not -> Bool (not (to_boolean (eval st scope this operand)))
+  | Not -> vbool (not (to_boolean (eval st scope this operand)))
   | Bitnot ->
     Num (Int32.to_float (Int32.lognot (to_int32 st (eval st scope this operand))))
   | Void ->
     ignore (eval st scope this operand);
     Undefined
 
+(* Number operands take the fast path: the float operation inline, no
+   coercion calls. IEEE comparisons are already false on NaN. *)
 and eval_binop st op lv rv =
+  match lv, rv with
+  | Num a, Num b ->
+    (match op with
+     | Add -> Num (a +. b)
+     | Sub -> Num (a -. b)
+     | Mul -> Num (a *. b)
+     | Div -> Num (a /. b)
+     | Mod -> Num (Float.rem a b)
+     | Lt -> vbool (a < b)
+     | Le -> vbool (a <= b)
+     | Gt -> vbool (a > b)
+     | Ge -> vbool (a >= b)
+     | Eq | Strict_eq -> vbool (a = b)
+     | Neq | Strict_neq -> vbool (a <> b)
+     | _ -> eval_binop_coerce st op lv rv)
+  | _ -> eval_binop_coerce st op lv rv
+
+and eval_binop_coerce st op lv rv =
   match op with
   | Add ->
     let lp = to_primitive st lv and rp = to_primitive st rv in
@@ -579,16 +565,16 @@ and eval_binop st op lv rv =
   | Mul -> Num (to_number st lv *. to_number st rv)
   | Div -> Num (to_number st lv /. to_number st rv)
   | Mod -> Num (Float.rem (to_number st lv) (to_number st rv))
-  | Eq -> Bool (abstract_eq st lv rv)
-  | Neq -> Bool (not (abstract_eq st lv rv))
-  | Strict_eq -> Bool (strict_eq lv rv)
-  | Strict_neq -> Bool (not (strict_eq lv rv))
+  | Eq -> vbool (abstract_eq st lv rv)
+  | Neq -> vbool (not (abstract_eq st lv rv))
+  | Strict_eq -> vbool (strict_eq lv rv)
+  | Strict_neq -> vbool (not (strict_eq lv rv))
   | Lt | Le | Gt | Ge ->
     let lp = to_primitive st lv and rp = to_primitive st rv in
     (match lp, rp with
      | Str a, Str b ->
        let c = String.compare a b in
-       Bool
+       vbool
          (match op with
           | Lt -> c < 0
           | Le -> c <= 0
@@ -597,9 +583,9 @@ and eval_binop st op lv rv =
           | _ -> assert false)
      | _ ->
        let a = to_number st lp and b = to_number st rp in
-       if Float.is_nan a || Float.is_nan b then Bool false
+       if Float.is_nan a || Float.is_nan b then vbool false
        else
-         Bool
+         vbool
            (match op with
             | Lt -> a < b
             | Le -> a <= b
@@ -630,12 +616,12 @@ and eval_binop st op lv rv =
             | None -> false
             | Some p -> p.oid = proto.oid || walk p.proto
           in
-          Bool (walk o.proto)
-        | _ -> Bool false)
+          vbool (walk o.proto)
+        | _ -> vbool false)
      | _ -> type_error st "right-hand side of instanceof is not callable")
   | In ->
     (match rv with
-     | Obj o -> Bool (has_prop_obj o (to_string st lv))
+     | Obj o -> vbool (has_prop_obj o (to_string st lv))
      | _ -> type_error st "right-hand side of 'in' is not an object")
 
 (* ------------------------------------------------------------------ *)
@@ -664,15 +650,7 @@ and exec_stmt_labeled st scope this ~label (s : stmt) : completion =
     ignore (eval st scope this e);
     Cnormal
   | Var_decl decls ->
-    List.iter
-      (fun (name, init) ->
-         declare scope name;
-         match init with
-         | None -> ()
-         | Some e ->
-           let v = eval st scope this e in
-           set_var st scope name v)
-      decls;
+    declare_all st scope this s.slex decls;
     Cnormal
   | Func_decl _ -> Cnormal (* bound during hoisting *)
   | If (cond, then_s, else_s) ->
@@ -707,14 +685,7 @@ and exec_stmt_labeled st scope this ~label (s : stmt) : completion =
     (match init with
      | None -> ()
      | Some (Init_expr e) -> ignore (eval st scope this e)
-     | Some (Init_var decls) ->
-       List.iter
-         (fun (name, ie) ->
-            declare scope name;
-            match ie with
-            | None -> ()
-            | Some e -> set_var st scope name (eval st scope this e))
-         decls);
+     | Some (Init_var decls) -> declare_all st scope this s.slex decls);
     let hook_ran =
       match st.on_loop with
       | None -> false
@@ -754,17 +725,20 @@ and exec_stmt_labeled st scope this ~label (s : stmt) : completion =
       | Obj o -> own_keys o
       | _ -> []
     in
+    (* a stamped binder writes its slot; the others take [set_var] *)
+    let lex = if Array.length s.slex > 0 then s.slex.(0) else -1 in
     let name =
       match binder with
       | Binder_var n ->
-        declare scope n;
+        if lex < 0 then declare scope n;
         n
       | Binder_ident n -> n
     in
     let rec loop = function
       | [] -> Cnormal
       | k :: rest ->
-        set_var st scope name (Str k);
+        if lex >= 0 then set_lex st scope lex (Str k)
+        else set_var st scope name (Str k);
         (match exec_stmt st scope this body with
          | Cnormal -> loop rest
          | Ccontinue l when targets label l -> loop rest
@@ -852,6 +826,31 @@ and exec_stmt_labeled st scope this ~label (s : stmt) : completion =
     (match result with
      | Cbreak (Some l) when l = name -> Cnormal
      | other -> other)
+
+(* The declarators of a [var] statement or a [for] head. Stamped ones
+   ([slex], one address each) write their slot: the frame already has
+   it, so an uninitialised one does nothing, as [declare] does for a
+   slotted name. Unstamped ones declare and bind by name. *)
+and declare_all st scope this slex decls =
+  if Array.length slex > 0 then declare_slots st scope this slex 0 decls
+  else declare_names st scope this decls
+
+and declare_slots st scope this slex i = function
+  | [] -> ()
+  | (_, init) :: rest ->
+    (match init with
+     | None -> ()
+     | Some e -> set_lex st scope slex.(i) (eval st scope this e));
+    declare_slots st scope this slex (i + 1) rest
+
+and declare_names st scope this = function
+  | [] -> ()
+  | (name, init) :: rest ->
+    declare scope name;
+    (match init with
+     | None -> ()
+     | Some e -> set_var st scope name (eval st scope this e));
+    declare_names st scope this rest
 
 (* ------------------------------------------------------------------ *)
 (* State construction and program execution                            *)

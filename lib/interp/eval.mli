@@ -64,8 +64,9 @@ val hoist_into : state -> scope -> Jsir.Ast.stmt list -> unit
     [scope]. *)
 
 val tick : state -> int -> unit
-(** Advance the virtual clock by a cost; fires the state's [on_tick]
-    probe (if armed) and raises {!Value.Budget_exhausted} past the
-    state's budget. *)
+(** Advance the virtual clock by a non-negative cost (unchecked, unlike
+    {!Ceres_util.Vclock.advance}); fires the state's [on_tick] probe (if
+    armed) and raises {!Value.Budget_exhausted} past the state's
+    budget. *)
 
 val default_budget : int64

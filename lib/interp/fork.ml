@@ -89,9 +89,10 @@ let fork (master : state) ~(scope : scope) ~(this : value) ~(next_oid : int)
       (* the parent chain is acyclic and carries no values, so plain
          recursion is safe here *)
       let parent = Option.map scope_shell s.parent in
+      (* [no_vars] until [fill_scope] (or the chunk) binds a name *)
       let c =
-        { sid = s.sid; vars = Strtbl.create (max 4 (Strtbl.length s.vars));
-          parent; ltab = s.ltab; slots = [||]; syms = s.syms; fup = None }
+        { sid = s.sid; vars = no_vars; parent; ltab = s.ltab; slots = [||];
+          syms = s.syms; fup = None }
       in
       Itbl.add scope_fwd s.sid c;
       Itbl.add scope_rev s.sid s;
@@ -117,9 +118,12 @@ let fork (master : state) ~(scope : scope) ~(this : value) ~(next_oid : int)
   in
   let fill_scope ((s : scope), (c : scope)) =
     c.slots <- Array.map cval s.slots;
-    Strtbl.iter
-      (fun k (cell : cell) -> Strtbl.replace c.vars k { v = cval cell.v })
-      s.vars;
+    if Strtbl.length s.vars > 0 then begin
+      let vars = own_vars c in
+      Strtbl.iter
+        (fun k (cell : cell) -> Strtbl.replace vars k { v = cval cell.v })
+        s.vars
+    end;
     c.fup <- Option.map scope_shell s.fup
   in
   let g_scope = scope_shell master.global_scope in
@@ -454,7 +458,7 @@ let apply_diff (d : diff) =
           | None -> assert false)
         | Set_slot (ms, i, v) -> ms.slots.(i) <- rval v
         | Set_cell (cell, v) -> cell.v <- rval v
-        | New_var (ms, k, v) -> Strtbl.replace ms.vars k { v = rval v });
+        | New_var (ms, k, v) -> Strtbl.replace (own_vars ms) k { v = rval v });
        drain ())
     d.edits;
   List.iter

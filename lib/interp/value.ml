@@ -48,9 +48,11 @@ and host_fn = state -> value -> value list -> value
 
 and scope = {
   sid : int;
-  vars : cell Strtbl.t;
+  mutable vars : cell Strtbl.t;
       (* dynamic side table: catch parameters, wrapper bindings,
-         implicit globals, and every binding of an unresolved frame *)
+         implicit globals, and every binding of an unresolved frame.
+         Starts as the shared, never-written [no_vars]; a frame gets
+         its own table on its first dynamic binding. *)
   parent : scope option;
   mutable ltab : (string, int) Hashtbl.t option;
       (* slot layout of this frame: name -> slot. Function frames share
@@ -310,6 +312,12 @@ let has_prop_obj o key =
 (* ------------------------------------------------------------------ *)
 (* Coercions                                                           *)
 
+(* The two booleans, allocated once: comparisons and [!] return these
+   instead of building a fresh [Bool] block. *)
+let v_true = Bool true
+let v_false = Bool false
+let[@inline] vbool b = if b then v_true else v_false
+
 let to_boolean = function
   | Bool b -> b
   | Num f -> not (f = 0. || Float.is_nan f)
@@ -422,11 +430,20 @@ let strict_eq a b =
 (* ------------------------------------------------------------------ *)
 (* Scopes                                                              *)
 
+(* The side table of every frame with no dynamic binding. Nothing may
+   write it: a writer first gives the frame its own table
+   ([own_vars]). Forks on other domains read it concurrently. *)
+let no_vars : cell Strtbl.t = Strtbl.create 1
+
+let own_vars scope =
+  if scope.vars == no_vars then scope.vars <- Strtbl.create 8;
+  scope.vars
+
 let fresh_scope st parent =
   let sid = st.next_sid in
   st.next_sid <- st.next_sid + 1;
   let scope =
-    { sid; vars = Strtbl.create 8; parent;
+    { sid; vars = no_vars; parent;
       ltab = None; slots = [||]; syms = [||]; fup = None }
   in
   st.on_scope_create scope;
@@ -440,7 +457,7 @@ let scope_slot scope name =
 
 let declare scope name =
   if scope_slot scope name < 0 && not (Strtbl.mem scope.vars name) then
-    Strtbl.replace scope.vars name { v = Undefined }
+    Strtbl.replace (own_vars scope) name { v = Undefined }
 
 (* Where [name] lives, walking out from [scope]: the owning scope and
    its slot there (-1 = a dynamic cell in that scope's [vars]). *)

@@ -49,9 +49,10 @@ and host_fn = state -> value -> value list -> value
 
 and scope = {
   sid : int; (** unique scope identity, stamped by the analysis *)
-  vars : cell Strtbl.t;
+  mutable vars : cell Strtbl.t;
       (** dynamic side table: catch parameters, wrapper bindings,
-          implicit globals, bindings of unresolved frames *)
+          implicit globals, bindings of unresolved frames. {!no_vars}
+          until the frame's first dynamic binding ({!own_vars}). *)
   parent : scope option;
   mutable ltab : (string, int) Hashtbl.t option;
       (** name -> slot of this frame's layout; [None] = dynamic scope.
@@ -174,6 +175,9 @@ val has_prop_obj : obj -> string -> bool
 
 (** {1 Coercions} *)
 
+val vbool : bool -> value
+(** One of two preallocated [Bool] values: allocation-free. *)
+
 val to_boolean : value -> bool
 val number_of_string : string -> float
 val to_string : state -> value -> string
@@ -192,8 +196,17 @@ val strict_eq : value -> value -> bool
 
 (** {1 Scopes} *)
 
+val no_vars : cell Strtbl.t
+(** The shared side table of every scope without dynamic bindings.
+    It stays empty: nothing writes it, so scopes on any domain can
+    share it. *)
+
+val own_vars : scope -> cell Strtbl.t
+(** The scope's side table for writing: replaces {!no_vars} with a
+    fresh table of the scope's own first. *)
+
 val fresh_scope : state -> scope option -> scope
-(** New scope (fires [on_scope_create]). *)
+(** New scope (fires [on_scope_create]), sharing {!no_vars}. *)
 
 val declare : scope -> string -> unit
 (** Bind the name to [Undefined] if not already bound here (slotted

@@ -128,7 +128,10 @@ and layout = {
          no name at all): the runtime wrapper-scope test is skipped *)
 }
 
-and stmt = { s : stmt_desc; sat : span }
+(* [slex]: one packed lexical address per declarator of a [Var_decl],
+   a [For]'s [Init_var] or a [For_in]'s [Binder_var], stamped by the
+   resolver; [[||]] = take the dynamic path. *)
+and stmt = { s : stmt_desc; sat : span; mutable slex : int array }
 
 and stmt_desc =
   | Expr_stmt of expr
@@ -182,7 +185,7 @@ let mk_func ?(fname = None) ~params ~body fspan =
   { fname; params; body; fspan; layout = None }
 let mk_program ~stmts ~loop_count =
   { stmts; loop_count; glayout = None; resolved_for = None }
-let mk_stmt ?(at = no_span) s = { s; sat = at }
+let mk_stmt ?(at = no_span) s = { s; sat = at; slex = [||] }
 let number f = mk (Number f)
 let string_lit s = mk (String s)
 let ident x = mk (Ident x)

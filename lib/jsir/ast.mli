@@ -117,7 +117,13 @@ and layout = {
           expression's own name *)
 }
 
-and stmt = { s : stmt_desc; sat : span }
+and stmt = { s : stmt_desc; sat : span; mutable slex : int array }
+(** [slex] is the resolver's stamp for a statement that declares
+    variables: one packed lexical address per declarator of a
+    [Var_decl], of a [For]'s [Init_var], or the [Binder_var] of a
+    [For_in], in source order. [[||]] (the parser's value) = some
+    declarator is unresolved: take the dynamic [declare]/[set_var]
+    path. {!Equal} and {!Printer} ignore it. *)
 
 and stmt_desc =
   | Expr_stmt of expr

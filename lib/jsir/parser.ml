@@ -471,20 +471,20 @@ and parse_stmt st : stmt =
   match peek st with
   | Lexer.SEMI ->
     advance st;
-    { s = Empty; sat }
+    mk_stmt ~at:sat Empty
   | Lexer.LBRACE ->
     advance st;
     let body = parse_stmts_until st Lexer.RBRACE in
     expect st Lexer.RBRACE;
-    { s = Block body; sat }
+    mk_stmt ~at:sat (Block body)
   | Lexer.KW_var ->
     advance st;
     let decls = parse_var_decls st in
     expect_semi st;
-    { s = Var_decl decls; sat }
+    mk_stmt ~at:sat (Var_decl decls)
   | Lexer.KW_function ->
     let f = parse_function st in
-    { s = Func_decl f; sat }
+    mk_stmt ~at:sat (Func_decl f)
   | Lexer.KW_if ->
     advance st;
     expect st Lexer.LPAREN;
@@ -498,7 +498,7 @@ and parse_stmt st : stmt =
       end
       else None
     in
-    { s = If (cond, then_s, else_s); sat }
+    mk_stmt ~at:sat (If (cond, then_s, else_s))
   | Lexer.KW_while ->
     advance st;
     let id = fresh_loop st in
@@ -506,7 +506,7 @@ and parse_stmt st : stmt =
     let cond = parse_expr_seq st in
     expect st Lexer.RPAREN;
     let body = parse_stmt st in
-    { s = While (id, cond, body); sat }
+    mk_stmt ~at:sat (While (id, cond, body))
   | Lexer.KW_do ->
     advance st;
     let id = fresh_loop st in
@@ -516,7 +516,7 @@ and parse_stmt st : stmt =
     let cond = parse_expr_seq st in
     expect st Lexer.RPAREN;
     expect_semi st;
-    { s = Do_while (id, body, cond); sat }
+    mk_stmt ~at:sat (Do_while (id, body, cond))
   | Lexer.KW_for -> parse_for st sat
   | Lexer.KW_return ->
     advance st;
@@ -526,7 +526,7 @@ and parse_stmt st : stmt =
       | _ -> Some (parse_expr_seq st)
     in
     expect_semi st;
-    { s = Return value; sat }
+    mk_stmt ~at:sat (Return value)
   | Lexer.KW_break ->
     advance st;
     let label =
@@ -537,7 +537,7 @@ and parse_stmt st : stmt =
       | _ -> None
     in
     expect_semi st;
-    { s = Break label; sat }
+    mk_stmt ~at:sat (Break label)
   | Lexer.KW_continue ->
     advance st;
     let label =
@@ -548,12 +548,12 @@ and parse_stmt st : stmt =
       | _ -> None
     in
     expect_semi st;
-    { s = Continue label; sat }
+    mk_stmt ~at:sat (Continue label)
   | Lexer.KW_throw ->
     advance st;
     let e = parse_expr_seq st in
     expect_semi st;
-    { s = Throw e; sat }
+    mk_stmt ~at:sat (Throw e)
   | Lexer.KW_try ->
     advance st;
     expect st Lexer.LBRACE;
@@ -584,7 +584,7 @@ and parse_stmt st : stmt =
     in
     if catch = None && finally = None then
       error st "try requires catch or finally";
-    { s = Try (body, catch, finally); sat }
+    mk_stmt ~at:sat (Try (body, catch, finally))
   | Lexer.KW_switch ->
     advance st;
     expect st Lexer.LPAREN;
@@ -612,17 +612,17 @@ and parse_stmt st : stmt =
           (Printf.sprintf "expected case/default but found %s"
              (Lexer.token_name tok))
     in
-    { s = Switch (scrutinee, cases []); sat }
+    mk_stmt ~at:sat (Switch (scrutinee, cases []))
   | Lexer.IDENT name when peek_ahead st 1 = Lexer.COLON ->
     (* labeled statement: "name: stmt" *)
     advance st;
     advance st;
     let body = parse_stmt st in
-    { s = Labeled (name, body); sat }
+    mk_stmt ~at:sat (Labeled (name, body))
   | _ ->
     let e = parse_expr_seq st in
     expect_semi st;
-    { s = Expr_stmt e; sat }
+    mk_stmt ~at:sat (Expr_stmt e)
 
 and parse_case_body st : stmt list =
   let rec go acc =
@@ -646,7 +646,7 @@ and parse_for st sat : stmt =
       let obj = parse_expr_seq st in
       expect st Lexer.RPAREN;
       let body = parse_stmt st in
-      { s = For_in (id, Binder_var first_name, obj, body); sat }
+      mk_stmt ~at:sat (For_in (id, Binder_var first_name, obj, body))
     end
     else begin
       let first_init =
@@ -675,7 +675,7 @@ and parse_for st sat : stmt =
     let obj = parse_expr_seq st in
     expect st Lexer.RPAREN;
     let body = parse_stmt st in
-    { s = For_in (id, Binder_ident name, obj, body); sat }
+    mk_stmt ~at:sat (For_in (id, Binder_ident name, obj, body))
   | _ ->
     let init = parse_expr_seq st in
     expect st Lexer.SEMI;
@@ -691,7 +691,7 @@ and parse_for_classic st sat id init : stmt =
   in
   expect st Lexer.RPAREN;
   let body = parse_stmt st in
-  { s = For (id, init, cond, update, body); sat }
+  mk_stmt ~at:sat (For (id, init, cond, update, body))
 
 and parse_stmts_until st closing : stmt list =
   let rec go acc =

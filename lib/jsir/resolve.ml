@@ -15,8 +15,9 @@
      static resolution in that function and everything nested in it;
    - stamps every variable reference with a packed [(depth, slot)]
      lexical address in [expr.lex], where depth counts function-frame
-     boundaries and the global frame is a sentinel depth. References
-     that cannot be proven (catch-poisoned names, names a runtime
+     boundaries and the global frame is a sentinel depth, and every
+     [var] declarator (for/for-in heads included) in [stmt.slex].
+     References that cannot be proven (catch-poisoned names, names a runtime
      wrapper scope for a named function expression may bind, names not
      statically bound anywhere — possibly implicit globals) stay
      unresolved and take the evaluator's dynamic path, which is
@@ -30,10 +31,9 @@ open Ast
 module Symbol = Ceres_util.Symbol
 
 (* ------------------------------------------------------------------ *)
-(* Hoisting collection: byte-compatible with the evaluator's
-   [hoisted_names]/[function_decls] (eval.ml); kept in the same shapes
-   so the slot population is exactly the set of names the old code
-   declared at function entry. *)
+(* Hoisting collection, shared with the evaluator's dynamic path
+   ([Eval.hoist_into]), so the slot population is exactly the set of
+   names an unresolved frame declares at function entry. *)
 
 let rec hoisted_names acc stmts = List.fold_left hoisted_of_stmt acc stmts
 
@@ -310,12 +310,19 @@ let build_layout env_tab ~global ~params ~body =
 (* ------------------------------------------------------------------ *)
 (* The walk *)
 
+(* A statement's [slex]: one address per declared name, or [[||]] when
+   any of them stays unresolved. *)
+let declarator_stamps env names =
+  let addrs = List.filter_map (resolve_name env) names in
+  if List.compare_lengths addrs names = 0 then Array.of_list addrs else [||]
+
 let rec resolve_stmts env stmts = List.iter (resolve_stmt env) stmts
 
 and resolve_stmt env (s : stmt) =
   match s.s with
   | Expr_stmt e -> rx env e
   | Var_decl decls ->
+    s.slex <- declarator_stamps env (List.map fst decls);
     List.iter (fun (_, init) -> Option.iter (rx env) init) decls
   | If (c, t, e) ->
     rx env c;
@@ -330,13 +337,17 @@ and resolve_stmt env (s : stmt) =
   | For (_, init, cond, upd, body) ->
     (match init with
      | Some (Init_var decls) ->
+       s.slex <- declarator_stamps env (List.map fst decls);
        List.iter (fun (_, i) -> Option.iter (rx env) i) decls
      | Some (Init_expr e) -> rx env e
      | None -> ());
     Option.iter (rx env) cond;
     Option.iter (rx env) upd;
     resolve_stmt env body
-  | For_in (_, _, obj, body) ->
+  | For_in (_, binder, obj, body) ->
+    (match binder with
+     | Binder_var n -> s.slex <- declarator_stamps env [ n ]
+     | Binder_ident _ -> ());
     rx env obj;
     resolve_stmt env body
   | Return e -> Option.iter (rx env) e

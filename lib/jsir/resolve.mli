@@ -6,7 +6,7 @@
     frame and for the global frame (mirroring the evaluator's hoisting
     semantics exactly — catch parameters are {e not} hoisted), and
     stamps every variable reference with a packed [(depth, slot)]
-    address in [expr.lex].
+    address in [expr.lex] and every [var] declarator in [stmt.slex].
 
     References that cannot be proven static — names bound by a catch
     clause somewhere in the function, names a named-function-expression
@@ -14,6 +14,17 @@
     (possible implicit globals) — are left unresolved ([-1]) and take
     the evaluator's dynamic path, which preserves the old semantics
     byte for byte. *)
+
+val hoisted_names : string list -> Ast.stmt list -> string list
+(** [hoisted_names acc body] adds, newest first, every name a [var]
+    declaration, a for/for-in head or a function declaration of this
+    function level binds (nested functions are not entered; catch
+    parameters are not hoisted). The names a frame declares at entry,
+    and so the slots of its layout. *)
+
+val function_decls : Ast.func list -> Ast.stmt list -> Ast.func list
+(** [function_decls acc body] adds the function declarations this
+    function level initialises at entry, in reverse source order. *)
 
 val program : Ceres_util.Symbol.table -> Ast.program -> unit
 (** Resolve (or re-resolve) the program against [tab]. Overwrites every

@@ -12,16 +12,20 @@
     to model the time between scripted user interactions — this is what
     makes "total time" exceed "active time" exactly as in the paper. *)
 
-type t = private {
+type t = {
   rate : int;
   mutable busy_ticks : int;
   mutable idle_ticks : int;
 }
 (** The counters are native ints (63 bits hold 4.6e18 vticks), so
-    advancing the clock never allocates. The record is readable so the
-    interpreter's per-node budget check is a field load and an int
-    compare; it changes only through {!advance} and {!advance_idle}.
-    Everything else reads the clock through the [int64] accessors
+    advancing the clock never allocates. The record is exposed so the
+    interpreter's per-node tick can do its add and budget check in
+    place: [Eval.tick] is the one writer besides {!advance} and
+    {!advance_idle}. It runs on every evaluated node, and under dune's
+    dev profile ([-opaque]) a call to {!advance} would stay a
+    cross-module call there; its costs are non-negative constants, so
+    it skips {!advance}'s sign check. Everything else changes the clock
+    through {!advance} and reads it through the [int64] accessors
     below. *)
 
 val create : ?ticks_per_ms:int -> unit -> t

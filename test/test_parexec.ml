@@ -158,6 +158,36 @@ let test_one_chunk_per_domain () =
              (PE.nest_rows pe))
         exec_apps)
 
+(* Frames without dynamic bindings all share [Value.no_vars]; whatever
+   binds a name dynamically (a catch, a function-name wrapper, an
+   implicit global, an unresolved frame, a fork's shell or merge) must
+   give the frame its own table first. After the exec apps run plain
+   and forked at -j 2, and a program that binds dynamically runs on
+   both paths, the shared table is still empty. *)
+let test_no_vars_untouched () =
+  let src =
+    "function f(x) { try { throw x; } catch (err) { leaked = err; }
+    \  var h = function g() { return typeof g; }; return h(); }
+     console.log(f(1) + leaked);"
+  in
+  List.iter
+    (fun resolve ->
+       let st, _ = Helpers.fresh_state () in
+       Interp.Eval.run_program ~resolve st (Jsir.Parser.parse_program src);
+       Alcotest.(check (list string))
+         (Printf.sprintf "dynamic bindings (resolve=%b)" resolve)
+         [ "function1" ] st.console)
+    [ true; false ];
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun name ->
+           let w = workload name in
+           ignore (run_seq w);
+           ignore (run_par ~pool ~jobs:2 w))
+        exec_apps);
+  Alcotest.(check int) "Value.no_vars is empty" 0
+    (Interp.Value.Strtbl.length Interp.Value.no_vars)
+
 (* ------------------------------------------------------------------ *)
 (* Generated additive reductions: the merged accumulator must equal
    the sequential run and the plain [fold_left] over the inputs. *)
@@ -232,5 +262,7 @@ let suite =
       `Slow test_gate_refuses_small_nest;
     Alcotest.test_case "-j 2: 2 chunks per parallel instance" `Slow
       test_one_chunk_per_domain;
+    Alcotest.test_case "shared no_vars table is never written" `Slow
+      test_no_vars_untouched;
     qtest (generated_reductions_deterministic (Lazy.force shared_pool));
     qtest (parallel_reduce_equals_fold (Lazy.force shared_pool)) ]

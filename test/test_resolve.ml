@@ -121,7 +121,8 @@ let gen_expr : string QCheck.Gen.t =
   @@ fix (fun self n ->
       let leaf =
         oneof
-          [ map string_of_int (int_range 0 99); oneofa names ]
+          [ map string_of_int (int_range 0 99); oneofa names;
+            oneofl [ "\"s\""; "\"7\""; "true"; "false"; "null" ] ]
       in
       if n = 0 then leaf
       else
@@ -129,7 +130,10 @@ let gen_expr : string QCheck.Gen.t =
         let bin op =
           map2 (fun a b -> "(" ^ a ^ " " ^ op ^ " " ^ b ^ ")") sub sub
         in
-        oneof [ leaf; bin "+"; bin "*"; bin "-"; bin "%" ])
+        let compare =
+          oneofl [ "<"; "<="; ">"; ">="; "=="; "!="; "==="; "!==" ] >>= bin
+        in
+        oneof [ leaf; bin "+"; bin "*"; bin "-"; bin "%"; compare ])
 
 let rec gen_stmt n : string QCheck.Gen.t =
   let open QCheck.Gen in
@@ -143,7 +147,14 @@ let rec gen_stmt n : string QCheck.Gen.t =
   let redecl =
     map2 (fun x e -> "var " ^ x ^ " = " ^ e ^ ";") (oneofa names) gen_expr
   in
-  if n = 0 then oneof [ assign; compound; update; redecl ]
+  (* several declarators, the last one uninitialised *)
+  let multi_decl =
+    map3
+      (fun x e y -> "var " ^ x ^ " = " ^ e ^ ", " ^ y ^ ";")
+      (oneofa names) gen_expr (oneofa names)
+  in
+  let leaves = [ assign; compound; update; redecl; multi_decl ] in
+  if n = 0 then oneof leaves
   else
     let sub = gen_stmt (n - 1) in
     let if_else =
@@ -167,13 +178,27 @@ let rec gen_stmt n : string QCheck.Gen.t =
            ^ x ^ " + 1; })();")
         (oneofa names) gen_expr sub
     in
-    oneof [ assign; compound; update; redecl; if_else; for_loop; fn_wrap ]
+    let for_in =
+      map2
+        (fun x s -> "for (var " ^ x ^ " in o) { " ^ s ^ " }")
+        (oneofa names) sub
+    in
+    (* the catch parameter is re-declared by a [var] in its own body *)
+    let catch_redecl =
+      map3
+        (fun x e s ->
+           "try { throw " ^ e ^ "; } catch (" ^ x ^ ") { var " ^ x ^ " = "
+           ^ x ^ " + 1; " ^ s ^ " }")
+        (oneofa names) gen_expr sub
+    in
+    oneof
+      (leaves @ [ if_else; for_loop; fn_wrap; for_in; catch_redecl ])
 
 let gen_program : string QCheck.Gen.t =
   let open QCheck.Gen in
   map
     (fun stmts ->
-       "var a = 1, b = 2, c = 3, d = 4, e = 5;\n"
+       "var a = 1, b = 2, c = 3, d = 4, e = 5, o = { p: 1, q: 2 };\n"
        ^ String.concat "\n" stmts
        ^ "\nconsole.log(a + \",\" + b + \",\" + c + \",\" + d + \",\" + e);")
     (list_size (int_range 1 8) (gen_stmt 2))

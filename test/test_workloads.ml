@@ -215,6 +215,25 @@ let test_table3_agreement_regression () =
     (Printf.sprintf "at least 33 within one level (got %d)" !near)
     true (!near >= 33)
 
+(* Allocation budget: a plain session's minor words are deterministic
+   (no wall clock in the interpreter), so a bound on them catches an
+   allocation regression on the per-node path without timing anything.
+   [Gc.minor_words] is exact for the calling domain; [Gc.quick_stat]'s
+   count only moves at minor collections, so it does not repeat. Each
+   bound is the session's measured count plus 10% headroom. *)
+let test_allocation_budget () =
+  List.iter
+    (fun (name, measured) ->
+       let w = Option.get (Workloads.Registry.find name) in
+       let before = Gc.minor_words () in
+       ignore (Workloads.Harness.run_plain w);
+       let words = Gc.minor_words () -. before in
+       let bound = 1.1 *. measured in
+       if words > bound then
+         Alcotest.failf "%s: %.0f minor words, over the budget of %.0f" name
+           words bound)
+    [ ("Raytracing", 11_683_719.); ("fluidSim", 13_736_454.) ]
+
 let suite =
   [ ("registry complete", `Quick, test_registry_complete);
     ("sources parse and round-trip", `Quick, test_sources_parse_and_roundtrip);
@@ -226,4 +245,5 @@ let suite =
     ("inspection determinism", `Slow, test_inspection_determinism);
     ("key table 3 shapes", `Slow, test_key_table3_shape);
     ("amdahl 5 of 12", `Slow, test_amdahl_five_over_three);
-    ("table 3 agreement regression", `Slow, test_table3_agreement_regression) ]
+    ("table 3 agreement regression", `Slow, test_table3_agreement_regression);
+    ("plain-session allocation budget", `Quick, test_allocation_budget) ]
