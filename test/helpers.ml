@@ -80,11 +80,48 @@ let read_file path =
   close_in ic;
   s
 
-(* A committed golden, [rel] under [test/golden/]. The cwd is [test/]
-   under [dune runtest] and the root under [dune exec test/test_main.exe]. *)
-let golden rel =
-  let p = Filename.concat "golden" rel in
-  read_file (if Sys.file_exists p then p else Filename.concat "test" p)
+(* A file under [golden/]: a committed input, or the output of a rule
+   in [golden/dune] (the CLI run [dune runtest] diffs against its
+   golden). Both are declared dependencies under [dune runtest];
+   elsewhere the calling test skips. *)
+let golden name =
+  let p = Filename.concat "golden" name in
+  if not (Sys.file_exists p) then Alcotest.skip ();
+  read_file p
 
 (* The built CLI, present under [dune runtest] (a declared dependency). *)
 let jsceres = "../bin/jsceres.exe"
+
+(* Run the CLI on [args]: exit code, stdout and stderr. Skips the
+   calling test when the CLI is not built. *)
+let cli args =
+  if not (Sys.file_exists jsceres) then Alcotest.skip ();
+  let out = Filename.temp_file "jsceres" ".out"
+  and err = Filename.temp_file "jsceres" ".err" in
+  let q = Filename.quote in
+  let cmd = String.concat " " (List.map q (jsceres :: args)) in
+  let rc = Sys.command (Printf.sprintf "%s >%s 2>%s" cmd (q out) (q err)) in
+  let res = (rc, read_file out, read_file err) in
+  Sys.remove out;
+  Sys.remove err;
+  res
+
+let json s =
+  match Ceres_util.Json.of_string s with
+  | Ok doc -> doc
+  | Error e -> Alcotest.failf "bad JSON (%s): %s" e s
+
+(* The JSON after [prefix] on the line of [text] that starts with it. *)
+let json_line ~prefix text =
+  let lines = String.split_on_char '\n' text and n = String.length prefix in
+  match List.find_opt (String.starts_with ~prefix) lines with
+  | Some l -> json (String.sub l n (String.length l - n))
+  | None -> Alcotest.failf "no %S line in: %s" prefix text
+
+(* The integer at [path] in [doc]; fails the calling test when absent. *)
+let int_at path doc =
+  let step d k = Option.bind d (Ceres_util.Json.member k) in
+  let found = List.fold_left step (Some doc) path in
+  match Option.bind found Ceres_util.Json.int_opt with
+  | Some n -> n
+  | None -> Alcotest.failf "no integer at %s" (String.concat "." path)

@@ -1,8 +1,8 @@
 (* The causal what-if advisor: model laws (Amdahl monotonicity and the
-   serial-fraction bound), byte-determinism of the advise report
-   against the committed goldens, predicted-vs-measured grading on the
-   nests par-exec really runs, and well-formedness of the scheduler
-   timeline export. *)
+   serial-fraction bound), byte-determinism of the advise report,
+   predicted-vs-measured grading on the nests par-exec really runs
+   (in process and through the CLI), and well-formedness of the
+   scheduler timeline export. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -71,22 +71,8 @@ let amdahl_monotone_law =
        && List.for_all (fun s -> s <= bound +. eps) speedups)
 
 (* ------------------------------------------------------------------ *)
-(* Golden byte-determinism: the advise report of every workload
-   matches its committed golden, and two in-process runs agree. *)
-
-let golden_name (w : Workloads.Workload.t) =
-  String.map (fun c -> if c = ' ' then '_' else c) w.name ^ ".json"
-
-let test_goldens () =
-  (* Regenerate with [make advise ADVISE_REGEN=1] after an intentional
-     model or analyzer change. *)
-  List.iter
-    (fun (w : Workloads.Workload.t) ->
-       let actual = Advisor.to_json (Advisor.analyze w) in
-       Alcotest.(check string)
-         (w.name ^ " matches golden")
-         (Helpers.golden ("advise/" ^ golden_name w)) actual)
-    Workloads.Registry.all
+(* Byte-determinism of one report across two in-process runs (every
+   workload's report is pinned by its golden in [golden/dune]). *)
 
 let test_deterministic () =
   let w = find_workload "fluidSim" in
@@ -138,6 +124,27 @@ let test_measured_rows () =
   Alcotest.(check bool) "plain report has no measured section" false
     (Helpers.contains ~sub:"\"measured_nests\""
        (Advisor.to_json (Advisor.analyze w)))
+
+(* The same grading through the CLI: [advise --measure -j 2] on the
+   two par-exec workloads attaches a measured row, carrying a predicted
+   speedup, to at least one nest par-exec really executed. *)
+let test_measured_cli () =
+  List.iter
+    (fun w ->
+       let rc, out, _ =
+         Helpers.cli [ "advise"; w; "--measure"; "-j"; "2"; "--format=json" ]
+       in
+       Alcotest.(check int) (w ^ " exits 0") 0 rc;
+       let doc = Helpers.json out in
+       Alcotest.(check bool) (w ^ ": measured_nests > 0") true
+         (Helpers.int_at [ "measured"; "measured_nests" ] doc > 0);
+       let member = Ceres_util.Json.member in
+       match Option.bind (member "measured" doc) (member "nests") with
+       | Some (List rows) ->
+         Alcotest.(check bool) (w ^ ": every row carries a prediction") true
+           (List.for_all (fun r -> member "predicted" r <> None) rows)
+       | _ -> Alcotest.failf "%s: measured report lacks its nests" w)
+    [ "HAAR.js"; "fluidSim" ]
 
 (* ------------------------------------------------------------------ *)
 (* Timeline export: every line parses as a JSON object with the
@@ -206,9 +213,10 @@ let suite =
   [ Alcotest.test_case "predictions monotone and bounded (12 workloads)"
       `Quick test_monotone_in_cores;
     qtest amdahl_monotone_law;
-    Alcotest.test_case "golden advise reports" `Quick test_goldens;
     Alcotest.test_case "report byte-deterministic" `Quick test_deterministic;
     Alcotest.test_case "measured rows on par-exec nests" `Quick
       test_measured_rows;
+    Alcotest.test_case "advise --measure CLI grades nests" `Quick
+      test_measured_cli;
     Alcotest.test_case "timeline export well-formed" `Quick
       test_timeline_export ]

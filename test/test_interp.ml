@@ -650,23 +650,18 @@ let test_vclock_past_2_32 () =
   Alcotest.(check int64) "copy advanced" 1099511627780L
     (Ceres_util.Vclock.busy c')
 
-(* Operator semantics, pinned: every binary operator over an operand
-   matrix, and ++/-- on a local and a property, byte-compared against
-   output recorded before the number fast paths existed. The resolved
-   (slot) and the dynamic (name) paths must both reproduce it. *)
-let test_operator_golden () =
+(* Operator semantics: every binary operator over an operand matrix,
+   and ++/-- on a local and a property. The resolved (slot) run is
+   pinned by its golden in [golden/dune]; the dynamic (name) path must
+   print exactly what the resolved one prints. *)
+let test_operator_paths_agree () =
   let src = Helpers.golden "interp/operators.js" in
-  let expected = Helpers.golden "interp/operators.txt" in
-  List.iter
-    (fun resolve ->
-       let st, _ = Helpers.fresh_state () in
-       Interp.Eval.run_program ~resolve st (Jsir.Parser.parse_program src);
-       let out =
-         String.concat "" (List.rev_map (fun l -> l ^ "\n") st.console)
-       in
-       Alcotest.(check string)
-         (Printf.sprintf "operators (resolve=%b)" resolve) expected out)
-    [ true; false ]
+  let run resolve =
+    let st, _ = Helpers.fresh_state () in
+    Interp.Eval.run_program ~resolve st (Jsir.Parser.parse_program src);
+    List.rev st.console
+  in
+  Alcotest.(check (list string)) "dynamic = resolved" (run true) (run false)
 
 let suite =
   [ ("arithmetic", `Quick, test_arithmetic);
@@ -707,7 +702,8 @@ let suite =
     ("budget trips on the same tick", `Quick, test_budget_exact_tick);
     ("calls unwind on every path", `Quick, test_call_unwinding);
     ("vclock exact past 2^32", `Quick, test_vclock_past_2_32);
-    ("operator matrix matches golden", `Quick, test_operator_golden);
+    ("operator matrix: dynamic = resolved", `Quick,
+     test_operator_paths_agree);
     ("event loop ordering", `Quick, test_event_loop_ordering);
     ("event loop window", `Quick, test_event_loop_window);
     ("clearTimeout", `Quick, test_clear_timeout);

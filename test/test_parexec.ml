@@ -231,6 +231,27 @@ let generated_reductions_deterministic pool =
        par = seq && seq = [ expect ]
        && Js_parallel.Par_exec.nests_run pe = 1)
 
+(* The same through the CLI, on the two workloads whose proven nests
+   are big enough to fork: [run --par-exec -j 2] prints what [run]
+   prints, and its telemetry shows nests really going through the pool,
+   so the byte compare cannot pass vacuously on an all-sequential run. *)
+let test_cli_par_exec () =
+  List.iter
+    (fun w ->
+       let rc_seq, seq, _ = Helpers.cli [ "run"; w ] in
+       let rc_par, par, err =
+         Helpers.cli [ "run"; w; "--par-exec"; "-j"; "2"; "--par-stats" ]
+       in
+       Alcotest.(check (pair int int)) (w ^ ": both runs exit 0") (0, 0)
+         (rc_seq, rc_par);
+       Alcotest.(check string) (w ^ ": par stdout = seq stdout") seq par;
+       let stats = Helpers.json_line ~prefix:"par-exec telemetry: " err in
+       Alcotest.(check bool) (w ^ ": nests ran in parallel") true
+         (Helpers.int_at [ "nests" ] stats > 0);
+       Alcotest.(check bool) (w ^ ": pool executed tasks") true
+         (Helpers.int_at [ "pool"; "tasks_executed" ] stats > 0))
+    [ "CamanJS"; "HAAR.js" ]
+
 (* [parallel_reduce]'s merged partials against the plain fold. *)
 let parallel_reduce_equals_fold pool =
   QCheck.Test.make ~name:"parallel_reduce = fold_left" ~count:50
@@ -264,5 +285,7 @@ let suite =
       test_one_chunk_per_domain;
     Alcotest.test_case "shared no_vars table is never written" `Slow
       test_no_vars_untouched;
+    Alcotest.test_case "CLI par-exec run matches plain run" `Slow
+      test_cli_par_exec;
     qtest (generated_reductions_deterministic (Lazy.force shared_pool));
     qtest (parallel_reduce_equals_fold (Lazy.force shared_pool)) ]

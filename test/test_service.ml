@@ -398,14 +398,35 @@ let test_exit_codes_unit () =
     (Service.Response.exit_code seq)
 
 let test_exit_codes_cli () =
-  if not (Sys.file_exists Helpers.jsceres) then
-    Alcotest.skip ()
-  else begin
-    let run args = Sys.command (Helpers.jsceres ^ " " ^ args ^ " >/dev/null 2>&1") in
-    Alcotest.(check int) "list exits 0" 0 (run "list");
-    Alcotest.(check int) "unknown workload exits 1" 1 (run "profile nosuch");
-    Alcotest.(check int) "sequential verdict exits 2" 2 (run "analyze MyScript")
-  end
+  let run args = match Helpers.cli args with rc, _, _ -> rc in
+  Alcotest.(check int) "list exits 0" 0 (run [ "list" ]);
+  Alcotest.(check int) "unknown workload exits 1" 1 (run [ "profile"; "nosuch" ]);
+  Alcotest.(check int) "sequential verdict exits 2" 2 (run [ "analyze"; "MyScript" ])
+
+(* The golden serve session (see [golden/dune]) repeats a profile
+   request, so its cache-stats line must show the repeat served from
+   the cache. *)
+let test_golden_session_hits () =
+  let lines = String.split_on_char '\n' (Helpers.golden "serve.smoke.out") in
+  let is_stats l =
+    l <> "" && Service.Json.member "cache" (Helpers.json l) <> None
+  in
+  match List.find_opt is_stats lines with
+  | Some l ->
+    Alcotest.(check bool) "cache hits > 0" true
+      (Helpers.int_at [ "cache"; "hits" ] (Helpers.json l) > 0)
+  | None -> Alcotest.fail "session has no cache-stats line"
+
+(* The parallel analysis driver at -j 2 runs its workloads as pool
+   tasks, and [--stats] reports them. *)
+let test_pipeline_stats_cli () =
+  let rc, out, _ =
+    Helpers.cli [ "pipeline"; "--jobs"; "2"; "--stats"; "Ace"; "MyScript" ]
+  in
+  Alcotest.(check int) "exits 0" 0 rc;
+  let pool = Helpers.json_line ~prefix:"pool telemetry: " out in
+  Alcotest.(check bool) "pool executed tasks" true
+    (Helpers.int_at [ "tasks_executed" ] pool > 0)
 
 (* ------------------------------------------------------------------ *)
 
@@ -436,4 +457,8 @@ let suite =
     Alcotest.test_case "serve matches direct calls (12 workloads)" `Quick
       test_serve_matches_direct;
     Alcotest.test_case "exit codes (unit)" `Quick test_exit_codes_unit;
-    Alcotest.test_case "exit codes (executable)" `Quick test_exit_codes_cli ]
+    Alcotest.test_case "exit codes (executable)" `Quick test_exit_codes_cli;
+    Alcotest.test_case "golden serve session hits the cache" `Quick
+      test_golden_session_hits;
+    Alcotest.test_case "pipeline --stats runs pool tasks" `Quick
+      test_pipeline_stats_cli ]

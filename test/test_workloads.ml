@@ -215,24 +215,43 @@ let test_table3_agreement_regression () =
     (Printf.sprintf "at least 33 within one level (got %d)" !near)
     true (!near >= 33)
 
-(* Allocation budget: a plain session's minor words are deterministic
-   (no wall clock in the interpreter), so a bound on them catches an
+(* Allocation budget: a session's minor words are deterministic (no
+   wall clock in the interpreter), so a bound on them catches an
    allocation regression on the per-node path without timing anything.
    [Gc.minor_words] is exact for the calling domain; [Gc.quick_stat]'s
    count only moves at minor collections, so it does not repeat. Each
-   bound is the session's measured count plus 10% headroom. *)
+   bound is the session's measured count plus 10% headroom, for a
+   plain, lightweight, loop-profile and dependence session on two apps;
+   a dependence session also pins its exact dynamic access checks. *)
 let test_allocation_budget () =
+  let w name = Option.get (Workloads.Registry.find name) in
+  let plain name = ignore (Workloads.Harness.run_plain (w name)); None
+  and light name = ignore (Workloads.Harness.run_lightweight (w name)); None
+  and loops name = ignore (Workloads.Harness.run_loop_profile (w name)); None
+  and deps name =
+    let _, rt = Workloads.Harness.run_dependence (w name) in
+    Some (Ceres.Runtime.accesses_checked rt)
+  in
   List.iter
-    (fun (name, measured) ->
-       let w = Option.get (Workloads.Registry.find name) in
+    (fun (name, mode, session, measured, accesses) ->
        let before = Gc.minor_words () in
-       ignore (Workloads.Harness.run_plain w);
+       let checked = session name in
        let words = Gc.minor_words () -. before in
        let bound = 1.1 *. measured in
        if words > bound then
-         Alcotest.failf "%s: %.0f minor words, over the budget of %.0f" name
-           words bound)
-    [ ("Raytracing", 11_683_719.); ("fluidSim", 13_736_454.) ]
+         Alcotest.failf "%s %s: %.0f minor words, over the budget of %.0f"
+           name mode words bound;
+       Alcotest.(check (option int))
+         (Printf.sprintf "%s %s: accesses checked" name mode)
+         accesses checked)
+    [ ("Raytracing", "plain", plain, 11_683_719., None);
+      ("fluidSim", "plain", plain, 13_736_454., None);
+      ("Raytracing", "lightweight", light, 12_597_968., None);
+      ("fluidSim", "lightweight", light, 16_946_916., None);
+      ("Raytracing", "loop-profile", loops, 14_196_626., None);
+      ("fluidSim", "loop-profile", loops, 14_467_604., None);
+      ("Raytracing", "dependence", deps, 23_760_720., Some 331_182);
+      ("fluidSim", "dependence", deps, 13_620_879., Some 113_569) ]
 
 let suite =
   [ ("registry complete", `Quick, test_registry_complete);
