@@ -44,175 +44,23 @@ let rec stringify_value st ~seen (v : value) : string option =
        in
        Some ("{" ^ String.concat "," parts ^ "}"))
 
-(* ------------------------------------------------------------------ *)
-
-type parser_state = { text : string; mutable pos : int }
-
-let parse_error st msg =
-  throw_error st "SyntaxError" ("JSON.parse: " ^ msg)
-
-let peek p = if p.pos < String.length p.text then p.text.[p.pos] else '\000'
-
-let skip_ws p =
-  while
-    p.pos < String.length p.text
-    && (match p.text.[p.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-  do
-    p.pos <- p.pos + 1
-  done
-
-let expect_char st p c =
-  if peek p = c then p.pos <- p.pos + 1
-  else parse_error st (Printf.sprintf "expected %c at offset %d" c p.pos)
-
-let parse_string_body st p =
-  expect_char st p '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek p with
-    | '\000' -> parse_error st "unterminated string"
-    | '"' -> p.pos <- p.pos + 1
-    | '\\' ->
-      p.pos <- p.pos + 1;
-      let c = peek p in
-      p.pos <- p.pos + 1;
-      (match c with
-       | 'n' -> Buffer.add_char buf '\n'
-       | 't' -> Buffer.add_char buf '\t'
-       | 'r' -> Buffer.add_char buf '\r'
-       | 'b' -> Buffer.add_char buf '\b'
-       | 'f' -> Buffer.add_char buf '\012'
-       | '/' -> Buffer.add_char buf '/'
-       | '\\' -> Buffer.add_char buf '\\'
-       | '"' -> Buffer.add_char buf '"'
-       | 'u' ->
-         if p.pos + 4 > String.length p.text then
-           parse_error st "truncated \\u escape";
-         let hex = String.sub p.text p.pos 4 in
-         p.pos <- p.pos + 4;
-         (match int_of_string_opt ("0x" ^ hex) with
-          | Some code when code < 128 -> Buffer.add_char buf (Char.chr code)
-          | Some code ->
-            (* Non-ASCII code points: emit UTF-8. *)
-            if code < 0x800 then begin
-              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end
-            else begin
-              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char buf
-                (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end
-          | None -> parse_error st "bad \\u escape");
-       | _ -> parse_error st "bad escape");
-      go ()
-    | c ->
-      Buffer.add_char buf c;
-      p.pos <- p.pos + 1;
-      go ()
-  in
-  go ();
-  Buffer.contents buf
-
-let parse_number st p =
-  let start = p.pos in
-  if peek p = '-' then p.pos <- p.pos + 1;
-  while (match peek p with '0' .. '9' -> true | _ -> false) do
-    p.pos <- p.pos + 1
-  done;
-  if peek p = '.' then begin
-    p.pos <- p.pos + 1;
-    while (match peek p with '0' .. '9' -> true | _ -> false) do
-      p.pos <- p.pos + 1
-    done
-  end;
-  (match peek p with
-   | 'e' | 'E' ->
-     p.pos <- p.pos + 1;
-     (match peek p with '+' | '-' -> p.pos <- p.pos + 1 | _ -> ());
-     while (match peek p with '0' .. '9' -> true | _ -> false) do
-       p.pos <- p.pos + 1
-     done
-   | _ -> ());
-  match float_of_string_opt (String.sub p.text start (p.pos - start)) with
-  | Some f -> f
-  | None -> parse_error st "malformed number"
-
-let rec parse_value st p : value =
-  skip_ws p;
-  match peek p with
-  | '"' -> Str (parse_string_body st p)
-  | '{' ->
-    p.pos <- p.pos + 1;
+(* [JSON.parse] runs the repo's one JSON parser, [Ceres_util.Json], and
+   converts its document. Each object is allocated before its members
+   and each array after its elements, so object ids come out as a
+   recursive-descent parser allocating on the fly would number them.
+   Keys are set in source order: a duplicate key keeps its first
+   position and takes its last value. *)
+let rec of_json st : Ceres_util.Json.t -> value = function
+  | Null -> Null
+  | Bool b -> Bool b
+  | Int i -> Num (float_of_int i)
+  | Float f | Fixed (_, f) -> Num f
+  | Str s -> Str s
+  | List xs -> Obj (make_array st (Array.of_list (List.map (of_json st) xs)))
+  | Obj kvs ->
     let o = make_obj st in
-    skip_ws p;
-    if peek p = '}' then p.pos <- p.pos + 1
-    else begin
-      let rec members () =
-        skip_ws p;
-        let key = parse_string_body st p in
-        skip_ws p;
-        expect_char st p ':';
-        let v = parse_value st p in
-        raw_set_prop o key v;
-        skip_ws p;
-        match peek p with
-        | ',' ->
-          p.pos <- p.pos + 1;
-          members ()
-        | '}' -> p.pos <- p.pos + 1
-        | _ -> parse_error st "expected , or } in object"
-      in
-      members ()
-    end;
+    List.iter (fun (k, v) -> raw_set_prop o k (of_json st v)) kvs;
     Obj o
-  | '[' ->
-    p.pos <- p.pos + 1;
-    skip_ws p;
-    if peek p = ']' then begin
-      p.pos <- p.pos + 1;
-      Obj (make_array st [||])
-    end
-    else begin
-      let items = ref [] in
-      let rec elements () =
-        let v = parse_value st p in
-        items := v :: !items;
-        skip_ws p;
-        match peek p with
-        | ',' ->
-          p.pos <- p.pos + 1;
-          elements ()
-        | ']' -> p.pos <- p.pos + 1
-        | _ -> parse_error st "expected , or ] in array"
-      in
-      elements ();
-      Obj (make_array st (Array.of_list (List.rev !items)))
-    end
-  | 't' ->
-    if p.pos + 4 <= String.length p.text && String.sub p.text p.pos 4 = "true"
-    then begin
-      p.pos <- p.pos + 4;
-      Bool true
-    end
-    else parse_error st "bad literal"
-  | 'f' ->
-    if p.pos + 5 <= String.length p.text && String.sub p.text p.pos 5 = "false"
-    then begin
-      p.pos <- p.pos + 5;
-      Bool false
-    end
-    else parse_error st "bad literal"
-  | 'n' ->
-    if p.pos + 4 <= String.length p.text && String.sub p.text p.pos 4 = "null"
-    then begin
-      p.pos <- p.pos + 4;
-      Null
-    end
-    else parse_error st "bad literal"
-  | '-' | '0' .. '9' -> Num (parse_number st p)
-  | _ -> parse_error st (Printf.sprintf "unexpected character at %d" p.pos)
 
 let install st =
   let json = make_obj st in
@@ -229,10 +77,7 @@ let install st =
     (Obj
        (make_host_fn st "parse" (fun st _ args ->
             let text = match args with v :: _ -> to_string st v | [] -> "" in
-            let p = { text; pos = 0 } in
-            let v = parse_value st p in
-            skip_ws p;
-            if p.pos <> String.length text then
-              parse_error st "trailing characters";
-            v)));
+            match Ceres_util.Json.of_string text with
+            | Ok doc -> of_json st doc
+            | Error msg -> throw_error st "SyntaxError" ("JSON.parse: " ^ msg))));
   raw_set_prop st.global_obj "JSON" (Obj json)

@@ -41,7 +41,7 @@ let () =
     | _ -> None)
 
 let fire site key ordinal =
-  Telemetry.note_fault_injected ();
+  Telemetry.(incr faults_injected);
   raise (Injected { site; key; ordinal })
 
 (* ------------------------------------------------------------------ *)

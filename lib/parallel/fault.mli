@@ -5,8 +5,9 @@
     run); this module is how we *prove* the pipeline now does too. An
     injection plan is a pure function of a seed: enabling chaos with
     the same seed yields the same failure set on every run, regardless
-    of domain count or scheduling order, which is what lets
-    [make chaos] assert byte-identical repeated runs.
+    of domain count or scheduling order, which is what lets the
+    [test/golden/chaos] rules that [dune runtest] runs diff a chaos
+    pipeline's stdout byte for byte against a committed golden.
 
     Two mechanisms:
     - per-workload {!session}s keyed on (seed, workload name), with
@@ -30,7 +31,7 @@ exception Injected of { site : site; key : string; ordinal : int }
     depends on it). *)
 
 val fire : site -> string -> int -> 'a
-(** [fire site key ordinal] counts the injection in
+(** [fire site key ordinal] counts the injection in the registry's
     {!Telemetry.faults_injected} and raises {!Injected}. *)
 
 (** {1 Global switch} *)

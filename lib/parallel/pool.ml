@@ -217,9 +217,8 @@ let stats t =
 let stats_json t = Telemetry.to_json (stats t)
 
 let reset_stats t =
-  Array.iter Telemetry.reset_counters t.counters;
+  Array.iter Telemetry.reset_participant t.counters;
   Telemetry.reset_loop_log t.loops;
-  Telemetry.reset_globals ();
   Atomic.set t.submitted 0
 
 (* ------------------------------------------------------------------ *)

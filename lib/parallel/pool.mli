@@ -78,8 +78,9 @@ val stats_json : t -> string
 (** {!stats} rendered as one-line JSON. *)
 
 val reset_stats : t -> unit
-(** Zero all telemetry counters and the loop log (e.g. between bench
-    sections). *)
+(** Zero this pool's participant counters, loop log and submit count
+    (e.g. between bench sections). The process-wide registry is left
+    alone; {!Telemetry.reset_counters} zeroes it. *)
 
 val with_pool : ?domains:int -> (t -> 'a) -> 'a
 (** Create, run, and always shut down. *)

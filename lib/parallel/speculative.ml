@@ -196,7 +196,7 @@ let run ?(domains = Domain.recommended_domain_count ()) ?budget
     | None -> false
   in
   if skip_validation then begin
-    Telemetry.note_speculation_skipped_static ();
+    Telemetry.(incr speculation_skipped_static);
     replay ~domains ?budget ~setup_src ~iter_src ~lo ~hi ()
   end
   else

@@ -81,7 +81,7 @@ let run ?(retries = 0) ?(backoff = Backoff.default) ?budget
       let classification = classify exn in
       let virtual_ms = virtual_ms_now () in
       if classification = Transient && k <= retries then begin
-        Telemetry.note_retry ();
+        Telemetry.(incr retries);
         let delay = Backoff.delay_ms backoff ~attempt:k in
         if delay > 0. then Thread.delay (delay /. 1000.);
         attempt (k + 1)

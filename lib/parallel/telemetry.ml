@@ -29,7 +29,7 @@ let note_steal_attempt c = Atomic.incr c.steal_attempts
 let note_steal_success c = Atomic.incr c.steals
 let note_idle c = Atomic.incr c.idle_spins
 
-let reset_counters c =
+let reset_participant c =
   Atomic.set c.tasks 0;
   Atomic.set c.failed 0;
   Atomic.set c.steal_attempts 0;
@@ -37,77 +37,46 @@ let reset_counters c =
   Atomic.set c.idle_spins 0
 
 (* ------------------------------------------------------------------ *)
-(* Process-wide robustness counters. Retries happen in [Supervisor]
-   and fault injections in [Fault] — neither owns a pool — so these
-   live here as globals and every pool snapshot carries them. *)
+(* Process-wide counter registry. Retries happen in [Supervisor],
+   fault injections in [Fault], cache traffic in the service's result
+   cache and request fate in the server's admission gate and session
+   loops — none of them owns a pool — so their counters live here, each
+   declared once with the JSON key it renders under. *)
 
-let retries_total = Atomic.make 0
-let faults_total = Atomic.make 0
-let skipped_static_total = Atomic.make 0
-let cache_hits_total = Atomic.make 0
-let cache_misses_total = Atomic.make 0
-let cache_evictions_total = Atomic.make 0
+type counter = { name : string; value : int Atomic.t }
 
-(* Server-side request lifecycle (admission control, deadlines,
-   session fate). They live here for the same reason the cache
-   counters do: the admission gate and session loops own no pool, and
-   the {"op":"telemetry"} health snapshot wants one source. *)
-let requests_admitted_total = Atomic.make 0
-let requests_shed_total = Atomic.make 0
-let requests_timed_out_total = Atomic.make 0
-let sessions_dropped_total = Atomic.make 0
+let counter name = { name; value = Atomic.make 0 }
+let incr c = Atomic.incr c.value
+let add c n = ignore (Atomic.fetch_and_add c.value n)
+let count c = Atomic.get c.value
 
-let note_retry () = Atomic.incr retries_total
-let note_fault_injected () = Atomic.incr faults_total
-let note_speculation_skipped_static () = Atomic.incr skipped_static_total
-let note_cache_hit () = Atomic.incr cache_hits_total
-let note_cache_miss () = Atomic.incr cache_misses_total
-let note_cache_eviction () = Atomic.incr cache_evictions_total
+let retries = counter "retries"
+let faults_injected = counter "faults_injected"
+let speculation_skipped_static = counter "speculation_skipped_static"
+let cache_hits = counter "cache_hits"
+let cache_misses = counter "cache_misses"
+let cache_evictions = counter "cache_evictions"
+let requests_admitted = counter "requests_admitted"
+let requests_shed = counter "requests_shed"
+let requests_timed_out = counter "requests_timed_out"
+let sessions_dropped = counter "sessions_dropped"
 
-(* A cache wipe also retires the cleared cache's share of the global
-   counters, so the process-wide numbers keep equaling the sum over
-   live caches (the invariant every snapshot consumer assumes). *)
-let note_cache_cleared ~hits ~misses ~evictions =
-  ignore (Atomic.fetch_and_add cache_hits_total (-hits));
-  ignore (Atomic.fetch_and_add cache_misses_total (-misses));
-  ignore (Atomic.fetch_and_add cache_evictions_total (-evictions))
-let note_request_admitted () = Atomic.incr requests_admitted_total
-let note_request_shed () = Atomic.incr requests_shed_total
-let note_request_timed_out () = Atomic.incr requests_timed_out_total
-let note_session_dropped () = Atomic.incr sessions_dropped_total
-let requests_admitted () = Atomic.get requests_admitted_total
-let requests_shed () = Atomic.get requests_shed_total
-let requests_timed_out () = Atomic.get requests_timed_out_total
-let sessions_dropped () = Atomic.get sessions_dropped_total
+(* Rendering order: the pool list rides in every pool snapshot, the
+   server list is the {"op":"telemetry"} health snapshot's section. *)
+let pool_counters =
+  [ retries; faults_injected; speculation_skipped_static; cache_hits;
+    cache_misses; cache_evictions ]
 
-let retries () = Atomic.get retries_total
-let faults_injected () = Atomic.get faults_total
-let speculation_skipped_static () = Atomic.get skipped_static_total
-let cache_hits () = Atomic.get cache_hits_total
-let cache_misses () = Atomic.get cache_misses_total
-let cache_evictions () = Atomic.get cache_evictions_total
+let server_counters =
+  [ requests_admitted; requests_shed; requests_timed_out; sessions_dropped ]
 
-let reset_globals () =
-  Atomic.set retries_total 0;
-  Atomic.set faults_total 0;
-  Atomic.set skipped_static_total 0;
-  Atomic.set cache_hits_total 0;
-  Atomic.set cache_misses_total 0;
-  Atomic.set cache_evictions_total 0;
-  Atomic.set requests_admitted_total 0;
-  Atomic.set requests_shed_total 0;
-  Atomic.set requests_timed_out_total 0;
-  Atomic.set sessions_dropped_total 0
+let reset_counters () =
+  List.iter (fun c -> Atomic.set c.value 0) (pool_counters @ server_counters)
 
-(* One JSON object for the server section of the {"op":"telemetry"}
-   health snapshot — kept here so both transports render it
-   identically. *)
-let server_counters_json () : Ceres_util.Json.t =
-  Obj
-    [ ("requests_admitted", Int (requests_admitted ()));
-      ("requests_shed", Int (requests_shed ()));
-      ("requests_timed_out", Int (requests_timed_out ()));
-      ("sessions_dropped", Int (sessions_dropped ())) ]
+let fields cs =
+  List.map (fun c -> (c.name, Ceres_util.Json.Int (count c))) cs
+
+let server_counters_json () = Ceres_util.Json.Obj (fields server_counters)
 
 (* ------------------------------------------------------------------ *)
 (* ThreadScope-style event timeline. Unlike the counters above, which
@@ -248,13 +217,6 @@ type pool_stats = {
   participants : int;
   jobs_submitted : int;
   loops_run : int;
-  retries : int; (* supervisor retry count (process-wide) *)
-  faults_injected : int; (* chaos injections fired (process-wide) *)
-  speculation_skipped_static : int;
-  (* speculative runs that bypassed bookkeeping on a static proof *)
-  cache_hits : int; (* service result-cache hits (process-wide) *)
-  cache_misses : int; (* service result-cache misses (process-wide) *)
-  cache_evictions : int; (* service result-cache LRU evictions *)
   domains : domain_stats list; (* by participant id, caller first *)
   recent_loops : loop_stats list; (* oldest first *)
 }
@@ -275,12 +237,7 @@ let snapshot ~participants ~jobs_submitted (cs : counters array) log =
   Mutex.lock log.m;
   let loops_run = log.count and recent_loops = List.rev log.recent in
   Mutex.unlock log.m;
-  { participants; jobs_submitted; loops_run;
-    retries = retries (); faults_injected = faults_injected ();
-    speculation_skipped_static = speculation_skipped_static ();
-    cache_hits = cache_hits (); cache_misses = cache_misses ();
-    cache_evictions = cache_evictions ();
-    domains; recent_loops }
+  { participants; jobs_submitted; loops_run; domains; recent_loops }
 
 let total_tasks s =
   List.fold_left (fun a d -> a + d.tasks_executed) 0 s.domains
@@ -292,44 +249,40 @@ let total_steals s =
   List.fold_left (fun a d -> a + d.steals_succeeded) 0 s.domains
 
 (* Rendered through the repo-wide deterministic encoder so the pool's
-   stats serialize exactly like every other JSON surface. *)
+   stats serialize exactly like every other JSON surface; the registry's
+   pool list is read at render time. *)
 let json_of_stats s : Ceres_util.Json.t =
   let open Ceres_util.Json in
   Obj
-    [ ("participants", Int s.participants);
-      ("jobs_submitted", Int s.jobs_submitted);
-      ("loops_run", Int s.loops_run);
-      ("tasks_executed", Int (total_tasks s));
-      ("tasks_failed", Int (total_failed s));
-      ("steals_succeeded", Int (total_steals s));
-      ("retries", Int s.retries);
-      ("faults_injected", Int s.faults_injected);
-      ("speculation_skipped_static", Int s.speculation_skipped_static);
-      ("cache_hits", Int s.cache_hits);
-      ("cache_misses", Int s.cache_misses);
-      ("cache_evictions", Int s.cache_evictions);
-      ( "domains",
-        List
-          (List.map
-             (fun d ->
-                Obj
-                  [ ("domain", Int d.domain);
-                    ("tasks_executed", Int d.tasks_executed);
-                    ("tasks_failed", Int d.tasks_failed);
-                    ("steals_attempted", Int d.steals_attempted);
-                    ("steals_succeeded", Int d.steals_succeeded);
-                    ("idle_spins", Int d.idle_spins) ])
-             s.domains) );
-      ( "loops",
-        List
-          (List.map
-             (fun (l : loop_stats) ->
-                Obj
-                  [ ("loop", Int l.loop_index);
-                    ("chunks", Int l.chunks);
-                    ("wall_ms", Fixed (3, l.wall_ms));
-                    ("fork_ms", Fixed (3, l.fork_ms));
-                    ("join_ms", Fixed (3, l.join_ms)) ])
-             s.recent_loops) ) ]
+    ([ ("participants", Int s.participants);
+       ("jobs_submitted", Int s.jobs_submitted);
+       ("loops_run", Int s.loops_run);
+       ("tasks_executed", Int (total_tasks s));
+       ("tasks_failed", Int (total_failed s));
+       ("steals_succeeded", Int (total_steals s)) ]
+     @ fields pool_counters
+     @ [ ( "domains",
+           List
+             (List.map
+                (fun d ->
+                   Obj
+                     [ ("domain", Int d.domain);
+                       ("tasks_executed", Int d.tasks_executed);
+                       ("tasks_failed", Int d.tasks_failed);
+                       ("steals_attempted", Int d.steals_attempted);
+                       ("steals_succeeded", Int d.steals_succeeded);
+                       ("idle_spins", Int d.idle_spins) ])
+                s.domains) );
+         ( "loops",
+           List
+             (List.map
+                (fun (l : loop_stats) ->
+                   Obj
+                     [ ("loop", Int l.loop_index);
+                       ("chunks", Int l.chunks);
+                       ("wall_ms", Fixed (3, l.wall_ms));
+                       ("fork_ms", Fixed (3, l.fork_ms));
+                       ("join_ms", Fixed (3, l.join_ms)) ])
+                s.recent_loops) ) ])
 
 let to_json s = Ceres_util.Json.to_string (json_of_stats s)

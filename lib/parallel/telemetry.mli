@@ -1,4 +1,5 @@
-(** Scheduling telemetry for the work-stealing pool.
+(** Scheduling telemetry for the work-stealing pool, and the
+    process-wide counter registry.
 
     The pool records, per participant, how many tasks it executed, how
     often it probed other deques, how often a probe yielded work, and
@@ -6,7 +7,13 @@
     join times. The counters are single-writer (each participant owns
     its record), so observing the scheduler does not perturb it — the
     property TASKPROF and ThreadScope both identify as a precondition
-    for trustworthy parallel measurements. *)
+    for trustworthy parallel measurements.
+
+    Counters of components that own no pool — supervisor retries,
+    chaos injections, speculation fast paths, the service's result
+    cache, the socket server's request lifecycle — live in one
+    registry: each is a {!counter} declared once below, and the JSON
+    surfaces render the registry's two ordered lists. *)
 
 (** {1 Raw counters (one record per pool participant)} *)
 
@@ -18,67 +25,58 @@ val note_task_failed : counters -> unit
 val note_steal_attempt : counters -> unit
 val note_steal_success : counters -> unit
 val note_idle : counters -> unit
-val reset_counters : counters -> unit
+val reset_participant : counters -> unit
 
-(** {1 Process-wide robustness counters}
+(** {1 Process-wide counter registry} *)
 
-    Retries happen in {!Supervisor} and fault injections in {!Fault} —
-    neither owns a pool — so these are global; every {!snapshot}
-    carries their current values. *)
+type counter
+(** A named process-wide count; the name is its JSON key. *)
 
-val note_retry : unit -> unit
-val note_fault_injected : unit -> unit
-val note_speculation_skipped_static : unit -> unit
-val retries : unit -> int
-val faults_injected : unit -> int
+val incr : counter -> unit
+val add : counter -> int -> unit
+(** [add c n] adds [n], which may be negative. *)
 
-val speculation_skipped_static : unit -> int
+val count : counter -> int
+
+val reset_counters : unit -> unit
+(** Zero every registry counter (a clean slate for tests and
+    benchmarks; no pool resets them). *)
+
+(** Rendered in every pool snapshot, in this order. *)
+
+val retries : counter
+(** Supervisor retries. *)
+
+val faults_injected : counter
+(** Chaos injections fired. *)
+
+val speculation_skipped_static : counter
 (** Speculative loop runs that skipped conflict bookkeeping because
     the static analyzer proved the loop parallel. *)
 
-val note_cache_hit : unit -> unit
-val note_cache_miss : unit -> unit
-val note_cache_eviction : unit -> unit
+val cache_hits : counter
+val cache_misses : counter
 
-val note_cache_cleared : hits:int -> misses:int -> evictions:int -> unit
-(** Retire a cleared cache's contribution from the process-wide
-    counters, keeping them equal to the sum over live caches. *)
+val cache_evictions : counter
+(** Service result-cache traffic, summed over live caches
+    ([Cache.clear] retires a cache's share with {!add}). *)
 
+(** Rendered as the ["server"] section of the [{"op":"telemetry"}]
+    health snapshot, in this order. *)
 
-val cache_hits : unit -> int
-val cache_misses : unit -> int
+val requests_admitted : counter
+val requests_shed : counter
 
-val cache_evictions : unit -> int
-(** Service result-cache counters (the cache lives in [lib/service],
-    which does not own a pool, so like retries they are process-wide
-    and ride along in every snapshot). *)
-
-(** {2 Server request lifecycle}
-
-    Counted by the socket server's admission gate, deadline
-    accounting and session loops; surfaced in the [{"op":"telemetry"}]
-    health snapshot of both transports. *)
-
-val note_request_admitted : unit -> unit
-val note_request_shed : unit -> unit
-val note_request_timed_out : unit -> unit
-val note_session_dropped : unit -> unit
-val requests_admitted : unit -> int
-val requests_shed : unit -> int
-
-val requests_timed_out : unit -> int
+val requests_timed_out : counter
 (** Requests whose supervised execution died on the vclock watchdog
     (the per-request deadline). *)
 
-val sessions_dropped : unit -> int
+val sessions_dropped : counter
 (** Client sessions that ended abnormally: torn request line at EOF,
     I/O error mid-response, chaos-injected transport fault. *)
 
 val server_counters_json : unit -> Ceres_util.Json.t
-(** The four counters above as one JSON object (the ["server"]
-    section of the telemetry health snapshot). *)
-
-val reset_globals : unit -> unit
+(** The four server counters as one JSON object. *)
 
 (** {1 Event timeline (ThreadScope-style trace)}
 
@@ -156,13 +154,6 @@ type pool_stats = {
   participants : int;
   jobs_submitted : int; (** via [Pool.submit], excluding loop chunks *)
   loops_run : int;
-  retries : int; (** supervisor retries (process-wide counter) *)
-  faults_injected : int; (** chaos injections fired (process-wide) *)
-  speculation_skipped_static : int;
-      (** speculative runs that bypassed bookkeeping on a static proof *)
-  cache_hits : int; (** service result-cache hits (process-wide) *)
-  cache_misses : int; (** service result-cache misses (process-wide) *)
-  cache_evictions : int; (** service result-cache LRU evictions *)
   domains : domain_stats list; (** by participant id, caller first *)
   recent_loops : loop_stats list; (** oldest first; last 64 loops *)
 }
@@ -177,7 +168,9 @@ val total_steals : pool_stats -> int
 
 val json_of_stats : pool_stats -> Ceres_util.Json.t
 (** The snapshot as a document of the repo-wide {!Ceres_util.Json}
-    encoder (embedded by the service layer's responses). *)
+    encoder (embedded by the service layer's responses), with the
+    registry's pool counters, read at render time, after the task and
+    steal totals. *)
 
 val to_json : pool_stats -> string
 (** {!json_of_stats} rendered as one line. *)

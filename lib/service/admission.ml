@@ -48,14 +48,14 @@ let acquire t =
   let shed () =
     let hint = retry_hint t in
     Mutex.unlock t.m;
-    Js_parallel.Telemetry.note_request_shed ();
+    Js_parallel.Telemetry.(incr requests_shed);
     Shed { retry_after_ms = hint }
   in
   if t.draining then shed ()
   else if t.inflight < t.max_inflight then begin
     t.inflight <- t.inflight + 1;
     Mutex.unlock t.m;
-    Js_parallel.Telemetry.note_request_admitted ();
+    Js_parallel.Telemetry.(incr requests_admitted);
     Admitted
   end
   else if t.waiting >= t.queue_capacity then shed ()
@@ -70,7 +70,7 @@ let acquire t =
         t.waiting <- t.waiting - 1;
         t.inflight <- t.inflight + 1;
         Mutex.unlock t.m;
-        Js_parallel.Telemetry.note_request_admitted ();
+        Js_parallel.Telemetry.(incr requests_admitted);
         Admitted
       end
       else begin

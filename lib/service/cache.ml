@@ -40,11 +40,11 @@ let find t key =
       | Some e ->
         e.last_used <- t.tick;
         t.hits <- t.hits + 1;
-        Js_parallel.Telemetry.note_cache_hit ();
+        Js_parallel.Telemetry.(incr cache_hits);
         Some e.value
       | None ->
         t.misses <- t.misses + 1;
-        Js_parallel.Telemetry.note_cache_miss ();
+        Js_parallel.Telemetry.(incr cache_misses);
         None)
 
 let evict_lru t =
@@ -60,7 +60,7 @@ let evict_lru t =
   | Some (key, _) ->
     Hashtbl.remove t.table key;
     t.evictions <- t.evictions + 1;
-    Js_parallel.Telemetry.note_cache_eviction ()
+    Js_parallel.Telemetry.(incr cache_evictions)
   | None -> ()
 
 let add t key value =
@@ -82,8 +82,11 @@ let stats t =
 let clear t =
   locked t (fun () ->
       Hashtbl.reset t.table;
-      Js_parallel.Telemetry.note_cache_cleared ~hits:t.hits ~misses:t.misses
-        ~evictions:t.evictions;
+      (* Retire this cache's share, so the registry keeps equaling the
+         sum over live caches. *)
+      Js_parallel.Telemetry.(add cache_hits (-t.hits));
+      Js_parallel.Telemetry.(add cache_misses (-t.misses));
+      Js_parallel.Telemetry.(add cache_evictions (-t.evictions));
       t.tick <- 0;
       t.hits <- 0;
       t.misses <- 0;

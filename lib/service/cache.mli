@@ -6,9 +6,10 @@
     entry). Thread-safe: batched execution probes and fills the cache
     from pool domains concurrently.
 
-    Every hit/miss/eviction is also counted in the process-wide
-    {!Js_parallel.Telemetry} counters, so [Pool.stats_json] surfaces
-    cache effectiveness next to the scheduling telemetry. *)
+    Every hit/miss/eviction is also counted in the registry's
+    [cache_hits]/[cache_misses]/[cache_evictions] counters
+    ({!Js_parallel.Telemetry}), which every pool snapshot renders next
+    to the scheduling telemetry. *)
 
 type 'a t
 
@@ -37,6 +38,6 @@ val stats : 'a t -> stats
 
 val clear : 'a t -> unit
 (** Drop all entries and zero this cache's counters, retiring its
-    contribution from the process-wide {!Js_parallel.Telemetry}
-    cache counters as well — a cleared cache reports the same stats
-    as a fresh one, locally and in [Pool.stats_json]. *)
+    share from the registry's cache counters with a negative
+    {!Js_parallel.Telemetry.add} — a cleared cache reports the same
+    stats as a fresh one, locally and in every pool snapshot. *)

@@ -37,15 +37,15 @@ let response_line resp = Ceres_util.Json.to_string (Response.to_json resp)
 let versioned fields =
   Ceres_util.Json.Obj (("v", Int Response.protocol_version) :: fields)
 
-let cache_stats_line (s : Cache.stats) =
-  Ceres_util.Json.to_string
-    (versioned
-       [ ( "cache",
-           Ceres_util.Json.Obj
-             [ ("hits", Int s.hits);
-               ("misses", Int s.misses);
-               ("evictions", Int s.evictions);
-               ("entries", Int s.entries) ] ) ])
+let cache_json (s : Cache.stats) =
+  Ceres_util.Json.Obj
+    [ ("hits", Int s.hits);
+      ("misses", Int s.misses);
+      ("evictions", Int s.evictions);
+      ("entries", Int s.entries) ]
+
+let cache_stats_line s =
+  Ceres_util.Json.to_string (versioned [ ("cache", cache_json s) ])
 
 (* Optional protocol version on any incoming document (DESIGN.md §9):
    absent means v1, [1] is accepted, any other integer earns the
@@ -100,7 +100,6 @@ let handle_doc h (doc : Ceres_util.Json.t) : step =
           session fate), and the process GC totals — enough to see
           from the outside whether a long-lived server is reusing
           results, shedding load, or churning the heap. *)
-       let s = h.cache_stats () in
        let gc = Gc.quick_stat () in
        Reply
          (Ceres_util.Json.to_string
@@ -111,12 +110,7 @@ let handle_doc h (doc : Ceres_util.Json.t) : step =
                          match h.telemetry () with
                          | Some doc -> doc
                          | None -> Ceres_util.Json.Null );
-                       ( "cache",
-                         Obj
-                           [ ("hits", Int s.hits);
-                             ("misses", Int s.misses);
-                             ("evictions", Int s.evictions);
-                             ("entries", Int s.entries) ] );
+                       ("cache", cache_json (h.cache_stats ()));
                        ("server", Js_parallel.Telemetry.server_counters_json ());
                        ( "gc",
                          Obj

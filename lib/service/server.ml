@@ -179,7 +179,7 @@ let run_session t conn fd =
      prerr_endline
        (Printf.sprintf "jsceres: session %d died: %s" conn
           (Printexc.to_string exn)));
-  if !dropped then Telemetry.note_session_dropped ();
+  if !dropped then Telemetry.(incr sessions_dropped);
   unregister t conn;
   (* [close_out] flushes and closes the shared fd; the input channel
      must not be closed too (double-close of a numbered fd races with
@@ -226,7 +226,7 @@ let refuse_session fd =
      output_char oc '\n';
      flush oc
    with Sys_error _ -> ());
-  Telemetry.note_request_shed ();
+  Telemetry.(incr requests_shed);
   (try close_out oc with Sys_error _ -> ())
 
 let accept_loop t =
@@ -261,7 +261,7 @@ let accept_loop t =
             (try
                Fault.fire Fault.Accept (Printf.sprintf "conn-%d" conn) 1
              with Fault.Injected _ -> ());
-            Telemetry.note_session_dropped ();
+            Telemetry.(incr sessions_dropped);
             (try Unix.close fd with Unix.Unix_error _ -> ());
             go ()
           end

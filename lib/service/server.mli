@@ -17,8 +17,8 @@
 
     Control ops bypass admission; execution requests pass through the
     {!Admission} gate, and every decision is visible in the
-    process-wide telemetry counters
-    ([requests_admitted]/[shed]/[timed_out], [sessions_dropped]).
+    registry's server counters ({!Js_parallel.Telemetry}:
+    [requests_admitted]/[shed]/[timed_out], [sessions_dropped]).
 
     With [chaos_transport] set, deterministic seed-keyed transport
     faults ({!Js_parallel.Fault.transport_plan}) are injected:

@@ -94,7 +94,7 @@ let compute t (w : Workloads.Workload.t) (req : Request.t) key =
     (* A failure whose exception was the vclock watchdog is a missed
        per-request deadline: visible in the server telemetry. *)
     if Response.timed_out resp then
-      Js_parallel.Telemetry.note_request_timed_out ();
+      Js_parallel.Telemetry.(incr requests_timed_out);
     resp
 
 let unknown_workload req =

@@ -118,8 +118,9 @@ let to_string_pretty doc =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Parsing: strict, no recovery. Used for one-line protocol requests,
-   so error messages carry the offset. *)
+(* Parsing: strict, no recovery. Used for one-line protocol requests
+   and the interpreter's [JSON.parse], so error messages carry the
+   offset. *)
 
 exception Parse_error of string
 
@@ -214,6 +215,7 @@ let parse_number p =
   let lexeme = String.sub p.text start (p.pos - start) in
   if not !fractional then
     match int_of_string_opt lexeme with
+    | Some 0 when lexeme.[0] = '-' -> Float (-0.) (* keep the sign *)
     | Some i -> Int i
     | None -> (
         match float_of_string_opt lexeme with

@@ -1,7 +1,8 @@
-(** Deterministic JSON document: one encoder (and one small parser)
-    shared by every surface that emits JSON — the pool telemetry, the
-    static analyzer's reports, and the service layer's request/response
-    protocol — so all of them serialize identically.
+(** Deterministic JSON document: one encoder (and the repo's one
+    parser) shared by every surface that emits JSON — the pool
+    telemetry, the static analyzer's reports, and the service layer's
+    request/response protocol — so all of them serialize identically.
+    The interpreter's [JSON.parse] parses through it too.
 
     Determinism contract: [to_string] and [to_string_pretty] are pure
     functions of the document — object keys keep the order they were
@@ -32,7 +33,8 @@ val to_string_pretty : t -> string
 val of_string : string -> (t, string) result
 (** Strict parse of a complete document; trailing garbage is an
     error. Numbers without [./e] that fit in [int] parse as [Int],
-    everything else as [Float]. *)
+    except a [-]-prefixed zero, which parses as [Float (-0.)] so the
+    sign survives; everything else parses as [Float]. *)
 
 (** {1 Accessors} *)
 

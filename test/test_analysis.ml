@@ -374,7 +374,7 @@ let test_speculative_static_skip () =
   let rep = Js_parallel.Speculative.analyze_candidate ~iter_src in
   Alcotest.(check bool) "harness loop statically proven" true
     (Js_parallel.Speculative.statically_proven rep);
-  let before = Js_parallel.Telemetry.speculation_skipped_static () in
+  let before = Js_parallel.Telemetry.(count speculation_skipped_static) in
   (match
      Js_parallel.Speculative.run ~domains:2 ~static_verdicts:rep
        ~setup_src:"" ~iter_src ~lo:0 ~hi:100 ()
@@ -384,7 +384,7 @@ let test_speculative_static_skip () =
    | Js_parallel.Speculative.Aborted r ->
      Alcotest.fail (Js_parallel.Speculative.abort_reason_to_string r));
   Alcotest.(check int) "telemetry counted the skip" (before + 1)
-    (Js_parallel.Telemetry.speculation_skipped_static ())
+    (Js_parallel.Telemetry.(count speculation_skipped_static))
 
 let test_speculative_unproven_still_validates () =
   (* A candidate the static analyzer cannot prove must take the

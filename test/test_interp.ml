@@ -423,7 +423,29 @@ let test_json_parse () =
     {|var caught = false; try { JSON.parse("1 x"); } catch (e) { caught = true; }|}
     (Helpers.boolean true) "caught";
   check_eval "round-trip" (Helpers.str "{\"xs\":[1,2],\"s\":\"q'q\"}")
-    "JSON.stringify(JSON.parse(JSON.stringify({xs: [1, 2], s: \"q'q\"})))"
+    "JSON.stringify(JSON.parse(JSON.stringify({xs: [1, 2], s: \"q'q\"})))";
+  check_eval "negative zero keeps its sign" (Helpers.boolean true)
+    {|1 / JSON.parse("-0") === -Infinity|};
+  check_eval "duplicate key: last value, first position"
+    (Helpers.str "a,b:3")
+    {|(function () { var o = JSON.parse('{"a": 1, "b": 2, "a": 3}');
+                     return Object.keys(o).join() + ":" + o.a; })()|};
+  check_eval "\\u escape decodes to UTF-8" (Helpers.str "\xc3\xa9")
+    {|JSON.parse('"\\u00e9"')|};
+  check_eval "raw UTF-8 passes through" (Helpers.str "\xc3\xa9")
+    "JSON.parse('\"\xc3\xa9\"')";
+  List.iter
+    (fun (label, text) ->
+       check_in
+         (Printf.sprintf "%s throws a SyntaxError" label)
+         (Printf.sprintf
+            {|var name = "none"; try { JSON.parse(%s); } catch (e) { name = e.name; }|}
+            text)
+         (Helpers.str "SyntaxError") "name")
+    [ ("trailing comma", {|"[1,]"|});
+      ("missing colon", {|"{\"a\" 1}"|});
+      ("truncated literal", {|"tru"|});
+      ("unterminated string", {|"\"abc"|}) ]
 
 (* stringify/parse round-trip on random JSON-safe structures, compared
    structurally via a second stringify. *)

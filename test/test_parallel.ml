@@ -278,6 +278,74 @@ let test_stats_json_shape () =
           "\"steals_succeeded\""; "\"domains\":["; "\"loops\":[";
           "\"wall_ms\""; "\"fork_ms\""; "\"join_ms\""; "\"idle_spins\"" ])
 
+(* Wire format of every telemetry JSON surface: the ordered key lists
+   of a 2-domain pool's snapshot (and of its domain and loop records),
+   of the server counter section, and of [Par_exec.stats_json ~pool].
+   External readers (the perf benchmark, [--stats] consumers) look keys
+   up by these names, so the registry's two lists must render exactly
+   these keys in this order. *)
+let test_telemetry_wire_format () =
+  let keys = function
+    | Ceres_util.Json.Obj kvs -> List.map fst kvs
+    | _ -> Alcotest.fail "expected a JSON object"
+  in
+  let first_of key doc =
+    match Ceres_util.Json.member key doc with
+    | Some (Ceres_util.Json.List (x :: _)) -> x
+    | _ -> Alcotest.failf "expected a non-empty %s list" key
+  in
+  let pool_keys =
+    [ "participants"; "jobs_submitted"; "loops_run"; "tasks_executed";
+      "tasks_failed"; "steals_succeeded"; "retries"; "faults_injected";
+      "speculation_skipped_static"; "cache_hits"; "cache_misses";
+      "cache_evictions"; "domains"; "loops" ]
+  in
+  Js_parallel.Pool.with_pool ~domains:2 (fun p ->
+      Js_parallel.Pool.parallel_for p ~lo:0 ~hi:8 (fun _ -> ());
+      let doc = Js_parallel.Telemetry.json_of_stats (Js_parallel.Pool.stats p) in
+      Alcotest.(check (list string)) "pool snapshot keys" pool_keys (keys doc);
+      Alcotest.(check (list string)) "domain record keys"
+        [ "domain"; "tasks_executed"; "tasks_failed"; "steals_attempted";
+          "steals_succeeded"; "idle_spins" ]
+        (keys (first_of "domains" doc));
+      Alcotest.(check (list string)) "loop record keys"
+        [ "loop"; "chunks"; "wall_ms"; "fork_ms"; "join_ms" ]
+        (keys (first_of "loops" doc));
+      Alcotest.(check (list string)) "server section keys"
+        [ "requests_admitted"; "requests_shed"; "requests_timed_out";
+          "sessions_dropped" ]
+        (keys (Js_parallel.Telemetry.server_counters_json ()));
+      let pe =
+        Js_parallel.Par_exec.create ~mode:(Js_parallel.Par_exec.Parallel p)
+          ~jobs:2 ()
+      in
+      match
+        Ceres_util.Json.of_string (Js_parallel.Par_exec.stats_json ~pool:p pe)
+      with
+      | Error e -> Alcotest.fail e
+      | Ok doc ->
+        Alcotest.(check (list string)) "par-exec stats keys"
+          [ "jobs"; "nests"; "fallbacks"; "loops"; "pool" ]
+          (keys doc);
+        Alcotest.(check (list string)) "par-exec pool keys" pool_keys
+          (keys (Option.get (Ceres_util.Json.member "pool" doc))))
+
+(* [Pool.reset_stats] resets one pool's scheduling stats and nothing
+   else: the registry's process-wide counters (here the server's shed
+   count) belong to no pool and survive it. *)
+let test_reset_stats_spares_registry () =
+  Js_parallel.Telemetry.(incr requests_shed);
+  let before = Js_parallel.Telemetry.(count requests_shed) in
+  Js_parallel.Pool.with_pool ~domains:2 (fun p ->
+      Js_parallel.Pool.parallel_for p ~lo:0 ~hi:8 (fun _ -> ());
+      Js_parallel.Pool.reset_stats p;
+      let st = Js_parallel.Pool.stats p in
+      Alcotest.(check int) "pool loops reset" 0 st.loops_run;
+      Alcotest.(check int) "pool tasks reset" 0
+        (Js_parallel.Telemetry.total_tasks st));
+  Alcotest.(check int) "shed count unchanged" before
+    Js_parallel.Telemetry.(count requests_shed)
+
 (* ------------------------------------------------------------------ *)
 (* Speculative executor *)
 
@@ -432,4 +500,7 @@ let suite =
     ("speculation aborts on runaway body", `Quick,
      test_speculation_aborts_on_runaway_body);
     ("speculation allows reduction", `Quick, test_speculation_reduction_accumulator_allowed);
-    ("kernels parallel = sequential", `Slow, test_kernels_parallel_equals_sequential) ]
+    ("kernels parallel = sequential", `Slow, test_kernels_parallel_equals_sequential);
+    ("telemetry wire format", `Quick, test_telemetry_wire_format);
+    ("reset_stats spares the registry", `Quick,
+     test_reset_stats_spares_registry) ]

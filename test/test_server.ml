@@ -23,7 +23,7 @@ let socket_path =
 (* A server over a real service, running its accept loop on a
    background thread; [stop] drains it and asserts the clean exit. *)
 let with_server ?(config_override = Fun.id) ?(jobs = 1) ?watchdog_ms f =
-  Js_parallel.Telemetry.reset_globals ();
+  Js_parallel.Telemetry.reset_counters ();
   let svc = Service.create ~jobs ?watchdog_ms () in
   let path = socket_path () in
   let server =
@@ -114,12 +114,12 @@ let test_confinement () =
       close_client good;
       (* the torn session was accounted *)
       let rec await n =
-        if Js_parallel.Telemetry.sessions_dropped () >= 1 || n = 0 then ()
+        if Js_parallel.Telemetry.(count sessions_dropped) >= 1 || n = 0 then ()
         else (Thread.delay 0.02; await (n - 1))
       in
       await 100;
       Alcotest.(check bool) "torn session counted dropped" true
-        (Js_parallel.Telemetry.sessions_dropped () >= 1);
+        (Js_parallel.Telemetry.(count sessions_dropped) >= 1);
       ignore server)
 
 (* No silent drops: with a zero-slot gate every execution request is
@@ -139,9 +139,9 @@ let test_shedding () =
         (roundtrip c "{\"op\":\"ping\"}");
       close_client c;
       Alcotest.(check bool) "shed counted" true
-        (Js_parallel.Telemetry.requests_shed () >= 1);
+        (Js_parallel.Telemetry.(count requests_shed) >= 1);
       Alcotest.(check int) "nothing admitted" 0
-        (Js_parallel.Telemetry.requests_admitted ()))
+        (Js_parallel.Telemetry.(count requests_admitted)))
 
 (* Loadgen percentiles cover well-behaved replies only: against a gate
    that sheds every execution request, the shed replies are counted
@@ -170,7 +170,7 @@ let test_deadline () =
         (Helpers.contains ~sub:"vclock budget exhausted" resp);
       close_client c;
       Alcotest.(check bool) "timed-out counter moved" true
-        (Js_parallel.Telemetry.requests_timed_out () >= 1))
+        (Js_parallel.Telemetry.(count requests_timed_out) >= 1))
 
 (* The per-session request mix the determinism tests replay: every
    pass of the protocol, over a couple of workloads, plus control
@@ -248,7 +248,7 @@ let test_determinism_chaos () = determinism_check ~chaos_seed:(Some 42) ()
    the server stops accepting, run returns, and the socket file is
    gone. *)
 let test_shutdown_op () =
-  Js_parallel.Telemetry.reset_globals ();
+  Js_parallel.Telemetry.reset_counters ();
   let svc = Service.create () in
   let path = socket_path () in
   let server = Server.create ~socket_path:path (Service.handler svc) in
@@ -414,7 +414,7 @@ let test_admission_gate () =
 (* Telemetry surfacing: the {"op":"telemetry"} snapshot carries the
    server counter section. *)
 let test_telemetry_server_section () =
-  Js_parallel.Telemetry.reset_globals ();
+  Js_parallel.Telemetry.reset_counters ();
   let svc = Service.create () in
   let h = Service.handler svc in
   (match Service.Serve.handle_line h "{\"op\":\"telemetry\"}" with

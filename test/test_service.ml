@@ -163,12 +163,13 @@ let test_failures_not_cached () =
 (* Regression: [Cache.clear] used to reset the table but keep
    [hits]/[misses]/[evictions]/[tick], so a cleared cache reported
    phantom traffic (locally and in the process-wide telemetry
-   mirror) and its recency clock kept running. *)
+   registry) and its recency clock kept running. The clear retires
+   the cache's share from the registry with a negative [add]. *)
 let test_cache_clear_resets_counters () =
   let c : int Service.Cache.t = Service.Cache.create ~capacity:2 () in
   let g () =
     Js_parallel.Telemetry.
-      (cache_hits (), cache_misses (), cache_evictions ())
+      (count cache_hits, count cache_misses, count cache_evictions)
   in
   let h0, m0, e0 = g () in
   Service.Cache.add c "a" 1;
@@ -179,12 +180,14 @@ let test_cache_clear_resets_counters () =
   let s = Service.Cache.stats c in
   Alcotest.(check (list int)) "pre-clear traffic" [ 1; 1; 1; 2 ]
     [ s.hits; s.misses; s.evictions; s.entries ];
+  Alcotest.(check bool) "registry counted the traffic" true
+    (g () = (h0 + 1, m0 + 1, e0 + 1));
   Service.Cache.clear c;
   let s = Service.Cache.stats c in
   Alcotest.(check (list int)) "cleared cache reports like a fresh one"
     [ 0; 0; 0; 0 ]
     [ s.hits; s.misses; s.evictions; s.entries ];
-  Alcotest.(check bool) "telemetry mirror retired the cache's share" true
+  Alcotest.(check bool) "registry back at its pre-traffic values" true
     (g () = (h0, m0, e0));
   (* The first probe after a clear must count exactly one miss — with
      the stale counters it reported accumulated history instead. *)

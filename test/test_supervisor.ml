@@ -35,7 +35,7 @@ let test_permanent_not_retried () =
 
 let test_transient_retry_recovers () =
   let calls = ref 0 in
-  let before = Js_parallel.Telemetry.retries () in
+  let before = Js_parallel.Telemetry.(count retries) in
   match
     Js_parallel.Supervisor.run ~retries:2 ~backoff:Js_parallel.Backoff.none
       ~classify:(fun _ -> Js_parallel.Supervisor.Transient)
@@ -48,7 +48,7 @@ let test_transient_retry_recovers () =
     Alcotest.(check string) "value from third attempt" "ok" v;
     Alcotest.(check int) "three calls" 3 !calls;
     Alcotest.(check int) "two retries counted" 2
-      (Js_parallel.Telemetry.retries () - before)
+      (Js_parallel.Telemetry.(count retries) - before)
   | Error fl ->
     Alcotest.failf "should have recovered: %s"
       (Js_parallel.Supervisor.failure_to_string fl)

@@ -221,37 +221,53 @@ let test_table3_agreement_regression () =
    [Gc.minor_words] is exact for the calling domain; [Gc.quick_stat]'s
    count only moves at minor collections, so it does not repeat. Each
    bound is the session's measured count plus 10% headroom, for a
-   plain, lightweight, loop-profile and dependence session on two apps;
-   a dependence session also pins its exact dynamic access checks. *)
+   plain, lightweight, loop-profile and dependence session on two apps.
+   Each row also pins the session's exact busy vticks ([Vclock.busy]),
+   so a change that adds or drops a tick on the interpreter path shows
+   here, and a dependence session pins its exact dynamic access
+   checks. *)
 let test_allocation_budget () =
   let w name = Option.get (Workloads.Registry.find name) in
-  let plain name = ignore (Workloads.Harness.run_plain (w name)); None
-  and light name = ignore (Workloads.Harness.run_lightweight (w name)); None
-  and loops name = ignore (Workloads.Harness.run_loop_profile (w name)); None
+  let busy (ctx : Workloads.Harness.run_context) =
+    Int64.to_int (Ceres_util.Vclock.busy ctx.st.Interp.Value.clock)
+  in
+  let plain name = (busy (Workloads.Harness.run_plain (w name)), None)
+  and light name =
+    (* [timing] reports busy time in virtual ms; scale it back to vticks. *)
+    let t = Workloads.Harness.run_lightweight (w name) in
+    ( int_of_float
+        (Float.round
+           (t.busy_ms *. float_of_int Workloads.Harness.ticks_per_ms)),
+      None )
+  and loops name =
+    (busy (fst (Workloads.Harness.run_loop_profile (w name))), None)
   and deps name =
-    let _, rt = Workloads.Harness.run_dependence (w name) in
-    Some (Ceres.Runtime.accesses_checked rt)
+    let ctx, rt = Workloads.Harness.run_dependence (w name) in
+    (busy ctx, Some (Ceres.Runtime.accesses_checked rt))
   in
   List.iter
-    (fun (name, mode, session, measured, accesses) ->
+    (fun (name, mode, session, measured, vticks, accesses) ->
        let before = Gc.minor_words () in
-       let checked = session name in
+       let ticks, checked = session name in
        let words = Gc.minor_words () -. before in
        let bound = 1.1 *. measured in
        if words > bound then
          Alcotest.failf "%s %s: %.0f minor words, over the budget of %.0f"
            name mode words bound;
+       Alcotest.(check int)
+         (Printf.sprintf "%s %s: busy vticks" name mode)
+         vticks ticks;
        Alcotest.(check (option int))
          (Printf.sprintf "%s %s: accesses checked" name mode)
          accesses checked)
-    [ ("Raytracing", "plain", plain, 11_683_719., None);
-      ("fluidSim", "plain", plain, 13_736_454., None);
-      ("Raytracing", "lightweight", light, 12_597_968., None);
-      ("fluidSim", "lightweight", light, 16_946_916., None);
-      ("Raytracing", "loop-profile", loops, 14_196_626., None);
-      ("fluidSim", "loop-profile", loops, 14_467_604., None);
-      ("Raytracing", "dependence", deps, 23_760_720., Some 331_182);
-      ("fluidSim", "dependence", deps, 13_620_879., Some 113_569) ]
+    [ ("Raytracing", "plain", plain, 11_683_719., 7_445_438, None);
+      ("fluidSim", "plain", plain, 13_736_454., 4_975_476, None);
+      ("Raytracing", "lightweight", light, 12_597_968., 7_548_644, None);
+      ("fluidSim", "lightweight", light, 16_946_916., 4_994_298, None);
+      ("Raytracing", "loop-profile", loops, 14_196_626., 7_823_406, None);
+      ("fluidSim", "loop-profile", loops, 14_467_604., 5_093_740, None);
+      ("Raytracing", "dependence", deps, 23_760_720., 3_043_008, Some 331_182);
+      ("fluidSim", "dependence", deps, 13_620_879., 2_454_091, Some 113_569) ]
 
 let suite =
   [ ("registry complete", `Quick, test_registry_complete);
