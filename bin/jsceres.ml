@@ -41,7 +41,8 @@ let subcommand_docs =
     ( "pipeline",
       "Table 2 + Table 3 pipeline for many workloads, batched through the \
        service core — optionally in parallel (--jobs N) and under \
-       per-workload supervision flags (--chaos-seed, --watchdog-ms)." );
+       per-workload supervision flags (--chaos-seed, --deadline-ms); a \
+       failed workload prints a FAILED row and makes the exit status 1." );
     ( "serve",
       "Long-running service mode: one JSON request per line, one \
        deterministic JSON response per line, with result caching and \
@@ -109,16 +110,6 @@ let retries_arg =
            parse errors, JS exceptions, watchdog overruns — are never \
            retried.")
 
-let watchdog_ms_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "watchdog-ms" ] ~docv:"MS"
-        ~doc:
-          "Deprecated alias of $(b,--deadline-ms); accepted for script \
-           compatibility but warns on stderr. $(b,--deadline-ms) wins \
-           when both are given.")
-
 let deadline_ms_arg =
   Arg.(
     value
@@ -129,19 +120,6 @@ let deadline_ms_arg =
            watchdog): a request exceeding it answers a structured \
            budget-exhausted failure instead of occupying its slot \
            forever.")
-
-(* --watchdog-ms predates --deadline-ms and had drifted into an
-   undocumented alias. It stays accepted, but use earns a one-line
-   stderr deprecation warning, and --deadline-ms wins when both are
-   given. *)
-let resolve_deadline ~deadline_ms ~watchdog_ms =
-  (match watchdog_ms with
-   | Some _ ->
-     prerr_endline
-       "jsceres: warning: --watchdog-ms is a deprecated alias of \
-        --deadline-ms"
-   | None -> ());
-  match deadline_ms with Some _ -> deadline_ms | None -> watchdog_ms
 
 let find_workload name =
   match Workloads.Registry.find name with
@@ -421,9 +399,7 @@ let report_cmd =
    survivors print their rows; stdout stays byte-identical per chaos
    seed (all printed failure fields are virtual-time based). *)
 let pipeline_cmd =
-  let run names jobs stats keep_going chaos_seed retries watchdog_ms
-      deadline_ms format par_exec =
-    let watchdog_ms = resolve_deadline ~deadline_ms ~watchdog_ms in
+  let run names jobs stats chaos_seed retries deadline_ms format par_exec =
     let ws =
       match names with
       | [] -> Workloads.Registry.all
@@ -432,10 +408,7 @@ let pipeline_cmd =
     (match chaos_seed with
      | Some seed -> Js_parallel.Fault.enable ~seed
      | None -> ignore (Js_parallel.Fault.enable_from_env ()));
-    (* The service core supervises every request, so --keep-going is
-       always in effect; the flag is kept for script compatibility. *)
-    ignore keep_going;
-    let svc = Service.create ~jobs ~retries ?watchdog_ms () in
+    let svc = Service.create ~jobs ~retries ?watchdog_ms:deadline_ms () in
     let reqs =
       List.map
         (fun (w : Workloads.Workload.t) ->
@@ -534,15 +507,6 @@ let pipeline_cmd =
       & info [ "stats" ]
           ~doc:"Print the pool's scheduling telemetry as JSON at the end.")
   in
-  let keep_going_arg =
-    Arg.(
-      value & flag
-      & info [ "k"; "keep-going" ]
-          ~doc:
-            "Kept for compatibility: the service core always supervises \
-             each workload, so failures become FAILED rows and the exit \
-             status is nonzero if any workload failed.")
-  in
   let chaos_seed_arg =
     Arg.(
       value
@@ -555,21 +519,18 @@ let pipeline_cmd =
   in
   Cmd.v (cmd_info "pipeline")
     Term.(
-      const run $ names_arg $ jobs_arg $ stats_arg $ keep_going_arg
-      $ chaos_seed_arg $ retries_arg $ watchdog_ms_arg $ deadline_ms_arg
-      $ format_arg $ par_exec_arg)
+      const run $ names_arg $ jobs_arg $ stats_arg $ chaos_seed_arg
+      $ retries_arg $ deadline_ms_arg $ format_arg $ par_exec_arg)
 
 let serve_cmd =
-  let run jobs retries watchdog_ms deadline_ms cache_capacity socket
+  let run jobs retries deadline_ms cache_capacity socket
       max_inflight queue_capacity drain_ms max_request_bytes max_sessions
       chaos_seed chaos_transport =
     (match chaos_seed with
      | Some seed -> Js_parallel.Fault.enable ~seed
      | None -> ignore (Js_parallel.Fault.enable_from_env ()));
-    let watchdog_ms = resolve_deadline ~deadline_ms ~watchdog_ms in
     let svc =
-      Service.create ~jobs ~retries ?watchdog_ms
-        ?cache_capacity ()
+      Service.create ~jobs ~retries ?watchdog_ms:deadline_ms ?cache_capacity ()
     in
     (match socket with
      | None -> Service.serve_channels ~max_request_bytes svc stdin stdout
@@ -669,7 +630,7 @@ let serve_cmd =
   in
   Cmd.v (cmd_info "serve")
     Term.(
-      const run $ jobs_arg $ retries_arg $ watchdog_ms_arg $ deadline_ms_arg
+      const run $ jobs_arg $ retries_arg $ deadline_ms_arg
       $ cache_capacity_arg $ socket_arg $ max_inflight_arg
       $ queue_capacity_arg $ drain_ms_arg $ max_request_bytes_arg
       $ max_sessions_arg $ chaos_seed_serve_arg $ chaos_transport_arg)

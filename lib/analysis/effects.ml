@@ -451,7 +451,6 @@ let summarize_function (t : t) (fr : Scope.func_rec) : summary =
   let merge eff = add (fun s -> join s eff) in
   let rec stmt (st : Ast.stmt) =
     match st.s with
-    | Ast.Expr_stmt e | Ast.Throw e -> expr e
     | Ast.Return (Some e) ->
       expr e;
       if not (scalar_shaped e) then (
@@ -460,54 +459,17 @@ let summarize_function (t : t) (fr : Scope.func_rec) : summary =
         | Param k ->
           add (fun s -> { s with returns_params = IS.add k s.returns_params })
         | _ -> add (fun s -> { s with returns_shared = true }))
-    | Ast.Return None -> ()
-    | Ast.Var_decl ds -> List.iter (fun (_, i) -> Option.iter expr i) ds
-    | Ast.If (c, th, el) ->
-      expr c;
-      stmt th;
-      Option.iter stmt el
-    | Ast.While (_, c, b) | Ast.Do_while (_, b, c) ->
-      expr c;
-      stmt b
-    | Ast.For (_, init, c, u, b) ->
-      (match init with
-       | Some (Ast.Init_var ds) ->
-         List.iter (fun (_, i) -> Option.iter expr i) ds
-       | Some (Ast.Init_expr e) -> expr e
-       | None -> ());
-      Option.iter expr c;
-      Option.iter expr u;
-      stmt b
-    | Ast.For_in (_, binder, o, b) ->
+    | Ast.For_in (_, binder, o, _) ->
       (match binder with
        | Ast.Binder_ident n -> scalar_write n
        | Ast.Binder_var _ -> ());
-      expr o;
       heap_read (region_of o);
-      stmt b
-    | Ast.Try (b, c, f) ->
-      List.iter stmt b;
-      Option.iter (fun (_, cb) -> List.iter stmt cb) c;
-      Option.iter (List.iter stmt) f
-    | Ast.Block b -> List.iter stmt b
+      Ast.iter_stmt ~stmt ~expr st
     | Ast.Func_decl _ -> () (* creating a closure has no effect *)
-    | Ast.Switch (s, cases) ->
-      expr s;
-      List.iter
-        (fun (g, body) ->
-           Option.iter expr g;
-           List.iter stmt body)
-        cases
-    | Ast.Labeled (_, b) -> stmt b
-    | Ast.Empty | Ast.Break _ | Ast.Continue _ -> ()
+    | _ -> Ast.iter_stmt ~stmt ~expr st
   and expr (e : Ast.expr) =
     match e.e with
-    | Ast.Number _ | Ast.String _ | Ast.Bool _ | Ast.Null | Ast.Undefined ->
-      ()
-    | Ast.This -> ()
     | Ast.Ident x -> scalar_read x
-    | Ast.Array_lit es -> List.iter expr es
-    | Ast.Object_lit ps -> List.iter (fun (_, v) -> expr v) ps
     | Ast.Function_expr _ -> ()
     | Ast.Member (b, _) -> (
         expr b;
@@ -515,55 +477,29 @@ let summarize_function (t : t) (fr : Scope.func_rec) : summary =
         | Some ("Math" | "JSON") -> ()
         | Some _ -> add (fun s -> { s with io = true })
         | None -> heap_read (region_of b))
-    | Ast.Index (b, i) ->
-      expr b;
-      expr i;
+    | Ast.Index (b, _) ->
+      Ast.iter_expr ~stmt ~expr e;
       heap_read (region_of b)
     | Ast.Call (callee, args) -> call ~is_new:false callee args
     | Ast.New (callee, args) -> call ~is_new:true callee args
     | Ast.Unop (Ast.Delete, { e = Ast.Ident x; _ }) -> scalar_write x
-    | Ast.Unop (Ast.Delete, { e = Ast.Member (b, _); _ })
-    | Ast.Unop (Ast.Delete, { e = Ast.Index (b, _); _ }) ->
+    | Ast.Unop (Ast.Delete, { e = Ast.Member (b, _) | Ast.Index (b, _); _ }) ->
       expr b;
       heap_write (region_of b)
-    | Ast.Unop (_, o) -> expr o
-    | Ast.Binop (_, l, r) | Ast.Logical (_, l, r) | Ast.Seq (l, r) ->
-      expr l;
-      expr r
-    | Ast.Cond (c, th, el) ->
-      expr c;
-      expr th;
-      expr el
-    | Ast.Assign (tgt, op, rhs) ->
-      (match tgt with
-       | Ast.Tgt_ident n ->
-         if op <> None then scalar_read n;
-         scalar_write n
-       | Ast.Tgt_member (b, _) ->
-         expr b;
-         if op <> None then heap_read (region_of b);
-         heap_write (region_of b)
-       | Ast.Tgt_index (b, i) ->
-         expr b;
-         expr i;
-         if op <> None then heap_read (region_of b);
-         heap_write (region_of b));
-      expr rhs
-    | Ast.Update (_, _, tgt) -> (
-        match tgt with
-        | Ast.Tgt_ident n ->
-          scalar_read n;
-          scalar_write n
-        | Ast.Tgt_member (b, _) ->
-          expr b;
-          heap_read (region_of b);
-          heap_write (region_of b)
-        | Ast.Tgt_index (b, i) ->
-          expr b;
-          expr i;
-          heap_read (region_of b);
-          heap_write (region_of b))
-    | Ast.Intrinsic (_, args) -> List.iter expr args
+    | Ast.Assign (tgt, op, _) ->
+      write ~read:(op <> None) tgt;
+      Ast.iter_expr ~stmt ~expr e
+    | Ast.Update (_, _, tgt) ->
+      write ~read:true tgt;
+      Ast.iter_expr ~stmt ~expr e
+    | _ -> Ast.iter_expr ~stmt ~expr e
+  and write ~read = function
+    | Ast.Tgt_ident n ->
+      if read then scalar_read n;
+      scalar_write n
+    | Ast.Tgt_member (b, _) | Ast.Tgt_index (b, _) ->
+      if read then heap_read (region_of b);
+      heap_write (region_of b)
   and call ~is_new callee args =
     (match callee.e with
      | Ast.Ident _ | Ast.Function_expr _ -> ()

@@ -151,44 +151,9 @@ let idents_read (e : Ast.expr) : SS.t =
   let acc = ref SS.empty in
   let rec go (e : Ast.expr) =
     match e.e with
-    | Ast.Ident x -> acc := SS.add x !acc
+    | Ast.Ident x | Ast.Update (_, _, Ast.Tgt_ident x) -> acc := SS.add x !acc
     | Ast.Function_expr _ -> ()
-    | Ast.Number _ | Ast.String _ | Ast.Bool _ | Ast.Null | Ast.Undefined
-    | Ast.This ->
-      ()
-    | Ast.Array_lit es -> List.iter go es
-    | Ast.Object_lit ps -> List.iter (fun (_, v) -> go v) ps
-    | Ast.Member (b, _) -> go b
-    | Ast.Index (b, i) ->
-      go b;
-      go i
-    | Ast.Call (f, args) | Ast.New (f, args) ->
-      go f;
-      List.iter go args
-    | Ast.Unop (_, o) -> go o
-    | Ast.Binop (_, l, r) | Ast.Logical (_, l, r) | Ast.Seq (l, r) ->
-      go l;
-      go r
-    | Ast.Cond (a, b, c) ->
-      go a;
-      go b;
-      go c
-    | Ast.Assign (tgt, _, rhs) ->
-      (match tgt with
-       | Ast.Tgt_ident _ -> ()
-       | Ast.Tgt_member (b, _) -> go b
-       | Ast.Tgt_index (b, i) ->
-         go b;
-         go i);
-      go rhs
-    | Ast.Update (_, _, tgt) -> (
-        match tgt with
-        | Ast.Tgt_ident x -> acc := SS.add x !acc
-        | Ast.Tgt_member (b, _) -> go b
-        | Ast.Tgt_index (b, i) ->
-          go b;
-          go i)
-    | Ast.Intrinsic (_, args) -> List.iter go args
+    | _ -> Ast.iter_expr ~stmt:ignore ~expr:go e
   in
   go e;
   !acc
@@ -589,107 +554,30 @@ let prepass ~const_env (body : Ast.stmt list) =
           if not (Lin.equal lo lo' && Lin.equal hi hi') then
             bad := SS.add ind.ivar !bad)
   in
+  let bump_inits ds =
+    List.iter (fun (n, i) -> if Option.is_some i then bump n) ds
+  in
   let rec stmt (st : Ast.stmt) =
+    (match st.s with
+     | Ast.Var_decl ds -> bump_inits ds
+     | Ast.For (_, init, cnd, u, _) ->
+       (match init with Some (Ast.Init_var ds) -> bump_inits ds | _ -> ());
+       Option.iter note_inner
+         (Subscript.induction_of_for ~const_env init cnd u
+            ~line:st.sat.left.line)
+     | Ast.For_in (_, (Ast.Binder_var n | Ast.Binder_ident n), _, _) -> bump n
+     | _ -> ());
     match st.s with
-    | Ast.Expr_stmt e | Ast.Throw e -> expr e
-    | Ast.Return e -> Option.iter expr e
-    | Ast.Var_decl ds ->
-      List.iter
-        (fun (n, i) ->
-           match i with
-           | Some e ->
-             bump n;
-             expr e
-           | None -> ())
-        ds
-    | Ast.If (cnd, th, el) ->
-      expr cnd;
-      stmt th;
-      Option.iter stmt el
-    | Ast.While (_, cnd, b) | Ast.Do_while (_, b, cnd) ->
-      expr cnd;
-      stmt b
-    | Ast.For (_, init, cnd, u, b) ->
-      (match init with
-       | Some (Ast.Init_var ds) ->
-         List.iter
-           (fun (n, i) ->
-              match i with
-              | Some e ->
-                bump n;
-                expr e
-              | None -> ())
-           ds
-       | Some (Ast.Init_expr e) -> expr e
-       | None -> ());
-      Option.iter expr cnd;
-      Option.iter expr u;
-      (match
-         Subscript.induction_of_for ~const_env init cnd u
-           ~line:st.sat.left.line
-       with
-       | Some ind -> note_inner ind
-       | None -> ());
-      stmt b
-    | Ast.For_in (_, binder, o, b) ->
-      (match binder with
-       | Ast.Binder_var n | Ast.Binder_ident n -> bump n);
-      expr o;
-      stmt b
-    | Ast.Try (b, cth, fin) ->
-      List.iter stmt b;
-      Option.iter (fun (_, cb) -> List.iter stmt cb) cth;
-      Option.iter (List.iter stmt) fin
-    | Ast.Block b -> List.iter stmt b
     | Ast.Func_decl _ -> ()
-    | Ast.Switch (s, cases) ->
-      expr s;
-      List.iter
-        (fun (g, b) ->
-           Option.iter expr g;
-           List.iter stmt b)
-        cases
-    | Ast.Labeled (_, b) -> stmt b
-    | Ast.Empty | Ast.Break _ | Ast.Continue _ -> ()
+    | _ -> Ast.iter_stmt ~stmt ~expr st
   and expr (e : Ast.expr) =
     match e.e with
-    | Ast.Assign (Ast.Tgt_ident n, _, rhs) ->
+    | Ast.Assign (Ast.Tgt_ident n, _, _) | Ast.Update (_, _, Ast.Tgt_ident n) ->
       bump n;
-      expr rhs
-    | Ast.Assign ((Ast.Tgt_member (b, _) as _t), _, rhs) ->
-      expr b;
-      expr rhs
-    | Ast.Assign (Ast.Tgt_index (b, i), _, rhs) ->
-      expr b;
-      expr i;
-      expr rhs
-    | Ast.Update (_, _, Ast.Tgt_ident n) -> bump n
-    | Ast.Update (_, _, Ast.Tgt_member (b, _)) -> expr b
-    | Ast.Update (_, _, Ast.Tgt_index (b, i)) ->
-      expr b;
-      expr i
+      Ast.iter_expr ~stmt ~expr e
     | Ast.Unop (Ast.Delete, { e = Ast.Ident n; _ }) -> bump n
-    | Ast.Ident _ | Ast.Number _ | Ast.String _ | Ast.Bool _ | Ast.Null
-    | Ast.Undefined | Ast.This | Ast.Function_expr _ ->
-      ()
-    | Ast.Array_lit es -> List.iter expr es
-    | Ast.Object_lit ps -> List.iter (fun (_, v) -> expr v) ps
-    | Ast.Member (b, _) -> expr b
-    | Ast.Index (b, i) ->
-      expr b;
-      expr i
-    | Ast.Call (f, args) | Ast.New (f, args) ->
-      expr f;
-      List.iter expr args
-    | Ast.Unop (_, o) -> expr o
-    | Ast.Binop (_, l, r) | Ast.Logical (_, l, r) | Ast.Seq (l, r) ->
-      expr l;
-      expr r
-    | Ast.Cond (a, b, cc) ->
-      expr a;
-      expr b;
-      expr cc
-    | Ast.Intrinsic (_, args) -> List.iter expr args
+    | Ast.Function_expr _ -> ()
+    | _ -> Ast.iter_expr ~stmt ~expr e
   in
   List.iter stmt body;
   let names =
@@ -1430,103 +1318,35 @@ let analyze_program (fx : Effects.t) (prog : Ast.program) : result list =
         ~update ~body
       :: !out
   in
+  (* Each loop is analyzed when the walk reaches it, before its header
+     and body are walked. *)
   let rec stmt fid (s : Ast.stmt) =
-    let line = s.sat.left.line in
+    let analyze = analyze ~fid ~line:s.sat.left.line in
+    (match s.s with
+     | Ast.While (id, g, b) ->
+       analyze ~kind:Ast.Kwhile ~loop_id:id ~header:`Cond ~cond:(Some g)
+         ~update:None ~body:[ b ]
+     | Ast.Do_while (id, b, g) ->
+       analyze ~kind:Ast.Kdo_while ~loop_id:id ~header:`Cond ~cond:(Some g)
+         ~update:None ~body:[ b ]
+     | Ast.For (id, init, g, u, b) ->
+       let ind =
+         Subscript.induction_of_for ~const_env:(Range.const_global rng) init g
+           u ~line:s.sat.left.line
+       in
+       analyze ~kind:Ast.Kfor ~loop_id:id ~header:(`For ind) ~cond:g
+         ~update:u ~body:[ b ]
+     | Ast.For_in (id, (Ast.Binder_var n | Ast.Binder_ident n), _, b) ->
+       analyze ~kind:Ast.Kfor_in ~loop_id:id ~header:(`For_in n) ~cond:None
+         ~update:None ~body:[ b ]
+     | _ -> ());
     match s.s with
-    | Ast.Expr_stmt e | Ast.Throw e -> expr fid e
-    | Ast.Return e -> Option.iter (expr fid) e
-    | Ast.Var_decl ds -> List.iter (fun (_, i) -> Option.iter (expr fid) i) ds
-    | Ast.If (g, th, el) ->
-      expr fid g;
-      stmt fid th;
-      Option.iter (stmt fid) el
-    | Ast.While (id, g, b) ->
-      expr fid g;
-      analyze ~fid ~kind:Ast.Kwhile ~loop_id:id ~line ~header:`Cond
-        ~cond:(Some g) ~update:None ~body:[ b ];
-      stmt fid b
-    | Ast.Do_while (id, b, g) ->
-      expr fid g;
-      analyze ~fid ~kind:Ast.Kdo_while ~loop_id:id ~line ~header:`Cond
-        ~cond:(Some g) ~update:None ~body:[ b ];
-      stmt fid b
-    | Ast.For (id, init, g, u, b) ->
-      (match init with
-       | Some (Ast.Init_var ds) ->
-         List.iter (fun (_, i) -> Option.iter (expr fid) i) ds
-       | Some (Ast.Init_expr e) -> expr fid e
-       | None -> ());
-      Option.iter (expr fid) g;
-      Option.iter (expr fid) u;
-      let ind =
-        Subscript.induction_of_for ~const_env:(Range.const_global rng) init g
-          u ~line
-      in
-      analyze ~fid ~kind:Ast.Kfor ~loop_id:id ~line ~header:(`For ind)
-        ~cond:g ~update:u ~body:[ b ];
-      stmt fid b
-    | Ast.For_in (id, binder, o, b) ->
-      expr fid o;
-      let n =
-        match binder with Ast.Binder_var n | Ast.Binder_ident n -> n
-      in
-      analyze ~fid ~kind:Ast.Kfor_in ~loop_id:id ~line ~header:(`For_in n)
-        ~cond:None ~update:None ~body:[ b ];
-      stmt fid b
-    | Ast.Try (b, cth, fin) ->
-      List.iter (stmt fid) b;
-      Option.iter (fun (_, cb) -> List.iter (stmt fid) cb) cth;
-      Option.iter (List.iter (stmt fid)) fin
-    | Ast.Block b -> List.iter (stmt fid) b
     | Ast.Func_decl f -> enter_func fid f
-    | Ast.Switch (g, cases) ->
-      expr fid g;
-      List.iter
-        (fun (gd, b) ->
-           Option.iter (expr fid) gd;
-           List.iter (stmt fid) b)
-        cases
-    | Ast.Labeled (_, b) -> stmt fid b
-    | Ast.Empty | Ast.Break _ | Ast.Continue _ -> ()
+    | _ -> Ast.iter_stmt ~stmt:(stmt fid) ~expr:(expr fid) s
   and expr fid (e : Ast.expr) =
     match e.e with
     | Ast.Function_expr f -> enter_func fid f
-    | Ast.Number _ | Ast.String _ | Ast.Bool _ | Ast.Null | Ast.Undefined
-    | Ast.Ident _ | Ast.This ->
-      ()
-    | Ast.Array_lit es -> List.iter (expr fid) es
-    | Ast.Object_lit ps -> List.iter (fun (_, v) -> expr fid v) ps
-    | Ast.Member (b, _) -> expr fid b
-    | Ast.Index (b, i) ->
-      expr fid b;
-      expr fid i
-    | Ast.Call (f, args) | Ast.New (f, args) ->
-      expr fid f;
-      List.iter (expr fid) args
-    | Ast.Unop (_, o) -> expr fid o
-    | Ast.Binop (_, l, r) | Ast.Logical (_, l, r) | Ast.Seq (l, r) ->
-      expr fid l;
-      expr fid r
-    | Ast.Cond (a, b, cc) ->
-      expr fid a;
-      expr fid b;
-      expr fid cc
-    | Ast.Assign (tgt, _, rhs) ->
-      (match tgt with
-       | Ast.Tgt_ident _ -> ()
-       | Ast.Tgt_member (b, _) -> expr fid b
-       | Ast.Tgt_index (b, i) ->
-         expr fid b;
-         expr fid i);
-      expr fid rhs
-    | Ast.Update (_, _, tgt) -> (
-        match tgt with
-        | Ast.Tgt_ident _ -> ()
-        | Ast.Tgt_member (b, _) -> expr fid b
-        | Ast.Tgt_index (b, i) ->
-          expr fid b;
-          expr fid i)
-    | Ast.Intrinsic (_, args) -> List.iter (expr fid) args
+    | _ -> Ast.iter_expr ~stmt:(stmt fid) ~expr:(expr fid) e
   and enter_func fid (f : Ast.func) =
     match fid_of_body f with
     | Some inner -> List.iter (stmt inner) f.body

@@ -42,7 +42,7 @@ type func_rec = {
   fname : string option;
   params : string list;
   parent : fid option;
-  locals : SS.t; (* params + hoisted vars + inner function-decl names *)
+  locals : SS.t; (* params + own name + [hoisted body] *)
   body : Ast.stmt list;
   line : int;
 }
@@ -76,54 +76,12 @@ type t = {
    swap-def tags both hang off it. *)
 let pos_key (e : Ast.expr) = Printf.sprintf "%d:%d" e.at.left.line e.at.left.col
 
-(* ------------------------------------------------------------------ *)
-(* Hoisting: collect the [var]-declared names of one function body,
-   without descending into nested functions (their vars are theirs). *)
-
-let rec hoist_stmt acc (st : Ast.stmt) =
-  match st.s with
-  | Ast.Var_decl ds ->
-    List.fold_left (fun a (n, _) -> SS.add n a) acc ds
-  | Ast.Func_decl f -> (
-      match f.fname with Some n -> SS.add n acc | None -> acc)
-  | Ast.If (_, t, e) ->
-    let acc = hoist_stmt acc t in
-    (match e with Some e -> hoist_stmt acc e | None -> acc)
-  | Ast.While (_, _, b) | Ast.Do_while (_, b, _) | Ast.Labeled (_, b) ->
-    hoist_stmt acc b
-  | Ast.For (_, init, _, _, b) ->
-    let acc =
-      match init with
-      | Some (Ast.Init_var ds) ->
-        List.fold_left (fun a (n, _) -> SS.add n a) acc ds
-      | _ -> acc
-    in
-    hoist_stmt acc b
-  | Ast.For_in (_, binder, _, b) ->
-    let acc =
-      match binder with
-      | Ast.Binder_var n -> SS.add n acc
-      | Ast.Binder_ident _ -> acc
-    in
-    hoist_stmt acc b
-  | Ast.Try (b, catch, fin) ->
-    let acc = List.fold_left hoist_stmt acc b in
-    let acc =
-      match catch with
-      | Some (p, cb) -> List.fold_left hoist_stmt (SS.add p acc) cb
-      | None -> acc
-    in
-    (match fin with Some f -> List.fold_left hoist_stmt acc f | None -> acc)
-  | Ast.Block b -> List.fold_left hoist_stmt acc b
-  | Ast.Switch (_, cases) ->
-    List.fold_left
-      (fun acc (_, body) -> List.fold_left hoist_stmt acc body)
-      acc cases
-  | Ast.Expr_stmt _ | Ast.Return _ | Ast.Break _ | Ast.Continue _
-  | Ast.Throw _ | Ast.Empty ->
-    acc
-
-let hoisted body = List.fold_left hoist_stmt SS.empty body
+(* The names one function body binds (its [var]s, for/for-in heads,
+   function declarations and catch parameters), without descending
+   into nested functions: the interpreter's own hoisting rule. *)
+let hoisted body =
+  SS.of_list
+    (Resolve.catch_names_stmts body @ Resolve.hoisted_names [] body)
 
 (* ------------------------------------------------------------------ *)
 
@@ -249,54 +207,16 @@ let resolve_program (p : Ast.program) : t =
       walk_stmts chain rest
   and walk_stmt chain (st : Ast.stmt) =
     match st.s with
-    | Ast.Empty | Ast.Break _ | Ast.Continue _ -> ()
-    | Ast.Expr_stmt e | Ast.Throw e -> ignore (walk_expr chain e)
-    | Ast.Return e -> Option.iter (fun e -> ignore (walk_expr chain e)) e
-    | Ast.Var_decl ds ->
-      List.iter
-        (fun (n, init) ->
-           match init with
-           | Some e ->
-             let vf = walk_expr chain e in
-             add_def chain n (Dexpr (cur chain, e, vf));
-             note_write chain n
-           | None -> ())
-        ds
-    | Ast.If (c, th, el) ->
-      ignore (walk_expr chain c);
-      walk_stmt chain th;
-      Option.iter (walk_stmt chain) el
-    | Ast.While (_, c, b) ->
-      ignore (walk_expr chain c);
+    | Ast.Var_decl ds -> var_decls chain ds
+    | Ast.For (_, Some (Ast.Init_var ds), c, u, b) ->
+      var_decls chain ds;
+      Option.iter (walk_sub chain) c;
+      Option.iter (walk_sub chain) u;
       walk_stmt chain b
-    | Ast.Do_while (_, b, c) ->
-      walk_stmt chain b;
-      ignore (walk_expr chain c)
-    | Ast.For (_, init, c, u, b) ->
-      (match init with
-       | None -> ()
-       | Some (Ast.Init_var ds) ->
-         List.iter
-           (fun (n, ie) ->
-              match ie with
-              | Some e ->
-                let vf = walk_expr chain e in
-                add_def chain n (Dexpr (cur chain, e, vf));
-                note_write chain n
-              | None -> ())
-           ds
-       | Some (Ast.Init_expr e) -> ignore (walk_expr chain e));
-      Option.iter (fun e -> ignore (walk_expr chain e)) c;
-      Option.iter (fun e -> ignore (walk_expr chain e)) u;
-      walk_stmt chain b
-    | Ast.For_in (_, binder, obj, b) ->
-      let n =
-        match binder with Ast.Binder_var n | Ast.Binder_ident n -> n
-      in
+    | Ast.For_in (_, (Ast.Binder_var n | Ast.Binder_ident n), _, _) ->
       add_def chain n Dunknown;
       note_write chain n;
-      ignore (walk_expr chain obj);
-      walk_stmt chain b
+      children chain st
     | Ast.Try (b, catch, fin) ->
       walk_stmts chain b;
       Option.iter
@@ -315,23 +235,32 @@ let resolve_program (p : Ast.program) : t =
          note_write chain n
        | None -> ())
     | Ast.Switch (scr, cases) ->
-      ignore (walk_expr chain scr);
+      walk_sub chain scr;
       List.iter
         (fun (g, body) ->
-           Option.iter (fun e -> ignore (walk_expr chain e)) g;
+           Option.iter (walk_sub chain) g;
            walk_stmts chain body)
         cases
-    | Ast.Labeled (_, b) -> walk_stmt chain b
+    | _ -> children chain st
+  and children chain st =
+    Ast.iter_stmt ~stmt:(walk_stmt chain) ~expr:(walk_sub chain) st
+  and var_decls chain ds =
+    List.iter
+      (fun (n, init) ->
+         match init with
+         | Some e ->
+           let vf = walk_expr chain e in
+           add_def chain n (Dexpr (cur chain, e, vf));
+           note_write chain n
+         | None -> ())
+      ds
+  and walk_sub chain e = ignore (walk_expr chain e)
   and walk_expr chain (e : Ast.expr) : fid option =
     match e.e with
-    | Ast.Number _ | Ast.String _ | Ast.Bool _ | Ast.Null | Ast.Undefined
-    | Ast.This ->
-      None
+    | Ast.Function_expr f ->
+      Some (walk_func ~fname:f.fname ~parent:(Some (cur chain)) f chain)
     | Ast.Ident x ->
       note_read chain x;
-      None
-    | Ast.Array_lit es ->
-      List.iter (fun e -> ignore (walk_expr chain e)) es;
       None
     | Ast.Object_lit props ->
       List.iter
@@ -341,84 +270,44 @@ let resolve_program (p : Ast.program) : t =
            | None -> ())
         props;
       None
-    | Ast.Function_expr f ->
-      Some (walk_func ~fname:f.fname ~parent:(Some (cur chain)) f chain)
-    | Ast.Member (o, _) ->
-      ignore (walk_expr chain o);
-      None
-    | Ast.Index (o, i) ->
-      ignore (walk_expr chain o);
-      ignore (walk_expr chain i);
-      None
-    | Ast.Call (callee, args) ->
+    | Ast.Call (callee, args) | Ast.New (callee, args) ->
       let arg_fids = List.map (fun a -> (a, walk_expr chain a)) args in
       (match callee.e with
        | Ast.Ident f ->
          note_read chain f;
          push t_calls (resolve_chain chain f) (cur chain, arg_fids)
-       | _ -> ignore (walk_expr chain callee));
-      None
-    | Ast.New (callee, args) ->
-      let arg_fids = List.map (fun a -> (a, walk_expr chain a)) args in
-      (match callee.e with
-       | Ast.Ident f ->
-         note_read chain f;
-         push t_calls (resolve_chain chain f) (cur chain, arg_fids)
-       | _ -> ignore (walk_expr chain callee));
+       | _ -> walk_sub chain callee);
       None
     | Ast.Unop (Ast.Delete, { e = Ast.Ident x; _ }) ->
       add_def chain x Dunknown;
       note_write chain x;
       None
-    | Ast.Unop (_, o) ->
-      ignore (walk_expr chain o);
+    | Ast.Assign (Ast.Tgt_ident n, op, rhs) ->
+      if op <> None then note_read chain n;
+      let vf = walk_expr chain rhs in
+      (* The closing move of a recognized swap idiom stores the
+         value the temp copied out of the pair's other binding. *)
+      let de, dvf =
+        match Hashtbl.find_opt t_swap_redirect (pos_key rhs) with
+        | Some src -> (src, None)
+        | None -> (rhs, vf)
+      in
+      add_def chain n (Dexpr (cur chain, de, dvf));
+      note_write chain n;
       None
-    | Ast.Binop (_, l, r) | Ast.Logical (_, l, r) | Ast.Seq (l, r) ->
-      ignore (walk_expr chain l);
-      ignore (walk_expr chain r);
+    | Ast.Assign (Ast.Tgt_member (o, p), _, rhs) ->
+      walk_sub chain o;
+      (match walk_expr chain rhs with
+       | Some vf -> push t_props p vf
+       | None -> ());
       None
-    | Ast.Cond (c, th, el) ->
-      ignore (walk_expr chain c);
-      ignore (walk_expr chain th);
-      ignore (walk_expr chain el);
+    | Ast.Update (_, _, Ast.Tgt_ident n) ->
+      note_read chain n;
+      note_write chain n;
+      add_def chain n Dunknown;
       None
-    | Ast.Assign (tgt, op, rhs) ->
-      (match tgt with
-       | Ast.Tgt_ident n ->
-         if op <> None then note_read chain n;
-         let vf = walk_expr chain rhs in
-         (* The closing move of a recognized swap idiom stores the
-            value the temp copied out of the pair's other binding. *)
-         let de, dvf =
-           match Hashtbl.find_opt t_swap_redirect (pos_key rhs) with
-           | Some src -> (src, None)
-           | None -> (rhs, vf)
-         in
-         add_def chain n (Dexpr (cur chain, de, dvf));
-         note_write chain n
-       | Ast.Tgt_member (o, p) ->
-         ignore (walk_expr chain o);
-         (match walk_expr chain rhs with
-          | Some vf -> push t_props p vf
-          | None -> ())
-       | Ast.Tgt_index (o, i) ->
-         ignore (walk_expr chain o);
-         ignore (walk_expr chain i);
-         ignore (walk_expr chain rhs));
-      None
-    | Ast.Update (_, _, tgt) ->
-      (match tgt with
-       | Ast.Tgt_ident n ->
-         note_read chain n;
-         note_write chain n;
-         add_def chain n Dunknown
-       | Ast.Tgt_member (o, _) -> ignore (walk_expr chain o)
-       | Ast.Tgt_index (o, i) ->
-         ignore (walk_expr chain o);
-         ignore (walk_expr chain i));
-      None
-    | Ast.Intrinsic (_, args) ->
-      List.iter (fun a -> ignore (walk_expr chain a)) args;
+    | _ ->
+      Ast.iter_expr ~stmt:(walk_stmt chain) ~expr:(walk_sub chain) e;
       None
   in
   let top_locals = hoisted p.stmts in
@@ -467,84 +356,22 @@ let captures t fid : (string * fid) list =
   let acc = ref SM.empty in
   (* Scan identifier occurrences of [fid]'s own body (excluding nested
      functions, which report their own captures) and classify each. *)
+  let note x =
+    match classify t fid x with
+    | Captured owner -> acc := SM.add x owner !acc
+    | _ -> ()
+  in
   let rec stmt (st : Ast.stmt) =
-    match st.s with
-    | Ast.Expr_stmt e | Ast.Throw e -> expr e
-    | Ast.Return e -> Option.iter expr e
-    | Ast.Var_decl ds -> List.iter (fun (_, i) -> Option.iter expr i) ds
-    | Ast.If (c, t, e) ->
-      expr c;
-      stmt t;
-      Option.iter stmt e
-    | Ast.While (_, c, b) | Ast.Do_while (_, b, c) ->
-      expr c;
-      stmt b
-    | Ast.For (_, init, c, u, b) ->
-      (match init with
-       | Some (Ast.Init_var ds) ->
-         List.iter (fun (_, i) -> Option.iter expr i) ds
-       | Some (Ast.Init_expr e) -> expr e
-       | None -> ());
-      Option.iter expr c;
-      Option.iter expr u;
-      stmt b
-    | Ast.For_in (_, _, o, b) ->
-      expr o;
-      stmt b
-    | Ast.Try (b, c, f) ->
-      List.iter stmt b;
-      Option.iter (fun (_, cb) -> List.iter stmt cb) c;
-      Option.iter (List.iter stmt) f
-    | Ast.Block b -> List.iter stmt b
-    | Ast.Switch (s, cases) ->
-      expr s;
-      List.iter
-        (fun (g, body) ->
-           Option.iter expr g;
-           List.iter stmt body)
-        cases
-    | Ast.Labeled (_, b) -> stmt b
-    | Ast.Func_decl _ | Ast.Empty | Ast.Break _ | Ast.Continue _ -> ()
+    match st.s with Ast.Func_decl _ -> () | _ -> Ast.iter_stmt ~stmt ~expr st
   and expr (e : Ast.expr) =
     match e.e with
-    | Ast.Ident x -> (
-        match classify t fid x with
-        | Captured owner -> acc := SM.add x owner !acc
-        | _ -> ())
-    | Ast.Number _ | Ast.String _ | Ast.Bool _ | Ast.Null | Ast.Undefined
-    | Ast.This | Ast.Function_expr _ ->
-      ()
-    | Ast.Array_lit es -> List.iter expr es
-    | Ast.Object_lit ps -> List.iter (fun (_, v) -> expr v) ps
-    | Ast.Member (o, _) -> expr o
-    | Ast.Index (o, i) ->
-      expr o;
-      expr i
-    | Ast.Call (c, args) | Ast.New (c, args) ->
-      expr c;
-      List.iter expr args
-    | Ast.Unop (_, o) -> expr o
-    | Ast.Binop (_, l, r) | Ast.Logical (_, l, r) | Ast.Seq (l, r) ->
-      expr l;
-      expr r
-    | Ast.Cond (c, th, el) ->
-      expr c;
-      expr th;
-      expr el
-    | Ast.Assign (tgt, _, rhs) ->
-      target tgt;
-      expr rhs
-    | Ast.Update (_, _, tgt) -> target tgt
-    | Ast.Intrinsic (_, args) -> List.iter expr args
-  and target = function
-    | Ast.Tgt_ident x -> (
-        match classify t fid x with
-        | Captured owner -> acc := SM.add x owner !acc
-        | _ -> ())
-    | Ast.Tgt_member (o, _) -> expr o
-    | Ast.Tgt_index (o, i) ->
-      expr o;
-      expr i
+    | Ast.Function_expr _ -> ()
+    | Ast.Ident x
+    | Ast.Assign (Ast.Tgt_ident x, _, _)
+    | Ast.Update (_, _, Ast.Tgt_ident x) ->
+      note x;
+      Ast.iter_expr ~stmt ~expr e
+    | _ -> Ast.iter_expr ~stmt ~expr e
   in
   List.iter stmt fr.body;
   SM.bindings !acc

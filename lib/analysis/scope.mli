@@ -30,7 +30,10 @@ type func_rec = {
   fname : string option;
   params : string list;
   parent : fid option;
-  locals : SS.t;  (** params + hoisted vars + inner function-decl names *)
+  locals : SS.t;
+      (** params + own name + the names the body hoists (vars,
+          for/for-in heads, function declarations) + its catch
+          parameters *)
   body : Ast.stmt list;
   line : int;
 }

@@ -29,93 +29,19 @@ let census (p : program) : census =
       (1 + Option.value ~default:0 (Hashtbl.find_opt ops name))
   in
   let rec stmt (s : stmt) =
-    match s.s with
-    | Empty | Break _ | Continue _ -> ()
-    | Labeled (_, body) -> stmt body
-    | Expr_stmt e | Throw e -> expr e
-    | Return e -> Option.iter expr e
-    | Var_decl decls -> List.iter (fun (_, i) -> Option.iter expr i) decls
-    | If (c, t, e) ->
-      expr c;
-      stmt t;
-      Option.iter stmt e
-    | While (_, c, b) ->
-      incr loops;
-      expr c;
-      stmt b
-    | Do_while (_, b, c) ->
-      incr loops;
-      stmt b;
-      expr c
-    | For (_, init, c, u, b) ->
-      incr loops;
-      (match init with
-       | Some (Init_expr e) -> expr e
-       | Some (Init_var decls) ->
-         List.iter (fun (_, i) -> Option.iter expr i) decls
-       | None -> ());
-      Option.iter expr c;
-      Option.iter expr u;
-      stmt b
-    | For_in (_, _, o, b) ->
-      incr loops;
-      expr o;
-      stmt b
-    | Try (b, c, f) ->
-      List.iter stmt b;
-      Option.iter (fun (_, cb) -> List.iter stmt cb) c;
-      Option.iter (List.iter stmt) f
-    | Block b -> List.iter stmt b
-    | Func_decl f -> func f
-    | Switch (sc, cases) ->
-      expr sc;
-      List.iter
-        (fun (g, b) ->
-           Option.iter expr g;
-           List.iter stmt b)
-        cases
-  and func (f : func) =
-    incr functions;
-    List.iter stmt f.body
+    (match s.s with
+     | While _ | Do_while _ | For _ | For_in _ -> incr loops
+     | Func_decl _ -> incr functions
+     | _ -> ());
+    iter_stmt ~stmt ~expr s
   and expr (e : expr) =
-    match e.e with
-    | Number _ | String _ | Bool _ | Null | Undefined | Ident _ | This -> ()
-    | Array_lit es -> List.iter expr es
-    | Object_lit kvs -> List.iter (fun (_, v) -> expr v) kvs
-    | Function_expr f -> func f
-    | Member (o, _) -> expr o
-    | Index (o, i) ->
-      expr o;
-      expr i
-    | Call (callee, args) ->
-      (match callee.e with
-       | Member (_, name) when List.mem name functional_operators ->
-         bump name
-       | _ -> ());
-      expr callee;
-      List.iter expr args
-    | New (c, args) ->
-      expr c;
-      List.iter expr args
-    | Unop (_, x) -> expr x
-    | Binop (_, l, r) | Logical (_, l, r) | Seq (l, r) ->
-      expr l;
-      expr r
-    | Cond (c, t, f) ->
-      expr c;
-      expr t;
-      expr f
-    | Assign (tgt, _, rhs) ->
-      target tgt;
-      expr rhs
-    | Update (_, _, tgt) -> target tgt
-    | Intrinsic (_, args) -> List.iter expr args
-  and target = function
-    | Tgt_ident _ -> ()
-    | Tgt_member (o, _) -> expr o
-    | Tgt_index (o, i) ->
-      expr o;
-      expr i
+    (match e.e with
+     | Function_expr _ -> incr functions
+     | Call ({ e = Member (_, name); _ }, _)
+       when List.mem name functional_operators ->
+       bump name
+     | _ -> ());
+    iter_expr ~stmt ~expr e
   in
   List.iter stmt p.stmts;
   let per_operator =

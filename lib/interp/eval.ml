@@ -55,7 +55,7 @@ let hoist_into st scope stmts =
   let names = Jsir.Resolve.hoisted_names [] stmts in
   List.iter (declare scope) names;
   (* Function declarations are initialised at scope entry. *)
-  let decls = List.rev (Jsir.Resolve.function_decls [] stmts) in
+  let decls = Jsir.Resolve.function_decls stmts in
   List.iter
     (fun (f : func) ->
        match f.fname with

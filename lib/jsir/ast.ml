@@ -192,6 +192,82 @@ let ident x = mk (Ident x)
 let intrinsic name args = mk (Intrinsic (name, args))
 let expr_stmt e = mk_stmt (Expr_stmt e)
 
+(* Immediate children in source order; see ast.mli for the contract. *)
+
+let iter_decls expr decls =
+  List.iter (fun (_, init) -> Option.iter expr init) decls
+
+let iter_target expr = function
+  | Tgt_ident _ -> ()
+  | Tgt_member (o, _) -> expr o
+  | Tgt_index (o, i) ->
+    expr o;
+    expr i
+
+let iter_stmt ~stmt ~expr (s : stmt) =
+  match s.s with
+  | Expr_stmt e | Throw e -> expr e
+  | Var_decl decls -> iter_decls expr decls
+  | If (c, t, e) ->
+    expr c;
+    stmt t;
+    Option.iter stmt e
+  | While (_, c, b) ->
+    expr c;
+    stmt b
+  | Do_while (_, b, c) ->
+    stmt b;
+    expr c
+  | For (_, init, c, u, b) ->
+    (match init with
+     | Some (Init_var decls) -> iter_decls expr decls
+     | Some (Init_expr e) -> expr e
+     | None -> ());
+    Option.iter expr c;
+    Option.iter expr u;
+    stmt b
+  | For_in (_, _, o, b) ->
+    expr o;
+    stmt b
+  | Return e -> Option.iter expr e
+  | Try (b, c, f) ->
+    List.iter stmt b;
+    Option.iter (fun (_, cb) -> List.iter stmt cb) c;
+    Option.iter (List.iter stmt) f
+  | Block b -> List.iter stmt b
+  | Func_decl f -> List.iter stmt f.body
+  | Switch (d, cases) ->
+    expr d;
+    List.iter
+      (fun (g, b) ->
+         Option.iter expr g;
+         List.iter stmt b)
+      cases
+  | Labeled (_, b) -> stmt b
+  | Break _ | Continue _ | Empty -> ()
+
+let iter_expr ~stmt ~expr (e : expr) =
+  match e.e with
+  | Number _ | String _ | Bool _ | Null | Undefined | Ident _ | This -> ()
+  | Array_lit es | Intrinsic (_, es) -> List.iter expr es
+  | Object_lit props -> List.iter (fun (_, v) -> expr v) props
+  | Function_expr f -> List.iter stmt f.body
+  | Member (o, _) | Unop (_, o) -> expr o
+  | Index (a, b) | Binop (_, a, b) | Logical (_, a, b) | Seq (a, b) ->
+    expr a;
+    expr b
+  | Call (c, args) | New (c, args) ->
+    expr c;
+    List.iter expr args
+  | Cond (c, t, f) ->
+    expr c;
+    expr t;
+    expr f
+  | Assign (tgt, _, rhs) ->
+    iter_target expr tgt;
+    expr rhs
+  | Update (_, _, tgt) -> iter_target expr tgt
+
 (* Loop kinds, for reporting. *)
 type loop_kind = Kwhile | Kdo_while | Kfor | Kfor_in
 

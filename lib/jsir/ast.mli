@@ -188,6 +188,32 @@ val ident : string -> expr
 val intrinsic : string -> expr list -> expr
 val expr_stmt : expr -> stmt
 
+(** {1 Traversal}
+
+    The one place that lists each node's children. A walker matches
+    the constructors it cares about and hands every other node to
+    these, recursing through the two callbacks. *)
+
+val iter_stmt : stmt:(stmt -> unit) -> expr:(expr -> unit) -> stmt -> unit
+(** [iter_stmt ~stmt ~expr s] applies [stmt] to every immediate child
+    statement of [s] and [expr] to every immediate child expression,
+    interleaved in source order, and visits nothing deeper. A [For]
+    yields its init (each declarator's initialiser, or the init
+    expression), cond, update and body; a [Switch] its discriminant,
+    then each case's guard and statements; a [Try] its body, catch
+    body and finally body. A [Func_decl]'s body statements are its
+    children, so a walker that must not enter nested functions matches
+    [Func_decl] itself. Names (declarators, binders, labels, catch
+    parameters) are not nodes and are not visited. *)
+
+val iter_expr : stmt:(stmt -> unit) -> expr:(expr -> unit) -> expr -> unit
+(** [iter_expr ~stmt ~expr e]: as {!iter_stmt}, for an expression. A
+    [Function_expr]'s body statements are its children (passed to
+    [stmt]). An [Assign]'s or [Update]'s target sub-expressions (the
+    object, then the index) come before the right-hand side; a
+    [Tgt_ident] target has none. Leaves ([Number], [Ident], [This], …)
+    have no children. *)
+
 (** {1 Names} *)
 
 type loop_kind = Kwhile | Kdo_while | Kfor | Kfor_in

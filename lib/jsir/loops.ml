@@ -20,56 +20,21 @@ let index (p : program) : info array =
       :: !acc
   in
   let rec walk_stmt ctx (st : stmt) =
+    (* Header expressions only matter through the function expressions
+       they contain, which reset the nesting anyway, so they share the
+       body's context. *)
+    let loop id kind =
+      add ctx id kind st.sat;
+      let inner = { ctx with parent = Some id; depth = ctx.depth + 1 } in
+      iter_stmt ~stmt:(walk_stmt inner) ~expr:(walk_expr inner) st
+    in
     match st.s with
-    | Empty | Break _ | Continue _ -> ()
-    | Labeled (_, body) -> walk_stmt ctx body
-    | Expr_stmt e | Throw e -> walk_expr ctx e
-    | Return e -> Option.iter (walk_expr ctx) e
-    | Var_decl decls ->
-      List.iter (fun (_, init) -> Option.iter (walk_expr ctx) init) decls
-    | If (cond, then_s, else_s) ->
-      walk_expr ctx cond;
-      walk_stmt ctx then_s;
-      Option.iter (walk_stmt ctx) else_s
-    | While (id, cond, body) ->
-      add ctx id Kwhile st.sat;
-      let inner = { ctx with parent = Some id; depth = ctx.depth + 1 } in
-      walk_expr ctx cond;
-      walk_stmt inner body
-    | Do_while (id, body, cond) ->
-      add ctx id Kdo_while st.sat;
-      let inner = { ctx with parent = Some id; depth = ctx.depth + 1 } in
-      walk_stmt inner body;
-      walk_expr ctx cond
-    | For (id, init, cond, update, body) ->
-      add ctx id Kfor st.sat;
-      let inner = { ctx with parent = Some id; depth = ctx.depth + 1 } in
-      (match init with
-       | None -> ()
-       | Some (Init_expr e) -> walk_expr ctx e
-       | Some (Init_var decls) ->
-         List.iter (fun (_, ie) -> Option.iter (walk_expr ctx) ie) decls);
-      Option.iter (walk_expr inner) cond;
-      Option.iter (walk_expr inner) update;
-      walk_stmt inner body
-    | For_in (id, _, obj, body) ->
-      add ctx id Kfor_in st.sat;
-      let inner = { ctx with parent = Some id; depth = ctx.depth + 1 } in
-      walk_expr ctx obj;
-      walk_stmt inner body
-    | Try (body, catch, finally) ->
-      List.iter (walk_stmt ctx) body;
-      Option.iter (fun (_, cbody) -> List.iter (walk_stmt ctx) cbody) catch;
-      Option.iter (List.iter (walk_stmt ctx)) finally
-    | Block body -> List.iter (walk_stmt ctx) body
+    | While (id, _, _) -> loop id Kwhile
+    | Do_while (id, _, _) -> loop id Kdo_while
+    | For (id, _, _, _, _) -> loop id Kfor
+    | For_in (id, _, _, _) -> loop id Kfor_in
     | Func_decl f -> walk_func ctx f
-    | Switch (scrutinee, cases) ->
-      walk_expr ctx scrutinee;
-      List.iter
-        (fun (guard, body) ->
-           Option.iter (walk_expr ctx) guard;
-           List.iter (walk_stmt ctx) body)
-        cases
+    | _ -> iter_stmt ~stmt:(walk_stmt ctx) ~expr:(walk_expr ctx) st
   and walk_func ctx (f : func) =
     (* A function body resets the loop-nesting context: iterations of an
        enclosing loop do not syntactically contain the inner function's
@@ -80,36 +45,8 @@ let index (p : program) : info array =
     List.iter (walk_stmt inner) f.body
   and walk_expr ctx (e : expr) =
     match e.e with
-    | Number _ | String _ | Bool _ | Null | Undefined | Ident _ | This -> ()
-    | Array_lit elems -> List.iter (walk_expr ctx) elems
-    | Object_lit props -> List.iter (fun (_, v) -> walk_expr ctx v) props
     | Function_expr f -> walk_func ctx f
-    | Member (obj, _) -> walk_expr ctx obj
-    | Index (obj, idx) ->
-      walk_expr ctx obj;
-      walk_expr ctx idx
-    | Call (callee, args) | New (callee, args) ->
-      walk_expr ctx callee;
-      List.iter (walk_expr ctx) args
-    | Unop (_, operand) -> walk_expr ctx operand
-    | Binop (_, l, r) | Logical (_, l, r) | Seq (l, r) ->
-      walk_expr ctx l;
-      walk_expr ctx r
-    | Cond (c, t, f) ->
-      walk_expr ctx c;
-      walk_expr ctx t;
-      walk_expr ctx f
-    | Assign (tgt, _, rhs) ->
-      walk_target ctx tgt;
-      walk_expr ctx rhs
-    | Update (_, _, tgt) -> walk_target ctx tgt
-    | Intrinsic (_, args) -> List.iter (walk_expr ctx) args
-  and walk_target ctx = function
-    | Tgt_ident _ -> ()
-    | Tgt_member (obj, _) -> walk_expr ctx obj
-    | Tgt_index (obj, idx) ->
-      walk_expr ctx obj;
-      walk_expr ctx idx
+    | _ -> iter_expr ~stmt:(walk_stmt ctx) ~expr:(walk_expr ctx) e
   in
   let top = { parent = None; fn = None; depth = 0 } in
   List.iter (walk_stmt top) p.stmts;

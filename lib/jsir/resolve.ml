@@ -31,181 +31,67 @@ open Ast
 module Symbol = Ceres_util.Symbol
 
 (* ------------------------------------------------------------------ *)
-(* Hoisting collection, shared with the evaluator's dynamic path
-   ([Eval.hoist_into]), so the slot population is exactly the set of
-   names an unresolved frame declares at function entry. *)
+(* Function-level collections, shared with the evaluator's dynamic
+   path ([Eval.hoist_into]) and the analyzer ([Scope]), so the slot
+   population is exactly the set of names an unresolved frame declares
+   at function entry. *)
 
-let rec hoisted_names acc stmts = List.fold_left hoisted_of_stmt acc stmts
+(* [pick] on every statement of one function level, concatenated in
+   source order: expressions and nested function bodies are not
+   entered. *)
+let collect_level pick body =
+  let acc = ref [] in
+  let rec stmt (s : stmt) =
+    acc := List.rev_append (pick s) !acc;
+    match s.s with Func_decl _ -> () | _ -> iter_stmt ~stmt ~expr:ignore s
+  in
+  List.iter stmt body;
+  List.rev !acc
 
-and hoisted_of_stmt acc (s : stmt) =
-  match s.s with
-  | Var_decl decls -> List.fold_left (fun acc (n, _) -> n :: acc) acc decls
-  | Func_decl f -> (match f.fname with Some n -> n :: acc | None -> acc)
-  | If (_, t, e) ->
-    let acc = hoisted_of_stmt acc t in
-    (match e with Some e -> hoisted_of_stmt acc e | None -> acc)
-  | While (_, _, body) | Do_while (_, body, _) -> hoisted_of_stmt acc body
-  | For (_, init, _, _, body) ->
-    let acc =
-      match init with
-      | Some (Init_var decls) ->
-        List.fold_left (fun acc (n, _) -> n :: acc) acc decls
-      | _ -> acc
-    in
-    hoisted_of_stmt acc body
-  | For_in (_, binder, _, body) ->
-    let acc =
-      match binder with Binder_var n -> n :: acc | Binder_ident _ -> acc
-    in
-    hoisted_of_stmt acc body
-  | Try (body, catch, finally) ->
-    let acc = hoisted_names acc body in
-    let acc =
-      match catch with Some (_, cb) -> hoisted_names acc cb | None -> acc
-    in
-    (match finally with Some fb -> hoisted_names acc fb | None -> acc)
-  | Block body -> hoisted_names acc body
-  | Switch (_, cases) ->
-    List.fold_left (fun acc (_, body) -> hoisted_names acc body) acc cases
-  | Labeled (_, body) -> hoisted_of_stmt acc body
-  | Expr_stmt _ | Return _ | Break _ | Continue _ | Throw _ | Empty -> acc
-
-let rec function_decls acc stmts =
-  List.fold_left
-    (fun acc (s : stmt) ->
-       match s.s with
-       | Func_decl f -> f :: acc
-       | Block body -> function_decls acc body
-       | Labeled (_, body) -> function_decls acc [ body ]
-       | If (_, t, e) ->
-         let acc = function_decls acc [ t ] in
-         (match e with Some e -> function_decls acc [ e ] | None -> acc)
-       | _ -> acc)
-    acc stmts
-
-(* Names bound by catch clauses at this function level (not descending
-   into nested functions): these are declared dynamically at
-   catch-entry and poison static resolution of the name. *)
-let rec catch_names_stmts acc stmts =
-  List.fold_left catch_names_of_stmt acc stmts
-
-and catch_names_of_stmt acc (s : stmt) =
-  match s.s with
-  | Try (body, catch, finally) ->
-    let acc = catch_names_stmts acc body in
-    let acc =
-      match catch with
-      | Some (p, cb) -> catch_names_stmts (p :: acc) cb
-      | None -> acc
-    in
-    (match finally with
-     | Some fb -> catch_names_stmts acc fb
-     | None -> acc)
-  | If (_, t, e) ->
-    let acc = catch_names_of_stmt acc t in
-    (match e with Some e -> catch_names_of_stmt acc e | None -> acc)
-  | While (_, _, body) | Do_while (_, body, _) -> catch_names_of_stmt acc body
-  | For (_, _, _, _, body) | For_in (_, _, _, body) ->
-    catch_names_of_stmt acc body
-  | Block body -> catch_names_stmts acc body
-  | Switch (_, cases) ->
-    List.fold_left (fun acc (_, body) -> catch_names_stmts acc body) acc cases
-  | Labeled (_, body) -> catch_names_of_stmt acc body
-  | Var_decl _ | Func_decl _ | Expr_stmt _ | Return _ | Break _ | Continue _
-  | Throw _ | Empty ->
+let hoisted_names acc body =
+  List.rev_append
+    (collect_level
+       (fun s ->
+          match s.s with
+          | Var_decl decls | For (_, Some (Init_var decls), _, _, _) ->
+            List.map fst decls
+          | For_in (_, Binder_var n, _, _) | Func_decl { fname = Some n; _ } ->
+            [ n ]
+          | _ -> [])
+       body)
     acc
+
+let function_decls =
+  collect_level (fun s -> match s.s with Func_decl f -> [ f ] | _ -> [])
+
+let catch_names_stmts =
+  collect_level (fun s ->
+      match s.s with Try (_, Some (p, _), _) -> [ p ] | _ -> [])
 
 (* Does this function level mention [arguments] as a variable? Only
    own-level references matter: nested functions resolve [arguments]
    to their own frame first. When false, the per-call array is
    unobservable and the evaluator skips allocating it. *)
-let rec mentions_arguments_stmts stmts =
-  List.exists mentions_arguments_stmt stmts
-
-and mentions_arguments_stmt (s : stmt) =
-  match s.s with
-  | Expr_stmt e -> mentions_arguments_expr e
-  | Var_decl decls ->
-    List.exists
-      (fun (_, init) ->
-         match init with Some e -> mentions_arguments_expr e | None -> false)
-      decls
-  | If (c, t, e) ->
-    mentions_arguments_expr c || mentions_arguments_stmt t
-    || (match e with Some e -> mentions_arguments_stmt e | None -> false)
-  | While (_, c, b) -> mentions_arguments_expr c || mentions_arguments_stmt b
-  | Do_while (_, b, c) ->
-    mentions_arguments_stmt b || mentions_arguments_expr c
-  | For (_, init, cond, upd, body) ->
-    (match init with
-     | Some (Init_var decls) ->
-       List.exists
-         (fun (_, i) ->
-            match i with Some e -> mentions_arguments_expr e | None -> false)
-         decls
-     | Some (Init_expr e) -> mentions_arguments_expr e
-     | None -> false)
-    || (match cond with Some e -> mentions_arguments_expr e | None -> false)
-    || (match upd with Some e -> mentions_arguments_expr e | None -> false)
-    || mentions_arguments_stmt body
-  | For_in (_, binder, obj, body) ->
-    (match binder with
-     | Binder_ident n -> String.equal n "arguments"
-     | Binder_var _ -> false)
-    || mentions_arguments_expr obj || mentions_arguments_stmt body
-  | Return e ->
-    (match e with Some e -> mentions_arguments_expr e | None -> false)
-  | Throw e -> mentions_arguments_expr e
-  | Try (body, catch, finally) ->
-    mentions_arguments_stmts body
-    || (match catch with
-        | Some (p, cb) ->
-          String.equal p "arguments" || mentions_arguments_stmts cb
-        | None -> false)
-    || (match finally with
-        | Some fb -> mentions_arguments_stmts fb
-        | None -> false)
-  | Block body -> mentions_arguments_stmts body
-  | Switch (d, cases) ->
-    mentions_arguments_expr d
-    || List.exists
-         (fun (g, body) ->
-            (match g with
-             | Some e -> mentions_arguments_expr e
-             | None -> false)
-            || mentions_arguments_stmts body)
-         cases
-  | Labeled (_, body) -> mentions_arguments_stmt body
-  | Func_decl _ | Break _ | Continue _ | Empty -> false
-
-and mentions_arguments_expr (e : expr) =
-  match e.e with
-  | Ident n -> String.equal n "arguments"
-  | Number _ | String _ | Bool _ | Null | Undefined | This -> false
-  | Function_expr _ -> false (* own [arguments] inside *)
-  | Array_lit es -> List.exists mentions_arguments_expr es
-  | Object_lit props ->
-    List.exists (fun (_, v) -> mentions_arguments_expr v) props
-  | Member (o, _) -> mentions_arguments_expr o
-  | Index (o, i) -> mentions_arguments_expr o || mentions_arguments_expr i
-  | Call (c, args) | New (c, args) ->
-    mentions_arguments_expr c || List.exists mentions_arguments_expr args
-  | Unop (_, x) -> mentions_arguments_expr x
-  | Binop (_, a, b) | Logical (_, a, b) | Seq (a, b) ->
-    mentions_arguments_expr a || mentions_arguments_expr b
-  | Cond (c, t, f) ->
-    mentions_arguments_expr c || mentions_arguments_expr t
-    || mentions_arguments_expr f
-  | Assign (tgt, _, rhs) ->
-    mentions_arguments_target tgt || mentions_arguments_expr rhs
-  | Update (_, _, tgt) -> mentions_arguments_target tgt
-  | Intrinsic (_, args) -> List.exists mentions_arguments_expr args
-
-and mentions_arguments_target = function
-  | Tgt_ident n -> String.equal n "arguments"
-  | Tgt_member (o, _) -> mentions_arguments_expr o
-  | Tgt_index (o, i) ->
-    mentions_arguments_expr o || mentions_arguments_expr i
+let mentions_arguments body =
+  let found = ref false in
+  let rec stmt (s : stmt) =
+    match s.s with
+    | For_in (_, Binder_ident "arguments", _, _)
+    | Try (_, Some ("arguments", _), _) ->
+      found := true
+    | Func_decl _ -> ()
+    | _ -> iter_stmt ~stmt ~expr s
+  and expr (e : expr) =
+    match e.e with
+    | Ident "arguments"
+    | Assign (Tgt_ident "arguments", _, _)
+    | Update (_, _, Tgt_ident "arguments") ->
+      found := true
+    | Function_expr _ -> ()
+    | _ -> iter_expr ~stmt ~expr e
+  in
+  List.iter stmt body;
+  !found
 
 (* ------------------------------------------------------------------ *)
 (* Static environments *)
@@ -220,6 +106,11 @@ type senv = {
          and its captured chain: references to it stay dynamic *)
   up : senv option;
 }
+
+let catch_table body =
+  let h = Hashtbl.create 4 in
+  List.iter (fun n -> Hashtbl.replace h n ()) (catch_names_stmts body);
+  h
 
 let resolve_name env name =
   let rec go env depth =
@@ -285,7 +176,7 @@ let build_layout env_tab ~global ~params ~body =
     List.filter_map
       (fun (f : func) ->
          match f.fname with Some n -> Some (slot_of n, f) | None -> None)
-      (List.rev (function_decls [] body))
+      (function_decls body)
   in
   let size = if global then !max_slot + 1 else !count in
   let names = Array.make (max size 1) "" in
@@ -302,7 +193,7 @@ let build_layout env_tab ~global ~params ~body =
     l_table = table;
     l_param_slots = param_slots;
     l_arguments = arguments;
-    l_uses_arguments = (not global) && mentions_arguments_stmts body;
+    l_uses_arguments = (not global) && mentions_arguments body;
     l_decls = decls;
     l_fname_static = true (* overwritten per function below *)
   }
@@ -316,60 +207,22 @@ let declarator_stamps env names =
   let addrs = List.filter_map (resolve_name env) names in
   if List.compare_lengths addrs names = 0 then Array.of_list addrs else [||]
 
-let rec resolve_stmts env stmts = List.iter (resolve_stmt env) stmts
-
-and resolve_stmt env (s : stmt) =
+let rec resolve_stmt env (s : stmt) =
   match s.s with
-  | Expr_stmt e -> rx env e
-  | Var_decl decls ->
-    s.slex <- declarator_stamps env (List.map fst decls);
-    List.iter (fun (_, init) -> Option.iter (rx env) init) decls
-  | If (c, t, e) ->
-    rx env c;
-    resolve_stmt env t;
-    Option.iter (resolve_stmt env) e
-  | While (_, c, b) ->
-    rx env c;
-    resolve_stmt env b
-  | Do_while (_, b, c) ->
-    resolve_stmt env b;
-    rx env c
-  | For (_, init, cond, upd, body) ->
-    (match init with
-     | Some (Init_var decls) ->
-       s.slex <- declarator_stamps env (List.map fst decls);
-       List.iter (fun (_, i) -> Option.iter (rx env) i) decls
-     | Some (Init_expr e) -> rx env e
-     | None -> ());
-    Option.iter (rx env) cond;
-    Option.iter (rx env) upd;
-    resolve_stmt env body
-  | For_in (_, binder, obj, body) ->
-    (match binder with
-     | Binder_var n -> s.slex <- declarator_stamps env [ n ]
-     | Binder_ident _ -> ());
-    rx env obj;
-    resolve_stmt env body
-  | Return e -> Option.iter (rx env) e
-  | Throw e -> rx env e
-  | Try (body, catch, finally) ->
-    resolve_stmts env body;
-    (match catch with Some (_, cb) -> resolve_stmts env cb | None -> ());
-    (match finally with Some fb -> resolve_stmts env fb | None -> ())
-  | Block body -> resolve_stmts env body
   | Func_decl f ->
     (* the name is hoisted into the enclosing frame: always statically
        bound, never needs the wrapper test *)
     resolve_func env f ~fname_static:true
-  | Switch (d, cases) ->
-    rx env d;
-    List.iter
-      (fun (guard, body) ->
-         Option.iter (rx env) guard;
-         resolve_stmts env body)
-      cases
-  | Labeled (_, body) -> resolve_stmt env body
-  | Break _ | Continue _ | Empty -> ()
+  | Var_decl decls | For (_, Some (Init_var decls), _, _, _) ->
+    s.slex <- declarator_stamps env (List.map fst decls);
+    resolve_children env s
+  | For_in (_, Binder_var n, _, _) ->
+    s.slex <- declarator_stamps env [ n ];
+    resolve_children env s
+  | _ -> resolve_children env s
+
+and resolve_children env s =
+  iter_stmt ~stmt:(resolve_stmt env) ~expr:(rx env) s
 
 and resolve_func env (f : func) ~fname_static =
   let layout =
@@ -382,82 +235,33 @@ and resolve_func env (f : func) ~fname_static =
       tab = env.tab;
       layout;
       is_global = false;
-      catch_names =
-        (let h = Hashtbl.create 4 in
-         List.iter
-           (fun n -> Hashtbl.replace h n ())
-           (catch_names_stmts [] f.body);
-         h);
+      catch_names = catch_table f.body;
       wrapper_name = (if fname_static then None else f.fname);
       up = Some env;
     }
   in
-  resolve_stmts fenv f.body
+  List.iter (resolve_stmt fenv) f.body
 
 and rx env (e : expr) =
+  e.lex <-
+    (match e.e with
+     | String s -> Symbol.intern env.tab s
+     | Ident name | Assign (Tgt_ident name, _, _) | Update (_, _, Tgt_ident name)
+       -> (
+         match resolve_name env name with
+         | Some lex -> lex
+         | None -> lex_unresolved)
+     | Intrinsic (name, _) -> Symbol.intern env.tab name
+     | _ -> lex_unresolved);
   match e.e with
-  | Number _ | Bool _ | Null | Undefined | This -> e.lex <- lex_unresolved
-  | String s -> e.lex <- Symbol.intern env.tab s
-  | Ident name ->
-    e.lex <-
-      (match resolve_name env name with Some lex -> lex | None -> lex_unresolved)
-  | Array_lit es ->
-    e.lex <- lex_unresolved;
-    List.iter (rx env) es
-  | Object_lit props ->
-    e.lex <- lex_unresolved;
-    List.iter (fun (_, v) -> rx env v) props
   | Function_expr f ->
-    e.lex <- lex_unresolved;
     let fname_static =
       match f.fname with
       | None -> true
       | Some name -> statically_bound env name
     in
     resolve_func env f ~fname_static
-  | Member (o, _) ->
-    e.lex <- lex_unresolved;
-    rx env o
-  | Index (o, i) ->
-    e.lex <- lex_unresolved;
-    rx env o;
-    rx env i
-  | Call (c, args) | New (c, args) ->
-    e.lex <- lex_unresolved;
-    rx env c;
-    List.iter (rx env) args
-  | Unop (_, x) ->
-    e.lex <- lex_unresolved;
-    rx env x
-  | Binop (_, a, b) | Logical (_, a, b) | Seq (a, b) ->
-    e.lex <- lex_unresolved;
-    rx env a;
-    rx env b
-  | Cond (c, t, f) ->
-    e.lex <- lex_unresolved;
-    rx env c;
-    rx env t;
-    rx env f
-  | Assign (tgt, _, rhs) ->
-    resolve_target env e tgt;
-    rx env rhs
-  | Update (_, _, tgt) -> resolve_target env e tgt
-  | Intrinsic (name, args) ->
-    e.lex <- Symbol.intern env.tab name;
-    List.iter (rx env) args
-
-and resolve_target env (e : expr) (tgt : target) =
-  match tgt with
-  | Tgt_ident name ->
-    e.lex <-
-      (match resolve_name env name with Some lex -> lex | None -> lex_unresolved)
-  | Tgt_member (o, _) ->
-    e.lex <- lex_unresolved;
-    rx env o
-  | Tgt_index (o, i) ->
-    e.lex <- lex_unresolved;
-    rx env o;
-    rx env i
+  | _ -> iter_expr ~stmt:(resolve_stmt env) ~expr:(rx env) e
 
 (* ------------------------------------------------------------------ *)
 
@@ -470,17 +274,12 @@ let program tab (p : program) =
       tab;
       layout = glayout;
       is_global = true;
-      catch_names =
-        (let h = Hashtbl.create 4 in
-         List.iter
-           (fun n -> Hashtbl.replace h n ())
-           (catch_names_stmts [] p.stmts);
-         h);
+      catch_names = catch_table p.stmts;
       wrapper_name = None;
       up = None;
     }
   in
-  resolve_stmts genv p.stmts;
+  List.iter (resolve_stmt genv) p.stmts;
   p.glayout <- Some glayout;
   p.resolved_for <- Some tab
 

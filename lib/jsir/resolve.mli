@@ -22,9 +22,16 @@ val hoisted_names : string list -> Ast.stmt list -> string list
     parameters are not hoisted). The names a frame declares at entry,
     and so the slots of its layout. *)
 
-val function_decls : Ast.func list -> Ast.stmt list -> Ast.func list
-(** [function_decls acc body] adds the function declarations this
-    function level initialises at entry, in reverse source order. *)
+val function_decls : Ast.stmt list -> Ast.func list
+(** The function declarations this function level initialises at
+    entry, in source order: every [Func_decl] at any statement depth
+    (loop, [try], [switch], [if] and block bodies included), not those
+    of nested functions. *)
+
+val catch_names_stmts : Ast.stmt list -> string list
+(** The parameters of every catch clause at this function level
+    (nested functions are not entered). They are declared at
+    catch-entry, not hoisted, so a resolved frame leaves them dynamic. *)
 
 val program : Ceres_util.Symbol.table -> Ast.program -> unit
 (** Resolve (or re-resolve) the program against [tab]. Overwrites every

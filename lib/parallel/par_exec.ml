@@ -138,27 +138,17 @@ let rec pure_eval (st : state) scope (e : Ast.expr) : value option =
    loop) cannot run inside a chunk: such completions must propagate
    through the enclosing [For], so the nest stays sequential. Throws
    are fine — they surface as [Js_throw] and poison dynamically. *)
-let rec stmt_abrupt ~bd (s : Ast.stmt) : bool =
-  match s.s with
-  | Return _ | Break (Some _) | Continue (Some _) -> true
-  | Break None -> bd = 0
-  | Continue None -> false
-  | While (_, _, b) | Do_while (_, b, _) -> stmt_abrupt ~bd:(bd + 1) b
-  | For (_, _, _, _, b) | For_in (_, _, _, b) -> stmt_abrupt ~bd:(bd + 1) b
-  | If (_, a, b) ->
-    stmt_abrupt ~bd a
-    || (match b with Some b -> stmt_abrupt ~bd b | None -> false)
-  | Block ss -> List.exists (stmt_abrupt ~bd) ss
-  | Try (b, c, f) ->
-    List.exists (stmt_abrupt ~bd) b
-    || (match c with
-        | Some (_, ss) -> List.exists (stmt_abrupt ~bd) ss
-        | None -> false)
-    || (match f with Some ss -> List.exists (stmt_abrupt ~bd) ss | None -> false)
-  | Switch (_, cases) ->
-    List.exists (fun (_, ss) -> List.exists (stmt_abrupt ~bd:(bd + 1)) ss) cases
-  | Labeled (_, b) -> stmt_abrupt ~bd b
-  | Expr_stmt _ | Var_decl _ | Throw _ | Func_decl _ | Empty -> false
+let stmt_abrupt ~bd (s : Ast.stmt) : bool =
+  let rec go ~bd (s : Ast.stmt) =
+    match s.s with
+    | Return _ | Break (Some _) | Continue (Some _) -> raise_notrace Exit
+    | Break None -> if bd = 0 then raise_notrace Exit
+    | While _ | Do_while _ | For _ | For_in _ | Switch _ ->
+      Ast.iter_stmt ~stmt:(go ~bd:(bd + 1)) ~expr:ignore s
+    | Func_decl _ -> ()
+    | _ -> Ast.iter_stmt ~stmt:(go ~bd) ~expr:ignore s
+  in
+  match go ~bd s with () -> false | exception Exit -> true
 
 let trip_count st scope (h : header) : (float * int) option =
   let lo =
@@ -215,79 +205,27 @@ let journal_cap = 1 lsl 22
    disqualifies the plan. *)
 let accum_sites acc (body : Ast.stmt) : int =
   let n = ref 0 in
-  let site ~deep = n := !n + if deep then 2 else 1 in
-  let rec target ~deep (t : Ast.target) =
-    match t with
-    | Ast.Tgt_ident x -> if String.equal x acc then site ~deep
-    | Ast.Tgt_member (b, _) -> expr ~deep b
-    | Ast.Tgt_index (b, ix) ->
-      expr ~deep b;
-      expr ~deep ix
+  let rec stmt ~deep (s : Ast.stmt) =
+    match s.s with
+    | For (_, _, c, u, _) ->
+      (* the init runs once; cond, update and body repeat *)
+      let repeats = Option.to_list c @ Option.to_list u in
+      Ast.iter_stmt ~stmt:(stmt ~deep:true)
+        ~expr:(fun e -> expr ~deep:(deep || List.memq e repeats) e)
+        s
+    | For_in _ -> Ast.iter_stmt ~stmt:(stmt ~deep:true) ~expr:(expr ~deep) s
+    | While _ | Do_while _ | Func_decl _ ->
+      Ast.iter_stmt ~stmt:(stmt ~deep:true) ~expr:(expr ~deep:true) s
+    | _ -> Ast.iter_stmt ~stmt:(stmt ~deep) ~expr:(expr ~deep) s
   and expr ~deep (e : Ast.expr) =
     match e.e with
-    | Number _ | Ast.String _ | Bool _ | Null | Undefined | Ident _ | This -> ()
-    | Array_lit es -> List.iter (expr ~deep) es
-    | Object_lit fs -> List.iter (fun (_, v) -> expr ~deep v) fs
-    | Function_expr f -> List.iter (stmt ~deep:true) f.Ast.body
-    | Member (b, _) -> expr ~deep b
-    | Index (b, ix) ->
-      expr ~deep b;
-      expr ~deep ix
-    | Call (f, args) | New (f, args) ->
-      expr ~deep f;
-      List.iter (expr ~deep) args
-    | Unop (_, a) -> expr ~deep a
-    | Binop (_, a, b) | Logical (_, a, b) | Seq (a, b) ->
-      expr ~deep a;
-      expr ~deep b
-    | Cond (c, a, b) ->
-      expr ~deep c;
-      expr ~deep a;
-      expr ~deep b
-    | Assign (t, _, rhs) ->
-      target ~deep t;
-      expr ~deep rhs
-    | Update (_, _, t) -> target ~deep t
-    | Intrinsic (_, args) -> List.iter (expr ~deep) args
-  and stmt ~deep (s : Ast.stmt) =
-    match s.s with
-    | Expr_stmt e | Throw e -> expr ~deep e
-    | Var_decl ds ->
-      List.iter (fun (_, init) -> Option.iter (expr ~deep) init) ds
-    | If (c, a, b) ->
-      expr ~deep c;
-      stmt ~deep a;
-      Option.iter (stmt ~deep) b
-    | While (_, c, b) ->
-      expr ~deep:true c;
-      stmt ~deep:true b
-    | Do_while (_, b, c) ->
-      stmt ~deep:true b;
-      expr ~deep:true c
-    | For (_, init, c, u, b) ->
-      (match init with
-       | Some (Ast.Init_var ds) ->
-         List.iter (fun (_, i) -> Option.iter (expr ~deep) i) ds
-       | Some (Ast.Init_expr e) -> expr ~deep e
-       | None -> ());
-      Option.iter (expr ~deep:true) c;
-      Option.iter (expr ~deep:true) u;
-      stmt ~deep:true b
-    | For_in (_, _, obj, b) ->
-      expr ~deep obj;
-      stmt ~deep:true b
-    | Return e -> Option.iter (expr ~deep) e
-    | Break _ | Continue _ | Empty -> ()
-    | Try (b, c, f) ->
-      List.iter (stmt ~deep) b;
-      (match c with Some (_, ss) -> List.iter (stmt ~deep) ss | None -> ());
-      (match f with Some ss -> List.iter (stmt ~deep) ss | None -> ())
-    | Block ss -> List.iter (stmt ~deep) ss
-    | Func_decl f -> List.iter (stmt ~deep:true) f.Ast.body
-    | Switch (d, cases) ->
-      expr ~deep d;
-      List.iter (fun (_, ss) -> List.iter (stmt ~deep) ss) cases
-    | Labeled (_, b) -> stmt ~deep b
+    | Assign (Tgt_ident x, _, _) | Update (_, _, Tgt_ident x)
+      when String.equal x acc ->
+      n := !n + if deep then 2 else 1;
+      Ast.iter_expr ~stmt:(stmt ~deep) ~expr:(expr ~deep) e
+    | Function_expr _ ->
+      Ast.iter_expr ~stmt:(stmt ~deep:true) ~expr:(expr ~deep) e
+    | _ -> Ast.iter_expr ~stmt:(stmt ~deep) ~expr:(expr ~deep) e
   in
   stmt ~deep:false body;
   !n

@@ -110,7 +110,31 @@ let test_var_hoisting () =
   check_in "loop-declared var escapes the loop"
     "function g() { for (var i = 0; i < 3; i++) { var t = i * 10; } return t; }\n\
      var r = g();"
-    (Helpers.num 20.) "r"
+    (Helpers.num 20.) "r";
+  (* Function declarations nested in loop, try, switch and if bodies
+     are bound at function entry, in a function frame and in the global
+     frame, on the resolved (slot) and the dynamic (name) path. *)
+  let decls =
+    "for (var i = 0; i < 1; i++) { function f1() {} }\n\
+     try { function f2() {} } catch (e) {}\n\
+     switch (1) { case 1: function f3() {} }\n\
+     if (true) { function f4() {} }\n"
+  in
+  let seen = "[typeof f1, typeof f2, typeof f3, typeof f4].join()" in
+  let src =
+    "function g() { var seen = " ^ seen ^ ";\n" ^ decls
+    ^ "return seen; }\nconsole.log(g());\n" ^ decls ^ "console.log(" ^ seen
+    ^ ");"
+  in
+  let four = "function,function,function,function" in
+  List.iter
+    (fun resolve ->
+       let st, _ = Helpers.fresh_state () in
+       Interp.Eval.run_program ~resolve st (Jsir.Parser.parse_program src);
+       Alcotest.(check (list string))
+         (Printf.sprintf "nested declarations bound (resolve=%b)" resolve)
+         [ four; four ] (List.rev st.console))
+    [ true; false ]
 
 let test_closures () =
   check_in "counter closure"

@@ -378,6 +378,134 @@ let test_loops_label () =
   Alcotest.(check string) "label" "while(line 3)"
     (Jsir.Loops.label infos.(0))
 
+(* ------------------------------------------------------------------ *)
+(* Traversal *)
+
+(* One program using every statement, expression, target, for-init and
+   for-in-binder variant ([Intrinsic], which the parser never builds,
+   is appended by hand). *)
+let iter_program_src =
+  {|var a = 1, b;
+if (a) b = 2; else ;
+while (a < 3) a++;
+do --a; while (a);
+for (var i = 0, j; i < 2; i += 1) continue;
+for (i = 0; ; ) break;
+for (var k in o) ;
+for (k in o) { k; }
+lbl: for (;;) break lbl;
+try { throw "x"; } catch (e) { e; } finally { null; }
+switch (a) { case 1: b; break; default: c; }
+function f(x) { return this; return; }
+g = function h() { return [1, "s", true, undefined]; };
+o.p = {q: f(a, b), r: new F(a)};
+o[i] -= -a && b || c ? a : (a, b);
+o.p++; o[i]--;
+typeof o.p + o[i][0];|}
+
+let flat s =
+  String.split_on_char '\n' s |> List.map String.trim
+  |> List.filter (fun l -> l <> "")
+  |> String.concat " "
+
+let show_stmt s = "S " ^ flat (Jsir.Printer.stmt_to_string s)
+let show_expr e = "E " ^ flat (Jsir.Printer.expr_to_string e)
+
+(* "node => child | child" for every node with children, pre-order. The
+   walk recurses through the iterator itself, so each line is exactly
+   one node's immediate children, and any node without a line has
+   none. *)
+let child_table stmts =
+  let out = ref [] in
+  let rec node shown iter =
+    let kids = ref [] in
+    iter
+      ~stmt:(fun s -> kids := (show_stmt s, fun () -> stmt s) :: !kids)
+      ~expr:(fun e -> kids := (show_expr e, fun () -> expr e) :: !kids);
+    let kids = List.rev !kids in
+    if kids <> [] then
+      out := (shown ^ " => " ^ String.concat " | " (List.map fst kids)) :: !out;
+    List.iter (fun (_, walk) -> walk ()) kids
+  and stmt s =
+    node (show_stmt s) (fun ~stmt ~expr -> Jsir.Ast.iter_stmt ~stmt ~expr s)
+  and expr e =
+    node (show_expr e) (fun ~stmt ~expr -> Jsir.Ast.iter_expr ~stmt ~expr e)
+  in
+  List.iter stmt stmts;
+  List.rev !out
+
+let test_iter_children () =
+  let p = parse iter_program_src in
+  let intrinsic =
+    Jsir.Ast.(expr_stmt (intrinsic "__ceres_x" [ ident "a"; number 1. ]))
+  in
+  (* Function bodies are children of [function f] and [function h];
+     the declarator [j], binders, labels and the catch name are not
+     nodes. *)
+  let expected =
+    {|S var a = 1, b; => E 1
+S if (a) { b = 2; } else ; => E a | S b = 2; | S ;
+S b = 2; => E b = 2
+E b = 2 => E 2
+S while (a < 3) a++; => E a < 3 | S a++;
+E a < 3 => E a | E 3
+S a++; => E a++
+S do --a; while (a); => S --a; | E a
+S --a; => E --a
+S for (var i = 0, j; i < 2; i += 1) continue; => E 0 | E i < 2 | E i += 1 | S continue;
+E i < 2 => E i | E 2
+E i += 1 => E 1
+S for (i = 0; ; ) break; => E i = 0 | S break;
+E i = 0 => E 0
+S for (var k in o) ; => E o | S ;
+S for (k in o) { k; } => E o | S { k; }
+S { k; } => S k;
+S k; => E k
+S lbl: for (; ; ) break lbl; => S for (; ; ) break lbl;
+S for (; ; ) break lbl; => S break lbl;
+S try { throw "x"; } catch (e) { e; } finally { null; } => S throw "x"; | S e; | S null;
+S throw "x"; => E "x"
+S e; => E e
+S null; => E null
+S switch (a) { case 1: b; break; default: c; } => E a | E 1 | S b; | S break; | S c;
+S b; => E b
+S c; => E c
+S function f(x) { return this; return; } => S return this; | S return;
+S return this; => E this
+S g = function h() { return [1, "s", true, undefined]; }; => E g = function h() { return [1, "s", true, undefined]; }
+E g = function h() { return [1, "s", true, undefined]; } => E function h() { return [1, "s", true, undefined]; }
+E function h() { return [1, "s", true, undefined]; } => S return [1, "s", true, undefined];
+S return [1, "s", true, undefined]; => E [1, "s", true, undefined]
+E [1, "s", true, undefined] => E 1 | E "s" | E true | E undefined
+S o.p = {q: f(a, b), r: new F(a)}; => E o.p = {q: f(a, b), r: new F(a)}
+E o.p = {q: f(a, b), r: new F(a)} => E o | E {q: f(a, b), r: new F(a)}
+E {q: f(a, b), r: new F(a)} => E f(a, b) | E new F(a)
+E f(a, b) => E f | E a | E b
+E new F(a) => E F | E a
+S o[i] -= -a && b || c ? a : (a, b); => E o[i] -= -a && b || c ? a : (a, b)
+E o[i] -= -a && b || c ? a : (a, b) => E o | E i | E -a && b || c ? a : (a, b)
+E -a && b || c ? a : (a, b) => E -a && b || c | E a | E a, b
+E -a && b || c => E -a && b | E c
+E -a && b => E -a | E b
+E -a => E a
+E a, b => E a | E b
+S o.p++; => E o.p++
+E o.p++ => E o
+S o[i]--; => E o[i]--
+E o[i]-- => E o | E i
+S typeof o.p + o[i][0]; => E typeof o.p + o[i][0]
+E typeof o.p + o[i][0] => E typeof o.p | E o[i][0]
+E typeof o.p => E o.p
+E o.p => E o
+E o[i][0] => E o[i] | E 0
+E o[i] => E o | E i
+S __ceres_x(a, 1); => E __ceres_x(a, 1)
+E __ceres_x(a, 1) => E a | E 1|} in
+  Alcotest.(check (list string))
+    "immediate children of every node, in source order"
+    (String.split_on_char '\n' expected)
+    (child_table (p.stmts @ [ intrinsic ]))
+
 let suite =
   [ ("lexer numbers", `Quick, test_lexer_numbers);
     ("lexer strings", `Quick, test_lexer_strings);
@@ -403,4 +531,5 @@ let suite =
     qtest prop_program_roundtrip;
     ("loops in functions", `Quick, test_loops_in_functions);
     ("loops nest_of", `Quick, test_loops_nest_of);
-    ("loops label", `Quick, test_loops_label) ]
+    ("loops label", `Quick, test_loops_label);
+    ("iterator children", `Quick, test_iter_children) ]
