@@ -17,6 +17,12 @@
    evaluated, so skipping its evaluation is compensated with the one
    [cost_node] tick the evaluation would have charged — the virtual
    clock (and with it every golden and chaos schedule) is unchanged.
+   The same goes for the number and string literals the instrumenter
+   passes as line, operator and property-name operands: they are read
+   straight off the AST, not boxed by [eval]. Element accesses on a
+   dense, untagged array go by the index symbol's precomputed array
+   index, charged the [cost_prop] tick the plain [Index] path charges;
+   every other receiver and key takes the string-keyed property path.
    Unresolved names ([lex = -1]: catch variables, wrapper bindings,
    implicit globals, or a program run without resolution) take the
    original dynamic path. *)
@@ -26,15 +32,26 @@ module Symbol = Ceres_util.Symbol
 
 let ev st scope this e = Interp.Eval.eval st scope this e
 
-let expect_num st scope this e =
-  match ev st scope this e with
-  | Num f -> int_of_float f
-  | v -> type_error st ("intrinsic expected a number, got " ^ type_of v)
+(* Literal operands skip [eval] but pay its [cost_node] tick. *)
+let expect_num st scope this (e : Jsir.Ast.expr) =
+  match e.e with
+  | Jsir.Ast.Number f ->
+    Interp.Eval.tick st 1;
+    int_of_float f
+  | _ ->
+    (match ev st scope this e with
+     | Num f -> int_of_float f
+     | v -> type_error st ("intrinsic expected a number, got " ^ type_of v))
 
-let expect_str st scope this e =
-  match ev st scope this e with
-  | Str s -> s
-  | v -> type_error st ("intrinsic expected a string, got " ^ type_of v)
+let expect_str st scope this (e : Jsir.Ast.expr) =
+  match e.e with
+  | Jsir.Ast.String s ->
+    Interp.Eval.tick st 1;
+    s
+  | _ ->
+    (match ev st scope this e with
+     | Str s -> s
+     | v -> type_error st ("intrinsic expected a string, got " ^ type_of v))
 
 let register st name handler = register_intrinsic st name handler
 
@@ -246,6 +263,33 @@ let dependence ?focus st (infos : Jsir.Loops.info array) : Runtime.t =
     | Str s -> Symbol.intern st.symtab s
     | v -> Symbol.intern st.symtab (to_string st v)
   in
+  (* The element index a property symbol addresses on a dense,
+     untagged array receiver, or -1: the cases where the plain [Index]
+     path would not build a key string either. *)
+  let elem_index st base psym =
+    match base with
+    | Obj { arr = Some _; host_tag = None; _ } ->
+      let i = Symbol.array_index st.symtab psym in
+      if i < 0x40000000 then i else -1
+    | _ -> -1
+  in
+  let get_elem st base psym =
+    let i = elem_index st base psym in
+    match base with
+    | Obj ({ arr = Some a; _ } as o) when i >= 0 ->
+      Interp.Eval.tick st 1 (* cost_prop *);
+      if i < a.len then Array.unsafe_get a.elems i
+      else get_prop_obj o (Symbol.name st.symtab psym)
+    | _ -> Interp.Eval.get_prop st base (Symbol.name st.symtab psym)
+  in
+  let set_elem st base psym v =
+    let i = elem_index st base psym in
+    match base with
+    | Obj { arr = Some a; _ } when i >= 0 ->
+      Interp.Eval.tick st 1 (* cost_prop *);
+      array_store_set a i v
+    | _ -> Interp.Eval.set_prop st base (Symbol.name st.symtab psym) v
+  in
   let record_read base psym line =
     match base with
     | Obj o -> Runtime.on_prop_read rt ~oid:o.oid ~prop:psym ~line
@@ -257,12 +301,11 @@ let dependence ?focus st (infos : Jsir.Loops.info array) : Runtime.t =
     | _ -> ()
   in
   let do_prop_write st scope this ~basis base psym line op rhs_e =
-    let prop = Symbol.name st.symtab psym in
     let v =
       if String.equal op "=" then ev st scope this rhs_e
       else begin
         record_read base psym line;
-        let old_v = Interp.Eval.get_prop st base prop in
+        let old_v = get_elem st base psym in
         let rhs_v = ev st scope this rhs_e in
         Interp.Eval.eval_binop st (binop_of_name op) old_v rhs_v
       end
@@ -271,7 +314,7 @@ let dependence ?focus st (infos : Jsir.Loops.info array) : Runtime.t =
     Runtime.note_type rt
       ~name:(Symbol.canonical st.symtab psym)
       ~line ~type_tag:(type_tag_of v);
-    Interp.Eval.set_prop st base prop v;
+    set_elem st base psym v;
     v
   in
   register st "__ceres_prop_write" (fun st scope this args ->
@@ -296,12 +339,11 @@ let dependence ?focus st (infos : Jsir.Loops.info array) : Runtime.t =
         do_prop_write st scope this ~basis base psym line op rhs_e
       | _ -> type_error st "__ceres_index_write arity");
   let do_prop_update st ~basis base psym line kind prefix =
-    let prop = Symbol.name st.symtab psym in
     record_read base psym line;
-    let old_n = to_number st (Interp.Eval.get_prop st base prop) in
+    let old_n = to_number st (get_elem st base psym) in
     let new_n = if String.equal kind "++" then old_n +. 1. else old_n -. 1. in
     record_write ~basis base psym line;
-    Interp.Eval.set_prop st base prop (Num new_n);
+    set_elem st base psym (Num new_n);
     Num (if prefix then new_n else old_n)
   in
   register st "__ceres_prop_update" (fun st scope this args ->
@@ -343,7 +385,7 @@ let dependence ?focus st (infos : Jsir.Loops.info array) : Runtime.t =
         let psym = index_sym st (ev st scope this idx_e) in
         let line = expect_num st scope this line_e in
         record_read base psym line;
-        Interp.Eval.get_prop st base (Symbol.name st.symtab psym)
+        get_elem st base psym
       | _ -> type_error st "__ceres_index_read arity");
   let method_call st scope this base psym line arg_es =
     record_read base psym line;

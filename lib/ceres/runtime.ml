@@ -30,11 +30,20 @@
      and read snapshots in open-addressing {!Snaptab}s keyed on
      [(id lsl Symbol.bits) lor sym];
    - [scan] — an allocation-free mirror of {!Triple.characterize} —
-     answers the three hot questions (problematic? iteration carrier?
-     sharing carrier?) in one pass; the full [Triple.characterize]
-     runs only when a warning actually fires, so stored
-     characterizations (and hence warning aggregation and rendering)
-     are bit-for-bit those of the list-based implementation. *)
+     packs the whole characterization into one int code: the first
+     level that is not [Ok_ok], its case (aligned [Dep_dep], aligned
+     [Ok_dep] or unaligned) and, when unaligned, the first [Dep_dep]
+     level below it. The code plus the current stack decodes to the
+     level list and both carriers;
+   - each frame carries a shape id, the interned path of loop ids from
+     the outermost open loop down to it, so (shape, code) names a
+     characterization exactly;
+   - warnings are counted in an open-addressing table keyed on (kind,
+     canonical name symbol, line, shape, code, carrier). Warnings fire
+     hundreds of thousands of times per session but have only dozens of
+     distinct records: the record and its level list are built the
+     first time a key is seen, and every later firing is a probe and an
+     increment. *)
 
 module Symbol = Ceres_util.Symbol
 
@@ -104,7 +113,6 @@ type warning = {
 type loop_dyn = {
   mutable instances : int;
   mutable cur_entry : int; (* seq at entry of current instance *)
-  mutable prev_entry : int; (* seq at entry of previous instance; 0 if none *)
   mutable dom_accesses : int; (* host DOM/canvas ops while this loop open *)
 }
 
@@ -112,14 +120,20 @@ type frame = {
   floop : Jsir.Ast.loop_id;
   finstance : int;
   mutable fiteration : int;
+  fshape : int; (* interned path of loop ids down to this frame *)
 }
 
 let no_marks : int array = [||]
+
+(* The empty slot of the warning-count table. *)
+let no_count = ref 0
 
 type t = {
   infos : Jsir.Loops.info array;
   symtab : Symbol.table;
   dyn : loop_dyn array;
+  prev_entry : int array;
+      (* per loop: seq at entry of its previous instance; 0 if none *)
   mutable stack : frame list; (* innermost first; the authority *)
   mutable seq : int;
   (* flat mirror of [stack]: (loop, instance, iteration) outermost
@@ -129,6 +143,8 @@ type t = {
   mutable frozen : int array; (* copy of cur[0 .. 3*depth), shared *)
   mutable frozen_ok : bool;
   mutable rec_now : bool; (* [recording] precomputed per loop event *)
+  shapes : (int, int) Hashtbl.t; (* (parent shape, loop) -> shape id *)
+  mutable shape : int; (* shape of the top frame; 0 = no open loop *)
   (* creation stamps, dense by sid/oid; marks [||] + seq 0 = root *)
   mutable s_marks : int array array;
   mutable s_seqs : int array;
@@ -141,7 +157,15 @@ type t = {
       (* last write per (owner scope, variable): distinguishes genuine
          cross-iteration accumulators from compound updates of a
          temporary assigned earlier in the same iteration *)
+  (* Warning counts: open addressing, three key ints per slot (see
+     [count_warning]), the count ref shared with [warnings]. *)
+  mutable wkeys : int array; (* -1 in a slot's first int = empty *)
+  mutable wcounts : int ref array; (* [no_count] = empty *)
+  mutable wused : int;
   warnings : (warning, int ref) Hashtbl.t;
+      (* the distinct records, inserted in first-sighting order: ties
+         in [warnings]'s (line, kind) sort come out in this table's
+         fold order *)
   tainted : bool array; (* recursion through the loop detected *)
   focus : Jsir.Ast.loop_id list; (* [] = record everywhere *)
   mutable recursion_warnings : int;
@@ -157,7 +181,8 @@ let create ?(focus = []) ~symtab (infos : Jsir.Loops.info array) : t =
     symtab;
     dyn =
       Array.init n (fun _ ->
-          { instances = 0; cur_entry = 0; prev_entry = 0; dom_accesses = 0 });
+          { instances = 0; cur_entry = 0; dom_accesses = 0 });
+    prev_entry = Array.make n 0;
     stack = [];
     seq = 1;
     cur = Array.make 24 0;
@@ -165,6 +190,8 @@ let create ?(focus = []) ~symtab (infos : Jsir.Loops.info array) : t =
     frozen = no_marks;
     frozen_ok = true;
     rec_now = false;
+    shapes = Hashtbl.create 64;
+    shape = 0;
     s_marks = Array.make 256 no_marks;
     s_seqs = Array.make 256 0;
     o_marks = Array.make 4096 no_marks;
@@ -172,6 +199,9 @@ let create ?(focus = []) ~symtab (infos : Jsir.Loops.info array) : t =
     write_snaps = Snaptab.create 4096;
     read_snaps = Snaptab.create 4096;
     var_snaps = Snaptab.create 1024;
+    wkeys = Array.make (3 * 64) (-1);
+    wcounts = Array.make 64 no_count;
+    wused = 0;
     warnings = Hashtbl.create 64;
     tainted = Array.make n false;
     focus;
@@ -183,18 +213,10 @@ let next_seq t =
   t.seq <- t.seq + 1;
   t.seq
 
-let current_marks t : Triple.mark list =
-  List.rev_map
-    (fun f ->
-       { Triple.loop = f.floop; instance = f.finstance; iteration = f.fiteration })
-    t.stack
-
 let recording t =
   match t.focus with
   | [] -> t.stack <> []
   | focus -> List.exists (fun f -> List.mem f.floop focus) t.stack
-
-let prev_entry_seq t loop = t.dyn.(loop).prev_entry
 
 (* Mirror [stack] into the flat array after a loop event. *)
 let resync t =
@@ -212,6 +234,7 @@ let resync t =
        t.cur.(b + 2) <- f.fiteration)
     t.stack;
   t.frozen_ok <- false;
+  t.shape <- (match t.stack with f :: _ -> f.fshape | [] -> 0);
   t.rec_now <- recording t
 
 (* The frozen mark array shared by every snapshot taken before the
@@ -223,69 +246,78 @@ let freeze t =
   end;
   t.frozen
 
-let stamp_of_flat (marks : int array) seq : Triple.stamp =
-  let n = Array.length marks / 3 in
-  { Triple.marks =
-      Array.init n (fun i ->
-          { Triple.loop = marks.(3 * i);
-            instance = marks.(3 * i + 1);
-            iteration = marks.(3 * i + 2) });
-    seq }
-
 (* ------------------------------------------------------------------ *)
-(* The flat scan: an allocation-free mirror of [Triple.characterize]
-   computing only what the hot path needs — is any level non-ok, the
-   outermost aligned same-instance/different-iteration level (the
-   iteration carrier), and the outermost non-ok level (the sharing
-   carrier). The result is packed into one int. Any change to
-   [Triple.characterize] must be mirrored here: accesses that turn out
-   problematic re-run the full characterization for the warning
-   record, and the two must agree. *)
+(* The flat scan: an allocation-free mirror of [Triple.characterize].
+   By that function's rules a characterization is [k] aligned [Ok_ok]
+   levels, then at level [k] one of
+   - aligned [Dep_dep] or aligned [Ok_dep], poisoning every deeper
+     level to unaligned [Dep_dep];
+   - unaligned: unaligned [Ok_dep] down to the first level [j >= k]
+     whose loop had another instance after the stamp, unaligned
+     [Dep_dep] from [j] on;
+   or [Ok_ok] throughout. The code packs the case (low two bits), [k]
+   and [j]; with the current stack's loop ids it decodes to the level
+   list and to both carriers. Any change to [Triple.characterize] must
+   be mirrored here; a qcheck law pins the two together. *)
 
-let pack problematic itc shc =
-  (if problematic then 1 else 0)
-  lor ((itc + 1) lsl 1)
-  lor ((shc + 1) lsl 21)
+let aligned_dep_dep = 0
+let aligned_ok_dep = 1
+let unaligned = 2
+let all_ok = 3 (* a whole code: no non-ok level *)
 
-let scan_problematic r = r land 1 <> 0
-let scan_iter_carrier r = ((r lsr 1) land 0xFFFFF) - 1 (* -1 = none *)
-let scan_sharing_carrier r = (r lsr 21) - 1
+(* [k] and [j] are at most [depth], far under 2^20. *)
+let pack_code case k j = case lor (k lsl 2) lor (j lsl 22)
+let code_level code = (code lsr 2) land 0xFFFFF
 
-let rec scan_from t smarks ns sseq i poisoned exhausted problematic itc shc =
-  if i >= t.depth then pack problematic itc shc
+let rec scan_unaligned cur depth prev_entry sseq k i =
+  if
+    i >= depth
+    || Array.unsafe_get prev_entry (Array.unsafe_get cur (3 * i)) > sseq
+  then pack_code unaligned k i
+  else scan_unaligned cur depth prev_entry sseq k (i + 1)
+
+let rec scan_aligned cur depth prev_entry smarks ns sseq i =
+  if i >= depth then all_ok
   else begin
     let b = 3 * i in
-    let lid = Array.unsafe_get t.cur b in
-    let shc' = if shc < 0 then lid else shc in
-    if poisoned then
-      (* Dep_dep, unaligned *)
-      scan_from t smarks ns sseq (i + 1) true true true itc shc'
-    else if
-      (not exhausted) && i < ns && Array.unsafe_get smarks b = lid
-    then begin
-      if Array.unsafe_get smarks (b + 1) <> Array.unsafe_get t.cur (b + 1)
-      then (* Dep_dep, aligned *)
-        scan_from t smarks ns sseq (i + 1) true true true itc shc'
-      else if
-        Array.unsafe_get smarks (b + 2) <> Array.unsafe_get t.cur (b + 2)
-      then
-        (* Ok_dep, aligned: the iteration carrier (outermost wins) *)
-        scan_from t smarks ns sseq (i + 1) true true true
-          (if itc < 0 then lid else itc)
-        shc'
-      else (* Ok_ok *)
-        scan_from t smarks ns sseq (i + 1) false false problematic itc shc
+    if i < ns && Array.unsafe_get smarks b = Array.unsafe_get cur b then begin
+      if Array.unsafe_get smarks (b + 1) <> Array.unsafe_get cur (b + 1) then
+        pack_code aligned_dep_dep i 0
+      else if Array.unsafe_get smarks (b + 2) <> Array.unsafe_get cur (b + 2)
+      then pack_code aligned_ok_dep i 0
+      else scan_aligned cur depth prev_entry smarks ns sseq (i + 1)
     end
-    else if t.dyn.(lid).prev_entry > sseq then
-      (* Dep_dep, unaligned (another instance postdates the stamp) *)
-      scan_from t smarks ns sseq (i + 1) true true true itc shc'
-    else (* Ok_dep, unaligned: shared but not iteration-carried *)
-      scan_from t smarks ns sseq (i + 1) false true true itc shc'
+    else scan_unaligned cur depth prev_entry sseq i i
   end
 
-let scan t smarks sseq =
-  scan_from t smarks (Array.length smarks / 3) sseq 0 false false false (-1)
-    (-1)
+let scan ~cur ~depth ~prev_entry smarks sseq =
+  scan_aligned cur depth prev_entry smarks (Array.length smarks / 3) sseq 0
+
+(* An aligned [Ok_dep] level: the relation is carried by that loop's
+   iterations. *)
+let carried code = code land 3 = aligned_ok_dep
+
+let iteration_carrier_of_code ~cur code =
+  if carried code then cur.(3 * code_level code) else -1
+
+let sharing_carrier_of_code ~cur code =
+  if code = all_ok then -1 else cur.(3 * code_level code)
+
+let characterization_of_code ~cur ~depth code : Triple.characterization =
+  let case = code land 3 and k = code_level code and j = code lsr 22 in
+  List.init depth (fun i ->
+      let lid = cur.(3 * i) in
+      let flags, aligned =
+        if case = all_ok || i < k then (Triple.Ok_ok, true)
+        else if i = k && case = aligned_dep_dep then (Triple.Dep_dep, true)
+        else if i = k && case = aligned_ok_dep then (Triple.Ok_dep, true)
+        else if case = unaligned && i < j then (Triple.Ok_dep, false)
+        else (Triple.Dep_dep, false)
+      in
+      { Triple.lid; flags; aligned })
+
+let check t smarks sseq =
+  scan ~cur:t.cur ~depth:t.depth ~prev_entry:t.prev_entry smarks sseq
 
 (* ------------------------------------------------------------------ *)
 (* Loop events                                                         *)
@@ -294,7 +326,7 @@ let on_loop_enter t id =
   let seq = next_seq t in
   let d = t.dyn.(id) in
   d.instances <- d.instances + 1;
-  d.prev_entry <- d.cur_entry;
+  t.prev_entry.(id) <- d.cur_entry;
   d.cur_entry <- seq;
   (* Recursion guard: re-entering a loop that is already open means the
      loop body (transitively) called a function that reached the same
@@ -304,7 +336,19 @@ let on_loop_enter t id =
     t.tainted.(id) <- true;
     t.recursion_warnings <- t.recursion_warnings + 1
   end;
-  t.stack <- { floop = id; finstance = d.instances; fiteration = 0 } :: t.stack;
+  let parent = match t.stack with f :: _ -> f.fshape | [] -> 0 in
+  let shape_key = (parent * Array.length t.infos) + id in
+  let shape =
+    match Hashtbl.find_opt t.shapes shape_key with
+    | Some shape -> shape
+    | None ->
+      let shape = Hashtbl.length t.shapes + 1 in
+      Hashtbl.replace t.shapes shape_key shape;
+      shape
+  in
+  t.stack <-
+    { floop = id; finstance = d.instances; fiteration = 0; fshape = shape }
+    :: t.stack;
   resync t
 
 let on_loop_iter t id =
@@ -378,17 +422,107 @@ let obj_seq t oid =
 (* ------------------------------------------------------------------ *)
 (* Access checks                                                       *)
 
-let add_warning t kind line characterization carrier =
-  let w = { kind; line; characterization; carrier } in
-  match Hashtbl.find_opt t.warnings w with
-  | Some count -> incr count
-  | None -> Hashtbl.replace t.warnings w (ref 1)
+(* Kind tags of the warning key; var kinds name the variable's own
+   symbol, prop kinds its canonical symbol. *)
+let tag_var_write = 0
+let tag_var_accum = 1
+let tag_induction = 2
+let tag_prop_write = 3
+let tag_prop_overwrite = 4
+let tag_prop_read = 5
+let tag_prop_war = 6
 
-(* Cold path only: the full list characterization, for warning
-   records. *)
-let characterize_against t stamp =
-  Triple.characterize ~prev_entry_seq:(prev_entry_seq t) stamp
-    (current_marks t)
+let kind_of_tag tag name =
+  match tag with
+  | 0 -> Var_write name
+  | 1 -> Var_accum name
+  | 2 -> Induction_write name
+  | 3 -> Prop_write name
+  | 4 -> Prop_overwrite name
+  | 5 -> Prop_read name
+  | _ -> Prop_war name
+
+let whome mask a b c =
+  let m = 0x2545F4914F6CDD1D in
+  let h = ((((a * m) lxor b) * m) lxor c) * m in
+  (h lsr 32) land mask
+
+let rec wprobe keys mask a b c i =
+  let s = 3 * i in
+  let k = Array.unsafe_get keys s in
+  if
+    k = -1
+    || (k = a
+        && Array.unsafe_get keys (s + 1) = b
+        && Array.unsafe_get keys (s + 2) = c)
+  then i
+  else wprobe keys mask a b c ((i + 1) land mask)
+
+let wgrow t =
+  let keys = t.wkeys and counts = t.wcounts in
+  let cap = 2 * Array.length counts in
+  t.wkeys <- Array.make (3 * cap) (-1);
+  t.wcounts <- Array.make cap no_count;
+  Array.iteri
+    (fun i count ->
+       if count != no_count then begin
+         let a = keys.(3 * i) and b = keys.((3 * i) + 1)
+         and c = keys.((3 * i) + 2) in
+         let j = wprobe t.wkeys (cap - 1) a b c (whome (cap - 1) a b c) in
+         t.wkeys.(3 * j) <- a;
+         t.wkeys.((3 * j) + 1) <- b;
+         t.wkeys.((3 * j) + 2) <- c;
+         t.wcounts.(j) <- count
+       end)
+    counts
+
+(* First sighting of a key: build the record at the current stack and
+   share its count with the structural table. Distinct keys name
+   distinct records, so that table sees the same inserts in the same
+   order as one fed every firing (were two keys ever to name one
+   record, they would share its count). *)
+let first_sight t i ~a ~b ~code tag sym line carrier =
+  let name =
+    if tag >= tag_prop_write then Symbol.canonical t.symtab sym
+    else Symbol.name t.symtab sym
+  in
+  let w =
+    { kind = kind_of_tag tag name;
+      line;
+      characterization = characterization_of_code ~cur:t.cur ~depth:t.depth code;
+      carrier = (if carrier < 0 then None else Some carrier) }
+  in
+  let count =
+    match Hashtbl.find_opt t.warnings w with
+    | Some count ->
+      incr count;
+      count
+    | None ->
+      let count = ref 1 in
+      Hashtbl.replace t.warnings w count;
+      count
+  in
+  t.wkeys.(3 * i) <- a;
+  t.wkeys.((3 * i) + 1) <- b;
+  t.wkeys.((3 * i) + 2) <- code;
+  t.wcounts.(i) <- count;
+  t.wused <- t.wused + 1;
+  if 3 * t.wused >= 2 * Array.length t.wcounts then wgrow t
+
+(* One warning firing. The key packs (line, name symbol, kind tag) and
+   (shape, carrier) into two ints beside the code; symbols fit in
+   [Symbol.bits] and loop ids in 21 bits. *)
+let count_warning t tag sym line code carrier =
+  let sym =
+    if tag >= tag_prop_write then Symbol.canonical_sym t.symtab sym else sym
+  in
+  let a = (line lsl 24) lor (sym lsl 3) lor tag
+  and b = (t.shape lsl 21) lor (carrier + 1) in
+  let mask = Array.length t.wcounts - 1 in
+  let i = wprobe t.wkeys mask a b code (whome mask a b code) in
+  let count = Array.unsafe_get t.wcounts i in
+  if count != no_count then incr count
+  else first_sight t i ~a ~b ~code tag sym line carrier
 
 (* Snapshot keys. Owner sids shift by 2 so the "no owner" (-1) case
    keeps its own key, as the (-1, name) tuples did. *)
@@ -399,39 +533,32 @@ let on_var_write ?(induction = false) ?(accum = false) t ~sym ~owner_sid
     ~line =
   if t.rec_now then begin
     t.accesses_checked <- t.accesses_checked + 1;
-    let r =
-      if owner_sid >= 0 then scan t (scope_marks t owner_sid) (scope_seq t owner_sid)
-      else scan t no_marks 0 (* implicit/global variables: root stamp *)
+    let code =
+      if owner_sid >= 0 then
+        check t (scope_marks t owner_sid) (scope_seq t owner_sid)
+      else check t no_marks 0 (* implicit/global variables: root stamp *)
     in
-    if scan_problematic r then begin
-      let c =
-        characterize_against t
-          (if owner_sid >= 0 then
-             stamp_of_flat (scope_marks t owner_sid) (scope_seq t owner_sid)
-           else Triple.root_stamp)
-      in
+    if code <> all_ok then begin
       (* A compound update only behaves as a reduction when the value
          it folds over was produced by a *different* iteration; [x /=
          l] right after [x = e] in the same iteration is still a plain
          temporary write. *)
       let accum_carrier =
-        if not accum then None
+        if not accum then -1
         else begin
           let slot = Snaptab.find t.var_snaps (var_key owner_sid sym) in
-          if slot < 0 || Snaptab.seq t.var_snaps slot = 0 then None
+          if slot < 0 || Snaptab.seq t.var_snaps slot = 0 then -1
           else
-            Triple.iteration_carrier
-              (characterize_against t
-                 (stamp_of_flat
-                    (Snaptab.marks t.var_snaps slot)
-                    (Snaptab.seq t.var_snaps slot)))
+            iteration_carrier_of_code ~cur:t.cur
+              (check t
+                 (Snaptab.marks t.var_snaps slot)
+                 (Snaptab.seq t.var_snaps slot))
         end
       in
-      let name = Symbol.name t.symtab sym in
-      let kind =
-        if induction then Induction_write name
-        else if accum_carrier <> None then Var_accum name
-        else Var_write name
+      let tag =
+        if induction then tag_induction
+        else if accum_carrier >= 0 then tag_var_accum
+        else tag_var_write
       in
       (* An accumulation is carried by the loop whose iterations the
          folded-over value actually flows across (the last-write
@@ -441,11 +568,10 @@ let on_var_write ?(induction = false) ?(accum = false) t ~sym ~owner_sid
          iterations each start from their own reset. Plain shared
          writes keep the outermost shared level as carrier. *)
       let carrier =
-        match accum_carrier with
-        | Some _ as it -> it
-        | None -> Triple.sharing_carrier c
+        if accum_carrier >= 0 then accum_carrier
+        else sharing_carrier_of_code ~cur:t.cur code
       in
-      add_warning t kind line c carrier
+      count_warning t tag sym line code carrier
     end;
     Snaptab.set t.var_snaps (var_key owner_sid sym) (freeze t) (next_seq t)
   end
@@ -460,6 +586,13 @@ type basis =
   | Via_object
   | Via_binding of int (* owner scope sid; -1 = unbound/global *)
 
+(* Count an iteration-carried relation with the access recorded at a
+   snapshot slot. *)
+let carried_from t tab slot tag prop line =
+  let code = check t (Snaptab.marks tab slot) (Snaptab.seq tab slot) in
+  if carried code then
+    count_warning t tag prop line code (iteration_carrier_of_code ~cur:t.cur code)
+
 let on_prop_write t ~basis ~oid ~prop ~line =
   if t.rec_now then begin
     t.accesses_checked <- t.accesses_checked + 1;
@@ -467,56 +600,27 @@ let on_prop_write t ~basis ~oid ~prop ~line =
     (* Observed WAW: the same (object, property) slot was already
        written in a different iteration of a still-open loop instance. *)
     let wslot = Snaptab.find t.write_snaps key in
-    if wslot >= 0 && Snaptab.seq t.write_snaps wslot > 0 then begin
-      let sm = Snaptab.marks t.write_snaps wslot
-      and sq = Snaptab.seq t.write_snaps wslot in
-      if scan_iter_carrier (scan t sm sq) >= 0 then begin
-        let c = characterize_against t (stamp_of_flat sm sq) in
-        add_warning t
-          (Prop_overwrite (Symbol.canonical t.symtab prop))
-          line c
-          (Triple.iteration_carrier c)
-      end
-    end;
+    if wslot >= 0 && Snaptab.seq t.write_snaps wslot > 0 then
+      carried_from t t.write_snaps wslot tag_prop_overwrite prop line;
     (* Observed WAR: the slot's previous value was read by a different
        iteration, so reordering the iterations would change that read.
        The write consumes the pending reads (later anti-dependences are
        relative to this new value). *)
     let rslot = Snaptab.find t.read_snaps key in
     if rslot >= 0 && Snaptab.seq t.read_snaps rslot > 0 then begin
-      let sm = Snaptab.marks t.read_snaps rslot
-      and sq = Snaptab.seq t.read_snaps rslot in
-      if scan_iter_carrier (scan t sm sq) >= 0 then begin
-        let c = characterize_against t (stamp_of_flat sm sq) in
-        add_warning t
-          (Prop_war (Symbol.canonical t.symtab prop))
-          line c
-          (Triple.iteration_carrier c)
-      end;
+      carried_from t t.read_snaps rslot tag_prop_war prop line;
       Snaptab.consume t.read_snaps rslot
     end;
-    let r =
+    let code =
       match basis with
-      | Via_object -> scan t (obj_marks t oid) (obj_seq t oid)
+      | Via_object -> check t (obj_marks t oid) (obj_seq t oid)
       | Via_binding sid ->
-        if sid >= 0 then scan t (scope_marks t sid) (scope_seq t sid)
-        else scan t no_marks 0
+        if sid >= 0 then check t (scope_marks t sid) (scope_seq t sid)
+        else check t no_marks 0
     in
-    if scan_problematic r then begin
-      let c =
-        characterize_against t
-          (match basis with
-           | Via_object -> stamp_of_flat (obj_marks t oid) (obj_seq t oid)
-           | Via_binding sid ->
-             if sid >= 0 then
-               stamp_of_flat (scope_marks t sid) (scope_seq t sid)
-             else Triple.root_stamp)
-      in
-      add_warning t
-        (Prop_write (Symbol.canonical t.symtab prop))
-        line c
-        (Triple.sharing_carrier c)
-    end;
+    if code <> all_ok then
+      count_warning t tag_prop_write prop line code
+        (sharing_carrier_of_code ~cur:t.cur code);
     (* Remember the write context for flow-dependence detection. *)
     Snaptab.set t.write_snaps key (freeze t) (next_seq t)
   end
@@ -532,29 +636,19 @@ let on_prop_read t ~oid ~prop ~line =
     let keep_old =
       rslot >= 0
       && Snaptab.seq t.read_snaps rslot > 0
-      && scan_iter_carrier
-           (scan t
+      && carried
+           (check t
               (Snaptab.marks t.read_snaps rslot)
               (Snaptab.seq t.read_snaps rslot))
-         >= 0
     in
     if not keep_old then
       Snaptab.set t.read_snaps key (freeze t) (next_seq t);
+    (* Only iteration-carried flow is a parallelization obstacle:
+       values written before the loop's current instance began are
+       inputs the instance could receive up front. *)
     let wslot = Snaptab.find t.write_snaps key in
-    if wslot >= 0 && Snaptab.seq t.write_snaps wslot > 0 then begin
-      let sm = Snaptab.marks t.write_snaps wslot
-      and sq = Snaptab.seq t.write_snaps wslot in
-      (* Only iteration-carried flow is a parallelization obstacle:
-         values written before the loop's current instance began are
-         inputs the instance could receive up front. *)
-      if scan_iter_carrier (scan t sm sq) >= 0 then begin
-        let c = characterize_against t (stamp_of_flat sm sq) in
-        add_warning t
-          (Prop_read (Symbol.canonical t.symtab prop))
-          line c
-          (Triple.iteration_carrier c)
-      end
-    end
+    if wslot >= 0 && Snaptab.seq t.write_snaps wslot > 0 then
+      carried_from t t.write_snaps wslot tag_prop_read prop line
   end
 
 (* Observed-type tracking (paper Sec. 4.2): a write site is
@@ -633,7 +727,3 @@ let dom_accesses_in t id = t.dyn.(id).dom_accesses
 let instances_of t id = t.dyn.(id).instances
 let accesses_checked t = t.accesses_checked
 let recursion_warnings t = t.recursion_warnings
-
-(* Referenced only so the mirror-of-characterize contract keeps both
-   carrier decoders exercised by the tests. *)
-let _ = scan_sharing_carrier

@@ -8,11 +8,15 @@
     the actual reads/writes lives in {!Install}.
 
     The hot path — one or more stamp checks per intercepted access —
-    runs entirely on packed int arrays and open-addressing int-keyed
-    snapshot tables ({!Snaptab}); it allocates nothing and hashes no
-    strings. Names reappear only in warning records, which are built
-    by the original list-based {!Triple.characterize} when a check
-    actually fires. *)
+    runs on packed int arrays and open-addressing int-keyed snapshot
+    tables ({!Snaptab}). Each check is a {!scan} that packs the whole
+    characterization into one int code. Each open loop frame carries a
+    shape id (the interned path of loop ids down to it), and a firing
+    warning is counted under (kind, canonical name symbol, line,
+    shape, code, carrier) in an int-keyed table. Its record — name
+    string and {!Triple.characterization} list — is built only the
+    first time that key is seen; a session fires warnings hundreds of
+    thousands of times but keeps only dozens of distinct records. *)
 
 (** What kind of problematic access a warning describes. *)
 type access_kind =
@@ -151,3 +155,32 @@ val dom_accesses_in : t -> Jsir.Ast.loop_id -> int
 val instances_of : t -> Jsir.Ast.loop_id -> int
 val accesses_checked : t -> int
 val recursion_warnings : t -> int
+
+(** {1 The flat scan}
+
+    The allocation-free mirror of {!Triple.characterize} behind every
+    check, over the flat stack: [cur] holds [depth] (loop, instance,
+    iteration) triples, outermost first, and a stamp's marks are laid
+    out the same way. *)
+
+val scan :
+  cur:int array -> depth:int -> prev_entry:int array -> int array -> int -> int
+(** [scan ~cur ~depth ~prev_entry marks seq] is the code of the
+    characterization of the stamp ([marks], [seq]) against [cur].
+    [prev_entry.(loop)] is the sequence at which [loop]'s previous
+    instance was entered (0 if none), as for {!Triple.characterize}.
+    The code names the first level that is not [Ok_ok] (or none),
+    whether that level is aligned [Dep_dep], aligned [Ok_dep] or
+    unaligned, and in the unaligned case the first [Dep_dep] level. *)
+
+val characterization_of_code :
+  cur:int array -> depth:int -> int -> Triple.characterization
+(** The level list a code stands for, against the same stack. *)
+
+val iteration_carrier_of_code : cur:int array -> int -> Jsir.Ast.loop_id
+(** {!Triple.iteration_carrier} of the decoded characterization, [-1]
+    for none. *)
+
+val sharing_carrier_of_code : cur:int array -> int -> Jsir.Ast.loop_id
+(** {!Triple.sharing_carrier} of the decoded characterization, [-1]
+    for none. *)

@@ -47,8 +47,6 @@ type level = {
 type characterization = level list
 (** One verdict per open loop, outermost first. *)
 
-let root_stamp = { marks = [||]; seq = 0 }
-
 let is_problematic (c : characterization) =
   List.exists (fun l -> l.flags <> Ok_ok) c
 

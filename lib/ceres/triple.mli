@@ -38,10 +38,6 @@ type characterization = level list
 (** One verdict per open loop, outermost first — the paper's
     ["while(line 24) ok ok -> for(line 6) ok dependence"] lists. *)
 
-val root_stamp : stamp
-(** Stamp of locations created before any instrumented code ran
-    (globals, setup state). *)
-
 val is_problematic : characterization -> bool
 (** Some level differs from [Ok_ok]: the access is reported. *)
 

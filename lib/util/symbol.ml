@@ -8,7 +8,9 @@
 
    Canonicalization (numeric property names fold to "[elem]" for
    warning aggregation) is computed once here, at intern time — the
-   hot path never re-parses the string. [parses] counts the
+   hot path never re-parses the string. So is the canonical *symbol*:
+   every name whose canonical form is "[elem]" shares one id, so the
+   dependence runtime's warning keys compare ints, never strings. [parses] counts the
    [int_of_string_opt] calls so a regression test can pin the
    once-per-intern property. *)
 
@@ -16,6 +18,8 @@ type table = {
   by_name : (string, int) Hashtbl.t;
   mutable names : string array; (* sym -> name *)
   mutable canon : string array; (* sym -> canonical display name *)
+  mutable canon_sym : int array; (* sym -> canonical symbol *)
+  mutable elem_sym : int; (* shared canonical symbol of "[elem]", -1 unset *)
   mutable index : int array; (* sym -> canonical array index, -1 if none *)
   mutable count : int;
   mutable by_index : int array; (* small array index -> sym, -1 unset *)
@@ -35,6 +39,8 @@ let create () =
     by_name = Hashtbl.create 256;
     names = Array.make 64 "";
     canon = Array.make 64 "";
+    canon_sym = Array.make 64 (-1);
+    elem_sym = -1;
     index = Array.make 64 (-1);
     count = 0;
     by_index = Array.make 64 (-1);
@@ -61,6 +67,7 @@ let intern t s =
     t.count <- sym + 1;
     t.names <- grow t.names t.count "";
     t.canon <- grow t.canon t.count "";
+    t.canon_sym <- grow t.canon_sym t.count (-1);
     t.index <- grow t.index t.count (-1);
     t.gslots <- grow t.gslots t.count (-1);
     t.names.(sym) <- s;
@@ -82,11 +89,19 @@ let intern t s =
          end
        end
      | None -> t.canon.(sym) <- s);
+    (* The first name that canonicalizes to "[elem]" (a numeric name or
+       the literal "[elem]" itself) lends its id to all the others. *)
+    if String.equal t.canon.(sym) "[elem]" then begin
+      if t.elem_sym < 0 then t.elem_sym <- sym;
+      t.canon_sym.(sym) <- t.elem_sym
+    end
+    else t.canon_sym.(sym) <- sym;
     Hashtbl.replace t.by_name s sym;
     sym
 
 let name t sym = t.names.(sym)
 let canonical t sym = t.canon.(sym)
+let canonical_sym t sym = t.canon_sym.(sym)
 let array_index t sym = t.index.(sym)
 let count t = t.count
 let parse_count t = t.parses

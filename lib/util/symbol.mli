@@ -34,6 +34,12 @@ val canonical : table -> int -> string
     aggregation rule), the name itself otherwise. Precomputed at
     intern time. *)
 
+val canonical_sym : table -> int -> int
+(** A symbol standing for [canonical]: one shared id for every name
+    whose canonical form is ["[elem]"], the symbol itself otherwise.
+    Two symbols have the same canonical name exactly when they have
+    the same canonical symbol. Precomputed at intern time. *)
+
 val array_index : table -> int -> int
 (** The canonical array index of the symbol, or [-1]. *)
 

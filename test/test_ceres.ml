@@ -74,25 +74,28 @@ let test_triple_poisoning () =
   Alcotest.(check bool) "outer ok dep, inner dep dep" true
     (flags_of c = [ Ceres.Triple.Ok_dep; Ceres.Triple.Dep_dep ])
 
+(* (stamp marks, current marks, stamp seq) over four loops; the
+   previous-instance entry of loop [l] is [prev_of l]. *)
+let characterization_gen =
+  QCheck.Gen.(
+    let mark_g =
+      map3 (fun l i k -> mark l i k) (int_range 0 3) (int_range 1 4)
+        (int_range 0 4)
+    in
+    triple
+      (list_size (int_range 0 4) mark_g)
+      (list_size (int_range 0 4) mark_g)
+      (int_range 0 200))
+
+let prev_of l = (l * 37) mod 150
+
 (* Property: the paper's invalid combination "dependence ok" can never
    be produced, and flags only degrade inward (ok ok cannot follow a
    non-ok level). *)
 let prop_characterization_wellformed =
-  let gen =
-    QCheck.Gen.(
-      let mark_g =
-        map3 (fun l i k -> mark l i k) (int_range 0 3) (int_range 1 4)
-          (int_range 0 4)
-      in
-      triple
-        (list_size (int_range 0 4) mark_g)
-        (list_size (int_range 0 4) mark_g)
-        (int_range 0 200))
-  in
   QCheck.Test.make ~name:"characterizations are monotone inward" ~count:500
-    (QCheck.make gen) (fun (stamp, current, seq) ->
-        let prev l = (l * 37) mod 150 in
-        let c = characterize ~prev stamp seq current in
+    (QCheck.make characterization_gen) (fun (stamp, current, seq) ->
+        let c = characterize ~prev:prev_of stamp seq current in
         List.length c = List.length current
         &&
         let rec monotone seen_dep = function
@@ -104,6 +107,31 @@ let prop_characterization_wellformed =
              | Ceres.Triple.Dep_dep -> monotone true rest)
         in
         monotone false c)
+
+(* Mirror law: the runtime's packed scan code decodes to exactly the
+   list-based characterization, level by level, and to its two
+   carriers. *)
+let prop_scan_mirrors_characterize =
+  let flat marks =
+    Array.concat
+      (List.map
+         (fun (m : Ceres.Triple.mark) -> [| m.loop; m.instance; m.iteration |])
+         marks)
+  in
+  let loop_opt l = if l < 0 then None else Some l in
+  QCheck.Test.make ~name:"scan code decodes to characterize" ~count:1000
+    (QCheck.make characterization_gen) (fun (stamp, current, seq) ->
+        let c = characterize ~prev:prev_of stamp seq current in
+        let cur = flat current and depth = List.length current in
+        let code =
+          Ceres.Runtime.scan ~cur ~depth ~prev_entry:(Array.init 4 prev_of)
+            (flat stamp) seq
+        in
+        Ceres.Runtime.characterization_of_code ~cur ~depth code = c
+        && loop_opt (Ceres.Runtime.iteration_carrier_of_code ~cur code)
+           = Ceres.Triple.iteration_carrier c
+        && loop_opt (Ceres.Runtime.sharing_carrier_of_code ~cur code)
+           = Ceres.Triple.sharing_carrier c)
 
 (* ------------------------------------------------------------------ *)
 (* Instrumenter structure *)
@@ -416,6 +444,60 @@ let test_dep_focus_restricts_recording () =
   Alcotest.(check bool) "focused loop recorded" true (List.mem 3 lines);
   Alcotest.(check bool) "unfocused loop ignored" false (List.mem 2 lines)
 
+(* Under dependence analysis, element accesses on a dense, untagged
+   array go by the index symbol instead of a key string. The shortcut
+   must change neither what the program prints nor what it costs: in-
+   and out-of-range reads (the latter through the prototype chain),
+   holes, writes past [length], non-index keys that look numeric, a
+   string receiver and compound updates. The dependence session's busy
+   vticks are the count the string-keyed handlers charged. *)
+let test_dep_index_fast_path_parity () =
+  let src =
+    "var a = [10, 20, 30];\n\
+     a[5] = 60;\n\
+     Array.prototype[7] = \"proto\";\n\
+     var seen = [];\n\
+     for (var i = 0; i < 9; i++) {\n\
+     \  seen.push(String(a[i]));\n\
+     }\n\
+     console.log(seen.join(\",\"), a.length);\n\
+     var s = \"abc\";\n\
+     for (var j = 0; j < 3; j++) {\n\
+     \  a[a.length + j] = j;\n\
+     \  a[\"-0\"] = j;\n\
+     \  a[\"01\"] = j * 2;\n\
+     \  console.log(a[\"-0\"], a[\"01\"], a[\"length\"], a[-0], a[\"2\"]);\n\
+     \  console.log(s[j], s[j + 3], s[\"length\"]);\n\
+     \  ++a[j];\n\
+     \  a[j] += 2;\n\
+     \  a[j]--;\n\
+     \  a[j + 1] *= 3;\n\
+     \  console.log(a[j], a[j + 1]++, a.length);\n\
+     }\n\
+     console.log(a.join(\",\"), a.length, a[\"-0\"], a[\"01\"]);"
+  in
+  let program = Jsir.Parser.parse_program src in
+  let run dep =
+    let st = Interp.Eval.create () in
+    Interp.Builtins.install st;
+    if dep then begin
+      ignore (Ceres.Install.dependence st (Jsir.Loops.index program));
+      Interp.Eval.run_program st
+        (Ceres.Instrument.program Ceres.Instrument.Dependence program)
+    end
+    else Interp.Eval.run_program st program;
+    ( List.rev st.Interp.Value.console,
+      Int64.to_int (Ceres_util.Vclock.busy st.Interp.Value.clock) )
+  in
+  let plain_out, plain_ticks = run false in
+  let dep_out, dep_ticks = run true in
+  Alcotest.(check (list string)) "same console output" plain_out dep_out;
+  Alcotest.(check string) "out-of-range read reaches the prototype"
+    "10,20,30,undefined,undefined,60,undefined,proto,undefined 6"
+    (List.hd plain_out);
+  Alcotest.(check int) "plain busy vticks" 682 plain_ticks;
+  Alcotest.(check int) "dependence busy vticks" 975 dep_ticks
+
 let test_dep_dom_attribution () =
   let infos, rt =
     Helpers.analyze
@@ -566,6 +648,7 @@ let suite =
     ("triple instance freshness", `Quick, test_triple_fresh_instance_is_private);
     ("triple poisoning", `Quick, test_triple_poisoning);
     qtest prop_characterization_wellformed;
+    qtest prop_scan_mirrors_characterize;
     ("instrument preserves semantics", `Quick, test_instrument_preserves_semantics);
     ("instrument balances loop events", `Quick, test_instrument_balances_loop_events);
     ("instrumented code reparses", `Quick, test_instrumented_program_prints_and_reparses);
@@ -584,6 +667,7 @@ let suite =
     ("dep: recursion guard", `Quick, test_dep_recursion_guard);
     ("dep: focus", `Quick, test_dep_focus_restricts_recording);
     ("dep: dom attribution", `Quick, test_dep_dom_attribution);
+    ("dep: index fast path parity", `Quick, test_dep_index_fast_path_parity);
     ("dep: nest attribution", `Quick, test_dep_nest_attribution);
     ("classify scale", `Quick, test_classify_difficulty_scale);
     ("classify divergence", `Quick, test_classify_divergence);

@@ -280,7 +280,19 @@ let test_symbol_canonical_rule () =
   Alcotest.(check int) "-1 is not an index" (-1) (idx "-1");
   Alcotest.(check int) "0x10 is not an index" (-1) (idx "0x10");
   Alcotest.(check int) "of_index = intern of decimal" (idx "123")
-    (Ceres_util.Symbol.array_index t (Ceres_util.Symbol.of_index t 123))
+    (Ceres_util.Symbol.array_index t (Ceres_util.Symbol.of_index t 123));
+  (* one canonical symbol per canonical name, "[elem]" included *)
+  let csym s =
+    Ceres_util.Symbol.canonical_sym t (Ceres_util.Symbol.intern t s)
+  in
+  List.iter
+    (fun s -> Alcotest.(check int) ("canonical symbol " ^ s) (csym "0") (csym s))
+    [ "7"; "007"; "0x10"; "-1"; "[elem]" ];
+  List.iter
+    (fun s ->
+       Alcotest.(check int) ("canonical symbol " ^ s)
+         (Ceres_util.Symbol.intern t s) (csym s))
+    [ "x"; "length"; "1.5" ]
 
 let prop_symbol_of_index_consistent =
   QCheck.Test.make ~name:"of_index i = intern (string_of_int i)" ~count:200

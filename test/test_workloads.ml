@@ -266,8 +266,8 @@ let test_allocation_budget () =
       ("fluidSim", "lightweight", light, 16_946_916., 4_994_298, None);
       ("Raytracing", "loop-profile", loops, 14_196_626., 7_823_406, None);
       ("fluidSim", "loop-profile", loops, 14_467_604., 5_093_740, None);
-      ("Raytracing", "dependence", deps, 23_760_720., 3_043_008, Some 331_182);
-      ("fluidSim", "dependence", deps, 13_620_879., 2_454_091, Some 113_569) ]
+      ("Raytracing", "dependence", deps, 5_456_709., 3_043_008, Some 331_182);
+      ("fluidSim", "dependence", deps, 6_231_877., 2_454_091, Some 113_569) ]
 
 let suite =
   [ ("registry complete", `Quick, test_registry_complete);
