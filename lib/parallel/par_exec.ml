@@ -57,7 +57,8 @@ type nest_stats = {
   mutable par_ms : float; (* wall time inside parallel instances *)
   mutable seq_ms : float; (* wall time inside measured sequential runs *)
   mutable fork_ms : float;
-  mutable merge_ms : float;
+  mutable diff_ms : float; (* check + diff, on the chunks' domains *)
+  mutable merge_ms : float; (* validate + apply, on the caller *)
   mutable fallbacks : int;
   mutable refused : int; (* instances the work gate ran sequentially *)
   mutable busy_ticks : int64; (* vticks attributed to the nest *)
@@ -302,8 +303,8 @@ let nest_stats t id =
   | None ->
     let s =
       { instances = 0; seq_instances = 0; iterations = 0; chunks = 0;
-        par_ms = 0.; seq_ms = 0.; fork_ms = 0.; merge_ms = 0.; fallbacks = 0;
-        refused = 0; busy_ticks = 0L }
+        par_ms = 0.; seq_ms = 0.; fork_ms = 0.; diff_ms = 0.; merge_ms = 0.;
+        fallbacks = 0; refused = 0; busy_ticks = 0L }
     in
     Hashtbl.add t.nests id s;
     s
@@ -353,12 +354,16 @@ let admits t id trips =
 (* Chunk execution                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* A chunk checks and diffs its own fork on the domain that ran it:
+   the master stays read-only until every chunk has finished, so the
+   diffs can run concurrently. *)
 type chunk_result = {
   c_fork : Fork.t;
-  c_status : (unit, string) result;
+  c_diff : (Fork.diff, string) result; (* [Error] = the chunk's poison *)
   c_partials : (string * float) list; (* folded acc -> chunk partial *)
   c_journals : (string * float array) list; (* journaled acc -> per-trip *)
   c_fork_ms : float;
+  c_diff_ms : float;
 }
 
 exception Chunk_poison of string
@@ -374,7 +379,7 @@ let read_home scope name =
   | None -> raise (Chunk_poison (name ^ " has no home"))
 
 let run_chunk master ~scope ~this ~(lv : loop_visit) ~(h : header) ~accs
-    ~next_oid ~next_sid ~start_iv ~trips ~is_last : chunk_result =
+    ~skip ~next_oid ~next_sid ~start_iv ~trips ~is_last : chunk_result =
   let t0 = Unix.gettimeofday () in
   let fork = Fork.fork master ~scope ~this ~next_oid ~next_sid in
   let fork_ms = (Unix.gettimeofday () -. t0) *. 1000. in
@@ -397,8 +402,8 @@ let run_chunk master ~scope ~this ~(lv : loop_visit) ~(h : header) ~accs
       accs
   in
   let fail why =
-    { c_fork = fork; c_status = Error why; c_partials = []; c_journals = [];
-      c_fork_ms = fork_ms }
+    { c_fork = fork; c_diff = Error why; c_partials = []; c_journals = [];
+      c_fork_ms = fork_ms; c_diff_ms = 0. }
   in
   try
     write_home cscope h.iv (Num start_iv);
@@ -436,8 +441,17 @@ let run_chunk master ~scope ~this ~(lv : loop_visit) ~(h : header) ~accs
            | _ -> raise (Chunk_poison "non-integer reduction partial"))
         folds
     in
-    { c_fork = fork; c_status = Ok (); c_partials = partials;
-      c_journals = journals; c_fork_ms = fork_ms }
+    let t1 = Unix.gettimeofday () in
+    match Fork.check_clean fork with
+    | Error why -> fail why
+    | Ok () -> (
+      let d = Fork.diff ~skip fork in
+      match d.Fork.poison with
+      | Some why -> fail why
+      | None ->
+        { c_fork = fork; c_diff = Ok d; c_partials = partials;
+          c_journals = journals; c_fork_ms = fork_ms;
+          c_diff_ms = (Unix.gettimeofday () -. t1) *. 1000. })
   with
   | Chunk_poison why -> fail why
   | Fork.Par_abort why -> fail why
@@ -492,8 +506,9 @@ let run_parallel t pool st scope this (lv : loop_visit) (h : header) tasks lo
     let base_oid = max st.next_oid t.oid_floor in
     let base_sid = max st.next_sid t.sid_floor in
     let results : chunk_result option array = Array.make nchunks None in
+    let skip = List.map (fun (_, home, _) -> home) entries in
     let run k =
-      run_chunk st ~scope ~this ~lv ~h ~accs:tasks
+      run_chunk st ~scope ~this ~lv ~h ~accs:tasks ~skip
         ~next_oid:(base_oid + ((k + 1) * oid_stride))
         ~next_sid:(base_sid + ((k + 1) * sid_stride))
         ~start_iv:(lo +. (float_of_int (start_index k) *. h.step))
@@ -509,29 +524,22 @@ let run_parallel t pool st scope this (lv : loop_visit) (h : header) tasks lo
     st.next_oid <- max st.next_oid t.oid_floor;
     st.next_sid <- max st.next_sid t.sid_floor;
     let merge0 = Unix.gettimeofday () in
-    (* phase A: validate everything before touching the master *)
+    (* phase A: collect the chunks' diffs in chunk order and validate
+       everything before touching the master *)
     let poisoned = ref None in
     let taint why = if !poisoned = None then poisoned := Some why in
     let chunks = Array.to_list (Array.map Option.to_list results) in
     let chunks = List.concat chunks in
     if List.length chunks <> nchunks then taint "chunk skipped";
-    List.iter
-      (fun r ->
-         (match r.c_status with Error why -> taint why | Ok () -> ());
-         match Fork.check_clean r.c_fork with
-         | Error why -> taint why
-         | Ok () -> ())
-      chunks;
-    let skip = List.map (fun (_, home, _) -> home) entries in
     let diffs =
-      if !poisoned <> None then []
-      else
-        List.map
-          (fun r ->
-             let d = Fork.diff ~skip r.c_fork in
-             (match d.Fork.poison with Some why -> taint why | None -> ());
-             d)
-          chunks
+      List.filter_map
+        (fun r ->
+           match r.c_diff with
+           | Ok d -> Some d
+           | Error why ->
+             taint why;
+             None)
+        chunks
     in
     if !poisoned = None && not (Fork.growths_admissible diffs) then
       taint "conflicting array growth";
@@ -611,6 +619,8 @@ let run_parallel t pool st scope this (lv : loop_visit) (h : header) tasks lo
       s.par_ms <- s.par_ms +. ((now -. wall0) *. 1000.);
       s.fork_ms <-
         s.fork_ms +. List.fold_left (fun a r -> a +. r.c_fork_ms) 0. chunks;
+      s.diff_ms <-
+        s.diff_ms +. List.fold_left (fun a r -> a +. r.c_diff_ms) 0. chunks;
       s.merge_ms <- s.merge_ms +. ((now -. merge0) *. 1000.);
       s.busy_ticks <- Int64.add s.busy_ticks busy_total;
       true
@@ -719,6 +729,7 @@ let json_of_nest (id, label, s) =
       ("par_ms", J.Fixed (3, s.par_ms));
       ("seq_ms", J.Fixed (3, s.seq_ms));
       ("fork_ms", J.Fixed (3, s.fork_ms));
+      ("diff_ms", J.Fixed (3, s.diff_ms));
       ("merge_ms", J.Fixed (3, s.merge_ms));
       ("fallbacks", J.Int s.fallbacks);
       ("refused", J.Int s.refused);

@@ -53,7 +53,7 @@ val nests_run : t -> int
 (** Distinct nests that completed at least one parallel instance. *)
 
 val stats_json : ?pool:Pool.t -> t -> string
-(** Per-nest telemetry — instances, chunks, iterations, fork/merge
+(** Per-nest telemetry — instances, chunks, iterations, fork/diff/merge
     wall-clock, fallbacks, gate refusals with the break-even they
     were judged against, attributed busy vticks — plus the pool
     counters when [pool] is given. *)
@@ -68,7 +68,13 @@ type nest_stats = {
   mutable par_ms : float;
   mutable seq_ms : float;
   mutable fork_ms : float;
+  mutable diff_ms : float;
+      (** clean checks and diffs, summed over chunks: each chunk checks
+          and diffs its own fork on the domain that ran it *)
   mutable merge_ms : float;
+      (** validate + apply on the calling domain: collecting the
+          per-chunk diffs in chunk order, the cross-chunk checks, and
+          the commit *)
   mutable fallbacks : int;
   mutable refused : int;
   mutable busy_ticks : int64;

@@ -1,15 +1,17 @@
 (* Work-stealing pool of OCaml 5 domains.
 
-   The previous pool was a single LIFO list behind one mutex: every
-   chunk handoff serialized on that lock, and nothing about the
-   scheduler was observable. This version gives every participant its
-   own chunk deque — owner pops LIFO at one end, thieves steal FIFO
-   (oldest first) at the other — with per-deque mutexes, so the only
-   contention left is actual stealing. Idle participants back off
-   exponentially (cpu_relax -> yield -> short sleep) instead of
-   blocking on a condition variable, and every scheduling event feeds
-   the Telemetry counters (tasks, steal attempts/successes, idle
-   spins, per-loop wall/fork/join times), exportable as JSON. *)
+   Every participant owns a chunk deque — the owner pops LIFO at one
+   end, thieves steal FIFO (oldest first) at the other — with
+   per-deque mutexes, so the only contention left is actual stealing.
+   A participant that finds no work spins for a short constant window
+   and then parks on one pool-wide condition until a wake epoch moves;
+   every push ([submit], [parallel_for]'s chunks), the chunk that
+   completes a loop, and [shutdown] bump the epoch and broadcast. A
+   parked domain therefore costs nothing while the caller interprets
+   between loops, and picks up its chunk as soon as it is pushed.
+   Every scheduling event feeds the Telemetry counters (tasks, steal
+   attempts/successes, idle spins and parks, per-loop wall/fork/join
+   times), exportable as JSON. *)
 
 type job = unit -> unit
 
@@ -78,25 +80,51 @@ type t = {
   submitted : int Atomic.t;
   loops : Telemetry.loop_log;
   on_error : exn -> unit; (* escaping submitted-job exceptions *)
+  epoch : int Atomic.t; (* moves on every push, loop completion, shutdown *)
+  wake_m : Mutex.t;
+  wake_c : Condition.t; (* broadcast under [wake_m] when [epoch] moves *)
   mutable workers : unit Domain.t array;
 }
 
 let now_ms () = Unix.gettimeofday () *. 1000.
 
-(* Exponential backoff for participants that found no work: spin a
-   few times on the core, then yield the OS thread, then sleep in
-   sub-millisecond slices. The sleep cap bounds both the idle CPU burn
-   and the worst-case shutdown/join latency. The first spin of an idle
-   streak marks the start of an idle span on the timeline trace (the
+let spin_window = 128
+
+(* Move the epoch, then broadcast under the lock: a waiter re-checks
+   the epoch under the same lock before it sleeps, so it either sees
+   the new epoch or is already waiting when the broadcast comes. *)
+let wake t =
+  Atomic.incr t.epoch;
+  Mutex.lock t.wake_m;
+  Condition.broadcast t.wake_c;
+  Mutex.unlock t.wake_m
+
+(* Wait until the wake epoch moves off [e], which the caller read
+   before its last failed [try_get]: spin for [spin_window] rounds,
+   then park on the condition. Each spin and each park counts as one
+   idle spin. The wait opens an idle span on the timeline trace (the
    span ends at the domain's next event). *)
-let idle_backoff c ~dom spins =
-  Telemetry.note_idle c;
-  if !spins = 0 && Telemetry.Trace.active () then
-    Telemetry.Trace.note ~domain:dom Telemetry.Trace.Idle_start;
-  (if !spins < 32 then Domain.cpu_relax ()
-   else if !spins < 256 then Thread.yield ()
-   else Thread.delay 0.0005);
-  incr spins
+let idle t id e =
+  let c = t.counters.(id) in
+  if Telemetry.Trace.active () then
+    Telemetry.Trace.note ~domain:id Telemetry.Trace.Idle_start;
+  let rec spin k =
+    if Atomic.get t.epoch = e then begin
+      Telemetry.note_idle c;
+      if k < spin_window then begin
+        Domain.cpu_relax ();
+        spin (k + 1)
+      end
+      else begin
+        Mutex.lock t.wake_m;
+        while Atomic.get t.epoch = e do
+          Condition.wait t.wake_c t.wake_m
+        done;
+        Mutex.unlock t.wake_m
+      end
+    end
+  in
+  spin 0
 
 (* Pop locally (LIFO), then sweep the other deques oldest-first. Every
    probe of a foreign deque is a recorded steal attempt. *)
@@ -138,17 +166,17 @@ let exec t id job =
      (try t.on_error exn with _ -> ()));
   if traced then Telemetry.Trace.note ~domain:id Telemetry.Trace.Task_stop
 
-let rec worker_loop t id spins =
+let rec worker_loop t id =
+  let e = Atomic.get t.epoch in
   match try_get t id with
   | Some job ->
-    spins := 0;
     exec t id job;
-    worker_loop t id spins
+    worker_loop t id
   | None ->
     if Atomic.get t.down then () (* closed and drained: exit *)
     else begin
-      idle_backoff t.counters.(id) ~dom:id spins;
-      worker_loop t id spins
+      idle t id e;
+      worker_loop t id
     end
 
 let default_on_error exn =
@@ -171,11 +199,13 @@ let create ?domains ?(on_error = default_on_error) () =
       submitted = Atomic.make 0;
       loops = Telemetry.make_loop_log ();
       on_error;
+      epoch = Atomic.make 0;
+      wake_m = Mutex.create ();
+      wake_c = Condition.create ();
       workers = [||] }
   in
   t.workers <-
-    Array.init (n - 1) (fun i ->
-        Domain.spawn (fun () -> worker_loop t (i + 1) (ref 0)));
+    Array.init (n - 1) (fun i -> Domain.spawn (fun () -> worker_loop t (i + 1)));
   t
 
 let size t = t.n
@@ -192,21 +222,25 @@ let submit t job =
     | None -> job
     | Some ordinal -> fun () -> Fault.fire Fault.Submit "pool" ordinal
   in
-  (* Deal onto the worker deques round-robin (the caller's own deque
-     when there are no workers); an idle worker that lands on nothing
-     steals it from wherever it went. *)
-  let slot =
-    if t.n = 1 then 0 else 1 + (Atomic.fetch_and_add t.rr 1 mod (t.n - 1))
-  in
-  Deque.push t.deques.(slot) job
+  (* Deal onto the worker deques round-robin and wake the parked ones;
+     an idle worker that lands on nothing steals it from wherever it
+     went. With no worker domain the caller runs it at once: nothing
+     else would before [shutdown], which joins no one. *)
+  if t.n = 1 then exec t 0 job
+  else begin
+    Deque.push t.deques.(1 + (Atomic.fetch_and_add t.rr 1 mod (t.n - 1))) job;
+    wake t
+  end
 
 let shutdown t =
   (* compare_and_set makes idempotence race-safe: exactly one caller
      observes the transition and joins the workers. Workers drain every
      deque before exiting, preserving the old "closed and drained"
-     semantics. *)
-  if Atomic.compare_and_set t.down false true then
+     semantics; the wake gets the parked ones to notice. *)
+  if Atomic.compare_and_set t.down false true then begin
+    wake t;
     Array.iter Domain.join t.workers
+  end
 
 (* ------------------------------------------------------------------ *)
 
@@ -248,7 +282,8 @@ let parallel_for t ~lo ~hi ?chunk f =
            (* First failure wins; later chunks see it and skip. *)
            ignore (Atomic.compare_and_set failure None (Some exn))
        end);
-      Atomic.decr pending
+      (* the chunk that completes the loop wakes a parked caller *)
+      if Atomic.fetch_and_add pending (-1) = 1 then wake t
     in
     (* Fork: deal the chunk tasks round-robin over every participant's
        deque (the caller included). Owners pop their share LIFO; load
@@ -256,20 +291,22 @@ let parallel_for t ~lo ~hi ?chunk f =
     for ci = 0 to nchunks - 1 do
       Deque.push t.deques.(ci mod t.n) (task ci)
     done;
+    wake t;
     let t_fork = now_ms () in
     (* Join: the caller participates until every chunk has finished,
        helping with whatever work it can find (its own chunks first,
        then steals — including unrelated submitted jobs). *)
     let t_busy_end = ref t_fork in
-    let spins = ref 0 in
-    let c0 = t.counters.(0) in
     while Atomic.get pending > 0 do
+      let e = Atomic.get t.epoch in
       match try_get t 0 with
       | Some job ->
-        spins := 0;
         exec t 0 job;
         t_busy_end := now_ms ()
-      | None -> idle_backoff c0 ~dom:0 spins
+      | None ->
+        (* re-check after reading [e]: the last chunk may have moved
+           the epoch before the read, and no other wake is due *)
+        if Atomic.get pending > 0 then idle t 0 e
     done;
     let t_end = now_ms () in
     Telemetry.note_loop t.loops ~chunks:nchunks ~wall_ms:(t_end -. t0)

@@ -8,12 +8,15 @@
 
     Scheduling is dynamic: [parallel_for] deals fixed-size index chunks
     round-robin onto one deque per participant; owners pop their share
-    LIFO, idle participants steal FIFO (oldest first) from the others
-    with exponential backoff, so divergent iteration costs — the
-    paper's "control-flow divergence" column — load-balance
-    automatically. Every scheduling event (task executions, steal
-    attempts and successes, idle spins, per-loop wall/fork/join times)
-    is counted by {!Telemetry} and exportable as JSON via {!stats}. *)
+    LIFO, idle participants steal FIFO (oldest first) from the others,
+    so divergent iteration costs — the paper's "control-flow
+    divergence" column — load-balance automatically. A participant
+    with nothing to run spins for {!spin_window} rounds and then parks
+    until work is pushed, a loop it waits on completes, or the pool
+    shuts down; it never sleep-polls. Every scheduling event (task
+    executions, steal attempts and successes, idle spins and parks,
+    per-loop wall/fork/join times) is counted by {!Telemetry} and
+    exportable as JSON via {!stats}. *)
 
 type t
 
@@ -28,9 +31,15 @@ val create : ?domains:int -> ?on_error:(exn -> unit) -> unit -> t
 val size : t -> int
 (** Number of participants (workers + caller). *)
 
+val spin_window : int
+(** Spins an idle participant makes before it parks. One idle wait
+    counts at most [spin_window + 1] idle spins: the spins, then the
+    park. *)
+
 val submit : t -> (unit -> unit) -> unit
-(** Enqueue a fire-and-forget job on a worker deque (round-robin).
-    An exception escaping the job is counted in the [tasks_failed]
+(** Enqueue a fire-and-forget job on a worker deque (round-robin)
+    and wake the parked workers; on a pool without worker domains the
+    caller runs the job before [submit] returns. An exception escaping the job is counted in the [tasks_failed]
     telemetry and routed to the pool's [on_error] handler.
     @raise Invalid_argument if the pool has been shut down — a
     silently-parked job that no worker will ever run is never

@@ -13,7 +13,7 @@ type counters = {
   failed : int Atomic.t; (* jobs whose exception escaped to the pool *)
   steal_attempts : int Atomic.t; (* probes of another participant's deque *)
   steals : int Atomic.t; (* probes that yielded a job *)
-  idle_spins : int Atomic.t; (* backoff iterations with nothing to run *)
+  idle_spins : int Atomic.t; (* idle spins and parks, nothing to run *)
 }
 
 let make_counters () =

@@ -3,8 +3,10 @@
 
     The pool records, per participant, how many tasks it executed, how
     often it probed other deques, how often a probe yielded work, and
-    how long it spun idle; and, per [parallel_for], the wall, fork and
-    join times. The counters are single-writer (each participant owns
+    how often it waited idle — the pool's backoff spins for a short
+    window and then parks, and both the spins and the parks count as
+    idle spins; and, per [parallel_for], the wall, fork and join
+    times. The counters are single-writer (each participant owns
     its record), so observing the scheduler does not perturb it — the
     property TASKPROF and ThreadScope both identify as a precondition
     for trustworthy parallel measurements.
@@ -81,8 +83,8 @@ val server_counters_json : unit -> Ceres_util.Json.t
 (** {1 Event timeline (ThreadScope-style trace)}
 
     A bounded, process-wide recording of individual scheduling events
-    — task start/stop, successful steals, the first spin of every idle
-    streak — with wall-clock timestamps and the participant id, so
+    — task start/stop, successful steals, the start of every idle
+    wait — with wall-clock timestamps and the participant id, so
     pool behaviour under [-j N] is inspectable span by span
     ([jsceres run --par-exec --timeline FILE]). Disabled (the default)
     it costs one atomic load per potential event. *)
@@ -139,7 +141,9 @@ type domain_stats = {
   tasks_failed : int; (** jobs whose exception escaped to the pool *)
   steals_attempted : int; (** probes of another participant's deque *)
   steals_succeeded : int; (** probes that yielded a job *)
-  idle_spins : int; (** backoff iterations with nothing to run *)
+  idle_spins : int;
+      (** idle backoff steps: each spin of the spin window and each
+          park counts one *)
 }
 
 type loop_stats = {

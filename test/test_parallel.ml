@@ -151,6 +151,61 @@ let test_submitted_jobs_run () =
       done;
       Alcotest.(check int) "all submitted jobs ran" 20 (Atomic.get count))
 
+(* Regression: with no worker domain, [submit] used to push onto the
+   caller's own deque, which nothing ran: [shutdown] joined no worker
+   and the job was silently dropped. *)
+let test_submit_single_participant () =
+  let count = ref 0 in
+  Js_parallel.Pool.with_pool ~domains:1 (fun p ->
+      Js_parallel.Pool.submit p (fun () -> incr count));
+  Alcotest.(check int) "the job ran once" 1 !count
+
+(* An idle participant spins for [Pool.spin_window] rounds and then
+   parks until work arrives, so a worker idle for ~50 ms has counted
+   the window and one park; a sleep-polling backoff would keep
+   counting while it waits. *)
+let test_idle_worker_parks () =
+  Js_parallel.Pool.with_pool ~domains:2 (fun p ->
+      Unix.sleepf 0.05;
+      let st = Js_parallel.Pool.stats p in
+      let worker =
+        List.find
+          (fun (d : Js_parallel.Telemetry.domain_stats) -> d.domain = 1)
+          st.domains
+      in
+      let bound = Js_parallel.Pool.spin_window + 4 in
+      if worker.idle_spins > bound then
+        Alcotest.failf "idle worker counted %d idle spins, more than %d"
+          worker.idle_spins bound)
+
+(* Round after round, a parked pool must wake for a loop and a
+   submitted job: every index runs exactly once, every job runs (by
+   the latest in [shutdown], which drains), and [shutdown] of a pool
+   whose workers are parked returns. *)
+let test_wake_from_park () =
+  List.iter
+    (fun domains ->
+       let rounds = 200 and n = 16 in
+       let hits = Array.make (rounds * n) 0 in
+       let jobs = Atomic.make 0 in
+       Js_parallel.Pool.with_pool ~domains (fun p ->
+           for r = 0 to rounds - 1 do
+             (* long enough for every idle participant to park *)
+             Unix.sleepf 0.0005;
+             Js_parallel.Pool.parallel_for p ~lo:(r * n) ~hi:((r + 1) * n)
+               ~chunk:1 (fun i -> hits.(i) <- hits.(i) + 1);
+             Js_parallel.Pool.submit p (fun () -> Atomic.incr jobs)
+           done;
+           Unix.sleepf 0.005);
+       Alcotest.(check bool)
+         (Printf.sprintf "%d domains: every index ran once" domains)
+         true
+         (Array.for_all (fun h -> h = 1) hits);
+       Alcotest.(check int)
+         (Printf.sprintf "%d domains: every submitted job ran" domains)
+         rounds (Atomic.get jobs))
+    [ 2; 3 ]
+
 (* Satellite regression: an exception escaping a submitted job must not
    vanish — it is counted in the tasks_failed telemetry and routed to
    the pool's [on_error] handler. *)
@@ -503,4 +558,8 @@ let suite =
     ("kernels parallel = sequential", `Slow, test_kernels_parallel_equals_sequential);
     ("telemetry wire format", `Quick, test_telemetry_wire_format);
     ("reset_stats spares the registry", `Quick,
-     test_reset_stats_spares_registry) ]
+     test_reset_stats_spares_registry);
+    ("submit on a one-participant pool runs", `Quick,
+     test_submit_single_participant);
+    ("idle worker parks", `Quick, test_idle_worker_parks);
+    ("parked pool wakes for every round", `Quick, test_wake_from_park) ]

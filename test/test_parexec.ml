@@ -266,6 +266,113 @@ let parallel_reduce_equals_fold pool =
        in
        sum = List.fold_left ( + ) 0 xs)
 
+(* ------------------------------------------------------------------ *)
+(* Each chunk diffs its own fork on the domain that ran it: diffs of
+   sibling forks taken concurrently must equal the same diffs taken
+   one after another on the caller, and applying either set in chunk
+   order must leave the same master. *)
+
+let render_value (v : Interp.Value.value) =
+  match v with
+  | Num f -> Printf.sprintf "%h" f
+  | Str s -> Printf.sprintf "%S" s
+  | Bool b -> string_of_bool b
+  | Undefined -> "undefined"
+  | Null -> "null"
+  | Obj o -> Printf.sprintf "#%d" o.oid
+
+let render_diff (d : Interp.Fork.diff) =
+  let open Interp.Fork in
+  let v = render_value in
+  let edit = function
+    | Set_prop (m, k, x) -> Printf.sprintf "set #%d.%s=%s" m.oid k (v x)
+    | Add_prop (m, k, x) -> Printf.sprintf "add #%d.%s=%s" m.oid k (v x)
+    | Del_prop (m, k) -> Printf.sprintf "del #%d.%s" m.oid k
+    | Set_proto (m, p) ->
+      Printf.sprintf "proto #%d=%s" m.oid
+        (match p with Some p -> v (Obj p) | None -> "none")
+    | Set_call (m, _) -> Printf.sprintf "call #%d" m.oid
+    | Set_elem (m, i, x) -> Printf.sprintf "elem #%d[%d]=%s" m.oid i (v x)
+    | Set_slot (s, i, x) -> Printf.sprintf "slot $%d[%d]=%s" s.sid i (v x)
+    | Set_cell (_, x) -> Printf.sprintf "cell=%s" (v x)
+    | New_var (s, k, x) -> Printf.sprintf "var $%d.%s=%s" s.sid k (v x)
+  in
+  let growth = function
+    | Gappend (m, xs) ->
+      Printf.sprintf "append #%d %s" m.oid
+        (String.concat "," (Array.to_list (Array.map v xs)))
+    | Gpositional (m, n, ws) ->
+      Printf.sprintf "grow #%d to %d %s" m.oid n
+        (String.concat ","
+           (List.map (fun (i, x) -> Printf.sprintf "%d:%s" i (v x)) ws))
+  in
+  List.map edit d.edits @ List.map growth d.growths
+  @ [ Option.value ~default:"clean" d.poison ]
+
+let fork_prelude =
+  "var a = [1, 2, 3]; var o = { x: 1, y: 2 }; var n = 0;"
+
+(* A master built from [fork_prelude] and one fork per chunk, each
+   having evaluated its chunk's expressions. *)
+let forked_master chunk_exprs =
+  let st, _ = Helpers.fresh_state () in
+  Interp.Eval.run_program st (Jsir.Parser.parse_program fork_prelude);
+  let forks =
+    List.mapi
+      (fun k exprs ->
+         let f =
+           Interp.Fork.fork st ~scope:st.global_scope ~this:Undefined
+             ~next_oid:(st.next_oid + ((k + 1) lsl 28))
+             ~next_sid:(st.next_sid + ((k + 1) lsl 24))
+         in
+         List.iter
+           (fun e ->
+              ignore
+                (Interp.Eval.eval_in_global f.clone
+                   (Jsir.Parser.parse_expression e)))
+           exprs;
+         f)
+      chunk_exprs
+  in
+  (st, forks)
+
+let apply_in_order st diffs =
+  if List.for_all (fun (d : Interp.Fork.diff) -> d.poison = None) diffs then
+    List.iter Interp.Fork.apply_diff diffs;
+  let heap =
+    Interp.Eval.eval_in_global st
+      (Jsir.Parser.parse_expression "JSON.stringify([a, o, n])")
+  in
+  (st.console, render_value heap)
+
+let test_concurrent_diffs_match_serial () =
+  let scenarios =
+    [ ( "writes and appends",
+        [ [ "a[0] = 10"; "o.x = 'left'"; "a.push(4)"; "n = n + 1";
+            "console.log('chunk 0')" ];
+          [ "a[2] = 30"; "o.z = { k: true }"; "a.push(5, 6)";
+            "console.log('chunk 1')" ] ] );
+      ("a shrinking chunk", [ [ "a[1] = 20" ]; [ "a.pop()" ] ]) ]
+  in
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun (name, chunk_exprs) ->
+           let par_master, par_forks = forked_master chunk_exprs in
+           let slots = Array.make (List.length par_forks) None in
+           let forks = Array.of_list par_forks in
+           Js_parallel.Pool.parallel_for pool ~lo:0 ~hi:(Array.length forks)
+             ~chunk:1 (fun k -> slots.(k) <- Some (Interp.Fork.diff forks.(k)));
+           let par = List.map Option.get (Array.to_list slots) in
+           let seq_master, seq_forks = forked_master chunk_exprs in
+           let seq = List.map (fun f -> Interp.Fork.diff f) seq_forks in
+           Alcotest.(check (list (list string)))
+             (name ^ ": same edits, growths and poison")
+             (List.map render_diff seq) (List.map render_diff par);
+           Alcotest.(check (pair (list string) string))
+             (name ^ ": same console and heap after the merge")
+             (apply_in_order seq_master seq) (apply_in_order par_master par))
+        scenarios)
+
 (* One pool for the qcheck batteries: creating a fresh pool per
    generated case would dominate the suite's runtime. *)
 let shared_pool = lazy (Js_parallel.Pool.create ~domains:2 ())
@@ -288,4 +395,6 @@ let suite =
     Alcotest.test_case "CLI par-exec run matches plain run" `Slow
       test_cli_par_exec;
     qtest (generated_reductions_deterministic (Lazy.force shared_pool));
-    qtest (parallel_reduce_equals_fold (Lazy.force shared_pool)) ]
+    qtest (parallel_reduce_equals_fold (Lazy.force shared_pool));
+    Alcotest.test_case "concurrent chunk diffs = serial diffs" `Quick
+      test_concurrent_diffs_match_serial ]
