@@ -1,76 +1,110 @@
 (* Glue between instrumented code and the analysis runtimes.
 
-   Registers handlers for the [__ceres_*] intrinsics that
-   {!Instrument} inserts. Handlers receive *unevaluated* operand
-   expressions, so a wrapped operation evaluates each operand exactly
-   once and in the original order — compound assignments and update
-   expressions keep their single-evaluation semantics. One analysis
-   mode is attached per interpreter state, mirroring the paper's
-   separate staged runs.
+   Registers handler factories for the [__ceres_*] intrinsics that
+   {!Instrument} inserts. The compiler calls a factory once per
+   intrinsic node with the *unevaluated* operand expressions; the code
+   it returns evaluates each operand exactly once and in the original
+   order, so compound assignments and update expressions keep their
+   single-evaluation semantics. One analysis mode is attached per
+   interpreter state, mirroring the paper's separate staged runs.
+
+   Literal operands — loop ids, lines, variable names, operators,
+   update kinds, prefix flags — are read while compiling. At run time
+   each still charges the one [cost_node] tick its evaluation would
+   have charged, at the same point, so the virtual clock (and with it
+   every golden and chaos schedule) is unchanged. Any other operand is
+   compiled and checked when it runs.
 
    Dependence-mode handlers lean on the front-end resolver: variable
    name arguments arrive as [Ident] nodes whose [lex] stamp carries
    the packed (depth, slot) address, so variable reads/writes and the
    owner-scope lookup skip the scope-chain string search; property
-   names use their interned symbols as runtime keys. A literal name
-   argument is a constant the original program would not have
-   evaluated, so skipping its evaluation is compensated with the one
-   [cost_node] tick the evaluation would have charged — the virtual
-   clock (and with it every golden and chaos schedule) is unchanged.
-   The same goes for the number and string literals the instrumenter
-   passes as line, operator and property-name operands: they are read
-   straight off the AST, not boxed by [eval]. Element accesses on a
-   dense, untagged array go by the index symbol's precomputed array
-   index, charged the [cost_prop] tick the plain [Index] path charges;
-   every other receiver and key takes the string-keyed property path.
-   Unresolved names ([lex = -1]: catch variables, wrapper bindings,
-   implicit globals, or a program run without resolution) take the
-   original dynamic path. *)
+   names use their interned symbols as runtime keys. Element accesses
+   on a dense, untagged array go by the index symbol's precomputed
+   array index, charged the [cost_prop] tick the plain [Index] path
+   charges; every other receiver and key takes the string-keyed
+   property path. Unresolved names ([lex = -1]: catch variables,
+   wrapper bindings, implicit globals, or a program run without
+   resolution) take the dynamic path. *)
 
 open Interp.Value
+module Ast = Jsir.Ast
+module Eval = Interp.Eval
 module Symbol = Ceres_util.Symbol
 
-let ev st scope this e = Interp.Eval.eval st scope this e
+(* A literal operand ([lit] reads it) costs only its [cost_node] tick;
+   any other is compiled and converted by [coerce] when it runs. *)
+let operand ~compile lit coerce (e : Ast.expr) =
+  match lit e.e with
+  | Some x -> fun st _ _ -> Eval.tick st 1; x
+  | None ->
+    let c = compile e in
+    fun st scope this -> coerce st (c st scope this)
 
-(* Literal operands skip [eval] but pay its [cost_node] tick. *)
-let expect_num st scope this (e : Jsir.Ast.expr) =
-  match e.e with
-  | Jsir.Ast.Number f ->
-    Interp.Eval.tick st 1;
-    int_of_float f
-  | _ ->
-    (match ev st scope this e with
-     | Num f -> int_of_float f
-     | v -> type_error st ("intrinsic expected a number, got " ^ type_of v))
+let expect_num st = function
+  | Num f -> int_of_float f
+  | v -> type_error st ("intrinsic expected a number, got " ^ type_of v)
 
-let expect_str st scope this (e : Jsir.Ast.expr) =
-  match e.e with
-  | Jsir.Ast.String s ->
-    Interp.Eval.tick st 1;
-    s
-  | _ ->
-    (match ev st scope this e with
-     | Str s -> s
-     | v -> type_error st ("intrinsic expected a string, got " ^ type_of v))
+let expect_str st = function
+  | Str s -> s
+  | v -> type_error st ("intrinsic expected a string, got " ^ type_of v)
+
+let num_operand ~compile =
+  operand ~compile
+    (function Ast.Number f -> Some (int_of_float f) | _ -> None)
+    expect_num
+
+let str_operand ~compile =
+  operand ~compile (function Ast.String s -> Some s | _ -> None) expect_str
+
+(* The name argument of a variable-write intrinsic: an [Ident] is a
+   constant here, not a variable reference. *)
+let name_operand ~compile =
+  operand ~compile
+    (function Ast.Ident x | Ast.String x -> Some x | _ -> None)
+    expect_str
+
+let binop_of_name = function
+  | "+" -> Ast.Add
+  | "-" -> Ast.Sub
+  | "*" -> Ast.Mul
+  | "/" -> Ast.Div
+  | "%" -> Ast.Mod
+  | "&" -> Ast.Band
+  | "|" -> Ast.Bor
+  | "^" -> Ast.Bxor
+  | "<<" -> Ast.Lshift
+  | ">>" -> Ast.Rshift
+  | ">>>" -> Ast.Urshift
+  | op -> invalid_arg ("Install.binop_of_name: " ^ op)
+
+(* A write's operator: [None] for "=". *)
+let op_operand ~compile =
+  let op_of = function "=" -> None | op -> Some (binop_of_name op) in
+  operand ~compile
+    (function Ast.String s -> Some (op_of s) | _ -> None)
+    (fun st v -> op_of (expect_str st v))
+
+(* An update's step: +1 for "++", else -1. *)
+let delta_operand ~compile =
+  let delta = function "++" -> 1. | _ -> -1. in
+  operand ~compile
+    (function Ast.String s -> Some (delta s) | _ -> None)
+    (fun st v -> delta (expect_str st v))
+
+let prefix_operand ~compile =
+  operand ~compile
+    (function Ast.Bool b -> Some b | _ -> None)
+    (fun _ v -> to_boolean v)
 
 let register st name handler = register_intrinsic st name handler
 
-(* The name argument of a variable-write intrinsic, without evaluating
-   it as a variable reference: an [Ident] is a constant here, charged
-   the [cost_node] tick its evaluation would have cost. *)
-let constant_name st scope this (name_e : Jsir.Ast.expr) =
-  match name_e.Jsir.Ast.e with
-  | Jsir.Ast.Ident x ->
-    Interp.Eval.tick st 1 (* cost_node for the skipped literal eval *);
-    x
-  | _ -> expect_str st scope this name_e
+let arity name : code = fun st _ _ -> type_error st (name ^ " arity")
 
 (* The packed lexical address of a name argument; only an [Ident]'s
    [lex] is an address (a string literal's is its symbol). *)
-let name_lex (name_e : Jsir.Ast.expr) =
-  match name_e.Jsir.Ast.e with
-  | Jsir.Ast.Ident _ -> name_e.Jsir.Ast.lex
-  | _ -> -1
+let name_lex (name_e : Ast.expr) =
+  match name_e.e with Ast.Ident _ -> name_e.lex | _ -> -1
 
 let lex_global_depth = 0xFFF
 
@@ -78,153 +112,139 @@ let owner_of_lex st scope lex =
   if lex land 0xFFF = lex_global_depth then st.global_scope
   else frame_up scope (lex land 0xFFF)
 
+let rec eval_all st scope this = function
+  | [] -> []
+  | (c : code) :: rest ->
+    let v = c st scope this in
+    v :: eval_all st scope this rest
+
 (* Type tag for the polymorphism monitor: distinguishes null from real
    objects (the paper excludes defined/undefined/null flips). *)
 let type_tag_of = function
   | Null -> "null"
   | v -> type_of v
 
-let binop_of_name = function
-  | "+" -> Jsir.Ast.Add
-  | "-" -> Jsir.Ast.Sub
-  | "*" -> Jsir.Ast.Mul
-  | "/" -> Jsir.Ast.Div
-  | "%" -> Jsir.Ast.Mod
-  | "&" -> Jsir.Ast.Band
-  | "|" -> Jsir.Ast.Bor
-  | "^" -> Jsir.Ast.Bxor
-  | "<<" -> Jsir.Ast.Lshift
-  | ">>" -> Jsir.Ast.Rshift
-  | ">>>" -> Jsir.Ast.Urshift
-  | op -> invalid_arg ("Install.binop_of_name: " ^ op)
-
 (* ------------------------------------------------------------------ *)
 
 let lightweight st : Lightweight.t =
   let lw = Lightweight.create st.clock in
-  register st "__ceres_light_enter" (fun _ _ _ _ ->
+  register st "__ceres_light_enter" (fun ~compile:_ _ _ _ _ ->
       Lightweight.on_enter lw;
       Undefined);
-  register st "__ceres_light_exit" (fun _ _ _ _ ->
+  register st "__ceres_light_exit" (fun ~compile:_ _ _ _ _ ->
       Lightweight.on_exit lw;
       Undefined);
   lw
 
+(* A loop event [f id]; any other arity is ignored. *)
+let loop_event f : intrinsic =
+ fun ~compile args ->
+  match args with
+  | [ id ] ->
+    let id = num_operand ~compile id in
+    fun st scope this ->
+      f (id st scope this);
+      Undefined
+  | _ -> fun _ _ _ -> Undefined
+
 let loop_profile st (infos : Jsir.Loops.info array) : Loop_profile.t =
   let lp = Loop_profile.create st.clock infos in
-  register st "__ceres_loop_enter" (fun st scope this args ->
-      (match args with
-       | [ id ] -> Loop_profile.on_enter lp (expect_num st scope this id)
-       | _ -> ());
-      Undefined);
-  register st "__ceres_loop_iter" (fun st scope this args ->
-      (match args with
-       | [ id ] -> Loop_profile.on_iter lp (expect_num st scope this id)
-       | _ -> ());
-      Undefined);
-  register st "__ceres_loop_exit" (fun st scope this args ->
-      (match args with
-       | [ id ] -> Loop_profile.on_exit lp (expect_num st scope this id)
-       | _ -> ());
-      Undefined);
+  register st "__ceres_loop_enter" (loop_event (Loop_profile.on_enter lp));
+  register st "__ceres_loop_iter" (loop_event (Loop_profile.on_iter lp));
+  register st "__ceres_loop_exit" (loop_event (Loop_profile.on_exit lp));
   lp
 
 (* ------------------------------------------------------------------ *)
 
 let dependence ?focus st (infos : Jsir.Loops.info array) : Runtime.t =
   let rt = Runtime.create ?focus ~symtab:st.symtab infos in
-  let loop_event f =
-    fun st scope this args ->
-      (match args with
-       | [ id ] -> f rt (expect_num st scope this id)
-       | _ -> ());
-      Undefined
-  in
-  register st "__ceres_loop_enter" (loop_event Runtime.on_loop_enter);
-  register st "__ceres_loop_iter" (loop_event Runtime.on_loop_iter);
-  register st "__ceres_loop_exit" (loop_event Runtime.on_loop_exit);
-  register st "__ceres_fn_scope" (fun _ scope _ _ ->
+  register st "__ceres_loop_enter" (loop_event (Runtime.on_loop_enter rt));
+  register st "__ceres_loop_iter" (loop_event (Runtime.on_loop_iter rt));
+  register st "__ceres_loop_exit" (loop_event (Runtime.on_loop_exit rt));
+  register st "__ceres_fn_scope" (fun ~compile:_ _ _ scope _ ->
       Runtime.on_scope_created rt ~sid:scope.sid;
       Undefined);
-  register st "__ceres_created" (fun st scope this args ->
+  register st "__ceres_created" (fun ~compile args ->
       match args with
       | [ e ] ->
-        let v = ev st scope this e in
-        (match v with
-         | Obj o -> Runtime.on_object_created rt ~oid:o.oid
-         | _ -> ());
-        v
-      | _ -> type_error st "__ceres_created arity");
+        let c = compile e in
+        fun st scope this ->
+          let v = c st scope this in
+          (match v with
+           | Obj o -> Runtime.on_object_created rt ~oid:o.oid
+           | _ -> ());
+          v
+      | _ -> arity "__ceres_created");
   (* --- variables --- *)
   let owner_sid_dyn scope name =
     match owner_scope scope name with Some s -> s.sid | None -> -1
   in
-  let var_write_handler ~induction =
-    fun st scope this args ->
-      match args with
-      | [ name_e; line_e; op_e; rhs_e ] ->
-        let name = constant_name st scope this name_e in
-        let line = expect_num st scope this line_e in
-        let op = expect_str st scope this op_e in
-        let lex = name_lex name_e in
+  let sym_and_owner st scope lex name =
+    if lex >= 0 then begin
+      let owner = owner_of_lex st scope lex in
+      (Array.unsafe_get owner.syms (lex lsr 12), owner.sid)
+    end
+    else (Symbol.intern st.symtab name, owner_sid_dyn scope name)
+  in
+  let var_write_handler ~induction : intrinsic =
+   fun ~compile args ->
+    match args with
+    | [ name_e; line_e; op_e; rhs_e ] ->
+      let name = name_operand ~compile name_e
+      and line = num_operand ~compile line_e
+      and op = op_operand ~compile op_e
+      and rhs = compile rhs_e
+      and lex = name_lex name_e in
+      fun st scope this ->
+        let name = name st scope this in
+        let line = line st scope this in
+        let op = op st scope this in
         let v =
-          if String.equal op "=" then ev st scope this rhs_e
-          else begin
+          match op with
+          | None -> rhs st scope this
+          | Some op ->
             let old_v =
-              if lex >= 0 then get_lex st scope lex
-              else get_var st scope name
+              if lex >= 0 then get_lex st scope lex else get_var st scope name
             in
-            let rhs_v = ev st scope this rhs_e in
-            Interp.Eval.eval_binop st (binop_of_name op) old_v rhs_v
-          end
+            let rhs_v = rhs st scope this in
+            Eval.eval_binop st op old_v rhs_v
         in
-        let sym, owner_sid =
-          if lex >= 0 then begin
-            let owner = owner_of_lex st scope lex in
-            (Array.unsafe_get owner.syms (lex lsr 12), owner.sid)
-          end
-          else (Symbol.intern st.symtab name, owner_sid_dyn scope name)
-        in
-        Runtime.on_var_write ~induction
-          ~accum:(not (String.equal op "="))
-          rt ~sym ~owner_sid ~line;
+        let sym, owner_sid = sym_and_owner st scope lex name in
+        Runtime.on_var_write ~induction ~accum:(Option.is_some op) rt ~sym
+          ~owner_sid ~line;
         Runtime.note_type rt ~name ~line ~type_tag:(type_tag_of v);
         if lex >= 0 then set_lex st scope lex v else set_var st scope name v;
         v
-      | _ -> type_error st "__ceres_var_write arity"
+    | _ -> arity "__ceres_var_write"
   in
   register st "__ceres_var_write" (var_write_handler ~induction:false);
   register st "__ceres_induction_write" (var_write_handler ~induction:true);
-  let var_update_handler ~induction =
-    fun st scope this args ->
-      match args with
-      | [ name_e; line_e; kind_e; prefix_e ] ->
-        let name = constant_name st scope this name_e in
-        let line = expect_num st scope this line_e in
-        let kind = expect_str st scope this kind_e in
-        let prefix = to_boolean (ev st scope this prefix_e) in
-        let lex = name_lex name_e in
+  let var_update_handler ~induction : intrinsic =
+   fun ~compile args ->
+    match args with
+    | [ name_e; line_e; kind_e; prefix_e ] ->
+      let name = name_operand ~compile name_e
+      and line = num_operand ~compile line_e
+      and delta = delta_operand ~compile kind_e
+      and prefix = prefix_operand ~compile prefix_e
+      and lex = name_lex name_e in
+      fun st scope this ->
+        let name = name st scope this in
+        let line = line st scope this in
+        let delta = delta st scope this in
+        let prefix = prefix st scope this in
         let old_n =
           to_number st
-            (if lex >= 0 then get_lex st scope lex
-             else get_var st scope name)
+            (if lex >= 0 then get_lex st scope lex else get_var st scope name)
         in
-        let new_n =
-          if String.equal kind "++" then old_n +. 1. else old_n -. 1.
-        in
-        let sym, owner_sid =
-          if lex >= 0 then begin
-            let owner = owner_of_lex st scope lex in
-            (Array.unsafe_get owner.syms (lex lsr 12), owner.sid)
-          end
-          else (Symbol.intern st.symtab name, owner_sid_dyn scope name)
-        in
+        let new_n = old_n +. delta in
+        let sym, owner_sid = sym_and_owner st scope lex name in
         Runtime.on_var_write ~induction ~accum:true rt ~sym ~owner_sid ~line;
         Runtime.note_type rt ~name ~line ~type_tag:"number";
         if lex >= 0 then set_lex st scope lex (Num new_n)
         else set_var st scope name (Num new_n);
         Num (if prefix then new_n else old_n)
-      | _ -> type_error st "__ceres_var_update arity"
+    | _ -> arity "__ceres_var_update"
   in
   register st "__ceres_var_update" (var_update_handler ~induction:false);
   register st "__ceres_induction_update" (var_update_handler ~induction:true);
@@ -233,35 +253,41 @@ let dependence ?focus st (infos : Jsir.Loops.info array) : Runtime.t =
      [p.vX = ...] with [p] a plain variable is characterized through
      the binding [p] (the paper's N-body discussion), while receivers
      from arbitrary expressions use the object's creation stamp. *)
-  let basis_of st scope (obj_e : Jsir.Ast.expr) : Runtime.basis =
-    match obj_e.Jsir.Ast.e with
-    | Jsir.Ast.Ident x ->
-      let lex = obj_e.Jsir.Ast.lex in
-      if lex >= 0 then Runtime.Via_binding (owner_of_lex st scope lex).sid
-      else Runtime.Via_binding (owner_sid_dyn scope x)
-    | _ -> Runtime.Via_object
+  let basis_of (obj_e : Ast.expr) : state -> scope -> Runtime.basis =
+    match obj_e.e with
+    | Ast.Ident x ->
+      let lex = obj_e.lex in
+      if lex >= 0 then fun st scope ->
+        Runtime.Via_binding (owner_of_lex st scope lex).sid
+      else fun _ scope -> Runtime.Via_binding (owner_sid_dyn scope x)
+    | _ -> fun _ _ -> Runtime.Via_object
   in
-  (* The interned symbol of a property-name literal (stamped by the
-     resolver; interned here only on the unresolved path). *)
-  let prop_sym st (prop_e : Jsir.Ast.expr) prop =
-    match prop_e.Jsir.Ast.e with
-    | Jsir.Ast.String _ when prop_e.Jsir.Ast.lex >= 0 ->
-      prop_e.Jsir.Ast.lex
-    | _ -> Symbol.intern st.symtab prop
+  (* The receiver, and the interned symbol of the property it names: a
+     resolver-stamped name literal's symbol is read here; any other
+     name, and every computed index, is interned when it runs. Integer
+     indices reuse the symbol cache instead of printing a fresh string
+     per access; anything else goes through [to_string] exactly as an
+     ordinary index expression would (including user [toString]
+     calls). *)
+  let prop_target ~compile obj_e prop_e =
+    let obj = compile obj_e and prop = str_operand ~compile prop_e in
+    let fixed =
+      match prop_e.Ast.e with Ast.String _ -> prop_e.Ast.lex | _ -> -1
+    in
+    (obj, fun st scope this ->
+        let prop = prop st scope this in
+        if fixed >= 0 then fixed else Symbol.intern st.symtab prop)
   in
-  (* The interned symbol of a computed index. Integer indices reuse
-     the symbol cache instead of printing a fresh string per access;
-     anything else goes through [to_string] exactly as an ordinary
-     index expression would (including user [toString] calls). *)
-  let index_sym st v =
-    match v with
-    | Num f
-      when Float.is_integer f
-           && (not (Float.sign_bit f))
-           && f < 1073741824. ->
-      Symbol.of_index st.symtab (int_of_float f)
-    | Str s -> Symbol.intern st.symtab s
-    | v -> Symbol.intern st.symtab (to_string st v)
+  let index_target ~compile obj_e idx_e =
+    let obj = compile obj_e and idx = compile idx_e in
+    (obj, fun st scope this ->
+        match idx st scope this with
+        | Num f
+          when Float.is_integer f && (not (Float.sign_bit f))
+               && f < 1073741824. ->
+          Symbol.of_index st.symtab (int_of_float f)
+        | Str s -> Symbol.intern st.symtab s
+        | v -> Symbol.intern st.symtab (to_string st v))
   in
   (* The element index a property symbol addresses on a dense,
      untagged array receiver, or -1: the cases where the plain [Index]
@@ -277,18 +303,18 @@ let dependence ?focus st (infos : Jsir.Loops.info array) : Runtime.t =
     let i = elem_index st base psym in
     match base with
     | Obj ({ arr = Some a; _ } as o) when i >= 0 ->
-      Interp.Eval.tick st 1 (* cost_prop *);
+      Eval.tick st 1 (* cost_prop *);
       if i < a.len then Array.unsafe_get a.elems i
       else get_prop_obj o (Symbol.name st.symtab psym)
-    | _ -> Interp.Eval.get_prop st base (Symbol.name st.symtab psym)
+    | _ -> Eval.get_prop st base (Symbol.name st.symtab psym)
   in
   let set_elem st base psym v =
     let i = elem_index st base psym in
     match base with
     | Obj { arr = Some a; _ } when i >= 0 ->
-      Interp.Eval.tick st 1 (* cost_prop *);
+      Eval.tick st 1 (* cost_prop *);
       array_store_set a i v
-    | _ -> Interp.Eval.set_prop st base (Symbol.name st.symtab psym) v
+    | _ -> Eval.set_prop st base (Symbol.name st.symtab psym) v
   in
   let record_read base psym line =
     match base with
@@ -300,115 +326,117 @@ let dependence ?focus st (infos : Jsir.Loops.info array) : Runtime.t =
     | Obj o -> Runtime.on_prop_write rt ~basis ~oid:o.oid ~prop:psym ~line
     | _ -> ()
   in
-  let do_prop_write st scope this ~basis base psym line op rhs_e =
-    let v =
-      if String.equal op "=" then ev st scope this rhs_e
-      else begin
-        record_read base psym line;
-        let old_v = get_elem st base psym in
-        let rhs_v = ev st scope this rhs_e in
-        Interp.Eval.eval_binop st (binop_of_name op) old_v rhs_v
-      end
-    in
-    record_write ~basis base psym line;
-    Runtime.note_type rt
-      ~name:(Symbol.canonical st.symtab psym)
-      ~line ~type_tag:(type_tag_of v);
-    set_elem st base psym v;
-    v
+  let prop_write (obj, psym) ~compile obj_e line_e op_e rhs_e =
+    let line = num_operand ~compile line_e
+    and op = op_operand ~compile op_e
+    and basis = basis_of obj_e
+    and rhs = compile rhs_e in
+    fun st scope this ->
+      let base = obj st scope this in
+      let psym = psym st scope this in
+      let line = line st scope this in
+      let op = op st scope this in
+      let basis = basis st scope in
+      let v =
+        match op with
+        | None -> rhs st scope this
+        | Some op ->
+          record_read base psym line;
+          let old_v = get_elem st base psym in
+          let rhs_v = rhs st scope this in
+          Eval.eval_binop st op old_v rhs_v
+      in
+      record_write ~basis base psym line;
+      Runtime.note_type rt
+        ~name:(Symbol.canonical st.symtab psym)
+        ~line ~type_tag:(type_tag_of v);
+      set_elem st base psym v;
+      v
   in
-  register st "__ceres_prop_write" (fun st scope this args ->
+  register st "__ceres_prop_write" (fun ~compile args ->
       match args with
       | [ obj_e; prop_e; line_e; op_e; rhs_e ] ->
-        let base = ev st scope this obj_e in
-        let prop = expect_str st scope this prop_e in
-        let line = expect_num st scope this line_e in
-        let op = expect_str st scope this op_e in
-        let basis = basis_of st scope obj_e in
-        do_prop_write st scope this ~basis base (prop_sym st prop_e prop) line
-          op rhs_e
-      | _ -> type_error st "__ceres_prop_write arity");
-  register st "__ceres_index_write" (fun st scope this args ->
+        prop_write (prop_target ~compile obj_e prop_e) ~compile obj_e line_e
+          op_e rhs_e
+      | _ -> arity "__ceres_prop_write");
+  register st "__ceres_index_write" (fun ~compile args ->
       match args with
       | [ obj_e; idx_e; line_e; op_e; rhs_e ] ->
-        let base = ev st scope this obj_e in
-        let psym = index_sym st (ev st scope this idx_e) in
-        let line = expect_num st scope this line_e in
-        let op = expect_str st scope this op_e in
-        let basis = basis_of st scope obj_e in
-        do_prop_write st scope this ~basis base psym line op rhs_e
-      | _ -> type_error st "__ceres_index_write arity");
-  let do_prop_update st ~basis base psym line kind prefix =
-    record_read base psym line;
-    let old_n = to_number st (get_elem st base psym) in
-    let new_n = if String.equal kind "++" then old_n +. 1. else old_n -. 1. in
-    record_write ~basis base psym line;
-    set_elem st base psym (Num new_n);
-    Num (if prefix then new_n else old_n)
+        prop_write (index_target ~compile obj_e idx_e) ~compile obj_e line_e
+          op_e rhs_e
+      | _ -> arity "__ceres_index_write");
+  let prop_update (obj, psym) ~compile obj_e line_e kind_e prefix_e =
+    let line = num_operand ~compile line_e
+    and delta = delta_operand ~compile kind_e
+    and prefix = prefix_operand ~compile prefix_e
+    and basis = basis_of obj_e in
+    fun st scope this ->
+      let base = obj st scope this in
+      let psym = psym st scope this in
+      let line = line st scope this in
+      let delta = delta st scope this in
+      let prefix = prefix st scope this in
+      let basis = basis st scope in
+      record_read base psym line;
+      let old_n = to_number st (get_elem st base psym) in
+      let new_n = old_n +. delta in
+      record_write ~basis base psym line;
+      set_elem st base psym (Num new_n);
+      Num (if prefix then new_n else old_n)
   in
-  register st "__ceres_prop_update" (fun st scope this args ->
+  register st "__ceres_prop_update" (fun ~compile args ->
       match args with
       | [ obj_e; prop_e; line_e; kind_e; prefix_e ] ->
-        let base = ev st scope this obj_e in
-        let prop = expect_str st scope this prop_e in
-        let line = expect_num st scope this line_e in
-        let kind = expect_str st scope this kind_e in
-        let prefix = to_boolean (ev st scope this prefix_e) in
-        do_prop_update st ~basis:(basis_of st scope obj_e) base
-          (prop_sym st prop_e prop)
-          line kind prefix
-      | _ -> type_error st "__ceres_prop_update arity");
-  register st "__ceres_index_update" (fun st scope this args ->
+        prop_update (prop_target ~compile obj_e prop_e) ~compile obj_e line_e
+          kind_e prefix_e
+      | _ -> arity "__ceres_prop_update");
+  register st "__ceres_index_update" (fun ~compile args ->
       match args with
       | [ obj_e; idx_e; line_e; kind_e; prefix_e ] ->
-        let base = ev st scope this obj_e in
-        let psym = index_sym st (ev st scope this idx_e) in
-        let line = expect_num st scope this line_e in
-        let kind = expect_str st scope this kind_e in
-        let prefix = to_boolean (ev st scope this prefix_e) in
-        do_prop_update st ~basis:(basis_of st scope obj_e) base psym line kind
-          prefix
-      | _ -> type_error st "__ceres_index_update arity");
-  register st "__ceres_prop_read" (fun st scope this args ->
+        prop_update (index_target ~compile obj_e idx_e) ~compile obj_e line_e
+          kind_e prefix_e
+      | _ -> arity "__ceres_index_update");
+  let prop_read (obj, psym) ~compile line_e get =
+    let line = num_operand ~compile line_e in
+    fun st scope this ->
+      let base = obj st scope this in
+      let psym = psym st scope this in
+      let line = line st scope this in
+      record_read base psym line;
+      get st base psym
+  in
+  register st "__ceres_prop_read" (fun ~compile args ->
       match args with
       | [ obj_e; prop_e; line_e ] ->
-        let base = ev st scope this obj_e in
-        let prop = expect_str st scope this prop_e in
-        let line = expect_num st scope this line_e in
-        record_read base (prop_sym st prop_e prop) line;
-        Interp.Eval.get_prop st base prop
-      | _ -> type_error st "__ceres_prop_read arity");
-  register st "__ceres_index_read" (fun st scope this args ->
+        prop_read (prop_target ~compile obj_e prop_e) ~compile line_e
+          (fun st base psym -> Eval.get_prop st base (Symbol.name st.symtab psym))
+      | _ -> arity "__ceres_prop_read");
+  register st "__ceres_index_read" (fun ~compile args ->
       match args with
       | [ obj_e; idx_e; line_e ] ->
-        let base = ev st scope this obj_e in
-        let psym = index_sym st (ev st scope this idx_e) in
-        let line = expect_num st scope this line_e in
-        record_read base psym line;
-        get_elem st base psym
-      | _ -> type_error st "__ceres_index_read arity");
-  let method_call st scope this base psym line arg_es =
-    record_read base psym line;
-    let fn = Interp.Eval.get_prop st base (Symbol.name st.symtab psym) in
-    let args = List.map (ev st scope this) arg_es in
-    Interp.Eval.call st fn base args
+        prop_read (index_target ~compile obj_e idx_e) ~compile line_e get_elem
+      | _ -> arity "__ceres_index_read");
+  let method_call (obj, psym) ~compile line_e arg_es =
+    let line = num_operand ~compile line_e
+    and args = List.map compile arg_es in
+    fun st scope this ->
+      let base = obj st scope this in
+      let psym = psym st scope this in
+      let line = line st scope this in
+      record_read base psym line;
+      let fn = Eval.get_prop st base (Symbol.name st.symtab psym) in
+      Eval.call st fn base (eval_all st scope this args)
   in
-  register st "__ceres_method_call" (fun st scope this args ->
+  register st "__ceres_method_call" (fun ~compile args ->
       match args with
       | obj_e :: prop_e :: line_e :: arg_es ->
-        let base = ev st scope this obj_e in
-        let prop = expect_str st scope this prop_e in
-        let line = expect_num st scope this line_e in
-        method_call st scope this base (prop_sym st prop_e prop) line arg_es
-      | _ -> type_error st "__ceres_method_call arity");
-  register st "__ceres_index_method_call" (fun st scope this args ->
+        method_call (prop_target ~compile obj_e prop_e) ~compile line_e arg_es
+      | _ -> arity "__ceres_method_call");
+  register st "__ceres_index_method_call" (fun ~compile args ->
       match args with
       | obj_e :: idx_e :: line_e :: arg_es ->
-        let base = ev st scope this obj_e in
-        let psym = index_sym st (ev st scope this idx_e) in
-        let line = expect_num st scope this line_e in
-        method_call st scope this base psym line arg_es
-      | _ -> type_error st "__ceres_index_method_call arity");
+        method_call (index_target ~compile obj_e idx_e) ~compile line_e arg_es
+      | _ -> arity "__ceres_index_method_call");
   (* DOM/canvas attribution: chain any existing host-access listener. *)
   let previous = st.on_host_access in
   st.on_host_access <-

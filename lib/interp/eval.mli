@@ -1,16 +1,18 @@
-(** Tree-walking evaluator for MiniJS.
+(** Closure compiler for MiniJS.
 
-    Evaluation advances the state's virtual clock by a small cost per
-    operation — this is what makes the reproduction's timings
-    deterministic. {!Jsir.Ast.Intrinsic} nodes dispatch to the handlers
-    registered in [state.intrinsics]; an uninstrumented program runs
-    with zero analysis overhead, mirroring the paper's staged
-    methodology. *)
+    {!run_program} compiles a program once, every function body
+    included, into OCaml closures and runs them. Execution advances the
+    state's virtual clock by a small cost per operation — this is what
+    makes the reproduction's timings deterministic. Each
+    {!Jsir.Ast.Intrinsic} node is compiled by the handler factory
+    registered in [state.intrinsics] under its name; an uninstrumented
+    program runs with zero analysis overhead, mirroring the paper's
+    staged methodology. *)
 
 open Value
 
 (** Statement completion (exceptions travel as {!Value.Js_throw}). *)
-type completion =
+type completion = Value.completion =
   | Cnormal
   | Creturn of value
   | Cbreak of string option (** optional target label *)
@@ -25,20 +27,17 @@ val create :
 val run_program : ?resolve:bool -> state -> Jsir.Ast.program -> unit
 (** Resolve the program against the state's symbol table (unless
     [~resolve:false] — kept for differential testing of the dynamic
-    path), hoist into the global scope and execute; a [Js_throw]
-    escaping the program propagates to the caller. *)
+    path), compile it with the intrinsic handlers registered now, hoist
+    into the global scope and execute; a [Js_throw] escaping the
+    program propagates to the caller. An [Intrinsic] node with no
+    handler compiles to code that raises a catchable TypeError
+    ["unknown intrinsic <name>"] when it runs. *)
 
 val eval_in_global : state -> Jsir.Ast.expr -> value
-(** Evaluate one expression in the global scope (tests, REPL-ish
-    uses). *)
+(** Compile one expression and run it in the global scope (tests,
+    REPL-ish uses). *)
 
 (** {1 Building blocks} (used by the analysis glue and host functions) *)
-
-val eval : state -> scope -> value -> Jsir.Ast.expr -> value
-(** [eval st scope this e]. *)
-
-val exec_stmt : state -> scope -> value -> Jsir.Ast.stmt -> completion
-val exec_stmts : state -> scope -> value -> Jsir.Ast.stmt list -> completion
 
 val call : state -> value -> value -> value list -> value
 (** [call st callee this args]; raises a catchable TypeError for
@@ -55,13 +54,8 @@ val set_prop : state -> value -> string -> value -> unit
 (** Writes to DOM-tagged elements are reported as host DOM accesses. *)
 
 val eval_binop : state -> Jsir.Ast.binop -> value -> value -> value
-(** The binary-operator semantics, exposed for compound-assignment
-    intrinsic handlers. *)
-
-val make_closure : state -> scope -> Jsir.Ast.func -> obj
-val hoist_into : state -> scope -> Jsir.Ast.stmt list -> unit
-(** [var] and function-declaration hoisting for a body about to run in
-    [scope]. *)
+(** The binary-operator semantics over evaluated operands, exposed for
+    compound-assignment intrinsic handlers. *)
 
 val tick : state -> int -> unit
 (** Advance the virtual clock by a non-negative cost (unchecked, unlike

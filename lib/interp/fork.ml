@@ -108,8 +108,8 @@ let fork (master : state) ~(scope : scope) ~(this : value) ~(next_oid : int)
     (match o.call with
      | None -> ()
      | Some (Host _ as h) -> c.call <- Some h (* host code is stateless *)
-     | Some (Closure { fn; captured }) ->
-       c.call <- Some (Closure { fn; captured = scope_shell captured }));
+     | Some (Closure cl) ->
+       c.call <- Some (Closure { cl with captured = scope_shell cl.captured }));
     match o.arr with
     | None -> ()
     | Some a ->
@@ -167,7 +167,6 @@ let fork (master : state) ~(scope : scope) ~(this : value) ~(next_oid : int)
       console = [];
       echo_console = false;
       intrinsics = master.intrinsics;
-      intrinsic_fast = [||];
       on_scope_create = (fun _ -> ());
       on_call_enter = (fun _ -> ());
       on_call_exit = (fun () -> ());
@@ -396,8 +395,8 @@ let remapper t =
       List.iter (fun k -> Strtbl.replace o.props k (rval (Strtbl.find o.props k))) keys;
       o.proto <- Option.map robj o.proto;
       (match o.call with
-       | Some (Closure { fn; captured }) ->
-         o.call <- Some (Closure { fn; captured = rscope captured })
+       | Some (Closure cl) ->
+         o.call <- Some (Closure { cl with captured = rscope cl.captured })
        | _ -> ());
       (match o.arr with
        | Some a ->
@@ -437,8 +436,7 @@ let apply_diff (d : diff) =
   let rcallable = function
     | None -> None
     | Some (Host _ as h) -> Some h
-    | Some (Closure { fn; captured }) ->
-      Some (Closure { fn; captured = rscope captured })
+    | Some (Closure cl) -> Some (Closure { cl with captured = rscope cl.captured })
   in
   List.iter
     (fun e ->

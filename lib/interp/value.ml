@@ -41,7 +41,18 @@ and callable =
   | Closure of closure
   | Host of string * host_fn
 
-and closure = { fn : Jsir.Ast.func; captured : scope }
+and closure = { fn : Jsir.Ast.func; captured : scope; body : code }
+(* [body]: [fn]'s body as compiled by [Eval], run in a fresh frame whose
+   parameters are bound; returns the call's result *)
+
+and code = state -> scope -> value -> value
+(* compiled code: state, lexical scope, this; holds no mutable state *)
+
+and completion =
+  | Cnormal
+  | Creturn of value
+  | Cbreak of string option (* optional target label *)
+  | Ccontinue of string option
 
 and host_fn = state -> value -> value list -> value
 (* state, this, arguments *)
@@ -91,9 +102,7 @@ and state = {
   mutable console : string list; (* reversed log of console output *)
   mutable echo_console : bool;
   intrinsics : (string, intrinsic) Hashtbl.t;
-  mutable intrinsic_fast : intrinsic option array;
-      (* dispatch cache indexed by the intrinsic name's symbol
-         ([expr.lex]); cleared whenever a handler is (re)registered *)
+      (* handler factories, looked up when a program is compiled *)
   (* instrumentation and embedding hooks *)
   mutable on_scope_create : scope -> unit;
   mutable on_call_enter : string option -> unit;
@@ -124,12 +133,16 @@ and loop_visit = {
   lv_cond : Jsir.Ast.expr option;
   lv_update : Jsir.Ast.expr option;
   lv_body : Jsir.Ast.stmt;
+  lv_test : state -> scope -> value -> bool; (* compiled cond; true if absent *)
+  lv_step : code; (* compiled update; its value is discarded *)
+  lv_run : state -> scope -> value -> completion; (* compiled body *)
 }
 
-and intrinsic = state -> scope -> value -> Jsir.Ast.expr list -> value
-(* state, lexical scope, this, UNevaluated argument expressions: the
-   analysis runtime controls evaluation order so wrapped operations
-   evaluate their operands exactly once. *)
+and intrinsic = compile:(Jsir.Ast.expr -> code) -> Jsir.Ast.expr list -> code
+(* a handler factory, called once per [Intrinsic] node at compile time
+   with the UNevaluated argument expressions: the analysis runtime
+   controls evaluation order so wrapped operations evaluate their
+   operands exactly once. *)
 
 and event = {
   due : int64; (* vclock time, in vticks *)
@@ -529,9 +542,7 @@ let set_lex st scope lex v =
   if depth = 0xFFF then Array.unsafe_set st.global_scope.slots slot v
   else (frame_up scope depth).slots.(slot) <- v
 
-let register_intrinsic st name fn =
-  Hashtbl.replace st.intrinsics name fn;
-  st.intrinsic_fast <- [||]
+let register_intrinsic st name fn = Hashtbl.replace st.intrinsics name fn
 
 (* ------------------------------------------------------------------ *)
 (* Error helpers                                                       *)

@@ -42,7 +42,20 @@ and callable =
   | Closure of closure
   | Host of string * host_fn
 
-and closure = { fn : Jsir.Ast.func; captured : scope }
+and closure = { fn : Jsir.Ast.func; captured : scope; body : code }
+(** [body] is [fn]'s body compiled by {!Eval}: run in a fresh frame
+    whose parameters are bound, it returns the call's result. *)
+
+and code = state -> scope -> value -> value
+(** Compiled code: state, lexical scope, [this]. It holds no mutable
+    state, so forked chunks on other domains share it. *)
+
+and completion =
+  | Cnormal
+  | Creturn of value
+  | Cbreak of string option (** optional target label *)
+  | Ccontinue of string option
+(** Statement completion (exceptions travel as {!Js_throw}). *)
 
 and host_fn = state -> value -> value list -> value
 (** state, [this], arguments. *)
@@ -88,11 +101,9 @@ and state = {
   mutable console : string list; (** reversed console output *)
   mutable echo_console : bool;
   intrinsics : (string, intrinsic) Hashtbl.t;
-      (** handlers for {!Jsir.Ast.Intrinsic} nodes, registered by
-          {!Ceres.Install} *)
-  mutable intrinsic_fast : intrinsic option array;
-      (** dispatch cache indexed by the intrinsic name's symbol;
-          cleared by {!register_intrinsic} *)
+      (** handler factories for {!Jsir.Ast.Intrinsic} nodes, registered
+          by {!Ceres.Install} and looked up when a program is
+          compiled *)
   mutable on_scope_create : scope -> unit;
   mutable on_call_enter : string option -> unit;
   mutable on_call_exit : unit -> unit;
@@ -124,11 +135,19 @@ and loop_visit = {
   lv_cond : Jsir.Ast.expr option;
   lv_update : Jsir.Ast.expr option;
   lv_body : Jsir.Ast.stmt;
+  lv_test : state -> scope -> value -> bool;
+      (** the compiled condition ([true] when absent) *)
+  lv_step : code;  (** the compiled update; its value is discarded *)
+  lv_run : state -> scope -> value -> completion;  (** the compiled body *)
 }
+(** Built once per [for] loop when it is compiled. *)
 
-and intrinsic = state -> scope -> value -> Jsir.Ast.expr list -> value
-(** Receives the lexical scope, [this] and the *unevaluated* argument
-    expressions, so wrapped operations control evaluation order. *)
+and intrinsic = compile:(Jsir.Ast.expr -> code) -> Jsir.Ast.expr list -> code
+(** A handler factory, called once per {!Jsir.Ast.Intrinsic} node when
+    the program is compiled, with the *unevaluated* argument
+    expressions and the compiler for them: the code it returns controls
+    which operands run, in which order, and reads literal operands
+    ahead of time. *)
 
 and event = { due : int64; seq : int; callback : value; args : value list }
 
@@ -175,8 +194,11 @@ val has_prop_obj : obj -> string -> bool
 
 (** {1 Coercions} *)
 
+val v_true : value
+val v_false : value
+
 val vbool : bool -> value
-(** One of two preallocated [Bool] values: allocation-free. *)
+(** One of the two preallocated [Bool] values above: allocation-free. *)
 
 val to_boolean : value -> bool
 val number_of_string : string -> float
@@ -245,8 +267,8 @@ val get_lex : state -> scope -> int -> value
 val set_lex : state -> scope -> int -> value -> unit
 
 val register_intrinsic : state -> string -> intrinsic -> unit
-(** Register an {!Jsir.Ast.Intrinsic} handler (invalidates the
-    dispatch cache). *)
+(** Register an {!Jsir.Ast.Intrinsic} handler factory; programs
+    compiled afterwards use it. *)
 
 (** {1 Errors} *)
 

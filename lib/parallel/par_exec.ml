@@ -386,8 +386,6 @@ let run_chunk master ~scope ~this ~(lv : loop_visit) ~(h : header) ~accs
   let cst = fork.Fork.clone in
   let cscope = Fork.scope_in fork scope in
   let cthis = Fork.value_in fork this in
-  let cond = Option.get lv.lv_cond in
-  let update = Option.get lv.lv_update in
   let folds =
     List.filter_map
       (fun a -> match a.a_plan with Afold id0 -> Some (a, id0) | Ajournal -> None)
@@ -413,12 +411,12 @@ let run_chunk master ~scope ~this ~(lv : loop_visit) ~(h : header) ~accs
          the post-body read below is exactly this iteration's
          contribution ([fl (-0. +. v) = v] bitwise) *)
       List.iter (fun (n, _) -> write_home cscope n (Num (-0.))) journals;
-      if not (to_boolean (Eval.eval cst cscope cthis cond)) then
+      if not (lv.lv_test cst cscope cthis) then
         raise (Chunk_poison "loop bound drifted");
-      (match Eval.exec_stmt cst cscope cthis lv.lv_body with
-       | Eval.Cnormal | Eval.Ccontinue None -> ()
+      (match lv.lv_run cst cscope cthis with
+       | Cnormal | Ccontinue None -> ()
        | _ -> raise (Chunk_poison "abrupt completion inside chunk"));
-      ignore (Eval.eval cst cscope cthis update);
+      ignore (lv.lv_step cst cscope cthis);
       List.iter
         (fun (n, arr) ->
            match read_home cscope n with
@@ -426,7 +424,7 @@ let run_chunk master ~scope ~this ~(lv : loop_visit) ~(h : header) ~accs
            | _ -> raise (Chunk_poison "non-numeric reduction journal"))
         journals
     done;
-    if is_last && to_boolean (Eval.eval cst cscope cthis cond) then
+    if is_last && lv.lv_test cst cscope cthis then
       raise (Chunk_poison "loop bound drifted at exit");
     let partials =
       List.map
@@ -631,18 +629,16 @@ let run_parallel t pool st scope this (lv : loop_visit) (h : header) tasks lo
    loops whose body the abrupt-scan cleared reach this point, so the
    completion is always "iteration finished" or a clean bound exit. *)
 let run_measured t st scope this (lv : loop_visit) trips : bool =
-  let cond = Option.get lv.lv_cond in
-  let update = Option.get lv.lv_update in
   let t0 = Unix.gettimeofday () in
   let b0 = Ceres_util.Vclock.busy st.clock in
   let exception Loop_done in
   (try
-     while to_boolean (Eval.eval st scope this cond) do
-       (match Eval.exec_stmt st scope this lv.lv_body with
-        | Eval.Cnormal | Eval.Ccontinue None -> ()
-        | Eval.Cbreak None -> raise Loop_done
+     while lv.lv_test st scope this do
+       (match lv.lv_run st scope this with
+        | Cnormal | Ccontinue None -> ()
+        | Cbreak None -> raise Loop_done
         | _ -> failwith "par_exec: abrupt completion in measured loop");
-       ignore (Eval.eval st scope this update)
+       ignore (lv.lv_step st scope this)
      done
    with Loop_done -> ());
   let s = nest_stats t lv.lv_id in

@@ -204,16 +204,14 @@ let static_label (v : Analysis.Verdict.t) =
   | Analysis.Verdict.Needs_runtime_check _ -> "rtc"
   | Analysis.Verdict.Sequential _ -> "seq"
 
-(* Inspect the top nests covering >= 2/3 of loop time (the paper's
-   cutoff). The paper reports a known number of nests per application
-   (22 rows over the 12 apps); we take however many the coverage rule
-   selects, but at least [w.hot_nest_count] when that many ran. *)
-let inspect ?(fraction = 0.667) ?max_nests (w : Workload.t) : nest_row list =
+(* Inspect the application's hottest root nests: as many as the paper
+   reports for it (22 rows over the 12 apps), [w.hot_nest_count], or
+   [max_nests] when given. *)
+let inspect ?max_nests (w : Workload.t) : nest_row list =
   let ctx_lp, lp = run_loop_profile w in
   let _ctx_dep, rt = run_dependence w in
   let static_report = Analysis.Driver.analyze ctx_lp.program in
   let total = Ceres.Loop_profile.total_root_time_ms lp ctx_lp.infos in
-  ignore fraction;
   let wanted = Option.value ~default:w.hot_nest_count max_nests in
   let nests =
     Ceres.Loop_profile.hottest_roots lp ctx_lp.infos

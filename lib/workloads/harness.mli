@@ -106,8 +106,7 @@ val static_label : Analysis.Verdict.t -> string
     order-insensitive) / [reduction] (order-sensitive, journal-replay
     schedule) / [rtc] / [seq]. *)
 
-val inspect :
-  ?fraction:float -> ?max_nests:int -> Workload.t -> nest_row list
+val inspect : ?max_nests:int -> Workload.t -> nest_row list
 (** The full Table 3 pipeline for one workload: loop-profile pass to
     find the hot nests, dependence pass to characterize them, then
     classification. Returns the application's paper row count by

@@ -293,31 +293,37 @@ let burn_ms ms =
 
 let test_telemetry_steals_under_imbalance () =
   Js_parallel.Pool.with_pool ~domains:4 (fun p ->
-      (* chunk 1 puts 8 tasks on each of the 4 deques; task 0 burns
-         ~120 ms, so whoever picks it up stalls and the rest of its
-         deque is stolen by participants that finished their share.
-         Whether a steal actually *lands* depends on how the OS
-         schedules 4 domains (on a single hardware thread a stalled
-         worker may simply never be preempted mid-deque), so retry the
-         imbalanced loop a few times and require one success overall. *)
-      let rec attempt tries =
-        Js_parallel.Pool.reset_stats p;
-        Js_parallel.Pool.parallel_for p ~lo:0 ~hi:32 ~chunk:1 (fun i ->
-            if i = 0 then burn_ms 120. else burn_ms 1.);
-        let st = Js_parallel.Pool.stats p in
-        Alcotest.(check bool) "steals attempted" true
-          (List.fold_left
-             (fun a (d : Js_parallel.Telemetry.domain_stats) ->
-                a + d.steals_attempted)
-             0 st.domains
-           > 0);
-        if Js_parallel.Telemetry.total_steals st = 0 && tries > 1 then
-          attempt (tries - 1)
-        else
-          Alcotest.(check bool) "steals succeeded under imbalance" true
-            (Js_parallel.Telemetry.total_steals st > 0)
+      (* chunk 1 deals the 32 tasks round-robin, 8 to each of the 4
+         deques, and an owner pops its newest task first, so task 28 is
+         the first the caller's deque hands out. That task stalls until
+         a steal has been counted. While it stalls, the rest of its
+         deque is reachable only by stealing, so the steal lands once
+         another participant has finished its own share; if a thief
+         took task 28 itself, the steal has already happened. The wait
+         is bounded and fails the loop loudly; no retries. *)
+      Js_parallel.Pool.reset_stats p;
+      let steals () =
+        Js_parallel.Telemetry.total_steals (Js_parallel.Pool.stats p)
       in
-      attempt 10)
+      Js_parallel.Pool.parallel_for p ~lo:0 ~hi:32 ~chunk:1 (fun i ->
+          if i = 28 then begin
+            let deadline = Unix.gettimeofday () +. 10. in
+            while steals () = 0 do
+              if Unix.gettimeofday () > deadline then
+                failwith "no steal within 10 s while task 28 stalled";
+              Unix.sleepf 0.001
+            done
+          end
+          else burn_ms 1.);
+      let st = Js_parallel.Pool.stats p in
+      Alcotest.(check bool) "steals attempted" true
+        (List.fold_left
+           (fun a (d : Js_parallel.Telemetry.domain_stats) ->
+              a + d.steals_attempted)
+           0 st.domains
+         > 0);
+      Alcotest.(check bool) "steals succeeded under imbalance" true
+        (Js_parallel.Telemetry.total_steals st > 0))
 
 let test_stats_json_shape () =
   Js_parallel.Pool.with_pool ~domains:2 (fun p ->
