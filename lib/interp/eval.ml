@@ -18,10 +18,12 @@
    is compiled; an uninstrumented program runs with zero analysis
    overhead, mirroring the paper's staged methodology.
 
-   Compiled code holds no mutable state: forked chunks on other domains
-   run the same closures on their own states. It reads the global slot
-   array through [st.global_scope] on every access, never a captured
-   copy, because [attach_global] may grow it. *)
+   Compiled code holds no mutable state and allocates no closures: forked
+   chunks on other domains run the same closures on their own states. It
+   reads the global slot array through [st.global_scope] on every
+   access, never a captured copy, because [attach_global] may grow it.
+   Compiled closures take [st sc th]: the state, the lexical scope and
+   [this]. *)
 
 open Jsir.Ast
 open Value
@@ -49,6 +51,10 @@ let[@inline] tick st n =
   clock.busy_ticks <- clock.busy_ticks + n;
   (match st.on_tick with None -> () | Some probe -> probe n);
   if clock.busy_ticks > st.budget then raise Budget_exhausted
+
+(* The [cost_node] tick every expression and statement node charges
+   when it starts. *)
+let[@inline] node st = tick st cost_node
 
 (* The compiled forms besides [code]. *)
 type exec = state -> scope -> value -> completion
@@ -84,17 +90,15 @@ let make_closure st scope (f : func) body =
    function declaration with its compiled body. *)
 let rec declare_names scope = function
   | [] -> ()
-  | n :: rest ->
-    declare scope n;
-    declare_names scope rest
+  | n :: rest -> declare scope n; declare_names scope rest
 
 let hoist st scope names decls =
   declare_names scope names;
   for i = 0 to Array.length decls - 1 do
-    let (f : func), body = decls.(i) in
-    match f.fname with
-    | Some n -> set_var st scope n (Obj (make_closure st scope f body))
-    | None -> ()
+    match decls.(i) with
+    | ({ fname = Some n; _ } as f), body ->
+      set_var st scope n (Obj (make_closure st scope f body))
+    | _ -> ()
   done
 
 (* Attach a resolved program's global layout onto the state's global
@@ -162,12 +166,8 @@ let get_prop st v key =
    receivers. *)
 let length_of st v =
   match v with
-  | Obj { arr = Some a; _ } ->
-    tick st cost_prop;
-    Num (float_of_int a.len)
-  | Str s ->
-    tick st cost_prop;
-    Num (float_of_int (String.length s))
+  | Obj { arr = Some a; _ } -> tick st cost_prop; Num (float_of_int a.len)
+  | Str s -> tick st cost_prop; Num (float_of_int (String.length s))
   | v -> get_prop st v "length"
 
 let set_prop st v key value =
@@ -201,28 +201,30 @@ let index_value st base idx =
   | Num f -> index_num st base f
   | _ -> get_prop st base (to_string st idx)
 
-(* The element [i] of an untagged dense array [o], as a reference:
-   read and written with the [cost_prop] tick of a property access. *)
-let read_elem st o i =
-  tick st cost_prop;
-  match o.arr with
-  | Some a when i < a.len -> Array.unsafe_get a.elems i
-  | _ -> get_prop_obj o (string_of_int i)
-
-let write_elem st o i v =
-  tick st cost_prop;
-  match o.arr with
-  | Some a ->
-    if i < a.len then Array.unsafe_set a.elems i v else array_store_set a i v
-  | None -> set_prop_obj o (string_of_int i) v
-
-(* The element a write to [base[idx]] targets, or [None]: then the
-   write goes by the key string. *)
-let elem_target base idx =
+(* A write or update of [base[idx]] targets element [i] of an untagged
+   dense array when [elem_index] is non-negative, else the key string.
+   Elements are read and written with the [cost_prop] tick of a
+   property access. *)
+let elem_index base idx =
   match base, idx with
-  | Obj ({ arr = Some _; host_tag = None; _ } as o), Num f when is_index f ->
-    Some (o, int_of_float f)
-  | _ -> None
+  | Obj { arr = Some _; host_tag = None; _ }, Num f when is_index f ->
+    int_of_float f
+  | _ -> -1
+
+let read_elem st base i =
+  tick st cost_prop;
+  match base with
+  | Obj { arr = Some a; _ } when i < a.len -> Array.unsafe_get a.elems i
+  | Obj o -> get_prop_obj o (string_of_int i)
+  | _ -> Undefined
+
+let write_elem st base i v =
+  tick st cost_prop;
+  match base with
+  | Obj { arr = Some a; _ } ->
+    if i < a.len then Array.unsafe_set a.elems i v else array_store_set a i v
+  | Obj o -> set_prop_obj o (string_of_int i) v
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Operators                                                           *)
@@ -236,11 +238,7 @@ let add_values st lv rv =
   | _ -> Num (to_number st lp +. to_number st rp)
 
 let[@inline] compare_num op (a : float) b =
-  match op with
-  | Lt -> a < b
-  | Le -> a <= b
-  | Gt -> a > b
-  | _ -> a >= b
+  match op with Lt -> a < b | Le -> a <= b | Gt -> a > b | _ -> a >= b
 
 (* Relational comparison of two evaluated operands, left coerced
    first. IEEE comparisons are already false on NaN. *)
@@ -253,8 +251,7 @@ let compare_values st op lv rv =
     (match op with Lt -> c < 0 | Le -> c <= 0 | Gt -> c > 0 | _ -> c >= 0)
   | _ -> compare_num op (to_number st lp) (to_number st rp)
 
-let int32_op f lv rv =
-  Num (Int32.to_float (f lv rv))
+let of_int32 i = Num (Int32.to_float i)
 
 (* The binary-operator semantics over evaluated operands. A side that
    needs coercing is coerced after both are evaluated, the right one
@@ -280,15 +277,15 @@ let eval_binop st op lv rv =
   | Neq, _, _ -> of_bool (not (abstract_eq st lv rv))
   | Strict_eq, _, _ -> of_bool (strict_eq lv rv)
   | Strict_neq, _, _ -> of_bool (not (strict_eq lv rv))
-  | Band, _, _ -> int32_op Int32.logand (to_int32 st lv) (to_int32 st rv)
-  | Bor, _, _ -> int32_op Int32.logor (to_int32 st lv) (to_int32 st rv)
-  | Bxor, _, _ -> int32_op Int32.logxor (to_int32 st lv) (to_int32 st rv)
+  | Band, _, _ -> of_int32 (Int32.logand (to_int32 st lv) (to_int32 st rv))
+  | Bor, _, _ -> of_int32 (Int32.logor (to_int32 st lv) (to_int32 st rv))
+  | Bxor, _, _ -> of_int32 (Int32.logxor (to_int32 st lv) (to_int32 st rv))
   | Lshift, _, _ ->
     let shift = to_uint32 st rv land 31 in
-    Num (Int32.to_float (Int32.shift_left (to_int32 st lv) shift))
+    of_int32 (Int32.shift_left (to_int32 st lv) shift)
   | Rshift, _, _ ->
     let shift = to_uint32 st rv land 31 in
-    Num (Int32.to_float (Int32.shift_right (to_int32 st lv) shift))
+    of_int32 (Int32.shift_right (to_int32 st lv) shift)
   | Urshift, _, _ ->
     let shift = to_uint32 st rv land 31 in
     Num (float_of_int (to_uint32 st lv lsr shift))
@@ -333,18 +330,17 @@ let rec bind_params slots param_slots i = function
       bind_params slots param_slots (i + 1) rest
     end
 
-let rec bind_names st scope params args =
+(* The parameters of a frame without a layout, bound by name. *)
+let rec bind_names scope params args =
   match params, args with
   | [], _ -> ()
-  | p :: ps, [] ->
-    declare scope p;
-    bind_names st scope ps []
+  | p :: ps, [] -> declare scope p; bind_names scope ps []
   | p :: ps, a :: rest ->
     declare scope p;
     (match Strtbl.find_opt scope.vars p with
      | Some cell -> cell.v <- a
      | None -> ());
-    bind_names st scope ps rest
+    bind_names scope ps rest
 
 (* The nearest slotted frame on a parent chain (wrappers skipped),
    returning the option cell it already sits in. *)
@@ -367,37 +363,6 @@ let frame_base st fo (cl : closure) ~static =
     wrapper
   | _ -> cl.captured
 
-(* A resolved frame, built whole: its slots are already filled. *)
-let new_frame st parent (lay : layout) slots =
-  let sid = st.next_sid in
-  st.next_sid <- sid + 1;
-  let frame =
-    { sid; vars = no_vars; parent; ltab = Some lay.l_table; slots;
-      syms = lay.l_syms; fup = enclosing parent }
-  in
-  st.on_scope_create frame;
-  frame
-
-(* Enter [cl]'s frame and run its body. A resolved frame's parameters
-   are already in [slots]; [args] feeds the [arguments] array, and the
-   parameters of a frame without a layout. *)
-let run_closure st fo (cl : closure) this slots args =
-  match cl.fn.layout with
-  | Some lay ->
-    let base = frame_base st fo cl ~static:lay.l_fname_static in
-    let frame = new_frame st (Some base) lay slots in
-    if lay.l_uses_arguments then
-      slots.(lay.l_arguments) <- Obj (make_array st (Array.of_list args));
-    cl.body st frame this
-  | None ->
-    let frame = fresh_scope st (Some (frame_base st fo cl ~static:false)) in
-    bind_names st frame cl.fn.params args;
-    declare frame "arguments";
-    (match Strtbl.find_opt frame.vars "arguments" with
-     | Some cell -> cell.v <- Obj (make_array st (Array.of_list args))
-     | None -> ());
-    cl.body st frame this
-
 (* A frame's slot array; small ones are allocated inline. *)
 let new_slots n =
   match n with
@@ -407,16 +372,41 @@ let new_slots n =
   | 3 -> [| Undefined; Undefined; Undefined |]
   | 4 -> [| Undefined; Undefined; Undefined; Undefined |]
   | 5 -> [| Undefined; Undefined; Undefined; Undefined; Undefined |]
-  | 6 -> [| Undefined; Undefined; Undefined; Undefined; Undefined; Undefined |]
   | n -> Array.make n Undefined
 
+(* Enter [cl]'s frame and run its body. A resolved frame is built whole,
+   its parameters already in [slots]; [args] feeds the [arguments]
+   array, and the parameters of a frame without a layout. *)
+let run_closure st fo (cl : closure) this slots args =
+  match cl.fn.layout with
+  | Some lay ->
+    let parent = Some (frame_base st fo cl ~static:lay.l_fname_static) in
+    let sid = st.next_sid in
+    st.next_sid <- sid + 1;
+    let frame =
+      { sid; vars = no_vars; parent; ltab = Some lay.l_table; slots;
+        syms = lay.l_syms; fup = enclosing parent }
+    in
+    st.on_scope_create frame;
+    if lay.l_uses_arguments then
+      slots.(lay.l_arguments) <- Obj (make_array st (Array.of_list args));
+    cl.body st frame this
+  | None ->
+    let frame = fresh_scope st (Some (frame_base st fo cl ~static:false)) in
+    bind_names frame cl.fn.params args;
+    declare frame "arguments";
+    (match Strtbl.find_opt frame.vars "arguments" with
+     | Some cell -> cell.v <- Obj (make_array st (Array.of_list args))
+     | None -> ());
+    cl.body st frame this
+
+(* One handler, no closures: the exit hook, then the depth decrement,
+   on the normal and the exceptional path alike. *)
 let call st (callee : value) (this : value) (args : value list) : value =
   tick st cost_call;
   match callee with
   | Obj ({ call = Some c; _ } as fo) ->
     enter_call st;
-    (* One handler, no closures: the exit hook, then the depth
-       decrement, on the normal and the exceptional path alike. *)
     (match
        match c with
        | Host (name, fn) ->
@@ -434,12 +424,8 @@ let call st (callee : value) (this : value) (args : value list) : value =
          in
          run_closure st fo cl this slots args
      with
-     | v ->
-       exit_call st;
-       v
-     | exception e ->
-       exit_call st;
-       raise e)
+     | v -> exit_call st; v
+     | exception e -> exit_call st; raise e)
   | _ -> type_error st (type_of callee ^ " is not a function")
 
 (* [call] for a resolved closure whose parameters are already in
@@ -451,12 +437,8 @@ let call_slots st fo (cl : closure) this slots =
     st.on_call_enter cl.fn.fname;
     run_closure st fo cl this slots []
   with
-  | v ->
-    exit_call st;
-    v
-  | exception e ->
-    exit_call st;
-    raise e
+  | v -> exit_call st; v
+  | exception e -> exit_call st; raise e
 
 let new_target st fo =
   tick st cost_alloc;
@@ -476,17 +458,17 @@ let construct st (callee : value) (args : value list) : value =
      | _ -> Obj obj)
   | _ -> type_error st (type_of callee ^ " is not a constructor")
 
-let rec eval_args st scope this (args : code array) i =
+let rec eval_args st sc th (args : code array) i =
   if i = Array.length args then []
   else
-    let v = (Array.unsafe_get args i) st scope this in
-    v :: eval_args st scope this args (i + 1)
+    let v = (Array.unsafe_get args i) st sc th in
+    v :: eval_args st sc th args (i + 1)
 
-let fill_frame st scope this (lay : layout) (args : code array) =
+let fill_frame st sc th (lay : layout) (args : code array) =
   let slots = new_slots lay.l_size in
   let params = lay.l_param_slots in
   for i = 0 to Array.length args - 1 do
-    let v = (Array.unsafe_get args i) st scope this in
+    let v = (Array.unsafe_get args i) st sc th in
     if i < Array.length params then
       Array.unsafe_set slots (Array.unsafe_get params i) v
   done;
@@ -495,30 +477,30 @@ let fill_frame st scope this (lay : layout) (args : code array) =
 (* A call site evaluates its arguments straight into the callee's new
    slot array when the callee is a resolved closure with no observable
    [arguments]; any other callee gets an argument list. *)
-let invoke st scope this line fn recv args =
+let invoke st sc th line fn recv args =
   match fn with
   | Obj ({ call = Some (Closure ({ fn = { layout = Some lay; _ }; _ } as cl)); _ }
          as fo)
     when not lay.l_uses_arguments ->
-    let slots = fill_frame st scope this lay args in
+    let slots = fill_frame st sc th lay args in
     st.on_call_site line fn (Array.length args);
     call_slots st fo cl recv slots
   | _ ->
-    let vs = eval_args st scope this args 0 in
+    let vs = eval_args st sc th args 0 in
     st.on_call_site line fn (Array.length args);
     call st fn recv vs
 
-let construct_site st scope this fn args =
+let construct_site st sc th fn args =
   match fn with
   | Obj ({ call = Some (Closure ({ fn = { layout = Some lay; _ }; _ } as cl)); _ }
          as fo)
     when not lay.l_uses_arguments ->
-    let slots = fill_frame st scope this lay args in
+    let slots = fill_frame st sc th lay args in
     let obj = new_target st fo in
     (match call_slots st fo cl (Obj obj) slots with
      | Obj _ as result -> result
      | _ -> Obj obj)
-  | _ -> construct st fn (eval_args st scope this args 0)
+  | _ -> construct st fn (eval_args st sc th args 0)
 
 (* ------------------------------------------------------------------ *)
 (* Statement runners                                                   *)
@@ -531,78 +513,68 @@ let targets label l =
   | Some l, Some label -> String.equal l label
   | Some _, None -> false
 
-let rec run_seq st scope this (cs : exec array) i =
+let rec run_seq st sc th (cs : exec array) i =
   if i = Array.length cs then Cnormal
   else
-    match (Array.unsafe_get cs i) st scope this with
-    | Cnormal -> run_seq st scope this cs (i + 1)
+    match (Array.unsafe_get cs i) st sc th with
+    | Cnormal -> run_seq st sc th cs (i + 1)
     | c -> c
 
-let rec while_loop st scope this label (test : cond) (body : exec) =
-  if test st scope this then
-    match body st scope this with
-    | Cnormal -> while_loop st scope this label test body
-    | Ccontinue l when targets label l ->
-      while_loop st scope this label test body
+let rec while_loop st sc th label (test : cond) (body : exec) =
+  if test st sc th then
+    match body st sc th with
+    | Cnormal -> while_loop st sc th label test body
+    | Ccontinue l when targets label l -> while_loop st sc th label test body
     | Cbreak l when targets label l -> Cnormal
     | r -> r
   else Cnormal
 
-let rec do_loop st scope this label (test : cond) (body : exec) =
-  match body st scope this with
-  | Cnormal ->
-    if test st scope this then do_loop st scope this label test body
-    else Cnormal
+let rec do_loop st sc th label (test : cond) (body : exec) =
+  match body st sc th with
+  | Cnormal -> if test st sc th then do_loop st sc th label test body else Cnormal
   | Ccontinue l when targets label l ->
-    if test st scope this then do_loop st scope this label test body
-    else Cnormal
+    if test st sc th then do_loop st sc th label test body else Cnormal
   | Cbreak l when targets label l -> Cnormal
   | r -> r
 
-let rec for_loop st scope this label (test : cond) (body : exec) (step : code)
-  =
-  if test st scope this then
-    match body st scope this with
+let rec for_loop st sc th label (test : cond) (body : exec) (update : code) =
+  if test st sc th then
+    match body st sc th with
     | Cnormal ->
-      ignore (step st scope this);
-      for_loop st scope this label test body step
+      ignore (update st sc th);
+      for_loop st sc th label test body update
     | Ccontinue l when targets label l ->
-      ignore (step st scope this);
-      for_loop st scope this label test body step
+      ignore (update st sc th);
+      for_loop st sc th label test body update
     | Cbreak l when targets label l -> Cnormal
     | r -> r
   else Cnormal
 
-let rec for_in_loop st scope this label lex name (body : exec) = function
+let rec for_in_loop st sc th label lex name (body : exec) = function
   | [] -> Cnormal
   | k :: rest ->
-    if lex >= 0 then set_lex st scope lex (Str k)
-    else set_var st scope name (Str k);
-    (match body st scope this with
-     | Cnormal -> for_in_loop st scope this label lex name body rest
+    if lex >= 0 then set_lex st sc lex (Str k) else set_var st sc name (Str k);
+    (match body st sc th with
+     | Cnormal -> for_in_loop st sc th label lex name body rest
      | Ccontinue l when targets label l ->
-       for_in_loop st scope this label lex name body rest
+       for_in_loop st sc th label lex name body rest
      | Cbreak l when targets label l -> Cnormal
      | r -> r)
 
 (* finally runs on every path; its abrupt completion wins. *)
-let run_try st scope this (body : exec) catch (finally : exec option) =
+let run_try st sc th (body : exec) catch (finally : exec option) =
   let result =
-    match body st scope this with
+    match body st sc th with
     | c -> Ok c
     | exception Js_throw v ->
       (match catch with
        | Some (name, (cbody : exec)) ->
-         declare scope name;
-         set_var st scope name v;
-         (match cbody st scope this with
-          | c -> Ok c
-          | exception Js_throw v2 -> Error v2)
+         declare sc name;
+         set_var st sc name v;
+         (match cbody st sc th with c -> Ok c | exception Js_throw v2 -> Error v2)
        | None -> Error v)
   in
-  match
-    match finally with None -> Cnormal | Some fb -> fb st scope this
-  with
+  match match finally with None -> Cnormal | Some fb -> fb st sc th with
   | Cnormal -> (match result with Ok c -> c | Error v -> raise (Js_throw v))
   | abrupt -> abrupt
 
@@ -612,18 +584,18 @@ let rec switch_default (guards : code option array) j =
   if j = Array.length guards then -1
   else match guards.(j) with None -> j | Some _ -> switch_default guards (j + 1)
 
-let rec switch_start st scope this v (guards : code option array) i =
+let rec switch_start st sc th v (guards : code option array) i =
   if i = Array.length guards then switch_default guards 0
   else
     match guards.(i) with
-    | Some g when strict_eq v (g st scope this) -> i
-    | _ -> switch_start st scope this v guards (i + 1)
+    | Some g when strict_eq v (g st sc th) -> i
+    | _ -> switch_start st sc th v guards (i + 1)
 
-let rec run_cases st scope this (bodies : exec array) i =
+let rec run_cases st sc th (bodies : exec array) i =
   if i = Array.length bodies then Cnormal
   else
-    match bodies.(i) st scope this with
-    | Cnormal -> run_cases st scope this bodies (i + 1)
+    match bodies.(i) st sc th with
+    | Cnormal -> run_cases st sc th bodies (i + 1)
     | Cbreak None -> Cnormal
     | other -> other
 
@@ -638,429 +610,331 @@ let result st = function
 (* Is the result always a number? Then it can travel as a raw float. *)
 let rec is_num e =
   match e.e with
-  | Number _ | Update _ -> true
-  | Unop ((Neg | Positive | Bitnot), _) -> true
+  | Number _ | Update _ | Unop ((Neg | Positive | Bitnot), _) -> true
   | Binop ((Sub | Mul | Div | Mod | Band | Bor | Bxor | Lshift | Rshift | Urshift), _, _)
-    ->
-    true
+    -> true
   | Binop (Add, l, r) -> is_num l && is_num r
   | _ -> false
 
-let no_value : code = fun _ _ _ -> Undefined
-let[@inline] slots_at st scope depth =
-  if depth = 0 then scope.slots
+(* The slot array a resolved address names. *)
+let[@inline] slots_at st sc depth =
+  if depth = 0 then sc.slots
   else if depth = lex_global_depth then st.global_scope.slots
-  else (frame_up scope depth).slots
+  else (frame_up sc depth).slots
+
+let no_value : code = fun _ _ _ -> Undefined
+let codes compile es = Array.of_list (List.map compile es)
 
 (* [hs] is the state's handler table, read only while compiling. *)
 let rec expr hs (e : expr) : code =
   match e.e with
-  | Number f ->
-    let v = Num f in
-    fun st _ _ -> tick st cost_node; v
-  | String s ->
-    let v = Str s in
-    fun st _ _ -> tick st cost_node; v
-  | Bool b ->
-    let v = of_bool b in
-    fun st _ _ -> tick st cost_node; v
-  | Null -> fun st _ _ -> tick st cost_node; Null
-  | Undefined -> fun st _ _ -> tick st cost_node; Undefined
-  | This -> fun st _ this -> tick st cost_node; this
+  | Number f -> let v = Num f in fun st _ _ -> node st; v
+  | String s -> let v = Str s in fun st _ _ -> node st; v
+  | Bool b -> let v = of_bool b in fun st _ _ -> node st; v
+  | Null -> fun st _ _ -> node st; Null
+  | Undefined -> fun st _ _ -> node st; Undefined
+  | This -> fun st _ th -> node st; th
   | Ident name -> ident e.lex name
   | Array_lit elems ->
-    let elems = Array.of_list (List.map (expr hs) elems) in
-    fun st scope this ->
-      tick st cost_node;
+    let elems = codes (expr hs) elems in
+    fun st sc th ->
+      node st;
       tick st cost_alloc;
       let values = Array.make (Array.length elems) Undefined in
       for i = 0 to Array.length elems - 1 do
-        values.(i) <- elems.(i) st scope this
+        values.(i) <- elems.(i) st sc th
       done;
       Obj (make_array st values)
   | Object_lit props ->
-    let props = Array.of_list (List.map (fun (k, v) -> (k, expr hs v)) props) in
-    fun st scope this ->
-      tick st cost_node;
+    let keys = Array.of_list (List.map fst props)
+    and values = codes (fun (_, v) -> expr hs v) props in
+    fun st sc th ->
+      node st;
       tick st cost_alloc;
       let o = make_obj st in
-      for i = 0 to Array.length props - 1 do
-        let k, c = props.(i) in
-        raw_set_prop o k (c st scope this)
+      for i = 0 to Array.length keys - 1 do
+        raw_set_prop o keys.(i) (values.(i) st sc th)
       done;
       Obj o
   | Function_expr f ->
     let body = func hs f in
-    fun st scope _ ->
-      tick st cost_node;
+    fun st sc _ ->
+      node st;
       tick st cost_alloc;
-      Obj (make_closure st scope f body)
+      Obj (make_closure st sc f body)
   | Member (oe, "length") ->
     let o = expr hs oe in
-    fun st scope this ->
-      tick st cost_node;
-      length_of st (o st scope this)
+    fun st sc th -> node st; length_of st (o st sc th)
   | Member (oe, field) ->
     let o = expr hs oe in
-    fun st scope this ->
-      tick st cost_node;
-      get_prop st (o st scope this) field
+    fun st sc th -> node st; get_prop st (o st sc th) field
   | Index (oe, ie) when is_num ie ->
     let o = expr hs oe and i = num hs ie in
-    fun st scope this ->
-      tick st cost_node;
-      let base = o st scope this in
-      index_num st base (i st scope this)
+    fun st sc th ->
+      node st;
+      let base = o st sc th in
+      index_num st base (i st sc th)
   | Index (oe, ie) ->
     let o = expr hs oe and i = expr hs ie in
-    fun st scope this ->
-      tick st cost_node;
-      let base = o st scope this in
-      index_value st base (i st scope this)
-  | Call (callee, arg_es) -> call_expr hs e.at.left.line callee arg_es
-  | New (callee, arg_es) ->
-    let f = expr hs callee and args = Array.of_list (List.map (expr hs) arg_es) in
-    fun st scope this ->
-      tick st cost_node;
-      let fn = f st scope this in
-      construct_site st scope this fn args
+    fun st sc th ->
+      node st;
+      let base = o st sc th in
+      index_value st base (i st sc th)
+  | Call (callee, args) -> call_expr hs e.at.left.line callee args
+  | New (callee, args) ->
+    let f = expr hs callee and args = codes (expr hs) args in
+    fun st sc th ->
+      node st;
+      let fn = f st sc th in
+      construct_site st sc th fn args
   | Unop (Typeof, x) -> typeof hs x
   | Unop (Delete, x) -> delete hs x
   | Unop (Void, x) ->
     let c = expr hs x in
-    fun st scope this ->
-      tick st cost_node;
-      ignore (c st scope this);
-      Undefined
+    fun st sc th -> node st; ignore (c st sc th); Undefined
   | Unop (Bitnot, x) ->
     let c = expr hs x in
-    fun st scope this ->
-      tick st cost_node;
-      Num (Int32.to_float (Int32.lognot (to_int32 st (c st scope this))))
+    fun st sc th -> node st; of_int32 (Int32.lognot (to_int32 st (c st sc th)))
   | Unop (Not, _) | Binop ((Lt | Le | Gt | Ge | Eq | Neq | Strict_eq | Strict_neq), _, _)
     ->
     let c = cond hs e in
-    fun st scope this -> of_bool (c st scope this)
-  | Unop ((Neg | Positive), _) | Binop ((Sub | Mul | Div | Mod), _, _) ->
+    fun st sc th -> of_bool (c st sc th)
+  | Binop (Add, l, r) when not (is_num e) -> add hs l r
+  | Unop ((Neg | Positive), _) | Binop ((Add | Sub | Mul | Div | Mod), _, _) ->
     let n = num hs e in
-    fun st scope this -> Num (n st scope this)
-  | Binop (Add, l, r) -> add hs e l r
+    fun st sc th -> Num (n st sc th)
   | Binop (op, l, r) ->
     let l = expr hs l and r = expr hs r in
-    fun st scope this ->
-      tick st cost_node;
-      let lv = l st scope this in
-      let rv = r st scope this in
-      eval_binop st op lv rv
+    fun st sc th ->
+      node st;
+      let lv = l st sc th in
+      eval_binop st op lv (r st sc th)
   | Logical (And, l, r) ->
     let l = expr hs l and r = expr hs r in
-    fun st scope this ->
-      tick st cost_node;
-      let lv = l st scope this in
-      if truthy lv then r st scope this else lv
+    fun st sc th ->
+      node st;
+      let lv = l st sc th in
+      if truthy lv then r st sc th else lv
   | Logical (Or, l, r) ->
     let l = expr hs l and r = expr hs r in
-    fun st scope this ->
-      tick st cost_node;
-      let lv = l st scope this in
-      if truthy lv then lv else r st scope this
+    fun st sc th ->
+      node st;
+      let lv = l st sc th in
+      if truthy lv then lv else r st sc th
   | Cond (c, t, f) ->
     let c = cond hs c and t = expr hs t and f = expr hs f in
-    fun st scope this ->
-      tick st cost_node;
-      if c st scope this then t st scope this else f st scope this
+    fun st sc th -> node st; if c st sc th then t st sc th else f st sc th
   | Assign (tgt, None, rhs) -> assign hs e.lex tgt (expr hs rhs)
   | Assign (tgt, Some op, rhs) -> compound hs e.lex tgt op (expr hs rhs)
   | Update (kind, prefix, tgt) ->
     update hs e.lex tgt (match kind with Incr -> 1. | Decr -> -1.) prefix
   | Seq (l, r) ->
     let l = expr hs l and r = expr hs r in
-    fun st scope this ->
-      tick st cost_node;
-      ignore (l st scope this);
-      r st scope this
+    fun st sc th -> node st; ignore (l st sc th); r st sc th
   | Intrinsic (name, args) ->
     (match Hashtbl.find_opt hs name with
      | Some factory ->
        let h = factory ~compile:(expr hs) args in
-       fun st scope this ->
-         tick st cost_node;
-         h st scope this
+       fun st sc th -> node st; h st sc th
      | None ->
        let msg = "unknown intrinsic " ^ name in
-       fun st _ _ ->
-         tick st cost_node;
-         type_error st msg)
+       fun st _ _ -> node st; type_error st msg)
 
 (* A variable read: the slot decoded here, the name only when
    unresolved. *)
 and ident lex name : code =
-  if lex < 0 then fun st scope _ -> tick st cost_node; get_var st scope name
+  if lex < 0 then fun st sc _ -> node st; get_var st sc name
   else
     let depth = lex_depth lex and slot = lex_slot lex in
-    if depth = 0 then fun st scope _ -> tick st cost_node; scope.slots.(slot)
+    if depth = 0 then fun st sc _ -> node st; sc.slots.(slot)
     else if depth = lex_global_depth then fun st _ _ ->
-      tick st cost_node;
+      node st;
       Array.unsafe_get st.global_scope.slots slot
-    else fun st scope _ ->
-      tick st cost_node;
-      (frame_up scope depth).slots.(slot)
+    else fun st sc _ -> node st; (frame_up sc depth).slots.(slot)
 
 (* A number-valued form of [e], coerced as soon as it is evaluated.
    Only [is_num] operands, unary operands and right-hand operands take
    it: a left operand that is not [is_num] is coerced after the right
-   one has been evaluated. *)
+   one has been evaluated, as [eval_binop] orders it. *)
 and num hs (e : expr) : num =
   match e.e with
-  | Number f -> fun st _ _ -> tick st cost_node; f
-  | Unop (Neg, x) ->
-    let x = num hs x in
-    fun st scope this -> tick st cost_node; -.x st scope this
-  | Unop (Positive, x) ->
-    let x = num hs x in
-    fun st scope this -> tick st cost_node; x st scope this
+  | Number f -> fun st _ _ -> node st; f
+  | Unop (Neg, x) -> let x = num hs x in fun st sc th -> node st; -.x st sc th
+  | Unop (Positive, x) -> let x = num hs x in fun st sc th -> node st; x st sc th
   | Binop (Add, l, r) when is_num l && is_num r ->
     let l = num hs l and r = num hs r in
-    fun st scope this ->
-      tick st cost_node;
-      let a = l st scope this in
-      a +. r st scope this
+    fun st sc th -> node st; let a = l st sc th in a +. r st sc th
   | Binop ((Sub | Mul | Div | Mod) as op, l, r) -> arith hs op l r
   | Ident _ when e.lex >= 0 && lex_depth e.lex = 0 ->
     let slot = lex_slot e.lex in
-    fun st scope _ ->
-      tick st cost_node;
-      unbox st scope.slots.(slot)
+    fun st sc _ -> node st; unbox st sc.slots.(slot)
   | Member (oe, field) when field <> "length" ->
     let o = expr hs oe in
-    fun st scope this ->
-      tick st cost_node;
-      unbox st (get_prop st (o st scope this) field)
+    fun st sc th -> node st; unbox st (get_prop st (o st sc th) field)
   | Index (oe, ie) ->
     let o = expr hs oe and i = expr hs ie in
-    fun st scope this ->
-      tick st cost_node;
-      let base = o st scope this in
-      unbox st (index_value st base (i st scope this))
-  | _ ->
-    let c = expr hs e in
-    fun st scope this -> unbox st (c st scope this)
+    fun st sc th ->
+      node st;
+      let base = o st sc th in
+      unbox st (index_value st base (i st sc th))
+  | _ -> let c = expr hs e in fun st sc th -> unbox st (c st sc th)
 
-(* [- * / %]: a left operand that is not [is_num] is coerced after the
-   right one is evaluated and coerced, as [eval_binop] orders it. *)
+(* [- * / %] as floats. A left operand that is not [is_num] is
+   evaluated as a value and coerced last. *)
 and arith hs op l r : num =
   let r = num hs r in
   if is_num l then
     let l = num hs l in
     match op with
-    | Sub -> fun st scope this ->
-      tick st cost_node;
-      let a = l st scope this in
-      a -. r st scope this
-    | Mul -> fun st scope this ->
-      tick st cost_node;
-      let a = l st scope this in
-      a *. r st scope this
-    | Div -> fun st scope this ->
-      tick st cost_node;
-      let a = l st scope this in
-      a /. r st scope this
-    | _ -> fun st scope this ->
-      tick st cost_node;
-      let a = l st scope this in
-      Float.rem a (r st scope this)
+    | Sub -> fun st sc th -> node st; let a = l st sc th in a -. r st sc th
+    | Mul -> fun st sc th -> node st; let a = l st sc th in a *. r st sc th
+    | Div -> fun st sc th -> node st; let a = l st sc th in a /. r st sc th
+    | _ -> fun st sc th -> node st; let a = l st sc th in Float.rem a (r st sc th)
   else
     let l = expr hs l in
     match op with
-    | Sub -> fun st scope this ->
-      tick st cost_node;
-      let lv = l st scope this in
-      let b = r st scope this in
-      unbox st lv -. b
-    | Mul -> fun st scope this ->
-      tick st cost_node;
-      let lv = l st scope this in
-      let b = r st scope this in
-      unbox st lv *. b
-    | Div -> fun st scope this ->
-      tick st cost_node;
-      let lv = l st scope this in
-      let b = r st scope this in
-      unbox st lv /. b
-    | _ -> fun st scope this ->
-      tick st cost_node;
-      let lv = l st scope this in
-      let b = r st scope this in
-      Float.rem (unbox st lv) b
+    | Sub -> fun st sc th ->
+      node st; let lv = l st sc th in let b = r st sc th in unbox st lv -. b
+    | Mul -> fun st sc th ->
+      node st; let lv = l st sc th in let b = r st sc th in unbox st lv *. b
+    | Div -> fun st sc th ->
+      node st; let lv = l st sc th in let b = r st sc th in unbox st lv /. b
+    | _ -> fun st sc th ->
+      node st; let lv = l st sc th in let b = r st sc th in Float.rem (unbox st lv) b
 
-and add hs e l r : code =
+(* [+] that may concatenate: at least one side is not [is_num]. *)
+and add hs l r : code =
   match is_num l, is_num r with
-  | true, true ->
-    let n = num hs e in
-    fun st scope this -> Num (n st scope this)
   | false, true ->
     let l = expr hs l and r = num hs r in
-    fun st scope this ->
-      tick st cost_node;
-      let lv = l st scope this in
-      let b = r st scope this in
+    fun st sc th ->
+      node st;
+      let lv = l st sc th in
+      let b = r st sc th in
       (match lv with Num a -> Num (a +. b) | _ -> add_values st lv (Num b))
-  | true, false ->
+  | true, _ ->
     let l = num hs l and r = expr hs r in
-    fun st scope this ->
-      tick st cost_node;
-      let a = l st scope this in
-      (match r st scope this with
-       | Num b -> Num (a +. b)
-       | rv -> add_values st (Num a) rv)
+    fun st sc th ->
+      node st;
+      let a = l st sc th in
+      (match r st sc th with Num b -> Num (a +. b) | rv -> add_values st (Num a) rv)
   | false, false ->
     let l = expr hs l and r = expr hs r in
-    fun st scope this ->
-      tick st cost_node;
-      let lv = l st scope this in
-      let rv = r st scope this in
-      (match lv, rv with
-       | Num a, Num b -> Num (a +. b)
-       | _ -> add_values st lv rv)
+    fun st sc th ->
+      node st;
+      let lv = l st sc th in
+      let rv = r st sc th in
+      (match lv, rv with Num a, Num b -> Num (a +. b) | _ -> add_values st lv rv)
 
 and cond hs (e : expr) : cond =
   match e.e with
-  | Bool b -> fun st _ _ -> tick st cost_node; b
-  | Unop (Not, x) ->
-    let c = cond hs x in
-    fun st scope this -> tick st cost_node; not (c st scope this)
+  | Bool b -> fun st _ _ -> node st; b
+  | Unop (Not, x) -> let c = cond hs x in fun st sc th -> node st; not (c st sc th)
   | Logical (And, l, r) ->
     let l = cond hs l and r = cond hs r in
-    fun st scope this ->
-      tick st cost_node;
-      l st scope this && r st scope this
+    fun st sc th -> node st; l st sc th && r st sc th
   | Logical (Or, l, r) ->
     let l = cond hs l and r = cond hs r in
-    fun st scope this ->
-      tick st cost_node;
-      l st scope this || r st scope this
+    fun st sc th -> node st; l st sc th || r st sc th
   | Binop ((Lt | Le | Gt | Ge) as op, l, r) -> (
     match is_num l, is_num r with
     | true, true ->
       let l = num hs l and r = num hs r in
-      fun st scope this ->
-        tick st cost_node;
-        let a = l st scope this in
-        compare_num op a (r st scope this)
+      fun st sc th -> node st; let a = l st sc th in compare_num op a (r st sc th)
     | false, true ->
       let l = expr hs l and r = num hs r in
-      fun st scope this ->
-        tick st cost_node;
-        let lv = l st scope this in
-        let b = r st scope this in
-        (match lv with
-         | Num a -> compare_num op a b
-         | _ -> compare_values st op lv (Num b))
+      fun st sc th ->
+        node st;
+        let lv = l st sc th in
+        let b = r st sc th in
+        (match lv with Num a -> compare_num op a b | _ -> compare_values st op lv (Num b))
     | true, false ->
       let l = num hs l and r = expr hs r in
-      fun st scope this ->
-        tick st cost_node;
-        let a = l st scope this in
-        (match r st scope this with
+      fun st sc th ->
+        node st;
+        let a = l st sc th in
+        (match r st sc th with
          | Num b -> compare_num op a b
          | rv -> compare_values st op (Num a) rv)
     | false, false ->
       let l = expr hs l and r = expr hs r in
-      fun st scope this ->
-        tick st cost_node;
-        let lv = l st scope this in
-        let rv = r st scope this in
+      fun st sc th ->
+        node st;
+        let lv = l st sc th in
+        let rv = r st sc th in
         (match lv, rv with
          | Num a, Num b -> compare_num op a b
          | _ -> compare_values st op lv rv))
-  | Binop (((Eq | Neq) as op), l, r) ->
-    let l = expr hs l and r = expr hs r and neg = op = Neq in
-    fun st scope this ->
-      tick st cost_node;
-      let lv = l st scope this in
-      let rv = r st scope this in
+  | Binop (((Eq | Neq | Strict_eq | Strict_neq) as op), l, r) ->
+    let l = expr hs l and r = expr hs r in
+    let strict = op = Strict_eq || op = Strict_neq
+    and neg = op = Neq || op = Strict_neq in
+    fun st sc th ->
+      node st;
+      let lv = l st sc th in
+      let rv = r st sc th in
       (match lv, rv with
        | Num a, Num b -> a = b
-       | _ -> abstract_eq st lv rv)
+       | _ -> if strict then strict_eq lv rv else abstract_eq st lv rv)
       <> neg
-  | Binop (((Strict_eq | Strict_neq) as op), l, r) ->
-    let l = expr hs l and r = expr hs r and neg = op = Strict_neq in
-    fun st scope this ->
-      tick st cost_node;
-      let lv = l st scope this in
-      let rv = r st scope this in
-      (match lv, rv with
-       | Num a, Num b -> a = b
-       | _ -> strict_eq lv rv)
-      <> neg
-  | _ ->
-    let c = expr hs e in
-    fun st scope this -> truthy (c st scope this)
+  | _ -> let c = expr hs e in fun st sc th -> truthy (c st sc th)
 
-and call_expr hs line callee arg_es : code =
-  let args = Array.of_list (List.map (expr hs) arg_es) in
-  (* Method calls bind [this] to the receiver. *)
+(* Method calls bind [this] to the receiver. *)
+and call_expr hs line callee args : code =
+  let args = codes (expr hs) args in
   match callee.e with
   | Member (oe, field) ->
     let o = expr hs oe in
-    fun st scope this ->
-      tick st cost_node;
-      let base = o st scope this in
+    fun st sc th ->
+      node st;
+      let base = o st sc th in
       let fn = get_prop st base field in
-      invoke st scope this line fn base args
+      invoke st sc th line fn base args
   | Index (oe, ie) ->
     let o = expr hs oe and i = expr hs ie in
-    fun st scope this ->
-      tick st cost_node;
-      let base = o st scope this in
-      let idx = i st scope this in
+    fun st sc th ->
+      node st;
+      let base = o st sc th in
+      let idx = i st sc th in
       let fn = get_prop st base (to_string st idx) in
-      invoke st scope this line fn base args
+      invoke st sc th line fn base args
   | _ ->
     let f = expr hs callee in
-    fun st scope this ->
-      tick st cost_node;
-      let fn = f st scope this in
-      invoke st scope this line fn (Obj st.global_obj) args
+    fun st sc th ->
+      node st;
+      let fn = f st sc th in
+      invoke st sc th line fn (Obj st.global_obj) args
 
+(* typeof of an undeclared variable must not throw. *)
 and typeof hs (x : expr) : code =
   match x.e with
-  (* typeof of an undeclared variable must not throw *)
   | Ident _ when x.lex >= 0 ->
     let lex = x.lex in
-    fun st scope _ ->
-      tick st cost_node;
-      Str (type_of (get_lex st scope lex))
+    fun st sc _ -> node st; Str (type_of (get_lex st sc lex))
   | Ident name ->
-    fun st scope _ ->
-      tick st cost_node;
-      (match var_home scope name with
+    fun st sc _ ->
+      node st;
+      (match var_home sc name with
        | Some (s, slot) -> Str (type_of (scope_read s slot name))
        | None ->
          if has_prop_obj st.global_obj name then
            Str (type_of (get_prop_obj st.global_obj name))
          else Str "undefined")
-  | _ ->
-    let c = expr hs x in
-    fun st scope this ->
-      tick st cost_node;
-      Str (type_of (c st scope this))
+  | _ -> let c = expr hs x in fun st sc th -> node st; Str (type_of (c st sc th))
 
 and delete hs (x : expr) : code =
   match x.e with
   | Member (oe, field) ->
     let o = expr hs oe in
-    fun st scope this ->
-      tick st cost_node;
-      (match o st scope this with
-       | Obj o -> of_bool (raw_delete_prop o field)
-       | _ -> v_true)
+    fun st sc th ->
+      node st;
+      (match o st sc th with Obj o -> of_bool (raw_delete_prop o field) | _ -> v_true)
   | Index (oe, ie) ->
     let o = expr hs oe and i = expr hs ie in
-    fun st scope this ->
-      tick st cost_node;
-      let base = o st scope this in
-      let key = to_string st (i st scope this) in
+    fun st sc th ->
+      node st;
+      let base = o st sc th in
+      let key = to_string st (i st sc th) in
       (match base with
        | Obj o ->
          (match o.arr, array_index_of_key key with
@@ -1069,268 +943,208 @@ and delete hs (x : expr) : code =
             v_true
           | _ -> of_bool (raw_delete_prop o key))
        | _ -> v_true)
-  | _ -> fun st _ _ -> tick st cost_node; v_true
+  | _ -> fun st _ _ -> node st; v_true
 
 (* [tgt = rhs]. A computed key is converted before [rhs] runs. *)
 and assign hs lex tgt (r : code) : code =
   match tgt with
   | Tgt_ident name when lex < 0 ->
-    fun st scope this ->
-      tick st cost_node;
-      let v = r st scope this in
-      set_var st scope name v;
-      v
+    fun st sc th -> node st; let v = r st sc th in set_var st sc name v; v
   | Tgt_ident _ ->
     let depth = lex_depth lex and slot = lex_slot lex in
-    if depth = 0 then fun st scope this ->
-      tick st cost_node;
-      let v = r st scope this in
-      scope.slots.(slot) <- v;
-      v
-    else fun st scope this ->
-      tick st cost_node;
-      let v = r st scope this in
-      (slots_at st scope depth).(slot) <- v;
-      v
+    if depth = 0 then fun st sc th ->
+      node st; let v = r st sc th in sc.slots.(slot) <- v; v
+    else fun st sc th ->
+      node st; let v = r st sc th in (slots_at st sc depth).(slot) <- v; v
   | Tgt_member (oe, field) ->
     let o = expr hs oe in
-    fun st scope this ->
-      tick st cost_node;
-      let base = o st scope this in
-      let v = r st scope this in
+    fun st sc th ->
+      node st;
+      let base = o st sc th in
+      let v = r st sc th in
       set_prop st base field v;
       v
   | Tgt_index (oe, ie) ->
     let o = expr hs oe and i = expr hs ie in
-    fun st scope this ->
-      tick st cost_node;
-      let base = o st scope this in
-      let idx = i st scope this in
-      (match elem_target base idx with
-       | Some (ob, k) ->
-         let v = r st scope this in
-         write_elem st ob k v;
-         v
-       | None ->
-         let key = to_string st idx in
-         let v = r st scope this in
-         set_prop st base key v;
-         v)
+    fun st sc th ->
+      node st;
+      let base = o st sc th in
+      let idx = i st sc th in
+      let k = elem_index base idx in
+      if k >= 0 then (let v = r st sc th in write_elem st base k v; v)
+      else
+        let key = to_string st idx in
+        let v = r st sc th in
+        set_prop st base key v;
+        v
 
 (* [tgt op= rhs]: the target is read before [rhs] runs. *)
 and compound hs lex tgt op (r : code) : code =
   match tgt with
   | Tgt_ident name ->
-    fun st scope this ->
-      tick st cost_node;
-      let old = if lex >= 0 then get_lex st scope lex else get_var st scope name in
-      let v = eval_binop st op old (r st scope this) in
-      if lex >= 0 then set_lex st scope lex v else set_var st scope name v;
+    fun st sc th ->
+      node st;
+      let old = if lex >= 0 then get_lex st sc lex else get_var st sc name in
+      let v = eval_binop st op old (r st sc th) in
+      if lex >= 0 then set_lex st sc lex v else set_var st sc name v;
       v
   | Tgt_member (oe, field) ->
     let o = expr hs oe in
-    fun st scope this ->
-      tick st cost_node;
-      let base = o st scope this in
-      let old = get_prop st base field in
-      let v = eval_binop st op old (r st scope this) in
+    fun st sc th ->
+      node st;
+      let base = o st sc th in
+      let v = eval_binop st op (get_prop st base field) (r st sc th) in
       set_prop st base field v;
       v
   | Tgt_index (oe, ie) ->
     let o = expr hs oe and i = expr hs ie in
-    fun st scope this ->
-      tick st cost_node;
-      let base = o st scope this in
-      let idx = i st scope this in
-      (match elem_target base idx with
-       | Some (ob, k) ->
-         let old = read_elem st ob k in
-         let v = eval_binop st op old (r st scope this) in
-         write_elem st ob k v;
-         v
-       | None ->
-         let key = to_string st idx in
-         let old = get_prop st base key in
-         let v = eval_binop st op old (r st scope this) in
-         set_prop st base key v;
-         v)
+    fun st sc th ->
+      node st;
+      let base = o st sc th in
+      let idx = i st sc th in
+      let k = elem_index base idx in
+      if k >= 0 then begin
+        let v = eval_binop st op (read_elem st base k) (r st sc th) in
+        write_elem st base k v;
+        v
+      end
+      else
+        let key = to_string st idx in
+        let v = eval_binop st op (get_prop st base key) (r st sc th) in
+        set_prop st base key v;
+        v
 
 (* [++]/[--] by [delta]. A resolved variable returns the value it
    wrote (prefix) or the old number (postfix) without a fresh box. *)
 and update hs lex tgt delta prefix : code =
+  let[@inline] boxed old_n = Num (if prefix then old_n +. delta else old_n) in
   match tgt with
   | Tgt_ident _ when lex >= 0 ->
     let depth = lex_depth lex and slot = lex_slot lex in
-    fun st scope _ ->
-      tick st cost_node;
-      let slots = slots_at st scope depth in
+    fun st sc _ ->
+      node st;
+      let slots = slots_at st sc depth in
       let old_v = slots.(slot) in
       let old_n = unbox st old_v in
       let new_v = Num (old_n +. delta) in
       slots.(slot) <- new_v;
-      if prefix then new_v
-      else (match old_v with Num _ -> old_v | _ -> Num old_n)
+      if prefix then new_v else (match old_v with Num _ -> old_v | _ -> Num old_n)
   | Tgt_ident name ->
-    fun st scope _ ->
-      tick st cost_node;
-      let old_n = to_number st (get_var st scope name) in
-      let new_n = old_n +. delta in
-      set_var st scope name (Num new_n);
-      Num (if prefix then new_n else old_n)
+    fun st sc _ ->
+      node st;
+      let old_n = to_number st (get_var st sc name) in
+      set_var st sc name (Num (old_n +. delta));
+      boxed old_n
   | Tgt_member (oe, field) ->
     let o = expr hs oe in
-    fun st scope this ->
-      tick st cost_node;
-      let base = o st scope this in
+    fun st sc th ->
+      node st;
+      let base = o st sc th in
       let old_n = to_number st (get_prop st base field) in
-      let new_n = old_n +. delta in
-      set_prop st base field (Num new_n);
-      Num (if prefix then new_n else old_n)
+      set_prop st base field (Num (old_n +. delta));
+      boxed old_n
   | Tgt_index (oe, ie) ->
     let o = expr hs oe and i = expr hs ie in
-    fun st scope this ->
-      tick st cost_node;
-      let base = o st scope this in
-      let idx = i st scope this in
-      (match elem_target base idx with
-       | Some (ob, k) ->
-         let old_n = to_number st (read_elem st ob k) in
-         let new_n = old_n +. delta in
-         write_elem st ob k (Num new_n);
-         Num (if prefix then new_n else old_n)
-       | None ->
-         let key = to_string st idx in
-         let old_n = to_number st (get_prop st base key) in
-         let new_n = old_n +. delta in
-         set_prop st base key (Num new_n);
-         Num (if prefix then new_n else old_n))
+    fun st sc th ->
+      node st;
+      let base = o st sc th in
+      let idx = i st sc th in
+      let k = elem_index base idx in
+      if k >= 0 then begin
+        let old_n = to_number st (read_elem st base k) in
+        write_elem st base k (Num (old_n +. delta));
+        boxed old_n
+      end
+      else
+        let key = to_string st idx in
+        let old_n = to_number st (get_prop st base key) in
+        set_prop st base key (Num (old_n +. delta));
+        boxed old_n
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
 
 and stmts hs (body : stmt list) : exec =
-  match Array.of_list (List.map (stmt hs ~label:None) body) with
+  match codes (stmt hs ~label:None) body with
   | [||] -> fun _ _ _ -> Cnormal
   | [| s |] -> s
-  | [| a; b |] ->
-    fun st scope this ->
-      (match a st scope this with Cnormal -> b st scope this | c -> c)
-  | cs -> fun st scope this -> run_seq st scope this cs 0
+  | [| a; b |] -> fun st sc th -> (match a st sc th with Cnormal -> b st sc th | c -> c)
+  | cs -> fun st sc th -> run_seq st sc th cs 0
 
 (* [label] is the label directly carried by a loop statement. *)
 and stmt hs ~label (s : stmt) : exec =
   match s.s with
-  | Empty | Func_decl _ (* bound during hoisting *) ->
-    fun st _ _ -> tick st cost_node; Cnormal
+  | Empty | Func_decl _ (* bound during hoisting *) -> fun st _ _ -> node st; Cnormal
   | Expr_stmt e ->
     let c = expr hs e in
-    fun st scope this ->
-      tick st cost_node;
-      ignore (c st scope this);
-      Cnormal
+    fun st sc th -> node st; ignore (c st sc th); Cnormal
   | Var_decl decls ->
     let d = declarators hs s.slex decls in
-    fun st scope this ->
-      tick st cost_node;
-      d st scope this;
-      Cnormal
+    fun st sc th -> node st; d st sc th; Cnormal
   | If (c, t, None) ->
     let c = cond hs c and t = stmt hs ~label:None t in
-    fun st scope this ->
-      tick st cost_node;
-      if c st scope this then t st scope this else Cnormal
+    fun st sc th -> node st; if c st sc th then t st sc th else Cnormal
   | If (c, t, Some f) ->
-    let c = cond hs c and t = stmt hs ~label:None t
-    and f = stmt hs ~label:None f in
-    fun st scope this ->
-      tick st cost_node;
-      if c st scope this then t st scope this else f st scope this
+    let c = cond hs c and t = stmt hs ~label:None t and f = stmt hs ~label:None f in
+    fun st sc th -> node st; if c st sc th then t st sc th else f st sc th
   | While (_, c, body) ->
     let test = cond hs c and body = stmt hs ~label:None body in
-    fun st scope this ->
-      tick st cost_node;
-      while_loop st scope this label test body
+    fun st sc th -> node st; while_loop st sc th label test body
   | Do_while (_, body, c) ->
     let body = stmt hs ~label:None body and test = cond hs c in
-    fun st scope this ->
-      tick st cost_node;
-      do_loop st scope this label test body
+    fun st sc th -> node st; do_loop st sc th label test body
   | For (lid, init, c, u, body) ->
     let init =
       match init with
       | None -> fun _ _ _ -> ()
-      | Some (Init_expr e) ->
-        let c = expr hs e in
-        fun st scope this -> ignore (c st scope this)
+      | Some (Init_expr e) -> let c = expr hs e in fun st sc th -> ignore (c st sc th)
       | Some (Init_var decls) -> declarators hs s.slex decls
     in
     let test = match c with None -> fun _ _ _ -> true | Some c -> cond hs c in
-    let step = match u with None -> no_value | Some u -> expr hs u in
+    let update = match u with None -> no_value | Some u -> expr hs u in
     let run = stmt hs ~label:None body in
     let lv =
       { lv_id = lid; lv_cond = c; lv_update = u; lv_body = body;
-        lv_test = test; lv_step = step; lv_run = run }
+        lv_test = test; lv_step = update; lv_run = run }
     in
-    fun st scope this ->
-      tick st cost_node;
-      init st scope this;
+    fun st sc th ->
+      node st;
+      init st sc th;
       (match st.on_loop with
-       | Some hook when hook st scope this lv -> Cnormal
-       | _ -> for_loop st scope this label test run step)
+       | Some hook when hook st sc th lv -> Cnormal
+       | _ -> for_loop st sc th label test run update)
   | For_in (_, binder, obj_e, body) ->
     let o = expr hs obj_e and body = stmt hs ~label:None body in
     (* a stamped binder writes its slot; the others take [set_var] *)
     let lex = if Array.length s.slex > 0 then s.slex.(0) else -1 in
     let name, declared =
-      match binder with
-      | Binder_var n -> (n, lex < 0)
-      | Binder_ident n -> (n, false)
+      match binder with Binder_var n -> (n, lex < 0) | Binder_ident n -> (n, false)
     in
-    fun st scope this ->
-      tick st cost_node;
-      let keys = match o st scope this with Obj o -> own_keys o | _ -> [] in
-      if declared then declare scope name;
-      for_in_loop st scope this label lex name body keys
-  | Return None ->
-    let r = Creturn Undefined in
-    fun st _ _ -> tick st cost_node; r
-  | Return (Some e) ->
-    let c = expr hs e in
-    fun st scope this ->
-      tick st cost_node;
-      Creturn (c st scope this)
-  | Break l ->
-    let r = Cbreak l in
-    fun st _ _ -> tick st cost_node; r
-  | Continue l ->
-    let r = Ccontinue l in
-    fun st _ _ -> tick st cost_node; r
-  | Throw e ->
-    let c = expr hs e in
-    fun st scope this ->
-      tick st cost_node;
-      raise (Js_throw (c st scope this))
+    fun st sc th ->
+      node st;
+      let keys = match o st sc th with Obj o -> own_keys o | _ -> [] in
+      if declared then declare sc name;
+      for_in_loop st sc th label lex name body keys
+  | Return None -> let r = Creturn Undefined in fun st _ _ -> node st; r
+  | Return (Some e) -> let c = expr hs e in fun st sc th -> node st; Creturn (c st sc th)
+  | Break l -> let r = Cbreak l in fun st _ _ -> node st; r
+  | Continue l -> let r = Ccontinue l in fun st _ _ -> node st; r
+  | Throw e -> let c = expr hs e in fun st sc th -> node st; raise (Js_throw (c st sc th))
   | Try (body, catch, finally) ->
     let body = stmts hs body
     and catch = Option.map (fun (n, b) -> (n, stmts hs b)) catch
     and finally = Option.map (stmts hs) finally in
-    fun st scope this ->
-      tick st cost_node;
-      run_try st scope this body catch finally
-  | Block body ->
-    let b = stmts hs body in
-    fun st scope this ->
-      tick st cost_node;
-      b st scope this
+    fun st sc th -> node st; run_try st sc th body catch finally
+  | Block body -> let b = stmts hs body in fun st sc th -> node st; b st sc th
   | Switch (scrutinee, cases) ->
-    let v = expr hs scrutinee in
-    let guards = Array.of_list (List.map (fun (g, _) -> Option.map (expr hs) g) cases)
-    and bodies = Array.of_list (List.map (fun (_, b) -> stmts hs b) cases) in
-    fun st scope this ->
-      tick st cost_node;
-      let v = v st scope this in
-      let start = switch_start st scope this v guards 0 in
-      if start < 0 then Cnormal else run_cases st scope this bodies start
+    let v = expr hs scrutinee
+    and guards = Array.of_list (List.map (fun (g, _) -> Option.map (expr hs) g) cases)
+    and bodies = codes (fun (_, b) -> stmts hs b) cases in
+    fun st sc th ->
+      node st;
+      let v = v st sc th in
+      let start = switch_start st sc th v guards 0 in
+      if start < 0 then Cnormal else run_cases st sc th bodies start
   | Labeled (name, body) ->
     (* attach the label to a directly labeled loop so [continue name]
        works; [break name] exits any labeled statement *)
@@ -1340,9 +1154,9 @@ and stmt hs ~label (s : stmt) : exec =
       | _ -> None
     in
     let b = stmt hs ~label body in
-    fun st scope this ->
-      tick st cost_node;
-      (match b st scope this with
+    fun st sc th ->
+      node st;
+      (match b st sc th with
        | Cbreak (Some l) when String.equal l name -> Cnormal
        | other -> other)
 
@@ -1353,31 +1167,33 @@ and stmt hs ~label (s : stmt) : exec =
 and declarators hs slex decls : state -> scope -> value -> unit =
   if Array.length slex > 0 then
     let inits =
-      List.mapi (fun i (_, init) -> (slex.(i), init)) decls
-      |> List.filter_map (fun (lex, init) ->
-          Option.map (fun e -> (lex_depth lex, lex_slot lex, expr hs e)) init)
+      List.concat
+        (List.mapi
+           (fun i (_, init) ->
+              match init with
+              | None -> []
+              | Some e -> [ (lex_depth slex.(i), lex_slot slex.(i), expr hs e) ])
+           decls)
       |> Array.of_list
     in
     match inits with
-    | [| (0, slot, c) |] -> fun st scope this -> scope.slots.(slot) <- c st scope this
+    | [| (0, slot, c) |] -> fun st sc th -> sc.slots.(slot) <- c st sc th
     | _ ->
-      fun st scope this ->
+      fun st sc th ->
         for i = 0 to Array.length inits - 1 do
           let depth, slot, c = inits.(i) in
-          let v = c st scope this in
-          (slots_at st scope depth).(slot) <- v
+          let v = c st sc th in
+          (slots_at st sc depth).(slot) <- v
         done
   else
     let decls =
       Array.of_list (List.map (fun (n, init) -> (n, Option.map (expr hs) init)) decls)
     in
-    fun st scope this ->
+    fun st sc th ->
       for i = 0 to Array.length decls - 1 do
         let name, init = decls.(i) in
-        declare scope name;
-        match init with
-        | None -> ()
-        | Some c -> set_var st scope name (c st scope this)
+        declare sc name;
+        match init with None -> () | Some c -> set_var st sc name (c st sc th)
       done
 
 (* A function body, entered by [run_closure] with the frame created
@@ -1388,40 +1204,30 @@ and func hs (f : func) : code =
     match List.rev f.body with
     | [ { s = Return (Some e); _ } ] ->
       let e = expr hs e in
-      fun st frame this ->
-        tick st cost_node;
-        e st frame this
+      fun st sc th -> node st; e st sc th
     | { s = Return (Some e); _ } :: rest ->
       let prefix = stmts hs (List.rev rest) and e = expr hs e in
-      fun st frame this ->
-        (match prefix st frame this with
-         | Cnormal ->
-           tick st cost_node;
-           e st frame this
-         | c -> result st c)
-    | _ ->
-      let run = stmts hs f.body in
-      fun st frame this -> result st (run st frame this)
+      fun st sc th ->
+        (match prefix st sc th with Cnormal -> node st; e st sc th | c -> result st c)
+    | _ -> let run = stmts hs f.body in fun st sc th -> result st (run st sc th)
   in
   match f.layout with
+  | Some { l_decls = []; _ } -> run
   | Some lay ->
     let decls = Array.of_list (List.map (fun (slot, g) -> (slot, g, func hs g)) lay.l_decls) in
-    if Array.length decls = 0 then run
-    else fun st frame this ->
+    fun st sc th ->
       for i = 0 to Array.length decls - 1 do
         let slot, g, body = decls.(i) in
-        frame.slots.(slot) <- Obj (make_closure st frame g body)
+        sc.slots.(slot) <- Obj (make_closure st sc g body)
       done;
-      run st frame this
+      run st sc th
   | None ->
-    let names = Jsir.Resolve.hoisted_names [] f.body in
-    let decls = dynamic_decls hs f.body in
-    fun st frame this ->
-      hoist st frame names decls;
-      run st frame this
+    let names = Jsir.Resolve.hoisted_names [] f.body
+    and decls = dynamic_decls hs f.body in
+    fun st sc th -> hoist st sc names decls; run st sc th
 
 and dynamic_decls hs body =
-  Array.of_list (List.map (fun g -> (g, func hs g)) (Jsir.Resolve.function_decls body))
+  codes (fun g -> (g, func hs g)) (Jsir.Resolve.function_decls body)
 
 (* ------------------------------------------------------------------ *)
 (* State construction and program execution                            *)
@@ -1492,11 +1298,9 @@ let run_program ?(resolve = true) st (p : program) : unit =
   let run = stmts hs p.stmts in
   (match p.resolved_for, p.glayout with
    | Some t, Some glay when t == st.symtab ->
-     attach_global st glay
-       (Array.of_list (List.map (fun (slot, f) -> (slot, f, func hs f)) glay.l_decls))
+     attach_global st glay (codes (fun (slot, f) -> (slot, f, func hs f)) glay.l_decls)
    | _ ->
-     hoist st st.global_scope
-       (Jsir.Resolve.hoisted_names [] p.stmts)
+     hoist st st.global_scope (Jsir.Resolve.hoisted_names [] p.stmts)
        (dynamic_decls hs p.stmts));
   match run st st.global_scope (Obj st.global_obj) with
   | Cnormal | Creturn _ -> ()
