@@ -207,7 +207,7 @@ let dependence ?focus st (infos : Jsir.Loops.info array) : Runtime.t =
               if lex >= 0 then get_lex st scope lex else get_var st scope name
             in
             let rhs_v = rhs st scope this in
-            Eval.eval_binop st op old_v rhs_v
+            binop st op old_v rhs_v
         in
         let sym, owner_sid = sym_and_owner st scope lex name in
         Runtime.on_var_write ~induction ~accum:(Option.is_some op) rt ~sym
@@ -344,7 +344,7 @@ let dependence ?focus st (infos : Jsir.Loops.info array) : Runtime.t =
           record_read base psym line;
           let old_v = get_elem st base psym in
           let rhs_v = rhs st scope this in
-          Eval.eval_binop st op old_v rhs_v
+          binop st op old_v rhs_v
       in
       record_write ~basis base psym line;
       Runtime.note_type rt

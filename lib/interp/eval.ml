@@ -1,29 +1,23 @@
 (* Closure compiler for MiniJS.
 
-   [run_program] resolves a program and then compiles it, every
-   function body included, exactly once: each expression becomes an
-   OCaml closure [state -> scope -> value -> value], each statement one
-   returning a completion, each condition one returning a [bool], and
+   [run_program] resolves a program, then compiles it, every function
+   body included, exactly once: an expression becomes a closure [st sc
+   th -> value] (state, lexical scope, [this]), a statement one
+   returning a completion, a condition one returning a [bool], and
    arithmetic whose result is always a number one returning a raw
-   [float]. Slot addresses, literal values, [length] reads and operator
-   choice are decided while compiling, so running a node is a closure
-   call, not a dispatch on the AST.
+   [float]. Slots, literal values, [length] reads and operators are
+   chosen while compiling. Compiled code charges exactly the virtual
+   clock ticks a node-by-node evaluation charges, at the same points,
+   which keeps the reproduced timings deterministic. Instrumentation
+   reaches the compiler only through [Ast.Intrinsic] nodes, compiled by
+   the handler factories in [state.intrinsics]; an uninstrumented
+   program runs with zero analysis overhead, mirroring the paper's
+   staged methodology.
 
-   Execution advances the state's virtual clock by a small cost per
-   operation, which is what makes the reproduction's Table 2/3 timings
-   deterministic; compiled code charges exactly the ticks a node-by-node
-   evaluation charges, at the same points. Analysis instrumentation
-   reaches the compiler only through [Ast.Intrinsic] nodes, whose
-   handler factories ([state.intrinsics]) are looked up when the node
-   is compiled; an uninstrumented program runs with zero analysis
-   overhead, mirroring the paper's staged methodology.
-
-   Compiled code holds no mutable state and allocates no closures: forked
-   chunks on other domains run the same closures on their own states. It
-   reads the global slot array through [st.global_scope] on every
-   access, never a captured copy, because [attach_global] may grow it.
-   Compiled closures take [st sc th]: the state, the lexical scope and
-   [this]. *)
+   Compiled code holds no mutable state and allocates no closures:
+   forked chunks on other domains run it on their own states. It reads
+   the global slots through [st.global_scope] on every access, never a
+   captured copy, because [attach_global] may grow them. *)
 
 open Jsir.Ast
 open Value
@@ -52,8 +46,7 @@ let[@inline] tick st n =
   (match st.on_tick with None -> () | Some probe -> probe n);
   if clock.busy_ticks > st.budget then raise Budget_exhausted
 
-(* The [cost_node] tick every expression and statement node charges
-   when it starts. *)
+(* The tick every expression and statement node charges as it starts. *)
 let[@inline] node st = tick st cost_node
 
 (* The compiled forms besides [code]. *)
@@ -79,9 +72,7 @@ let make_closure st scope (f : func) body =
   raw_set_prop proto_obj "constructor" (Obj fo);
   raw_set_prop fo "prototype" (Obj proto_obj);
   raw_set_prop fo "length" (Num (float_of_int (List.length f.params)));
-  (match f.fname with
-   | Some n -> raw_set_prop fo "name" (Str n)
-   | None -> ());
+  (match f.fname with Some n -> raw_set_prop fo "name" (Str n) | None -> ());
   fo
 
 (* [var] and function-declaration hoisting for a frame without a slot
@@ -101,22 +92,17 @@ let hoist st scope names decls =
     | _ -> ()
   done
 
-(* Attach a resolved program's global layout onto the state's global
-   scope: grow the shared slot store to the symbol table's global
-   registry, enter this program's names, and initialise its function
-   declarations — same closure-creation order as [hoist], so object
-   ids line up with the dynamic path. Bindings made dynamically
-   (implicit globals, unresolved programs) migrate into their slot the
-   first time a program hoists the name. *)
+(* Attach a resolved program's global layout: grow the global slots to
+   the symbol table's registry, enter the program's names and create its
+   function declarations in [hoist]'s order, so object ids match the
+   dynamic path. A dynamic binding (implicit global, unresolved program)
+   migrates into its slot when a program first hoists the name. *)
 let attach_global st (glay : layout) decls =
   let g = st.global_scope in
   let gl =
     match g.ltab with
     | Some t -> t
-    | None ->
-      let t = Hashtbl.create 64 in
-      g.ltab <- Some t;
-      t
+    | None -> let t = Hashtbl.create 64 in g.ltab <- Some t; t
   in
   let cap = Ceres_util.Symbol.global_slot_count st.symtab in
   let len = Array.length g.slots in
@@ -162,8 +148,7 @@ let get_prop st v key =
     type_error st
       (Printf.sprintf "cannot read property %S of %s" key (type_of v))
 
-(* [get_prop v "length"] without the key comparisons on the common
-   receivers. *)
+(* [get_prop v "length"], without key comparisons on common receivers. *)
 let length_of st v =
   match v with
   | Obj { arr = Some a; _ } -> tick st cost_prop; Num (float_of_int a.len)
@@ -185,8 +170,7 @@ let set_prop st v key value =
       (Printf.sprintf "cannot set property %S of %s" key (type_of v))
   | _ -> () (* writes to primitives are silently dropped, as in JS *)
 
-(* [base[f]] for a number [f]: the dense-array hot path builds no key
-   string. *)
+(* [base[f]]: the dense-array hot path builds no key string. *)
 let index_num st base f =
   match base with
   | Obj ({ arr = Some a; _ } as o) when is_index f ->
@@ -201,146 +185,68 @@ let index_value st base idx =
   | Num f -> index_num st base f
   | _ -> get_prop st base (to_string st idx)
 
-(* A write or update of [base[idx]] targets element [i] of an untagged
-   dense array when [elem_index] is non-negative, else the key string.
-   Elements are read and written with the [cost_prop] tick of a
-   property access. *)
+(* The place a write or update of [base[idx]] targets: element [k] of
+   an untagged dense array when [elem_index] is non-negative, read and
+   written with the [cost_prop] tick of a property access; else the
+   property [key]. A member target is always a key. *)
 let elem_index base idx =
   match base, idx with
   | Obj { arr = Some _; host_tag = None; _ }, Num f when is_index f ->
     int_of_float f
   | _ -> -1
 
-let read_elem st base i =
-  tick st cost_prop;
-  match base with
-  | Obj { arr = Some a; _ } when i < a.len -> Array.unsafe_get a.elems i
-  | Obj o -> get_prop_obj o (string_of_int i)
-  | _ -> Undefined
+let read_at st base k key =
+  if k < 0 then get_prop st base key
+  else begin
+    tick st cost_prop;
+    match base with
+    | Obj { arr = Some a; _ } when k < a.len -> Array.unsafe_get a.elems k
+    | Obj o -> get_prop_obj o (string_of_int k)
+    | _ -> Undefined
+  end
 
-let write_elem st base i v =
-  tick st cost_prop;
-  match base with
-  | Obj { arr = Some a; _ } ->
-    if i < a.len then Array.unsafe_set a.elems i v else array_store_set a i v
-  | Obj o -> set_prop_obj o (string_of_int i) v
-  | _ -> ()
+let write_at st base k key v =
+  if k < 0 then set_prop st base key v
+  else begin
+    tick st cost_prop;
+    match base with
+    | Obj { arr = Some a; _ } ->
+      if k < a.len then Array.unsafe_set a.elems k v
+      else array_store_set a k v
+    | Obj o -> set_prop_obj o (string_of_int k) v
+    | _ -> ()
+  end
 
-(* ------------------------------------------------------------------ *)
-(* Operators                                                           *)
-
-(* [+] once a side is not a number; both sides are already evaluated. *)
-let add_values st lv rv =
-  let lp = to_primitive st lv in
-  let rp = to_primitive st rv in
-  match lp, rp with
-  | Str _, _ | _, Str _ -> Str (to_string st lp ^ to_string st rp)
-  | _ -> Num (to_number st lp +. to_number st rp)
+(* The key of a member ([i = None]) or non-element index target. *)
+let key_of st k i field idx =
+  match i with _ when k >= 0 -> "" | None -> field | Some _ -> to_string st idx
 
 let[@inline] compare_num op (a : float) b =
   match op with Lt -> a < b | Le -> a <= b | Gt -> a > b | _ -> a >= b
-
-(* Relational comparison of two evaluated operands, left coerced
-   first. IEEE comparisons are already false on NaN. *)
-let compare_values st op lv rv =
-  let lp = to_primitive st lv in
-  let rp = to_primitive st rv in
-  match lp, rp with
-  | Str a, Str b ->
-    let c = String.compare a b in
-    (match op with Lt -> c < 0 | Le -> c <= 0 | Gt -> c > 0 | _ -> c >= 0)
-  | _ -> compare_num op (to_number st lp) (to_number st rp)
-
-let of_int32 i = Num (Int32.to_float i)
-
-(* The binary-operator semantics over evaluated operands. A side that
-   needs coercing is coerced after both are evaluated, the right one
-   first except for [+] and the relational operators. *)
-let eval_binop st op lv rv =
-  match op, lv, rv with
-  | Add, Num a, Num b -> Num (a +. b)
-  | Add, _, _ -> add_values st lv rv
-  | (Sub | Mul | Div | Mod), _, _ ->
-    let b = unbox st rv in
-    let a = unbox st lv in
-    Num
-      (match op with
-       | Sub -> a -. b
-       | Mul -> a *. b
-       | Div -> a /. b
-       | _ -> Float.rem a b)
-  | (Lt | Le | Gt | Ge), Num a, Num b -> of_bool (compare_num op a b)
-  | (Lt | Le | Gt | Ge), _, _ -> of_bool (compare_values st op lv rv)
-  | (Eq | Strict_eq), Num a, Num b -> of_bool (a = b)
-  | (Neq | Strict_neq), Num a, Num b -> of_bool (a <> b)
-  | Eq, _, _ -> of_bool (abstract_eq st lv rv)
-  | Neq, _, _ -> of_bool (not (abstract_eq st lv rv))
-  | Strict_eq, _, _ -> of_bool (strict_eq lv rv)
-  | Strict_neq, _, _ -> of_bool (not (strict_eq lv rv))
-  | Band, _, _ -> of_int32 (Int32.logand (to_int32 st lv) (to_int32 st rv))
-  | Bor, _, _ -> of_int32 (Int32.logor (to_int32 st lv) (to_int32 st rv))
-  | Bxor, _, _ -> of_int32 (Int32.logxor (to_int32 st lv) (to_int32 st rv))
-  | Lshift, _, _ ->
-    let shift = to_uint32 st rv land 31 in
-    of_int32 (Int32.shift_left (to_int32 st lv) shift)
-  | Rshift, _, _ ->
-    let shift = to_uint32 st rv land 31 in
-    of_int32 (Int32.shift_right (to_int32 st lv) shift)
-  | Urshift, _, _ ->
-    let shift = to_uint32 st rv land 31 in
-    Num (float_of_int (to_uint32 st lv lsr shift))
-  | Instanceof, _, _ ->
-    (match rv with
-     | Obj fo when fo.call <> None ->
-       (match raw_get_own fo "prototype", lv with
-        | Some (Obj proto), Obj o ->
-          let rec walk = function
-            | None -> false
-            | Some p -> p.oid = proto.oid || walk p.proto
-          in
-          of_bool (walk o.proto)
-        | _ -> v_false)
-     | _ -> type_error st "right-hand side of instanceof is not callable")
-  | In, _, _ ->
-    (match rv with
-     | Obj o -> of_bool (has_prop_obj o (to_string st lv))
-     | _ -> type_error st "right-hand side of 'in' is not an object")
 
 (* ------------------------------------------------------------------ *)
 (* Calls                                                               *)
 
 (* The helpers below are top-level functions rather than local
    closures, so calls and statements allocate none of their own. *)
-let exit_call st =
-  st.on_call_exit ();
-  st.call_depth <- st.call_depth - 1
-
-let enter_call st =
-  st.call_depth <- st.call_depth + 1;
-  if st.call_depth > st.max_call_depth then begin
-    st.call_depth <- st.call_depth - 1;
-    throw_error st "RangeError" "maximum call stack size exceeded"
-  end
-
 let rec bind_params slots param_slots i = function
-  | [] -> ()
-  | a :: rest ->
-    if i < Array.length param_slots then begin
-      Array.unsafe_set slots (Array.unsafe_get param_slots i) a;
-      bind_params slots param_slots (i + 1) rest
-    end
+  | a :: rest when i < Array.length param_slots ->
+    Array.unsafe_set slots (Array.unsafe_get param_slots i) a;
+    bind_params slots param_slots (i + 1) rest
+  | _ -> slots
 
-(* The parameters of a frame without a layout, bound by name. *)
+(* A binding in a scope without a layout. *)
+let bind scope name v =
+  declare scope name;
+  match Strtbl.find_opt scope.vars name with
+  | Some cell -> cell.v <- v
+  | None -> ()
+
 let rec bind_names scope params args =
   match params, args with
   | [], _ -> ()
   | p :: ps, [] -> declare scope p; bind_names scope ps []
-  | p :: ps, a :: rest ->
-    declare scope p;
-    (match Strtbl.find_opt scope.vars p with
-     | Some cell -> cell.v <- a
-     | None -> ());
-    bind_names scope ps rest
+  | p :: ps, a :: rest -> bind scope p a; bind_names scope ps rest
 
 (* The nearest slotted frame on a parent chain (wrappers skipped),
    returning the option cell it already sits in. *)
@@ -350,16 +256,13 @@ let rec enclosing (o : scope option) =
   | Some s -> enclosing s.parent
   | None -> None
 
-(* A named function expression sees its own name, through a wrapper
-   scope unless the resolver proved the name statically bound. *)
+(* A named function expression sees its own name: through a wrapper
+   scope, unless the resolver proved it statically bound. *)
 let frame_base st fo (cl : closure) ~static =
   match cl.fn.fname with
   | Some name when (not static) && not (var_exists cl.captured name) ->
     let wrapper = fresh_scope st (Some cl.captured) in
-    declare wrapper name;
-    (match Strtbl.find_opt wrapper.vars name with
-     | Some cell -> cell.v <- Obj fo
-     | None -> ());
+    bind wrapper name (Obj fo);
     wrapper
   | _ -> cl.captured
 
@@ -370,8 +273,6 @@ let new_slots n =
   | 1 -> [| Undefined |]
   | 2 -> [| Undefined; Undefined |]
   | 3 -> [| Undefined; Undefined; Undefined |]
-  | 4 -> [| Undefined; Undefined; Undefined; Undefined |]
-  | 5 -> [| Undefined; Undefined; Undefined; Undefined; Undefined |]
   | n -> Array.make n Undefined
 
 (* Enter [cl]'s frame and run its body. A resolved frame is built whole,
@@ -394,69 +295,44 @@ let run_closure st fo (cl : closure) this slots args =
   | None ->
     let frame = fresh_scope st (Some (frame_base st fo cl ~static:false)) in
     bind_names frame cl.fn.params args;
-    declare frame "arguments";
-    (match Strtbl.find_opt frame.vars "arguments" with
-     | Some cell -> cell.v <- Obj (make_array st (Array.of_list args))
-     | None -> ());
+    bind frame "arguments" (Obj (make_array st (Array.of_list args)));
     cl.body st frame this
 
-(* One handler, no closures: the exit hook, then the depth decrement,
-   on the normal and the exceptional path alike. *)
+let leave st =
+  st.on_call_exit ();
+  st.call_depth <- st.call_depth - 1
+
+(* Run a callee under the depth limit and the enter/exit hooks; one
+   handler, no closures: [leave] on the normal and the exceptional path
+   alike. *)
+let enter st fo c this slots args =
+  st.call_depth <- st.call_depth + 1;
+  if st.call_depth > st.max_call_depth then begin
+    st.call_depth <- st.call_depth - 1;
+    throw_error st "RangeError" "maximum call stack size exceeded"
+  end;
+  match
+    match c with
+    | Host (name, fn) -> st.on_call_enter (Some name); fn st this args
+    | Closure cl ->
+      st.on_call_enter cl.fn.fname;
+      run_closure st fo cl this slots args
+  with
+  | v -> leave st; v
+  | exception e -> leave st; raise e
+
 let call st (callee : value) (this : value) (args : value list) : value =
   tick st cost_call;
   match callee with
   | Obj ({ call = Some c; _ } as fo) ->
-    enter_call st;
-    (match
-       match c with
-       | Host (name, fn) ->
-         st.on_call_enter (Some name);
-         fn st this args
-       | Closure cl ->
-         st.on_call_enter cl.fn.fname;
-         let slots =
-           match cl.fn.layout with
-           | Some lay ->
-             let slots = new_slots lay.l_size in
-             bind_params slots lay.l_param_slots 0 args;
-             slots
-           | None -> [||]
-         in
-         run_closure st fo cl this slots args
-     with
-     | v -> exit_call st; v
-     | exception e -> exit_call st; raise e)
+    let slots =
+      match c with
+      | Closure { fn = { layout = Some lay; _ }; _ } ->
+        bind_params (new_slots lay.l_size) lay.l_param_slots 0 args
+      | _ -> [||]
+    in
+    enter st fo c this slots args
   | _ -> type_error st (type_of callee ^ " is not a function")
-
-(* [call] for a resolved closure whose parameters are already in
-   [slots] and whose [arguments] array is unobservable. *)
-let call_slots st fo (cl : closure) this slots =
-  tick st cost_call;
-  enter_call st;
-  match
-    st.on_call_enter cl.fn.fname;
-    run_closure st fo cl this slots []
-  with
-  | v -> exit_call st; v
-  | exception e -> exit_call st; raise e
-
-let new_target st fo =
-  tick st cost_alloc;
-  let proto =
-    match raw_get_own fo "prototype" with
-    | Some (Obj p) -> Some p
-    | _ -> Some st.object_proto
-  in
-  make_obj ~proto st
-
-let construct st (callee : value) (args : value list) : value =
-  match callee with
-  | Obj ({ call = Some _; _ } as fo) ->
-    let obj = new_target st fo in
-    (match call st callee (Obj obj) args with
-     | Obj _ as result -> result
-     | _ -> Obj obj)
-  | _ -> type_error st (type_of callee ^ " is not a constructor")
 
 let rec eval_args st sc th (args : code array) i =
   if i = Array.length args then []
@@ -479,28 +355,32 @@ let fill_frame st sc th (lay : layout) (args : code array) =
    [arguments]; any other callee gets an argument list. *)
 let invoke st sc th line fn recv args =
   match fn with
-  | Obj ({ call = Some (Closure ({ fn = { layout = Some lay; _ }; _ } as cl)); _ }
+  | Obj ({ call = Some (Closure { fn = { layout = Some lay; _ }; _ } as c); _ }
          as fo)
     when not lay.l_uses_arguments ->
     let slots = fill_frame st sc th lay args in
     st.on_call_site line fn (Array.length args);
-    call_slots st fo cl recv slots
+    tick st cost_call;
+    enter st fo c recv slots []
   | _ ->
     let vs = eval_args st sc th args 0 in
     st.on_call_site line fn (Array.length args);
     call st fn recv vs
 
-let construct_site st sc th fn args =
+(* [new fn(args)]. *)
+let construct st sc th fn args =
+  let args = eval_args st sc th args 0 in
   match fn with
-  | Obj ({ call = Some (Closure ({ fn = { layout = Some lay; _ }; _ } as cl)); _ }
-         as fo)
-    when not lay.l_uses_arguments ->
-    let slots = fill_frame st sc th lay args in
-    let obj = new_target st fo in
-    (match call_slots st fo cl (Obj obj) slots with
-     | Obj _ as result -> result
-     | _ -> Obj obj)
-  | _ -> construct st fn (eval_args st sc th args 0)
+  | Obj ({ call = Some _; _ } as fo) ->
+    tick st cost_alloc;
+    let proto =
+      match raw_get_own fo "prototype" with
+      | Some (Obj p) -> p
+      | _ -> st.object_proto
+    in
+    let obj = make_obj ~proto:(Some proto) st in
+    (match call st fn (Obj obj) args with Obj _ as r -> r | _ -> Obj obj)
+  | _ -> type_error st (type_of fn ^ " is not a constructor")
 
 (* ------------------------------------------------------------------ *)
 (* Statement runners                                                   *)
@@ -513,6 +393,12 @@ let targets label l =
   | Some l, Some label -> String.equal l label
   | Some _, None -> false
 
+(* Does a loop body's completion go on to the next iteration? *)
+let[@inline] continues label = function
+  | Cnormal -> true
+  | Ccontinue l -> targets label l
+  | _ -> false
+
 let rec run_seq st sc th (cs : exec array) i =
   if i = Array.length cs then Cnormal
   else
@@ -520,44 +406,32 @@ let rec run_seq st sc th (cs : exec array) i =
     | Cnormal -> run_seq st sc th cs (i + 1)
     | c -> c
 
-let rec while_loop st sc th label (test : cond) (body : exec) =
-  if test st sc th then
-    match body st sc th with
-    | Cnormal -> while_loop st sc th label test body
-    | Ccontinue l when targets label l -> while_loop st sc th label test body
-    | Cbreak l when targets label l -> Cnormal
-    | r -> r
-  else Cnormal
-
-let rec do_loop st sc th label (test : cond) (body : exec) =
-  match body st sc th with
-  | Cnormal -> if test st sc th then do_loop st sc th label test body else Cnormal
-  | Ccontinue l when targets label l ->
-    if test st sc th then do_loop st sc th label test body else Cnormal
-  | Cbreak l when targets label l -> Cnormal
-  | r -> r
-
+(* A [for], [while] (no update) or [do]-[while] loop. *)
 let rec for_loop st sc th label (test : cond) (body : exec) (update : code) =
   if test st sc th then
     match body st sc th with
-    | Cnormal ->
-      ignore (update st sc th);
-      for_loop st sc th label test body update
-    | Ccontinue l when targets label l ->
+    | c when continues label c ->
       ignore (update st sc th);
       for_loop st sc th label test body update
     | Cbreak l when targets label l -> Cnormal
     | r -> r
   else Cnormal
+
+let no_value : code = fun _ _ _ -> Undefined
+
+(* The first iteration of a do-while, then a while. *)
+let do_loop st sc th label (test : cond) (body : exec) =
+  match body st sc th with
+  | c when continues label c -> for_loop st sc th label test body no_value
+  | Cbreak l when targets label l -> Cnormal
+  | r -> r
 
 let rec for_in_loop st sc th label lex name (body : exec) = function
   | [] -> Cnormal
   | k :: rest ->
     if lex >= 0 then set_lex st sc lex (Str k) else set_var st sc name (Str k);
     (match body st sc th with
-     | Cnormal -> for_in_loop st sc th label lex name body rest
-     | Ccontinue l when targets label l ->
-       for_in_loop st sc th label lex name body rest
+     | c when continues label c -> for_in_loop st sc th label lex name body rest
      | Cbreak l when targets label l -> Cnormal
      | r -> r)
 
@@ -571,7 +445,7 @@ let run_try st sc th (body : exec) catch (finally : exec option) =
        | Some (name, (cbody : exec)) ->
          declare sc name;
          set_var st sc name v;
-         (match cbody st sc th with c -> Ok c | exception Js_throw v2 -> Error v2)
+         (try Ok (cbody st sc th) with Js_throw v2 -> Error v2)
        | None -> Error v)
   in
   match match finally with None -> Cnormal | Some fb -> fb st sc th with
@@ -602,7 +476,8 @@ let rec run_cases st sc th (bodies : exec array) i =
 let result st = function
   | Creturn v -> v
   | Cnormal -> Undefined
-  | Cbreak _ | Ccontinue _ -> type_error st "break/continue escaped function body"
+  | Cbreak _ | Ccontinue _ ->
+    type_error st "break/continue escaped function body"
 
 (* ------------------------------------------------------------------ *)
 (* The compiler                                                        *)
@@ -611,8 +486,8 @@ let result st = function
 let rec is_num e =
   match e.e with
   | Number _ | Update _ | Unop ((Neg | Positive | Bitnot), _) -> true
-  | Binop ((Sub | Mul | Div | Mod | Band | Bor | Bxor | Lshift | Rshift | Urshift), _, _)
-    -> true
+  | Binop ((Sub | Mul | Div | Mod | Band | Bor | Bxor), _, _) -> true
+  | Binop ((Lshift | Rshift | Urshift), _, _) -> true
   | Binop (Add, l, r) -> is_num l && is_num r
   | _ -> false
 
@@ -622,7 +497,6 @@ let[@inline] slots_at st sc depth =
   else if depth = lex_global_depth then st.global_scope.slots
   else (frame_up sc depth).slots
 
-let no_value : code = fun _ _ _ -> Undefined
 let codes compile es = Array.of_list (List.map compile es)
 
 (* [hs] is the state's handler table, read only while compiling. *)
@@ -640,11 +514,7 @@ let rec expr hs (e : expr) : code =
     fun st sc th ->
       node st;
       tick st cost_alloc;
-      let values = Array.make (Array.length elems) Undefined in
-      for i = 0 to Array.length elems - 1 do
-        values.(i) <- elems.(i) st sc th
-      done;
-      Obj (make_array st values)
+      Obj (make_array st (Array.of_list (eval_args st sc th elems 0)))
   | Object_lit props ->
     let keys = Array.of_list (List.map fst props)
     and values = codes (fun (_, v) -> expr hs v) props in
@@ -659,34 +529,22 @@ let rec expr hs (e : expr) : code =
   | Function_expr f ->
     let body = func hs f in
     fun st sc _ ->
-      node st;
-      tick st cost_alloc;
-      Obj (make_closure st sc f body)
+      node st; tick st cost_alloc; Obj (make_closure st sc f body)
   | Member (oe, "length") ->
     let o = expr hs oe in
     fun st sc th -> node st; length_of st (o st sc th)
   | Member (oe, field) ->
     let o = expr hs oe in
     fun st sc th -> node st; get_prop st (o st sc th) field
-  | Index (oe, ie) when is_num ie ->
-    let o = expr hs oe and i = num hs ie in
-    fun st sc th ->
-      node st;
-      let base = o st sc th in
-      index_num st base (i st sc th)
   | Index (oe, ie) ->
     let o = expr hs oe and i = expr hs ie in
     fun st sc th ->
-      node st;
-      let base = o st sc th in
-      index_value st base (i st sc th)
+      node st; let base = o st sc th in index_value st base (i st sc th)
   | Call (callee, args) -> call_expr hs e.at.left.line callee args
   | New (callee, args) ->
     let f = expr hs callee and args = codes (expr hs) args in
     fun st sc th ->
-      node st;
-      let fn = f st sc th in
-      construct_site st sc th fn args
+      node st; let fn = f st sc th in construct st sc th fn args
   | Unop (Typeof, x) -> typeof hs x
   | Unop (Delete, x) -> delete hs x
   | Unop (Void, x) ->
@@ -694,9 +552,10 @@ let rec expr hs (e : expr) : code =
     fun st sc th -> node st; ignore (c st sc th); Undefined
   | Unop (Bitnot, x) ->
     let c = expr hs x in
-    fun st sc th -> node st; of_int32 (Int32.lognot (to_int32 st (c st sc th)))
-  | Unop (Not, _) | Binop ((Lt | Le | Gt | Ge | Eq | Neq | Strict_eq | Strict_neq), _, _)
-    ->
+    fun st sc th ->
+      node st; Num (Int32.to_float (Int32.lognot (to_int32 st (c st sc th))))
+  | Unop (Not, _)
+  | Binop ((Lt | Le | Gt | Ge | Eq | Neq | Strict_eq | Strict_neq), _, _) ->
     let c = cond hs e in
     fun st sc th -> of_bool (c st sc th)
   | Binop (Add, l, r) when not (is_num e) -> add hs l r
@@ -706,21 +565,15 @@ let rec expr hs (e : expr) : code =
   | Binop (op, l, r) ->
     let l = expr hs l and r = expr hs r in
     fun st sc th ->
-      node st;
-      let lv = l st sc th in
-      eval_binop st op lv (r st sc th)
+      node st; let lv = l st sc th in binop st op lv (r st sc th)
   | Logical (And, l, r) ->
     let l = expr hs l and r = expr hs r in
     fun st sc th ->
-      node st;
-      let lv = l st sc th in
-      if truthy lv then r st sc th else lv
+      node st; let lv = l st sc th in if truthy lv then r st sc th else lv
   | Logical (Or, l, r) ->
     let l = expr hs l and r = expr hs r in
     fun st sc th ->
-      node st;
-      let lv = l st sc th in
-      if truthy lv then lv else r st sc th
+      node st; let lv = l st sc th in if truthy lv then lv else r st sc th
   | Cond (c, t, f) ->
     let c = cond hs c and t = expr hs t and f = expr hs f in
     fun st sc th -> node st; if c st sc th then t st sc th else f st sc th
@@ -748,19 +601,20 @@ and ident lex name : code =
     let depth = lex_depth lex and slot = lex_slot lex in
     if depth = 0 then fun st sc _ -> node st; sc.slots.(slot)
     else if depth = lex_global_depth then fun st _ _ ->
-      node st;
-      Array.unsafe_get st.global_scope.slots slot
+      node st; Array.unsafe_get st.global_scope.slots slot
     else fun st sc _ -> node st; (frame_up sc depth).slots.(slot)
 
 (* A number-valued form of [e], coerced as soon as it is evaluated.
    Only [is_num] operands, unary operands and right-hand operands take
    it: a left operand that is not [is_num] is coerced after the right
-   one has been evaluated, as [eval_binop] orders it. *)
+   one has been evaluated, as [Value.binop] orders it. *)
 and num hs (e : expr) : num =
   match e.e with
   | Number f -> fun st _ _ -> node st; f
   | Unop (Neg, x) -> let x = num hs x in fun st sc th -> node st; -.x st sc th
-  | Unop (Positive, x) -> let x = num hs x in fun st sc th -> node st; x st sc th
+  | Unop (Positive, x) ->
+    let x = num hs x in
+    fun st sc th -> node st; x st sc th
   | Binop (Add, l, r) when is_num l && is_num r ->
     let l = num hs l and r = num hs r in
     fun st sc th -> node st; let a = l st sc th in a +. r st sc th
@@ -768,15 +622,6 @@ and num hs (e : expr) : num =
   | Ident _ when e.lex >= 0 && lex_depth e.lex = 0 ->
     let slot = lex_slot e.lex in
     fun st sc _ -> node st; unbox st sc.slots.(slot)
-  | Member (oe, field) when field <> "length" ->
-    let o = expr hs oe in
-    fun st sc th -> node st; unbox st (get_prop st (o st sc th) field)
-  | Index (oe, ie) ->
-    let o = expr hs oe and i = expr hs ie in
-    fun st sc th ->
-      node st;
-      let base = o st sc th in
-      unbox st (index_value st base (i st sc th))
   | _ -> let c = expr hs e in fun st sc th -> unbox st (c st sc th)
 
 (* [- * / %] as floats. A left operand that is not [is_num] is
@@ -789,82 +634,76 @@ and arith hs op l r : num =
     | Sub -> fun st sc th -> node st; let a = l st sc th in a -. r st sc th
     | Mul -> fun st sc th -> node st; let a = l st sc th in a *. r st sc th
     | Div -> fun st sc th -> node st; let a = l st sc th in a /. r st sc th
-    | _ -> fun st sc th -> node st; let a = l st sc th in Float.rem a (r st sc th)
+    | _ ->
+      fun st sc th -> node st; let a = l st sc th in Float.rem a (r st sc th)
   else
     let l = expr hs l in
     match op with
-    | Sub -> fun st sc th ->
-      node st; let lv = l st sc th in let b = r st sc th in unbox st lv -. b
-    | Mul -> fun st sc th ->
-      node st; let lv = l st sc th in let b = r st sc th in unbox st lv *. b
-    | Div -> fun st sc th ->
-      node st; let lv = l st sc th in let b = r st sc th in unbox st lv /. b
-    | _ -> fun st sc th ->
-      node st; let lv = l st sc th in let b = r st sc th in Float.rem (unbox st lv) b
+    | Sub ->
+      fun st sc th ->
+        node st; let lv = l st sc th in let b = r st sc th in unbox st lv -. b
+    | Mul ->
+      fun st sc th ->
+        node st; let lv = l st sc th in let b = r st sc th in unbox st lv *. b
+    | Div ->
+      fun st sc th ->
+        node st; let lv = l st sc th in let b = r st sc th in unbox st lv /. b
+    | _ ->
+      fun st sc th ->
+        node st;
+        let lv = l st sc th in
+        let b = r st sc th in
+        Float.rem (unbox st lv) b
 
-(* [+] that may concatenate: at least one side is not [is_num]. *)
+(* [+] that may concatenate: a side is not [is_num]. *)
 and add hs l r : code =
-  match is_num l, is_num r with
-  | false, true ->
+  if is_num r then
     let l = expr hs l and r = num hs r in
     fun st sc th ->
       node st;
       let lv = l st sc th in
       let b = r st sc th in
       (match lv with Num a -> Num (a +. b) | _ -> add_values st lv (Num b))
-  | true, _ ->
-    let l = num hs l and r = expr hs r in
-    fun st sc th ->
-      node st;
-      let a = l st sc th in
-      (match r st sc th with Num b -> Num (a +. b) | rv -> add_values st (Num a) rv)
-  | false, false ->
+  else
     let l = expr hs l and r = expr hs r in
     fun st sc th ->
       node st;
       let lv = l st sc th in
       let rv = r st sc th in
-      (match lv, rv with Num a, Num b -> Num (a +. b) | _ -> add_values st lv rv)
+      (match lv, rv with
+       | Num a, Num b -> Num (a +. b)
+       | _ -> add_values st lv rv)
 
 and cond hs (e : expr) : cond =
   match e.e with
   | Bool b -> fun st _ _ -> node st; b
-  | Unop (Not, x) -> let c = cond hs x in fun st sc th -> node st; not (c st sc th)
+  | Unop (Not, x) ->
+    let c = cond hs x in
+    fun st sc th -> node st; not (c st sc th)
   | Logical (And, l, r) ->
     let l = cond hs l and r = cond hs r in
     fun st sc th -> node st; l st sc th && r st sc th
   | Logical (Or, l, r) ->
     let l = cond hs l and r = cond hs r in
     fun st sc th -> node st; l st sc th || r st sc th
-  | Binop ((Lt | Le | Gt | Ge) as op, l, r) -> (
-    match is_num l, is_num r with
-    | true, true ->
-      let l = num hs l and r = num hs r in
-      fun st sc th -> node st; let a = l st sc th in compare_num op a (r st sc th)
-    | false, true ->
-      let l = expr hs l and r = num hs r in
-      fun st sc th ->
-        node st;
-        let lv = l st sc th in
-        let b = r st sc th in
-        (match lv with Num a -> compare_num op a b | _ -> compare_values st op lv (Num b))
-    | true, false ->
-      let l = num hs l and r = expr hs r in
-      fun st sc th ->
-        node st;
-        let a = l st sc th in
-        (match r st sc th with
-         | Num b -> compare_num op a b
-         | rv -> compare_values st op (Num a) rv)
-    | false, false ->
-      let l = expr hs l and r = expr hs r in
-      fun st sc th ->
-        node st;
-        let lv = l st sc th in
-        let rv = r st sc th in
-        (match lv, rv with
-         | Num a, Num b -> compare_num op a b
-         | _ -> compare_values st op lv rv))
+  | Binop ((Lt | Le | Gt | Ge) as op, l, r) when is_num r ->
+    let l = expr hs l and r = num hs r in
+    fun st sc th ->
+      node st;
+      let lv = l st sc th in
+      let b = r st sc th in
+      (match lv with
+       | Num a -> compare_num op a b
+       | _ -> compare_values st op lv (Num b))
+  | Binop ((Lt | Le | Gt | Ge) as op, l, r) ->
+    let l = expr hs l and r = expr hs r in
+    fun st sc th ->
+      node st;
+      let lv = l st sc th in
+      let rv = r st sc th in
+      (match lv, rv with
+       | Num a, Num b -> compare_num op a b
+       | _ -> compare_values st op lv rv)
   | Binop (((Eq | Neq | Strict_eq | Strict_neq) as op), l, r) ->
     let l = expr hs l and r = expr hs r in
     let strict = op = Strict_eq || op = Strict_neq
@@ -888,16 +727,14 @@ and call_expr hs line callee args : code =
     fun st sc th ->
       node st;
       let base = o st sc th in
-      let fn = get_prop st base field in
-      invoke st sc th line fn base args
+      invoke st sc th line (get_prop st base field) base args
   | Index (oe, ie) ->
     let o = expr hs oe and i = expr hs ie in
     fun st sc th ->
       node st;
       let base = o st sc th in
       let idx = i st sc th in
-      let fn = get_prop st base (to_string st idx) in
-      invoke st sc th line fn base args
+      invoke st sc th line (get_prop st base (to_string st idx)) base args
   | _ ->
     let f = expr hs callee in
     fun st sc th ->
@@ -920,7 +757,9 @@ and typeof hs (x : expr) : code =
          if has_prop_obj st.global_obj name then
            Str (type_of (get_prop_obj st.global_obj name))
          else Str "undefined")
-  | _ -> let c = expr hs x in fun st sc th -> node st; Str (type_of (c st sc th))
+  | _ ->
+    let c = expr hs x in
+    fun st sc th -> node st; Str (type_of (c st sc th))
 
 and delete hs (x : expr) : code =
   match x.e with
@@ -928,7 +767,9 @@ and delete hs (x : expr) : code =
     let o = expr hs oe in
     fun st sc th ->
       node st;
-      (match o st sc th with Obj o -> of_bool (raw_delete_prop o field) | _ -> v_true)
+      (match o st sc th with
+       | Obj o -> of_bool (raw_delete_prop o field)
+       | _ -> v_true)
   | Index (oe, ie) ->
     let o = expr hs oe and i = expr hs ie in
     fun st sc th ->
@@ -938,9 +779,7 @@ and delete hs (x : expr) : code =
       (match base with
        | Obj o ->
          (match o.arr, array_index_of_key key with
-          | Some a, Some i when i < a.len ->
-            a.elems.(i) <- Undefined;
-            v_true
+          | Some a, Some i when i < a.len -> a.elems.(i) <- Undefined; v_true
           | _ -> of_bool (raw_delete_prop o key))
        | _ -> v_true)
   | _ -> fun st _ _ -> node st; v_true
@@ -956,27 +795,23 @@ and assign hs lex tgt (r : code) : code =
       node st; let v = r st sc th in sc.slots.(slot) <- v; v
     else fun st sc th ->
       node st; let v = r st sc th in (slots_at st sc depth).(slot) <- v; v
-  | Tgt_member (oe, field) ->
-    let o = expr hs oe in
+  | _ ->
+    let o, i, field = place hs tgt in
     fun st sc th ->
       node st;
       let base = o st sc th in
-      let v = r st sc th in
-      set_prop st base field v;
-      v
-  | Tgt_index (oe, ie) ->
-    let o = expr hs oe and i = expr hs ie in
-    fun st sc th ->
-      node st;
-      let base = o st sc th in
-      let idx = i st sc th in
+      let idx = match i with None -> Undefined | Some i -> i st sc th in
       let k = elem_index base idx in
-      if k >= 0 then (let v = r st sc th in write_elem st base k v; v)
-      else
-        let key = to_string st idx in
-        let v = r st sc th in
-        set_prop st base key v;
-        v
+      let key = key_of st k i field idx in
+      let v = r st sc th in
+      write_at st base k key v; v
+
+(* The object, the key expression ([None] for a member) and the member
+   name of a property target. *)
+and place hs = function
+  | Tgt_member (oe, field) -> (expr hs oe, None, field)
+  | Tgt_index (oe, ie) -> (expr hs oe, Some (expr hs ie), "")
+  | Tgt_ident _ -> invalid_arg "Eval.place"
 
 (* [tgt op= rhs]: the target is read before [rhs] runs. *)
 and compound hs lex tgt op (r : code) : code =
@@ -985,81 +820,48 @@ and compound hs lex tgt op (r : code) : code =
     fun st sc th ->
       node st;
       let old = if lex >= 0 then get_lex st sc lex else get_var st sc name in
-      let v = eval_binop st op old (r st sc th) in
+      let v = binop st op old (r st sc th) in
       if lex >= 0 then set_lex st sc lex v else set_var st sc name v;
       v
-  | Tgt_member (oe, field) ->
-    let o = expr hs oe in
+  | _ ->
+    let o, i, field = place hs tgt in
     fun st sc th ->
       node st;
       let base = o st sc th in
-      let v = eval_binop st op (get_prop st base field) (r st sc th) in
-      set_prop st base field v;
-      v
-  | Tgt_index (oe, ie) ->
-    let o = expr hs oe and i = expr hs ie in
-    fun st sc th ->
-      node st;
-      let base = o st sc th in
-      let idx = i st sc th in
+      let idx = match i with None -> Undefined | Some i -> i st sc th in
       let k = elem_index base idx in
-      if k >= 0 then begin
-        let v = eval_binop st op (read_elem st base k) (r st sc th) in
-        write_elem st base k v;
-        v
-      end
-      else
-        let key = to_string st idx in
-        let v = eval_binop st op (get_prop st base key) (r st sc th) in
-        set_prop st base key v;
-        v
+      let key = key_of st k i field idx in
+      let v = binop st op (read_at st base k key) (r st sc th) in
+      write_at st base k key v; v
 
-(* [++]/[--] by [delta]. A resolved variable returns the value it
-   wrote (prefix) or the old number (postfix) without a fresh box. *)
+(* [++]/[--] by [delta]. A variable returns the value it wrote
+   (prefix) or the old number (postfix) without a fresh box. *)
 and update hs lex tgt delta prefix : code =
   let[@inline] boxed old_n = Num (if prefix then old_n +. delta else old_n) in
   match tgt with
-  | Tgt_ident _ when lex >= 0 ->
+  | Tgt_ident name ->
     let depth = lex_depth lex and slot = lex_slot lex in
     fun st sc _ ->
       node st;
-      let slots = slots_at st sc depth in
-      let old_v = slots.(slot) in
+      let old_v =
+        if lex < 0 then get_var st sc name else (slots_at st sc depth).(slot)
+      in
       let old_n = unbox st old_v in
       let new_v = Num (old_n +. delta) in
-      slots.(slot) <- new_v;
-      if prefix then new_v else (match old_v with Num _ -> old_v | _ -> Num old_n)
-  | Tgt_ident name ->
-    fun st sc _ ->
-      node st;
-      let old_n = to_number st (get_var st sc name) in
-      set_var st sc name (Num (old_n +. delta));
-      boxed old_n
-  | Tgt_member (oe, field) ->
-    let o = expr hs oe in
+      if lex < 0 then set_var st sc name new_v
+      else (slots_at st sc depth).(slot) <- new_v;
+      if prefix then new_v
+      else (match old_v with Num _ -> old_v | _ -> Num old_n)
+  | _ ->
+    let o, i, field = place hs tgt in
     fun st sc th ->
       node st;
       let base = o st sc th in
-      let old_n = to_number st (get_prop st base field) in
-      set_prop st base field (Num (old_n +. delta));
-      boxed old_n
-  | Tgt_index (oe, ie) ->
-    let o = expr hs oe and i = expr hs ie in
-    fun st sc th ->
-      node st;
-      let base = o st sc th in
-      let idx = i st sc th in
+      let idx = match i with None -> Undefined | Some i -> i st sc th in
       let k = elem_index base idx in
-      if k >= 0 then begin
-        let old_n = to_number st (read_elem st base k) in
-        write_elem st base k (Num (old_n +. delta));
-        boxed old_n
-      end
-      else
-        let key = to_string st idx in
-        let old_n = to_number st (get_prop st base key) in
-        set_prop st base key (Num (old_n +. delta));
-        boxed old_n
+      let key = key_of st k i field idx in
+      let old_n = to_number st (read_at st base k key) in
+      write_at st base k key (Num (old_n +. delta)); boxed old_n
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
@@ -1068,41 +870,42 @@ and stmts hs (body : stmt list) : exec =
   match codes (stmt hs ~label:None) body with
   | [||] -> fun _ _ _ -> Cnormal
   | [| s |] -> s
-  | [| a; b |] -> fun st sc th -> (match a st sc th with Cnormal -> b st sc th | c -> c)
   | cs -> fun st sc th -> run_seq st sc th cs 0
 
 (* [label] is the label directly carried by a loop statement. *)
 and stmt hs ~label (s : stmt) : exec =
+  let sub = stmt hs ~label:None in
   match s.s with
-  | Empty | Func_decl _ (* bound during hoisting *) -> fun st _ _ -> node st; Cnormal
+  | Empty | Func_decl _ (* bound during hoisting *) ->
+    fun st _ _ -> node st; Cnormal
   | Expr_stmt e ->
     let c = expr hs e in
     fun st sc th -> node st; ignore (c st sc th); Cnormal
   | Var_decl decls ->
     let d = declarators hs s.slex decls in
     fun st sc th -> node st; d st sc th; Cnormal
-  | If (c, t, None) ->
-    let c = cond hs c and t = stmt hs ~label:None t in
-    fun st sc th -> node st; if c st sc th then t st sc th else Cnormal
-  | If (c, t, Some f) ->
-    let c = cond hs c and t = stmt hs ~label:None t and f = stmt hs ~label:None f in
+  | If (c, t, f) ->
+    let c = cond hs c and t = sub t
+    and f = match f with None -> fun _ _ _ -> Cnormal | Some f -> sub f in
     fun st sc th -> node st; if c st sc th then t st sc th else f st sc th
   | While (_, c, body) ->
-    let test = cond hs c and body = stmt hs ~label:None body in
-    fun st sc th -> node st; while_loop st sc th label test body
+    let test = cond hs c and body = sub body in
+    fun st sc th -> node st; for_loop st sc th label test body no_value
   | Do_while (_, body, c) ->
-    let body = stmt hs ~label:None body and test = cond hs c in
+    let body = sub body and test = cond hs c in
     fun st sc th -> node st; do_loop st sc th label test body
   | For (lid, init, c, u, body) ->
     let init =
       match init with
       | None -> fun _ _ _ -> ()
-      | Some (Init_expr e) -> let c = expr hs e in fun st sc th -> ignore (c st sc th)
+      | Some (Init_expr e) ->
+        let c = expr hs e in
+        fun st sc th -> ignore (c st sc th)
       | Some (Init_var decls) -> declarators hs s.slex decls
     in
     let test = match c with None -> fun _ _ _ -> true | Some c -> cond hs c in
     let update = match u with None -> no_value | Some u -> expr hs u in
-    let run = stmt hs ~label:None body in
+    let run = sub body in
     let lv =
       { lv_id = lid; lv_cond = c; lv_update = u; lv_body = body;
         lv_test = test; lv_step = update; lv_run = run }
@@ -1114,11 +917,13 @@ and stmt hs ~label (s : stmt) : exec =
        | Some hook when hook st sc th lv -> Cnormal
        | _ -> for_loop st sc th label test run update)
   | For_in (_, binder, obj_e, body) ->
-    let o = expr hs obj_e and body = stmt hs ~label:None body in
+    let o = expr hs obj_e and body = sub body in
     (* a stamped binder writes its slot; the others take [set_var] *)
     let lex = if Array.length s.slex > 0 then s.slex.(0) else -1 in
     let name, declared =
-      match binder with Binder_var n -> (n, lex < 0) | Binder_ident n -> (n, false)
+      match binder with
+      | Binder_var n -> (n, lex < 0)
+      | Binder_ident n -> (n, false)
     in
     fun st sc th ->
       node st;
@@ -1126,10 +931,14 @@ and stmt hs ~label (s : stmt) : exec =
       if declared then declare sc name;
       for_in_loop st sc th label lex name body keys
   | Return None -> let r = Creturn Undefined in fun st _ _ -> node st; r
-  | Return (Some e) -> let c = expr hs e in fun st sc th -> node st; Creturn (c st sc th)
+  | Return (Some e) ->
+    let c = expr hs e in
+    fun st sc th -> node st; Creturn (c st sc th)
   | Break l -> let r = Cbreak l in fun st _ _ -> node st; r
   | Continue l -> let r = Ccontinue l in fun st _ _ -> node st; r
-  | Throw e -> let c = expr hs e in fun st sc th -> node st; raise (Js_throw (c st sc th))
+  | Throw e ->
+    let c = expr hs e in
+    fun st sc th -> node st; raise (Js_throw (c st sc th))
   | Try (body, catch, finally) ->
     let body = stmts hs body
     and catch = Option.map (fun (n, b) -> (n, stmts hs b)) catch
@@ -1138,12 +947,11 @@ and stmt hs ~label (s : stmt) : exec =
   | Block body -> let b = stmts hs body in fun st sc th -> node st; b st sc th
   | Switch (scrutinee, cases) ->
     let v = expr hs scrutinee
-    and guards = Array.of_list (List.map (fun (g, _) -> Option.map (expr hs) g) cases)
+    and guards = codes (fun (g, _) -> Option.map (expr hs) g) cases
     and bodies = codes (fun (_, b) -> stmts hs b) cases in
     fun st sc th ->
       node st;
-      let v = v st sc th in
-      let start = switch_start st sc th v guards 0 in
+      let start = switch_start st sc th (v st sc th) guards 0 in
       if start < 0 then Cnormal else run_cases st sc th bodies start
   | Labeled (name, body) ->
     (* attach the label to a directly labeled loop so [continue name]
@@ -1167,13 +975,9 @@ and stmt hs ~label (s : stmt) : exec =
 and declarators hs slex decls : state -> scope -> value -> unit =
   if Array.length slex > 0 then
     let inits =
-      List.concat
-        (List.mapi
-           (fun i (_, init) ->
-              match init with
-              | None -> []
-              | Some e -> [ (lex_depth slex.(i), lex_slot slex.(i), expr hs e) ])
-           decls)
+      List.mapi (fun i (_, init) -> (slex.(i), init)) decls
+      |> List.filter_map (fun (lex, init) ->
+          Option.map (fun e -> (lex_depth lex, lex_slot lex, expr hs e)) init)
       |> Array.of_list
     in
     match inits with
@@ -1186,9 +990,7 @@ and declarators hs slex decls : state -> scope -> value -> unit =
           (slots_at st sc depth).(slot) <- v
         done
   else
-    let decls =
-      Array.of_list (List.map (fun (n, init) -> (n, Option.map (expr hs) init)) decls)
-    in
+    let decls = codes (fun (n, e) -> (n, Option.map (expr hs) e)) decls in
     fun st sc th ->
       for i = 0 to Array.length decls - 1 do
         let name, init = decls.(i) in
@@ -1208,13 +1010,17 @@ and func hs (f : func) : code =
     | { s = Return (Some e); _ } :: rest ->
       let prefix = stmts hs (List.rev rest) and e = expr hs e in
       fun st sc th ->
-        (match prefix st sc th with Cnormal -> node st; e st sc th | c -> result st c)
-    | _ -> let run = stmts hs f.body in fun st sc th -> result st (run st sc th)
+        (match prefix st sc th with
+         | Cnormal -> node st; e st sc th
+         | c -> result st c)
+    | _ ->
+      let run = stmts hs f.body in
+      fun st sc th -> result st (run st sc th)
   in
   match f.layout with
   | Some { l_decls = []; _ } -> run
   | Some lay ->
-    let decls = Array.of_list (List.map (fun (slot, g) -> (slot, g, func hs g)) lay.l_decls) in
+    let decls = codes (fun (slot, g) -> (slot, g, func hs g)) lay.l_decls in
     fun st sc th ->
       for i = 0 to Array.length decls - 1 do
         let slot, g, body = decls.(i) in
@@ -1245,38 +1051,21 @@ let create ?(seed = 20150207) ?(budget = default_budget)
       call = None; arr = None; host_tag = None }
   in
   let st =
-    { clock;
-      prng;
-      symtab = Ceres_util.Symbol.create ();
+    { clock; prng; symtab = Ceres_util.Symbol.create ();
       global_scope =
         { sid = 0; vars = Strtbl.create 64; parent = None;
           ltab = None; slots = [||]; syms = [||]; fup = None };
-      global_obj = dummy_obj;
-      object_proto = dummy_obj;
-      array_proto = dummy_obj;
-      function_proto = dummy_obj;
-      string_proto = dummy_obj;
-      number_proto = dummy_obj;
-      error_proto = dummy_obj;
-      next_oid = 1;
-      next_sid = 1;
-      call_depth = 0;
-      max_call_depth = 2000;
-      budget = Int64.to_int budget;
-      console = [];
-      echo_console = false;
-      intrinsics = Hashtbl.create 32;
-      on_scope_create = (fun _ -> ());
-      on_call_enter = (fun _ -> ());
-      on_call_exit = (fun () -> ());
-      on_host_access = (fun _ _ -> ());
-      on_tick = None;
-      on_call_site = (fun _ _ _ -> ());
-      apply = (fun _ _ _ _ -> Undefined);
-      events = [];
-      next_event_seq = 0;
-      host_time_reads = 0;
-      on_loop = None }
+      global_obj = dummy_obj; object_proto = dummy_obj;
+      array_proto = dummy_obj; function_proto = dummy_obj;
+      string_proto = dummy_obj; number_proto = dummy_obj;
+      error_proto = dummy_obj; next_oid = 1; next_sid = 1; call_depth = 0;
+      max_call_depth = 2000; budget = Int64.to_int budget; console = [];
+      echo_console = false; intrinsics = Hashtbl.create 32;
+      on_scope_create = (fun _ -> ()); on_call_enter = (fun _ -> ());
+      on_call_exit = (fun () -> ()); on_host_access = (fun _ _ -> ());
+      on_tick = None; on_call_site = (fun _ _ _ -> ());
+      apply = (fun _ _ _ _ -> Undefined); events = []; next_event_seq = 0;
+      host_time_reads = 0; on_loop = None }
   in
   let object_proto =
     { oid = 0; props = Strtbl.create 16; key_order = []; proto = None;
@@ -1298,7 +1087,8 @@ let run_program ?(resolve = true) st (p : program) : unit =
   let run = stmts hs p.stmts in
   (match p.resolved_for, p.glayout with
    | Some t, Some glay when t == st.symtab ->
-     attach_global st glay (codes (fun (slot, f) -> (slot, f, func hs f)) glay.l_decls)
+     attach_global st glay
+       (codes (fun (slot, f) -> (slot, f, func hs f)) glay.l_decls)
    | _ ->
      hoist st st.global_scope (Jsir.Resolve.hoisted_names [] p.stmts)
        (dynamic_decls hs p.stmts));

@@ -43,19 +43,12 @@ val call : state -> value -> value -> value list -> value
 (** [call st callee this args]; raises a catchable TypeError for
     non-callables and RangeError past [max_call_depth]. *)
 
-val construct : state -> value -> value list -> value
-(** [new callee(args)]. *)
-
 val get_prop : state -> value -> string -> value
 (** Property access on arbitrary values (string indexing/length,
     prototype methods for primitives); throws on [null]/[undefined]. *)
 
 val set_prop : state -> value -> string -> value -> unit
 (** Writes to DOM-tagged elements are reported as host DOM accesses. *)
-
-val eval_binop : state -> Jsir.Ast.binop -> value -> value -> value
-(** The binary-operator semantics over evaluated operands, exposed for
-    compound-assignment intrinsic handlers. *)
 
 val tick : state -> int -> unit
 (** Advance the virtual clock by a non-negative cost (unchecked, unlike

@@ -554,3 +554,77 @@ let throw_error st kind msg =
   raise (Js_throw (Obj o))
 
 let type_error st msg = throw_error st "TypeError" msg
+
+(* ------------------------------------------------------------------ *)
+(* Binary operators over evaluated operands                            *)
+
+(* [+] once a side is not a number. *)
+let add_values st lv rv =
+  let lp = to_primitive st lv in
+  let rp = to_primitive st rv in
+  match lp, rp with
+  | Str _, _ | _, Str _ -> Str (to_string st lp ^ to_string st rp)
+  | _ -> Num (to_number st lp +. to_number st rp)
+
+(* Relational comparison, the left operand coerced first. IEEE
+   comparisons are already false on NaN. *)
+let compare_values st (op : Jsir.Ast.binop) lv rv =
+  let lp = to_primitive st lv in
+  let rp = to_primitive st rv in
+  match lp, rp with
+  | Str a, Str b ->
+    let c = String.compare a b in
+    (match op with Lt -> c < 0 | Le -> c <= 0 | Gt -> c > 0 | _ -> c >= 0)
+  | _ ->
+    let a = to_number st lp and b = to_number st rp in
+    (match op with Lt -> a < b | Le -> a <= b | Gt -> a > b | _ -> a >= b)
+
+let of_int32 i = Num (Int32.to_float i)
+
+(* A side that needs coercing is coerced after both are evaluated, the
+   right one first except for [+] and the relational operators. *)
+let binop st (op : Jsir.Ast.binop) lv rv =
+  match op with
+  | Add ->
+    (match lv, rv with
+     | Num a, Num b -> Num (a +. b)
+     | _ -> add_values st lv rv)
+  | Sub | Mul | Div | Mod ->
+    let b = to_number st rv in
+    let a = to_number st lv in
+    Num
+      (match op with
+       | Sub -> a -. b
+       | Mul -> a *. b
+       | Div -> a /. b
+       | _ -> Float.rem a b)
+  | Lt | Le | Gt | Ge -> vbool (compare_values st op lv rv)
+  | Eq -> vbool (abstract_eq st lv rv)
+  | Neq -> vbool (not (abstract_eq st lv rv))
+  | Strict_eq -> vbool (strict_eq lv rv)
+  | Strict_neq -> vbool (not (strict_eq lv rv))
+  | Band -> of_int32 (Int32.logand (to_int32 st lv) (to_int32 st rv))
+  | Bor -> of_int32 (Int32.logor (to_int32 st lv) (to_int32 st rv))
+  | Bxor -> of_int32 (Int32.logxor (to_int32 st lv) (to_int32 st rv))
+  | Lshift | Rshift | Urshift ->
+    let shift = to_uint32 st rv land 31 in
+    (match op with
+     | Lshift -> of_int32 (Int32.shift_left (to_int32 st lv) shift)
+     | Rshift -> of_int32 (Int32.shift_right (to_int32 st lv) shift)
+     | _ -> Num (float_of_int (to_uint32 st lv lsr shift)))
+  | Instanceof ->
+    (match rv with
+     | Obj fo when fo.call <> None ->
+       (match raw_get_own fo "prototype", lv with
+        | Some (Obj proto), Obj o ->
+          let rec walk = function
+            | None -> false
+            | Some p -> p.oid = proto.oid || walk p.proto
+          in
+          vbool (walk o.proto)
+        | _ -> v_false)
+     | _ -> type_error st "right-hand side of instanceof is not callable")
+  | In ->
+    (match rv with
+     | Obj o -> vbool (has_prop_obj o (to_string st lv))
+     | _ -> type_error st "right-hand side of 'in' is not an object")

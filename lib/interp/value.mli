@@ -276,3 +276,18 @@ val throw_error : state -> string -> string -> 'a
 (** Throw a JS error object with the given [name] and message. *)
 
 val type_error : state -> string -> 'a
+
+(** {1 Binary operators} *)
+
+val add_values : state -> value -> value -> value
+(** [+] once a side is not a number: string concatenation if either
+    primitive is a string, else numeric addition. *)
+
+val compare_values : state -> Jsir.Ast.binop -> value -> value -> bool
+(** [<], [<=], [>], [>=] over evaluated operands, the left one coerced
+    first. *)
+
+val binop : state -> Jsir.Ast.binop -> value -> value -> value
+(** The binary-operator semantics over evaluated operands. A side that
+    needs coercing is coerced after both are evaluated, the right one
+    first except for [+] and the relational operators. *)

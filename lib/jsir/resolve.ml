@@ -32,7 +32,7 @@ module Symbol = Ceres_util.Symbol
 
 (* ------------------------------------------------------------------ *)
 (* Function-level collections, shared with the evaluator's dynamic
-   path ([Eval.hoist_into]) and the analyzer ([Scope]), so the slot
+   path ([Eval.hoist]) and the analyzer ([Scope]), so the slot
    population is exactly the set of names an unresolved frame declares
    at function entry. *)
 
