@@ -2,18 +2,15 @@
 
    Registers handler factories for the [__ceres_*] intrinsics that
    {!Instrument} inserts. The compiler calls a factory once per
-   intrinsic node with the *unevaluated* operand expressions; the code
-   it returns evaluates each operand exactly once and in the original
-   order, so compound assignments and update expressions keep their
-   single-evaluation semantics. One analysis mode is attached per
-   interpreter state, mirroring the paper's separate staged runs.
-
-   Literal operands — loop ids, lines, variable names, operators,
-   update kinds, prefix flags — are read while compiling. At run time
-   each still charges the one [cost_node] tick its evaluation would
-   have charged, at the same point, so the virtual clock (and with it
-   every golden and chaos schedule) is unchanged. Any other operand is
-   compiled and checked when it runs.
+   intrinsic node with the *unevaluated* operands; the code it returns
+   evaluates each exactly once and in the original order, so compound
+   assignments and updates keep their single-evaluation semantics. One
+   analysis mode is attached per interpreter state, mirroring the
+   paper's separate staged runs. Literal operands (loop ids, lines,
+   names, operators, update kinds, prefix flags) are read while
+   compiling; at run time each still charges, at the same point, the
+   [cost_node] tick its evaluation would have, so the virtual clock and
+   every golden and chaos schedule are unchanged.
 
    Dependence-mode handlers lean on the front-end resolver: variable
    name arguments arrive as [Ident] nodes whose [lex] stamp carries
@@ -64,19 +61,14 @@ let name_operand ~compile =
     (function Ast.Ident x | Ast.String x -> Some x | _ -> None)
     expect_str
 
-let binop_of_name = function
-  | "+" -> Ast.Add
-  | "-" -> Ast.Sub
-  | "*" -> Ast.Mul
-  | "/" -> Ast.Div
-  | "%" -> Ast.Mod
-  | "&" -> Ast.Band
-  | "|" -> Ast.Bor
-  | "^" -> Ast.Bxor
-  | "<<" -> Ast.Lshift
-  | ">>" -> Ast.Rshift
-  | ">>>" -> Ast.Urshift
-  | op -> invalid_arg ("Install.binop_of_name: " ^ op)
+let binop_of_name name =
+  match
+    List.find_opt
+      (fun op -> String.equal (Ast.binop_name op) name)
+      Ast.[ Add; Sub; Mul; Div; Mod; Band; Bor; Bxor; Lshift; Rshift; Urshift ]
+  with
+  | Some op -> op
+  | None -> invalid_arg ("Install.binop_of_name: " ^ name)
 
 (* A write's operator: [None] for "=". *)
 let op_operand ~compile =
@@ -106,11 +98,10 @@ let arity name : code = fun st _ _ -> type_error st (name ^ " arity")
 let name_lex (name_e : Ast.expr) =
   match name_e.e with Ast.Ident _ -> name_e.lex | _ -> -1
 
-let lex_global_depth = 0xFFF
-
 let owner_of_lex st scope lex =
-  if lex land 0xFFF = lex_global_depth then st.global_scope
-  else frame_up scope (lex land 0xFFF)
+  let depth = Ast.lex_depth lex in
+  if depth = Ast.lex_global_depth then st.global_scope
+  else frame_up scope depth
 
 let rec eval_all st scope this = function
   | [] -> []
@@ -128,12 +119,9 @@ let type_tag_of = function
 
 let lightweight st : Lightweight.t =
   let lw = Lightweight.create st.clock in
-  register st "__ceres_light_enter" (fun ~compile:_ _ _ _ _ ->
-      Lightweight.on_enter lw;
-      Undefined);
-  register st "__ceres_light_exit" (fun ~compile:_ _ _ _ _ ->
-      Lightweight.on_exit lw;
-      Undefined);
+  let event f : intrinsic = fun ~compile:_ _ _ _ _ -> f lw; Undefined in
+  register st "__ceres_light_enter" (event Lightweight.on_enter);
+  register st "__ceres_light_exit" (event Lightweight.on_exit);
   lw
 
 (* A loop event [f id]; any other arity is ignored. *)
@@ -182,7 +170,7 @@ let dependence ?focus st (infos : Jsir.Loops.info array) : Runtime.t =
   let sym_and_owner st scope lex name =
     if lex >= 0 then begin
       let owner = owner_of_lex st scope lex in
-      (Array.unsafe_get owner.syms (lex lsr 12), owner.sid)
+      (Array.unsafe_get owner.syms (Ast.lex_slot lex), owner.sid)
     end
     else (Symbol.intern st.symtab name, owner_sid_dyn scope name)
   in
@@ -326,117 +314,99 @@ let dependence ?focus st (infos : Jsir.Loops.info array) : Runtime.t =
     | Obj o -> Runtime.on_prop_write rt ~basis ~oid:o.oid ~prop:psym ~line
     | _ -> ()
   in
-  let prop_write (obj, psym) ~compile obj_e line_e op_e rhs_e =
-    let line = num_operand ~compile line_e
-    and op = op_operand ~compile op_e
-    and basis = basis_of obj_e
-    and rhs = compile rhs_e in
-    fun st scope this ->
-      let base = obj st scope this in
-      let psym = psym st scope this in
-      let line = line st scope this in
-      let op = op st scope this in
-      let basis = basis st scope in
-      let v =
-        match op with
-        | None -> rhs st scope this
-        | Some op ->
-          record_read base psym line;
-          let old_v = get_elem st base psym in
-          let rhs_v = rhs st scope this in
-          binop st op old_v rhs_v
-      in
-      record_write ~basis base psym line;
-      Runtime.note_type rt
-        ~name:(Symbol.canonical st.symtab psym)
-        ~line ~type_tag:(type_tag_of v);
-      set_elem st base psym v;
-      v
+  (* Each property access has a member and an index form, told apart
+     by how the key is named; a handler takes the receiver and key code
+     and the remaining operands, [None] on the wrong arity. *)
+  let register_pair member index handler =
+    let reg name target =
+      register st name (fun ~compile args ->
+          let code =
+            match args with
+            | obj_e :: key_e :: rest ->
+              handler (target ~compile obj_e key_e) ~compile obj_e rest
+            | _ -> None
+          in
+          match code with Some c -> c | None -> arity name)
+    in
+    reg member prop_target;
+    reg index index_target
   in
-  register st "__ceres_prop_write" (fun ~compile args ->
-      match args with
-      | [ obj_e; prop_e; line_e; op_e; rhs_e ] ->
-        prop_write (prop_target ~compile obj_e prop_e) ~compile obj_e line_e
-          op_e rhs_e
-      | _ -> arity "__ceres_prop_write");
-  register st "__ceres_index_write" (fun ~compile args ->
-      match args with
-      | [ obj_e; idx_e; line_e; op_e; rhs_e ] ->
-        prop_write (index_target ~compile obj_e idx_e) ~compile obj_e line_e
-          op_e rhs_e
-      | _ -> arity "__ceres_index_write");
-  let prop_update (obj, psym) ~compile obj_e line_e kind_e prefix_e =
-    let line = num_operand ~compile line_e
-    and delta = delta_operand ~compile kind_e
-    and prefix = prefix_operand ~compile prefix_e
-    and basis = basis_of obj_e in
-    fun st scope this ->
-      let base = obj st scope this in
-      let psym = psym st scope this in
-      let line = line st scope this in
-      let delta = delta st scope this in
-      let prefix = prefix st scope this in
-      let basis = basis st scope in
-      record_read base psym line;
-      let old_n = to_number st (get_elem st base psym) in
-      let new_n = old_n +. delta in
-      record_write ~basis base psym line;
-      set_elem st base psym (Num new_n);
-      Num (if prefix then new_n else old_n)
-  in
-  register st "__ceres_prop_update" (fun ~compile args ->
-      match args with
-      | [ obj_e; prop_e; line_e; kind_e; prefix_e ] ->
-        prop_update (prop_target ~compile obj_e prop_e) ~compile obj_e line_e
-          kind_e prefix_e
-      | _ -> arity "__ceres_prop_update");
-  register st "__ceres_index_update" (fun ~compile args ->
-      match args with
-      | [ obj_e; idx_e; line_e; kind_e; prefix_e ] ->
-        prop_update (index_target ~compile obj_e idx_e) ~compile obj_e line_e
-          kind_e prefix_e
-      | _ -> arity "__ceres_index_update");
-  let prop_read (obj, psym) ~compile line_e get =
-    let line = num_operand ~compile line_e in
-    fun st scope this ->
-      let base = obj st scope this in
-      let psym = psym st scope this in
-      let line = line st scope this in
-      record_read base psym line;
-      get st base psym
-  in
-  register st "__ceres_prop_read" (fun ~compile args ->
-      match args with
-      | [ obj_e; prop_e; line_e ] ->
-        prop_read (prop_target ~compile obj_e prop_e) ~compile line_e
-          (fun st base psym -> Eval.get_prop st base (Symbol.name st.symtab psym))
-      | _ -> arity "__ceres_prop_read");
-  register st "__ceres_index_read" (fun ~compile args ->
-      match args with
-      | [ obj_e; idx_e; line_e ] ->
-        prop_read (index_target ~compile obj_e idx_e) ~compile line_e get_elem
-      | _ -> arity "__ceres_index_read");
-  let method_call (obj, psym) ~compile line_e arg_es =
-    let line = num_operand ~compile line_e
-    and args = List.map compile arg_es in
-    fun st scope this ->
-      let base = obj st scope this in
-      let psym = psym st scope this in
-      let line = line st scope this in
-      record_read base psym line;
-      let fn = Eval.get_prop st base (Symbol.name st.symtab psym) in
-      Eval.call st fn base (eval_all st scope this args)
-  in
-  register st "__ceres_method_call" (fun ~compile args ->
-      match args with
-      | obj_e :: prop_e :: line_e :: arg_es ->
-        method_call (prop_target ~compile obj_e prop_e) ~compile line_e arg_es
-      | _ -> arity "__ceres_method_call");
-  register st "__ceres_index_method_call" (fun ~compile args ->
-      match args with
-      | obj_e :: idx_e :: line_e :: arg_es ->
-        method_call (index_target ~compile obj_e idx_e) ~compile line_e arg_es
-      | _ -> arity "__ceres_index_method_call");
+  register_pair "__ceres_prop_write" "__ceres_index_write"
+    (fun (obj, psym) ~compile obj_e -> function
+       | [ line_e; op_e; rhs_e ] ->
+         let line = num_operand ~compile line_e
+         and op = op_operand ~compile op_e
+         and basis = basis_of obj_e
+         and rhs = compile rhs_e in
+         Some
+           (fun st scope this ->
+              let base = obj st scope this in
+              let psym = psym st scope this in
+              let line = line st scope this in
+              let op = op st scope this in
+              let basis = basis st scope in
+              let v =
+                match op with
+                | None -> rhs st scope this
+                | Some op ->
+                  record_read base psym line;
+                  let old_v = get_elem st base psym in
+                  binop st op old_v (rhs st scope this)
+              in
+              record_write ~basis base psym line;
+              Runtime.note_type rt
+                ~name:(Symbol.canonical st.symtab psym)
+                ~line ~type_tag:(type_tag_of v);
+              set_elem st base psym v;
+              v)
+       | _ -> None);
+  register_pair "__ceres_prop_update" "__ceres_index_update"
+    (fun (obj, psym) ~compile obj_e -> function
+       | [ line_e; kind_e; prefix_e ] ->
+         let line = num_operand ~compile line_e
+         and delta = delta_operand ~compile kind_e
+         and prefix = prefix_operand ~compile prefix_e
+         and basis = basis_of obj_e in
+         Some
+           (fun st scope this ->
+              let base = obj st scope this in
+              let psym = psym st scope this in
+              let line = line st scope this in
+              let delta = delta st scope this in
+              let prefix = prefix st scope this in
+              let basis = basis st scope in
+              record_read base psym line;
+              let old_n = to_number st (get_elem st base psym) in
+              record_write ~basis base psym line;
+              set_elem st base psym (Num (old_n +. delta));
+              Num (if prefix then old_n +. delta else old_n))
+       | _ -> None);
+  register_pair "__ceres_prop_read" "__ceres_index_read"
+    (fun (obj, psym) ~compile _ -> function
+       | [ line_e ] ->
+         let line = num_operand ~compile line_e in
+         Some
+           (fun st scope this ->
+              let base = obj st scope this in
+              let psym = psym st scope this in
+              let line = line st scope this in
+              record_read base psym line;
+              get_elem st base psym)
+       | _ -> None);
+  register_pair "__ceres_method_call" "__ceres_index_method_call"
+    (fun (obj, psym) ~compile _ -> function
+       | line_e :: arg_es ->
+         let line = num_operand ~compile line_e
+         and args = List.map compile arg_es in
+         Some
+           (fun st scope this ->
+              let base = obj st scope this in
+              let psym = psym st scope this in
+              let line = line st scope this in
+              record_read base psym line;
+              let fn = Eval.get_prop st base (Symbol.name st.symtab psym) in
+              Eval.call st fn base (eval_all st scope this args))
+       | [] -> None);
   (* DOM/canvas attribution: chain any existing host-access listener. *)
   let previous = st.on_host_access in
   st.on_host_access <-
