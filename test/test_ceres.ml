@@ -182,6 +182,28 @@ let test_instrument_preserves_semantics () =
     [ Ceres.Instrument.Lightweight; Ceres.Instrument.Loop_profile;
       Ceres.Instrument.Dependence ]
 
+(* Intrinsic handlers are looked up when a program is compiled, but a
+   missing one only fails where its node runs: an instrumented program
+   with no handlers installed compiles and runs as long as it never
+   reaches an intrinsic, and reaching one raises the catchable
+   TypeError "unknown intrinsic <name>". *)
+let test_intrinsic_lookup_stays_lazy () =
+  let src =
+    "function never() { for (var i = 0; i < 2; i++) { } }\n\
+     var ok = 1;"
+  in
+  let program = Jsir.Parser.parse_program src in
+  let st, _ = Helpers.fresh_state () in
+  Interp.Eval.run_program st
+    (Ceres.Instrument.program Ceres.Instrument.Loop_profile program);
+  Interp.Eval.run_program st
+    (Jsir.Parser.parse_program
+       "try { never(); console.log(\"ran\"); }\n\
+        catch (e) { console.log(e.name + \": \" + e.message); }");
+  Alcotest.(check (list string)) "the call raises a catchable TypeError"
+    [ "TypeError: unknown intrinsic __ceres_loop_enter" ]
+    (List.rev st.Interp.Value.console)
+
 let test_instrument_balances_loop_events () =
   (* enter/exit stay balanced across break, return, and exceptions:
      after the run, the lightweight open-loop counter must be zero,
@@ -650,6 +672,7 @@ let suite =
     qtest prop_characterization_wellformed;
     qtest prop_scan_mirrors_characterize;
     ("instrument preserves semantics", `Quick, test_instrument_preserves_semantics);
+    ("intrinsic lookup stays lazy", `Quick, test_intrinsic_lookup_stays_lazy);
     ("instrument balances loop events", `Quick, test_instrument_balances_loop_events);
     ("instrumented code reparses", `Quick, test_instrumented_program_prints_and_reparses);
     ("lightweight no double counting", `Quick, test_lightweight_no_double_counting);
