@@ -260,14 +260,14 @@ let test_allocation_budget () =
        Alcotest.(check (option int))
          (Printf.sprintf "%s %s: accesses checked" name mode)
          accesses checked)
-    [ ("Raytracing", "plain", plain, 11_683_719., 7_445_438, None);
-      ("fluidSim", "plain", plain, 13_736_454., 4_975_476, None);
-      ("Raytracing", "lightweight", light, 12_597_968., 7_548_644, None);
-      ("fluidSim", "lightweight", light, 16_946_916., 4_994_298, None);
-      ("Raytracing", "loop-profile", loops, 14_196_626., 7_823_406, None);
-      ("fluidSim", "loop-profile", loops, 14_467_604., 5_093_740, None);
-      ("Raytracing", "dependence", deps, 5_456_709., 3_043_008, Some 331_182);
-      ("fluidSim", "dependence", deps, 6_231_877., 2_454_091, Some 113_569) ]
+    [ ("Raytracing", "plain", plain, 6_437_010., 7_445_438, None);
+      ("fluidSim", "plain", plain, 7_131_022., 4_975_476, None);
+      ("Raytracing", "lightweight", light, 6_973_843., 7_548_644, None);
+      ("fluidSim", "lightweight", light, 10_275_112., 4_994_298, None);
+      ("Raytracing", "loop-profile", loops, 8_343_904., 7_823_406, None);
+      ("fluidSim", "loop-profile", loops, 7_722_343., 5_093_740, None);
+      ("Raytracing", "dependence", deps, 4_160_050., 3_043_008, Some 331_182);
+      ("fluidSim", "dependence", deps, 3_604_191., 2_454_091, Some 113_569) ]
 
 let suite =
   [ ("registry complete", `Quick, test_registry_complete);
