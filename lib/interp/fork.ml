@@ -436,7 +436,8 @@ let apply_diff (d : diff) =
   let rcallable = function
     | None -> None
     | Some (Host _ as h) -> Some h
-    | Some (Closure cl) -> Some (Closure { cl with captured = rscope cl.captured })
+    | Some (Closure cl) ->
+      Some (Closure { cl with captured = rscope cl.captured })
   in
   List.iter
     (fun e ->
