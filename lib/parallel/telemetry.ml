@@ -131,9 +131,12 @@ module Trace = struct
 
   let dropped () = Atomic.get dropped_count
 
+  (* By time: a writer can be preempted between taking its slot and
+     reading the clock, so slot order is not quite time order. *)
   let events () =
     let n = min (Atomic.get cursor) capacity in
     List.init n (fun i -> (!times.(i), !doms.(i), !kinds.(i)))
+    |> List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b)
 
   (* One event per line ({i JSON lines}), schema documented in
      DESIGN.md: {"t_ms":<float>,"domain":<int>,"ev":<kind>}. Spans are

@@ -110,7 +110,8 @@ module Trace : sig
 
   val dropped : unit -> int
   val events : unit -> (float * int * kind) list
-  (** (ms since {!start}, participant, kind), in recorded order. *)
+  (** (ms since {!start}, participant, kind), by time; ties in
+      recorded order. *)
 
   val to_jsonl : unit -> string
   (** One [{"t_ms":..,"domain":..,"ev":..}] object per line (the
