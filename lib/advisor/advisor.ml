@@ -53,7 +53,7 @@ type report = {
   loop_ms : float;
   nests : nest list;
   mutable measured : measured_row list;
-  fractions : (int * float) list;
+  fractions : float array;
 }
 
 let default_cores = [ 2; 4; 8; 16 ]
@@ -83,36 +83,18 @@ let program_speedup ~fraction ~region_speedup:s =
    plus any statically-detected privatizable temporaries the dynamic
    run did not already name. [Already_parallel] is a non-hint — the
    verdict column says it better. *)
-let hints_for rt ~infos ~root ~notes =
-  let nest_ids = Jsir.Loops.descendants infos root in
-  let dom_count =
-    List.fold_left
-      (fun acc id -> acc + Ceres.Runtime.dom_accesses_in rt id)
-      0 nest_ids
-  in
+let hints_for advice ~notes =
   let advice =
-    List.filter
-      (fun a -> a <> Ceres.Advice.Already_parallel)
-      (Ceres.Advice.for_nest rt ~root ~dom_accesses:dom_count)
+    List.filter (fun a -> a <> Ceres.Advice.Already_parallel) advice
   in
-  let dynamic = List.map Ceres.Advice.recommendation_to_string advice in
+  let prefix = "privatizable:" in
   let static_privatizable =
     List.filter_map
       (fun note ->
-         let prefix = "privatizable:" in
-         if String.length note > String.length prefix
-         && String.sub note 0 (String.length prefix) = prefix
-         then
-           let name =
-             String.sub note (String.length prefix)
-               (String.length note - String.length prefix)
-           in
-           let already =
-             List.exists
-               (function Ceres.Advice.Privatize n -> n = name | _ -> false)
-               advice
-           in
-           if already then None
+         let n = String.length prefix in
+         if String.length note > n && String.starts_with ~prefix note then
+           let name = String.sub note n (String.length note - n) in
+           if List.mem (Ceres.Advice.Privatize name) advice then None
            else
              Some
                (Printf.sprintf
@@ -122,72 +104,50 @@ let hints_for rt ~infos ~root ~notes =
          else None)
       notes
   in
-  dynamic @ static_privatizable
+  List.map Ceres.Advice.recommendation_to_string advice @ static_privatizable
 
+(* The plan follows the study's hottest-first order: a nest's fraction
+   rises with its time, so that order is also descending fraction. *)
 let analyze ?cores (w : Workloads.Workload.t) : report =
   let cores = sanitize_cores cores in
-  let ctx, lp = Workloads.Harness.run_loop_profile w in
-  let _ctx_dep, rt = Workloads.Harness.run_dependence w in
-  let static_report = Analysis.Driver.analyze ctx.program in
-  let clock = ctx.st.Interp.Value.clock in
+  let st = Workloads.Harness.study w in
+  let clock = st.ctx.st.Interp.Value.clock in
   let busy_ms =
     Ceres_util.Vclock.to_ms clock (Ceres_util.Vclock.busy clock)
   in
-  let loop_ms = Ceres.Loop_profile.total_root_time_ms lp ctx.infos in
-  let fraction_of_time total_ms =
+  let fraction_of (s : Ceres.Loop_profile.loop_stats) =
+    let total_ms = Ceres_util.Welford.total s.time in
     if busy_ms <= 0. then 0.
     else Float.max 0. (Float.min 1. (total_ms /. busy_ms))
   in
   let fractions =
-    Array.to_list
-      (Array.map
-         (fun (info : Jsir.Loops.info) ->
-            let s = Ceres.Loop_profile.stats lp info.id in
-            (info.id, fraction_of_time (Ceres_util.Welford.total s.time)))
-         ctx.infos)
-  in
-  let ranked =
-    List.sort
-      (fun ((fa : float), (ia : int)) (fb, ib) ->
-         match compare fb fa with 0 -> compare ia ib | c -> c)
-      (List.map
-         (fun (s : Ceres.Loop_profile.loop_stats) ->
-            (fraction_of_time (Ceres_util.Welford.total s.time), s.id))
-         (Ceres.Loop_profile.hottest_roots lp ctx.infos))
+    Array.map
+      (fun (info : Jsir.Loops.info) ->
+         fraction_of (Ceres.Loop_profile.stats st.profile info.id))
+      st.ctx.infos
   in
   let nests =
     List.mapi
-      (fun i (fraction, id) ->
-         let s = Ceres.Loop_profile.stats lp id in
-         let info = Jsir.Loops.find ctx.infos id in
-         let verdict_t = Analysis.Driver.verdict_of static_report id in
-         let verdict, proven, blockers =
-           match verdict_t with
-           | Some v ->
-             ( Workloads.Harness.static_label v,
-               Analysis.Verdict.is_proven v,
-               Analysis.Verdict.facts v )
-           | None -> ("-", false, [])
-         in
-         let notes =
-           match
-             List.find_opt
-               (fun (r : Analysis.Driver.row) -> r.info.id = id)
-               static_report.rows
-           with
-           | Some r -> r.notes
-           | None -> []
+      (fun i (n : Workloads.Harness.hot_nest) ->
+         let fraction = fraction_of n.stats in
+         let proven, blockers, notes =
+           match n.static_row with
+           | Some r ->
+             ( Analysis.Verdict.is_proven r.verdict,
+               Analysis.Verdict.facts r.verdict,
+               r.notes )
+           | None -> (false, [], [])
          in
          { rank = i + 1;
-           id;
-           label = Jsir.Loops.label info;
-           in_function = info.in_function;
-           verdict;
+           id = n.info.id;
+           label = Jsir.Loops.label n.info;
+           in_function = n.info.in_function;
+           verdict = n.verdict;
            proven;
            fraction;
            pct_busy = 100. *. fraction;
-           instances = Ceres_util.Welford.count s.time;
-           trips_mean = Ceres_util.Welford.mean s.trips;
+           instances = Ceres_util.Welford.count n.stats.time;
+           trips_mean = Ceres_util.Welford.mean n.stats.trips;
            bound = Js_parallel.Amdahl.asymptote ~parallel_fraction:fraction;
            predicted =
              List.map
@@ -198,13 +158,13 @@ let analyze ?cores (w : Workloads.Workload.t) : report =
                         ~workers:c })
                cores;
            blockers;
-           hints = hints_for rt ~infos:ctx.infos ~root:id ~notes })
-      ranked
+           hints = hints_for n.advice ~notes })
+      st.hot
   in
   { workload = w.name;
     cores;
     busy_ms;
-    loop_ms;
+    loop_ms = Ceres.Loop_profile.total_root_time_ms st.profile st.ctx.infos;
     nests;
     measured = [];
     fractions }
@@ -239,11 +199,7 @@ let measure ?(jobs = 2) (r : report) (w : Workloads.Workload.t) =
                  if ps.par_ms > 0. && seq_ms > 0. then seq_ms /. ps.par_ms
                  else 0.
                in
-               let fraction =
-                 match List.assoc_opt id r.fractions with
-                 | Some f -> f
-                 | None -> 0.
-               in
+               let fraction = r.fractions.(id) in
                let predicted =
                  Js_parallel.Amdahl.speedup ~parallel_fraction:fraction
                    ~workers:jobs

@@ -78,20 +78,21 @@ type report = {
   busy_ms : float;  (** program busy virtual time *)
   loop_ms : float;  (** total root-nest virtual time *)
   nests : nest list;
-      (** the plan: descending fraction, ties by ascending loop id *)
+      (** the plan: every root nest that ran, hottest first (ties by
+          ascending loop id), hence by descending fraction *)
   mutable measured : measured_row list;
       (** empty until {!measure}; ascending loop id *)
-  fractions : (int * float) list;
-      (** every loop's (id, busy fraction) — lets {!measure} price
-          inner loops the plan does not list; not serialized *)
+  fractions : float array;
+      (** every loop's busy fraction, by loop id — lets {!measure}
+          price inner loops the plan does not list; not serialized *)
 }
 
 val default_cores : int list
 (** [[2; 4; 8; 16]] *)
 
 val analyze : ?cores:int list -> Workloads.Workload.t -> report
-(** The deterministic advisor pass: loop-profile run + dependence run
-    + static analysis, folded into the ranked plan. [cores] is
+(** The deterministic advisor pass: the ranked plan of a
+    {!Workloads.Harness.study} over every root nest. [cores] is
     sanitized (positive, sorted, deduplicated; default
     {!default_cores}). *)
 

@@ -95,27 +95,6 @@ let hottest_roots t (infos : Jsir.Loops.info array) =
   |> List.sort (fun a b ->
       compare (Ceres_util.Welford.total b.time) (Ceres_util.Welford.total a.time))
 
-(* Smallest prefix of [hottest_roots] covering [fraction] of the total
-   root-loop time. *)
-let covering_nests t infos ~fraction =
-  let roots = hottest_roots t infos in
-  let total =
-    List.fold_left
-      (fun acc s -> acc +. Ceres_util.Welford.total s.time)
-      0. roots
-  in
-  if total <= 0. then []
-  else begin
-    let rec take acc covered = function
-      | [] -> List.rev acc
-      | s :: rest ->
-        if covered >= fraction *. total then List.rev acc
-        else
-          take (s :: acc) (covered +. Ceres_util.Welford.total s.time) rest
-    in
-    take [] 0. roots
-  end
-
 let total_root_time_ms t infos =
   Jsir.Loops.roots infos
   |> List.fold_left

@@ -27,9 +27,4 @@ val hottest_roots : t -> Jsir.Loops.info array -> loop_stats list
 (** Roots of syntactic nests that ran, by descending total time — the
     unit the paper inspects. *)
 
-val covering_nests :
-  t -> Jsir.Loops.info array -> fraction:float -> loop_stats list
-(** Smallest prefix of {!hottest_roots} covering [fraction] of the
-    total root-loop time (the paper uses 2/3). *)
-
 val total_root_time_ms : t -> Jsir.Loops.info array -> float

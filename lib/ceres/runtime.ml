@@ -167,7 +167,7 @@ type t = {
          in [warnings]'s (line, kind) sort come out in this table's
          fold order *)
   tainted : bool array; (* recursion through the loop detected *)
-  focus : Jsir.Ast.loop_id list; (* [] = record everywhere *)
+  focus : bool array option; (* per loop: focused; None = everywhere *)
   mutable recursion_warnings : int;
   mutable accesses_checked : int;
   type_sites : string list ref Sites.t;
@@ -175,7 +175,7 @@ type t = {
          the polymorphism check of the paper's Sec. 4.2 *)
 }
 
-let create ?(focus = []) ~symtab (infos : Jsir.Loops.info array) : t =
+let create ?focus ~symtab (infos : Jsir.Loops.info array) : t =
   let n = Array.length infos in
   { infos;
     symtab;
@@ -204,7 +204,8 @@ let create ?(focus = []) ~symtab (infos : Jsir.Loops.info array) : t =
     wused = 0;
     warnings = Hashtbl.create 64;
     tainted = Array.make n false;
-    focus;
+    focus =
+      Option.map (fun ids -> Array.init n (fun i -> List.mem i ids)) focus;
     recursion_warnings = 0;
     accesses_checked = 0;
     type_sites = Sites.create 256 }
@@ -215,8 +216,8 @@ let next_seq t =
 
 let recording t =
   match t.focus with
-  | [] -> t.stack <> []
-  | focus -> List.exists (fun f -> List.mem f.floop focus) t.stack
+  | None -> t.stack <> []
+  | Some focused -> List.exists (fun f -> focused.(f.floop)) t.stack
 
 (* Mirror [stack] into the flat array after a loop event. *)
 let resync t =
@@ -724,6 +725,13 @@ let warnings_impeding t ~root =
 
 let is_tainted t id = t.tainted.(id)
 let dom_accesses_in t id = t.dyn.(id).dom_accesses
+
+let nest_dom_accesses t ~root =
+  Array.fold_left
+    (fun acc (info : Jsir.Loops.info) ->
+       if in_nest t ~root info.id then acc + dom_accesses_in t info.id
+       else acc)
+    0 t.infos
 let instances_of t id = t.dyn.(id).instances
 let accesses_checked t = t.accesses_checked
 let recursion_warnings t = t.recursion_warnings

@@ -77,8 +77,9 @@ val create :
   t
 (** Fresh runtime over the program's static loop index, resolving
     symbols against the interpreter state's table. With [focus],
-    accesses are only recorded while one of the focused loops is open
-    (the paper's mitigation for the mode's very high overhead). *)
+    accesses are only recorded while one of the focused loops is open,
+    at any depth of the loop stack (the paper's mitigation for the
+    mode's very high overhead); [~focus:[]] records nothing. *)
 
 (** {1 Events} (driven by the instrumented program) *)
 
@@ -152,6 +153,10 @@ val is_tainted : t -> Jsir.Ast.loop_id -> bool
     affected nest's results. *)
 
 val dom_accesses_in : t -> Jsir.Ast.loop_id -> int
+
+val nest_dom_accesses : t -> root:Jsir.Ast.loop_id -> int
+(** DOM/canvas operations charged to the loops of [root]'s nest. *)
+
 val instances_of : t -> Jsir.Ast.loop_id -> int
 val accesses_checked : t -> int
 val recursion_warnings : t -> int

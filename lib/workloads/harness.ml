@@ -7,7 +7,9 @@
                          sampling profiler attached simultaneously;
    - [run_loop_profile]-> Sec. 3.2, per-loop statistics;
    - [run_dependence] -> Sec. 3.3, full memory-access analysis
-                         (optionally focused on one loop nest). *)
+                         (optionally focused on some loop nests);
+   - [study]          -> the last two chained: the dependence stage
+                         focused on the loop profile's hottest roots. *)
 
 type run_context = {
   st : Interp.Value.state;
@@ -204,80 +206,112 @@ let static_label (v : Analysis.Verdict.t) =
   | Analysis.Verdict.Needs_runtime_check _ -> "rtc"
   | Analysis.Verdict.Sequential _ -> "seq"
 
-(* Inspect the application's hottest root nests: as many as the paper
-   reports for it (22 rows over the 12 apps), [w.hot_nest_count], or
-   [max_nests] when given. *)
-let inspect ?max_nests (w : Workload.t) : nest_row list =
-  let ctx_lp, lp = run_loop_profile w in
-  let _ctx_dep, rt = run_dependence w in
-  let static_report = Analysis.Driver.analyze ctx_lp.program in
-  let total = Ceres.Loop_profile.total_root_time_ms lp ctx_lp.infos in
-  let wanted = Option.value ~default:w.hot_nest_count max_nests in
-  let nests =
-    Ceres.Loop_profile.hottest_roots lp ctx_lp.infos
-    |> List.filteri (fun i _ -> i < wanted)
+(* ------------------------------------------------------------------ *)
+(* The staged study (paper Sec. 3): the loop profile picks the hottest
+   root nests, one dependence session examines only those, and the
+   static analyzer reads the profiled program. Table 3, the advisor's
+   plan and the report export all read one study. *)
+
+type hot_nest = {
+  stats : Ceres.Loop_profile.loop_stats;
+  info : Jsir.Loops.info;
+  static_row : Analysis.Driver.row option;
+  verdict : string; (* [static_label], "-" if unanalyzed *)
+  dom_accesses : int;
+  advice : Ceres.Advice.recommendation list;
+}
+
+type study = {
+  ctx : run_context;
+  profile : Ceres.Loop_profile.t;
+  deps : Ceres.Runtime.t;
+  hot : hot_nest list;
+}
+
+let study ?nests (w : Workload.t) =
+  let ctx, profile = run_loop_profile w in
+  let roots =
+    Ceres.Loop_profile.hottest_roots profile ctx.infos
+    |> List.filteri (fun i _ -> i < Option.value ~default:max_int nests)
   in
+  let ids = List.map (fun (s : Ceres.Loop_profile.loop_stats) -> s.id) roots in
+  let _, deps = run_dependence ~focus:ids w in
+  let static_report = Analysis.Driver.analyze ctx.program in
+  let hot_nest (s : Ceres.Loop_profile.loop_stats) =
+    let static_row =
+      List.find_opt
+        (fun (r : Analysis.Driver.row) -> r.info.id = s.id)
+        static_report.rows
+    in
+    let dom_accesses = Ceres.Runtime.nest_dom_accesses deps ~root:s.id in
+    { stats = s;
+      info = Jsir.Loops.find ctx.infos s.id;
+      static_row;
+      verdict =
+        Option.fold ~none:"-"
+          ~some:(fun (r : Analysis.Driver.row) -> static_label r.verdict)
+          static_row;
+      dom_accesses;
+      advice = Ceres.Advice.for_nest deps ~root:s.id ~dom_accesses }
+  in
+  { ctx; profile; deps; hot = List.map hot_nest roots }
+
+(* The study's Table 3 rows: its loop statistics and dependence
+   evidence, classified. *)
+let nest_rows (w : Workload.t) st =
+  let total = Ceres.Loop_profile.total_root_time_ms st.profile st.ctx.infos in
   List.map
-    (fun (s : Ceres.Loop_profile.loop_stats) ->
-       let info = Jsir.Loops.find ctx_lp.infos s.id in
-       let instances = Ceres_util.Welford.count s.time in
+    (fun ({ stats = s; _ } as n) ->
        let trips_mean = Ceres_util.Welford.mean s.trips in
        let iter_mean = Ceres_util.Welford.mean s.iter_time in
        let iter_cv =
          if iter_mean <= 0. then 0.
          else Ceres_util.Welford.stddev s.iter_time /. iter_mean
        in
-       (* Collect nest-wide warning and DOM evidence from the
-          dependence run. *)
-       let recursion = Ceres.Runtime.is_tainted rt s.id in
-       let ws = Ceres.Runtime.warnings_impeding rt ~root:s.id in
-       let summary = Ceres.Classify.summarize_warnings ws in
-       let nest_ids = Jsir.Loops.descendants ctx_lp.infos s.id in
-       let dom_count =
-         List.fold_left
-           (fun acc id -> acc + Ceres.Runtime.dom_accesses_in rt id)
-           0 nest_ids
-       in
+       let ws = Ceres.Runtime.warnings_impeding st.deps ~root:s.id in
        let iterations =
-         float_of_int (Ceres.Runtime.instances_of rt s.id)
+         float_of_int (Ceres.Runtime.instances_of st.deps s.id)
          *. Float.max 1. trips_mean
        in
        let dom_per_iteration =
          if iterations <= 0. then 0.
-         else float_of_int dom_count /. iterations
+         else float_of_int n.dom_accesses /. iterations
        in
        let divergence =
-         Ceres.Classify.divergence_of ~iter_cv ~recursion
+         Ceres.Classify.divergence_of ~iter_cv
+           ~recursion:(Ceres.Runtime.is_tainted st.deps s.id)
            ~avg_trips:trips_mean
        in
-       let dep_difficulty = Ceres.Classify.dependence_difficulty summary in
-       let par_difficulty =
-         Ceres.Classify.parallelization_difficulty ~dep:dep_difficulty
-           ~dom_per_iteration ~divergence
-       in
-       let advice =
-         Ceres.Advice.for_nest rt ~root:s.id ~dom_accesses:dom_count
+       let dep_difficulty =
+         Ceres.Classify.dependence_difficulty
+           (Ceres.Classify.summarize_warnings ws)
        in
        { workload = w.name;
          root = s.id;
-         label = Jsir.Loops.label info;
+         label = Jsir.Loops.label n.info;
          pct_loop_time =
            (if total <= 0. then 0.
             else 100. *. Ceres_util.Welford.total s.time /. total);
-         instances;
+         instances = Ceres_util.Welford.count s.time;
          trips_mean;
          trips_sd = Ceres_util.Welford.stddev s.trips;
          divergence;
-         dom_access = dom_count > 0;
+         dom_access = n.dom_accesses > 0;
          dep_difficulty;
-         par_difficulty;
+         par_difficulty =
+           Ceres.Classify.parallelization_difficulty ~dep:dep_difficulty
+             ~dom_per_iteration ~divergence;
          warning_count = List.fold_left (fun a (_, c) -> a + c) 0 ws;
-         static_verdict =
-           (match Analysis.Driver.verdict_of static_report s.id with
-            | Some v -> static_label v
-            | None -> "-");
-         advice })
-    nests
+         static_verdict = n.verdict;
+         advice = n.advice })
+    st.hot
+
+(* Inspect the application's hottest root nests: as many as the paper
+   reports for it (22 rows over the 12 apps), [w.hot_nest_count], or
+   [max_nests] when given. *)
+let inspect ?max_nests (w : Workload.t) : nest_row list =
+  let nests = Option.value ~default:w.hot_nest_count max_nests in
+  nest_rows w (study ~nests w)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-validation of the static analyzer against the dynamic one.
@@ -354,9 +388,7 @@ let crossval (w : Workload.t) : crossval_row list =
 
 let export_report ?dir:(dir = "reports") (w : Workload.t) =
   let timing = run_lightweight w in
-  let ctx_lp, lp = run_loop_profile w in
-  let ctx_dep, rt = run_dependence w in
-  let rows = inspect w in
+  let st = study ~nests:w.hot_nest_count w in
   let timing_text =
     Printf.sprintf
       "session %.1f s, sampler-active %.2f s, busy %.2f s, in loops %.2f s
@@ -382,8 +414,10 @@ let export_report ?dir:(dir = "reports") (w : Workload.t) =
            ( Printf.sprintf "Advice for %s" r.label,
              `Code (Ceres.Advice.render ~label:r.label r.advice) );
            ( Printf.sprintf "Warnings in the nest of %s" r.label,
-             `Code (Ceres.Report.nest_report rt ctx_dep.infos ~root:r.root) ) ])
-      rows
+             `Code
+               (Ceres.Report.nest_report st.deps st.ctx.infos ~root:r.root) )
+         ])
+      (nest_rows w st)
   in
   Ceres.Export.write_report ~dir ~name:w.name
     ~sections:
@@ -393,5 +427,5 @@ let export_report ?dir:(dir = "reports") (w : Workload.t) =
               w.description w.url) )
        :: ("Timing (Sec 3.1)", `Text timing_text)
        :: ("Loop profile (Sec 3.2)",
-           `Code (Ceres.Report.loop_profile_report lp ctx_lp.infos))
+           `Code (Ceres.Report.loop_profile_report st.profile st.ctx.infos))
        :: nest_sections)

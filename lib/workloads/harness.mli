@@ -106,12 +106,35 @@ val static_label : Analysis.Verdict.t -> string
     order-insensitive) / [reduction] (order-sensitive, journal-replay
     schedule) / [rtc] / [seq]. *)
 
+(** One hot root nest of a {!study}, as Table 3 and the advisor read it. *)
+type hot_nest = {
+  stats : Ceres.Loop_profile.loop_stats;
+  info : Jsir.Loops.info;
+  static_row : Analysis.Driver.row option;
+  verdict : string;  (** {!static_label} of the root; ["-"] if unanalyzed *)
+  dom_accesses : int;  (** DOM/canvas operations in the whole nest *)
+  advice : Ceres.Advice.recommendation list;
+}
+
+(** The staged analysis of one workload (paper Sec. 3). *)
+type study = {
+  ctx : run_context;  (** the loop-profile session *)
+  profile : Ceres.Loop_profile.t;
+  deps : Ceres.Runtime.t;  (** the dependence session, focused on [hot] *)
+  hot : hot_nest list;  (** hottest first *)
+}
+
+val study : ?nests:int -> Workload.t -> study
+(** Run the loop-profile session, take its [nests] hottest roots (all
+    that ran by default), run one dependence session focused on exactly
+    those, and statically analyze the program. On a focused nest the
+    focused session sees what an unfocused one does. *)
+
 val inspect : ?max_nests:int -> Workload.t -> nest_row list
-(** The full Table 3 pipeline for one workload: loop-profile pass to
-    find the hot nests, dependence pass to characterize them, then
-    classification. Returns the application's paper row count by
-    default; [max_nests] widens it (the Amdahl bench classifies every
-    nest). *)
+(** The Table 3 pipeline for one workload: the rows of a {!study} of
+    the application's paper row count of nests by default
+    ([w.hot_nest_count]); [max_nests] widens it (the Amdahl bench
+    classifies every nest). *)
 
 (** One loop of the static-vs-dynamic cross-validation. *)
 type crossval_row = {
@@ -134,5 +157,5 @@ val crossval : Workload.t -> crossval_row list
     dependences, one row per loop. *)
 
 val export_report : ?dir:string -> Workload.t -> string
-(** Run all stages and write the markdown report (paper Fig. 5 steps
-    5-7); returns the path written. *)
+(** Run the lightweight stage and one {!study}, and write the markdown
+    report (paper Fig. 5 steps 5-7); returns the path written. *)

@@ -315,20 +315,6 @@ let test_loop_profile_statistics () =
      Alcotest.(check int) "outer is hottest root" 0 s.id
    | [] -> Alcotest.fail "no roots measured")
 
-let test_loop_profile_covering () =
-  let src =
-    "for (var a = 0; a < 2000; a++) { var x = a * 2; }\n\
-     for (var b = 0; b < 10; b++) { var y = b; }"
-  in
-  let program = Jsir.Parser.parse_program src in
-  let st, _ = Helpers.fresh_state () in
-  let infos = Jsir.Loops.index program in
-  let lp = Ceres.Install.loop_profile st infos in
-  Interp.Eval.run_program st
-    (Ceres.Instrument.program Ceres.Instrument.Loop_profile program);
-  let covering = Ceres.Loop_profile.covering_nests lp infos ~fraction:0.667 in
-  Alcotest.(check int) "one nest covers two thirds" 1 (List.length covering)
-
 (* ------------------------------------------------------------------ *)
 (* Dependence runtime on small programs *)
 
@@ -678,7 +664,6 @@ let suite =
     ("lightweight no double counting", `Quick, test_lightweight_no_double_counting);
     ("lightweight excludes non-loop", `Quick, test_lightweight_excludes_non_loop_time);
     ("loop profile statistics", `Quick, test_loop_profile_statistics);
-    ("loop profile covering", `Quick, test_loop_profile_covering);
     ("dep: scatter writes", `Quick, test_dep_scatter_writes_are_not_flow);
     ("dep: prefix sum flow", `Quick, test_dep_prefix_sum_is_flow);
     ("dep: accumulator WAW+flow", `Quick, test_dep_accumulator_is_waw_and_flow);

@@ -215,6 +215,40 @@ let test_table3_agreement_regression () =
     (Printf.sprintf "at least 33 within one level (got %d)" !near)
     true (!near >= 33)
 
+(* The staging law (paper Sec. 3): a dependence session focused on
+   some root nests sees, on each of them, what the full session sees.
+   For every app, the study's session (focused on the [hot_nest_count]
+   hottest roots) and a session focused on each single hot root must
+   match the unfocused session on every focused root. *)
+let test_staging_law () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+       let st = Workloads.Harness.study ~nests:w.hot_nest_count w in
+       let _, full = Workloads.Harness.run_dependence w in
+       let view rt root =
+         let dom = Ceres.Runtime.nest_dom_accesses rt ~root in
+         ( ( Ceres.Runtime.warnings_impeding rt ~root,
+             Ceres.Runtime.warnings_for_nest rt ~root ),
+           (dom, Ceres.Runtime.instances_of rt root),
+           Ceres.Runtime.is_tainted rt root,
+           Ceres.Advice.for_nest rt ~root ~dom_accesses:dom )
+       in
+       let agree what rt root =
+         if view rt root <> view full root then
+           Alcotest.failf "%s: loop %d differs from the full session (%s)"
+             w.name root what
+       in
+       let roots =
+         List.map (fun (n : Workloads.Harness.hot_nest) -> n.info.id) st.hot
+       in
+       List.iter (agree "focused on the hot roots" st.deps) roots;
+       List.iter
+         (fun root ->
+            let _, single = Workloads.Harness.run_dependence ~focus:[ root ] w in
+            agree "focused on itself" single root)
+         roots)
+    all
+
 (* Allocation budget: a session's minor words are deterministic (no
    wall clock in the interpreter), so a bound on them catches an
    allocation regression on the per-node path without timing anything.
@@ -281,4 +315,5 @@ let suite =
     ("key table 3 shapes", `Slow, test_key_table3_shape);
     ("amdahl 5 of 12", `Slow, test_amdahl_five_over_three);
     ("table 3 agreement regression", `Slow, test_table3_agreement_regression);
+    ("staging law: focused = full on focused roots", `Slow, test_staging_law);
     ("plain-session allocation budget", `Quick, test_allocation_budget) ]
