@@ -24,6 +24,8 @@ type t = {
   clock : Ceres_util.Vclock.t;
   stats : loop_stats array;
   mutable open_stack : open_instance list;
+  mutable opened : int64; (* busy vticks when the stack last became non-empty *)
+  mutable in_loops : int64; (* busy vticks with a loop open *)
 }
 
 let create clock (infos : Jsir.Loops.info array) =
@@ -34,13 +36,16 @@ let create clock (infos : Jsir.Loops.info array) =
             time = Ceres_util.Welford.create ();
             trips = Ceres_util.Welford.create ();
             iter_time = Ceres_util.Welford.create () });
-    open_stack = [] }
+    open_stack = [];
+    opened = 0L;
+    in_loops = 0L }
 
 let busy t = Ceres_util.Vclock.busy t.clock
 let ms t ticks = Ceres_util.Vclock.to_ms t.clock ticks
 
 let on_enter t id =
   let now = busy t in
+  if t.open_stack = [] then t.opened <- now;
   t.open_stack <-
     { oloop = id; started = now; otrips = 0; last_iter_started = now }
     :: t.open_stack
@@ -78,6 +83,8 @@ let on_exit t id =
   match found with
   | None -> ()
   | Some inst ->
+    if remaining = [] then
+      t.in_loops <- Int64.add t.in_loops (Int64.sub now t.opened);
     close_iteration t inst now;
     let s = t.stats.(id) in
     Ceres_util.Welford.add s.time (ms t (Int64.sub now inst.started));
@@ -95,9 +102,4 @@ let hottest_roots t (infos : Jsir.Loops.info array) =
   |> List.sort (fun a b ->
       compare (Ceres_util.Welford.total b.time) (Ceres_util.Welford.total a.time))
 
-let total_root_time_ms t infos =
-  Jsir.Loops.roots infos
-  |> List.fold_left
-       (fun acc (info : Jsir.Loops.info) ->
-          acc +. Ceres_util.Welford.total t.stats.(info.id).time)
-       0.
+let total_root_time_ms t _infos = ms t t.in_loops

@@ -28,3 +28,7 @@ val hottest_roots : t -> Jsir.Loops.info array -> loop_stats list
     unit the paper inspects. *)
 
 val total_root_time_ms : t -> Jsir.Loops.info array -> float
+(** Busy time with at least one loop open, each moment counted once
+    (the paper's open-loop counter, Sec. 3.1): a loop running inside
+    another loop's instance adds nothing, even when it is a syntactic
+    root of its own. The loop index argument is unused. *)

@@ -70,6 +70,25 @@ let amdahl_monotone_law =
        monotone speedups
        && List.for_all (fun s -> s <= bound +. eps) speedups)
 
+(* Root-loop time is busy time with a loop open, counted once, so no
+   advise report (the golden rules' output) puts more time in root
+   nests than the program was busy. *)
+let test_loop_time_within_busy () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+       let file = String.map (fun c -> if c = ' ' then '_' else c) w.name in
+       let doc = Helpers.json (Helpers.golden ("advise." ^ file ^ ".out")) in
+       let ms key =
+         let v = Ceres_util.Json.member key doc in
+         match Option.bind v Ceres_util.Json.float_opt with
+         | Some v -> v
+         | None -> Alcotest.failf "%s: no %s" w.name key
+       in
+       if ms "loop_ms" > ms "busy_ms" then
+         Alcotest.failf "%s: loop_ms %.3f > busy_ms %.3f" w.name
+           (ms "loop_ms") (ms "busy_ms"))
+    Workloads.Registry.all
+
 (* ------------------------------------------------------------------ *)
 (* Byte-determinism of one report across two in-process runs (every
    workload's report is pinned by its golden in [golden/dune]). *)
@@ -213,6 +232,8 @@ let suite =
   [ Alcotest.test_case "predictions monotone and bounded (12 workloads)"
       `Quick test_monotone_in_cores;
     qtest amdahl_monotone_law;
+    Alcotest.test_case "loop_ms <= busy_ms (12 advise reports)" `Quick
+      test_loop_time_within_busy;
     Alcotest.test_case "report byte-deterministic" `Quick test_deterministic;
     Alcotest.test_case "measured rows on par-exec nests" `Quick
       test_measured_rows;

@@ -315,6 +315,31 @@ let test_loop_profile_statistics () =
      Alcotest.(check int) "outer is hottest root" 0 s.id
    | [] -> Alcotest.fail "no roots measured")
 
+(* Loop time is counted once (paper Sec. 3.1): the loop in [work] is a
+   syntactic root of its own, but it only runs inside the outer loop,
+   so the root-loop total is the outer loop's time alone. *)
+let test_loop_profile_counts_time_once () =
+  let src =
+    "function work(n) { var s = 0; for (var j = 0; j < n; j++) { s += j; } \
+     return s; }\n\
+     for (var i = 0; i < 5; i++) { work(20); }"
+  in
+  let program = Jsir.Parser.parse_program src in
+  let st, _ = Helpers.fresh_state () in
+  let infos = Jsir.Loops.index program in
+  let lp = Ceres.Install.loop_profile st infos in
+  Interp.Eval.run_program st
+    (Ceres.Instrument.program Ceres.Instrument.Loop_profile program);
+  let time id =
+    Ceres_util.Welford.total (Ceres.Loop_profile.stats lp id).time
+  in
+  let inner, outer = (0, 1) in
+  Alcotest.(check int) "both loops are roots" 2
+    (List.length (Jsir.Loops.roots infos));
+  Alcotest.(check bool) "the called loop ran" true (time inner > 0.);
+  Alcotest.(check (float 1e-9)) "total = outer loop's time" (time outer)
+    (Ceres.Loop_profile.total_root_time_ms lp infos)
+
 (* ------------------------------------------------------------------ *)
 (* Dependence runtime on small programs *)
 
@@ -664,6 +689,8 @@ let suite =
     ("lightweight no double counting", `Quick, test_lightweight_no_double_counting);
     ("lightweight excludes non-loop", `Quick, test_lightweight_excludes_non_loop_time);
     ("loop profile statistics", `Quick, test_loop_profile_statistics);
+    ("loop profile counts loop time once", `Quick,
+     test_loop_profile_counts_time_once);
     ("dep: scatter writes", `Quick, test_dep_scatter_writes_are_not_flow);
     ("dep: prefix sum flow", `Quick, test_dep_prefix_sum_is_flow);
     ("dep: accumulator WAW+flow", `Quick, test_dep_accumulator_is_waw_and_flow);
