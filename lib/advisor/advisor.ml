@@ -87,21 +87,18 @@ let hints_for advice ~notes =
   let advice =
     List.filter (fun a -> a <> Ceres.Advice.Already_parallel) advice
   in
-  let prefix = "privatizable:" in
   let static_privatizable =
     List.filter_map
       (fun note ->
-         let n = String.length prefix in
-         if String.length note > n && String.starts_with ~prefix note then
-           let name = String.sub note n (String.length note - n) in
-           if List.mem (Ceres.Advice.Privatize name) advice then None
-           else
-             Some
-               (Printf.sprintf
-                  "privatize variable '%s' (statically detected \
-                   loop-local temporary)"
-                  name)
-         else None)
+         match String.split_on_char ':' note with
+         | [ "privatizable"; name ]
+           when not (List.mem (Ceres.Advice.Privatize name) advice) ->
+           Some
+             (Printf.sprintf
+                "privatize variable '%s' (statically detected \
+                 loop-local temporary)"
+                name)
+         | _ -> None)
       notes
   in
   List.map Ceres.Advice.recommendation_to_string advice @ static_privatizable
@@ -116,9 +113,8 @@ let analyze ?cores (w : Workloads.Workload.t) : report =
     Ceres_util.Vclock.to_ms clock (Ceres_util.Vclock.busy clock)
   in
   let fraction_of (s : Ceres.Loop_profile.loop_stats) =
-    let total_ms = Ceres_util.Welford.total s.time in
     if busy_ms <= 0. then 0.
-    else Float.max 0. (Float.min 1. (total_ms /. busy_ms))
+    else Float.min 1. (Ceres_util.Welford.total s.time /. busy_ms)
   in
   let fractions =
     Array.map

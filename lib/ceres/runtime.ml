@@ -727,11 +727,8 @@ let is_tainted t id = t.tainted.(id)
 let dom_accesses_in t id = t.dyn.(id).dom_accesses
 
 let nest_dom_accesses t ~root =
-  Array.fold_left
-    (fun acc (info : Jsir.Loops.info) ->
-       if in_nest t ~root info.id then acc + dom_accesses_in t info.id
-       else acc)
-    0 t.infos
+  Jsir.Loops.descendants t.infos root
+  |> List.fold_left (fun acc id -> acc + dom_accesses_in t id) 0
 let instances_of t id = t.dyn.(id).instances
 let accesses_checked t = t.accesses_checked
 let recursion_warnings t = t.recursion_warnings

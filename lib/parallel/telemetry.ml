@@ -131,8 +131,7 @@ module Trace = struct
 
   let dropped () = Atomic.get dropped_count
 
-  (* By time: a writer can be preempted between taking its slot and
-     reading the clock, so slot order is not quite time order. *)
+  (* By time: a writer may be preempted between its slot and its clock. *)
   let events () =
     let n = min (Atomic.get cursor) capacity in
     List.init n (fun i -> (!times.(i), !doms.(i), !kinds.(i)))

@@ -94,16 +94,24 @@ let run_plain ?scale ?par (w : Workload.t) =
   drive ctx w;
   ctx
 
+(* One instrumented session: [install] attaches the mode's probes to
+   the fresh state before the instrumented program runs. *)
+let run_instrumented ?scale mode install (w : Workload.t) =
+  let ctx = prepare ?scale w in
+  let probes = install ctx in
+  Interp.Eval.run_program ctx.st (Ceres.Instrument.program mode ctx.program);
+  drive ctx w;
+  (ctx, probes)
+
 (* Table 2 row: lightweight instrumentation plus the sampler. *)
 let run_lightweight ?scale (w : Workload.t) : timing =
-  let ctx = prepare ?scale w in
-  let lw = Ceres.Install.lightweight ctx.st in
-  let sampler = Profiler.Sampler.attach ~period_ms:1.0 ctx.st in
-  let instrumented =
-    Ceres.Instrument.program Ceres.Instrument.Lightweight ctx.program
+  let ctx, (lw, sampler) =
+    run_instrumented ?scale Ceres.Instrument.Lightweight
+      (fun ctx ->
+         let lw = Ceres.Install.lightweight ctx.st in
+         (lw, Profiler.Sampler.attach ~period_ms:1.0 ctx.st))
+      w
   in
-  Interp.Eval.run_program ctx.st instrumented;
-  drive ctx w;
   let dom, canvas = Dom.Document.stats ctx.doc in
   { total_ms = ms_of ctx (Ceres_util.Vclock.now ctx.st.Interp.Value.clock);
     active_ms = Profiler.Sampler.active_ms sampler;
@@ -113,25 +121,15 @@ let run_lightweight ?scale (w : Workload.t) : timing =
     canvas_accesses = canvas;
     console = List.rev ctx.st.Interp.Value.console }
 
-let run_loop_profile ?scale (w : Workload.t) =
-  let ctx = prepare ?scale w in
-  let lp = Ceres.Install.loop_profile ctx.st ctx.infos in
-  let instrumented =
-    Ceres.Instrument.program Ceres.Instrument.Loop_profile ctx.program
-  in
-  Interp.Eval.run_program ctx.st instrumented;
-  drive ctx w;
-  (ctx, lp)
+let run_loop_profile ?scale w =
+  run_instrumented ?scale Ceres.Instrument.Loop_profile
+    (fun ctx -> Ceres.Install.loop_profile ctx.st ctx.infos)
+    w
 
 let run_dependence ?focus (w : Workload.t) =
-  let ctx = prepare ~scale:w.dep_scale w in
-  let rt = Ceres.Install.dependence ?focus ctx.st ctx.infos in
-  let instrumented =
-    Ceres.Instrument.program Ceres.Instrument.Dependence ctx.program
-  in
-  Interp.Eval.run_program ctx.st instrumented;
-  drive ctx w;
-  (ctx, rt)
+  run_instrumented ~scale:w.dep_scale Ceres.Instrument.Dependence
+    (fun ctx -> Ceres.Install.dependence ?focus ctx.st ctx.infos)
+    w
 
 (* ------------------------------------------------------------------ *)
 (* Parallel analysis driver: run a per-workload analysis stage for
@@ -248,9 +246,7 @@ let study ?nests (w : Workload.t) =
       info = Jsir.Loops.find ctx.infos s.id;
       static_row;
       verdict =
-        Option.fold ~none:"-"
-          ~some:(fun (r : Analysis.Driver.row) -> static_label r.verdict)
-          static_row;
+        (match static_row with Some r -> static_label r.verdict | None -> "-");
       dom_accesses;
       advice = Ceres.Advice.for_nest deps ~root:s.id ~dom_accesses }
   in

@@ -131,10 +131,9 @@ val study : ?nests:int -> Workload.t -> study
     focused session sees what an unfocused one does. *)
 
 val inspect : ?max_nests:int -> Workload.t -> nest_row list
-(** The Table 3 pipeline for one workload: the rows of a {!study} of
-    the application's paper row count of nests by default
-    ([w.hot_nest_count]); [max_nests] widens it (the Amdahl bench
-    classifies every nest). *)
+(** Table 3 for one workload: the rows of a {!study} of its paper row
+    count of nests ([w.hot_nest_count]) by default; [max_nests] widens
+    it (the Amdahl bench classifies every nest). *)
 
 (** One loop of the static-vs-dynamic cross-validation. *)
 type crossval_row = {
