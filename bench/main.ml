@@ -376,9 +376,11 @@ let amdahl () =
               | Ceres.Classify.Hard | Ceres.Classify.Very_hard -> acc)
            0. rows
        in
+       (* A root that runs inside another root's instance overlaps it,
+          so the shares can add past 100%; their union cannot. *)
        let p =
          if t.busy_ms <= 0. then 0.
-         else t.in_loops_ms *. (easy_pct /. 100.) /. t.busy_ms
+         else t.in_loops_ms *. (Float.min 100. easy_pct /. 100.) /. t.busy_ms
        in
        let bound n =
          Js_parallel.Amdahl.speedup ~parallel_fraction:p ~workers:n

@@ -159,9 +159,10 @@ let test_amdahl_five_over_three () =
                 | _ -> acc)
              0. rows
          in
+         (* nested roots overlap: their union is at most 100% *)
          let p =
            if t.busy_ms <= 0. then 0.
-           else t.in_loops_ms *. (easy_pct /. 100.) /. t.busy_ms
+           else t.in_loops_ms *. (Float.min 100. easy_pct /. 100.) /. t.busy_ms
          in
          if Js_parallel.Amdahl.asymptote ~parallel_fraction:p > 3. then
            acc + 1
@@ -244,8 +245,8 @@ let test_staging_law () =
        List.iter (agree "focused on the hot roots" st.deps) roots;
        List.iter
          (fun root ->
-            let _, single = Workloads.Harness.run_dependence ~focus:[ root ] w in
-            agree "focused on itself" single root)
+            let _, one = Workloads.Harness.run_dependence ~focus:[ root ] w in
+            agree "focused on itself" one root)
          roots)
     all
 
