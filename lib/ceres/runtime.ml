@@ -725,10 +725,10 @@ let warnings_impeding t ~root =
 
 let is_tainted t id = t.tainted.(id)
 let dom_accesses_in t id = t.dyn.(id).dom_accesses
+let instances_of t id = t.dyn.(id).instances
+let accesses_checked t = t.accesses_checked
+let recursion_warnings t = t.recursion_warnings
 
 let nest_dom_accesses t ~root =
   Jsir.Loops.descendants t.infos root
   |> List.fold_left (fun acc id -> acc + dom_accesses_in t id) 0
-let instances_of t id = t.dyn.(id).instances
-let accesses_checked t = t.accesses_checked
-let recursion_warnings t = t.recursion_warnings

@@ -463,19 +463,24 @@ let test_dep_focus_restricts_recording () =
      for (var i = 1; i < 5; i++) { a[i] = a[i - 1] + 1; }\n\
      for (var j = 1; j < 5; j++) { b[j] = b[j - 1] + 1; }"
   in
-  let st, _ = Helpers.fresh_state ~dom:true () in
-  let program = Jsir.Parser.parse_program src in
-  let infos = Jsir.Loops.index program in
+  let session focus =
+    let st, _ = Helpers.fresh_state ~dom:true () in
+    let program = Jsir.Parser.parse_program src in
+    let infos = Jsir.Loops.index program in
+    let rt = Ceres.Install.dependence ~focus st infos in
+    Interp.Eval.run_program st
+      (Ceres.Instrument.program Ceres.Instrument.Dependence program);
+    rt
+  in
   (* focus on the second loop (id 1) only *)
-  let rt = Ceres.Install.dependence ~focus:[ 1 ] st infos in
-  Interp.Eval.run_program st
-    (Ceres.Instrument.program Ceres.Instrument.Dependence program);
   let lines =
-    Ceres.Runtime.warnings rt
+    Ceres.Runtime.warnings (session [ 1 ])
     |> List.map (fun ((w : Ceres.Runtime.warning), _) -> w.line)
   in
   Alcotest.(check bool) "focused loop recorded" true (List.mem 3 lines);
-  Alcotest.(check bool) "unfocused loop ignored" false (List.mem 2 lines)
+  Alcotest.(check bool) "unfocused loop ignored" false (List.mem 2 lines);
+  Alcotest.(check int) "an empty focus records nothing" 0
+    (Ceres.Runtime.accesses_checked (session []))
 
 (* Under dependence analysis, element accesses on a dense, untagged
    array go by the index symbol instead of a key string. The shortcut
