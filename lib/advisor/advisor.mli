@@ -76,9 +76,7 @@ type report = {
   workload : string;
   cores : int list;  (** core counts modeled, ascending, deduplicated *)
   busy_ms : float;  (** program busy virtual time *)
-  loop_ms : float;
-      (** virtual time with any loop open, counted once
-          ({!Ceres.Loop_profile.total_root_time_ms}); at most [busy_ms] *)
+  loop_ms : float;  (** virtual time with any loop open, counted once *)
   nests : nest list;
       (** the plan: every root nest that ran, hottest first (ties by
           ascending loop id), hence by descending fraction *)
