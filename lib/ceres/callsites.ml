@@ -20,31 +20,32 @@ type site = {
 
 type t = {
   sites : (int, site) Hashtbl.t; (* keyed by source line *)
-  saved : int -> value -> int -> unit;
+  saved : (int -> value -> int -> unit) option;
   st : state;
 }
 
 let attach (st : state) : t =
   let t = { sites = Hashtbl.create 256; saved = st.on_call_site; st } in
   st.on_call_site <-
-    (fun line callee argc ->
-       t.saved line callee argc;
-       let site =
-         match Hashtbl.find_opt t.sites line with
-         | Some s -> s
-         | None ->
-           let s =
-             { line; calls = 0; callees = Hashtbl.create 2;
-               arities = Hashtbl.create 2 }
-           in
-           Hashtbl.replace t.sites line s;
-           s
-       in
-       site.calls <- site.calls + 1;
-       (match callee with
-        | Obj o -> Hashtbl.replace site.callees o.oid ()
-        | _ -> ());
-       Hashtbl.replace site.arities argc ());
+    Some
+      (fun line callee argc ->
+         (match t.saved with Some f -> f line callee argc | None -> ());
+         let site =
+           match Hashtbl.find_opt t.sites line with
+           | Some s -> s
+           | None ->
+             let s =
+               { line; calls = 0; callees = Hashtbl.create 2;
+                 arities = Hashtbl.create 2 }
+             in
+             Hashtbl.replace t.sites line s;
+             s
+         in
+         site.calls <- site.calls + 1;
+         (match callee with
+          | Obj o -> Hashtbl.replace site.callees o.oid ()
+          | _ -> ());
+         Hashtbl.replace site.arities argc ());
   t
 
 let detach t = t.st.on_call_site <- t.saved

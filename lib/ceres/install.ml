@@ -20,9 +20,11 @@
    on a dense, untagged array go by the index symbol's precomputed
    array index, charged the [cost_prop] tick the plain [Index] path
    charges; every other receiver and key takes the string-keyed
-   property path. Unresolved names ([lex = -1]: catch variables,
-   wrapper bindings, implicit globals, or a program run without
-   resolution) take the dynamic path. *)
+   property path. Any other name takes the dynamic path, which finds
+   its owner scope by the scope walk: an unresolved one ([lex = -1]:
+   catch variables, wrapper bindings, writes of implicit globals, or a
+   program run without resolution) and a free one ([Ast.lex_free]: a
+   host or implicit global) alike. *)
 
 open Interp.Value
 module Ast = Jsir.Ast

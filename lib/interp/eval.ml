@@ -288,7 +288,7 @@ let run_closure st fo (cl : closure) this slots args =
       { sid; vars = no_vars; parent; ltab = Some lay.l_table; slots;
         syms = lay.l_syms; fup = enclosing parent }
     in
-    st.on_scope_create frame;
+    (match st.on_scope_create with None -> () | Some f -> f frame);
     if lay.l_uses_arguments then
       slots.(lay.l_arguments) <- Obj (make_array st (Array.of_list args));
     cl.body st frame this
@@ -299,7 +299,7 @@ let run_closure st fo (cl : closure) this slots args =
     cl.body st frame this
 
 let leave st =
-  st.on_call_exit ();
+  (match st.on_call_exit with None -> () | Some f -> f ());
   st.call_depth <- st.call_depth - 1
 
 (* Run a callee under the depth limit and the enter/exit hooks; one
@@ -313,9 +313,11 @@ let enter st fo c this slots args =
   end;
   match
     match c with
-    | Host (name, fn) -> st.on_call_enter (Some name); fn st this args
+    | Host (name, fn) ->
+      (match st.on_call_enter with None -> () | Some f -> f (Some name));
+      fn st this args
     | Closure cl ->
-      st.on_call_enter cl.fn.fname;
+      (match st.on_call_enter with None -> () | Some f -> f cl.fn.fname);
       run_closure st fo cl this slots args
   with
   | v -> leave st; v
@@ -350,6 +352,9 @@ let fill_frame st sc th (lay : layout) (args : code array) =
   done;
   slots
 
+let[@inline] site st line fn (args : code array) =
+  match st.on_call_site with None -> () | Some f -> f line fn (Array.length args)
+
 (* A call site evaluates its arguments straight into the callee's new
    slot array when the callee is a resolved closure with no observable
    [arguments]; any other callee gets an argument list. *)
@@ -359,12 +364,12 @@ let invoke st sc th line fn recv args =
          as fo)
     when not lay.l_uses_arguments ->
     let slots = fill_frame st sc th lay args in
-    st.on_call_site line fn (Array.length args);
+    site st line fn args;
     tick st cost_call;
     enter st fo c recv slots []
   | _ ->
     let vs = eval_args st sc th args 0 in
-    st.on_call_site line fn (Array.length args);
+    site st line fn args;
     call st fn recv vs
 
 (* [new fn(args)]. *)
@@ -593,10 +598,13 @@ let rec expr hs (e : expr) : code =
        let msg = "unknown intrinsic " ^ name in
        fun st _ _ -> node st; type_error st msg)
 
-(* A variable read: the slot decoded here, the name only when
-   unresolved. *)
+(* A variable read: the slot decoded here; a free name goes straight to
+   the global lookup, only an unresolved one walks the scope chain. *)
 and ident lex name : code =
-  if lex < 0 then fun st sc _ -> node st; get_var st sc name
+  if lex_is_free lex then
+    let sym = lex_free_sym lex in
+    fun st _ _ -> node st; get_free st sym name
+  else if lex < 0 then fun st sc _ -> node st; get_var st sc name
   else
     let depth = lex_depth lex and slot = lex_slot lex in
     if depth = 0 then fun st sc _ -> node st; sc.slots.(slot)
@@ -748,15 +756,22 @@ and typeof hs (x : expr) : code =
   | Ident _ when x.lex >= 0 ->
     let lex = x.lex in
     fun st sc _ -> node st; Str (type_of (get_lex st sc lex))
+  | Ident name when lex_is_free x.lex ->
+    let sym = lex_free_sym x.lex in
+    fun st _ _ ->
+      node st;
+      (match find_free st sym name with
+       | v -> Str (type_of v)
+       | exception Not_found -> Str "undefined")
   | Ident name ->
     fun st sc _ ->
       node st;
       (match var_home sc name with
        | Some (s, slot) -> Str (type_of (scope_read s slot name))
        | None ->
-         if has_prop_obj st.global_obj name then
-           Str (type_of (get_prop_obj st.global_obj name))
-         else Str "undefined")
+         (match find_global st name with
+          | v -> Str (type_of v)
+          | exception Not_found -> Str "undefined"))
   | _ ->
     let c = expr hs x in
     fun st sc th -> node st; Str (type_of (c st sc th))
@@ -1061,9 +1076,8 @@ let create ?(seed = 20150207) ?(budget = default_budget)
       error_proto = dummy_obj; next_oid = 1; next_sid = 1; call_depth = 0;
       max_call_depth = 2000; budget = Int64.to_int budget; console = [];
       echo_console = false; intrinsics = Hashtbl.create 32;
-      on_scope_create = (fun _ -> ()); on_call_enter = (fun _ -> ());
-      on_call_exit = (fun () -> ()); on_host_access = (fun _ _ -> ());
-      on_tick = None; on_call_site = (fun _ _ _ -> ());
+      on_scope_create = None; on_call_enter = None; on_call_exit = None;
+      on_host_access = (fun _ _ -> ()); on_tick = None; on_call_site = None;
       apply = (fun _ _ _ _ -> Undefined); events = []; next_event_seq = 0;
       host_time_reads = 0; on_loop = None }
   in

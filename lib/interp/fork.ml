@@ -167,13 +167,13 @@ let fork (master : state) ~(scope : scope) ~(this : value) ~(next_oid : int)
       console = [];
       echo_console = false;
       intrinsics = master.intrinsics;
-      on_scope_create = (fun _ -> ());
-      on_call_enter = (fun _ -> ());
-      on_call_exit = (fun () -> ());
+      on_scope_create = None;
+      on_call_enter = None;
+      on_call_exit = None;
       on_host_access =
         (fun cat op -> raise (Par_abort ("host access " ^ cat ^ "/" ^ op)));
       on_tick = None;
-      on_call_site = (fun _ _ _ -> ());
+      on_call_site = None;
       apply = master.apply;
       events = master.events; (* shared: any physical change poisons *)
       next_event_seq = master.next_event_seq;

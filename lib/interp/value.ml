@@ -103,16 +103,17 @@ and state = {
   mutable echo_console : bool;
   intrinsics : (string, intrinsic) Hashtbl.t;
       (* handler factories, looked up when a program is compiled *)
-  (* instrumentation and embedding hooks *)
-  mutable on_scope_create : scope -> unit;
-  mutable on_call_enter : string option -> unit;
-  mutable on_call_exit : unit -> unit;
+  (* instrumentation and embedding hooks; [None] (the default) costs a
+     load + branch where an installed hook would be called *)
+  mutable on_scope_create : (scope -> unit) option;
+  mutable on_call_enter : (string option -> unit) option;
+  mutable on_call_exit : (unit -> unit) option;
   mutable on_host_access : string -> string -> unit;
       (* category (e.g. "dom"), operation *)
   mutable on_tick : (int -> unit) option;
       (* fault-injection probe called on every clock advance; [None]
          (the default) keeps the hot path a single load + branch *)
-  mutable on_call_site : int -> value -> int -> unit;
+  mutable on_call_site : (int -> value -> int -> unit) option;
       (* source line of a call site, callee value, argument count *)
   mutable apply : state -> value -> value -> value list -> value;
       (* callback into the evaluator, installed by [Eval.create] *)
@@ -459,7 +460,7 @@ let fresh_scope st parent =
     { sid; vars = no_vars; parent;
       ltab = None; slots = [||]; syms = [||]; fup = None }
   in
-  st.on_scope_create scope;
+  (match st.on_scope_create with None -> () | Some f -> f scope);
   scope
 
 (* Slot of [name] at this level only, or -1. *)
@@ -498,15 +499,50 @@ let scope_write scope slot name v =
   if slot >= 0 then scope.slots.(slot) <- v
   else (Strtbl.find scope.vars name).v <- v
 
+let not_defined name =
+  raise (Js_throw (Str (Printf.sprintf "ReferenceError: %s is not defined" name)))
+
+(* A property on the prototype chain from [o], in one walk; [Not_found]
+   when no object on it has the name. *)
+let rec chain_find o name =
+  match Strtbl.find o.props name with
+  | v -> v
+  | exception Not_found ->
+    (match o.proto with
+     | Some p -> chain_find p name
+     | None -> raise_notrace Not_found)
+
+(* Host globals live on the global object. *)
+let find_global st name = chain_find st.global_obj name
+
 let get_var st scope name =
   match var_home scope name with
   | Some (s, slot) -> scope_read s slot name
   | None ->
-    (* Fall back to global-object properties (host globals live there). *)
-    if has_prop_obj st.global_obj name then get_prop_obj st.global_obj name
-    else
-      raise
-        (Js_throw (Str (Printf.sprintf "ReferenceError: %s is not defined" name)))
+    (match find_global st name with
+     | v -> v
+     | exception Not_found -> not_defined name)
+
+(* A free name lives in the global side table (an implicit global), in
+   the global slot a program attached for it, or on the global object,
+   and in that order. The side table is probed only when it holds
+   something; a slot counts once [attach_global] entered the name, which
+   is when it set the slot's symbol. *)
+let find_free st sym name =
+  let g = st.global_scope in
+  if Strtbl.length g.vars > 0 && Strtbl.mem g.vars name then
+    (Strtbl.find g.vars name).v
+  else
+    let slot = Ceres_util.Symbol.find_global_slot st.symtab sym in
+    if slot >= 0 && slot < Array.length g.syms
+       && Array.unsafe_get g.syms slot = sym
+    then Array.unsafe_get g.slots slot
+    else chain_find st.global_obj name
+
+let get_free st sym name =
+  match find_free st sym name with
+  | v -> v
+  | exception Not_found -> not_defined name
 
 let set_var st scope name v =
   match var_home scope name with

@@ -104,16 +104,22 @@ and state = {
       (** handler factories for {!Jsir.Ast.Intrinsic} nodes, registered
           by {!Ceres.Install} and looked up when a program is
           compiled *)
-  mutable on_scope_create : scope -> unit;
-  mutable on_call_enter : string option -> unit;
-  mutable on_call_exit : unit -> unit;
+  mutable on_scope_create : (scope -> unit) option;
+      (** every new scope: function frames, wrappers, dynamic frames *)
+  mutable on_call_enter : (string option -> unit) option;
+      (** every call, with the callee's name (a host function's, or the
+          closure's [fname]) *)
+  mutable on_call_exit : (unit -> unit) option;
+      (** every call's return, normal or exceptional. The four call
+          hooks are [None] by default: an unset hook costs one load +
+          branch and is never called *)
   mutable on_host_access : string -> string -> unit;
       (** (category, operation): the DOM/canvas report channel *)
   mutable on_tick : (int -> unit) option;
       (** fault-injection probe fired on every clock advance (receives
           the tick cost); [None] by default, so the interpreter hot
           path pays one load + branch when no chaos plan is armed *)
-  mutable on_call_site : int -> value -> int -> unit;
+  mutable on_call_site : (int -> value -> int -> unit) option;
       (** (source line, callee, argument count) for every syntactic
           call; backs the call-site mono/polymorphism census *)
   mutable apply : state -> value -> value -> value list -> value;
@@ -252,7 +258,21 @@ val scope_read : scope -> int -> string -> value
 val scope_write : scope -> int -> string -> value -> unit
 
 val get_var : state -> scope -> string -> value
-(** Falls back to global-object properties; ReferenceError if absent. *)
+(** Falls back to global-object properties ({!find_global});
+    ReferenceError if absent. *)
+
+val find_global : state -> string -> value
+(** The name's value on the global object's prototype chain, found in
+    one walk; [Not_found] if no object on the chain has it. *)
+
+val find_free : state -> int -> string -> value
+(** [find_free st sym name] reads a name the resolver stamped free
+    ({!Jsir.Ast.lex_free}, [sym] its symbol): the global side table
+    (skipped while empty), then the global slot a program attached for
+    it, then {!find_global}. [Not_found] if it is in none of them. *)
+
+val get_free : state -> int -> string -> value
+(** {!find_free}, raising the ReferenceError {!get_var} raises. *)
 
 val set_var : state -> scope -> string -> value -> unit
 (** Sloppy-mode semantics: unbound names become implicit globals. *)

@@ -62,6 +62,9 @@ type assign_op = binop option
    - [Ident], [Assign]/[Update] with a [Tgt_ident]: a packed lexical
      address, [slot lsl 12 lor depth], where depth counts enclosing
      function frames and depth = 0xFFF means the global frame;
+   - an [Ident] read of a free name (no frame on its static chain binds
+     it, no catch parameter or wrapper name intervenes): [-2 - sym],
+     with [sym] the name's interned symbol;
    - [String]: the interned symbol of the literal;
    - [Intrinsic]: the interned symbol of the intrinsic's name. *)
 type expr = { e : expr_desc; at : span; mutable lex : int }
@@ -176,6 +179,9 @@ let lex_global_depth = 0xFFF
 let lex_make ~depth ~slot = (slot lsl 12) lor depth
 let lex_depth lex = lex land 0xFFF
 let lex_slot lex = lex lsr 12
+let lex_free sym = -2 - sym
+let lex_is_free lex = lex < -1
+let lex_free_sym lex = -2 - lex
 
 (* Constructors used by the instrumenter, which synthesises nodes with
    no meaningful source location. *)

@@ -50,9 +50,10 @@ type assign_op = binop option
 type expr = { e : expr_desc; at : span; mutable lex : int }
 (** [lex] is the resolver's stamp ({!Resolve.program}); [-1] means
     unresolved (dynamic path). For [Ident] and [Assign]/[Update] with
-    a [Tgt_ident] it packs a lexical address; for [String] it is the
-    literal's interned symbol; for [Intrinsic] the symbol of the
-    intrinsic's name. *)
+    a [Tgt_ident] it packs a lexical address; an [Ident] read of a free
+    name (see {!lex_free}) carries the name's symbol instead; for
+    [String] it is the literal's interned symbol; for [Intrinsic] the
+    symbol of the intrinsic's name. *)
 
 and expr_desc =
   | Number of float
@@ -172,6 +173,17 @@ val lex_global_depth : int
 val lex_make : depth:int -> slot:int -> int
 val lex_depth : int -> int
 val lex_slot : int -> int
+
+val lex_free : int -> int
+(** The stamp of a read of a free name, given its symbol: no frame on
+    the static chain binds the name and no catch parameter or wrapper
+    name intervenes, so it can only be an implicit global, a global
+    slot a later program declares, or a property of the global object.
+    Negative, and distinct from {!lex_unresolved}. *)
+
+val lex_is_free : int -> bool
+val lex_free_sym : int -> int
+(** The symbol a {!lex_free} stamp carries. *)
 
 (** {1 Constructors} (used by the instrumenter) *)
 

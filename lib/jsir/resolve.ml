@@ -17,11 +17,14 @@
      lexical address in [expr.lex], where depth counts function-frame
      boundaries and the global frame is a sentinel depth, and every
      [var] declarator (for/for-in heads included) in [stmt.slex].
-     References that cannot be proven (catch-poisoned names, names a runtime
-     wrapper scope for a named function expression may bind, names not
-     statically bound anywhere — possibly implicit globals) stay
-     unresolved and take the evaluator's dynamic path, which is
-     byte-for-byte the old semantics.
+     A read of a name no frame on its chain binds is stamped *free*
+     with its symbol: it can only be an implicit global, a global slot
+     a later program declares, or a property of the global object, and
+     the evaluator looks in exactly those places. References that
+     cannot be proven (catch-poisoned names, names a runtime wrapper
+     scope for a named function expression may bind, and writes of
+     free names) stay unresolved and take the evaluator's dynamic
+     path, which is byte-for-byte the old semantics.
 
    The pass is idempotent and overwrites every stamp it is responsible
    for, so re-resolving a program (e.g. against a different state's
@@ -112,37 +115,35 @@ let catch_table body =
   List.iter (fun n -> Hashtbl.replace h n ()) (catch_names_stmts body);
   h
 
-let resolve_name env name =
+(* The stamp of a read of [name]: the address of the nearest frame on
+   the static chain that binds it; [lex_unresolved] when a catch
+   parameter or a wrapper name may bind it first (or at absurd
+   nesting); else, bound by no frame at all, [lex_free] of its symbol. *)
+let lookup env name =
   let rec go env depth =
     match Hashtbl.find_opt env.layout.l_table name with
     | Some slot ->
-      if env.is_global then Some (lex_make ~depth:lex_global_depth ~slot)
-      else if depth >= lex_global_depth then None (* absurd nesting *)
-      else Some (lex_make ~depth ~slot)
+      if env.is_global then lex_make ~depth:lex_global_depth ~slot
+      else if depth >= lex_global_depth then lex_unresolved
+      else lex_make ~depth ~slot
     | None ->
-      if Hashtbl.mem env.catch_names name then None
+      if Hashtbl.mem env.catch_names name then lex_unresolved
       else if
         match env.wrapper_name with
         | Some n -> String.equal n name
         | None -> false
-      then None
-      else (match env.up with Some up -> go up (depth + 1) | None -> None)
+      then lex_unresolved
+      else
+        match env.up with
+        | Some up -> go up (depth + 1)
+        | None -> lex_free (Symbol.intern env.tab name)
   in
   go env 0
 
-(* Is [name] certainly bound (slot in some enclosing frame) with no
-   intervening dynamic binder? Decides whether a named function
-   expression can skip the runtime wrapper-scope test: the evaluator
-   only creates the wrapper when the name is unbound at call time. *)
-let rec statically_bound env name =
-  if Hashtbl.mem env.layout.l_table name then true
-  else if Hashtbl.mem env.catch_names name then false
-  else if
-    match env.wrapper_name with
-    | Some n -> String.equal n name
-    | None -> false
-  then false
-  else match env.up with Some up -> statically_bound up name | None -> false
+(* A frame address for [name], or [None]. *)
+let resolve_name env name =
+  let lex = lookup env name in
+  if lex >= 0 then Some lex else None
 
 (* ------------------------------------------------------------------ *)
 (* Layout construction *)
@@ -246,19 +247,19 @@ and rx env (e : expr) =
   e.lex <-
     (match e.e with
      | String s -> Symbol.intern env.tab s
-     | Ident name | Assign (Tgt_ident name, _, _) | Update (_, _, Tgt_ident name)
-       -> (
-         match resolve_name env name with
-         | Some lex -> lex
-         | None -> lex_unresolved)
+     | Ident name -> lookup env name
+     | Assign (Tgt_ident name, _, _) | Update (_, _, Tgt_ident name) ->
+       Option.value (resolve_name env name) ~default:lex_unresolved
      | Intrinsic (name, _) -> Symbol.intern env.tab name
      | _ -> lex_unresolved);
   match e.e with
   | Function_expr f ->
+    (* the evaluator only creates the wrapper scope when the name is
+       unbound at call time: a name some frame binds never needs it *)
     let fname_static =
       match f.fname with
       | None -> true
-      | Some name -> statically_bound env name
+      | Some name -> resolve_name env name <> None
     in
     resolve_func env f ~fname_static
   | _ -> iter_expr ~stmt:(resolve_stmt env) ~expr:(rx env) e

@@ -8,12 +8,16 @@
     stamps every variable reference with a packed [(depth, slot)]
     address in [expr.lex] and every [var] declarator in [stmt.slex].
 
-    References that cannot be proven static — names bound by a catch
-    clause somewhere in the function, names a named-function-expression
-    wrapper scope may bind, names not statically bound anywhere
-    (possible implicit globals) — are left unresolved ([-1]) and take
-    the evaluator's dynamic path, which preserves the old semantics
-    byte for byte. *)
+    A read of a name that no frame on its static chain binds, with no
+    catch parameter or wrapper name in between, is stamped free
+    ({!Ast.lex_free}, carrying the name's symbol): the evaluator then
+    looks only at the global side table, the global slot and the
+    global object. References that cannot be proven static — names
+    bound by a catch clause somewhere in the function, names a
+    named-function-expression wrapper scope may bind, and assignments
+    or updates of free names (possible implicit globals) — are left
+    unresolved ([-1]) and take the evaluator's dynamic path, which
+    preserves the old semantics byte for byte. *)
 
 val hoisted_names : string list -> Ast.stmt list -> string list
 (** [hoisted_names acc body] adds, newest first, every name a [var]

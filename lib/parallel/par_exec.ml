@@ -106,12 +106,9 @@ let rec pure_eval (st : state) scope (e : Ast.expr) : value option =
   | Ast.Null -> Some Null
   | Ast.Undefined -> Some Undefined
   | Ident name -> (
-    match var_home scope name with
-    | Some (s, slot) -> Some (scope_read s slot name)
-    | None ->
-      if has_prop_obj st.global_obj name then
-        Some (get_prop_obj st.global_obj name)
-      else None)
+    match get_var st scope name with
+    | v -> Some v
+    | exception Js_throw _ -> None)
   | Member (b, field) -> (
     match pure_eval st scope b with
     | Some (Obj o) -> Some (get_prop_obj o field)
@@ -139,7 +136,9 @@ let rec pure_eval (st : state) scope (e : Ast.expr) : value option =
    loop) cannot run inside a chunk: such completions must propagate
    through the enclosing [For], so the nest stays sequential. Throws
    are fine — they surface as [Js_throw] and poison dynamically. *)
-let stmt_abrupt ~bd (s : Ast.stmt) : bool =
+let stmt_abrupt (s : Ast.stmt) : bool =
+  (* [bd] counts the loops and switches entered below the body: an
+     unlabeled [break] outside all of them targets our loop *)
   let rec go ~bd (s : Ast.stmt) =
     match s.s with
     | Return _ | Break (Some _) | Continue (Some _) -> raise_notrace Exit
@@ -149,7 +148,7 @@ let stmt_abrupt ~bd (s : Ast.stmt) : bool =
     | Func_decl _ -> ()
     | _ -> Ast.iter_stmt ~stmt:(go ~bd) ~expr:ignore s
   in
-  match go ~bd s with () -> false | exception Exit -> true
+  match go ~bd:0 s with () -> false | exception Exit -> true
 
 let trip_count st scope (h : header) : (float * int) option =
   let lo =
@@ -318,7 +317,7 @@ let shape t kind (lv : loop_visit) : shape option =
   | None ->
     let sh =
       match header_of lv with
-      | Some h when not (stmt_abrupt ~bd:1 lv.lv_body) ->
+      | Some h when not (stmt_abrupt lv.lv_body) ->
         let vaccs = match kind with Kparallel -> [] | Kreduction accs -> accs in
         let tasks = List.filter_map (acc_task_of lv) vaccs in
         Some

@@ -27,8 +27,8 @@ type t = {
   mutable stack : string list; (* current function-name stack *)
   samples : (string, int) Hashtbl.t; (* function -> serviced windows on top *)
   mutable boundary_count : int;
-  saved_enter : string option -> unit;
-  saved_exit : unit -> unit;
+  saved_enter : (string option -> unit) option;
+  saved_exit : (unit -> unit) option;
 }
 
 let window_of t =
@@ -59,17 +59,19 @@ let attach ?(period_ms = 1.0) st =
       saved_exit = st.on_call_exit }
   in
   st.on_call_enter <-
-    (fun name ->
-       t.saved_enter name;
-       t.boundary_count <- t.boundary_count + 1;
-       t.stack <- Option.value ~default:"(anonymous)" name :: t.stack;
-       service t);
+    Some
+      (fun name ->
+         (match t.saved_enter with Some f -> f name | None -> ());
+         t.boundary_count <- t.boundary_count + 1;
+         t.stack <- Option.value ~default:"(anonymous)" name :: t.stack;
+         service t);
   st.on_call_exit <-
-    (fun () ->
-       t.saved_exit ();
-       t.boundary_count <- t.boundary_count + 1;
-       service t;
-       match t.stack with [] -> () | _ :: rest -> t.stack <- rest);
+    Some
+      (fun () ->
+         (match t.saved_exit with Some f -> f () | None -> ());
+         t.boundary_count <- t.boundary_count + 1;
+         service t;
+         match t.stack with [] -> () | _ :: rest -> t.stack <- rest);
   t
 
 let detach t =

@@ -38,8 +38,8 @@ let prepare ?(seed = 7) ?(scale = 1.0) (w : Workload.t) : run_context =
   Js_parallel.Fault.arm (Js_parallel.Fault.current_session ()) st;
   Interp.Builtins.install st;
   let doc = Dom.Document.install st in
-  Interp.Value.declare st.global_scope "SCALE";
-  Interp.Value.set_var st st.global_scope "SCALE" (Num scale);
+  (* a host global, like [Math]: the global side table stays empty *)
+  Interp.Value.raw_set_prop st.global_obj "SCALE" (Num scale);
   let program = Jsir.Parser.parse_program w.source in
   let infos = Jsir.Loops.index program in
   { st; doc; program; infos }

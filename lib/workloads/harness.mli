@@ -18,7 +18,8 @@ val ticks_per_ms : int
 
 val prepare : ?seed:int -> ?scale:float -> Workload.t -> run_context
 (** Fresh interpreter + DOM with the workload parsed; [scale] is the
-    JS-visible [SCALE] sizing global (default 1.0). *)
+    JS-visible [SCALE] sizing global (default 1.0), a property of the
+    global object like the host globals. *)
 
 val drive : run_context -> Workload.t -> unit
 (** Schedule the scripted interactions and run the event loop to the

@@ -642,8 +642,8 @@ let test_budget_exact_tick () =
    above a host callback or the budget escapes the whole program. *)
 let count_calls st =
   let enters = ref 0 and exits = ref 0 in
-  st.Interp.Value.on_call_enter <- (fun _ -> incr enters);
-  st.on_call_exit <- (fun () -> incr exits);
+  st.Interp.Value.on_call_enter <- Some (fun _ -> incr enters);
+  st.on_call_exit <- Some (fun () -> incr exits);
   (enters, exits)
 
 let test_call_unwinding () =

@@ -252,6 +252,36 @@ let test_cli_par_exec () =
          (Helpers.int_at [ "pool"; "tasks_executed" ] stats > 0))
     [ "CamanJS"; "HAAR.js" ]
 
+(* A [break] directly in a proven loop's body ends the loop early, which
+   a chunk cannot do: the shape scan must see it and keep every instance
+   sequential, instead of forking both chunks and poisoning each time. *)
+let test_break_stays_sequential () =
+  let src =
+    {|
+var a = [];
+function fill(n) {
+  for (var i = 0; i < 1000; i++) {
+    a[i] = i * 2;
+    if (i === n) { break; }
+  }
+}
+for (var k = 0; k < 20; k++) { fill(100 + 40 * k); }
+console.log(a.length + "," + a[99] + "," + a[900]);
+|}
+  in
+  let seq = run_program_console src in
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      let pe = PE.create ~mode:(PE.Parallel pool) ~jobs:2 () in
+      let par = run_program_console ~par:pe src in
+      Alcotest.(check (list string)) "par ≡ seq" seq par;
+      Alcotest.(check (list string)) "the loop ran to each break"
+        [ "861,198,undefined" ] seq;
+      let total f =
+        List.fold_left (fun acc (_, _, s) -> acc + f s) 0 (PE.nest_rows pe)
+      in
+      Alcotest.(check (pair int int)) "no instances, no fallbacks" (0, 0)
+        (total (fun s -> s.PE.instances), total (fun s -> s.PE.fallbacks)))
+
 (* [parallel_reduce]'s merged partials against the plain fold. *)
 let parallel_reduce_equals_fold pool =
   QCheck.Test.make ~name:"parallel_reduce = fold_left" ~count:50
@@ -397,4 +427,6 @@ let suite =
     qtest (generated_reductions_deterministic (Lazy.force shared_pool));
     qtest (parallel_reduce_equals_fold (Lazy.force shared_pool));
     Alcotest.test_case "concurrent chunk diffs = serial diffs" `Quick
-      test_concurrent_diffs_match_serial ]
+      test_concurrent_diffs_match_serial;
+    Alcotest.test_case "a break in a proven loop stays sequential" `Quick
+      test_break_stays_sequential ]

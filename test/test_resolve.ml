@@ -7,22 +7,33 @@
 
 let qtest = QCheck_alcotest.to_alcotest
 
-let run_mode ~resolve src =
+(* Run [srcs] one program after another on one state (with the DOM, so
+   [window] is the global object); a throw ends the run. *)
+let run_programs ~resolve srcs =
   let st = Interp.Eval.create () in
   Interp.Builtins.install st;
+  ignore (Dom.Document.install st);
   let outcome =
     try
-      Interp.Eval.run_program ~resolve st (Jsir.Parser.parse_program src);
+      List.iter
+        (fun src ->
+           Interp.Eval.run_program ~resolve st (Jsir.Parser.parse_program src))
+        srcs;
       []
     with Interp.Value.Js_throw v -> [ "THROWN " ^ Interp.Value.to_string st v ]
   in
   (List.rev st.Interp.Value.console @ outcome, Ceres_util.Vclock.busy st.clock)
 
-let check_equiv msg src =
-  let resolved, ticks_r = run_mode ~resolve:true src in
-  let dynamic, ticks_d = run_mode ~resolve:false src in
+let run_mode ~resolve src = run_programs ~resolve [ src ]
+
+let check_equiv_programs msg srcs =
+  let resolved, ticks_r = run_programs ~resolve:true srcs in
+  let dynamic, ticks_d = run_programs ~resolve:false srcs in
   Alcotest.(check (list string)) (msg ^ ": console") dynamic resolved;
-  Alcotest.(check int64) (msg ^ ": vclock") ticks_d ticks_r
+  Alcotest.(check int64) (msg ^ ": vclock") ticks_d ticks_r;
+  resolved
+
+let check_equiv msg src = ignore (check_equiv_programs msg [ src ])
 
 (* ------------------------------------------------------------------ *)
 (* Directed cases: the scoping corners where slot addressing could
@@ -110,6 +121,41 @@ var v;
 console.log(v);
 |}
 
+(* A free read compiled by one program finds the global slot a later
+   program on the same state attaches for the name. *)
+let test_free_read_sees_later_slot () =
+  let console =
+    check_equiv_programs "free read, then a later var"
+      [ {|
+function later_or_none() { return typeof later === "undefined" ? "none" : later; }
+console.log(later_or_none());
+|};
+        {|
+var later = 5;
+console.log(later_or_none());
+later = later + 1;
+console.log(later_or_none());
+|} ]
+  in
+  Alcotest.(check (list string)) "the earlier program's read sees the slot"
+    [ "none"; "5"; "6" ] console
+
+(* A free read of a missing name throws the dynamic path's
+   ReferenceError, with the same text. *)
+let test_free_read_missing () =
+  let console =
+    check_equiv_programs "missing free name"
+      [ {|
+function get() { return missing_name; }
+try { get(); } catch (err) { console.log(err); }
+console.log(get());
+|} ]
+  in
+  Alcotest.(check (list string)) "ReferenceError, caught then uncaught"
+    [ "ReferenceError: missing_name is not defined";
+      "THROWN ReferenceError: missing_name is not defined" ]
+    console
+
 (* ------------------------------------------------------------------ *)
 (* Property: random straight-line/looping/shadowing programs agree. *)
 
@@ -153,7 +199,29 @@ let rec gen_stmt n : string QCheck.Gen.t =
       (fun x e y -> "var " ^ x ^ " = " ^ e ^ ", " ^ y ^ ";")
       (oneofa names) gen_expr (oneofa names)
   in
-  let leaves = [ assign; compound; update; redecl; multi_decl ] in
+  (* free names: host globals, implicit globals, global-object
+     properties, and binders that shadow a host global *)
+  let free =
+    map3
+      (fun x e k ->
+         let g = "g" ^ string_of_int (k mod 3) in
+         match k mod 6 with
+         | 0 -> x ^ " = Math.floor(" ^ e ^ ") + Math.abs(-2);"
+         | 1 -> x ^ " = typeof Math + typeof " ^ g ^ ";"
+         | 2 ->
+           "(function () { " ^ g ^ " = " ^ e ^ "; })(); " ^ x
+           ^ " = (function () { return " ^ g ^ "; })();"
+         | 3 ->
+           "window.h = " ^ e ^ "; " ^ x ^ " = h; delete window.h; try { " ^ x
+           ^ " = h; } catch (err) { " ^ x ^ " = err; }"
+         | 4 ->
+           "(function () { try { throw " ^ e ^ "; } catch (Math) { " ^ x
+           ^ " = Math; } })();"
+         | _ ->
+           x ^ " = (function Math(n) { return n < 1 ? typeof Math : Math(n - 1); })(2);")
+      (oneofa names) gen_expr (int_range 0 59)
+  in
+  let leaves = [ assign; compound; update; redecl; multi_decl; free ] in
   if n = 0 then oneof leaves
   else
     let sub = gen_stmt (n - 1) in
@@ -265,4 +333,7 @@ let suite =
     ("dependence identical across corpus", `Slow,
      test_dependence_identical_all_workloads);
     ("vclock identical across corpus", `Slow,
-     test_vclock_identical_all_workloads) ]
+     test_vclock_identical_all_workloads);
+    ("free read sees a later program's slot", `Quick,
+     test_free_read_sees_later_slot);
+    ("free read of a missing name", `Quick, test_free_read_missing) ]

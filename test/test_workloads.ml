@@ -29,6 +29,38 @@ let test_sources_parse_and_roundtrip () =
          (Jsir.Equal.program p p2))
     all
 
+(* Every variable read in the bundled programs gets a stamp: a frame
+   address or a free name's symbol. Only a name a catch clause or a
+   named function expression's wrapper scope may bind on the way out
+   keeps [lex_unresolved] and the scope walk, so host globals such as
+   [Math] can never silently fall back to it. *)
+let test_reads_stamped () =
+  let module A = Jsir.Ast in
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+       let p = Jsir.Parser.parse_program w.source in
+       Jsir.Resolve.program (Ceres_util.Symbol.create ()) p;
+       let walked = ref [] in
+       (* [dyn]: the catch and wrapper names on the way out *)
+       let rec stmt dyn (s : A.stmt) =
+         match s.s with
+         | Func_decl f -> func dyn f
+         | _ -> A.iter_stmt ~stmt:(stmt dyn) ~expr:(expr dyn) s
+       and expr dyn (e : A.expr) =
+         match e.e with
+         | Ident n when e.lex = A.lex_unresolved && not (List.mem n dyn) ->
+           walked := n :: !walked
+         | Function_expr f ->
+           func (match f.fname with Some n -> n :: dyn | None -> dyn) f
+         | _ -> A.iter_expr ~stmt:(stmt dyn) ~expr:(expr dyn) e
+       and func dyn (f : A.func) =
+         List.iter (stmt (Jsir.Resolve.catch_names_stmts f.body @ dyn)) f.body
+       in
+       List.iter (stmt (Jsir.Resolve.catch_names_stmts p.stmts)) p.stmts;
+       Alcotest.(check (list string))
+         (w.name ^ ": reads left on the scope walk") [] !walked)
+    all
+
 let test_all_run_plain () =
   List.iter
     (fun (w : Workloads.Workload.t) ->
@@ -295,14 +327,14 @@ let test_allocation_budget () =
        Alcotest.(check (option int))
          (Printf.sprintf "%s %s: accesses checked" name mode)
          accesses checked)
-    [ ("Raytracing", "plain", plain, 6_437_010., 7_445_438, None);
-      ("fluidSim", "plain", plain, 7_131_022., 4_975_476, None);
-      ("Raytracing", "lightweight", light, 6_973_843., 7_548_644, None);
-      ("fluidSim", "lightweight", light, 10_275_112., 4_994_298, None);
-      ("Raytracing", "loop-profile", loops, 8_343_904., 7_823_406, None);
-      ("fluidSim", "loop-profile", loops, 7_722_343., 5_093_740, None);
-      ("Raytracing", "dependence", deps, 4_160_050., 3_043_008, Some 331_182);
-      ("fluidSim", "dependence", deps, 3_604_191., 2_454_091, Some 113_569) ]
+    [ ("Raytracing", "plain", plain, 6_290_877., 7_445_438, None);
+      ("fluidSim", "plain", plain, 7_017_229., 4_975_476, None);
+      ("Raytracing", "lightweight", light, 6_875_887., 7_548_644, None);
+      ("fluidSim", "lightweight", light, 10_199_127., 4_994_298, None);
+      ("Raytracing", "loop-profile", loops, 8_197_142., 7_823_406, None);
+      ("fluidSim", "loop-profile", loops, 7_609_731., 5_093_740, None);
+      ("Raytracing", "dependence", deps, 4_126_112., 3_043_008, Some 331_182);
+      ("fluidSim", "dependence", deps, 3_561_526., 2_454_091, Some 113_569) ]
 
 let suite =
   [ ("registry complete", `Quick, test_registry_complete);
@@ -317,4 +349,5 @@ let suite =
     ("amdahl 5 of 12", `Slow, test_amdahl_five_over_three);
     ("table 3 agreement regression", `Slow, test_table3_agreement_regression);
     ("staging law: focused = full on focused roots", `Slow, test_staging_law);
-    ("plain-session allocation budget", `Quick, test_allocation_budget) ]
+    ("plain-session allocation budget", `Quick, test_allocation_budget);
+    ("every read stamped (free or frame)", `Quick, test_reads_stamped) ]
