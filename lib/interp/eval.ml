@@ -288,7 +288,6 @@ let run_closure st fo (cl : closure) this slots args =
       { sid; vars = no_vars; parent; ltab = Some lay.l_table; slots;
         syms = lay.l_syms; fup = enclosing parent }
     in
-    (match st.on_scope_create with None -> () | Some f -> f frame);
     if lay.l_uses_arguments then
       slots.(lay.l_arguments) <- Obj (make_array st (Array.of_list args));
     cl.body st frame this
@@ -1076,7 +1075,7 @@ let create ?(seed = 20150207) ?(budget = default_budget)
       error_proto = dummy_obj; next_oid = 1; next_sid = 1; call_depth = 0;
       max_call_depth = 2000; budget = Int64.to_int budget; console = [];
       echo_console = false; intrinsics = Hashtbl.create 32;
-      on_scope_create = None; on_call_enter = None; on_call_exit = None;
+      on_call_enter = None; on_call_exit = None;
       on_host_access = (fun _ _ -> ()); on_tick = None; on_call_site = None;
       apply = (fun _ _ _ _ -> Undefined); events = []; next_event_seq = 0;
       host_time_reads = 0; on_loop = None }

@@ -167,7 +167,6 @@ let fork (master : state) ~(scope : scope) ~(this : value) ~(next_oid : int)
       console = [];
       echo_console = false;
       intrinsics = master.intrinsics;
-      on_scope_create = None;
       on_call_enter = None;
       on_call_exit = None;
       on_host_access =

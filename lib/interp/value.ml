@@ -105,7 +105,6 @@ and state = {
       (* handler factories, looked up when a program is compiled *)
   (* instrumentation and embedding hooks; [None] (the default) costs a
      load + branch where an installed hook would be called *)
-  mutable on_scope_create : (scope -> unit) option;
   mutable on_call_enter : (string option -> unit) option;
   mutable on_call_exit : (unit -> unit) option;
   mutable on_host_access : string -> string -> unit;
@@ -456,12 +455,8 @@ let own_vars scope =
 let fresh_scope st parent =
   let sid = st.next_sid in
   st.next_sid <- st.next_sid + 1;
-  let scope =
-    { sid; vars = no_vars; parent;
-      ltab = None; slots = [||]; syms = [||]; fup = None }
-  in
-  (match st.on_scope_create with None -> () | Some f -> f scope);
-  scope
+  { sid; vars = no_vars; parent;
+    ltab = None; slots = [||]; syms = [||]; fup = None }
 
 (* Slot of [name] at this level only, or -1. *)
 let scope_slot scope name =

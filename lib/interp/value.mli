@@ -104,13 +104,11 @@ and state = {
       (** handler factories for {!Jsir.Ast.Intrinsic} nodes, registered
           by {!Ceres.Install} and looked up when a program is
           compiled *)
-  mutable on_scope_create : (scope -> unit) option;
-      (** every new scope: function frames, wrappers, dynamic frames *)
   mutable on_call_enter : (string option -> unit) option;
       (** every call, with the callee's name (a host function's, or the
           closure's [fname]) *)
   mutable on_call_exit : (unit -> unit) option;
-      (** every call's return, normal or exceptional. The four call
+      (** every call's return, normal or exceptional. The three call
           hooks are [None] by default: an unset hook costs one load +
           branch and is never called *)
   mutable on_host_access : string -> string -> unit;
@@ -234,7 +232,7 @@ val own_vars : scope -> cell Strtbl.t
     fresh table of the scope's own first. *)
 
 val fresh_scope : state -> scope option -> scope
-(** New scope (fires [on_scope_create]), sharing {!no_vars}. *)
+(** New scope, sharing {!no_vars}. *)
 
 val declare : scope -> string -> unit
 (** Bind the name to [Undefined] if not already bound here (slotted

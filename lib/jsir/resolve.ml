@@ -115,11 +115,13 @@ let catch_table body =
   List.iter (fun n -> Hashtbl.replace h n ()) (catch_names_stmts body);
   h
 
-(* The stamp of a read of [name]: the address of the nearest frame on
-   the static chain that binds it; [lex_unresolved] when a catch
-   parameter or a wrapper name may bind it first (or at absurd
-   nesting); else, bound by no frame at all, [lex_free] of its symbol. *)
-let lookup env name =
+(* No frame on the static chain binds the name. *)
+let unbound = min_int
+
+(* The address of the nearest frame on the static chain that binds
+   [name]; [lex_unresolved] when a catch parameter or a wrapper name
+   may bind it first (or at absurd nesting); else [unbound]. *)
+let address env name =
   let rec go env depth =
     match Hashtbl.find_opt env.layout.l_table name with
     | Some slot ->
@@ -136,13 +138,19 @@ let lookup env name =
       else
         match env.up with
         | Some up -> go up (depth + 1)
-        | None -> lex_free (Symbol.intern env.tab name)
+        | None -> unbound
   in
   go env 0
 
+(* The stamp of a read of [name]: an unbound name is free and carries
+   its symbol. *)
+let lookup env name =
+  let lex = address env name in
+  if lex = unbound then lex_free (Symbol.intern env.tab name) else lex
+
 (* A frame address for [name], or [None]. *)
 let resolve_name env name =
-  let lex = lookup env name in
+  let lex = address env name in
   if lex >= 0 then Some lex else None
 
 (* ------------------------------------------------------------------ *)
