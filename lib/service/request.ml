@@ -51,10 +51,8 @@ let config_fingerprint (c : config) =
        (fun cs -> String.concat "," (List.map string_of_int cs))
        c.cores)
 
-let key ~source (t : t) =
-  Printf.sprintf "%s:%s:%s"
-    (Digest.to_hex (Digest.string source))
-    (pass_name t.pass)
+let key ~digest (t : t) =
+  Printf.sprintf "%s:%s:%s" digest (pass_name t.pass)
     (config_fingerprint t.config)
 
 (* ------------------------------------------------------------------ *)

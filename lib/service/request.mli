@@ -47,10 +47,11 @@ val all_passes : (string * pass) list
 (** Name/constructor pairs, in declaration order — the single source
     for CLI enums and help text. *)
 
-val key : source:string -> t -> string
-(** Cache key: digest of the workload's MiniJS [source] + pass name +
-    a fingerprint of the config. Editing the workload, switching the
-    pass, or changing any config field each yield a distinct key. *)
+val key : digest:string -> t -> string
+(** Cache key: [digest], the hex digest of the workload's MiniJS
+    source, + pass name + a fingerprint of the config. Editing the
+    workload, switching the pass, or changing any config field each
+    yield a distinct key. *)
 
 val to_json : t -> Ceres_util.Json.t
 val of_json : Ceres_util.Json.t -> (t, string) result

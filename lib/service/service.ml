@@ -102,6 +102,14 @@ let unknown_workload req =
     (Printf.sprintf "unknown workload %S; available: %s" req.Request.workload
        (String.concat ", " Workloads.Registry.names))
 
+(* Each registered workload's source digest, taken once: a cache hit
+   then hashes no source. *)
+let source_digests =
+  List.map
+    (fun (w : Workloads.Workload.t) ->
+       (w, Digest.to_hex (Digest.string w.source)))
+    Workloads.Registry.all
+
 (* Resolve the registry name (case-insensitive) and normalize the
    echoed request so responses always carry the canonical name. *)
 let resolve (req : Request.t) =
@@ -109,7 +117,7 @@ let resolve (req : Request.t) =
   | None -> Error (unknown_workload req)
   | Some w ->
     let req = { req with Request.workload = w.Workloads.Workload.name } in
-    Ok (req, w, Request.key ~source:w.Workloads.Workload.source req)
+    Ok (req, w, Request.key ~digest:(List.assq w source_digests) req)
 
 let run t req =
   match resolve req with

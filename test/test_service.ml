@@ -149,6 +149,21 @@ let test_cache_keyed_on_config () =
   Alcotest.(check int) "no false hit" 0 s.hits;
   Alcotest.(check int) "two entries" 2 s.entries
 
+(* Each workload keys on its own source digest: the same request for
+   each of the 12 apps misses once, then hits. *)
+let test_cache_keyed_on_workload () =
+  let svc = Service.create () in
+  let reqs =
+    List.map (Service.Request.make Service.Request.Analyze)
+      Workloads.Registry.names
+  in
+  List.iter (fun r -> ignore (Service.run svc r)) reqs;
+  List.iter (fun r -> ignore (Service.run svc r)) reqs;
+  let s = Service.cache_stats svc in
+  Alcotest.(check int) "one miss per workload" 12 s.misses;
+  Alcotest.(check int) "one hit per workload" 12 s.hits;
+  Alcotest.(check int) "one entry per workload" 12 s.entries
+
 let test_failures_not_cached () =
   let svc = Service.create ~watchdog_ms:1 () in
   let req = Service.Request.make Service.Request.Profile "MyScript" in
@@ -464,4 +479,6 @@ let suite =
     Alcotest.test_case "golden serve session hits the cache" `Quick
       test_golden_session_hits;
     Alcotest.test_case "pipeline --stats runs pool tasks" `Quick
-      test_pipeline_stats_cli ]
+      test_pipeline_stats_cli;
+    Alcotest.test_case "cache keyed on workload" `Quick
+      test_cache_keyed_on_workload ]
