@@ -553,8 +553,9 @@ let advise () =
                   Printf.sprintf "%.1f" n.pct_busy;
                   pred n 2; pred n 4;
                   (match m with
-                   | Some m -> Printf.sprintf "%.2fx" m.m_program_speedup
-                   | None -> "-");
+                   | Some m when m.m_instances > 0 ->
+                     Printf.sprintf "%.2fx" m.m_program_speedup
+                   | _ -> "-");
                   (match m with
                    | Some m -> Advisor.grade m
                    | None -> "-") ]

@@ -26,6 +26,7 @@ type measured_row = {
   m_predicted : float;
   m_karp_flatt : float;
   m_within_band : bool;
+  m_instances : int;
   m_refused : int;
 }
 
@@ -170,7 +171,9 @@ let analyze ?cores (w : Workloads.Workload.t) : report =
    (per-nest sequential baselines) and one Parallel run over a fresh
    pool, joined by loop id. The Measure run times every instance, the
    Parallel run only those the work gate forked, so the sequential
-   side is priced at the parallel side's iterations. *)
+   side is priced at the parallel side's iterations. A nest the gate
+   refused on every instance keeps a row with no par time, so the
+   report says why it stayed sequential. *)
 
 let measure ?(jobs = 2) (r : report) (w : Workloads.Workload.t) =
   let m = PE.create ~mode:PE.Measure ~jobs:1 () in
@@ -182,7 +185,7 @@ let measure ?(jobs = 2) (r : report) (w : Workloads.Workload.t) =
         let seq_rows = PE.nest_rows m in
         List.filter_map
           (fun (id, label, (ps : PE.nest_stats)) ->
-             if ps.instances <= 0 then None
+             if ps.instances <= 0 && ps.refused <= 0 then None
              else begin
                let seq_ms =
                  match
@@ -217,7 +220,9 @@ let measure ?(jobs = 2) (r : report) (w : Workloads.Workload.t) =
                      Js_parallel.Amdahl.karp_flatt
                        ~measured_speedup:nest_speedup ~workers:jobs;
                    m_within_band =
-                     within_band ~predicted ~measured:program;
+                     ps.instances > 0
+                     && within_band ~predicted ~measured:program;
+                   m_instances = ps.instances;
                    m_refused = ps.refused }
              end)
           (PE.nest_rows p))
@@ -268,20 +273,24 @@ let grade (m : measured_row) =
   else if m.m_within_band then "ok"
   else "off-model"
 
+(* A nest that never forked has no par time: its timing members are
+   [null] rather than zeros that read as measurements. *)
 let json_of_measured (m : measured_row) : Ceres_util.Json.t =
   let open Ceres_util.Json in
+  let timed d v = if m.m_instances > 0 then Fixed (d, v) else Null in
   Obj
     [ ("id", Int m.m_id);
       ("label", Str m.m_label);
       ("fraction", Fixed (4, m.m_fraction));
       ("jobs", Int m.m_jobs);
-      ("seq_ms", Fixed (1, m.m_seq_ms));
-      ("par_ms", Fixed (1, m.m_par_ms));
-      ("nest_speedup", Fixed (2, m.m_nest_speedup));
-      ("program_speedup", Fixed (2, m.m_program_speedup));
+      ("seq_ms", timed 1 m.m_seq_ms);
+      ("par_ms", timed 1 m.m_par_ms);
+      ("nest_speedup", timed 2 m.m_nest_speedup);
+      ("program_speedup", timed 2 m.m_program_speedup);
       ("predicted", Fixed (2, m.m_predicted));
-      ("karp_flatt", Fixed (2, m.m_karp_flatt));
+      ("karp_flatt", timed 2 m.m_karp_flatt);
       ("within_band", Bool m.m_within_band);
+      ("instances", Int m.m_instances);
       ("refused", Int m.m_refused);
       ("grade", Str (grade m)) ]
 
@@ -371,15 +380,22 @@ let to_text (r : report) =
        (Printf.sprintf "measured (par-exec, %d nest(s)):\n" (List.length ms));
      List.iter
        (fun (m : measured_row) ->
+          let verdict =
+            if m.m_refused > 0 then
+              Printf.sprintf "refused %d instance(s) below break-even"
+                m.m_refused
+            else grade m
+          in
           Buffer.add_string buf
-            (Printf.sprintf
-               "  %s: seq %.1f ms -> par %.1f ms = %.2fx nest; program \
-                %.2fx vs predicted %.2fx @%d (karp-flatt %.2f) [%s]\n"
-               m.m_label m.m_seq_ms m.m_par_ms m.m_nest_speedup
-               m.m_program_speedup m.m_predicted m.m_jobs m.m_karp_flatt
-               (if m.m_refused > 0 then
-                  Printf.sprintf "refused %d instance(s) below break-even"
-                    m.m_refused
-                else grade m)))
+            (if m.m_instances = 0 then
+               Printf.sprintf "  %s: never forked; predicted %.2fx @%d [%s]\n"
+                 m.m_label m.m_predicted m.m_jobs verdict
+             else
+               Printf.sprintf
+                 "  %s: seq %.1f ms -> par %.1f ms = %.2fx nest; program \
+                  %.2fx vs predicted %.2fx @%d (karp-flatt %.2f) [%s]\n"
+                 m.m_label m.m_seq_ms m.m_par_ms m.m_nest_speedup
+                 m.m_program_speedup m.m_predicted m.m_jobs m.m_karp_flatt
+                 verdict))
        ms);
   Buffer.contents buf

@@ -21,9 +21,11 @@
     parallel on [cores] cores (Amdahl with the nest's fraction). *)
 type predicted = { cores : int; speedup : float }
 
-(** Ground truth for one nest [Par_exec] executed: the measured
-    per-nest and program-equivalent speedups next to the model's
-    prediction at the same core count. *)
+(** Ground truth for one nest [Par_exec] ran or its work gate refused:
+    the measured per-nest and program-equivalent speedups next to the
+    model's prediction at the same core count. A nest the gate refused
+    on every instance has [m_instances = 0] and no timings (the
+    float fields are 0 and render as [null]). *)
 type measured_row = {
   m_id : int;  (** loop id *)
   m_label : string;
@@ -43,7 +45,9 @@ type measured_row = {
   m_within_band : bool;
       (** measured program speedup within the documented tolerance
           band of the prediction (|pred - meas| <= 0.25 * pred);
-          [false] flags an off-model nest *)
+          [false] flags an off-model nest; always [false] without
+          parallel instances *)
+  m_instances : int;  (** parallel instances the work gate forked *)
   m_refused : int;
       (** instances the work gate ran sequentially; a nest with any is
           flagged [refused] instead of graded ok/off-model *)
@@ -100,7 +104,8 @@ val measure : ?jobs:int -> report -> Workloads.Workload.t -> int
 (** Ground-truth pass: run the workload once in [Par_exec] measure
     mode and once forked over a [jobs]-domain pool (default 2), join
     the per-nest rows by loop id, and store one {!measured_row} per
-    nest that completed a parallel instance into [report.measured].
+    nest that completed a parallel instance or that the work gate
+    refused into [report.measured].
     Returns how many nests were measured. Wall-clock based — never
     part of the golden-compared output. *)
 

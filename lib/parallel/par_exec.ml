@@ -33,11 +33,13 @@
 
    Forking is not free: every chunk clones the whole heap and diffs it
    back. Each instance therefore gets one chunk per pool participant,
-   and a deterministic work gate keeps small instances off the pool:
-   after a nest's first parallel instance, a later one forks only when
-   its predicted busy vticks (the nest's vticks per trip so far, times
-   this instance's trips) reach [break_even]. A refused instance
-   returns to the plain interpreter, untimed. *)
+   and a deterministic work gate keeps small instances off the pool.
+   A nest's first instance runs one trip on the master, exactly as the
+   plain interpreter would, and its busy vticks price a trip. Every
+   instance, the probed one included, then forks only when its
+   predicted busy vticks (the nest's vticks per priced trip, times the
+   trips left) reach [break_even]. A refused instance returns to the
+   plain interpreter, untimed. *)
 
 open Interp
 open Interp.Value
@@ -61,7 +63,9 @@ type nest_stats = {
   mutable merge_ms : float; (* validate + apply, on the caller *)
   mutable fallbacks : int;
   mutable refused : int; (* instances the work gate ran sequentially *)
-  mutable busy_ticks : int64; (* vticks attributed to the nest *)
+  mutable busy_ticks : int64; (* vticks of the measured or forked trips *)
+  mutable probe_trips : int; (* trips run on the master to price the nest *)
+  mutable probe_ticks : int64; (* their busy vticks *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -278,6 +282,7 @@ type shape = { h : header; tasks : acc_task list option }
 type t = {
   mode : mode;
   jobs : int;
+  break_even : int;
   plan : (int, kind) Hashtbl.t;
   labels : (int, string) Hashtbl.t;
   shapes : (int, shape option) Hashtbl.t; (* [None] = never eligible *)
@@ -290,8 +295,15 @@ type t = {
 let oid_stride = 1 lsl 28
 let sid_stride = 1 lsl 24
 
-let create ~mode ~jobs () =
-  { mode; jobs = max 1 jobs; plan = Hashtbl.create 16;
+(* Break-even of the work gate, in busy vticks per instance (DESIGN.md
+   §11). A 2-chunk instance of [w] vticks costs about [w * c / 2 + o]
+   wall time against [w * c] sequentially, where [c] is the wall cost
+   of a vtick and [o] the instance's fixed fork + diff + merge cost;
+   it pays once [w > 2 * o / c]. *)
+let default_break_even = 100_000
+
+let create ?(break_even = default_break_even) ~mode ~jobs () =
+  { mode; jobs = max 1 jobs; break_even; plan = Hashtbl.create 16;
     labels = Hashtbl.create 16; shapes = Hashtbl.create 16;
     nests = Hashtbl.create 16; oid_floor = 0; sid_floor = 0;
     total_fallbacks = 0 }
@@ -303,7 +315,8 @@ let nest_stats t id =
     let s =
       { instances = 0; seq_instances = 0; iterations = 0; chunks = 0;
         par_ms = 0.; seq_ms = 0.; fork_ms = 0.; diff_ms = 0.; merge_ms = 0.;
-        fallbacks = 0; refused = 0; busy_ticks = 0L }
+        fallbacks = 0; refused = 0; busy_ticks = 0L; probe_trips = 0;
+        probe_ticks = 0L }
     in
     Hashtbl.add t.nests id s;
     s
@@ -333,21 +346,12 @@ let shape t kind (lv : loop_visit) : shape option =
 (* An instance splits into at least two chunks of two trips. *)
 let min_trips = 4
 
-(* Break-even of the work gate, in busy vticks per instance (DESIGN.md
-   §11). A 2-chunk instance of [w] vticks costs about [w * c / 2 + o]
-   wall time against [w * c] sequentially, where [c] is the wall cost
-   of a vtick and [o] the instance's fixed fork + diff + merge cost;
-   it pays once [w > 2 * o / c]. *)
-let break_even = 100_000
-
-(* The first instance forks to measure the nest's busy vticks per
-   trip; being deterministic, they make the gate decide the same way
-   on every run. *)
-let admits t id trips =
-  match Hashtbl.find_opt t.nests id with
-  | Some s when s.iterations > 0 ->
-    Int64.to_int s.busy_ticks * trips / s.iterations >= break_even
-  | _ -> true
+(* The nest's vticks per priced trip (the probe's and every forked
+   one), times [trips]. Vticks are deterministic, so the gate decides
+   the same way on every run. *)
+let admits t s trips =
+  let ticks = Int64.to_int (Int64.add s.busy_ticks s.probe_ticks) in
+  ticks * trips / (s.iterations + s.probe_trips) >= t.break_even
 
 (* ------------------------------------------------------------------ *)
 (* Chunk execution                                                    *)
@@ -623,23 +627,25 @@ let run_parallel t pool st scope this (lv : loop_visit) (h : header) tasks lo
       true
   end
 
+(* One trip on the master, as [for_loop] runs it: test, body, step.
+   [false] once the loop has ended. Only loops whose body the
+   abrupt-scan cleared reach this point, so the completion is always
+   "iteration finished"; a throw propagates as it would sequentially. *)
+let trip st scope this (lv : loop_visit) : bool =
+  lv.lv_test st scope this
+  &&
+  match lv.lv_run st scope this with
+  | Cnormal | Ccontinue None ->
+    ignore (lv.lv_step st scope this);
+    true
+  | _ -> failwith "par_exec: abrupt completion in a sequential trip"
+
 (* Sequential but *timed* execution of an eligible nest: gives the
-   per-nest sequential baseline the speedup table divides by. Only
-   loops whose body the abrupt-scan cleared reach this point, so the
-   completion is always "iteration finished" or a clean bound exit. *)
+   per-nest sequential baseline the speedup table divides by. *)
 let run_measured t st scope this (lv : loop_visit) trips : bool =
   let t0 = Unix.gettimeofday () in
   let b0 = Ceres_util.Vclock.busy st.clock in
-  let exception Loop_done in
-  (try
-     while lv.lv_test st scope this do
-       (match lv.lv_run st scope this with
-        | Cnormal | Ccontinue None -> ()
-        | Cbreak None -> raise Loop_done
-        | _ -> failwith "par_exec: abrupt completion in measured loop");
-       ignore (lv.lv_step st scope this)
-     done
-   with Loop_done -> ());
+  while trip st scope this lv do () done;
   let s = nest_stats t lv.lv_id in
   s.seq_instances <- s.seq_instances + 1;
   s.iterations <- s.iterations + trips;
@@ -668,12 +674,29 @@ let hook t st scope this (lv : loop_visit) : bool =
         | Measure, _ -> run_measured t st scope this lv trips
         | Parallel _, None -> false
         | Parallel pool, Some tasks ->
-          if admits t lv.lv_id trips then
-            run_parallel t pool st scope this lv h tasks lo trips
+          let s = nest_stats t lv.lv_id in
+          let gate lo trips =
+            if admits t s trips then
+              run_parallel t pool st scope this lv h tasks lo trips
+            else begin
+              s.refused <- s.refused + 1;
+              false
+            end
+          in
+          if s.iterations + s.probe_trips > 0 then gate lo trips
           else begin
-            let s = nest_stats t lv.lv_id in
-            s.refused <- s.refused + 1;
-            false
+            (* price the nest on its first trip, run on the master; the
+               remainder, re-counted from the state it left, goes to
+               the gate (accumulator entries are read after it too) *)
+            let b0 = Ceres_util.Vclock.busy st.clock in
+            let more = trip st scope this lv in
+            s.probe_trips <- 1;
+            s.probe_ticks <- Int64.sub (Ceres_util.Vclock.busy st.clock) b0;
+            (not more)
+            ||
+            match trip_count st scope h with
+            | Some (lo, trips) when trips >= min_trips -> gate lo trips
+            | _ -> false
           end)))
 
 let install t (st : state) ~(report : Analysis.Driver.report) =
@@ -713,7 +736,7 @@ let seq_equivalent_ms ~seq ~par =
   if seq.iterations = 0 then 0.
   else seq.seq_ms *. float_of_int par.iterations /. float_of_int seq.iterations
 
-let json_of_nest (id, label, s) =
+let json_of_nest t (id, label, s) =
   J.Obj
     [ ("id", J.Int id);
       ("label", J.Str label);
@@ -728,15 +751,17 @@ let json_of_nest (id, label, s) =
       ("merge_ms", J.Fixed (3, s.merge_ms));
       ("fallbacks", J.Int s.fallbacks);
       ("refused", J.Int s.refused);
-      ("break_even", J.Int break_even);
-      ("busy_ticks", J.Int (Int64.to_int s.busy_ticks)) ]
+      ("break_even", J.Int t.break_even);
+      ("busy_ticks", J.Int (Int64.to_int s.busy_ticks));
+      ("probe_trips", J.Int s.probe_trips);
+      ("probe_ticks", J.Int (Int64.to_int s.probe_ticks)) ]
 
 let stats_json ?pool t =
   let base =
     [ ("jobs", J.Int t.jobs);
       ("nests", J.Int (nests_run t));
       ("fallbacks", J.Int t.total_fallbacks);
-      ("loops", J.List (List.map json_of_nest (nest_rows t))) ]
+      ("loops", J.List (List.map (json_of_nest t) (nest_rows t))) ]
   in
   let fields =
     match pool with

@@ -22,9 +22,9 @@
 
     Each parallel instance runs one chunk per pool participant (two at
     [-j 1]). A deterministic work gate keeps instances too small to
-    repay their forks on the plain interpreter: after a nest's first
-    parallel instance, a later one forks only when its predicted busy
-    vticks reach a fixed break-even. *)
+    repay their forks on the plain interpreter: a nest's first
+    instance prices one trip on the master, and every instance forks
+    only when its predicted busy vticks reach a fixed break-even. *)
 
 type kind = Kparallel | Kreduction of Analysis.Verdict.acc list
 
@@ -36,14 +36,17 @@ type mode =
 
 type t
 
-val create : mode:mode -> jobs:int -> unit -> t
+val create : ?break_even:int -> mode:mode -> jobs:int -> unit -> t
 (** An instance needs at least 4 trips (two chunks of two) to run in
-    parallel or be timed in [Measure] mode. In [Parallel] mode, an
-    instance of a nest that already completed a parallel instance
-    forks only when the nest's busy vticks per trip times the
-    instance's trips reach the gate's break-even (100k vticks,
-    derivation in DESIGN.md §11); otherwise it runs on the plain
-    interpreter and counts as [refused]. *)
+    parallel or be timed in [Measure] mode. In [Parallel] mode, the
+    first such instance of a nest runs one trip on the master, as the
+    plain interpreter would, and its busy vticks price a trip. Every
+    instance then forks only when the nest's busy vticks per priced
+    trip times the trips left (at least 4) reach [break_even] (default
+    100k vticks, derivation in DESIGN.md §11); otherwise it runs on the
+    plain interpreter and counts as [refused]. [~break_even:0] forks
+    every eligible instance after the probe trip, for tests that drive
+    the fork/merge path on small programs. *)
 
 val install : t -> Interp.Value.state -> report:Analysis.Driver.report -> unit
 (** Install the [on_loop] hook on [st], planning every nest the report
@@ -55,7 +58,8 @@ val nests_run : t -> int
 val stats_json : ?pool:Pool.t -> t -> string
 (** Per-nest telemetry — instances, chunks, iterations, fork/diff/merge
     wall-clock, fallbacks, gate refusals with the break-even they
-    were judged against, attributed busy vticks — plus the pool
+    were judged against, attributed busy vticks, the probe trip that
+    priced the nest — plus the pool
     counters when [pool] is given. *)
 
 (**/**)
@@ -78,6 +82,11 @@ type nest_stats = {
   mutable fallbacks : int;
   mutable refused : int;
   mutable busy_ticks : int64;
+      (** vticks of the trips counted in [iterations] *)
+  mutable probe_trips : int;
+      (** trips run on the master to price the nest, in no other
+          counter: [iterations] and [par_ms] cover only forked trips *)
+  mutable probe_ticks : int64;
 }
 
 val nest_rows : t -> (int * string * nest_stats) list

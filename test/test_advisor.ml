@@ -99,11 +99,13 @@ let test_deterministic () =
   Alcotest.(check string) "two runs byte-identical" (render ()) (render ())
 
 (* ------------------------------------------------------------------ *)
-(* Grading: every nest par-exec executes gains a measured row whose
-   fields are internally consistent and whose band flag matches the
-   documented definition (DESIGN.md §14). Wall-clock speedups
-   themselves are host-dependent, so only the bookkeeping is
-   asserted — an off-model row is a flag, not a failure. *)
+(* Grading: every nest par-exec executes or its work gate refuses gains
+   a measured row whose fields are internally consistent and whose
+   band flag matches the documented definition (DESIGN.md §14).
+   Wall-clock speedups themselves are host-dependent, so only the
+   bookkeeping is asserted — an off-model row is a flag, not a
+   failure. HAAR.js's nests never fork: each row must say so, with no
+   par time and a refusal count instead of a grade. *)
 
 let test_measured_rows () =
   let w = find_workload "HAAR.js" in
@@ -115,6 +117,23 @@ let test_measured_rows () =
   Alcotest.(check int) "count mirrors stored rows" n
     (List.length rep.measured);
   Alcotest.(check bool) "par-exec covered at least one nest" true (n > 0);
+  Alcotest.(check bool) "evaluateCandidates keeps a row" true
+    (List.exists
+       (fun (m : Advisor.measured_row) ->
+          Helpers.contains ~sub:"evaluateCandidates" m.m_label)
+       rep.measured);
+  List.iter
+    (fun (m : Advisor.measured_row) ->
+       Alcotest.(check (list string))
+         (Printf.sprintf "%s: refused on every instance, no par time"
+            m.m_label)
+         [ "0"; "refused"; "0.0"; "false" ]
+         [ string_of_int m.m_instances; Advisor.grade m;
+           Printf.sprintf "%.1f" m.m_par_ms; string_of_bool m.m_within_band ];
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: refusals counted" m.m_label)
+         true (m.m_refused > 0))
+    rep.measured;
   List.iter
     (fun (m : Advisor.measured_row) ->
        Alcotest.(check bool)
@@ -144,9 +163,11 @@ let test_measured_rows () =
     (Helpers.contains ~sub:"\"measured_nests\""
        (Advisor.to_json (Advisor.analyze w)))
 
-(* The same grading through the CLI: [advise --measure -j 2] on the
-   two par-exec workloads attaches a measured row, carrying a predicted
-   speedup, to at least one nest par-exec really executed. *)
+(* The same grading through the CLI: [advise --measure -j 2] on two
+   workloads whose nests the work gate keeps sequential attaches a
+   measured row, carrying a predicted speedup, to at least one proven
+   nest; a row without parallel instances has [null] timings and is
+   graded [refused]. *)
 let test_measured_cli () =
   List.iter
     (fun w ->
@@ -161,7 +182,18 @@ let test_measured_cli () =
        match Option.bind (member "measured" doc) (member "nests") with
        | Some (List rows) ->
          Alcotest.(check bool) (w ^ ": every row carries a prediction") true
-           (List.for_all (fun r -> member "predicted" r <> None) rows)
+           (List.for_all (fun r -> member "predicted" r <> None) rows);
+         List.iter
+           (fun r ->
+              let unforked = Helpers.int_at [ "instances" ] r = 0 in
+              Alcotest.(check (pair bool bool))
+                (w ^ ": null par time iff no instance, then refused")
+                (unforked, unforked)
+                ( member "par_ms" r = Some Ceres_util.Json.Null,
+                  unforked
+                  && member "grade" r = Some (Ceres_util.Json.Str "refused")
+                  && Helpers.int_at [ "refused" ] r > 0 ))
+           rows
        | _ -> Alcotest.failf "%s: measured report lacks its nests" w)
     [ "HAAR.js"; "fluidSim" ]
 

@@ -354,9 +354,11 @@ let fuzz_soundness =
              (* every proven loop must also replay byte-identically
                 under fork/merge parallel execution (poisoned
                 instances fall back to the master, so equality holds
-                even when the merge refuses) *)
+                even when the merge refuses); the gate is off, so the
+                small generated loops fork instead of running
+                sequentially after their probe trip *)
              let pe =
-               Js_parallel.Par_exec.create
+               Js_parallel.Par_exec.create ~break_even:0
                  ~mode:(Js_parallel.Par_exec.Parallel (Lazy.force fuzz_pool))
                  ~jobs:2 ()
              in

@@ -1,6 +1,6 @@
 (* Domain pool, parallel combinators and the speculative executor.
-   This container may expose a single core; every test here checks
-   correctness (results, exceptions, abort reasons), never speedup. *)
+   Every test here checks correctness (results, exceptions, abort
+   reasons), never speedup, so the suite passes on any core count. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 

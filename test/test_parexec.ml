@@ -28,10 +28,10 @@ let workload name = Option.get (Workloads.Registry.find name)
 
 let run_seq w = observe (Workloads.Harness.run_plain w).st
 
-let run_par ~pool ~jobs w =
+let run_par ?break_even ~pool ~jobs w =
   let pe =
-    Js_parallel.Par_exec.create ~mode:(Js_parallel.Par_exec.Parallel pool)
-      ~jobs ()
+    Js_parallel.Par_exec.create ?break_even
+      ~mode:(Js_parallel.Par_exec.Parallel pool) ~jobs ()
   in
   let o = observe (Workloads.Harness.run_plain ~par:pe w).st in
   (o, pe)
@@ -55,7 +55,7 @@ let test_all_workloads_deterministic () =
    deterministic across job counts. *)
 let test_proven_nests_execute () =
   let seq_caman = run_seq (workload "CamanJS") in
-  let seq_haar = run_seq (workload "HAAR.js") in
+  let seq_ray = run_seq (workload "Raytracing") in
   List.iter
     (fun jobs ->
        Js_parallel.Pool.with_pool ~domains:jobs (fun pool ->
@@ -67,12 +67,12 @@ let test_proven_nests_execute () =
              (Printf.sprintf "CamanJS runs nests in parallel at -j %d" jobs)
              true
              (Js_parallel.Par_exec.nests_run pe > 0);
-           let par, pe = run_par ~pool ~jobs (workload "HAAR.js") in
+           let par, pe = run_par ~pool ~jobs (workload "Raytracing") in
            Alcotest.check obs_testable
-             (Printf.sprintf "HAAR.js: par ≡ seq at -j %d" jobs)
-             seq_haar par;
+             (Printf.sprintf "Raytracing: par ≡ seq at -j %d" jobs)
+             seq_ray par;
            Alcotest.(check bool)
-             (Printf.sprintf "HAAR.js runs nests in parallel at -j %d" jobs)
+             (Printf.sprintf "Raytracing runs nests in parallel at -j %d" jobs)
              true
              (Js_parallel.Par_exec.nests_run pe > 0)))
     [ 1; 2; 4 ]
@@ -131,6 +131,8 @@ let test_gate_admits_big_nests () =
         [ ("Raytracing", [ "in render" ]);
           ("CamanJS", [ "in processPixels"; "in boxBlur"; "in levels" ]) ])
 
+(* The first instance is gated too: its probe trip prices the nest
+   below break-even, so not one instance forks. *)
 let test_gate_refuses_small_nest () =
   let w = workload "MyScript" in
   let seq = run_seq w in
@@ -142,8 +144,8 @@ let test_gate_refuses_small_nest () =
       Alcotest.check obs_testable "MyScript: par ≡ seq at -j 2" seq par;
       let p = find_nest (PE.nest_rows pe) "in analyzeStroke" in
       Alcotest.(check (pair int int))
-        "analyzeStroke: first instance parallel, the rest refused"
-        (1, m.seq_instances - 1) (p.instances, p.refused))
+        "analyzeStroke: every instance refused, the first included"
+        (0, m.seq_instances) (p.instances, p.refused))
 
 let test_one_chunk_per_domain () =
   Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
@@ -220,8 +222,9 @@ let generated_reductions_deterministic pool =
     (fun (init, xs) ->
        let src = reduction_source init xs in
        let seq = run_program_console src in
+       (* a 16-64 trip sum is far below break-even: gate off *)
        let pe =
-         Js_parallel.Par_exec.create
+         Js_parallel.Par_exec.create ~break_even:0
            ~mode:(Js_parallel.Par_exec.Parallel pool) ~jobs:2 ()
        in
        let par = run_program_console ~par:pe src in
@@ -232,8 +235,8 @@ let generated_reductions_deterministic pool =
        && Js_parallel.Par_exec.nests_run pe = 1)
 
 (* The same through the CLI, on the two workloads whose proven nests
-   are big enough to fork: [run --par-exec -j 2] prints what [run]
-   prints, and its telemetry shows nests really going through the pool,
+   are big enough to fork (CamanJS and Raytracing): [run --par-exec
+   -j 2] prints what [run] prints, and its telemetry shows nests really going through the pool,
    so the byte compare cannot pass vacuously on an all-sequential run. *)
 let test_cli_par_exec () =
   List.iter
@@ -250,7 +253,7 @@ let test_cli_par_exec () =
          (Helpers.int_at [ "nests" ] stats > 0);
        Alcotest.(check bool) (w ^ ": pool executed tasks") true
          (Helpers.int_at [ "pool"; "tasks_executed" ] stats > 0))
-    [ "CamanJS"; "HAAR.js" ]
+    [ "CamanJS"; "Raytracing" ]
 
 (* A [break] directly in a proven loop's body ends the loop early, which
    a chunk cannot do: the shape scan must see it and keep every instance
@@ -403,6 +406,137 @@ let test_concurrent_diffs_match_serial () =
              (apply_in_order seq_master seq) (apply_in_order par_master par))
         scenarios)
 
+(* ------------------------------------------------------------------ *)
+(* The probe trip: a nest's first instance runs one trip on the
+   master, and the gate prices the rest from its busy vticks. *)
+
+(* On the six exec apps at -j 2, exactly Raytracing's [render] and
+   CamanJS's three nests fork, on every instance; every other nest the
+   hook sees is refused on every instance, its first included. The
+   hook sees the Measure run's instances, except below a forked nest,
+   whose chunks run without it: there only the probe trip's instance
+   reaches the gate. *)
+let test_probe_gates_exec_apps () =
+  let forked =
+    [ ("Raytracing", "for(line 70) in render");
+      ("CamanJS", "for(line 23) in processPixels");
+      ("CamanJS", "for(line 45) in boxBlur");
+      ("CamanJS", "for(line 68) in levels") ]
+  in
+  let below_forked = [ ("Raytracing", "for(line 72) in render") ] in
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun name ->
+           let w = workload name in
+           let seq = measure_rows w in
+           let _, pe = run_par ~pool ~jobs:2 w in
+           List.iter
+             (fun (_, label, (p : PE.nest_stats)) ->
+                let key = (name, label) in
+                let m = find_nest seq label in
+                let expect =
+                  if List.mem key forked then (m.seq_instances, 0, 0)
+                  else if List.mem key below_forked then (0, 1, 0)
+                  else (0, m.seq_instances, 0)
+                in
+                Alcotest.(check (triple int int int))
+                  (Printf.sprintf "%s %s: (instances, refused, fallbacks)"
+                     name label)
+                  expect (p.instances, p.refused, p.fallbacks))
+             (PE.nest_rows pe);
+           Alcotest.(check (list string))
+             (name ^ ": the nests that fork")
+             (List.filter_map
+                (fun (w', l) -> if String.equal w' name then Some l else None)
+                forked)
+             (List.filter_map
+                (fun (_, l, (p : PE.nest_stats)) ->
+                   if p.instances > 0 then Some l else None)
+                (PE.nest_rows pe)))
+        exec_apps)
+
+(* With the gate off, the probe trip moves every accumulator (a
+   journaled float [+=], an order-insensitive integer sum) and writes
+   an element before the fork; the forks must start from the state it
+   left, so the merged output is the sequential one bit for bit. *)
+let test_probe_hand_off () =
+  let trips = 40 in
+  (* [a] is pre-sized: two chunks growing one array both positionally
+     would poison the merge *)
+  let src =
+    Printf.sprintf
+      {|
+var a = [%s];
+var f = 0.1;
+var n = 3;
+for (var i = 0; i < %d; i++) {
+  f += 1 / (i + 3);
+  n += i + 1;
+  a[i] = i * 7;
+}
+console.log(f + "," + n + "," + a.length + "," + a[0] + "," + a[39]);
+|}
+      (String.concat ", " (List.init trips (fun _ -> "0")))
+      trips
+  in
+  let seq = run_program_console src in
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      let pe = PE.create ~break_even:0 ~mode:(PE.Parallel pool) ~jobs:2 () in
+      let par = run_program_console ~par:pe src in
+      Alcotest.(check (list string)) "par ≡ seq" seq par;
+      match PE.nest_rows pe with
+      | [ (_, _, s) ] ->
+        Alcotest.(check (list int))
+          "(instances, iterations, probe trips, fallbacks)"
+          [ 1; trips - 1; 1; 0 ]
+          [ s.instances; s.iterations; s.probe_trips; s.fallbacks ]
+      | rows -> Alcotest.failf "expected one nest row, got %d" (List.length rows))
+
+(* A throw in the probe trip leaves the hook as it leaves [for_loop]:
+   same console, same uncaught error, same virtual clock. *)
+let test_probe_throw () =
+  let src =
+    {|
+var a = [1, 2, 3, 4, 5, 6, 7, 8];
+var b = [];
+console.log("before");
+for (var i = 0; i < a.length; i++) {
+  b[i] = a[i].x.y;
+}
+console.log("after");
+|}
+  in
+  let program = Jsir.Parser.parse_program src in
+  let run par =
+    let st, _ = Helpers.fresh_state () in
+    Option.iter
+      (fun pe -> PE.install pe st ~report:(Analysis.Driver.analyze program))
+      par;
+    let err =
+      match Interp.Eval.run_program st program with
+      | () -> "no error"
+      | exception Interp.Value.Js_throw v -> Interp.Value.to_string st v
+    in
+    (err, observe st)
+  in
+  Alcotest.(check int) "the loop is proven" 1
+    (List.length (Analysis.Driver.proven (Analysis.Driver.analyze program)));
+  let seq_err, seq = run None in
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      let pe = PE.create ~break_even:0 ~mode:(PE.Parallel pool) ~jobs:2 () in
+      let par_err, par = run (Some pe) in
+      Alcotest.(check string) "same uncaught error" seq_err par_err;
+      Alcotest.check obs_testable "same console and clock" seq par;
+      Alcotest.(check (list string)) "the loop threw on its first trip"
+        [ "before" ] (List.rev seq.console);
+      (* the probe opened the nest's row; its trip threw before it
+         priced anything, and nothing forked *)
+      Alcotest.(check (list (pair int int)))
+        "one nest row: (instances, probe trips)" [ (0, 0) ]
+        (List.map
+           (fun (_, _, (s : PE.nest_stats)) -> (s.instances, s.probe_trips))
+           (PE.nest_rows pe)))
+
 (* One pool for the qcheck batteries: creating a fresh pool per
    generated case would dominate the suite's runtime. *)
 let shared_pool = lazy (Js_parallel.Pool.create ~domains:2 ())
@@ -416,8 +550,8 @@ let suite =
       test_gate_deterministic;
     Alcotest.test_case "work gate: Raytracing, CamanJS never refused" `Slow
       test_gate_admits_big_nests;
-    Alcotest.test_case "work gate: MyScript refused after 1st, par ≡ seq"
-      `Slow test_gate_refuses_small_nest;
+    Alcotest.test_case "work gate: MyScript refused every instance" `Slow
+      test_gate_refuses_small_nest;
     Alcotest.test_case "-j 2: 2 chunks per parallel instance" `Slow
       test_one_chunk_per_domain;
     Alcotest.test_case "shared no_vars table is never written" `Slow
@@ -429,4 +563,10 @@ let suite =
     Alcotest.test_case "concurrent chunk diffs = serial diffs" `Quick
       test_concurrent_diffs_match_serial;
     Alcotest.test_case "a break in a proven loop stays sequential" `Quick
-      test_break_stays_sequential ]
+      test_break_stays_sequential;
+    Alcotest.test_case "probe: exec apps fork only where it pays" `Slow
+      test_probe_gates_exec_apps;
+    Alcotest.test_case "probe: hand-off to the forks matches seq" `Quick
+      test_probe_hand_off;
+    Alcotest.test_case "probe: a throw in the first trip" `Quick
+      test_probe_throw ]
