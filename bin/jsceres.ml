@@ -308,7 +308,15 @@ let advise_cmd =
           section but the plan itself is unchanged. *)
        with_timeline timeline (fun () ->
            let n = Advisor.measure ~jobs:(max 1 jobs) rep w in
-           Printf.eprintf "jsceres: measured %d nest(s) with par-exec\n%!" n)
+           let unforked =
+             List.length
+               (List.filter
+                  (fun (m : Advisor.measured_row) -> m.m_instances = 0)
+                  rep.measured)
+           in
+           Printf.eprintf
+             "jsceres: measured %d nest(s) with par-exec (%d never forked)\n%!"
+             n unforked)
      | _ -> ());
     emit
       ~json:(fun resp -> Option.get (Service.Response.render_advise_json resp))

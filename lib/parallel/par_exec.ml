@@ -683,7 +683,7 @@ let hook t st scope this (lv : loop_visit) : bool =
               false
             end
           in
-          if s.iterations + s.probe_trips > 0 then gate lo trips
+          if s.probe_trips > 0 then gate lo trips
           else begin
             (* price the nest on its first trip, run on the master; the
                remainder, re-counted from the state it left, goes to

@@ -236,8 +236,9 @@ let generated_reductions_deterministic pool =
 
 (* The same through the CLI, on the two workloads whose proven nests
    are big enough to fork (CamanJS and Raytracing): [run --par-exec
-   -j 2] prints what [run] prints, and its telemetry shows nests really going through the pool,
-   so the byte compare cannot pass vacuously on an all-sequential run. *)
+   -j 2] prints what [run] prints, and its telemetry shows nests
+   really going through the pool, so the byte compare cannot pass
+   vacuously on an all-sequential run. *)
 let test_cli_par_exec () =
   List.iter
     (fun w ->
