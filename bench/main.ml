@@ -34,19 +34,6 @@ let exec_passes pool =
   in
   (passes, measure_pe, par_pe)
 
-let nest_speedup_rows measure_pe par_pe =
-  let seq_rows = PE.nest_rows measure_pe in
-  List.map
-    (fun (id, label, (ps : PE.nest_stats)) ->
-       let seq_ms =
-         match List.find_opt (fun (i, _, _) -> i = id) seq_rows with
-         | Some (_, _, ss) -> PE.seq_equivalent_ms ~seq:ss ~par:ps
-         | None -> 0.
-       in
-       (id, label, ps, seq_ms,
-        if ps.par_ms > 0. then seq_ms /. ps.par_ms else 0.))
-    (PE.nest_rows par_pe)
-
 let section_requested args name = args = [] || List.mem name args
 
 let header name =
@@ -462,9 +449,10 @@ let speedup () =
 (* ------------------------------------------------------------------ *)
 
 (* The Amdahl table above is a *bound*; this section closes the loop
-   with measured execution: every statically-proven nest runs once
-   sequentially (individually timed) and once forked over a 2-domain
-   pool, and the table reports the measured per-nest speedup over the
+   with measured execution: [Advisor.sample_nests] runs every app
+   sequentially (each proven nest individually timed) and forked over
+   a 2-domain pool, one untimed warm-up pair and then the median of 3
+   pairs, and the table reports the measured per-nest speedup over the
    instances the work gate forked ("refused" counts the ones it ran
    sequentially; "seq" is priced at the forked instances' iterations).
    A nest the gate refused on every instance shows 0 instances and no
@@ -485,25 +473,22 @@ let parexec () =
   Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
       List.iter
         (fun (w : Workloads.Workload.t) ->
-           let m = PE.create ~mode:PE.Measure ~jobs:1 () in
-           ignore (Workloads.Harness.run_plain ~par:m w);
-           let p = PE.create ~mode:(PE.Parallel pool) ~jobs:2 () in
-           ignore (Workloads.Harness.run_plain ~par:p w);
            List.iter
-             (fun (_, label, (ps : PE.nest_stats), seq_ms, speedup) ->
+             (fun (s : Advisor.nest_sample) ->
+                let ps = s.s_stats and speedup = Advisor.speedup s in
                 if ps.instances > 0 then incr nests;
                 fallbacks := !fallbacks + ps.fallbacks;
                 Ceres_util.Table.add_row tbl
-                  [ w.name; label;
+                  [ w.name; s.s_label;
                     string_of_int ps.instances;
                     string_of_int ps.refused;
                     string_of_int ps.chunks;
                     string_of_int ps.fallbacks;
-                    Printf.sprintf "%.1f" seq_ms;
-                    Printf.sprintf "%.1f" ps.par_ms;
+                    Printf.sprintf "%.1f" s.s_seq_ms;
+                    Printf.sprintf "%.1f" s.s_par_ms;
                     (if speedup > 0. then Printf.sprintf "%.2fx" speedup
                      else "-") ])
-             (nest_speedup_rows m p))
+             (Advisor.sample_nests ~pool ~jobs:2 w))
         Workloads.Registry.all);
   Ceres_util.Table.print tbl;
   Printf.printf
@@ -937,21 +922,21 @@ let json_bench names : Ceres_util.Json.t =
                    instances exist by the time the nest rows render. *)
                 let parexec_json =
                   match (!measure_pe, !par_pe) with
-                  | Some m, Some p ->
+                  | Some seq, Some par ->
                     List.map
-                      (fun (id, label, (ps : PE.nest_stats), seq_ms, speedup)
-                        ->
+                      (fun (s : Advisor.nest_sample) ->
+                          let ps = s.s_stats in
                           Obj
-                            [ ("id", Int id);
-                              ("label", Str label);
+                            [ ("id", Int s.s_id);
+                              ("label", Str s.s_label);
                               ("instances", Int ps.instances);
                               ("chunks", Int ps.chunks);
                               ("fallbacks", Int ps.fallbacks);
                               ("refused", Int ps.refused);
-                              ("seq_ms", Fixed (3, seq_ms));
-                              ("par_ms", Fixed (3, ps.par_ms));
-                              ("speedup", Fixed (2, speedup)) ])
-                      (nest_speedup_rows m p)
+                              ("seq_ms", Fixed (3, s.s_seq_ms));
+                              ("par_ms", Fixed (3, s.s_par_ms));
+                              ("speedup", Fixed (2, Advisor.speedup s)) ])
+                      (Advisor.join_nests ~seq ~par)
                   | _ -> []
                 in
                 Obj

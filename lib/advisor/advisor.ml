@@ -167,38 +167,89 @@ let analyze ?cores (w : Workloads.Workload.t) : report =
     fractions }
 
 (* ------------------------------------------------------------------ *)
-(* Ground truth: the bench parexec plumbing — one Measure-mode run
-   (per-nest sequential baselines) and one Parallel run over a fresh
-   pool, joined by loop id. The Measure run times every instance, the
-   Parallel run only those the work gate forked, so the sequential
-   side is priced at the parallel side's iterations. A nest the gate
-   refused on every instance keeps a row with no par time, so the
-   report says why it stayed sequential. *)
+(* ------------------------------------------------------------------ *)
+(* Sampling nests' wall times                                          *)
 
+type nest_sample = {
+  s_id : int;
+  s_label : string;
+  s_stats : PE.nest_stats;
+  s_seq_ms : float;
+  s_par_ms : float;
+}
+
+let speedup s =
+  if s.s_par_ms > 0. && s.s_seq_ms > 0. then s.s_seq_ms /. s.s_par_ms else 0.
+
+(* One Measure run and one Parallel run, joined by loop id. The Measure
+   run times every instance, the Parallel run only those the work gate
+   forked, so the sequential side is priced at the parallel side's
+   iterations. *)
+let join_nests ~seq ~par =
+  let seq_rows = PE.nest_rows seq in
+  List.map
+    (fun (id, label, (ps : PE.nest_stats)) ->
+       let seq_ms =
+         match List.find_opt (fun (i, _, _) -> i = id) seq_rows with
+         | Some (_, _, ss) -> PE.seq_equivalent_ms ~seq:ss ~par:ps
+         | None -> 0.
+       in
+       { s_id = id; s_label = label; s_stats = ps; s_seq_ms = seq_ms;
+         s_par_ms = ps.par_ms })
+    (PE.nest_rows par)
+
+let sampled_pairs = 3
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
+
+(* A nest's wall times from one sample are noise: the first pair after a
+   pool starts runs cold, and a minor collection landing in a fork can
+   double a chunk. So one untimed pair warms the pool and the heap, then
+   [sampled_pairs] Measure/Parallel pairs alternate, and each side is
+   the median of its samples. The counts are deterministic and come
+   from the last pair. *)
+let sample_nests ~pool ~jobs (w : Workloads.Workload.t) =
+  let pair () =
+    let seq = PE.create ~mode:PE.Measure ~jobs:1 () in
+    ignore (Workloads.Harness.run_plain ~par:seq w);
+    let par = PE.create ~mode:(PE.Parallel pool) ~jobs () in
+    ignore (Workloads.Harness.run_plain ~par w);
+    join_nests ~seq ~par
+  in
+  ignore (pair ());
+  let runs = List.init sampled_pairs (fun _ -> pair ()) in
+  List.map
+    (fun last ->
+       let side f =
+         median
+           (List.map
+              (fun run ->
+                 match List.find_opt (fun s -> s.s_id = last.s_id) run with
+                 | Some s -> f s
+                 | None -> 0.)
+              runs)
+       in
+       { last with
+         s_seq_ms = side (fun s -> s.s_seq_ms);
+         s_par_ms = side (fun s -> s.s_par_ms) })
+    (List.nth runs (sampled_pairs - 1))
+
+(* Ground truth: every nest's sampled seq and par times at -j [jobs]. A
+   nest the gate refused on every instance keeps a row with no par
+   time, so the report says why it stayed sequential. *)
 let measure ?(jobs = 2) (r : report) (w : Workloads.Workload.t) =
-  let m = PE.create ~mode:PE.Measure ~jobs:1 () in
-  ignore (Workloads.Harness.run_plain ~par:m w);
   let rows =
     Js_parallel.Pool.with_pool ~domains:jobs (fun pool ->
-        let p = PE.create ~mode:(PE.Parallel pool) ~jobs () in
-        ignore (Workloads.Harness.run_plain ~par:p w);
-        let seq_rows = PE.nest_rows m in
         List.filter_map
-          (fun (id, label, (ps : PE.nest_stats)) ->
+          (fun s ->
+             let ps = s.s_stats in
              if ps.instances <= 0 && ps.refused <= 0 then None
              else begin
-               let seq_ms =
-                 match
-                   List.find_opt (fun (i, _, _) -> i = id) seq_rows
-                 with
-                 | Some (_, _, ss) -> PE.seq_equivalent_ms ~seq:ss ~par:ps
-                 | None -> 0.
-               in
-               let nest_speedup =
-                 if ps.par_ms > 0. && seq_ms > 0. then seq_ms /. ps.par_ms
-                 else 0.
-               in
-               let fraction = r.fractions.(id) in
+               let nest_speedup = speedup s in
+               let fraction = r.fractions.(s.s_id) in
                let predicted =
                  Js_parallel.Amdahl.speedup ~parallel_fraction:fraction
                    ~workers:jobs
@@ -207,12 +258,12 @@ let measure ?(jobs = 2) (r : report) (w : Workloads.Workload.t) =
                  program_speedup ~fraction ~region_speedup:nest_speedup
                in
                Some
-                 { m_id = id;
-                   m_label = label;
+                 { m_id = s.s_id;
+                   m_label = s.s_label;
                    m_fraction = fraction;
                    m_jobs = jobs;
-                   m_seq_ms = seq_ms;
-                   m_par_ms = ps.par_ms;
+                   m_seq_ms = s.s_seq_ms;
+                   m_par_ms = s.s_par_ms;
                    m_nest_speedup = nest_speedup;
                    m_program_speedup = program;
                    m_predicted = predicted;
@@ -225,7 +276,7 @@ let measure ?(jobs = 2) (r : report) (w : Workloads.Workload.t) =
                    m_instances = ps.instances;
                    m_refused = ps.refused }
              end)
-          (PE.nest_rows p))
+          (sample_nests ~pool ~jobs w))
   in
   r.measured <- rows;
   List.length rows

@@ -100,12 +100,42 @@ val analyze : ?cores:int list -> Workloads.Workload.t -> report
     sanitized (positive, sorted, deduplicated; default
     {!default_cores}). *)
 
+(** {1 Measured nests} *)
+
+type nest_sample = {
+  s_id : int;  (** loop id *)
+  s_label : string;
+  s_stats : Js_parallel.Par_exec.nest_stats;
+      (** the Parallel run's row (its counts are deterministic) *)
+  s_seq_ms : float;
+      (** wall ms of the Measure run, priced at the iterations the
+          parallel instances ran *)
+  s_par_ms : float;  (** wall ms across the parallel instances *)
+}
+
+val speedup : nest_sample -> float
+(** [s_seq_ms / s_par_ms]; 0 when either is 0. *)
+
+val join_nests :
+  seq:Js_parallel.Par_exec.t -> par:Js_parallel.Par_exec.t ->
+  nest_sample list
+(** One Measure-mode and one Parallel-mode run's nest rows, joined by
+    loop id, in the Parallel run's order. *)
+
+val sample_nests :
+  pool:Js_parallel.Pool.t -> jobs:int -> Workloads.Workload.t ->
+  nest_sample list
+(** The one nest sampler behind {!measure} and [bench parexec]: one
+    untimed warm-up pair of plain sessions (Measure mode, then
+    Parallel mode on [pool] at [jobs]), then 3 alternating
+    timed pairs; each nest's [s_seq_ms] and [s_par_ms]
+    are the medians of its samples, its counts the last pair's. *)
+
 val measure : ?jobs:int -> report -> Workloads.Workload.t -> int
-(** Ground-truth pass: run the workload once in [Par_exec] measure
-    mode and once forked over a [jobs]-domain pool (default 2), join
-    the per-nest rows by loop id, and store one {!measured_row} per
-    nest that completed a parallel instance or that the work gate
-    refused into [report.measured].
+(** Ground-truth pass: {!sample_nests} over a fresh [jobs]-domain pool
+    (default 2), storing one {!measured_row} per nest that completed a
+    parallel instance or that the work gate refused into
+    [report.measured].
     Returns how many nests were measured. Wall-clock based — never
     part of the golden-compared output. *)
 

@@ -36,7 +36,7 @@ let install_math st =
   define math "LN2" (Num (Float.log 2.));
   define math "SQRT2" (Num (Float.sqrt 2.));
   let unary name f =
-    define_fn st math name (fun st _ args -> Num (f (num_arg st 0 args)))
+    define math name (Obj (make_function st (Host_unary (name, f))))
   in
   unary "abs" Float.abs;
   unary "floor" Float.floor;
@@ -418,7 +418,7 @@ let install_object st =
         let key = str_arg st 0 args in
         (match o.arr, array_index_of_key key with
          | Some a, Some i -> Bool (i < a.len)
-         | _ -> Bool (Strtbl.mem o.props key))
+         | _ -> Bool (has_own_prop o key))
       | _ -> Bool false);
   let ctor =
     make_host_fn st "Object" (fun st _ args ->

@@ -14,10 +14,14 @@
    program runs with zero analysis overhead, mirroring the paper's
    staged methodology.
 
-   Compiled code holds no mutable state and allocates no closures:
-   forked chunks on other domains run it on their own states. It reads
-   the global slots through [st.global_scope] on every access, never a
-   captured copy, because [attach_global] may grow them. *)
+   Compiled code allocates no closures, and its only mutable state is
+   its inline caches: one cell per property site holding an immutable
+   (shape, slot) entry about shared shapes, which never change, so an
+   entry read on any domain is true of any object of that shape, and
+   chunks racing on a cell at worst miss. Forked chunks on other
+   domains run the code on their own states. It reads the global slots
+   through [st.global_scope] on every access, never a captured copy,
+   because [attach_global] may grow them. *)
 
 open Jsir.Ast
 open Value
@@ -221,6 +225,95 @@ let write_at st base k key v =
 let key_of st k i field idx =
   match i with _ when k >= 0 -> "" | None -> field | Some _ -> to_string st idx
 
+(* ------------------------------------------------------------------ *)
+(* Inline caches                                                       *)
+
+(* A property site's monomorphic cache. A read entry says: an object of
+   shared shape [sh] holds the key at [slot], or, when [psh] is not
+   [own], lacks it and its prototype, if of shape [psh], holds it there.
+   A write entry says: an object of shape [sh] holds the key at [slot]
+   ([psh == sh]), or gets it there by moving to shape [psh]. Shared
+   shapes never change, so an entry stays true; it is immutable and
+   replaced whole, so chunks racing on a site at worst miss. Dictionary
+   shapes, owned by one object and edited in place, are never cached. *)
+type ic = { sh : shape; psh : shape; slot : int }
+
+let own = dict_of root_shape (* no object has it *)
+let ic_empty = { sh = own; psh = own; slot = 0 }
+let new_ic () = ref ic_empty
+
+(* [o.key] past a cache miss: the lookup [get_prop_obj] makes, for a key
+   that is neither an index nor "length", remembered in [cell] when
+   the shapes it went through are shared. *)
+let read_miss st cell o key =
+  tick st cost_prop;
+  let sh = o.shape in
+  let s = slot_of sh key in
+  if s >= 0 then begin
+    if not sh.dict then cell := { sh; psh = own; slot = s };
+    Array.unsafe_get o.vals s
+  end
+  else
+    match o.proto with
+    | None -> Undefined
+    | Some p ->
+      let psh = p.shape in
+      let s = slot_of psh key in
+      if s < 0 then get_prop_obj p key
+      else begin
+        if not (sh.dict || psh.dict) then cell := { sh; psh; slot = s };
+        Array.unsafe_get p.vals s
+      end
+
+(* [get_prop] through the site's cache. *)
+let get_member st cell v key =
+  match v with
+  | Obj o ->
+    let c = !cell in
+    if o.shape == c.sh then
+      if c.psh == own then begin
+        tick st cost_prop; Array.unsafe_get o.vals c.slot
+      end
+      else
+        match o.proto with
+        | Some p when p.shape == c.psh ->
+          tick st cost_prop; Array.unsafe_get p.vals c.slot
+        | _ -> read_miss st cell o key
+    else read_miss st cell o key
+  | _ -> get_prop st v key
+
+(* [set_prop] on an untagged object, past a cache miss. *)
+let write_miss st cell o key v =
+  tick st cost_prop;
+  let sh = o.shape in
+  let s = slot_of sh key in
+  if s >= 0 then begin
+    Array.unsafe_set o.vals s v;
+    if not sh.dict then cell := { sh; psh = sh; slot = s }
+  end
+  else begin
+    add_prop o key v;
+    if not (sh.dict || o.shape.dict) then
+      cell := { sh; psh = o.shape; slot = sh.size }
+  end
+
+(* [set_prop] through the site's cache. A host object (a DOM element
+   reports its writes) takes [set_prop]. *)
+let set_member st cell base key v =
+  match base with
+  | Obj ({ host_tag = None; _ } as o) ->
+    let c = !cell in
+    if o.shape == c.sh then begin
+      tick st cost_prop;
+      if c.psh != c.sh then begin
+        ensure_slot o c.slot;
+        o.shape <- c.psh
+      end;
+      Array.unsafe_set o.vals c.slot v
+    end
+    else write_miss st cell o key v
+  | _ -> set_prop st base key v
+
 let[@inline] compare_num op (a : float) b =
   match op with Lt -> a < b | Le -> a <= b | Gt -> a > b | _ -> a >= b
 
@@ -318,6 +411,9 @@ let enter st fo c this slots args =
     | Closure cl ->
       (match st.on_call_enter with None -> () | Some f -> f cl.fn.fname);
       run_closure st fo cl this slots args
+    | Host_unary (name, fn) ->
+      (match st.on_call_enter with None -> () | Some f -> f (Some name));
+      Num (fn (match args with v :: _ -> to_number st v | [] -> Float.nan))
   with
   | v -> leave st; v
   | exception e -> leave st; raise e
@@ -370,6 +466,17 @@ let invoke st sc th line fn recv args =
     let vs = eval_args st sc th args 0 in
     site st line fn args;
     call st fn recv vs
+
+(* A one-argument call of a direct numeric builtin: on a number, with no
+   call hook to notify and room on the stack, it runs without an
+   argument list, charging the call's tick; else as [invoke]. *)
+let unary st sc th line fn recv args (a : code) f =
+  match a st sc th with
+  | Num x
+    when st.on_call_site == None && st.on_call_enter == None
+         && st.on_call_exit == None && st.call_depth < st.max_call_depth ->
+    tick st cost_call; Num (f x)
+  | v -> site st line fn args; call st fn recv [ v ]
 
 (* [new fn(args)]. *)
 let construct st sc th fn args =
@@ -522,14 +629,30 @@ let rec expr hs (e : expr) : code =
   | Object_lit props ->
     let keys = Array.of_list (List.map fst props)
     and values = codes (fun (_, v) -> expr hs v) props in
-    fun st sc th ->
-      node st;
-      tick st cost_alloc;
-      let o = make_obj st in
-      for i = 0 to Array.length keys - 1 do
-        raw_set_prop o keys.(i) (values.(i) st sc th)
-      done;
-      Obj o
+    (match shape_of_keys keys with
+     | Some sh when sh.size > 0 ->
+       (* straight into the final shape: the object is out of reach
+          until its slots are filled *)
+       fun st sc th ->
+         node st;
+         tick st cost_alloc;
+         let o = make_obj st in
+         let vals = Array.make sh.size Undefined in
+         for i = 0 to Array.length values - 1 do
+           Array.unsafe_set vals i ((Array.unsafe_get values i) st sc th)
+         done;
+         o.vals <- vals;
+         o.shape <- sh;
+         Obj o
+     | _ ->
+       fun st sc th ->
+         node st;
+         tick st cost_alloc;
+         let o = make_obj st in
+         for i = 0 to Array.length keys - 1 do
+           raw_set_prop o keys.(i) (values.(i) st sc th)
+         done;
+         Obj o)
   | Function_expr f ->
     let body = func hs f in
     fun st sc _ ->
@@ -538,8 +661,8 @@ let rec expr hs (e : expr) : code =
     let o = expr hs oe in
     fun st sc th -> node st; length_of st (o st sc th)
   | Member (oe, field) ->
-    let o = expr hs oe in
-    fun st sc th -> node st; get_prop st (o st sc th) field
+    let o = expr hs oe and cell = new_ic () in
+    fun st sc th -> node st; get_member st cell (o st sc th) field
   | Index (oe, ie) ->
     let o = expr hs oe and i = expr hs ie in
     fun st sc th ->
@@ -729,12 +852,27 @@ and cond hs (e : expr) : cond =
 and call_expr hs line callee args : code =
   let args = codes (expr hs) args in
   match callee.e with
-  | Member (oe, field) ->
+  | Member (oe, field) when String.equal field "length" ->
     let o = expr hs oe in
     fun st sc th ->
       node st;
       let base = o st sc th in
       invoke st sc th line (get_prop st base field) base args
+  | Member (oe, field) when Array.length args = 1 ->
+    let o = expr hs oe and cell = new_ic () and a = args.(0) in
+    fun st sc th ->
+      node st;
+      let base = o st sc th in
+      (match get_member st cell base field with
+       | Obj { call = Some (Host_unary (_, f)); _ } as fn ->
+         unary st sc th line fn base args a f
+       | fn -> invoke st sc th line fn base args)
+  | Member (oe, field) ->
+    let o = expr hs oe and cell = new_ic () in
+    fun st sc th ->
+      node st;
+      let base = o st sc th in
+      invoke st sc th line (get_member st cell base field) base args
   | Index (oe, ie) ->
     let o = expr hs oe and i = expr hs ie in
     fun st sc th ->
@@ -809,6 +947,13 @@ and assign hs lex tgt (r : code) : code =
       node st; let v = r st sc th in sc.slots.(slot) <- v; v
     else fun st sc th ->
       node st; let v = r st sc th in (slots_at st sc depth).(slot) <- v; v
+  | Tgt_member (oe, field) when not (String.equal field "length") ->
+    let o = expr hs oe and cell = new_ic () in
+    fun st sc th ->
+      node st;
+      let base = o st sc th in
+      let v = r st sc th in
+      set_member st cell base field v; v
   | _ ->
     let o, i, field = place hs tgt in
     fun st sc th ->
@@ -837,6 +982,13 @@ and compound hs lex tgt op (r : code) : code =
       let v = binop st op old (r st sc th) in
       if lex >= 0 then set_lex st sc lex v else set_var st sc name v;
       v
+  | Tgt_member (oe, field) when not (String.equal field "length") ->
+    let o = expr hs oe and rd = new_ic () and wr = new_ic () in
+    fun st sc th ->
+      node st;
+      let base = o st sc th in
+      let v = binop st op (get_member st rd base field) (r st sc th) in
+      set_member st wr base field v; v
   | _ ->
     let o, i, field = place hs tgt in
     fun st sc th ->
@@ -866,6 +1018,13 @@ and update hs lex tgt delta prefix : code =
       else (slots_at st sc depth).(slot) <- new_v;
       if prefix then new_v
       else (match old_v with Num _ -> old_v | _ -> Num old_n)
+  | Tgt_member (oe, field) when not (String.equal field "length") ->
+    let o = expr hs oe and rd = new_ic () and wr = new_ic () in
+    fun st sc th ->
+      node st;
+      let base = o st sc th in
+      let old_n = to_number st (get_member st rd base field) in
+      set_member st wr base field (Num (old_n +. delta)); boxed old_n
   | _ ->
     let o, i, field = place hs tgt in
     fun st sc th ->
@@ -1061,7 +1220,7 @@ let create ?(seed = 20150207) ?(budget = default_budget)
   (* Bootstrapping: build a provisional record with placeholder protos,
      then tie the knot. *)
   let dummy_obj =
-    { oid = -1; props = Strtbl.create 1; key_order = []; proto = None;
+    { oid = -1; shape = root_shape; vals = [||]; proto = None;
       call = None; arr = None; host_tag = None }
   in
   let st =
@@ -1081,7 +1240,7 @@ let create ?(seed = 20150207) ?(budget = default_budget)
       host_time_reads = 0; on_loop = None }
   in
   let object_proto =
-    { oid = 0; props = Strtbl.create 16; key_order = []; proto = None;
+    { oid = 0; shape = root_shape; vals = [||]; proto = None;
       call = None; arr = None; host_tag = None }
   in
   st.object_proto <- object_proto;

@@ -73,9 +73,12 @@ let fork (master : state) ~(scope : scope) ~(this : value) ~(next_oid : int)
     match Itbl.find_opt obj_fwd o.oid with
     | Some c -> c
     | None ->
+      (* a shared shape is shared with the master; a dictionary is
+         edited in place, so the shell gets its own copy *)
       let c =
-        { oid = o.oid; props = Strtbl.create (max 8 (Strtbl.length o.props));
-          key_order = o.key_order; proto = None; call = None; arr = None;
+        { oid = o.oid;
+          shape = (if o.shape.dict then dict_of o.shape else o.shape);
+          vals = [||]; proto = None; call = None; arr = None;
           host_tag = o.host_tag }
       in
       Itbl.add obj_fwd o.oid c;
@@ -103,11 +106,12 @@ let fork (master : state) ~(scope : scope) ~(this : value) ~(next_oid : int)
     match v with Obj o -> Obj (obj_shell o) | v -> v
   in
   let fill_obj ((o : obj), (c : obj)) =
-    Strtbl.iter (fun k v -> Strtbl.replace c.props k (cval v)) o.props;
+    c.vals <- Array.map cval o.vals;
     c.proto <- Option.map obj_shell o.proto;
     (match o.call with
      | None -> ()
-     | Some (Host _ as h) -> c.call <- Some h (* host code is stateless *)
+     | Some ((Host _ | Host_unary _) as h) ->
+       c.call <- Some h (* host code is stateless *)
      | Some (Closure cl) ->
        c.call <- Some (Closure { cl with captured = scope_shell cl.captured }));
     match o.arr with
@@ -251,9 +255,60 @@ let same_callable m c =
   match m, c with
   | None, None -> true
   | Some (Host (_, f1)), Some (Host (_, f2)) -> f1 == f2
+  | Some (Host_unary (_, f1)), Some (Host_unary (_, f2)) -> f1 == f2
   | Some (Closure c1), Some (Closure c2) ->
     c1.fn == c2.fn && c1.captured.sid = c2.captured.sid
   | _, _ -> false
+
+(* Is shared shape [c] [m] plus keys added after [m]'s? *)
+let rec extends (c : shape) (m : shape) =
+  c == m || (c.size > m.size && extends c.prev m)
+
+(* The property edits taking master [m] to its clone [c]. Shells share
+   their master's shared shape: while the chunk only overwrote, the
+   shapes are one and the slots are compared in place; keys it added
+   extend the shape, and are added in order. A dictionary (its own copy
+   in the clone), or a shape a delete left, is compared key by key: the
+   clone's keys keep their place while they follow the master's order,
+   and from the first one that does not (a new key, or one deleted and
+   re-added) every key is deleted and appended again, so the master
+   ends with the clone's key order. *)
+let diff_props add (m : obj) (c : obj) =
+  let ms = m.shape and cs = c.shape in
+  if (not ms.dict) && (not cs.dict) && extends cs ms then begin
+    for i = 0 to ms.size - 1 do
+      let cv = c.vals.(i) in
+      if not (same_value m.vals.(i) cv) then add (Set_prop (m, ms.keys.(i), cv))
+    done;
+    for i = ms.size to cs.size - 1 do
+      add (Add_prop (m, cs.keys.(i), c.vals.(i)))
+    done
+  end
+  else begin
+    let last = ref (-1) and moved = ref false and tail = ref [] in
+    for i = 0 to cs.size - 1 do
+      let k = cs.keys.(i) in
+      if k != hole then begin
+        let cv = c.vals.(i) in
+        let s = slot_of ms k in
+        if (not !moved) && s > !last then begin
+          last := s;
+          if not (same_value m.vals.(s) cv) then add (Set_prop (m, k, cv))
+        end
+        else begin
+          moved := true;
+          tail := (k, s, cv) :: !tail
+        end
+      end
+    done;
+    let tail = List.rev !tail in
+    for i = 0 to ms.size - 1 do
+      let k = ms.keys.(i) in
+      if k != hole && slot_of cs k < 0 then add (Del_prop (m, k))
+    done;
+    List.iter (fun (k, s, _) -> if s >= 0 then add (Del_prop (m, k))) tail;
+    List.iter (fun (k, _, cv) -> add (Add_prop (m, k, cv))) tail
+  end
 
 let diff ?(skip = []) (t : t) : diff =
   let edits = ref [] in
@@ -272,21 +327,7 @@ let diff ?(skip = []) (t : t) : diff =
   Itbl.iter
     (fun oid (c : obj) ->
        let m = Itbl.find t.obj_rev oid in
-       Strtbl.iter
-         (fun k cv ->
-            match Strtbl.find_opt m.props k with
-            | Some mv -> if not (same_value mv cv) then add (Set_prop (m, k, cv))
-            | None -> ())
-         c.props;
-       if not (c.key_order == m.key_order) then
-         List.iter
-           (fun k ->
-              if not (Strtbl.mem m.props k) && Strtbl.mem c.props k then
-                add (Add_prop (m, k, Strtbl.find c.props k)))
-           (List.rev c.key_order);
-       Strtbl.iter
-         (fun k _ -> if not (Strtbl.mem c.props k) then add (Del_prop (m, k)))
-         m.props;
+       diff_props add m c;
        (match m.proto, c.proto with
         | None, None -> ()
         | Some mp, Some cp when mp.oid = cp.oid -> ()
@@ -390,8 +431,9 @@ let remapper t =
   let rec drain () =
     if not (Queue.is_empty obj_q) then begin
       let o = Queue.pop obj_q in
-      let keys = Strtbl.fold (fun k _ acc -> k :: acc) o.props [] in
-      List.iter (fun k -> Strtbl.replace o.props k (rval (Strtbl.find o.props k))) keys;
+      for i = 0 to Array.length o.vals - 1 do
+        o.vals.(i) <- rval o.vals.(i)
+      done;
       o.proto <- Option.map robj o.proto;
       (match o.call with
        | Some (Closure cl) ->
@@ -434,15 +476,14 @@ let apply_diff (d : diff) =
   let rval, rscope, drain = remapper t in
   let rcallable = function
     | None -> None
-    | Some (Host _ as h) -> Some h
+    | Some ((Host _ | Host_unary _) as h) -> Some h
     | Some (Closure cl) ->
       Some (Closure { cl with captured = rscope cl.captured })
   in
   List.iter
     (fun e ->
        (match e with
-        | Set_prop (m, k, v) -> Strtbl.replace m.props k (rval v)
-        | Add_prop (m, k, v) -> raw_set_prop m k (rval v)
+        | Set_prop (m, k, v) | Add_prop (m, k, v) -> raw_set_prop m k (rval v)
         | Del_prop (m, k) -> raw_delete m k
         | Set_proto (m, p) ->
           m.proto <-

@@ -2,7 +2,8 @@
 
    The representation follows JavaScript's object model closely enough
    for the paper's analysis to be meaningful:
-   - objects are mutable property maps with a prototype link;
+   - objects are property maps with a prototype link: a shared, immutable
+     {!shape} (the ordered keys, as SELF maps) and a [vals] slot array;
    - arrays are objects with a dense element store and a live [length];
    - functions are objects with an attached callable (closure or host
      function), so they can carry properties ([prototype] in
@@ -15,6 +16,7 @@
    the dependence analysis stamps at creation. *)
 
 module Strtbl = Ceres_util.Strtbl
+module Smap = Map.Make (String)
 
 type value =
   | Num of float
@@ -26,8 +28,10 @@ type value =
 
 and obj = {
   oid : int;
-  props : value Strtbl.t;
-  mutable key_order : string list; (* reversed insertion order *)
+  mutable shape : shape;
+  mutable vals : value array;
+      (* slot -> value; at least [shape.size] long, spare slots hold
+         [Undefined] *)
   mutable proto : obj option;
   mutable call : callable option;
   mutable arr : arr_data option;
@@ -35,18 +39,40 @@ and obj = {
       (* host-object discriminator, e.g. "canvas-context" *)
 }
 
+(* The keys of an object, in insertion order. A shared shape is a node
+   of the one process-wide transition tree: immutable once published, so
+   objects on any domain share it, and two objects with the same shape
+   hold the same key at the same slot. A dictionary shape belongs to one
+   object, which edits it in place. *)
+and shape = {
+  mutable keys : string array;
+      (* slot -> key; a dictionary's may hold [hole]s and spare room *)
+  mutable size : int; (* slots in use, holes included *)
+  mutable index : int Strtbl.t;
+      (* key -> slot; empty in a shared shape of at most [scan_max] keys,
+         which are scanned instead *)
+  mutable holes : int; (* dictionary only: deleted slots *)
+  next : shape Smap.t Atomic.t; (* shared only: transitions by key *)
+  prev : shape; (* shared only: the shape one key shorter *)
+  dict : bool;
+}
+
 and arr_data = { mutable elems : value array; mutable len : int }
 
 and callable =
   | Closure of closure
   | Host of string * host_fn
+  | Host_unary of string * (float -> float)
+      (* a one-argument numeric builtin: [Eval] calls it directly on a
+         number, any other call coerces its first argument *)
 
 and closure = { fn : Jsir.Ast.func; captured : scope; body : code }
 (* [body]: [fn]'s body as compiled by [Eval], run in a fresh frame whose
    parameters are bound; returns the call's result *)
 
 and code = state -> scope -> value -> value
-(* compiled code: state, lexical scope, this; holds no mutable state *)
+(* compiled code: state, lexical scope, this; its only mutable state is
+   its inline caches *)
 
 and completion =
   | Cnormal
@@ -172,6 +198,87 @@ let type_of = function
   | Obj o -> if o.call <> None then "function" else "object"
 
 (* ------------------------------------------------------------------ *)
+(* Shapes                                                              *)
+
+(* Shared shapes up to this size are scanned; larger ones, and every
+   dictionary, look keys up in [index]. *)
+let scan_max = 8
+
+(* An object that would pass this many keys turns into a dictionary,
+   which keeps the transition tree bounded. *)
+let max_shared = 32
+
+(* A dictionary's deleted slot: compared physically, so no key is it. *)
+let hole = String.make 1 '\000'
+
+let no_index : int Strtbl.t = Strtbl.create 1
+
+let rec root_shape =
+  { keys = [||]; size = 0; index = no_index; holes = 0;
+    next = Atomic.make Smap.empty; prev = root_shape; dict = false }
+
+let rec scan keys key i n =
+  if i = n then -1
+  else
+    let k = Array.unsafe_get keys i in
+    if String.length k = String.length key && String.equal k key then i
+    else scan keys key (i + 1) n
+
+(* The slot of [key] in [sh], or -1. *)
+let slot_of sh key =
+  if sh.size <= scan_max && not sh.dict then scan sh.keys key 0 sh.size
+  else match Strtbl.find sh.index key with s -> s | exception Not_found -> -1
+
+let index_of_keys keys n =
+  let t = Strtbl.create (2 * n) in
+  for i = 0 to n - 1 do
+    let k = keys.(i) in
+    if k != hole then Strtbl.replace t k i
+  done;
+  t
+
+(* The shared shape [sh] plus [key]: taken from the transition tree, or
+   built and published by compare-and-set. A lost race re-reads the
+   transitions, so every domain ends up with the same child. *)
+let rec transition sh key =
+  let m = Atomic.get sh.next in
+  match Smap.find key m with
+  | c -> c
+  | exception Not_found ->
+    let n = sh.size + 1 in
+    let keys = Array.make n key in
+    Array.blit sh.keys 0 keys 0 sh.size;
+    let c =
+      { keys; size = n;
+        index = (if n > scan_max then index_of_keys keys n else no_index);
+        holes = 0; next = Atomic.make Smap.empty; prev = sh; dict = false }
+    in
+    if Atomic.compare_and_set sh.next m (Smap.add key c m) then c
+    else transition sh key
+
+(* The shared shape holding exactly [keys], in order; [None] when they
+   repeat a key or are too many to share. *)
+let shape_of_keys keys =
+  let n = Array.length keys in
+  if n > max_shared then None
+  else
+    let rec go sh i =
+      if i = n then Some sh
+      else if slot_of sh keys.(i) >= 0 then None
+      else go (transition sh keys.(i)) (i + 1)
+    in
+    go root_shape 0
+
+(* A private, editable copy of [sh]. *)
+let dict_of sh =
+  let cap = max 8 (2 * sh.size) in
+  let keys = Array.make cap hole in
+  Array.blit sh.keys 0 keys 0 sh.size;
+  { keys; size = sh.size; index = index_of_keys keys sh.size;
+    holes = sh.holes; next = Atomic.make Smap.empty; prev = root_shape;
+    dict = true }
+
+(* ------------------------------------------------------------------ *)
 (* Object primitives                                                   *)
 
 let fresh_oid st =
@@ -181,8 +288,8 @@ let fresh_oid st =
 
 let make_obj ?proto st =
   { oid = fresh_oid st;
-    props = Strtbl.create 8;
-    key_order = [];
+    shape = root_shape;
+    vals = [||];
     proto = (match proto with Some p -> p | None -> Some st.object_proto);
     call = None;
     arr = None;
@@ -223,24 +330,102 @@ let array_index_of_key key =
     go 0 0
   end
 
-(* One hash per write: a size change tells a new key from an update. *)
-let raw_set_prop o key v =
-  let n = Strtbl.length o.props in
-  Strtbl.replace o.props key v;
-  if Strtbl.length o.props > n then o.key_order <- key :: o.key_order
-
-let raw_get_own o key = Strtbl.find_opt o.props key
-
-let raw_delete_prop o key =
-  if Strtbl.mem o.props key then begin
-    Strtbl.remove o.props key;
-    o.key_order <- List.filter (fun k -> not (String.equal k key)) o.key_order;
-    true
+(* Room for slot [s] in [o.vals]. *)
+let ensure_slot o s =
+  let cap = Array.length o.vals in
+  if s >= cap then begin
+    let vals = Array.make (max 4 (max (s + 1) (2 * cap))) Undefined in
+    Array.blit o.vals 0 vals 0 cap;
+    o.vals <- vals
   end
-  else true (* deleting a missing property succeeds in JS *)
+
+(* Append [key] to a dictionary shape. *)
+let dict_add o sh key v =
+  let s = sh.size in
+  if s = Array.length sh.keys then begin
+    let keys = Array.make (2 * s) hole in
+    Array.blit sh.keys 0 keys 0 s;
+    sh.keys <- keys
+  end;
+  sh.keys.(s) <- key;
+  Strtbl.replace sh.index key s;
+  sh.size <- s + 1;
+  ensure_slot o s;
+  Array.unsafe_set o.vals s v
+
+(* A key [o] does not have yet, at the end of the key order. *)
+let add_prop o key v =
+  let sh = o.shape in
+  if sh.dict then dict_add o sh key v
+  else if sh.size >= max_shared then begin
+    let d = dict_of sh in
+    o.shape <- d;
+    dict_add o d key v
+  end
+  else begin
+    let c = transition sh key in
+    let s = sh.size in
+    ensure_slot o s;
+    Array.unsafe_set o.vals s v;
+    o.shape <- c
+  end
+
+let raw_set_prop o key v =
+  let s = slot_of o.shape key in
+  if s >= 0 then Array.unsafe_set o.vals s v else add_prop o key v
+
+let raw_get_own o key =
+  let s = slot_of o.shape key in
+  if s >= 0 then Some (Array.unsafe_get o.vals s) else None
+
+let has_own_prop o key = slot_of o.shape key >= 0
+
+(* Drop the holes of a dictionary, keeping the key order. *)
+let compact o sh =
+  let n = sh.size - sh.holes in
+  let keys = Array.make (max 8 (2 * n)) hole
+  and vals = Array.make (max 4 n) Undefined in
+  let j = ref 0 in
+  for i = 0 to sh.size - 1 do
+    if sh.keys.(i) != hole then begin
+      keys.(!j) <- sh.keys.(i);
+      vals.(!j) <- o.vals.(i);
+      incr j
+    end
+  done;
+  sh.keys <- keys;
+  sh.size <- n;
+  sh.holes <- 0;
+  sh.index <- index_of_keys keys n;
+  o.vals <- vals
+
+(* A delete turns the object into a dictionary, so no shared shape ever
+   has a hole. *)
+let raw_delete_prop o key =
+  let s = slot_of o.shape key in
+  if s >= 0 then begin
+    let sh = if o.shape.dict then o.shape else dict_of o.shape in
+    o.shape <- sh;
+    Strtbl.remove sh.index key;
+    sh.keys.(s) <- hole;
+    o.vals.(s) <- Undefined;
+    sh.holes <- sh.holes + 1;
+    if sh.holes > 8 && 2 * sh.holes > sh.size then compact o sh
+  end;
+  true (* deleting a missing property succeeds in JS *)
+
+(* The named keys in insertion order. *)
+let shape_keys sh =
+  let rec go i acc =
+    if i < 0 then acc
+    else
+      let k = sh.keys.(i) in
+      go (i - 1) (if k == hole then acc else k :: acc)
+  in
+  go (sh.size - 1) []
 
 let own_keys o =
-  let named = List.rev o.key_order in
+  let named = shape_keys o.shape in
   match o.arr with
   | None -> named
   | Some a ->
@@ -283,12 +468,12 @@ let rec get_prop_obj o key =
   | None -> lookup_chain o key
 
 and lookup_chain o key =
-  match Strtbl.find o.props key with
-  | v -> v
-  | exception Not_found ->
-    (match o.proto with
-     | Some p -> get_prop_obj p key
-     | None -> Undefined)
+  let s = slot_of o.shape key in
+  if s >= 0 then Array.unsafe_get o.vals s
+  else
+    match o.proto with
+    | Some p -> get_prop_obj p key
+    | None -> Undefined
 
 let array_store_set a i v =
   ensure_capacity a i;
@@ -311,7 +496,7 @@ let set_prop_obj o key v =
 
 let has_prop_obj o key =
   let rec chain o =
-    Strtbl.mem o.props key
+    slot_of o.shape key >= 0
     || (match o.proto with Some p -> chain p | None -> false)
   in
   (match o.arr with
@@ -500,12 +685,12 @@ let not_defined name =
 (* A property on the prototype chain from [o], in one walk; [Not_found]
    when no object on it has the name. *)
 let rec chain_find o name =
-  match Strtbl.find o.props name with
-  | v -> v
-  | exception Not_found ->
-    (match o.proto with
-     | Some p -> chain_find p name
-     | None -> raise_notrace Not_found)
+  let s = slot_of o.shape name in
+  if s >= 0 then Array.unsafe_get o.vals s
+  else
+    match o.proto with
+    | Some p -> chain_find p name
+    | None -> raise_notrace Not_found
 
 (* Host globals live on the global object. *)
 let find_global st name = chain_find st.global_obj name

@@ -1,7 +1,8 @@
 (** Runtime values and interpreter state for MiniJS.
 
     The representation follows JavaScript's object model closely enough
-    for the paper's analysis to be meaningful: mutable property maps
+    for the paper's analysis to be meaningful: objects hold their
+    property values in a slot array described by a shared {!shape},
     with prototype links, arrays with a dense element store and a live
     [length], functions as callable objects, and [var] function scoping
     (one {!scope} per invocation). Every object carries a unique [oid]
@@ -13,8 +14,10 @@
     outside those layers as off-limits. *)
 
 module Strtbl = Ceres_util.Strtbl
-(** Property maps and dynamic scope tables: string-keyed, with the
+(** Dynamic scope tables and shape indexes: string-keyed, with the
     generic table's hash, so iteration order is the generic one. *)
+
+module Smap : Map.S with type key = string
 
 type value =
   | Num of float
@@ -26,8 +29,10 @@ type value =
 
 and obj = {
   oid : int; (** unique object identity *)
-  props : value Strtbl.t;
-  mutable key_order : string list; (** reversed insertion order *)
+  mutable shape : shape; (** the own keys and their slots *)
+  mutable vals : value array;
+      (** slot -> value; at least [shape.size] long, spare slots hold
+          [Undefined] *)
   mutable proto : obj option;
   mutable call : callable option; (** Some = the object is a function *)
   mutable arr : arr_data option; (** Some = the object is an array *)
@@ -36,19 +41,45 @@ and obj = {
           ["canvas-context"] *)
 }
 
+and shape = {
+  mutable keys : string array;
+      (** slot -> key in insertion order; a dictionary's may hold
+          {!hole}s and spare room *)
+  mutable size : int;  (** slots in use, holes included *)
+  mutable index : int Strtbl.t;
+      (** key -> slot; empty in a shared shape of at most 8 keys *)
+  mutable holes : int;  (** dictionary only: deleted slots *)
+  next : shape Smap.t Atomic.t;  (** shared only: transitions by key *)
+  prev : shape;  (** shared only: the shape one key shorter *)
+  dict : bool;
+}
+(** An object's keys, in insertion order, as in SELF maps. A {e shared}
+    shape ([dict = false]) is a node of one process-wide transition tree
+    rooted at {!root_shape}: published by compare-and-set and never
+    edited afterwards, so objects on every domain share it, and two
+    objects with the same shape hold the same key at the same slot. An
+    object that would pass 32 keys, or loses one to
+    [delete], moves to a {e dictionary} shape of its own, which it edits
+    in place. *)
+
 and arr_data = { mutable elems : value array; mutable len : int }
 
 and callable =
   | Closure of closure
   | Host of string * host_fn
+  | Host_unary of string * (float -> float)
+      (** a one-argument numeric builtin ([Math.floor], ...): a member
+          call on a number may run it directly; any other call coerces
+          its first argument, as the {!Host} version would *)
 
 and closure = { fn : Jsir.Ast.func; captured : scope; body : code }
 (** [body] is [fn]'s body compiled by {!Eval}: run in a fresh frame
     whose parameters are bound, it returns the call's result. *)
 
 and code = state -> scope -> value -> value
-(** Compiled code: state, lexical scope, [this]. It holds no mutable
-    state, so forked chunks on other domains share it. *)
+(** Compiled code: state, lexical scope, [this]. Forked chunks on other
+    domains share it; its only mutable state is its inline caches, each
+    a cell holding an immutable entry, so a race at worst misses. *)
 
 and completion =
   | Cnormal
@@ -163,6 +194,27 @@ exception Budget_exhausted
 val type_of : value -> string
 (** JavaScript [typeof] (with [typeof null = "object"]). *)
 
+(** {1 Shapes} *)
+
+val root_shape : shape
+(** The shape of an object with no own keys. *)
+
+val hole : string
+(** A dictionary's deleted slot, told apart physically ([==]). *)
+
+val slot_of : shape -> string -> int
+(** The key's slot, or -1. *)
+
+val transition : shape -> string -> shape
+(** The shared shape plus one key: the one child every domain gets. *)
+
+val shape_of_keys : string array -> shape option
+(** The shared shape of exactly these keys, in order; [None] when a key
+    repeats or there are more than 32. *)
+
+val dict_of : shape -> shape
+(** A dictionary copy of the shape, for one object to own. *)
+
 (** {1 Objects} *)
 
 val fresh_oid : state -> int
@@ -179,6 +231,14 @@ val raw_set_prop : obj -> string -> value -> unit
 (** Own-property write, bypassing array index handling and hooks. *)
 
 val raw_get_own : obj -> string -> value option
+val has_own_prop : obj -> string -> bool
+
+val add_prop : obj -> string -> value -> unit
+(** Append a key the object does not have yet. *)
+
+val ensure_slot : obj -> int -> unit
+(** Grow [vals] to hold the slot. *)
+
 val raw_delete_prop : obj -> string -> bool
 val own_keys : obj -> string list
 (** Array indices first, then named keys in insertion order. *)

@@ -709,6 +709,259 @@ let test_operator_paths_agree () =
   in
   Alcotest.(check (list string)) "dynamic = resolved" (run true) (run false)
 
+(* ------------------------------------------------------------------ *)
+(* Objects: shapes and inline caches *)
+
+(* Random sequences of object operations against an association-list
+   model: values and key order (for-in, Object.keys, JSON.stringify)
+   must match after literal creation, add, overwrite, delete, re-add
+   and growth past the shared-shape limit. Two objects go through the
+   same accessor functions, so every property site sees several shapes
+   in turn. *)
+type obj_op =
+  | Lit of int * (string * int) list
+  | Put of int * string * int
+  | Put_computed of int * string * int
+  | Del of int * string
+  | Get of int * string
+  | Grow of int * int
+  | For_in of int
+  | Keys of int
+  | Json of int
+
+let op_keys = [ "a"; "b"; "c"; "d"; "x"; "y" ]
+
+let gen_obj_op =
+  let open QCheck.Gen in
+  let key = oneofl op_keys and obj = int_bound 1 and v = int_range 0 99 in
+  frequency
+    [ (2, map2 (fun o kvs -> Lit (o, kvs)) obj
+          (list_size (int_range 0 4) (pair key v)));
+      (5, map3 (fun o k x -> Put (o, k, x)) obj key v);
+      (2, map3 (fun o k x -> Put_computed (o, k, x)) obj key v);
+      (3, map2 (fun o k -> Del (o, k)) obj key);
+      (3, map2 (fun o k -> Get (o, k)) obj key);
+      (1, map2 (fun o n -> Grow (o, n)) obj (int_range 1 40));
+      (1, map (fun o -> For_in o) obj);
+      (1, map (fun o -> Keys o) obj);
+      (1, map (fun o -> Json o) obj) ]
+
+let obj_prelude =
+  String.concat "\n"
+    (List.map
+       (fun k ->
+          Printf.sprintf
+            "function put_%s(o, v) { o.%s = v; }\n\
+             function get_%s(o) { return o.%s; }\n\
+             function del_%s(o) { delete o.%s; }"
+            k k k k k k)
+       op_keys)
+  ^ {|
+function grow(o, n) { for (var i = 0; i < n; i++) { o["g" + i] = i; } }
+function walk(o) { var s = ""; for (var k in o) { s += k + "=" + o[k] + ";"; } return s; }
+var objs = [{}, {}];
+|}
+
+let run_obj_ops ops =
+  let model = [| []; [] |] in
+  let put o k v =
+    model.(o) <-
+      (if List.mem_assoc k model.(o) then
+         List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) model.(o)
+       else model.(o) @ [ (k, v) ])
+  in
+  let src = Buffer.create 1024 and expected = ref [] in
+  let emit fmt = Printf.bprintf src fmt in
+  let log e = expected := e :: !expected in
+  List.iter
+    (fun op ->
+       match op with
+       | Lit (o, kvs) ->
+         let kvs =
+           List.fold_left
+             (fun acc (k, v) -> if List.mem_assoc k acc then acc else acc @ [ (k, v) ])
+             [] kvs
+         in
+         emit "objs[%d] = {%s};\n" o
+           (String.concat ", "
+              (List.map (fun (k, v) -> Printf.sprintf "%s: %d" k v) kvs));
+         model.(o) <- kvs
+       | Put (o, k, v) -> emit "put_%s(objs[%d], %d);\n" k o v; put o k v
+       | Put_computed (o, k, v) -> emit "objs[%d][\"%s\"] = %d;\n" o k v; put o k v
+       | Del (o, k) ->
+         emit "del_%s(objs[%d]);\n" k o;
+         model.(o) <- List.remove_assoc k model.(o)
+       | Get (o, k) ->
+         emit "console.log(get_%s(objs[%d]));\n" k o;
+         log
+           (match List.assoc_opt k model.(o) with
+            | Some v -> string_of_int v
+            | None -> "undefined")
+       | Grow (o, n) ->
+         emit "grow(objs[%d], %d);\n" o n;
+         for i = 0 to n - 1 do put o ("g" ^ string_of_int i) i done
+       | For_in o ->
+         emit "console.log(walk(objs[%d]));\n" o;
+         log
+           (String.concat ""
+              (List.map (fun (k, v) -> Printf.sprintf "%s=%d;" k v) model.(o)))
+       | Keys o ->
+         emit "console.log(Object.keys(objs[%d]).join(\",\"));\n" o;
+         log (String.concat "," (List.map fst model.(o)))
+       | Json o ->
+         emit "console.log(JSON.stringify(objs[%d]));\n" o;
+         log
+           ("{"
+            ^ String.concat ","
+                (List.map (fun (k, v) -> Printf.sprintf "%S:%d" k v) model.(o))
+            ^ "}"))
+    ops;
+  (Buffer.contents src, List.rev !expected)
+
+let prop_objects_match_model =
+  QCheck.Test.make ~name:"objects match an association-list model" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> fst (run_obj_ops ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_obj_op))
+    (fun ops ->
+       let src, expected = run_obj_ops ops in
+       let got = Helpers.run_console (obj_prelude ^ src) in
+       if got <> expected then
+         QCheck.Test.fail_reportf "got:\n%s\nexpected:\n%s"
+           (String.concat "\n" got) (String.concat "\n" expected)
+       else true)
+
+(* One [o.x] read site, one write site and one method-call site, fed
+   two alternating shapes, a deleted key, and a prototype property
+   shadowed by an own one and then uncovered again. *)
+let test_inline_cache_sites () =
+  let out =
+    Helpers.run_console
+      {|
+function getx(o) { return o.x; }
+function setx(o, v) { o.x = v; }
+function callm(o) { return o.m(); }
+function P() {}
+P.prototype.x = "proto";
+P.prototype.m = function () { return "pm"; };
+var a = { x: 1, y: 2 };
+var b = { y: 3, x: 4 };
+var c = new P();
+var out = [];
+for (var i = 0; i < 3; i++) { out.push(getx(a), getx(b), getx(c)); }
+setx(a, 10); setx(b, 20); setx(a, 11); setx(b, 21);
+out.push(getx(a), getx(b));
+c.x = "own"; out.push(getx(c));
+c.m = function () { return "own m"; };
+out.push(callm(c));
+delete c.m; out.push(callm(c));
+delete a.x; out.push(getx(a), getx(b));
+setx(a, 12); out.push(getx(a), Object.keys(a).join(""));
+delete c.x; out.push(getx(c));
+P.prototype.x = "proto2"; out.push(getx(c));
+var d = new P(); setx(d, 5); out.push(getx(d), getx(new P()));
+console.log(out.join(","));
+|}
+  in
+  Alcotest.(check (list string)) "every read sees the current value"
+    [ "1,4,proto,1,4,proto,1,4,proto,11,21,own,own m,pm,,21,12,yx,proto,proto2,5,proto2" ]
+    out;
+  (* a DOM element write through a site that has cached a plain
+     object's shape is still DOM traffic *)
+  let st, _ = Helpers.fresh_state ~dom:true () in
+  let seen = ref [] in
+  st.on_host_access <- (fun cat op -> seen := (cat, op) :: !seen);
+  Interp.Eval.run_program st
+    (Jsir.Parser.parse_program
+       {|
+function settitle(o, v) { o.title = v; }
+var plain = { title: "" };
+settitle(plain, "a"); settitle(plain, "b");
+var el = document.createElement("div");
+settitle(el, "c"); settitle(el, "d");
+|});
+  Alcotest.(check int) "both element writes reported" 2
+    (List.length (List.filter (fun (c, op) -> c = "dom" && op = "set title") !seen))
+
+(* An object grown key by key past the shared-shape limit turns into a
+   dictionary of its own, and growing one to twice the keys allocates
+   about twice the bytes: adds stay O(1). *)
+let test_dictionary_growth () =
+  let grow n =
+    let before = Gc.allocated_bytes () in
+    let st, _ =
+      Helpers.run
+        (Printf.sprintf
+           {|
+var o = {};
+for (var i = 0; i < %d; i++) { o["k" + i] = i; }
+var p = {};
+for (var i = 0; i < 40; i++) { p["k" + i] = i; }
+var s = 0;
+for (var k in o) { s += o[k]; }
+console.log(s + "," + Object.keys(o).length + "," + o.k7 + "," + o["k" + (%d - 1)]);
+|}
+           n n)
+    in
+    let bytes = Gc.allocated_bytes () -. before in
+    let get name =
+      match Interp.Eval.eval_in_global st (Jsir.Parser.parse_expression name) with
+      | Obj o -> o
+      | _ -> Alcotest.fail "not an object"
+    in
+    let o = get "o" and p = get "p" in
+    Alcotest.(check (list string)) "sum, count and reads"
+      [ Printf.sprintf "%d,%d,7,%d" (n * (n - 1) / 2) n (n - 1) ]
+      (List.rev st.console);
+    Alcotest.(check bool) "dictionary mode" true o.shape.dict;
+    Alcotest.(check bool) "unshared" false (o.shape == p.shape);
+    bytes
+  in
+  let b1 = grow 10_000 in
+  let b2 = grow 20_000 in
+  if b2 > 2.5 *. b1 then
+    Alcotest.failf "20k keys allocated %.0f bytes, 10k keys %.0f: not linear" b2 b1
+
+(* Math's one-argument functions run without an argument list when no
+   call hook is set; the call-site census (which sets one) sees the same
+   output and the same busy vticks. A program that replaces Math.floor
+   calls its own function. *)
+let test_math_direct_entries () =
+  let src =
+    {|
+var s = 0;
+for (var i = 0; i < 500; i++) {
+  s += Math.floor(i / 36) + Math.sqrt(i) + Math.abs(-i) + Math.round(i / 7)
+     + Math.sin(i) + Math.cos(i) + Math.exp(i / 500) + Math.log(i + 1)
+     + Math.trunc(i / 3) + Math.ceil(i / 9) + Math.floor("12") + Math.floor();
+}
+console.log(s, Math.floor(-0.5), Math.round(2.5), Math.max(1, 2));
+|}
+  in
+  let run ~hook =
+    let st, _ = Helpers.fresh_state () in
+    let cs = if hook then Some (Ceres.Callsites.attach st) else None in
+    Interp.Eval.run_program st (Jsir.Parser.parse_program src);
+    let calls =
+      Option.map (fun t -> (Ceres.Callsites.census t).calls_total) cs
+    in
+    (List.rev st.console, Ceres_util.Vclock.busy st.clock, calls)
+  in
+  let out, busy, _ = run ~hook:false in
+  let out', busy', calls = run ~hook:true in
+  Alcotest.(check (list string)) "same console" out out';
+  Alcotest.(check int64) "same busy vticks" busy busy';
+  Alcotest.(check (option int)) "every call seen by the census" (Some 6004) calls;
+  Alcotest.(check (list string)) "own Math.floor"
+    [ "mine 2.5"; "3" ]
+    (Helpers.run_console
+       {|
+Math.floor = function (x) { return "mine " + x; };
+console.log(Math.floor(2.5));
+var f = Math.ceil;
+console.log(f(2.5));
+|})
+
 let suite =
   [ ("arithmetic", `Quick, test_arithmetic);
     ("bitwise", `Quick, test_bitwise);
@@ -753,4 +1006,10 @@ let suite =
     ("event loop ordering", `Quick, test_event_loop_ordering);
     ("event loop window", `Quick, test_event_loop_window);
     ("clearTimeout", `Quick, test_clear_timeout);
-    ("nested timeouts", `Quick, test_nested_timeouts) ]
+    ("nested timeouts", `Quick, test_nested_timeouts);
+    qtest prop_objects_match_model;
+    ("inline caches: shapes, deletes, shadowing, DOM", `Quick,
+     test_inline_cache_sites);
+    ("dictionary objects grow linearly", `Quick, test_dictionary_growth);
+    ("Math direct entries: hooks see the same run", `Quick,
+     test_math_direct_entries) ]

@@ -542,6 +542,113 @@ console.log("after");
    generated case would dominate the suite's runtime. *)
 let shared_pool = lazy (Js_parallel.Pool.create ~domains:2 ())
 
+(* ------------------------------------------------------------------ *)
+(* Shapes across forks and domains *)
+
+(* The second loop of [shape_prelude ^ body ^ shape_tail], declared
+   Parallel whatever the analyzer says (it proves no loop that writes
+   properties of objects the master already has), runs as one forked
+   instance of two chunks. *)
+let shape_prelude =
+  {|
+var pts = [];
+for (var i = 0; i < 40; i++) { pts[i] = { x: i, y: i, w: 1 }; }
+var shared = { n: 0 };
+|}
+
+let shape_tail =
+  {|
+console.log(JSON.stringify(pts[0]) + JSON.stringify(pts[39])
+  + Object.keys(pts[7]).join(",") + JSON.stringify(shared));
+|}
+
+let run_forced ?par src =
+  let st, _ = Helpers.fresh_state () in
+  let program = Jsir.Parser.parse_program src in
+  (match par with
+   | Some pe ->
+     let rep = Analysis.Driver.analyze program in
+     let force (r : Analysis.Driver.row) =
+       if r.info.Jsir.Loops.id = 1 then
+         { r with verdict = Analysis.Verdict.parallel }
+       else r
+     in
+     PE.install pe st ~report:{ Analysis.Driver.rows = List.map force rep.rows }
+   | None -> ());
+  Interp.Eval.run_program st program;
+  (List.rev st.Interp.Value.console, st)
+
+(* Chunks that overwrite a property and add one, add one to an object
+   both chunks share, delete one, or delete and re-add one (which moves
+   the key to the end) all merge, as the sequential run orders them. *)
+let test_shape_chunks_merge () =
+  let bodies =
+    [ "for (var j = 0; j < 40; j++) { pts[j].y = pts[j].x * 2; pts[j].z = j + 1; }";
+      "for (var j = 0; j < 40; j++) { pts[j].y = j; shared.tag = 7; }";
+      "for (var j = 0; j < 40; j++) { delete pts[j].y; pts[j].x = j * 3; }";
+      "for (var j = 0; j < 40; j++) { delete pts[j].x; pts[j].x = j * 3; }";
+      "for (var j = 0; j < 40; j++) { pts[j].y = j; delete shared.n; }" ]
+  in
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun body ->
+           let src = shape_prelude ^ body ^ shape_tail in
+           let seq, _ = run_forced src in
+           let pe = PE.create ~break_even:0 ~mode:(PE.Parallel pool) ~jobs:2 () in
+           let par, st = run_forced ~par:pe src in
+           Alcotest.(check (list string)) (body ^ ": par ≡ seq") seq par;
+           (match List.find_opt (fun (id, _, _) -> id = 1) (PE.nest_rows pe) with
+            | Some (_, _, s) ->
+              Alcotest.(check (pair int int)) (body ^ ": merged, no fallback")
+                (1, 0) (s.instances, s.fallbacks)
+            | None -> Alcotest.fail "the forced loop did not run");
+           if String.equal body (List.hd bodies) then begin
+             let shape_of k =
+               match
+                 Interp.Eval.eval_in_global st
+                   (Jsir.Parser.parse_expression (Printf.sprintf "pts[%d]" k))
+               with
+               | Obj o -> o.shape
+               | _ -> Alcotest.fail "not an object"
+             in
+             Alcotest.(check bool) "both chunks' objects share one shape" true
+               (List.for_all (fun k -> shape_of k == shape_of 0) [ 1; 19; 20; 39 ])
+           end)
+        bodies)
+
+(* Two pool domains adding the same keys to the same shape at once get
+   one child shape per key. Each repetition races on a fresh parent,
+   both domains taking its 200 transitions in the same order. *)
+let test_transition_race () =
+  let pool = Lazy.force shared_pool in
+  let keys = Array.init 200 (Printf.sprintf "k%d") in
+  for rep = 0 to 99 do
+    let parent =
+      Interp.Value.transition Interp.Value.root_shape
+        (Printf.sprintf "race-%d-%f" rep (Unix.gettimeofday ()))
+    in
+    let arrived = Atomic.make 0 in
+    let got = Array.make_matrix 2 (Array.length keys) parent in
+    Js_parallel.Pool.parallel_for pool ~lo:0 ~hi:2 ~chunk:1 (fun d ->
+        Atomic.incr arrived;
+        (* bounded: one participant may run both chunks *)
+        let spins = ref 0 in
+        while Atomic.get arrived < 2 && !spins < 1_000_000 do
+          incr spins; Domain.cpu_relax ()
+        done;
+        Array.iteri
+          (fun i k -> got.(d).(i) <- Interp.Value.transition parent k)
+          keys);
+    Array.iteri
+      (fun i k ->
+         if not (got.(0).(i) == got.(1).(i)) then
+           Alcotest.failf "repetition %d: two child shapes for key %s" rep k;
+         if not (Interp.Value.transition parent k == got.(0).(i)) then
+           Alcotest.failf "repetition %d: key %s's child was not published"
+             rep k)
+      keys
+  done
+
 let suite =
   [ Alcotest.test_case "12 workloads: par output ≡ seq at -j 2" `Slow
       test_all_workloads_deterministic;
@@ -570,4 +677,8 @@ let suite =
     Alcotest.test_case "probe: hand-off to the forks matches seq" `Quick
       test_probe_hand_off;
     Alcotest.test_case "probe: a throw in the first trip" `Quick
-      test_probe_throw ]
+      test_probe_throw;
+    Alcotest.test_case "shapes: chunks that add, overwrite, delete merge"
+      `Quick test_shape_chunks_merge;
+    Alcotest.test_case "shapes: racing domains share one transition" `Quick
+      test_transition_race ]

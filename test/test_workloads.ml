@@ -327,14 +327,14 @@ let test_allocation_budget () =
        Alcotest.(check (option int))
          (Printf.sprintf "%s %s: accesses checked" name mode)
          accesses checked)
-    [ ("Raytracing", "plain", plain, 6_290_877., 7_445_438, None);
-      ("fluidSim", "plain", plain, 7_017_229., 4_975_476, None);
-      ("Raytracing", "lightweight", light, 6_875_887., 7_548_644, None);
-      ("fluidSim", "lightweight", light, 10_199_127., 4_994_298, None);
-      ("Raytracing", "loop-profile", loops, 8_197_142., 7_823_406, None);
-      ("fluidSim", "loop-profile", loops, 7_609_731., 5_093_740, None);
-      ("Raytracing", "dependence", deps, 4_126_112., 3_043_008, Some 331_182);
-      ("fluidSim", "dependence", deps, 3_561_526., 2_454_091, Some 113_569) ]
+    [ ("Raytracing", "plain", plain, 5_959_824., 7_445_438, None);
+      ("fluidSim", "plain", plain, 6_917_107., 4_975_476, None);
+      ("Raytracing", "lightweight", light, 6_607_248., 7_548_644, None);
+      ("fluidSim", "lightweight", light, 10_155_462., 4_994_298, None);
+      ("Raytracing", "loop-profile", loops, 7_855_345., 7_823_406, None);
+      ("fluidSim", "loop-profile", loops, 7_509_609., 5_093_740, None);
+      ("Raytracing", "dependence", deps, 4_061_494., 3_043_008, Some 331_182);
+      ("fluidSim", "dependence", deps, 3_541_575., 2_454_091, Some 113_569) ]
 
 let suite =
   [ ("registry complete", `Quick, test_registry_complete);
