@@ -228,14 +228,12 @@ let key_of st k i field idx =
 (* ------------------------------------------------------------------ *)
 (* Inline caches                                                       *)
 
-(* A property site's monomorphic cache. A read entry says: an object of
-   shared shape [sh] holds the key at [slot], or, when [psh] is not
-   [own], lacks it and its prototype, if of shape [psh], holds it there.
-   A write entry says: an object of shape [sh] holds the key at [slot]
-   ([psh == sh]), or gets it there by moving to shape [psh]. Shared
-   shapes never change, so an entry stays true; it is immutable and
-   replaced whole, so chunks racing on a site at worst miss. Dictionary
-   shapes, owned by one object and edited in place, are never cached. *)
+(* A property site's monomorphic cache: an object of shared shape [sh]
+   holds the key at [slot], or, when [psh] is not [own], lacks it and
+   its prototype, if of shape [psh], holds it there. Shared shapes never
+   change, so an entry stays true; it is immutable and replaced whole,
+   so chunks racing on a site at worst miss. Dictionary shapes, owned by
+   one object and edited in place, are never cached. *)
 type ic = { sh : shape; psh : shape; slot : int }
 
 let own = dict_of root_shape (* no object has it *)
@@ -282,19 +280,16 @@ let get_member st cell v key =
     else read_miss st cell o key
   | _ -> get_prop st v key
 
-(* [set_prop] on an untagged object, past a cache miss. *)
+(* [set_prop] on an untagged object, past a cache miss: an own key of a
+   shared shape is remembered. *)
 let write_miss st cell o key v =
   tick st cost_prop;
   let sh = o.shape in
   let s = slot_of sh key in
-  if s >= 0 then begin
-    Array.unsafe_set o.vals s v;
-    if not sh.dict then cell := { sh; psh = sh; slot = s }
-  end
+  if s < 0 then add_prop o key v
   else begin
-    add_prop o key v;
-    if not (sh.dict || o.shape.dict) then
-      cell := { sh; psh = o.shape; slot = sh.size }
+    Array.unsafe_set o.vals s v;
+    if not sh.dict then cell := { sh; psh = own; slot = s }
   end
 
 (* [set_prop] through the site's cache. A host object (a DOM element
@@ -302,14 +297,9 @@ let write_miss st cell o key v =
 let set_member st cell base key v =
   match base with
   | Obj ({ host_tag = None; _ } as o) ->
-    let c = !cell in
+    let c = !cell in (* read once: another domain may replace it *)
     if o.shape == c.sh then begin
-      tick st cost_prop;
-      if c.psh != c.sh then begin
-        ensure_slot o c.slot;
-        o.shape <- c.psh
-      end;
-      Array.unsafe_set o.vals c.slot v
+      tick st cost_prop; Array.unsafe_set o.vals c.slot v
     end
     else write_miss st cell o key v
   | _ -> set_prop st base key v
@@ -982,13 +972,6 @@ and compound hs lex tgt op (r : code) : code =
       let v = binop st op old (r st sc th) in
       if lex >= 0 then set_lex st sc lex v else set_var st sc name v;
       v
-  | Tgt_member (oe, field) when not (String.equal field "length") ->
-    let o = expr hs oe and rd = new_ic () and wr = new_ic () in
-    fun st sc th ->
-      node st;
-      let base = o st sc th in
-      let v = binop st op (get_member st rd base field) (r st sc th) in
-      set_member st wr base field v; v
   | _ ->
     let o, i, field = place hs tgt in
     fun st sc th ->
@@ -1018,13 +1001,6 @@ and update hs lex tgt delta prefix : code =
       else (slots_at st sc depth).(slot) <- new_v;
       if prefix then new_v
       else (match old_v with Num _ -> old_v | _ -> Num old_n)
-  | Tgt_member (oe, field) when not (String.equal field "length") ->
-    let o = expr hs oe and rd = new_ic () and wr = new_ic () in
-    fun st sc th ->
-      node st;
-      let base = o st sc th in
-      let old_n = to_number st (get_member st rd base field) in
-      set_member st wr base field (Num (old_n +. delta)); boxed old_n
   | _ ->
     let o, i, field = place hs tgt in
     fun st sc th ->

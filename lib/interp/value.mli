@@ -236,9 +236,6 @@ val has_own_prop : obj -> string -> bool
 val add_prop : obj -> string -> value -> unit
 (** Append a key the object does not have yet. *)
 
-val ensure_slot : obj -> int -> unit
-(** Grow [vals] to hold the slot. *)
-
 val raw_delete_prop : obj -> string -> bool
 val own_keys : obj -> string list
 (** Array indices first, then named keys in insertion order. *)

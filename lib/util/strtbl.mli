@@ -2,7 +2,7 @@
 
     Key equality is [String.equal] rather than the polymorphic
     [compare] the generic [Hashtbl] uses, so a lookup on the
-    interpreter's hot path (property maps, dynamic scopes) does one
+    interpreter's hot path (shape key tables, dynamic scopes) does one
     [memcmp] per probed bucket entry. The hash is [Hashtbl.hash], the
     generic table's own (unseeded) hash: for the same sequence of
     insertions and removals a [Strtbl.t] has exactly the same buckets,
