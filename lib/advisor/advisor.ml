@@ -167,7 +167,6 @@ let analyze ?cores (w : Workloads.Workload.t) : report =
     fractions }
 
 (* ------------------------------------------------------------------ *)
-(* ------------------------------------------------------------------ *)
 (* Sampling nests' wall times                                          *)
 
 type nest_sample = {
