@@ -28,6 +28,8 @@ type measured_row = {
   m_within_band : bool;
   m_instances : int;
   m_refused : int;
+  m_fallbacks : int;
+  m_poisons : (string * int) list;
 }
 
 type nest = {
@@ -245,7 +247,8 @@ let measure ?(jobs = 2) (r : report) (w : Workloads.Workload.t) =
         List.filter_map
           (fun s ->
              let ps = s.s_stats in
-             if ps.instances <= 0 && ps.refused <= 0 then None
+             if ps.instances <= 0 && ps.refused <= 0 && ps.fallbacks <= 0
+             then None
              else begin
                let nest_speedup = speedup s in
                let fraction = r.fractions.(s.s_id) in
@@ -273,7 +276,9 @@ let measure ?(jobs = 2) (r : report) (w : Workloads.Workload.t) =
                      ps.instances > 0
                      && within_band ~predicted ~measured:program;
                    m_instances = ps.instances;
-                   m_refused = ps.refused }
+                   m_refused = ps.refused;
+                   m_fallbacks = ps.fallbacks;
+                   m_poisons = ps.poisons }
              end)
           (sample_nests ~pool ~jobs w))
   in
@@ -317,11 +322,27 @@ let json_of_nest (n : nest) : Ceres_util.Json.t =
 
 (* A nest the work gate refused some instances of is flagged, not
    graded: its parallel instances are the ones the gate expected to
-   pay, so their speedup says little about the nest as a whole. *)
+   pay, so their speedup says little about the nest as a whole. A nest
+   whose every instance was poisoned has nothing to grade. *)
 let grade (m : measured_row) =
   if m.m_refused > 0 then "refused"
+  else if m.m_instances = 0 then "fell back"
   else if m.m_within_band then "ok"
   else "off-model"
+
+(* Why a nest's poisoned instances ran sequentially, the paper's §5.3
+   abort report: "fell back N instance(s): <reason>", each reason with
+   its count when there are several. *)
+let why_not (m : measured_row) =
+  if m.m_fallbacks = 0 then None
+  else
+    Some
+      (Printf.sprintf "fell back %d instance(s): %s" m.m_fallbacks
+         (match m.m_poisons with
+          | [ (why, _) ] -> why
+          | ps ->
+            String.concat ", "
+              (List.map (fun (why, n) -> Printf.sprintf "%s (%d)" why n) ps)))
 
 (* A nest that never forked has no par time: its timing members are
    [null] rather than zeros that read as measurements. *)
@@ -342,6 +363,8 @@ let json_of_measured (m : measured_row) : Ceres_util.Json.t =
       ("within_band", Bool m.m_within_band);
       ("instances", Int m.m_instances);
       ("refused", Int m.m_refused);
+      ("fallbacks", Int m.m_fallbacks);
+      ("why_not", match why_not m with Some w -> Str w | None -> Null);
       ("grade", Str (grade m)) ]
 
 let json_of_report (r : report) : Ceres_util.Json.t =
@@ -446,6 +469,9 @@ let to_text (r : report) =
                   %.2fx vs predicted %.2fx @%d (karp-flatt %.2f) [%s]\n"
                  m.m_label m.m_seq_ms m.m_par_ms m.m_nest_speedup
                  m.m_program_speedup m.m_predicted m.m_jobs m.m_karp_flatt
-                 verdict))
+                 verdict);
+          Option.iter
+            (fun w -> Buffer.add_string buf (Printf.sprintf "     %s\n" w))
+            (why_not m))
        ms);
   Buffer.contents buf

@@ -51,6 +51,9 @@ type measured_row = {
   m_refused : int;
       (** instances the work gate ran sequentially; a nest with any is
           flagged [refused] instead of graded ok/off-model *)
+  m_fallbacks : int;  (** instances a poison sent back to sequential *)
+  m_poisons : (string * int) list;
+      (** the poison reasons behind [m_fallbacks], with their counts *)
 }
 
 (** One ranked plan entry (a hot nest root). *)
@@ -140,8 +143,9 @@ val measure : ?jobs:int -> report -> Workloads.Workload.t -> int
     part of the golden-compared output. *)
 
 val grade : measured_row -> string
-(** ["refused"] when the work gate ran any instance sequentially, else
-    ["ok"] within the band or ["off-model"] outside it. *)
+(** ["refused"] when the work gate ran any instance sequentially,
+    ["fell back"] when a poison sent every instance back, else ["ok"]
+    within the band or ["off-model"] outside it. *)
 
 val json_of_report : report -> Ceres_util.Json.t
 (** Deterministic document; the [measured]/[measured_nests] members

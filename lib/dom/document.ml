@@ -22,9 +22,10 @@ type t = {
   mutable next_node_id : int;
 }
 
-let touch t op =
-  t.dom_accesses <- t.dom_accesses + 1;
-  t.st.on_host_access "dom" op
+(* Reported through the calling state: a chunk's poisons the chunk. *)
+let touch t st op =
+  st.on_host_access "dom" op;
+  t.dom_accesses <- t.dom_accesses + 1
 
 let children_of st el =
   match get_prop_obj el "childNodes" with
@@ -123,21 +124,21 @@ let install st : t =
     raw_set_prop element_proto name (Obj (make_host_fn st name fn))
   in
   def_el "appendChild" (fun st this args ->
-      touch t "appendChild";
+      touch t st "appendChild";
       match this, args with
       | Obj parent, Obj child :: _ ->
         append_child st parent child;
         Obj child
       | _ -> type_error st "appendChild expects an element");
   def_el "removeChild" (fun st this args ->
-      touch t "removeChild";
+      touch t st "removeChild";
       match this, args with
       | Obj parent, Obj child :: _ ->
         remove_child st parent child;
         Obj child
       | _ -> type_error st "removeChild expects an element");
   def_el "setAttribute" (fun st this args ->
-      touch t "setAttribute";
+      touch t st "setAttribute";
       match this with
       | Obj el ->
         let name = to_string st (Interp.Builtins.arg 0 args) in
@@ -146,14 +147,14 @@ let install st : t =
         Undefined
       | _ -> Undefined);
   def_el "getAttribute" (fun st this args ->
-      touch t "getAttribute";
+      touch t st "getAttribute";
       match this with
       | Obj el ->
         let name = to_string st (Interp.Builtins.arg 0 args) in
         (match raw_get_own el name with Some v -> v | None -> Null)
       | _ -> Null);
   def_el "addEventListener" (fun st this args ->
-      touch t "addEventListener";
+      touch t st "addEventListener";
       match this with
       | Obj el ->
         let ty = to_string st (Interp.Builtins.arg 0 args) in
@@ -162,7 +163,7 @@ let install st : t =
         Undefined
       | _ -> Undefined);
   def_el "removeEventListener" (fun st this args ->
-      touch t "removeEventListener";
+      touch t st "removeEventListener";
       match this with
       | Obj el ->
         let ty = to_string st (Interp.Builtins.arg 0 args) in
@@ -173,8 +174,8 @@ let install st : t =
         Undefined
       | _ -> Undefined);
   def_el "getContext" (fun st this _ ->
-      t.canvas_accesses <- t.canvas_accesses + 1;
       st.on_host_access "canvas" "getContext";
+      t.canvas_accesses <- t.canvas_accesses + 1;
       match this with
       | Obj el ->
         (match raw_get_own el "__context" with
@@ -200,17 +201,17 @@ let install st : t =
     raw_set_prop document_obj name (Obj (make_host_fn st name fn))
   in
   def_doc "createElement" (fun st _ args ->
-      touch t "createElement";
+      touch t st "createElement";
       let tag = to_string st (Interp.Builtins.arg 0 args) in
       Obj (make_element t tag));
   def_doc "getElementById" (fun st _ args ->
-      touch t "getElementById";
+      touch t st "getElementById";
       let id = to_string st (Interp.Builtins.arg 0 args) in
       match find_by_id st t.body id with
       | Some el -> Obj el
       | None -> Null);
   def_doc "createTextNode" (fun st _ args ->
-      touch t "createTextNode";
+      touch t st "createTextNode";
       let text = to_string st (Interp.Builtins.arg 0 args) in
       let el = make_element t "#text" in
       raw_set_prop el "textContent" (Str text);

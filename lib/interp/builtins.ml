@@ -24,6 +24,14 @@ let array_of st v =
   | Obj ({ arr = Some a; _ } as o) -> (o, a)
   | _ -> type_error st "receiver is not an array"
 
+(* The receiver of a builtin that mutates it: a chunk may not grow,
+   shrink or reorder an array older than itself (the write barrier,
+   see [Eval]). *)
+let mutated_array st name v =
+  let o, a = array_of st v in
+  if o.oid < st.write_floor then master_write (name ^ " on a master array");
+  (o, a)
+
 (* Call back into JS through the evaluator. *)
 let invoke st fn this args = st.apply st fn this args
 
@@ -80,7 +88,7 @@ let install_math st =
 let install_array st =
   let proto = st.array_proto in
   define_fn st proto "push" (fun st this args ->
-      let _, a = array_of st this in
+      let _, a = mutated_array st "push" this in
       List.iter
         (fun v ->
            ensure_capacity a a.len;
@@ -89,7 +97,7 @@ let install_array st =
         args;
       Num (float_of_int a.len));
   define_fn st proto "pop" (fun st this _ ->
-      let _, a = array_of st this in
+      let _, a = mutated_array st "pop" this in
       if a.len = 0 then Undefined
       else begin
         let v = a.elems.(a.len - 1) in
@@ -98,7 +106,7 @@ let install_array st =
         v
       end);
   define_fn st proto "shift" (fun st this _ ->
-      let _, a = array_of st this in
+      let _, a = mutated_array st "shift" this in
       if a.len = 0 then Undefined
       else begin
         let v = a.elems.(0) in
@@ -108,7 +116,7 @@ let install_array st =
         v
       end);
   define_fn st proto "unshift" (fun st this args ->
-      let _, a = array_of st this in
+      let _, a = mutated_array st "unshift" this in
       let extra = List.length args in
       ensure_capacity a (a.len + extra - 1);
       Array.blit a.elems 0 a.elems extra a.len;
@@ -168,7 +176,7 @@ let install_array st =
       in
       Obj (make_array st (Array.of_list (!items @ tail))));
   define_fn st proto "reverse" (fun st this _ ->
-      let o, a = array_of st this in
+      let o, a = mutated_array st "reverse" this in
       let n = a.len in
       for i = 0 to (n / 2) - 1 do
         let tmp = a.elems.(i) in
@@ -177,7 +185,7 @@ let install_array st =
       done;
       Obj o);
   define_fn st proto "splice" (fun st this args ->
-      let _, a = array_of st this in
+      let _, a = mutated_array st "splice" this in
       let norm i = if i < 0 then max 0 (a.len + i) else min a.len i in
       let start = norm (int_arg st 0 args) in
       let count =
@@ -268,7 +276,7 @@ let install_array st =
       in
       Bool (go 0));
   define_fn st proto "sort" (fun st this args ->
-      let o, a = array_of st this in
+      let o, a = mutated_array st "sort" this in
       let cmp =
         match arg 0 args with
         | Obj { call = Some _; _ } as fn ->

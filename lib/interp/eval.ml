@@ -134,6 +134,61 @@ let attach_global st (glay : layout) decls =
     (fun (slot, f, body) -> g.slots.(slot) <- Obj (make_closure st g f body))
     decls
 
+(* ------------------------------------------------------------------ *)
+(* The write barrier                                                   *)
+
+(* A chunk of a parallel instance runs on the master heap ({!Fork}).
+   Every write to an object or scope older than the chunk is checked
+   here before it mutates anything: an overwrite of an element below a
+   master array's length goes to the chunk's log, anything else poisons
+   the chunk. On the master both floors are 0, so a guarded write pays
+   one int compare. *)
+
+let master_elem st o a i =
+  if i < a.len then
+    match st.chunk with Some c -> c.log_elem o a i | None -> ()
+  else master_write "element write past the end of a master array"
+
+let master_prop st o key =
+  match o.arr, array_index_of_key key with
+  | Some a, Some i -> master_elem st o a i
+  | Some _, None when String.equal key "length" ->
+    master_write "length write on a master array"
+  | _ ->
+    master_write
+      (if has_own_prop o key then "property overwrite on a master object"
+       else "property add on a master object")
+
+(* A write to [slot] of the frame [depth] hops out, or of the global
+   frame. *)
+let write_slot st sc depth slot v =
+  let f = if depth = lex_global_depth then st.global_scope else frame_up sc depth in
+  guard_scope st f;
+  f.slots.(slot) <- v
+
+let rec reaches (s : scope) target =
+  s == target || match s.parent with Some p -> reaches p target | None -> false
+
+(* A closure that captured the master frame behind the chunk's copy
+   would read that frame's slots, not the chunk's. The global frame is
+   exempt: resolved code reaches it through [st.global_scope], which is
+   the chunk's copy, and dynamic reads are checked by [guard_read]. *)
+let guard_call st (cl : closure) =
+  match st.chunk with
+  | Some { frame = { parent = Some _; _ } as frame; _ }
+    when reaches cl.captured frame ->
+    master_write "call to a closure over the copied frame"
+  | _ -> ()
+
+(* A closure over the copy would outlive the chunk's frame. *)
+let guard_closure st sc =
+  match st.chunk with
+  | Some c when reaches sc c.copy ->
+    master_write "closure created over the copied frame"
+  | _ -> ()
+
+(* ------------------------------------------------------------------ *)
+
 (* Property access on arbitrary values. *)
 let get_prop st v key =
   tick st cost_prop;
@@ -168,6 +223,7 @@ let set_prop st v key value =
     (match o.host_tag with
      | Some "element" -> st.on_host_access "dom" ("set " ^ key)
      | _ -> ());
+    if o.oid < st.write_floor then master_prop st o key;
     set_prop_obj o key value
   | Undefined | Null ->
     type_error st
@@ -214,10 +270,14 @@ let write_at st base k key v =
   else begin
     tick st cost_prop;
     match base with
-    | Obj { arr = Some a; _ } ->
+    | Obj ({ arr = Some a; _ } as o) ->
+      if o.oid < st.write_floor then master_elem st o a k;
       if k < a.len then Array.unsafe_set a.elems k v
       else array_store_set a k v
-    | Obj o -> set_prop_obj o (string_of_int k) v
+    | Obj o ->
+      let key = string_of_int k in
+      if o.oid < st.write_floor then master_prop st o key;
+      set_prop_obj o key v
     | _ -> ()
   end
 
@@ -297,6 +357,7 @@ let write_miss st cell o key v =
 let set_member st cell base key v =
   match base with
   | Obj ({ host_tag = None; _ } as o) ->
+    if o.oid < st.write_floor then master_prop st o key;
     let c = !cell in (* read once: another domain may replace it *)
     if o.shape == c.sh then begin
       tick st cost_prop; Array.unsafe_set o.vals c.slot v
@@ -362,6 +423,7 @@ let new_slots n =
    its parameters already in [slots]; [args] feeds the [arguments]
    array, and the parameters of a frame without a layout. *)
 let run_closure st fo (cl : closure) this slots args =
+  if fo.oid < st.write_floor then guard_call st cl;
   match cl.fn.layout with
   | Some lay ->
     let parent = Some (frame_base st fo cl ~static:lay.l_fname_static) in
@@ -646,7 +708,10 @@ let rec expr hs (e : expr) : code =
   | Function_expr f ->
     let body = func hs f in
     fun st sc _ ->
-      node st; tick st cost_alloc; Obj (make_closure st sc f body)
+      node st;
+      tick st cost_alloc;
+      if st.write_floor > 0 then guard_closure st sc;
+      Obj (make_closure st sc f body)
   | Member (oe, "length") ->
     let o = expr hs oe in
     fun st sc th -> node st; length_of st (o st sc th)
@@ -894,7 +959,7 @@ and typeof hs (x : expr) : code =
     fun st sc _ ->
       node st;
       (match var_home sc name with
-       | Some (s, slot) -> Str (type_of (scope_read s slot name))
+       | Some (s, slot) -> guard_read st s; Str (type_of (scope_read s slot name))
        | None ->
          (match find_global st name with
           | v -> Str (type_of v)
@@ -910,7 +975,10 @@ and delete hs (x : expr) : code =
     fun st sc th ->
       node st;
       (match o st sc th with
-       | Obj o -> of_bool (raw_delete_prop o field)
+       | Obj o ->
+         if o.oid < st.write_floor then
+           master_write "property delete on a master object";
+         of_bool (raw_delete_prop o field)
        | _ -> v_true)
   | Index (oe, ie) ->
     let o = expr hs oe and i = expr hs ie in
@@ -920,6 +988,8 @@ and delete hs (x : expr) : code =
       let key = to_string st (i st sc th) in
       (match base with
        | Obj o ->
+         if o.oid < st.write_floor then
+           master_write "property delete on a master object";
          (match o.arr, array_index_of_key key with
           | Some a, Some i when i < a.len -> a.elems.(i) <- Undefined; v_true
           | _ -> of_bool (raw_delete_prop o key))
@@ -936,7 +1006,7 @@ and assign hs lex tgt (r : code) : code =
     if depth = 0 then fun st sc th ->
       node st; let v = r st sc th in sc.slots.(slot) <- v; v
     else fun st sc th ->
-      node st; let v = r st sc th in (slots_at st sc depth).(slot) <- v; v
+      node st; let v = r st sc th in write_slot st sc depth slot v; v
   | Tgt_member (oe, field) when not (String.equal field "length") ->
     let o = expr hs oe and cell = new_ic () in
     fun st sc th ->
@@ -998,7 +1068,8 @@ and update hs lex tgt delta prefix : code =
       let old_n = unbox st old_v in
       let new_v = Num (old_n +. delta) in
       if lex < 0 then set_var st sc name new_v
-      else (slots_at st sc depth).(slot) <- new_v;
+      else if depth = 0 then sc.slots.(slot) <- new_v
+      else write_slot st sc depth slot new_v;
       if prefix then new_v
       else (match old_v with Num _ -> old_v | _ -> Num old_n)
   | _ ->
@@ -1136,7 +1207,8 @@ and declarators hs slex decls : state -> scope -> value -> unit =
         for i = 0 to Array.length inits - 1 do
           let depth, slot, c = inits.(i) in
           let v = c st sc th in
-          (slots_at st sc depth).(slot) <- v
+          if depth = 0 then sc.slots.(slot) <- v
+          else write_slot st sc depth slot v
         done
   else
     let decls = codes (fun (n, e) -> (n, Option.map (expr hs) e)) decls in
@@ -1213,7 +1285,8 @@ let create ?(seed = 20150207) ?(budget = default_budget)
       on_call_enter = None; on_call_exit = None;
       on_host_access = (fun _ _ -> ()); on_tick = None; on_call_site = None;
       apply = (fun _ _ _ _ -> Undefined); events = []; next_event_seq = 0;
-      host_time_reads = 0; on_loop = None }
+      host_time_reads = 0; on_loop = None; write_floor = 0; scope_floor = 0;
+      chunk = None }
   in
   let object_proto =
     { oid = 0; shape = root_shape; vals = [||]; proto = None;

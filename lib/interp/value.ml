@@ -152,6 +152,20 @@ and state = {
          init clause ran): [true] = the hook executed the whole loop
          itself (the parallel-execution path), [false] = proceed
          sequentially. [None] keeps loop entry a single load. *)
+  write_floor : int;
+  scope_floor : int;
+      (* objects with a smaller oid, and scopes with a smaller sid,
+         predate the running chunk: its writes to them go through the
+         write barrier. 0 on the master, which owns everything. *)
+  chunk : chunk option; (* [Some] on a chunk's state *)
+}
+
+(* What the write barrier needs of a chunk running on the master heap. *)
+and chunk = {
+  frame : scope; (* the master frame the chunk runs a private copy of *)
+  copy : scope;
+  log_elem : obj -> arr_data -> int -> unit;
+      (* before the chunk overwrites element [i < len] of a master array *)
 }
 
 and loop_visit = {
@@ -182,6 +196,17 @@ exception Js_throw of value
 
 exception Budget_exhausted
 (** The interpreter exceeded its busy-tick budget. *)
+
+exception Par_abort of string
+(** A chunk tried something its instance cannot commit; it is raised
+    before anything is mutated. *)
+
+let master_write why = raise (Par_abort why)
+
+(* The write barrier on scopes: a chunk may write only its copy of the
+   invocation frame and the frames it created. *)
+let[@inline] guard_scope st s =
+  if s.sid < st.scope_floor then master_write "write to a master scope"
 
 let () =
   Printexc.register_printer (function
@@ -695,9 +720,16 @@ let rec chain_find o name =
 (* Host globals live on the global object. *)
 let find_global st name = chain_find st.global_obj name
 
+(* A dynamic read that walks past a chunk's copy to the master frame
+   behind it would see the frame as it was at the fork. *)
+let guard_read st s =
+  match st.chunk with
+  | Some c when s == c.frame -> master_write "read of the copied frame"
+  | _ -> ()
+
 let get_var st scope name =
   match var_home scope name with
-  | Some (s, slot) -> scope_read s slot name
+  | Some (s, slot) -> guard_read st s; scope_read s slot name
   | None ->
     (match find_global st name with
      | v -> v
@@ -726,9 +758,10 @@ let get_free st sym name =
 
 let set_var st scope name v =
   match var_home scope name with
-  | Some (s, slot) -> scope_write s slot name v
+  | Some (s, slot) -> guard_scope st s; scope_write s slot name v
   | None ->
     (* Implicit global, as in sloppy-mode JS. *)
+    guard_scope st st.global_scope;
     declare st.global_scope name;
     (match Strtbl.find_opt st.global_scope.vars name with
      | Some cell -> cell.v <- v
@@ -755,8 +788,9 @@ let get_lex st scope lex =
 let set_lex st scope lex v =
   let depth = lex land 0xFFF in
   let slot = lex lsr 12 in
-  if depth = 0xFFF then Array.unsafe_set st.global_scope.slots slot v
-  else (frame_up scope depth).slots.(slot) <- v
+  let f = if depth = 0xFFF then st.global_scope else frame_up scope depth in
+  guard_scope st f;
+  f.slots.(slot) <- v
 
 let register_intrinsic st name fn = Hashtbl.replace st.intrinsics name fn
 

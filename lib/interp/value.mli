@@ -163,7 +163,23 @@ and state = {
       (** consulted on [For] entry, after the init clause: [true] =
           the hook executed the whole loop (parallel path), [false] =
           run sequentially. [None] by default. *)
+  write_floor : int;
+      (** objects with a smaller oid predate the running chunk, whose
+          writes to them go through the write barrier; 0 on the master,
+          whose every write passes with one compare *)
+  scope_floor : int;  (** the same for scopes, by sid *)
+  chunk : chunk option;  (** [Some] on a chunk's state *)
 }
+
+and chunk = {
+  frame : scope;  (** the master frame the chunk runs a private copy of *)
+  copy : scope;  (** that copy: the chunk's loop variable, locals, accumulators *)
+  log_elem : obj -> arr_data -> int -> unit;
+      (** called before the chunk overwrites element [i < len] of a
+          master array, the one master write a chunk may make *)
+}
+(** What the write barrier needs of a chunk running on the master heap
+    ({!Fork}). *)
 
 and loop_visit = {
   lv_id : int;  (** Jsir loop id, matching {!Jsir.Loops.info}[.id] *)
@@ -190,6 +206,21 @@ exception Js_throw of value
 (** A JavaScript exception in flight. *)
 
 exception Budget_exhausted
+
+exception Par_abort of string
+(** Raised by a chunk's write barrier (and its host hooks) before the
+    write it refuses mutates anything; the reason names the write. *)
+
+val master_write : string -> 'a
+(** [raise (Par_abort why)]. *)
+
+val guard_scope : state -> scope -> unit
+(** The barrier on a scope write: ["write to a master scope"] when the
+    scope predates the running chunk. *)
+
+val guard_read : state -> scope -> unit
+(** The barrier on a dynamic read: ["read of the copied frame"] when it
+    lands on the master frame behind the chunk's copy. *)
 
 val type_of : value -> string
 (** JavaScript [typeof] (with [typeof null = "object"]). *)
@@ -314,7 +345,7 @@ val scope_write : scope -> int -> string -> value -> unit
 
 val get_var : state -> scope -> string -> value
 (** Falls back to global-object properties ({!find_global});
-    ReferenceError if absent. *)
+    ReferenceError if absent. On a chunk, {!guard_read} first. *)
 
 val find_global : state -> string -> value
 (** The name's value on the global object's prototype chain, found in
@@ -330,7 +361,8 @@ val get_free : state -> int -> string -> value
 (** {!find_free}, raising the ReferenceError {!get_var} raises. *)
 
 val set_var : state -> scope -> string -> value -> unit
-(** Sloppy-mode semantics: unbound names become implicit globals. *)
+(** Sloppy-mode semantics: unbound names become implicit globals. The
+    owning scope passes {!guard_scope} first. *)
 
 (** {2 Resolved access}
 
@@ -340,6 +372,8 @@ val set_var : state -> scope -> string -> value -> unit
 val frame_up : scope -> int -> scope
 val get_lex : state -> scope -> int -> value
 val set_lex : state -> scope -> int -> value -> unit
+(** Through {!guard_scope}, as every write to a frame other than the
+    running one. *)
 
 val register_intrinsic : state -> string -> intrinsic -> unit
 (** Register an {!Jsir.Ast.Intrinsic} handler factory; programs

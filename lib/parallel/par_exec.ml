@@ -4,42 +4,45 @@
    loops [Parallel]/[Reduction]; this module *runs* them on the
    work-stealing pool. It installs an [on_loop] hook into the
    interpreter; when a [For] loop whose id the analyzer proved safe is
-   entered, the iteration space is split into chunks, each chunk runs
-   on a share-nothing {!Interp.Fork} of the loop-entry state, and the
-   per-fork heap diffs are merged back in chunk order — which
-   reproduces the sequential last-writer-wins result for scatter
-   writes and the sequential push order for appends. Recognized
+   entered, the iteration space is split into chunks, and each chunk
+   runs in place on the master heap ({!Interp.Fork}) with a private
+   copy of the loop's frame. Proven scatter writes land straight in the
+   master's arrays, behind a write barrier that lets nothing else
+   through; the frame copies are written back in chunk order, which
+   reproduces the sequential last-writer-wins result. Recognized
    reductions are executed per operator: order-insensitive
    accumulators (min/max/bitwise, and [+] over analysis-proven exact
-   integers) seed each fork with the operator identity and combine the
+   integers) seed each chunk with the operator identity and combine the
    partials exactly once with the interpreter's own operator semantics
    ([entry ⊕ partials], ascending chunk order); an order-*sensitive*
    float [+] accumulator with a single accumulation site is run through
-   a per-iteration journal — the fork resets the accumulator to [-0.0]
+   a per-iteration journal — the chunk resets the accumulator to [-0.0]
    around each iteration, so the value read back afterwards is exactly
    that iteration's contribution ([fl (-0. +. v) = v] bitwise), and
    replaying the journal in global iteration order reproduces the
    sequential fold bit-for-bit. Products and unrecognized operators
    have no deterministic parallel schedule and fall back.
 
-   Anything the merge cannot prove deterministic *poisons* the nest:
-   the forks are discarded, the untouched master re-runs the loop
-   sequentially, and the fallback is counted. The observable state
-   (console, heap, virtual clock busy ticks) is therefore byte-for-byte
-   identical to sequential execution by construction. The fallback
-   ladder is: static proof -> fork/merge parallel execution; anything
-   else, [Needs_runtime_check] nests included, or any poison ->
-   sequential.
+   Anything the commit cannot prove deterministic *poisons* the
+   instance: the barrier's refusals, host access, an element two chunks
+   wrote. The arrays the chunks wrote are blitted back from their
+   snapshots, the master re-runs the loop sequentially, and the
+   fallback is counted with its reason. The observable state (console,
+   heap, virtual clock busy ticks) is therefore byte-for-byte identical
+   to sequential execution by construction. The fallback ladder is:
+   static proof -> in-place chunked execution; anything else,
+   [Needs_runtime_check] nests and nests whose proof declares an anti
+   dependence included, or any poison -> sequential.
 
-   Forking is not free: every chunk clones the whole heap and diffs it
-   back. Each instance therefore gets one chunk per pool participant,
-   and a deterministic work gate keeps small instances off the pool.
-   A nest's first instance runs one trip on the master, exactly as the
-   plain interpreter would, and its busy vticks price a trip. Every
-   instance, the probed one included, then forks only when its
-   predicted busy vticks (the nest's vticks per priced trip, times the
-   trips left) reach [break_even]. A refused instance returns to the
-   plain interpreter, untimed. *)
+   A chunk costs a frame copy and its share of the overlap check, but
+   the pool hand-off and the join are not free: each instance gets one
+   chunk per pool participant, and a deterministic work gate keeps
+   small instances off the pool. A nest's first instance runs one trip
+   on the master, exactly as the plain interpreter would, and its busy
+   vticks price a trip. Every instance, the probed one included, then
+   runs in chunks only when its predicted busy vticks (the nest's
+   vticks per priced trip, times the trips left) reach [break_even]. A
+   refused instance returns to the plain interpreter, untimed. *)
 
 open Interp
 open Interp.Value
@@ -58,10 +61,11 @@ type nest_stats = {
   mutable chunks : int;
   mutable par_ms : float; (* wall time inside parallel instances *)
   mutable seq_ms : float; (* wall time inside measured sequential runs *)
-  mutable fork_ms : float;
-  mutable diff_ms : float; (* check + diff, on the chunks' domains *)
-  mutable merge_ms : float; (* validate + apply, on the caller *)
+  mutable fork_ms : float; (* chunk set-up, on the chunks' domains *)
+  mutable diff_ms : float; (* clean checks, on the chunks' domains *)
+  mutable merge_ms : float; (* validate + commit, on the caller *)
   mutable fallbacks : int;
+  mutable poisons : (string * int) list; (* reason -> fallbacks, first seen first *)
   mutable refused : int; (* instances the work gate ran sequentially *)
   mutable busy_ticks : int64; (* vticks of the measured or forked trips *)
   mutable probe_trips : int; (* trips run on the master to price the nest *)
@@ -181,7 +185,7 @@ let trip_count st scope (h : header) : (float * int) option =
 (* ------------------------------------------------------------------ *)
 
 (* How one proven accumulator is executed across chunks. [Afold id]
-   seeds each fork with the operator identity [id] and folds the
+   seeds each chunk with the operator identity [id] and folds the
    per-chunk partials into the entry value with the operator itself —
    valid only when the analysis proved the fold order-insensitive.
    [Ajournal] records the per-iteration contribution and replays the
@@ -196,7 +200,7 @@ type acc_task = {
 }
 
 (* Journal memory is 8 bytes per iteration per accumulator; cap it so
-   a huge trip count cannot balloon the forks. *)
+   a huge trip count cannot balloon the chunks. *)
 let journal_cap = 1 lsl 22
 
 (* Count syntactic accumulation sites of [acc] in a loop body. The
@@ -284,6 +288,9 @@ type t = {
   jobs : int;
   break_even : int;
   plan : (int, kind) Hashtbl.t;
+  blocked : (int, string) Hashtbl.t;
+      (* planned nests that stay sequential, and why: a chunk would
+         read elements another chunk overwrites in place *)
   labels : (int, string) Hashtbl.t;
   shapes : (int, shape option) Hashtbl.t; (* [None] = never eligible *)
   nests : (int, nest_stats) Hashtbl.t;
@@ -298,12 +305,13 @@ let sid_stride = 1 lsl 24
 (* Break-even of the work gate, in busy vticks per instance (DESIGN.md
    §11). A 2-chunk instance of [w] vticks costs about [w * c / 2 + o]
    wall time against [w * c] sequentially, where [c] is the wall cost
-   of a vtick and [o] the instance's fixed fork + diff + merge cost;
-   it pays once [w > 2 * o / c]. *)
+   of a vtick and [o] the instance's fixed cost (the pool hand-off and
+   join, the chunks' set-up, the commit); it pays once [w > 2 * o / c]. *)
 let default_break_even = 100_000
 
 let create ?(break_even = default_break_even) ~mode ~jobs () =
   { mode; jobs = max 1 jobs; break_even; plan = Hashtbl.create 16;
+    blocked = Hashtbl.create 4;
     labels = Hashtbl.create 16; shapes = Hashtbl.create 16;
     nests = Hashtbl.create 16; oid_floor = 0; sid_floor = 0;
     total_fallbacks = 0 }
@@ -315,7 +323,7 @@ let nest_stats t id =
     let s =
       { instances = 0; seq_instances = 0; iterations = 0; chunks = 0;
         par_ms = 0.; seq_ms = 0.; fork_ms = 0.; diff_ms = 0.; merge_ms = 0.;
-        fallbacks = 0; refused = 0; busy_ticks = 0L; probe_trips = 0;
+        fallbacks = 0; poisons = []; refused = 0; busy_ticks = 0L; probe_trips = 0;
         probe_ticks = 0L }
     in
     Hashtbl.add t.nests id s;
@@ -357,12 +365,11 @@ let admits t s trips =
 (* Chunk execution                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A chunk checks and diffs its own fork on the domain that ran it:
-   the master stays read-only until every chunk has finished, so the
-   diffs can run concurrently. *)
+(* A chunk checks its own state on the domain that ran it; the caller
+   checks the cross-chunk conditions after the join. *)
 type chunk_result = {
-  c_fork : Fork.t;
-  c_diff : (Fork.diff, string) result; (* [Error] = the chunk's poison *)
+  c_chunk : Fork.t;
+  c_poison : string option;
   c_partials : (string * float) list; (* folded acc -> chunk partial *)
   c_journals : (string * float array) list; (* journaled acc -> per-trip *)
   c_fork_ms : float;
@@ -381,14 +388,16 @@ let read_home scope name =
   | Some (s, slot) -> scope_read s slot name
   | None -> raise (Chunk_poison (name ^ " has no home"))
 
-let run_chunk master ~scope ~this ~(lv : loop_visit) ~(h : header) ~accs
-    ~skip ~next_oid ~next_sid ~start_iv ~trips ~is_last : chunk_result =
+let run_chunk master inst ~scope ~this ~(lv : loop_visit) ~(h : header) ~accs
+    ~write_floor ~scope_floor ~next_oid ~next_sid ~start_iv ~trips ~is_last
+    : chunk_result =
   let t0 = Unix.gettimeofday () in
-  let fork = Fork.fork master ~scope ~this ~next_oid ~next_sid in
+  let chunk =
+    Fork.fork master inst ~frame:scope ~write_floor ~scope_floor ~next_oid
+      ~next_sid
+  in
   let fork_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-  let cst = fork.Fork.clone in
-  let cscope = Fork.scope_in fork scope in
-  let cthis = Fork.value_in fork this in
+  let cst = chunk.Fork.st and cscope = chunk.Fork.copy in
   let folds =
     List.filter_map
       (fun a -> match a.a_plan with Afold id0 -> Some (a, id0) | Ajournal -> None)
@@ -403,7 +412,7 @@ let run_chunk master ~scope ~this ~(lv : loop_visit) ~(h : header) ~accs
       accs
   in
   let fail why =
-    { c_fork = fork; c_diff = Error why; c_partials = []; c_journals = [];
+    { c_chunk = chunk; c_poison = Some why; c_partials = []; c_journals = [];
       c_fork_ms = fork_ms; c_diff_ms = 0. }
   in
   try
@@ -414,12 +423,12 @@ let run_chunk master ~scope ~this ~(lv : loop_visit) ~(h : header) ~accs
          the post-body read below is exactly this iteration's
          contribution ([fl (-0. +. v) = v] bitwise) *)
       List.iter (fun (n, _) -> write_home cscope n (Num (-0.))) journals;
-      if not (lv.lv_test cst cscope cthis) then
+      if not (lv.lv_test cst cscope this) then
         raise (Chunk_poison "loop bound drifted");
-      (match lv.lv_run cst cscope cthis with
+      (match lv.lv_run cst cscope this with
        | Cnormal | Ccontinue None -> ()
        | _ -> raise (Chunk_poison "abrupt completion inside chunk"));
-      ignore (lv.lv_step cst cscope cthis);
+      ignore (lv.lv_step cst cscope this);
       List.iter
         (fun (n, arr) ->
            match read_home cscope n with
@@ -427,7 +436,7 @@ let run_chunk master ~scope ~this ~(lv : loop_visit) ~(h : header) ~accs
            | _ -> raise (Chunk_poison "non-numeric reduction journal"))
         journals
     done;
-    if is_last && lv.lv_test cst cscope cthis then
+    if is_last && lv.lv_test cst cscope this then
       raise (Chunk_poison "loop bound drifted at exit");
     let partials =
       List.map
@@ -443,26 +452,34 @@ let run_chunk master ~scope ~this ~(lv : loop_visit) ~(h : header) ~accs
         folds
     in
     let t1 = Unix.gettimeofday () in
-    match Fork.check_clean fork with
+    match Fork.check_clean chunk with
     | Error why -> fail why
-    | Ok () -> (
-      let d = Fork.diff ~skip fork in
-      match d.Fork.poison with
-      | Some why -> fail why
-      | None ->
-        { c_fork = fork; c_diff = Ok d; c_partials = partials;
-          c_journals = journals; c_fork_ms = fork_ms;
-          c_diff_ms = (Unix.gettimeofday () -. t1) *. 1000. })
+    | Ok () ->
+      { c_chunk = chunk; c_poison = None; c_partials = partials;
+        c_journals = journals; c_fork_ms = fork_ms;
+        c_diff_ms = (Unix.gettimeofday () -. t1) *. 1000. }
   with
-  | Chunk_poison why -> fail why
-  | Fork.Par_abort why -> fail why
+  | Chunk_poison why | Par_abort why -> fail why
   | Js_throw _ -> fail "js exception inside chunk"
   | Budget_exhausted -> fail "budget exhausted inside chunk"
   | Stack_overflow -> fail "stack overflow inside chunk"
 
 (* ------------------------------------------------------------------ *)
-(* The parallel instance: fork, run, validate, merge-or-poison        *)
+(* The parallel instance: fork, run, validate, commit-or-roll-back    *)
 (* ------------------------------------------------------------------ *)
+
+(* A poisoned instance: counted, with its reason, and left to the
+   plain interpreter. *)
+let poison t (lv : loop_visit) why =
+  let s = nest_stats t lv.lv_id in
+  t.total_fallbacks <- t.total_fallbacks + 1;
+  s.fallbacks <- s.fallbacks + 1;
+  s.poisons <-
+    (if List.mem_assoc why s.poisons then
+       List.map (fun (w, n) -> (w, if String.equal w why then n + 1 else n))
+         s.poisons
+     else s.poisons @ [ (why, 1) ]);
+  false
 
 let run_parallel t pool st scope this (lv : loop_visit) (h : header) tasks lo
     trips : bool =
@@ -473,7 +490,7 @@ let run_parallel t pool st scope this (lv : loop_visit) (h : header) tasks lo
   (* every accumulator needs a resolvable numeric entry value — an
      exact integer for order-insensitive [+], whose reordered total is
      only sequential-identical over exact integer arithmetic; any
-     number for the other plans *)
+     number for the other plans — in the frame the chunks copy *)
   let entries =
     if journaled && trips > journal_cap then []
     else
@@ -489,33 +506,43 @@ let run_parallel t pool st scope this (lv : loop_visit) (h : header) tasks lo
                        | Afold _ when task.a_op = Analysis.Verdict.Sum ->
                          Float.is_integer e
                        | _ -> true) ->
-                 Some (task, { Fork.owner = s; slot; name = task.a_name }, e)
+                 Some (task, s, slot, e)
                | _ -> None)
              | None -> None)
         tasks
   in
-  if List.length entries <> List.length tasks then false
-  else begin
+  let in_frame name =
+    match var_home scope name with Some (s, _) -> s == scope | None -> false
+  in
+  match Hashtbl.find_opt t.blocked lv.lv_id with
+  | Some why -> poison t lv why
+  | None when List.length entries <> List.length tasks -> false
+  | None when not (in_frame h.iv) ->
+    poison t lv "loop variable outside the loop's frame"
+  | None when List.exists (fun (_, s, _, _) -> s != scope) entries ->
+    poison t lv "accumulator outside the loop's frame"
+  | None ->
     let wall0 = Unix.gettimeofday () in
-    (* one chunk per participant: every chunk pays a whole-heap fork
-       and diff, so more chunks than domains buy no balance; two at
-       [-j 1], so the fork/merge path still runs *)
+    (* one chunk per participant: more chunks than domains buy no
+       balance and each pays its set-up and its share of the overlap
+       check; two at [-j 1], so the chunked path still runs *)
     let nchunks = min (max 2 t.jobs) (trips / 2) in
     let base = trips / nchunks and rem = trips mod nchunks in
     let count k = base + if k < rem then 1 else 0 in
     let start_index k = (k * base) + min k rem in
     let base_oid = max st.next_oid t.oid_floor in
     let base_sid = max st.next_sid t.sid_floor in
+    let inst = Fork.instance () in
     let results : chunk_result option array = Array.make nchunks None in
-    let skip = List.map (fun (_, home, _) -> home) entries in
     let run k =
-      run_chunk st ~scope ~this ~lv ~h ~accs:tasks ~skip
+      run_chunk st inst ~scope ~this ~lv ~h ~accs:tasks ~write_floor:base_oid
+        ~scope_floor:base_sid
         ~next_oid:(base_oid + ((k + 1) * oid_stride))
         ~next_sid:(base_sid + ((k + 1) * sid_stride))
         ~start_iv:(lo +. (float_of_int (start_index k) *. h.step))
         ~trips:(count k) ~is_last:(k = nchunks - 1)
     in
-    (* chunk results land by index; the merge below walks them in
+    (* chunk results land by index; the commit below walks them in
        ascending chunk order, mirroring the sequential fold *)
     Pool.parallel_for pool ~lo:0 ~hi:nchunks ~chunk:1 (fun k ->
         results.(k) <- Some (run k));
@@ -525,29 +552,17 @@ let run_parallel t pool st scope this (lv : loop_visit) (h : header) tasks lo
     st.next_oid <- max st.next_oid t.oid_floor;
     st.next_sid <- max st.next_sid t.sid_floor;
     let merge0 = Unix.gettimeofday () in
-    (* phase A: collect the chunks' diffs in chunk order and validate
-       everything before touching the master *)
+    (* validate everything before committing anything *)
     let poisoned = ref None in
     let taint why = if !poisoned = None then poisoned := Some why in
-    let chunks = Array.to_list (Array.map Option.to_list results) in
-    let chunks = List.concat chunks in
+    let chunks = List.concat_map Option.to_list (Array.to_list results) in
     if List.length chunks <> nchunks then taint "chunk skipped";
-    let diffs =
-      List.filter_map
-        (fun r ->
-           match r.c_diff with
-           | Ok d -> Some d
-           | Error why ->
-             taint why;
-             None)
-        chunks
-    in
-    if !poisoned = None && not (Fork.growths_admissible diffs) then
-      taint "conflicting array growth";
+    List.iter (fun r -> Option.iter taint r.c_poison) chunks;
+    let forks = List.map (fun r -> r.c_chunk) chunks in
+    if !poisoned = None && Fork.overlaps inst forks then
+      taint "overlapping element writes";
     let busy_total =
-      List.fold_left
-        (fun acc r -> Int64.add acc (Fork.busy_delta r.c_fork))
-        0L chunks
+      List.fold_left (fun acc c -> Int64.add acc (Fork.busy_delta c)) 0L forks
     in
     if
       !poisoned = None
@@ -562,7 +577,7 @@ let run_parallel t pool st scope this (lv : loop_visit) (h : header) tasks lo
        in global order, reproducing the sequential float fold *)
     let totals =
       List.map
-        (fun (task, home, entry) ->
+        (fun (task, _, slot, entry) ->
            let total =
              match task.a_plan with
              | Afold id0 ->
@@ -594,22 +609,19 @@ let run_parallel t pool st scope this (lv : loop_visit) (h : header) tasks lo
                       acc)
                  entry chunks
            in
-           (home, total))
+           (task.a_name, slot, total))
         entries
     in
     match !poisoned with
-    | Some _ ->
-      t.total_fallbacks <- t.total_fallbacks + 1;
-      (nest_stats t lv.lv_id).fallbacks <-
-        (nest_stats t lv.lv_id).fallbacks + 1;
-      false
+    | Some why ->
+      Fork.rollback inst;
+      poison t lv why
     | None ->
-      (* phase B: commit in chunk order *)
-      List.iter Fork.apply_diff diffs;
+      (* the elements are already in place: the frame copies, the
+         consoles, the reductions and the clock remain *)
+      Fork.commit forks;
       List.iter
-        (fun (home, sum) ->
-           scope_write home.Fork.owner home.Fork.slot home.Fork.name
-             (Num sum))
+        (fun (name, slot, total) -> scope_write scope slot name (Num total))
         totals;
       Ceres_util.Vclock.advance st.clock (Int64.to_int busy_total);
       let now = Unix.gettimeofday () in
@@ -625,7 +637,6 @@ let run_parallel t pool st scope this (lv : loop_visit) (h : header) tasks lo
       s.merge_ms <- s.merge_ms +. ((now -. merge0) *. 1000.);
       s.busy_ticks <- Int64.add s.busy_ticks busy_total;
       true
-  end
 
 (* One trip on the master, as [for_loop] runs it: test, body, step.
    [false] once the loop has ended. Only loops whose body the
@@ -708,6 +719,11 @@ let install t (st : state) ~(report : Analysis.Driver.report) =
         | Analysis.Verdict.Reduction { accs; _ } ->
           Hashtbl.replace t.plan id (Kreduction accs)
         | _ -> ());
+       (match Analysis.Verdict.war_roots row.verdict with
+        | [] -> ()
+        | roots ->
+          Hashtbl.replace t.blocked id
+            ("anti dependence on " ^ String.concat ", " roots));
        Hashtbl.replace t.labels id (Analysis.Driver.row_header row))
     (Analysis.Driver.proven report);
   st.on_loop <- Some (hook t)
@@ -750,6 +766,7 @@ let json_of_nest t (id, label, s) =
       ("diff_ms", J.Fixed (3, s.diff_ms));
       ("merge_ms", J.Fixed (3, s.merge_ms));
       ("fallbacks", J.Int s.fallbacks);
+      ("poisons", J.Obj (List.map (fun (why, n) -> (why, J.Int n)) s.poisons));
       ("refused", J.Int s.refused);
       ("break_even", J.Int t.break_even);
       ("busy_ticks", J.Int (Int64.to_int s.busy_ticks));

@@ -2,29 +2,34 @@
 
     Closes the loop between the static analyzer's [Parallel]/[Reduction]
     verdicts and the work-stealing pool: an interpreter hook intercepts
-    eligible [For] nests, partitions the iteration space into chunks,
-    runs each chunk on a share-nothing {!Interp.Fork} of the loop-entry
-    state and merges the per-fork heap diffs back in chunk order.
+    eligible [For] nests, partitions the iteration space into chunks and
+    runs each chunk in place on the master heap ({!Interp.Fork}), on a
+    private copy of the loop's frame, behind a write barrier that lets
+    through only overwrites of existing array elements. The frame
+    copies are written back in chunk order.
     Reductions are executed per operator: order-insensitive folds
-    (min/max/bitwise, [+] over proven exact integers) seed each fork
+    (min/max/bitwise, [+] over proven exact integers) seed each chunk
     with the operator identity and combine the partials exactly once
     in ascending chunk order; order-sensitive float [+] accumulators
     with a single accumulation site replay a per-iteration journal in
     global order, reproducing the sequential fold bit-for-bit;
     products and unrecognized operators never run in parallel. Any
-    condition the
-    merge cannot prove deterministic — host access, timers,
-    [Math.random], clock reads, abrupt completions, bound drift,
-    conflicting array growth — poisons the instance: the forks are
-    discarded and the untouched master re-runs the loop sequentially,
-    so observable output is byte-identical to sequential execution by
-    construction.
+    condition the commit cannot prove deterministic — a write the
+    barrier refuses, host access, timers, [Math.random], clock reads,
+    abrupt completions, bound drift, an element two chunks wrote —
+    poisons the instance: the written arrays are restored from their
+    snapshots and the master re-runs the loop sequentially, so
+    observable output is byte-identical to sequential execution by
+    construction. A nest whose proof declares an anti dependence
+    ([war_roots]) never runs in chunks: one chunk could read an element
+    another overwrites.
 
     Each parallel instance runs one chunk per pool participant (two at
     [-j 1]). A deterministic work gate keeps instances too small to
-    repay their forks on the plain interpreter: a nest's first
-    instance prices one trip on the master, and every instance forks
-    only when its predicted busy vticks reach a fixed break-even. *)
+    repay the pool hand-off on the plain interpreter: a nest's first
+    instance prices one trip on the master, and every instance runs in
+    chunks only when its predicted busy vticks reach a fixed
+    break-even. *)
 
 type kind = Kparallel | Kreduction of Analysis.Verdict.acc list
 
@@ -32,7 +37,7 @@ type mode =
   | Measure
       (** run eligible nests sequentially but individually timed — the
           per-nest baseline for the speedup table *)
-  | Parallel of Pool.t  (** fork/merge execution on the given pool *)
+  | Parallel of Pool.t  (** chunked execution on the given pool *)
 
 type t
 
@@ -46,7 +51,7 @@ val create : ?break_even:int -> mode:mode -> jobs:int -> unit -> t
     100k vticks, derivation in DESIGN.md §11); otherwise it runs on the
     plain interpreter and counts as [refused]. [~break_even:0] forks
     every eligible instance after the probe trip, for tests that drive
-    the fork/merge path on small programs. *)
+    the chunked path on small programs. *)
 
 val install : t -> Interp.Value.state -> report:Analysis.Driver.report -> unit
 (** Install the [on_loop] hook on [st], planning every nest the report
@@ -57,7 +62,7 @@ val nests_run : t -> int
 
 val stats_json : ?pool:Pool.t -> t -> string
 (** Per-nest telemetry — instances, chunks, iterations, fork/diff/merge
-    wall-clock, fallbacks, gate refusals with the break-even they
+    wall-clock, fallbacks and their poison reasons, gate refusals with the break-even they
     were judged against, attributed busy vticks, the probe trip that
     priced the nest — plus the pool
     counters when [pool] is given. *)
@@ -72,14 +77,19 @@ type nest_stats = {
   mutable par_ms : float;
   mutable seq_ms : float;
   mutable fork_ms : float;
+      (** per-chunk set-up (its state and frame copy), summed over
+          chunks *)
   mutable diff_ms : float;
-      (** clean checks and diffs, summed over chunks: each chunk checks
-          and diffs its own fork on the domain that ran it *)
+      (** clean checks, summed over chunks: each chunk checks its own
+          state on the domain that ran it *)
   mutable merge_ms : float;
-      (** validate + apply on the calling domain: collecting the
-          per-chunk diffs in chunk order, the cross-chunk checks, and
-          the commit *)
+      (** validate + commit on the calling domain: the cross-chunk
+          checks (overlapping element writes among them), then the
+          frame write-back, the reductions and the consoles *)
   mutable fallbacks : int;
+  mutable poisons : (string * int) list;
+      (** why the [fallbacks] ran sequentially: each poison reason and
+          how many instances it sent back, in the order first seen *)
   mutable refused : int;
   mutable busy_ticks : int64;
       (** vticks of the trips counted in [iterations] *)

@@ -321,9 +321,11 @@ let inspect ?max_nests (w : Workload.t) : nest_row list =
    accumulators it declared, and a proven verdict that *declares* anti
    dependences ([war_roots]) tolerates Prop_war warnings on the loop:
    the dynamic warning names the property, not the memory root, so the
-   tolerance is per-loop, and chunked snapshot-fork execution
-   satisfies anti dependences by construction (every chunk reads the
-   pre-loop state). Privatizable Var_write / disjoint-scatter
+   tolerance is per-loop. The declaration is what makes it sound to
+   run: chunks write the master's arrays in place, where one chunk
+   could read an element another already overwrote, so [Par_exec]
+   keeps every nest that declares an anti dependence sequential, and
+   reports why. Privatizable Var_write / disjoint-scatter
    Prop_write / Induction_write warnings are advisory on both sides
    and constrain neither verdict. *)
 

@@ -257,6 +257,40 @@ let test_timeline_export () =
   Alcotest.(check bool) "some task ran on the trace" true
     (Hashtbl.length starts > 0)
 
+(* A measured nest whose instances a poison sent back carries the
+   reason in place of a bare count, in the text and in the JSON. *)
+let test_why_not () =
+  let row fallbacks poisons =
+    { Advisor.m_id = 3; m_label = "for(line 9)"; m_fraction = 0.5; m_jobs = 2;
+      m_seq_ms = 0.; m_par_ms = 0.; m_nest_speedup = 0.;
+      m_program_speedup = 0.; m_predicted = 1.33; m_karp_flatt = 0.;
+      m_within_band = false; m_instances = 0; m_refused = 0;
+      m_fallbacks = fallbacks; m_poisons = poisons }
+  in
+  let report m =
+    { Advisor.workload = "w"; cores = [ 2 ]; busy_ms = 1.; loop_ms = 1.;
+      nests = []; measured = [ m ]; fractions = [||] }
+  in
+  let one = report (row 2 [ ("overlapping element writes", 2) ]) in
+  Alcotest.(check bool) "text: one reason" true
+    (Helpers.contains
+       ~sub:"never forked; predicted 1.33x @2 [fell back]\n\
+            \     fell back 2 instance(s): overlapping element writes\n"
+       (Advisor.to_text one));
+  Alcotest.(check bool) "json: one reason" true
+    (Helpers.contains
+       ~sub:"\"why_not\": \"fell back 2 instance(s): overlapping element writes\""
+       (Advisor.to_json one));
+  Alcotest.(check bool) "text: reasons with counts" true
+    (Helpers.contains
+       ~sub:"fell back 3 instance(s): push on a master array (1), \
+             overlapping element writes (2)"
+       (Advisor.to_text
+          (report
+             (row 3
+                [ ("push on a master array", 1);
+                  ("overlapping element writes", 2) ]))))
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -271,4 +305,6 @@ let suite =
     Alcotest.test_case "advise --measure CLI grades nests" `Quick
       test_measured_cli;
     Alcotest.test_case "timeline export well-formed" `Quick
-      test_timeline_export ]
+      test_timeline_export;
+    Alcotest.test_case "a measured nest that fell back says why" `Quick
+      test_why_not ]

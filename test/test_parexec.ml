@@ -301,10 +301,11 @@ let parallel_reduce_equals_fold pool =
        sum = List.fold_left ( + ) 0 xs)
 
 (* ------------------------------------------------------------------ *)
-(* Each chunk diffs its own fork on the domain that ran it: diffs of
-   sibling forks taken concurrently must equal the same diffs taken
-   one after another on the caller, and applying either set in chunk
-   order must leave the same master. *)
+(* Chunks run in place on the master heap, behind the write barrier:
+   chunks run concurrently on the pool must end exactly as the same
+   chunks run one after another on the caller — the same poisons, the
+   same overlap verdict, and the same master after the commit or the
+   roll-back. *)
 
 let render_value (v : Interp.Value.value) =
   match v with
@@ -315,97 +316,101 @@ let render_value (v : Interp.Value.value) =
   | Null -> "null"
   | Obj o -> Printf.sprintf "#%d" o.oid
 
-let render_diff (d : Interp.Fork.diff) =
-  let open Interp.Fork in
-  let v = render_value in
-  let edit = function
-    | Set_prop (m, k, x) -> Printf.sprintf "set #%d.%s=%s" m.oid k (v x)
-    | Add_prop (m, k, x) -> Printf.sprintf "add #%d.%s=%s" m.oid k (v x)
-    | Del_prop (m, k) -> Printf.sprintf "del #%d.%s" m.oid k
-    | Set_proto (m, p) ->
-      Printf.sprintf "proto #%d=%s" m.oid
-        (match p with Some p -> v (Obj p) | None -> "none")
-    | Set_call (m, _) -> Printf.sprintf "call #%d" m.oid
-    | Set_elem (m, i, x) -> Printf.sprintf "elem #%d[%d]=%s" m.oid i (v x)
-    | Set_slot (s, i, x) -> Printf.sprintf "slot $%d[%d]=%s" s.sid i (v x)
-    | Set_cell (_, x) -> Printf.sprintf "cell=%s" (v x)
-    | New_var (s, k, x) -> Printf.sprintf "var $%d.%s=%s" s.sid k (v x)
-  in
-  let growth = function
-    | Gappend (m, xs) ->
-      Printf.sprintf "append #%d %s" m.oid
-        (String.concat "," (Array.to_list (Array.map v xs)))
-    | Gpositional (m, n, ws) ->
-      Printf.sprintf "grow #%d to %d %s" m.oid n
-        (String.concat ","
-           (List.map (fun (i, x) -> Printf.sprintf "%d:%s" i (v x)) ws))
-  in
-  List.map edit d.edits @ List.map growth d.growths
-  @ [ Option.value ~default:"clean" d.poison ]
-
 let fork_prelude =
   "var a = [1, 2, 3]; var o = { x: 1, y: 2 }; var n = 0;"
 
-(* A master built from [fork_prelude] and one fork per chunk, each
-   having evaluated its chunk's expressions. *)
+(* A master built from [fork_prelude] and one chunk of one instance per
+   entry of [chunk_exprs], over the global frame. *)
 let forked_master chunk_exprs =
   let st, _ = Helpers.fresh_state () in
   Interp.Eval.run_program st (Jsir.Parser.parse_program fork_prelude);
-  let forks =
+  let inst = Interp.Fork.instance () in
+  let chunks =
     List.mapi
       (fun k exprs ->
-         let f =
-           Interp.Fork.fork st ~scope:st.global_scope ~this:Undefined
+         ( Interp.Fork.fork st inst ~frame:st.global_scope
+             ~write_floor:st.next_oid ~scope_floor:st.next_sid
              ~next_oid:(st.next_oid + ((k + 1) lsl 28))
-             ~next_sid:(st.next_sid + ((k + 1) lsl 24))
-         in
-         List.iter
-           (fun e ->
-              ignore
-                (Interp.Eval.eval_in_global f.clone
-                   (Jsir.Parser.parse_expression e)))
-           exprs;
-         f)
+             ~next_sid:(st.next_sid + ((k + 1) lsl 24)),
+           exprs ))
       chunk_exprs
   in
-  (st, forks)
+  (st, inst, chunks)
 
-let apply_in_order st diffs =
-  if List.for_all (fun (d : Interp.Fork.diff) -> d.poison = None) diffs then
-    List.iter Interp.Fork.apply_diff diffs;
+(* Run a chunk's expressions until one poisons it. *)
+let run_exprs ((c : Interp.Fork.t), exprs) =
+  match
+    List.iter
+      (fun e ->
+         ignore
+           (Interp.Eval.eval_in_global c.st (Jsir.Parser.parse_expression e)))
+      exprs
+  with
+  | () -> "clean"
+  | exception Interp.Value.Par_abort why -> why
+
+let settle st inst chunks poisons =
+  let forks = List.map fst chunks in
+  let overlap = Interp.Fork.overlaps inst forks in
+  if overlap || List.exists (fun p -> p <> "clean") poisons then
+    Interp.Fork.rollback inst
+  else Interp.Fork.commit forks;
   let heap =
     Interp.Eval.eval_in_global st
       (Jsir.Parser.parse_expression "JSON.stringify([a, o, n])")
   in
-  (st.console, render_value heap)
+  (poisons, overlap, st.console, render_value heap)
 
-let test_concurrent_diffs_match_serial () =
+let test_concurrent_chunks_match_serial () =
   let scenarios =
-    [ ( "writes and appends",
-        [ [ "a[0] = 10"; "o.x = 'left'"; "a.push(4)"; "n = n + 1";
-            "console.log('chunk 0')" ];
-          [ "a[2] = 30"; "o.z = { k: true }"; "a.push(5, 6)";
-            "console.log('chunk 1')" ] ] );
-      ("a shrinking chunk", [ [ "a[1] = 20" ]; [ "a.pop()" ] ]) ]
+    [ ( "disjoint element writes",
+        [ [ "a[0] = 10"; "n = n + 1"; "console.log('chunk 0')" ];
+          [ "a[2] = 30"; "console.log('chunk 1')" ] ] );
+      ("a shrinking chunk", [ [ "a[1] = 20" ]; [ "a.pop()" ] ]);
+      ("a property write", [ [ "a[1] = 20" ]; [ "o.x = 'left'" ] ]);
+      ("one element twice", [ [ "a[1] = 20" ]; [ "a[1] = 21"; "a[0] = 5" ] ])
+    ]
   in
+  let testable =
+    Alcotest.(
+      pair (pair (list string) bool) (pair (list string) string))
+  in
+  let flat (p, o, c, h) = ((p, o), (c, h)) in
   Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
       List.iter
         (fun (name, chunk_exprs) ->
-           let par_master, par_forks = forked_master chunk_exprs in
-           let slots = Array.make (List.length par_forks) None in
-           let forks = Array.of_list par_forks in
-           Js_parallel.Pool.parallel_for pool ~lo:0 ~hi:(Array.length forks)
-             ~chunk:1 (fun k -> slots.(k) <- Some (Interp.Fork.diff forks.(k)));
-           let par = List.map Option.get (Array.to_list slots) in
-           let seq_master, seq_forks = forked_master chunk_exprs in
-           let seq = List.map (fun f -> Interp.Fork.diff f) seq_forks in
-           Alcotest.(check (list (list string)))
-             (name ^ ": same edits, growths and poison")
-             (List.map render_diff seq) (List.map render_diff par);
-           Alcotest.(check (pair (list string) string))
-             (name ^ ": same console and heap after the merge")
-             (apply_in_order seq_master seq) (apply_in_order par_master par))
-        scenarios)
+           let par_st, par_inst, par_chunks = forked_master chunk_exprs in
+           let chunks = Array.of_list par_chunks in
+           let slots = Array.make (Array.length chunks) "" in
+           Js_parallel.Pool.parallel_for pool ~lo:0 ~hi:(Array.length chunks)
+             ~chunk:1 (fun k -> slots.(k) <- run_exprs chunks.(k));
+           let par = settle par_st par_inst par_chunks (Array.to_list slots) in
+           let seq_st, seq_inst, seq_chunks = forked_master chunk_exprs in
+           let seq =
+             settle seq_st seq_inst seq_chunks (List.map run_exprs seq_chunks)
+           in
+           Alcotest.check testable
+             (name ^ ": same poisons, overlap, console and heap") (flat seq)
+             (flat par))
+        scenarios;
+      (* what each scenario settles to *)
+      let settled chunk_exprs =
+        let st, inst, chunks = forked_master chunk_exprs in
+        let _, overlap, console, heap =
+          settle st inst chunks (List.map run_exprs chunks)
+        in
+        (overlap, (List.rev console, heap))
+      in
+      let outcome = Alcotest.(pair bool (pair (list string) string)) in
+      Alcotest.check outcome "disjoint writes commit in chunk order"
+        (false, ([ "chunk 0"; "chunk 1" ], {|"[[10,2,30],{\"x\":1,\"y\":2},1]"|}))
+        (settled (snd (List.nth scenarios 0)));
+      Alcotest.check outcome "a poisoned chunk rolls every element back"
+        (false, ([], {|"[[1,2,3],{\"x\":1,\"y\":2},0]"|}))
+        (settled (snd (List.nth scenarios 1)));
+      Alcotest.check outcome "an overlap rolls every element back"
+        (true, ([], {|"[[1,2,3],{\"x\":1,\"y\":2},0]"|}))
+        (settled (snd (List.nth scenarios 3))))
 
 (* ------------------------------------------------------------------ *)
 (* The probe trip: a nest's first instance runs one trip on the
@@ -543,12 +548,12 @@ console.log("after");
 let shared_pool = lazy (Js_parallel.Pool.create ~domains:2 ())
 
 (* ------------------------------------------------------------------ *)
-(* Shapes across forks and domains *)
+(* Shapes across chunks and domains *)
 
-(* The second loop of [shape_prelude ^ body ^ shape_tail], declared
-   Parallel whatever the analyzer says (it proves no loop that writes
-   properties of objects the master already has), runs as one forked
-   instance of two chunks. *)
+(* The second loop of [shape_prelude ^ body ^ shape_tail] (loop [id] of
+   [run_forced]), declared Parallel whatever the analyzer says (it
+   proves no loop that writes properties of objects the master already
+   has), runs as one instance of two chunks. *)
 let shape_prelude =
   {|
 var pts = [];
@@ -562,14 +567,14 @@ console.log(JSON.stringify(pts[0]) + JSON.stringify(pts[39])
   + Object.keys(pts[7]).join(",") + JSON.stringify(shared));
 |}
 
-let run_forced ?par src =
+let run_forced ?(id = 1) ?par src =
   let st, _ = Helpers.fresh_state () in
   let program = Jsir.Parser.parse_program src in
   (match par with
    | Some pe ->
      let rep = Analysis.Driver.analyze program in
      let force (r : Analysis.Driver.row) =
-       if r.info.Jsir.Loops.id = 1 then
+       if r.info.Jsir.Loops.id = id then
          { r with verdict = Analysis.Verdict.parallel }
        else r
      in
@@ -578,31 +583,53 @@ let run_forced ?par src =
   Interp.Eval.run_program st program;
   (List.rev st.Interp.Value.console, st)
 
-(* Chunks that overwrite a property and add one, add one to an object
-   both chunks share, delete one, or delete and re-add one (which moves
-   the key to the end) all merge, as the sequential run orders them. *)
+(* The nest row of loop [id]: (instances, fallbacks) and the poisons. *)
+let outcome pe id =
+  match List.find_opt (fun (i, _, _) -> i = id) (PE.nest_rows pe) with
+  | Some (_, _, (s : PE.nest_stats)) -> ((s.instances, s.fallbacks), s.poisons)
+  | None -> Alcotest.fail "the forced loop did not run"
+
+let outcome_testable =
+  Alcotest.(pair (pair int int) (list (pair string int)))
+
+(* [None]: one instance commits; [Some why]: it poisons for [why]. *)
+let expected = function
+  | None -> ((1, 0), [])
+  | Some why -> ((0, 1), [ (why, 1) ])
+
+(* A chunk writes the master's objects only through array elements.
+   Overwriting, adding or deleting a property of an object the master
+   already has poisons the instance for that reason, and the instance
+   re-runs sequentially, in the sequential order. Objects the chunks
+   create, their keys added on two domains at once, commit and share
+   one shape. *)
 let test_shape_chunks_merge () =
-  let bodies =
-    [ "for (var j = 0; j < 40; j++) { pts[j].y = pts[j].x * 2; pts[j].z = j + 1; }";
-      "for (var j = 0; j < 40; j++) { pts[j].y = j; shared.tag = 7; }";
-      "for (var j = 0; j < 40; j++) { delete pts[j].y; pts[j].x = j * 3; }";
-      "for (var j = 0; j < 40; j++) { delete pts[j].x; pts[j].x = j * 3; }";
-      "for (var j = 0; j < 40; j++) { pts[j].y = j; delete shared.n; }" ]
+  let cases =
+    [ ( "for (var j = 0; j < 40; j++) { pts[j].y = pts[j].x * 2; pts[j].z = j + 1; }",
+        Some "property overwrite on a master object" );
+      ( "for (var j = 0; j < 40; j++) { pts[j].y = j; shared.tag = 7; }",
+        Some "property overwrite on a master object" );
+      ( "for (var j = 0; j < 40; j++) { delete pts[j].y; pts[j].x = j * 3; }",
+        Some "property delete on a master object" );
+      ( "for (var j = 0; j < 40; j++) { delete pts[j].x; pts[j].x = j * 3; }",
+        Some "property delete on a master object" );
+      ( "for (var j = 0; j < 40; j++) { pts[j].y = j; delete shared.n; }",
+        Some "property overwrite on a master object" );
+      ( "for (var j = 0; j < 40; j++) { var p = { x: j }; p.y = j * 2; p.w = 1; \
+         p.z = j + 1; pts[j] = p; }",
+        None ) ]
   in
   Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
-      List.iter
-        (fun body ->
+      List.iteri
+        (fun k (body, why) ->
            let src = shape_prelude ^ body ^ shape_tail in
            let seq, _ = run_forced src in
            let pe = PE.create ~break_even:0 ~mode:(PE.Parallel pool) ~jobs:2 () in
            let par, st = run_forced ~par:pe src in
            Alcotest.(check (list string)) (body ^ ": par ≡ seq") seq par;
-           (match List.find_opt (fun (id, _, _) -> id = 1) (PE.nest_rows pe) with
-            | Some (_, _, s) ->
-              Alcotest.(check (pair int int)) (body ^ ": merged, no fallback")
-                (1, 0) (s.instances, s.fallbacks)
-            | None -> Alcotest.fail "the forced loop did not run");
-           if String.equal body (List.hd bodies) then begin
+           Alcotest.check outcome_testable (body ^ ": outcome") (expected why)
+             (outcome pe 1);
+           if k = 0 || why = None then begin
              let shape_of k =
                match
                  Interp.Eval.eval_in_global st
@@ -614,7 +641,7 @@ let test_shape_chunks_merge () =
              Alcotest.(check bool) "both chunks' objects share one shape" true
                (List.for_all (fun k -> shape_of k == shape_of 0) [ 1; 19; 20; 39 ])
            end)
-        bodies)
+        cases)
 
 (* Two pool domains adding the same keys to the same shape at once get
    one child shape per key. Each repetition races on a fresh parent,
@@ -649,6 +676,140 @@ let test_transition_race () =
       keys
   done
 
+(* ------------------------------------------------------------------ *)
+(* The write barrier. Each case forces its loop Parallel, runs it with
+   the gate off, and checks par ≡ seq and the exact outcome. Every
+   poisoned body first increments the element it owns, so an instance
+   that failed to roll its elements back would increment them twice. *)
+
+let barrier_prelude =
+  {|
+var A = [];
+var B = [];
+for (var i = 0; i < 40; i++) { A[i] = i; B[i] = 0; }
+var out = [];
+var shared = { n: 0 };
+var pts = [];
+for (var i = 0; i < 40; i++) { pts[i] = { x: i, w: 1 }; }
+var total = 0;
+|}
+
+let barrier_tail =
+  {|
+console.log(A.join(",") + "|" + B.join(",") + "|" + out.length + "|"
+  + JSON.stringify(shared) + "|" + JSON.stringify(pts[5]) + "|" + total);
+|}
+
+(* [body] holds the forced loop, the third of the program (id 2). *)
+let barrier_case pool ?(id = 2) body =
+  let src = barrier_prelude ^ body ^ barrier_tail in
+  let seq, _ = run_forced ~id src in
+  let pe = PE.create ~break_even:0 ~mode:(PE.Parallel pool) ~jobs:2 () in
+  let par, st = run_forced ~id ~par:pe src in
+  Alcotest.(check (list string)) (body ^ ": par ≡ seq") seq par;
+  (outcome pe id, st)
+
+let test_barrier_poisons () =
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun (body, why, id) ->
+           let got, _ = barrier_case pool ~id body in
+           Alcotest.check outcome_testable (body ^ ": poisons") (expected (Some why))
+             got)
+        [ ( "for (var j = 0; j < 40; j++) { A[j] = A[j] + 1; out.push(j); }",
+            "push on a master array", 2 );
+          ( "for (var j = 0; j < 40; j++) { A[j] = A[j] + 1; shared[\"k\" + j] = j; }",
+            "property add on a master object", 2 );
+          ( "for (var j = 0; j < 40; j++) { A[j] = A[j] + 1; delete pts[j].w; }",
+            "property delete on a master object", 2 );
+          ( "function run() { for (var j = 0; j < 40; j++) { A[j] = A[j] + 1; \
+             total = j; } } run();",
+            "write to a master scope", 2 );
+          ( "for (var j = 0; j < 40; j++) { A[j] = A[j] + 1; A[40 + j] = j; }",
+            "element write past the end of a master array", 2 ) ])
+
+(* Two chunks writing one element: nothing orders the writes, so the
+   instance rolls back and re-runs, and the sequential last write wins. *)
+let test_barrier_overlap () =
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      let got, _ =
+        barrier_case pool
+          "for (var j = 0; j < 40; j++) { A[j] = A[j] + 1; B[0] = j; }"
+      in
+      Alcotest.check outcome_testable "A[0] = i: overlap"
+        (expected (Some "overlapping element writes")) got)
+
+(* A closure made before the loop captured the master frame, not the
+   chunk's copy: a call to it would read the frame as the fork found
+   it. *)
+let test_barrier_closure () =
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      let got, _ =
+        barrier_case pool
+          "function run() { var t = 0; var get = function () { return t; }; \
+           for (var j = 0; j < 40; j++) { t = j * 2; A[j] = get(); } } run();"
+      in
+      Alcotest.check outcome_testable "closure over the frame"
+        (expected (Some "call to a closure over the copied frame")) got)
+
+(* Fresh objects stored into a master array survive the commit, with
+   the oids of the band of the chunk that made them; the master
+   allocates past every band afterwards. *)
+let test_barrier_fresh_objects () =
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      let got, st =
+        barrier_case pool
+          "for (var j = 0; j < 40; j++) { pts[j] = { x: j * 2 }; } \
+           var after = {};"
+      in
+      Alcotest.check outcome_testable "fresh objects commit" (expected None) got;
+      let oid e =
+        match Interp.Eval.eval_in_global st (Jsir.Parser.parse_expression e) with
+        | Obj o -> o.oid
+        | _ -> Alcotest.fail (e ^ " is not an object")
+      in
+      (* the probe trip made pts[0] on the master; chunk 0 ran trips
+         1-20, chunk 1 trips 21-39, each from its own band *)
+      let stride = 1 lsl 28 in
+      Alcotest.(check bool) "pts[1] is from chunk 0's band" true
+        (oid "pts[1]" - oid "pts[0]" >= stride);
+      Alcotest.(check bool) "pts[21] is from chunk 1's band" true
+        (oid "pts[21]" - oid "pts[1]" >= stride);
+      Alcotest.(check bool) "the master allocates past the bands" true
+        (oid "after" > oid "pts[39]"))
+
+(* A read of the element the next iteration overwrites: in place, a
+   chunk could read its neighbour's write, so the proven nest, whose
+   verdict declares the anti dependence, stays sequential. *)
+let test_barrier_anti_dependence () =
+  let src =
+    {|
+var A = [];
+for (var i = 0; i < 41; i++) { A[i] = i * 3; }
+for (var j = 0; j < 40; j++) { A[j] = A[j + 1]; }
+console.log(A.join(","));
+|}
+  in
+  let program = Jsir.Parser.parse_program src in
+  let row =
+    List.find
+      (fun (r : Analysis.Driver.row) -> r.info.Jsir.Loops.id = 1)
+      (Analysis.Driver.analyze program).rows
+  in
+  Alcotest.(check (list string)) "proven with its anti dependence" [ "A" ]
+    (Analysis.Verdict.war_roots row.verdict);
+  let seq = run_program_console src in
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      let pe = PE.create ~break_even:0 ~mode:(PE.Parallel pool) ~jobs:2 () in
+      let par = run_program_console ~par:pe src in
+      Alcotest.(check (list string)) "par ≡ seq" seq par;
+      Alcotest.check outcome_testable "stays sequential"
+        (expected (Some "anti dependence on A")) (outcome pe 1);
+      Alcotest.(check bool) "--par-stats tallies the reason" true
+        (Helpers.contains
+           ~sub:{|"fallbacks":1,"poisons":{"anti dependence on A":1},"refused":0|}
+           (PE.stats_json pe)))
+
 let suite =
   [ Alcotest.test_case "12 workloads: par output ≡ seq at -j 2" `Slow
       test_all_workloads_deterministic;
@@ -668,8 +829,8 @@ let suite =
       test_cli_par_exec;
     qtest (generated_reductions_deterministic (Lazy.force shared_pool));
     qtest (parallel_reduce_equals_fold (Lazy.force shared_pool));
-    Alcotest.test_case "concurrent chunk diffs = serial diffs" `Quick
-      test_concurrent_diffs_match_serial;
+    Alcotest.test_case "chunks in place: concurrent = serial" `Quick
+      test_concurrent_chunks_match_serial;
     Alcotest.test_case "a break in a proven loop stays sequential" `Quick
       test_break_stays_sequential;
     Alcotest.test_case "probe: exec apps fork only where it pays" `Slow
@@ -678,7 +839,17 @@ let suite =
       test_probe_hand_off;
     Alcotest.test_case "probe: a throw in the first trip" `Quick
       test_probe_throw;
-    Alcotest.test_case "shapes: chunks that add, overwrite, delete merge"
+    Alcotest.test_case "shapes: chunks that add, overwrite, delete poison"
       `Quick test_shape_chunks_merge;
     Alcotest.test_case "shapes: racing domains share one transition" `Quick
-      test_transition_race ]
+      test_transition_race;
+    Alcotest.test_case "barrier: master writes poison, named" `Quick
+      test_barrier_poisons;
+    Alcotest.test_case "barrier: A[0] = i overlaps, rolled back" `Quick
+      test_barrier_overlap;
+    Alcotest.test_case "barrier: a closure over the copied frame" `Quick
+      test_barrier_closure;
+    Alcotest.test_case "barrier: fresh objects commit, banded" `Quick
+      test_barrier_fresh_objects;
+    Alcotest.test_case "barrier: an anti dependence stays sequential" `Quick
+      test_barrier_anti_dependence ]
