@@ -174,9 +174,10 @@ let par_exec_arg =
     & info [ "par-exec" ]
         ~doc:
           "Execute statically-proven loop nests in parallel over the \
-           work-stealing pool (share-nothing forks, deterministic merge). \
-           Output stays byte-identical to sequential execution; nests the \
-           merge cannot prove deterministic fall back to sequential.")
+           work-stealing pool (chunks write the heap in place behind a \
+           write barrier). Output stays byte-identical to sequential \
+           execution; instances the commit cannot prove deterministic roll \
+           back and run sequentially.")
 
 let par_stats_arg =
   Arg.(
@@ -184,8 +185,8 @@ let par_stats_arg =
     & info [ "par-stats" ]
         ~doc:
           "With --par-exec: print per-nest parallel-execution telemetry \
-           (chunks, fork/merge time, fallbacks, pool counters) as JSON on \
-           stderr.")
+           (chunks, fork/merge time, fallbacks and their reasons, pool \
+           counters) as JSON on stderr.")
 
 let print_session (ctx : Workloads.Harness.run_context) =
   List.iter print_endline (List.rev ctx.st.Interp.Value.console);

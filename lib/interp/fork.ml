@@ -52,6 +52,8 @@ type t = {
   st : state; (* the chunk's *)
   frame : scope; (* the master's invocation frame *)
   copy : scope; (* the chunk's copy of it *)
+  init : value array; (* the copy's slots as the fork made them *)
+  init_vars : value Strtbl.t; (* and its dynamic bindings *)
   writes : writes;
   entry_busy : int64;
 }
@@ -88,20 +90,41 @@ let log_elem inst w (o : obj) (a : arr_data) i =
   Array.unsafe_set l.idx l.n i;
   l.n <- l.n + 1
 
+(* A fresh box for a boxed primitive. The commit takes a copy's slot as
+   written when it no longer holds the box the fork put there. Only a
+   read of that slot can reach the box, so every store of a number,
+   string or boolean counts, even of the entry value; storing the box
+   read back from the slot rewrites the value the chunk started from,
+   which an earlier chunk's write stands for. An object, or an
+   immediate such as [undefined], keeps its identity: a chunk storing
+   the entry value again looks as if it had not written. *)
+let rebox = function
+  | Num f -> Num f
+  | Str s -> Str s
+  | Bool b -> Bool b
+  | v -> v
+
 (* A chunk of [inst] over [frame]. Objects below [write_floor] and
    scopes below [scope_floor] are the master's; the chunk allocates
    from [next_oid] and [next_sid], its copy of the frame first. *)
 let fork (master : state) inst ~(frame : scope) ~write_floor ~scope_floor
     ~next_oid ~next_sid : t =
+  let init_vars = Strtbl.create (Strtbl.length frame.vars) in
   let vars =
     if Strtbl.length frame.vars = 0 then no_vars
     else begin
       let t = Strtbl.create (Strtbl.length frame.vars) in
-      Strtbl.iter (fun k (c : cell) -> Strtbl.replace t k { v = c.v }) frame.vars;
+      Strtbl.iter
+        (fun k (c : cell) ->
+           let v = rebox c.v in
+           Strtbl.replace init_vars k v;
+           Strtbl.replace t k { v })
+        frame.vars;
       t
     end
   in
-  let copy = { frame with sid = next_sid; vars; slots = Array.copy frame.slots } in
+  let init = Array.map rebox frame.slots in
+  let copy = { frame with sid = next_sid; vars; slots = Array.copy init } in
   let writes = { logs = Itbl.create 4; last = no_log } in
   let st =
     { master with
@@ -126,7 +149,7 @@ let fork (master : state) inst ~(frame : scope) ~write_floor ~scope_floor
       scope_floor;
       chunk = Some { frame; copy; log_elem = log_elem inst writes } }
   in
-  { master; st; frame; copy; writes;
+  { master; st; frame; copy; init; init_vars; writes;
     entry_busy = Ceres_util.Vclock.busy master.clock }
 
 let busy_delta c = Int64.sub (Ceres_util.Vclock.busy c.st.clock) c.entry_busy
@@ -182,33 +205,26 @@ let rollback inst =
        | None -> ())
     inst.snaps
 
-(* A clean instance: each chunk's frame copy, where it differs from the
-   entry, and its console, in chunk order, so the last writer wins as
-   it would sequentially. *)
+(* A clean instance: what each chunk wrote in its frame copy, and its
+   console, in chunk order, so the last writer wins as it would
+   sequentially. *)
 let commit (chunks : t list) =
-  match chunks with
-  | [] -> ()
-  | c0 :: _ ->
-    let frame = c0.frame and master = c0.master in
-    let entry = Array.copy frame.slots in
-    let entry_vars = Strtbl.create 8 in
-    Strtbl.iter (fun k (cell : cell) -> Strtbl.replace entry_vars k cell.v)
-      frame.vars;
-    List.iter
-      (fun c ->
-         Array.iteri
-           (fun i v -> if v != entry.(i) then frame.slots.(i) <- v)
-           c.copy.slots;
-         Strtbl.iter
-           (fun k (cell : cell) ->
-              match Strtbl.find_opt entry_vars k with
-              | Some v when v == cell.v -> ()
-              | _ -> (
-                match Strtbl.find_opt frame.vars k with
-                | Some m -> m.v <- cell.v
-                | None -> Strtbl.replace (own_vars frame) k { v = cell.v }))
-           c.copy.vars;
-         master.console <- c.st.console @ master.console;
-         if master.echo_console then
-           List.iter print_endline (List.rev c.st.console))
-      chunks
+  List.iter
+    (fun c ->
+       let frame = c.frame and master = c.master in
+       Array.iteri
+         (fun i v -> if v != c.init.(i) then frame.slots.(i) <- v)
+         c.copy.slots;
+       Strtbl.iter
+         (fun k (cell : cell) ->
+            match Strtbl.find_opt c.init_vars k with
+            | Some v when v == cell.v -> ()
+            | _ -> (
+              match Strtbl.find_opt frame.vars k with
+              | Some m -> m.v <- cell.v
+              | None -> Strtbl.replace (own_vars frame) k { v = cell.v }))
+         c.copy.vars;
+       master.console <- c.st.console @ master.console;
+       if master.echo_console then
+         List.iter print_endline (List.rev c.st.console))
+    chunks

@@ -810,6 +810,31 @@ console.log(A.join(","));
            ~sub:{|"fallbacks":1,"poisons":{"anti dependence on A":1},"refused":0|}
            (PE.stats_json pe)))
 
+(* A chunk's frame copy is written back where the chunk wrote it, in
+   chunk order. The last chunk here ends by storing the very value the
+   slot held at the fork, while the first chunk ends on another: the
+   last write must still win. *)
+let test_frame_last_writer () =
+  let src =
+    {|
+var A = [];
+for (var i = 0; i < 40; i++) { A[i] = 0; }
+function f() {
+  var last = 0;
+  for (var j = 0; j < 40; j++) { A[j] = j; last = (j < 15 || j > 30) ? 7 : 5; }
+  return last;
+}
+console.log(f() + "," + A[39]);
+|}
+  in
+  let seq = run_program_console src in
+  Alcotest.(check (list string)) "sequential" [ "7,39" ] seq;
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      let pe = PE.create ~break_even:0 ~mode:(PE.Parallel pool) ~jobs:2 () in
+      let par = run_program_console ~par:pe src in
+      Alcotest.(check (list string)) "par ≡ seq" seq par;
+      Alcotest.(check int) "the loop ran in chunks" 1 (PE.nests_run pe))
+
 let suite =
   [ Alcotest.test_case "12 workloads: par output ≡ seq at -j 2" `Slow
       test_all_workloads_deterministic;
@@ -852,4 +877,6 @@ let suite =
     Alcotest.test_case "barrier: fresh objects commit, banded" `Quick
       test_barrier_fresh_objects;
     Alcotest.test_case "barrier: an anti dependence stays sequential" `Quick
-      test_barrier_anti_dependence ]
+      test_barrier_anti_dependence;
+    Alcotest.test_case "in place: a frame var's last writer wins" `Quick
+      test_frame_last_writer ]
