@@ -567,8 +567,8 @@ console.log(JSON.stringify(pts[0]) + JSON.stringify(pts[39])
   + Object.keys(pts[7]).join(",") + JSON.stringify(shared));
 |}
 
-let run_forced ?(id = 1) ?par src =
-  let st, _ = Helpers.fresh_state () in
+let run_forced ?(id = 1) ?dom ?par src =
+  let st, _ = Helpers.fresh_state ?dom () in
   let program = Jsir.Parser.parse_program src in
   (match par with
    | Some pe ->
@@ -701,11 +701,11 @@ console.log(A.join(",") + "|" + B.join(",") + "|" + out.length + "|"
 |}
 
 (* [body] holds the forced loop, the third of the program (id 2). *)
-let barrier_case pool ?(id = 2) body =
+let barrier_case pool ?(id = 2) ?dom body =
   let src = barrier_prelude ^ body ^ barrier_tail in
-  let seq, _ = run_forced ~id src in
+  let seq, _ = run_forced ~id ?dom src in
   let pe = PE.create ~break_even:0 ~mode:(PE.Parallel pool) ~jobs:2 () in
-  let par, st = run_forced ~id ~par:pe src in
+  let par, st = run_forced ~id ?dom ~par:pe src in
   Alcotest.(check (list string)) (body ^ ": par ≡ seq") seq par;
   (outcome pe id, st)
 
@@ -726,7 +726,15 @@ let test_barrier_poisons () =
              total = j; } } run();",
             "write to a master scope", 2 );
           ( "for (var j = 0; j < 40; j++) { A[j] = A[j] + 1; A[40 + j] = j; }",
-            "element write past the end of a master array", 2 ) ])
+            "element write past the end of a master array", 2 ) ];
+      (* a DOM call reports through the chunk's own state *)
+      let got, _ =
+        barrier_case pool ~dom:true
+          "for (var j = 0; j < 40; j++) { A[j] = A[j] + 1; \
+           document.getElementById(\"x\"); }"
+      in
+      Alcotest.check outcome_testable "a DOM call poisons"
+        (expected (Some "host access dom/getElementById")) got)
 
 (* Two chunks writing one element: nothing orders the writes, so the
    instance rolls back and re-runs, and the sequential last write wins. *)
