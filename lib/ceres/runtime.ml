@@ -22,7 +22,8 @@
 
    - the current loop stack is mirrored into a flat int array of
      (loop, instance, iteration) triples, outermost first, rebuilt on
-     each (rare) loop event;
+     each loop entry and exit; an iteration moves only the top
+     triple's iteration, in place;
    - stamps are a frozen copy of that array plus a sequence number;
      all snapshots taken in the same stack configuration share one
      frozen array;
@@ -46,15 +47,6 @@
      increment. *)
 
 module Symbol = Ceres_util.Symbol
-
-(* Write sites of the polymorphism check, keyed (location name, line)
-   without polymorphic compare on the per-write lookup. *)
-module Sites = Hashtbl.Make (struct
-  type t = string * int
-
-  let equal (n1, l1) (n2, l2) = Int.equal l1 l2 && String.equal n1 n2
-  let hash = Hashtbl.hash
-end)
 
 type access_kind =
   | Var_write of string
@@ -128,6 +120,10 @@ let no_marks : int array = [||]
 (* The empty slot of the warning-count table. *)
 let no_count = ref 0
 
+(* A write site's observed value types: bit [i] stands for
+   [type_tags.(i)]; 0 until a store is noted. *)
+type type_site = { mutable tags : int }
+
 type t = {
   infos : Jsir.Loops.info array;
   symtab : Symbol.table;
@@ -137,7 +133,7 @@ type t = {
   mutable stack : frame list; (* innermost first; the authority *)
   mutable seq : int;
   (* flat mirror of [stack]: (loop, instance, iteration) outermost
-     first, [depth] triples; resynced on every loop event *)
+     first, [depth] triples; kept in step on every loop event *)
   mutable cur : int array;
   mutable depth : int;
   mutable frozen : int array; (* copy of cur[0 .. 3*depth), shared *)
@@ -170,9 +166,9 @@ type t = {
   focus : bool array option; (* per loop: focused; None = everywhere *)
   mutable recursion_warnings : int;
   mutable accesses_checked : int;
-  type_sites : string list ref Sites.t;
-      (* (location name, line) -> distinct observed value types; backs
-         the polymorphism check of the paper's Sec. 4.2 *)
+  type_sites : (string * int, type_site) Hashtbl.t;
+      (* (location name, line) -> its cell, looked up while compiling a
+         write; backs the polymorphism check of the paper's Sec. 4.2 *)
 }
 
 let create ?focus ~symtab (infos : Jsir.Loops.info array) : t =
@@ -208,16 +204,30 @@ let create ?focus ~symtab (infos : Jsir.Loops.info array) : t =
       Option.map (fun ids -> Array.init n (fun i -> List.mem i ids)) focus;
     recursion_warnings = 0;
     accesses_checked = 0;
-    type_sites = Sites.create 256 }
+    type_sites = Hashtbl.create 256 }
 
 let next_seq t =
   t.seq <- t.seq + 1;
   t.seq
 
+let rec any_focused focused = function
+  | [] -> false
+  | (f : frame) :: rest -> focused.(f.floop) || any_focused focused rest
+
 let recording t =
   match t.focus with
-  | None -> t.stack <> []
-  | Some focused -> List.exists (fun f -> focused.(f.floop)) t.stack
+  | None -> t.stack != []
+  | Some focused -> any_focused focused t.stack
+
+(* Write [frames] (innermost first) into [cur] from triple [i] down. *)
+let rec fill cur i = function
+  | [] -> ()
+  | (f : frame) :: rest ->
+    let b = 3 * i in
+    cur.(b) <- f.floop;
+    cur.(b + 1) <- f.finstance;
+    cur.(b + 2) <- f.fiteration;
+    fill cur (i - 1) rest
 
 (* Mirror [stack] into the flat array after a loop event. *)
 let resync t =
@@ -225,15 +235,7 @@ let resync t =
   if 3 * n > Array.length t.cur then
     t.cur <- Array.make (max (3 * n) (2 * Array.length t.cur)) 0;
   t.depth <- n;
-  let i = ref n in
-  List.iter
-    (fun (f : frame) ->
-       decr i;
-       let b = 3 * !i in
-       t.cur.(b) <- f.floop;
-       t.cur.(b + 1) <- f.finstance;
-       t.cur.(b + 2) <- f.fiteration)
-    t.stack;
+  fill t.cur (n - 1) t.stack;
   t.frozen_ok <- false;
   t.shape <- (match t.stack with f :: _ -> f.fshape | [] -> 0);
   t.rec_now <- recording t
@@ -323,6 +325,10 @@ let check t smarks sseq =
 (* ------------------------------------------------------------------ *)
 (* Loop events                                                         *)
 
+let rec is_open id = function
+  | [] -> false
+  | (f : frame) :: rest -> f.floop = id || is_open id rest
+
 let on_loop_enter t id =
   let seq = next_seq t in
   let d = t.dyn.(id) in
@@ -333,16 +339,16 @@ let on_loop_enter t id =
      loop body (transitively) called a function that reached the same
      syntactic loop. The characterization stack would grow unboundedly;
      the paper raises a warning and discards the nest's results. *)
-  if List.exists (fun f -> f.floop = id) t.stack then begin
+  if is_open id t.stack then begin
     t.tainted.(id) <- true;
     t.recursion_warnings <- t.recursion_warnings + 1
   end;
   let parent = match t.stack with f :: _ -> f.fshape | [] -> 0 in
   let shape_key = (parent * Array.length t.infos) + id in
   let shape =
-    match Hashtbl.find_opt t.shapes shape_key with
-    | Some shape -> shape
-    | None ->
+    match Hashtbl.find t.shapes shape_key with
+    | shape -> shape
+    | exception Not_found ->
       let shape = Hashtbl.length t.shapes + 1 in
       Hashtbl.replace t.shapes shape_key shape;
       shape
@@ -354,14 +360,18 @@ let on_loop_enter t id =
 
 let on_loop_iter t id =
   ignore (next_seq t);
-  (match t.stack with
-   | f :: _ when f.floop = id -> f.fiteration <- f.fiteration + 1
-   | _ ->
-     (* Recursive shadowing: bump the topmost matching frame. *)
-     (match List.find_opt (fun f -> f.floop = id) t.stack with
-      | Some f -> f.fiteration <- f.fiteration + 1
-      | None -> ()));
-  resync t
+  match t.stack with
+  | f :: _ when f.floop = id ->
+    (* the common case: only the top triple's iteration moves *)
+    f.fiteration <- f.fiteration + 1;
+    t.cur.((3 * t.depth) - 1) <- f.fiteration;
+    t.frozen_ok <- false
+  | _ ->
+    (* Recursive shadowing: bump the topmost matching frame. *)
+    (match List.find_opt (fun f -> f.floop = id) t.stack with
+     | Some f -> f.fiteration <- f.fiteration + 1
+     | None -> ());
+    resync t
 
 let on_loop_exit t id =
   ignore (next_seq t);
@@ -530,8 +540,7 @@ let count_warning t tag sym line code carrier =
 let prop_key oid sym = (oid lsl Symbol.bits) lor sym
 let var_key owner_sid sym = ((owner_sid + 2) lsl Symbol.bits) lor sym
 
-let on_var_write ?(induction = false) ?(accum = false) t ~sym ~owner_sid
-    ~line =
+let on_var_write ~induction ~accum t ~sym ~owner_sid ~line =
   if t.rec_now then begin
     t.accesses_checked <- t.accesses_checked + 1;
     let code =
@@ -582,10 +591,11 @@ let on_var_write ?(induction = false) ?(accum = false) t ~sym ~owner_sid
    through the *binding* [p] — that is why extracting the loop body
    into a per-iteration callback turns those warnings into "ok ok" —
    while receivers produced by arbitrary expressions are characterized
-   through the object's creation stamp (the proxy wrap). *)
-type basis =
-  | Via_object
-  | Via_binding of int (* owner scope sid; -1 = unbound/global *)
+   through the object's creation stamp (the proxy wrap). A basis is the
+   binding's owner scope sid ([-1] = unbound/global) or [via_object]. *)
+type basis = int
+
+let via_object = -2
 
 (* Count an iteration-carried relation with the access recorded at a
    snapshot slot. *)
@@ -613,11 +623,9 @@ let on_prop_write t ~basis ~oid ~prop ~line =
       Snaptab.consume t.read_snaps rslot
     end;
     let code =
-      match basis with
-      | Via_object -> check t (obj_marks t oid) (obj_seq t oid)
-      | Via_binding sid ->
-        if sid >= 0 then check t (scope_marks t sid) (scope_seq t sid)
-        else check t no_marks 0
+      if basis = via_object then check t (obj_marks t oid) (obj_seq t oid)
+      else if basis >= 0 then check t (scope_marks t basis) (scope_seq t basis)
+      else check t no_marks 0
     in
     if code <> all_ok then
       count_warning t tag_prop_write prop line code
@@ -655,37 +663,42 @@ let on_prop_read t ~oid ~prop ~line =
 (* Observed-type tracking (paper Sec. 4.2): a write site is
    polymorphic when it stores values of more than one type there, not
    counting undefined/null ("we do not consider a variable polymorphic
-   if it changes between defined, undefined, and null"). *)
-let rec mem_tag tag = function
-  | [] -> false
-  | x :: rest -> String.equal x tag || mem_tag tag rest
+   if it changes between defined, undefined, and null"). Null comes
+   first; the others are sorted, as [polymorphic_sites] lists them. *)
+let type_tags =
+  [| "null"; "boolean"; "function"; "number"; "object"; "string" |]
 
-let note_type t ~name ~line ~type_tag =
-  if t.rec_now then begin
-    match type_tag with
-    | "undefined" -> ()
-    | tag ->
-      let key = (name, line) in
-      (match Sites.find t.type_sites key with
-       | tags -> if not (mem_tag tag !tags) then tags := tag :: !tags
-       | exception Not_found -> Sites.add t.type_sites key (ref [ tag ]))
-  end
+let type_site t ~name ~line =
+  let key = (name, line) in
+  match Hashtbl.find_opt t.type_sites key with
+  | Some site -> site
+  | None ->
+    let site = { tags = 0 } in
+    Hashtbl.add t.type_sites key site;
+    site
+
+let note_type t site tag =
+  if t.rec_now && tag >= 0 then site.tags <- site.tags lor (1 lsl tag)
+
+(* The non-null types a mask names, sorted. *)
+let non_null_tags mask =
+  List.filteri (fun i _ -> i > 0 && mask land (1 lsl i) <> 0)
+    (Array.to_list type_tags)
 
 (* Write sites (inside recorded loops) that stored more than one
    non-null type, with the types observed. *)
 let polymorphic_sites t =
-  Sites.fold
-    (fun (name, line) tags acc ->
-       let tags =
-         List.filter (fun tag -> tag <> "null") !tags
-         |> List.sort compare
-       in
+  Hashtbl.fold
+    (fun (name, line) site acc ->
+       let tags = non_null_tags site.tags in
        if List.length tags >= 2 then (name, line, tags) :: acc else acc)
     t.type_sites []
   |> List.sort compare
 
 let monomorphic_site_count t =
-  Sites.length t.type_sites - List.length (polymorphic_sites t)
+  Hashtbl.fold (fun _ site n -> if site.tags <> 0 then n + 1 else n)
+    t.type_sites 0
+  - List.length (polymorphic_sites t)
 
 (* DOM/canvas traffic attribution: charge every open loop. *)
 let on_host_access t =

@@ -58,15 +58,17 @@ type warning = {
           attributing the warning to a nest *)
 }
 
-type basis =
-  | Via_object
-      (** characterize through the receiver object's creation stamp
-          (the paper's proxy wrap) *)
-  | Via_binding of int
-      (** the receiver was a plain variable: characterize through the
-          binding's owner scope sid ([-1] = unbound/global) — this is
-          why extracting a loop body into a per-iteration callback
-          silences the warnings, as the paper describes *)
+type basis = int
+(** How a property write is characterized. A receiver named by a plain
+    variable is characterized through the binding: the basis is the
+    binding's owner scope sid ([-1] = unbound/global) — this is why
+    extracting a loop body into a per-iteration callback silences the
+    warnings, as the paper describes. Any other receiver is
+    characterized through its creation stamp (the paper's proxy wrap):
+    the basis is {!via_object}. A plain int, so a write passes it
+    without allocating. *)
+
+val via_object : basis
 
 type t
 
@@ -97,8 +99,8 @@ val on_object_created : t -> oid:int -> unit
 (** Stamp an object at its creation site (the proxy wrap). *)
 
 val on_var_write :
-  ?induction:bool ->
-  ?accum:bool ->
+  induction:bool ->
+  accum:bool ->
   t ->
   sym:int ->
   owner_sid:int ->
@@ -121,10 +123,23 @@ val on_prop_read : t -> oid:int -> prop:int -> line:int -> unit
 val on_host_access : t -> unit
 (** Charge a DOM/canvas operation to every open loop. *)
 
-val note_type : t -> name:string -> line:int -> type_tag:string -> unit
-(** Record the type of a value stored at a write site (inside recorded
-    loops). [undefined] writes are ignored, per the paper's definition
-    of variable polymorphism (Sec. 2.4/4.2). *)
+type type_site
+(** A write site's cell: the set of value types stored there. *)
+
+val type_tags : string array
+(** The value types a site records, ["null"] first: a store's tag is
+    its type's index here. *)
+
+val type_site : t -> name:string -> line:int -> type_site
+(** The cell of the write site ([name], [line]), found or added. A write
+    looks its cell up once, while it is compiled, so a store costs no
+    hashing; a site counts only once a store is noted. *)
+
+val note_type : t -> type_site -> int -> unit
+(** [note_type t site tag] records a store of the type [type_tags.(tag)]
+    at [site] (inside recorded loops). A negative tag is an [undefined]
+    store, ignored, per the paper's definition of variable polymorphism
+    (Sec. 2.4/4.2). *)
 
 val polymorphic_sites : t -> (string * int * string list) list
 (** Write sites that stored more than one non-null type: the measured

@@ -50,6 +50,38 @@ val get_prop : state -> value -> string -> value
 val set_prop : state -> value -> string -> value -> unit
 (** Writes to DOM-tagged elements are reported as host DOM accesses. *)
 
+(** {2 Member sites} (the compiler's [o.f] paths, for instrumented
+    sites that compile their own) *)
+
+type ic
+(** A member site's monomorphic cache entry: a shared shape and a slot. *)
+
+val new_ic : unit -> ic ref
+(** An empty cell. A site caches reads and writes in separate cells: a
+    read may cache a prototype entry that a write must not use. *)
+
+val get_member : state -> ic ref -> value -> string -> value
+(** {!get_prop} of a key that is neither an index nor ["length"],
+    through the cell: the same result and ticks. *)
+
+val set_member : state -> ic ref -> value -> string -> value -> unit
+(** {!set_prop} of such a key through the cell. *)
+
+val invoke :
+  state -> scope -> value -> int -> value -> value -> code array -> value
+(** [invoke st sc th line fn recv args]: a call site. Evaluates [args]
+    straight into the callee's slots when it is a resolved closure with
+    no observable [arguments], else calls it as {!call} does; fires the
+    call-site hook with [line]. *)
+
+val unary :
+  state -> scope -> value -> int -> value -> value -> code array -> code ->
+  (float -> float) -> value
+(** [unary st sc th line fn recv args a f]: [invoke] of a one-argument
+    call ([args] = [[|a|]]) whose callee [fn] is the direct numeric
+    builtin [f]; on a number, with no call hook set, it runs [f] without
+    an argument list, charging the call's tick. *)
+
 val tick : state -> int -> unit
 (** Advance the virtual clock by a non-negative cost (unchecked, unlike
     {!Ceres_util.Vclock.advance}); fires the state's [on_tick] probe (if

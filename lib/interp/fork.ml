@@ -97,7 +97,8 @@ let log_elem inst w (o : obj) (a : arr_data) i =
    read back from the slot rewrites the value the chunk started from,
    which an earlier chunk's write stands for. An object, or an
    immediate such as [undefined], keeps its identity: a chunk storing
-   the entry value again looks as if it had not written. *)
+   the entry value again looks as if it had not written, so
+   [ambiguous_write_back] sends such an instance back to sequential. *)
 let rebox = function
   | Num f -> Num f
   | Str s -> Str s
@@ -195,6 +196,46 @@ let overlaps inst (chunks : t list) =
        in
        go 0 chunks)
     inst.snaps false
+
+(* Can the write-back lose a rewrite? A slot or dynamic binding whose
+   entry value kept its identity at the fork (an object or an
+   immediate) reads as unwritten in a chunk that stored that value
+   again. Once an earlier chunk changed it, a later chunk still holding
+   the entry value either rewrote it, and is the last writer, or never
+   wrote it, and the earlier write stands; nothing tells the two
+   apart. *)
+let ambiguous_write_back (chunks : t list) =
+  let rec lost changed entry value = function
+    | [] -> false
+    | c :: rest ->
+      let v = value c in
+      (changed && v == entry) || lost (changed || v != entry) entry value rest
+  in
+  match chunks with
+  | [] -> false
+  | c0 :: _ ->
+    let slots = c0.frame.slots in
+    let rec slot i =
+      i < Array.length c0.init
+      && ((c0.init.(i) == slots.(i)
+           && lost false slots.(i) (fun c -> c.copy.slots.(i)) chunks)
+          || slot (i + 1))
+    in
+    slot 0
+    || Strtbl.fold
+         (fun k (cell : cell) found ->
+            found
+            ||
+            match Strtbl.find_opt c0.init_vars k with
+            | Some v when v == cell.v ->
+              lost false v
+                (fun c ->
+                   match Strtbl.find_opt c.copy.vars k with
+                   | Some cell -> cell.v
+                   | None -> v)
+                chunks
+            | _ -> false)
+         c0.frame.vars false
 
 (* Every snapshotted array back as the fork found it. *)
 let rollback inst =

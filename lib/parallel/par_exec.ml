@@ -561,6 +561,8 @@ let run_parallel t pool st scope this (lv : loop_visit) (h : header) tasks lo
     let forks = List.map (fun r -> r.c_chunk) chunks in
     if !poisoned = None && Fork.overlaps inst forks then
       taint "overlapping element writes";
+    if !poisoned = None && Fork.ambiguous_write_back forks then
+      taint "ambiguous frame write-back";
     let busy_total =
       List.fold_left (fun acc c -> Int64.add acc (Fork.busy_delta c)) 0L forks
     in

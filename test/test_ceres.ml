@@ -536,6 +536,81 @@ let test_dep_index_fast_path_parity () =
   Alcotest.(check int) "plain busy vticks" 682 plain_ticks;
   Alcotest.(check int) "dependence busy vticks" 975 dep_ticks
 
+(* Instrumented member sites run on inline caches, as the plain [o.f]
+   sites do: a dependence session must print what a plain run prints,
+   and charge the vticks and check the accesses the string-keyed
+   member path did (the pinned counts were measured on it). The
+   loop's sites see own, prototype and missing keys, several shapes,
+   dictionaries (after a [delete] and past 32 keys), property adds and
+   overwrites, a compound write of an inherited key, a DOM element
+   write (still a host access), a string method and a direct numeric
+   builtin. *)
+let test_dep_member_cache_parity () =
+  let src =
+    "function Pt(x) { this.x = x; }\n\
+     Pt.prototype.norm = function () { return this.x * 2; };\n\
+     Pt.prototype.kind = \"pt\";\n\
+     var d = { a: 1, b: 2, x: 9 };\n\
+     delete d.a;\n\
+     var big = {};\n\
+     for (var k = 0; k < 40; k++) { big[\"k\" + k] = k; }\n\
+     big.x = 11;\n\
+     var pts = [new Pt(1), new Pt(2),\n\
+     \  { x: 3, norm: function () { return -this.x; } }, { y: 4, x: 5 }, d, big];\n\
+     var el = document.createElement(\"div\");\n\
+     var out = [];\n\
+     for (var i = 0; i < pts.length; i++) {\n\
+     \  var p = pts[i];\n\
+     \  p.x = p.x + 1;\n\
+     \  p.x += 2;\n\
+     \  p.x++;\n\
+     \  p.seen = i;\n\
+     \  p.kind += \"!\";\n\
+     \  out.push(p.x + \":\" + p.kind + \":\" + p.missing + \":\" + p.seen);\n\
+     \  out.push(p.norm ? p.norm() : \"none\");\n\
+     \  el.title = \"t\" + i;\n\
+     \  out.push(\"abc\".charAt(1) + Math.sqrt(p.x));\n\
+     }\n\
+     for (var r = 0; r < 2; r++) {\n\
+     \  for (var j = 0; j < pts.length; j++) { pts[j].seen = r; pts[j].y = j; }\n\
+     }\n\
+     console.log(out.join(\",\"));\n\
+     console.log(el.title, pts[5].seen, pts[3].y, Object.keys(pts[0]).join(\",\"));"
+  in
+  let program = Jsir.Parser.parse_program src in
+  let run dep =
+    let st, _ = Helpers.fresh_state ~dom:true () in
+    let rt =
+      if dep then begin
+        let rt = Ceres.Install.dependence st (Jsir.Loops.index program) in
+        Interp.Eval.run_program st
+          (Ceres.Instrument.program Ceres.Instrument.Dependence program);
+        Some rt
+      end
+      else (Interp.Eval.run_program st program; None)
+    in
+    ( List.rev st.Interp.Value.console,
+      Int64.to_int (Ceres_util.Vclock.busy st.Interp.Value.clock),
+      rt )
+  in
+  let plain_out, plain_ticks, _ = run false in
+  let dep_out, dep_ticks, rt = run true in
+  let rt = Option.get rt in
+  Alcotest.(check (list string)) "same console output" plain_out dep_out;
+  Alcotest.(check (list string)) "console"
+    [ "5:pt!:undefined:0,10,b2.23606797749979,6:pt!:undefined:1,12,\
+       b2.449489742783178,7:undefined!:undefined:2,-7,b2.6457513110645907,\
+       9:undefined!:undefined:3,none,b3,13:undefined!:undefined:4,none,\
+       b3.605551275463989,15:undefined!:undefined:5,none,b3.872983346207417";
+      "t5 1 3 x,seen,kind,y" ]
+    plain_out;
+  Alcotest.(check int) "plain busy vticks" 1748 plain_ticks;
+  Alcotest.(check int) "dependence busy vticks" 2858 dep_ticks;
+  Alcotest.(check int) "accesses checked" 312
+    (Ceres.Runtime.accesses_checked rt);
+  Alcotest.(check int) "the DOM write is a host access" 6
+    (Ceres.Runtime.dom_accesses_in rt 1)
+
 let test_dep_dom_attribution () =
   let infos, rt =
     Helpers.analyze
@@ -708,6 +783,7 @@ let suite =
     ("dep: focus", `Quick, test_dep_focus_restricts_recording);
     ("dep: dom attribution", `Quick, test_dep_dom_attribution);
     ("dep: index fast path parity", `Quick, test_dep_index_fast_path_parity);
+    ("dep: member cache parity", `Quick, test_dep_member_cache_parity);
     ("dep: nest attribution", `Quick, test_dep_nest_attribution);
     ("classify scale", `Quick, test_classify_difficulty_scale);
     ("classify divergence", `Quick, test_classify_divergence);

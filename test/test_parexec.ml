@@ -843,6 +843,36 @@ console.log(f() + "," + A[39]);
       Alcotest.(check (list string)) "par ≡ seq" seq par;
       Alcotest.(check int) "the loop ran in chunks" 1 (PE.nests_run pe))
 
+(* The same loop over objects. An object keeps its identity at the
+   fork, so the last chunk storing the entry object [P] again reads as
+   unwritten, while the first chunk ends on [Q]: the commit cannot tell
+   which chunk wrote last, so the instance re-runs sequentially and
+   tallies why. *)
+let test_frame_object_write_back () =
+  let src =
+    {|
+var A = [];
+for (var i = 0; i < 40; i++) { A[i] = 0; }
+var P = { n: 7 };
+var Q = { n: 5 };
+function f() {
+  var last = P;
+  for (var j = 0; j < 40; j++) { A[j] = j; last = (j < 15 || j > 30) ? P : Q; }
+  return last;
+}
+console.log(f().n + "," + A[39]);
+|}
+  in
+  let seq = run_program_console src in
+  Alcotest.(check (list string)) "sequential" [ "7,39" ] seq;
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      let pe = PE.create ~break_even:0 ~mode:(PE.Parallel pool) ~jobs:2 () in
+      let par = run_program_console ~par:pe src in
+      Alcotest.(check (list string)) "par ≡ seq" seq par;
+      Alcotest.check outcome_testable "the instance fell back, with its reason"
+        (expected (Some "ambiguous frame write-back"))
+        (outcome pe 1))
+
 let suite =
   [ Alcotest.test_case "12 workloads: par output ≡ seq at -j 2" `Slow
       test_all_workloads_deterministic;
@@ -887,4 +917,7 @@ let suite =
     Alcotest.test_case "barrier: an anti dependence stays sequential" `Quick
       test_barrier_anti_dependence;
     Alcotest.test_case "in place: a frame var's last writer wins" `Quick
-      test_frame_last_writer ]
+      test_frame_last_writer;
+    Alcotest.test_case
+      "in place: an object rewrite of the entry value falls back" `Quick
+      test_frame_object_write_back ]

@@ -333,8 +333,8 @@ let test_allocation_budget () =
       ("fluidSim", "lightweight", light, 10_155_462., 4_994_298, None);
       ("Raytracing", "loop-profile", loops, 7_855_345., 7_823_406, None);
       ("fluidSim", "loop-profile", loops, 7_509_609., 5_093_740, None);
-      ("Raytracing", "dependence", deps, 4_061_494., 3_043_008, Some 331_182);
-      ("fluidSim", "dependence", deps, 3_541_575., 2_454_091, Some 113_569) ]
+      ("Raytracing", "dependence", deps, 1_907_925., 3_043_008, Some 331_182);
+      ("fluidSim", "dependence", deps, 2_966_105., 2_454_091, Some 113_569) ]
 
 let suite =
   [ ("registry complete", `Quick, test_registry_complete);
