@@ -5,8 +5,7 @@
    a small statistics kernel with several classic obstacles at once —
    leaked temporaries, a scalar accumulation, a running maximum, an
    anti-dependent shift and per-iteration DOM output — and prints the
-   ranked advice JS-CERES derives, then shows the speculative executor
-   agreeing with it.
+   ranked advice JS-CERES derives.
 
    Run with: dune exec examples/advice_tour.exe *)
 
@@ -59,27 +58,4 @@ let () =
   print_endline "\n--- derived plan (Sec 5.3) ---";
   print_string
     (Ceres.Advice.render ~label:"the statistics loop"
-       (Ceres.Advice.for_nest rt ~root ~dom_accesses:dom));
-
-  print_endline "\n--- speculation agrees ---";
-  (* With the DOM output hoisted and the reductions handled by the
-     harness accumulator, the remaining per-element work speculates
-     cleanly: *)
-  let setup =
-    "var samples = [];\n\
-     (function() { var i; for (i = 0; i < 64; i++) { samples.push((i * 37 + 11) % 101); } })();"
-  in
-  let iter =
-    "function(i) { var s = samples[i] * 1.5; samples[i] = samples[i + 1]; return s; }"
-  in
-  match
-    Js_parallel.Speculative.run ~domains:2 ~setup_src:setup ~iter_src:iter
-      ~lo:0 ~hi:63 ()
-  with
-  | Committed { result; domains } ->
-    Printf.printf
-      "transformed loop committed on %d domains; reduced sum = %.1f\n" domains
-      result
-  | Aborted reason ->
-    Printf.printf "unexpected abort: %s\n"
-      (Js_parallel.Speculative.abort_reason_to_string reason)
+       (Ceres.Advice.for_nest rt ~root ~dom_accesses:dom))

@@ -3,10 +3,8 @@
 
    The MiniJS program paints a synthetic photo on a canvas and applies
    a filter chain. We (1) verify with JS-CERES that the filter loop has
-   no loop-carried dependences, (2) speculatively parallelize the same
-   per-pixel function with the share-nothing executor, and (3) run the
-   equivalent native kernel under the domain pool and compare
-   checksums.
+   no loop-carried dependences, and (2) run the equivalent native
+   kernel under the domain pool and compare checksums.
 
    Run with: dune exec examples/image_pipeline.exe *)
 
@@ -53,33 +51,7 @@ let () =
     (Ceres.Instrument.program Ceres.Instrument.Dependence program);
   print_string (Ceres.Report.dependence_report rt infos);
 
-  (* 2. speculative parallelization of the per-pixel kernel *)
-  print_endline "\n--- speculative parallelization ---";
-  let setup =
-    {|var W = 48; var H = 48;
-var data = [];
-(function() { var i; for (i = 0; i < W * H * 4; i++) { data.push((i * 37) % 256); } })();|}
-  in
-  let iter =
-    {|function(i) {
-  var o = i * 4;
-  var r = data[o] * 1.1 + 10;
-  data[o] = r > 255 ? 255 : r;
-  return data[o];
-}|}
-  in
-  (match
-     Js_parallel.Speculative.run ~domains:2 ~setup_src:setup ~iter_src:iter
-       ~lo:0 ~hi:(48 * 48) ()
-   with
-   | Committed { result; domains } ->
-     Printf.printf "speculation committed on %d domains; checksum %.0f\n"
-       domains result
-   | Aborted reason ->
-     Printf.printf "speculation aborted: %s\n"
-       (Js_parallel.Speculative.abort_reason_to_string reason));
-
-  (* 3. native kernel under the pool *)
+  (* 2. native kernel under the pool *)
   print_endline "\n--- native kernel, sequential vs pool ---";
   let k = Option.get (Workloads.Kernels.find "caman-filter") in
   let seq = k.run 128 in

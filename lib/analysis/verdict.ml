@@ -4,15 +4,15 @@
    Sequential: each step weakens the static claim. [Parallel] and
    [Reduction] are *proofs* (valid for every execution, so the dynamic
    analyzer may never observe a carried flow triple on such a loop);
-   [Needs_runtime_check] means the analysis was inconclusive and
-   runtime speculation must decide; [Sequential] is a demonstrated
-   loop-carried dependence or I/O.
+   [Needs_runtime_check] means the analysis was inconclusive, so the
+   loop runs sequentially; [Sequential] is a demonstrated loop-carried
+   dependence or I/O.
 
    Proof verdicts carry two refinements. [war_roots] lists roots whose
    only cross-iteration conflicts are anti (a later iteration
-   overwrites what an earlier one read): safe under snapshot-fork
-   execution — every chunk reads pre-loop state, exactly what a
-   sequential run reads through an anti-only dependence — but the
+   overwrites what an earlier one read). Chunks run in place, where
+   one could read its neighbour's write, so the parallel executor
+   keeps such a nest sequential ("anti dependence on <roots>"); the
    dynamic stage will observe WAR triples on them, so the soundness
    cross-check must know they are declared. Each accumulator carries
    its operation and whether the reduction is provably

@@ -4,13 +4,14 @@
     Sequential]; the first two are proofs valid for every execution
     (soundness: the dynamic analyzer may never observe an
     iteration-carried flow triple on such a loop), the third is an
-    honest "inconclusive, speculate at runtime", the last a
+    honest "inconclusive; the loop runs sequentially", the last a
     demonstrated dependence or I/O.
 
     Proof verdicts may declare [war_roots] — roots whose only
-    cross-iteration conflicts are anti dependences, safe under
-    snapshot-fork execution — and typed accumulators with an
-    order-insensitivity proof consumed by the parallel executor. *)
+    cross-iteration conflicts are anti dependences; the parallel
+    executor keeps such a nest sequential ("anti dependence on …") —
+    and typed accumulators with an order-insensitivity proof consumed
+    by the parallel executor. *)
 
 type acc_op = Sum | Prod | Min | Max | Band | Bor | Bxor | Other
 

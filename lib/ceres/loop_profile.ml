@@ -15,17 +15,17 @@ type loop_stats = {
 
 type open_instance = {
   oloop : Jsir.Ast.loop_id;
-  started : int64; (* busy vticks at instance entry *)
+  started : int; (* busy vticks at instance entry *)
   mutable otrips : int;
-  mutable last_iter_started : int64;
+  mutable last_iter_started : int;
 }
 
 type t = {
   clock : Ceres_util.Vclock.t;
   stats : loop_stats array;
   mutable open_stack : open_instance list;
-  mutable opened : int64; (* busy vticks when the stack last became non-empty *)
-  mutable in_loops : int64; (* busy vticks with a loop open *)
+  mutable opened : int; (* busy vticks when the stack last became non-empty *)
+  mutable in_loops : int; (* busy vticks with a loop open *)
 }
 
 let create clock (infos : Jsir.Loops.info array) =
@@ -37,11 +37,13 @@ let create clock (infos : Jsir.Loops.info array) =
             trips = Ceres_util.Welford.create ();
             iter_time = Ceres_util.Welford.create () });
     open_stack = [];
-    opened = 0L;
-    in_loops = 0L }
+    opened = 0;
+    in_loops = 0 }
 
-let busy t = Ceres_util.Vclock.busy t.clock
-let ms t ticks = Ceres_util.Vclock.to_ms t.clock ticks
+(* Native ints, read straight off the clock: a loop event boxes no
+   [Int64]. Exact as [Vclock.to_ms] below 2^53 ticks. *)
+let busy t = t.clock.Ceres_util.Vclock.busy_ticks
+let ms t ticks = float_of_int ticks /. float t.clock.Ceres_util.Vclock.rate
 
 let on_enter t id =
   let now = busy t in
@@ -53,7 +55,7 @@ let on_enter t id =
 let close_iteration t (inst : open_instance) now =
   if inst.otrips > 0 then
     Ceres_util.Welford.add t.stats.(inst.oloop).iter_time
-      (ms t (Int64.sub now inst.last_iter_started))
+      (ms t (now - inst.last_iter_started))
 
 let on_iter t id =
   match t.open_stack with
@@ -84,10 +86,10 @@ let on_exit t id =
   | None -> ()
   | Some inst ->
     if remaining = [] then
-      t.in_loops <- Int64.add t.in_loops (Int64.sub now t.opened);
+      t.in_loops <- t.in_loops + (now - t.opened);
     close_iteration t inst now;
     let s = t.stats.(id) in
-    Ceres_util.Welford.add s.time (ms t (Int64.sub now inst.started));
+    Ceres_util.Welford.add s.time (ms t (now - inst.started));
     Ceres_util.Welford.add s.trips (float_of_int inst.otrips)
 
 let stats t id = t.stats.(id)

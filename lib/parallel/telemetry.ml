@@ -52,7 +52,6 @@ let count c = Atomic.get c.value
 
 let retries = counter "retries"
 let faults_injected = counter "faults_injected"
-let speculation_skipped_static = counter "speculation_skipped_static"
 let cache_hits = counter "cache_hits"
 let cache_misses = counter "cache_misses"
 let cache_evictions = counter "cache_evictions"
@@ -64,8 +63,7 @@ let sessions_dropped = counter "sessions_dropped"
 (* Rendering order: the pool list rides in every pool snapshot, the
    server list is the {"op":"telemetry"} health snapshot's section. *)
 let pool_counters =
-  [ retries; faults_injected; speculation_skipped_static; cache_hits;
-    cache_misses; cache_evictions ]
+  [ retries; faults_injected; cache_hits; cache_misses; cache_evictions ]
 
 let server_counters =
   [ requests_admitted; requests_shed; requests_timed_out; sessions_dropped ]

@@ -12,10 +12,10 @@
     for trustworthy parallel measurements.
 
     Counters of components that own no pool — supervisor retries,
-    chaos injections, speculation fast paths, the service's result
-    cache, the socket server's request lifecycle — live in one
-    registry: each is a {!counter} declared once below, and the JSON
-    surfaces render the registry's two ordered lists. *)
+    chaos injections, the service's result cache, the socket server's
+    request lifecycle — live in one registry: each is a {!counter}
+    declared once below, and the JSON surfaces render the registry's
+    two ordered lists. *)
 
 (** {1 Raw counters (one record per pool participant)} *)
 
@@ -51,10 +51,6 @@ val retries : counter
 
 val faults_injected : counter
 (** Chaos injections fired. *)
-
-val speculation_skipped_static : counter
-(** Speculative loop runs that skipped conflict bookkeeping because
-    the static analyzer proved the loop parallel. *)
 
 val cache_hits : counter
 val cache_misses : counter

@@ -1,11 +1,11 @@
 (* The service core: one [run] that every consumer routes through.
 
-   Execution mirrors what [Workloads.Harness.map_workloads_supervised]
-   used to hand-wire at each call site: a per-workload chaos session
-   keyed on the workload *name* (so injected failure sets stay a pure
-   function of the seed, independent of scheduling), supervised by
+   Each cache miss runs under a per-workload chaos session keyed on
+   the workload *name* (so injected failure sets stay a pure function
+   of the seed, independent of scheduling), supervised by
    [Js_parallel.Supervisor.run] with the service's retry and watchdog
-   policy. On top of that sit the result cache and the batcher. *)
+   policy; the batcher fans a batch's misses out over the pool. On top
+   of that sits the result cache. *)
 
 module Json = Ceres_util.Json
 module Request = Request

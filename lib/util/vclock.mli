@@ -25,8 +25,9 @@ type t = {
     dev profile ([-opaque]) a call to {!advance} would stay a
     cross-module call there; its costs are non-negative constants, so
     it skips {!advance}'s sign check. Everything else changes the clock
-    through {!advance} and reads it through the [int64] accessors
-    below. *)
+    through {!advance}. [Ceres.Loop_profile] reads [busy_ticks] in
+    place, so a loop event boxes nothing; other readers use the
+    [int64] accessors below. *)
 
 val create : ?ticks_per_ms:int -> unit -> t
 (** Fresh clock at time zero. *)

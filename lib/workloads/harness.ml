@@ -132,42 +132,6 @@ let run_dependence ?focus (w : Workload.t) =
     w
 
 (* ------------------------------------------------------------------ *)
-(* Parallel analysis driver: run a per-workload analysis stage for
-   many workloads concurrently. Every stage builds its interpreter,
-   DOM and clock from scratch inside [prepare] and shares nothing, so
-   scheduling the 12 pipelines over pool domains cannot change any
-   measurement — the virtual clocks are deterministic per state. Input
-   order is preserved in the result, so callers print byte-identical
-   tables regardless of the job count. *)
-
-let map_workloads ?pool f ws =
-  match pool with
-  | None -> List.map (fun w -> (w, f w)) ws
-  | Some p ->
-    let arr = Array.of_list ws in
-    let out = Array.make (Array.length arr) None in
-    Js_parallel.Pool.parallel_for p ~lo:0 ~hi:(Array.length arr) ~chunk:1
-      (fun i -> out.(i) <- Some (f arr.(i)));
-    Array.to_list (Array.mapi (fun i r -> (arr.(i), Option.get r)) out)
-
-(* Supervised variant: each workload's stage runs inside
-   [Supervisor.run], so one crashing workload — real bug, watchdog
-   overrun, or injected chaos fault — degrades into an [Error] row
-   while every other workload completes. The body never raises (all
-   exceptions are confined to the [result]), so the pool's
-   [parallel_for] cancellation path is never triggered by a workload
-   failure. The chaos session is keyed on the workload *name*, not on
-   scheduling order, keeping the failure set deterministic. *)
-let map_workloads_supervised ?pool ?retries ?backoff ?budget f ws =
-  let supervised (w : Workload.t) =
-    let session = Js_parallel.Fault.session ~key:w.Workload.name in
-    Js_parallel.Supervisor.run ?retries ?backoff ?budget (fun () ->
-        Js_parallel.Fault.attempt_gate session;
-        Js_parallel.Fault.with_session session (fun () -> f w))
-  in
-  map_workloads ?pool supervised ws
-
-(* ------------------------------------------------------------------ *)
 (* Table 3: per-nest inspection                                        *)
 
 type nest_row = {

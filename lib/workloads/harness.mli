@@ -54,34 +54,6 @@ val run_dependence :
   ?focus:Jsir.Ast.loop_id list -> Workload.t -> run_context * Ceres.Runtime.t
 (** Sec. 3.3 stage, at the workload's [dep_scale]. *)
 
-val map_workloads :
-  ?pool:Js_parallel.Pool.t ->
-  (Workload.t -> 'a) ->
-  Workload.t list ->
-  (Workload.t * 'a) list
-(** [map_workloads ?pool f ws] runs the analysis stage [f] for every
-    workload, concurrently on [pool] when one is given (each run
-    builds its own interpreter state and shares nothing, so results
-    are identical to the sequential run). Result order follows [ws]
-    regardless of scheduling. *)
-
-val map_workloads_supervised :
-  ?pool:Js_parallel.Pool.t ->
-  ?retries:int ->
-  ?backoff:Js_parallel.Backoff.t ->
-  ?budget:int64 ->
-  (Workload.t -> 'a) ->
-  Workload.t list ->
-  (Workload.t * ('a, Js_parallel.Supervisor.failure) result) list
-(** Like {!map_workloads}, but each workload's stage runs under
-    {!Js_parallel.Supervisor.run}: a crashing workload (bug, watchdog
-    [budget] overrun, injected chaos fault) becomes an [Error] row and
-    the remaining workloads still complete. Transient failures are
-    retried up to [retries] times with [backoff]. When chaos is
-    enabled, each workload gets the {!Js_parallel.Fault.session} keyed
-    on its name, so the failure set is a pure function of the chaos
-    seed. *)
-
 (** One Table 3 row. *)
 type nest_row = {
   workload : string;

@@ -369,46 +369,6 @@ let fuzz_soundness =
        | _ -> false (* the generator emits exactly one loop *))
 
 (* ------------------------------------------------------------------ *)
-(* Speculation fast path *)
-
-let test_speculative_static_skip () =
-  let iter_src = "function (i) { return i * 2; }" in
-  let rep = Js_parallel.Speculative.analyze_candidate ~iter_src in
-  Alcotest.(check bool) "harness loop statically proven" true
-    (Js_parallel.Speculative.statically_proven rep);
-  let before = Js_parallel.Telemetry.(count speculation_skipped_static) in
-  (match
-     Js_parallel.Speculative.run ~domains:2 ~static_verdicts:rep
-       ~setup_src:"" ~iter_src ~lo:0 ~hi:100 ()
-   with
-   | Js_parallel.Speculative.Committed { result; _ } ->
-     Alcotest.(check (float 1e-9)) "sum of 2i" 9900.0 result
-   | Js_parallel.Speculative.Aborted r ->
-     Alcotest.fail (Js_parallel.Speculative.abort_reason_to_string r));
-  Alcotest.(check int) "telemetry counted the skip" (before + 1)
-    (Js_parallel.Telemetry.(count speculation_skipped_static))
-
-let test_speculative_unproven_still_validates () =
-  (* A candidate the static analyzer cannot prove must take the
-     validated path — and abort on its real conflict. *)
-  let setup_src = "var shared = [0];" in
-  let iter_src = "function (i) { shared[0] = i; return shared[0]; }" in
-  let rep = Js_parallel.Speculative.analyze_candidate ~iter_src in
-  Alcotest.(check bool) "not statically proven" false
-    (Js_parallel.Speculative.statically_proven rep);
-  match
-    Js_parallel.Speculative.run ~domains:2 ~static_verdicts:rep ~setup_src
-      ~iter_src ~lo:0 ~hi:8 ()
-  with
-  | Js_parallel.Speculative.Aborted
-      (Js_parallel.Speculative.Carried_dependence _) ->
-    ()
-  | Js_parallel.Speculative.Aborted r ->
-    Alcotest.fail (Js_parallel.Speculative.abort_reason_to_string r)
-  | Js_parallel.Speculative.Committed _ ->
-    Alcotest.fail "conflicting candidate must abort"
-
-(* ------------------------------------------------------------------ *)
 
 let suite =
   [ Alcotest.test_case "var hoists out of blocks" `Quick
@@ -432,8 +392,4 @@ let suite =
       test_proven_floor;
     Alcotest.test_case "crossval: 12 workloads sound" `Slow
       test_crossval_all_workloads;
-    qtest fuzz_soundness;
-    Alcotest.test_case "speculation skips on static proof" `Quick
-      test_speculative_static_skip;
-    Alcotest.test_case "speculation still validates unproven" `Quick
-      test_speculative_unproven_still_validates ]
+    qtest fuzz_soundness ]

@@ -25,25 +25,6 @@ let test_no_war_on_disjoint () =
   Alcotest.(check bool) "no WAR on same-iteration RMW" false
     (Helpers.has_warning a ~sub:"anti-dependent write")
 
-let test_war_does_not_abort_speculation () =
-  (* the classic shift-left loop: out[i] = src[i+1]; reads run ahead of
-     writes, WAR only -> share-nothing speculation is sound *)
-  let setup = "var xs = [5, 4, 3, 2, 1, 0];" in
-  let iter = "function(i) { var nxt = xs[i + 1]; xs[i] = nxt; return nxt; }" in
-  match
-    Js_parallel.Speculative.run ~domains:2 ~setup_src:setup ~iter_src:iter
-      ~lo:0 ~hi:5 ()
-  with
-  | Committed { result; _ } ->
-    let seq =
-      Js_parallel.Speculative.run_sequential ~setup_src:setup ~iter_src:iter
-        ~lo:0 ~hi:5 ()
-    in
-    Alcotest.(check (float 1e-9)) "replay matches sequential" seq result
-  | Aborted r ->
-    Alcotest.failf "WAR-only loop aborted: %s"
-      (Js_parallel.Speculative.abort_reason_to_string r)
-
 (* ------------------------------------------------------------------ *)
 (* Polymorphism monitor *)
 
@@ -298,7 +279,6 @@ let test_export_full_workload_report () =
 let suite =
   [ ("WAR detected", `Quick, test_war_detected);
     ("no WAR on same-iteration RMW", `Quick, test_no_war_on_disjoint);
-    ("WAR-only speculation commits", `Quick, test_war_does_not_abort_speculation);
     ("monomorphic loop clean", `Quick, test_monomorphic_loop_has_no_poly_sites);
     ("polymorphic variable detected", `Quick, test_polymorphic_variable_detected);
     ("undefined/null excluded", `Quick, test_undefined_null_not_polymorphic);

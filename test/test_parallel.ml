@@ -1,6 +1,6 @@
-(* Domain pool, parallel combinators and the speculative executor.
-   Every test here checks correctness (results, exceptions, abort
-   reasons), never speedup, so the suite passes on any core count. *)
+(* Domain pool, parallel combinators, telemetry and the native
+   kernels. Every test here checks correctness (results, exceptions,
+   counters), never speedup, so the suite passes on any core count. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -358,8 +358,7 @@ let test_telemetry_wire_format () =
   let pool_keys =
     [ "participants"; "jobs_submitted"; "loops_run"; "tasks_executed";
       "tasks_failed"; "steals_succeeded"; "retries"; "faults_injected";
-      "speculation_skipped_static"; "cache_hits"; "cache_misses";
-      "cache_evictions"; "domains"; "loops" ]
+      "cache_hits"; "cache_misses"; "cache_evictions"; "domains"; "loops" ]
   in
   Js_parallel.Pool.with_pool ~domains:2 (fun p ->
       Js_parallel.Pool.parallel_for p ~lo:0 ~hi:8 (fun _ -> ());
@@ -408,116 +407,6 @@ let test_reset_stats_spares_registry () =
     Js_parallel.Telemetry.(count requests_shed)
 
 (* ------------------------------------------------------------------ *)
-(* Speculative executor *)
-
-let map_setup =
-  "var src = []; var dst = [];\n\
-   (function() { for (var i = 0; i < 40; i++) { src.push(i * 3 % 11); } })();"
-
-let test_speculation_commits_on_map () =
-  match
-    Js_parallel.Speculative.run ~domains:2 ~setup_src:map_setup
-      ~iter_src:"function(i) { dst[i] = src[i] * src[i]; return dst[i]; }"
-      ~lo:0 ~hi:40 ()
-  with
-  | Committed { result; _ } ->
-    let seq =
-      Js_parallel.Speculative.run_sequential ~setup_src:map_setup
-        ~iter_src:"function(i) { dst[i] = src[i] * src[i]; return dst[i]; }"
-        ~lo:0 ~hi:40 ()
-    in
-    Alcotest.(check (float 1e-9)) "parallel = sequential" seq result
-  | Aborted r ->
-    Alcotest.failf "unexpected abort: %s"
-      (Js_parallel.Speculative.abort_reason_to_string r)
-
-let test_speculation_aborts_on_flow () =
-  match
-    Js_parallel.Speculative.run ~domains:2 ~setup_src:map_setup
-      ~iter_src:
-        "function(i) { dst[i] = (i > 0 ? dst[i - 1] : 0) + src[i]; return dst[i]; }"
-      ~lo:0 ~hi:40 ()
-  with
-  | Committed _ -> Alcotest.fail "prefix sum must abort"
-  | Aborted (Carried_dependence reasons) ->
-    Alcotest.(check bool) "reason names the flow read" true
-      (List.exists (Helpers.contains ~sub:"read of property") reasons)
-  | Aborted other ->
-    Alcotest.failf "wrong abort reason: %s"
-      (Js_parallel.Speculative.abort_reason_to_string other)
-
-let test_speculation_aborts_on_waw () =
-  match
-    Js_parallel.Speculative.run ~domains:2 ~setup_src:map_setup
-      ~iter_src:"function(i) { dst[0] = i; return i; }" ~lo:0 ~hi:40 ()
-  with
-  | Committed _ -> Alcotest.fail "all-write-one-slot must abort"
-  | Aborted (Carried_dependence reasons) ->
-    Alcotest.(check bool) "reason names the WAW" true
-      (List.exists (Helpers.contains ~sub:"repeated write") reasons)
-  | Aborted other ->
-    Alcotest.failf "wrong abort reason: %s"
-      (Js_parallel.Speculative.abort_reason_to_string other)
-
-let test_speculation_aborts_on_dom () =
-  let setup =
-    "var el = document.createElement(\"div\");\n\
-     document.body.appendChild(el);"
-  in
-  match
-    Js_parallel.Speculative.run ~domains:2 ~setup_src:setup
-      ~iter_src:"function(i) { el.setAttribute(\"n\", \"\" + i); return i; }"
-      ~lo:0 ~hi:10 ()
-  with
-  | Committed _ -> Alcotest.fail "DOM loop must abort"
-  | Aborted (Dom_access n) -> Alcotest.(check bool) "counted" true (n > 0)
-  | Aborted other ->
-    Alcotest.failf "wrong abort reason: %s"
-      (Js_parallel.Speculative.abort_reason_to_string other)
-
-let test_speculation_reports_runtime_errors () =
-  match
-    Js_parallel.Speculative.run ~domains:2 ~setup_src:""
-      ~iter_src:"function(i) { return missing_function(i); }" ~lo:0 ~hi:4 ()
-  with
-  | Committed _ -> Alcotest.fail "must abort"
-  | Aborted (Runtime_error msg) ->
-    Alcotest.(check bool) "mentions the reference error" true
-      (Helpers.contains ~sub:"missing_function" msg)
-  | Aborted other ->
-    Alcotest.failf "wrong abort reason: %s"
-      (Js_parallel.Speculative.abort_reason_to_string other)
-
-(* Satellite regression: a runaway iteration body used to blow the
-   whole speculation up with an escaping [Budget_exhausted]; it must
-   degrade into an abort that names the budget. *)
-let test_speculation_aborts_on_runaway_body () =
-  match
-    Js_parallel.Speculative.run ~domains:2 ~budget:100_000L ~setup_src:""
-      ~iter_src:"function(i) { while (true) { i = i + 1; } return i; }"
-      ~lo:0 ~hi:4 ()
-  with
-  | Committed _ -> Alcotest.fail "runaway body must abort"
-  | Aborted (Runtime_error msg) ->
-    Alcotest.(check bool) "reason names the budget" true
-      (Helpers.contains ~sub:"budget exhausted" msg)
-  | Aborted other ->
-    Alcotest.failf "wrong abort reason: %s"
-      (Js_parallel.Speculative.abort_reason_to_string other)
-
-let test_speculation_reduction_accumulator_allowed () =
-  (* the harness's own __acc accumulation must not abort the loop *)
-  match
-    Js_parallel.Speculative.run ~domains:2 ~setup_src:map_setup
-      ~iter_src:"function(i) { return src[i]; }" ~lo:0 ~hi:40 ()
-  with
-  | Committed { result; _ } ->
-    Alcotest.(check bool) "sum positive" true (result > 0.)
-  | Aborted r ->
-    Alcotest.failf "unexpected abort: %s"
-      (Js_parallel.Speculative.abort_reason_to_string r)
-
-(* ------------------------------------------------------------------ *)
 (* Native kernels: parallel equals sequential *)
 
 let test_kernels_parallel_equals_sequential () =
@@ -553,14 +442,6 @@ let suite =
     ("telemetry steals under imbalance", `Slow,
      test_telemetry_steals_under_imbalance);
     ("telemetry json shape", `Quick, test_stats_json_shape);
-    ("speculation commits on map", `Quick, test_speculation_commits_on_map);
-    ("speculation aborts on flow", `Quick, test_speculation_aborts_on_flow);
-    ("speculation aborts on WAW", `Quick, test_speculation_aborts_on_waw);
-    ("speculation aborts on DOM", `Quick, test_speculation_aborts_on_dom);
-    ("speculation reports errors", `Quick, test_speculation_reports_runtime_errors);
-    ("speculation aborts on runaway body", `Quick,
-     test_speculation_aborts_on_runaway_body);
-    ("speculation allows reduction", `Quick, test_speculation_reduction_accumulator_allowed);
     ("kernels parallel = sequential", `Slow, test_kernels_parallel_equals_sequential);
     ("telemetry wire format", `Quick, test_telemetry_wire_format);
     ("reset_stats spares the registry", `Quick,

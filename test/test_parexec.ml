@@ -873,6 +873,88 @@ console.log(f().n + "," + A[39]);
         (expected (Some "ambiguous frame write-back"))
         (outcome pe 1))
 
+(* A chunk that throws, or that runs out of the state's budget, poisons
+   its instance with the reason named; the instance re-runs
+   sequentially and ends as the sequential run ends: same console, same
+   uncaught error or [Budget_exhausted], same virtual clock. The throw
+   is in trip 30, past the probe trip, so the second chunk meets it.
+   The budget cases take a fraction of the loop's sequential cost: at
+   3/10 a chunk runs out on its own; at 3/4 each chunk fits, but their
+   sum would not. *)
+let test_chunk_failures () =
+  let throw_src =
+    {|
+var a = [];
+var b = [];
+for (var k = 0; k < 40; k++) { a[k] = { x: { y: k } }; b[k] = 0; }
+a[30] = { x: null };
+console.log("before");
+for (var i = 0; i < 40; i++) {
+  b[i] = a[i].x.y;
+}
+console.log("after");
+|}
+  and budget_src =
+    {|
+var a = [];
+for (var k = 0; k < 40; k++) { a[k] = 0; }
+console.log("before");
+function fill() {
+  for (var i = 0; i < 40; i++) {
+    var s = 0;
+    for (var j = 0; j < 200; j++) { s = s + j * i; }
+    a[i] = s;
+  }
+}
+fill();
+console.log("after " + a[39]);
+|}
+  in
+  let run ?budget par program =
+    let st = Interp.Eval.create ?budget () in
+    Interp.Builtins.install st;
+    Option.iter
+      (fun pe -> PE.install pe st ~report:(Analysis.Driver.analyze program))
+      par;
+    let err =
+      match Interp.Eval.run_program st program with
+      | () -> "no error"
+      | exception Interp.Value.Js_throw v -> Interp.Value.to_string st v
+      | exception Interp.Value.Budget_exhausted -> "budget exhausted"
+    in
+    (err, observe st)
+  in
+  let full = snd (run None (Jsir.Parser.parse_program budget_src)) in
+  let fraction num den = Int64.div (Int64.mul full.busy num) den in
+  Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun (name, src, budget, why) ->
+           let program = Jsir.Parser.parse_program src in
+           (* the [i] loop, the program's second *)
+           let id = 1 in
+           Alcotest.(check bool) (name ^ ": the loop is proven") true
+             (List.exists
+                (fun (r : Analysis.Driver.row) -> r.info.Jsir.Loops.id = id)
+                (Analysis.Driver.proven (Analysis.Driver.analyze program)));
+           let seq_err, seq = run ?budget None program in
+           let pe =
+             PE.create ~break_even:0 ~mode:(PE.Parallel pool) ~jobs:2 ()
+           in
+           let par_err, par = run ?budget (Some pe) program in
+           Alcotest.(check bool) (name ^ ": the sequential run fails") true
+             (seq_err <> "no error");
+           Alcotest.(check string) (name ^ ": same uncaught error") seq_err
+             par_err;
+           Alcotest.check obs_testable (name ^ ": same console and clock") seq
+             par;
+           Alcotest.check outcome_testable (name ^ ": falls back, named")
+             (expected (Some why)) (outcome pe id))
+        [ ("a throw in trip 30", throw_src, None, "js exception inside chunk");
+          ( "a budget a chunk exhausts", budget_src, Some (fraction 3L 10L),
+            "budget exhausted inside chunk" );
+          ( "a budget the chunks' sum exhausts", budget_src,
+            Some (fraction 3L 4L), "budget would be exhausted" ) ])
+
 let suite =
   [ Alcotest.test_case "12 workloads: par output ≡ seq at -j 2" `Slow
       test_all_workloads_deterministic;
@@ -920,4 +1002,6 @@ let suite =
       test_frame_last_writer;
     Alcotest.test_case
       "in place: an object rewrite of the entry value falls back" `Quick
-      test_frame_object_write_back ]
+      test_frame_object_write_back;
+    Alcotest.test_case "chunks: a throw or an exhausted budget falls back"
+      `Quick test_chunk_failures ]

@@ -214,38 +214,38 @@ let test_task_fault_recovered_by_retry () =
         Alcotest.failf "retry should have recovered: %s"
           (Js_parallel.Supervisor.failure_to_string fl))
 
-(* End-to-end determinism: under a fixed seed the supervised pipeline
-   produces the same failure set — same workload, same rendered failure
-   — on every run. The seed is searched once (deterministically: seeds
-   0, 1, 2, ... are probed in order), so the test does not depend on
-   which seeds happen to kill this workload set. *)
+(* End-to-end determinism: under a fixed seed the service's supervised
+   fan-out produces the same failure set — same workload, same rendered
+   failure — on every run. The seed is searched once (deterministically:
+   seeds 0, 1, 2, ... are probed in order), so the test does not depend
+   on which seeds happen to kill this workload set. Each run gets a
+   fresh service, so no result comes from the cache. *)
 let test_supervised_pipeline_deterministic_failures () =
-  let ws =
-    List.filter_map Workloads.Registry.find [ "HAAR.js"; "MyScript" ]
+  let reqs =
+    List.map (Service.Request.make Service.Request.Profile)
+      [ "HAAR.js"; "MyScript" ]
   in
   let run_once seed =
     with_chaos seed (fun () ->
-        Workloads.Harness.map_workloads_supervised
-          (fun w -> Workloads.Harness.run_lightweight w)
-          ws)
+        Service.run_batch (Service.create ~retries:0 ()) reqs)
   in
+  let failed (resp : Service.Response.t) = Result.is_error resp.result in
   let rec find_killing_seed seed =
     if seed > 60 then Alcotest.fail "no seed in 0..60 killed any workload"
-    else
-      let failures = List.filter (fun (_, r) -> Result.is_error r) (run_once seed) in
-      if failures = [] then find_killing_seed (seed + 1) else seed
+    else if List.exists failed (run_once seed) then seed
+    else find_killing_seed (seed + 1)
   in
   let seed = find_killing_seed 0 in
-  let render results =
+  let render resps =
     String.concat "\n"
-      (List.map
-         (fun ((w : Workloads.Workload.t), r) ->
-            match r with
-            | Ok _ -> w.name ^ ": ok"
-            | Error fl ->
-              w.name ^ ": "
-              ^ Js_parallel.Supervisor.failure_to_string fl)
-         results)
+      (List.map2
+         (fun (req : Service.Request.t) (resp : Service.Response.t) ->
+            match resp.result with
+            | Ok _ -> req.workload ^ ": ok"
+            | Error { failure = Some fl; _ } ->
+              req.workload ^ ": " ^ Js_parallel.Supervisor.failure_to_string fl
+            | Error e -> req.workload ^ ": " ^ e.message)
+         reqs resps)
   in
   let a = render (run_once seed) and b = render (run_once seed) in
   Alcotest.(check string) "identical failure set on repeat" a b;

@@ -331,8 +331,8 @@ let test_allocation_budget () =
       ("fluidSim", "plain", plain, 6_917_107., 4_975_476, None);
       ("Raytracing", "lightweight", light, 6_607_248., 7_548_644, None);
       ("fluidSim", "lightweight", light, 10_155_462., 4_994_298, None);
-      ("Raytracing", "loop-profile", loops, 7_855_345., 7_823_406, None);
-      ("fluidSim", "loop-profile", loops, 7_509_609., 5_093_740, None);
+      ("Raytracing", "loop-profile", loops, 7_219_798., 7_823_406, None);
+      ("fluidSim", "loop-profile", loops, 7_293_861., 5_093_740, None);
       ("Raytracing", "dependence", deps, 1_907_925., 3_043_008, Some 331_182);
       ("fluidSim", "dependence", deps, 2_966_105., 2_454_091, Some 113_569) ]
 
