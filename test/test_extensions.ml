@@ -25,6 +25,30 @@ let test_no_war_on_disjoint () =
   Alcotest.(check bool) "no WAR on same-iteration RMW" false
     (Helpers.has_warning a ~sub:"anti-dependent write")
 
+let test_war_only_has_no_flow_read () =
+  (* shift-left reads run ahead of writes: the WAR is the only carried
+     dependence, no iteration reads what an earlier one wrote; the
+     shift-right mirror is the flow dependence the WAR must not be
+     mistaken for *)
+  let left =
+    Helpers.analyze
+      "var xs = [5, 4, 3, 2, 1, 0];\n\
+       for (var i = 0; i < 5; i++) { var nxt = xs[i + 1]; xs[i] = nxt; }"
+  in
+  Alcotest.(check bool) "shift-left: WAR" true
+    (Helpers.has_warning left ~sub:"anti-dependent write (WAR)");
+  Alcotest.(check bool) "shift-left: no flow read" false
+    (Helpers.has_warning left ~sub:"read of property");
+  let right =
+    Helpers.analyze
+      "var xs = [5, 4, 3, 2, 1, 0];\n\
+       for (var i = 0; i < 5; i++) { var prv = xs[i]; xs[i + 1] = prv; }"
+  in
+  Alcotest.(check bool) "shift-right: flow read" true
+    (Helpers.has_warning right ~sub:"read of property [elem]");
+  Alcotest.(check bool) "shift-right: no WAR" false
+    (Helpers.has_warning right ~sub:"anti-dependent write")
+
 (* ------------------------------------------------------------------ *)
 (* Polymorphism monitor *)
 
@@ -279,6 +303,7 @@ let test_export_full_workload_report () =
 let suite =
   [ ("WAR detected", `Quick, test_war_detected);
     ("no WAR on same-iteration RMW", `Quick, test_no_war_on_disjoint);
+    ("WAR-only loop has no flow read", `Quick, test_war_only_has_no_flow_read);
     ("monomorphic loop clean", `Quick, test_monomorphic_loop_has_no_poly_sites);
     ("polymorphic variable detected", `Quick, test_polymorphic_variable_detected);
     ("undefined/null excluded", `Quick, test_undefined_null_not_polymorphic);
