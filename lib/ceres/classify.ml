@@ -171,11 +171,3 @@ let parallelization_difficulty ~(dep : difficulty) ~(dom_per_iteration : float)
   match divergence with
   | Yes -> worse with_dom Medium
   | Little | No_divergence -> with_dom
-
-(* Amdahl's law: maximum speedup when a fraction [p] of the running
-   time is perfectly parallelizable over [n] workers ([n = infinity]
-   when [n <= 0]). *)
-let amdahl_speedup ~parallel_fraction ~n =
-  let p = Float.max 0. (Float.min 1. parallel_fraction) in
-  if n <= 0 then 1. /. (1. -. p)
-  else 1. /. ((1. -. p) +. (p /. float_of_int n))

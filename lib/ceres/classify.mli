@@ -55,6 +55,3 @@ val parallelization_difficulty :
     the non-concurrent DOM/Canvas every few iterations is "very hard"
     regardless of its dependences (the paper's Harmony), and divergence
     degrades SIMD suitability. *)
-
-val amdahl_speedup : parallel_fraction:float -> n:int -> float
-(** Amdahl bound; [n <= 0] means unlimited workers. *)

@@ -14,22 +14,10 @@ let speedup ~parallel_fraction ~workers =
 
 let asymptote ~parallel_fraction = speedup ~parallel_fraction ~workers:0
 
-(* Sweep a fraction over worker counts; used by the `amdahl` bench
-   section. *)
-let sweep ~parallel_fraction ~workers_list =
-  List.map
-    (fun w -> (w, speedup ~parallel_fraction ~workers:w))
-    workers_list
-
 (* Minimum parallel fraction needed to reach a target speedup with
    unlimited workers: p >= 1 - 1/s. *)
 let fraction_for ~target_speedup =
   if target_speedup <= 1. then 0. else 1. -. (1. /. target_speedup)
-
-(* Efficiency of the measured speedup vs the ideal at [workers]. *)
-let efficiency ~measured_speedup ~workers =
-  if workers <= 0 then 0.
-  else measured_speedup /. float_of_int workers
 
 (* Karp–Flatt experimentally-determined serial fraction: inverts
    Amdahl's law on a *measured* speedup, e = (1/s - 1/n) / (1 - 1/n).

@@ -12,14 +12,9 @@ val speedup : parallel_fraction:float -> workers:int -> float
 val asymptote : parallel_fraction:float -> float
 (** [speedup ~workers:0]; [infinity] when the fraction is 1. *)
 
-val sweep :
-  parallel_fraction:float -> workers_list:int list -> (int * float) list
-
 val fraction_for : target_speedup:float -> float
 (** Minimum parallel fraction needed to reach a speedup with unlimited
     workers: [1 - 1/s]. *)
-
-val efficiency : measured_speedup:float -> workers:int -> float
 
 val karp_flatt : measured_speedup:float -> workers:int -> float
 (** Karp–Flatt experimentally-determined serial fraction,

@@ -3,29 +3,25 @@
    The injection plan is a pure function of a seed: enabling chaos with
    the same seed must produce the same failure set on every run, no
    matter how many domains execute the pipeline or in which order the
-   scheduler interleaves them. Two mechanisms provide that:
-
-   - per-workload *sessions*, keyed on (seed, workload name), whose
-     counters live in the session and are reset at each supervised
-     attempt — scheduling cannot perturb them. A session plan dooms at
-     most one site: the Nth task attempt, the Nth interpreter tick
-     advance, or the Nth DOM/canvas access.
-
-   - a pool-submit site whose doom decision is taken at *push* time
-     (submission order is the caller's program order, hence
-     deterministic) even though the exception fires when the job runs.
+   scheduler interleaves them. Workload faults come from per-workload
+   *sessions*, keyed on (seed, workload name), whose counters live in
+   the session and are reset at each supervised attempt — scheduling
+   cannot perturb them. A session plan dooms at most one site: the Nth
+   task attempt, the Nth interpreter tick advance, or the Nth
+   DOM/canvas access. Transport faults (the socket server and its load
+   generator) are keyed the same way on connection and request
+   ordinals.
 
    Everything is behind a zero-cost-when-off check: with chaos
-   disabled, sessions are [None], no interpreter hook is installed,
-   and [Pool.submit] pays one atomic load. *)
+   disabled, sessions are [None] and no interpreter hook is
+   installed. *)
 
-type site = Task | Tick | Dom | Submit | Accept | Torn | Disconnect
+type site = Task | Tick | Dom | Accept | Torn | Disconnect
 
 let site_to_string = function
   | Task -> "task-attempt"
   | Tick -> "interp-tick"
   | Dom -> "dom-access"
-  | Submit -> "pool-submit"
   | Accept -> "accept"
   | Torn -> "torn-response"
   | Disconnect -> "mid-response-disconnect"
@@ -48,11 +44,8 @@ let fire site key ordinal =
 (* Global switch *)
 
 let chaos_seed : int option Atomic.t = Atomic.make None
-let submit_ordinal = Atomic.make 0
 
-let enable ~seed =
-  Atomic.set chaos_seed (Some seed);
-  Atomic.set submit_ordinal 0
+let enable ~seed = Atomic.set chaos_seed (Some seed)
 
 let disable () = Atomic.set chaos_seed None
 let enabled () = Atomic.get chaos_seed <> None
@@ -132,8 +125,6 @@ let session ~key =
     Some { key; plan = plan_of ~seed ~key; task_attempts = 0; ticks = 0;
            doms = 0 }
 
-let session_plan s = plan_to_string s.plan
-
 let attempt_gate = function
   | None -> ()
   | Some s ->
@@ -164,7 +155,7 @@ let arm session (st : Interp.Value.state) =
             s.doms <- s.doms + 1;
             if s.doms = n then fire Dom s.key n;
             previous category op)
-     | Fail ((Task | Submit | Accept | Torn | Disconnect), _) | No_fault -> ())
+     | Fail ((Task | Accept | Torn | Disconnect), _) | No_fault -> ())
 
 (* The session in scope for the current supervised attempt, so layers
    that build interpreter states deep inside the attempt (the workload
@@ -181,19 +172,6 @@ let with_session s f =
   Fun.protect ~finally:(fun () -> Tls.set current prev) f
 
 let current_session () = Tls.get current
-
-(* ------------------------------------------------------------------ *)
-(* Pool-submit site *)
-
-(* Doom is decided per ordinal from its own keyed stream, so whether
-   the Nth submitted job fails depends only on (seed, N). *)
-let submit_doom () =
-  match Atomic.get chaos_seed with
-  | None -> None
-  | Some seed ->
-    let ordinal = 1 + Atomic.fetch_and_add submit_ordinal 1 in
-    let p = stream ~seed ~key:(Printf.sprintf "submit-%d" ordinal) in
-    if Ceres_util.Prng.float p < 0.2 then Some ordinal else None
 
 (* ------------------------------------------------------------------ *)
 (* Transport-layer sites (socket server and loadgen clients).
@@ -215,33 +193,27 @@ type transport_plan = {
 let no_transport_fault =
   { doomed_accept = false; torn_after = None; disconnect_after = None }
 
-let transport_plan_of ~seed ~conn =
-  let p = stream ~seed ~key:(Printf.sprintf "conn-%d" conn) in
-  if Ceres_util.Prng.int p 8 = 0 then
-    { no_transport_fault with doomed_accept = true }
-  else if Ceres_util.Prng.int p 5 = 0 then
-    { no_transport_fault with torn_after = Some (1 + Ceres_util.Prng.int p 3) }
-  else if Ceres_util.Prng.int p 5 = 0 then
-    { no_transport_fault with
-      disconnect_after = Some (1 + Ceres_util.Prng.int p 4) }
-  else no_transport_fault
-
 let transport_plan ~conn =
   match Atomic.get chaos_seed with
   | None -> None
-  | Some seed -> Some (transport_plan_of ~seed ~conn)
+  | Some seed ->
+    let p = stream ~seed ~key:(Printf.sprintf "conn-%d" conn) in
+    Some
+      (if Ceres_util.Prng.int p 8 = 0 then
+         { no_transport_fault with doomed_accept = true }
+       else if Ceres_util.Prng.int p 5 = 0 then
+         { no_transport_fault with
+           torn_after = Some (1 + Ceres_util.Prng.int p 3) }
+       else if Ceres_util.Prng.int p 5 = 0 then
+         { no_transport_fault with
+           disconnect_after = Some (1 + Ceres_util.Prng.int p 4) }
+       else no_transport_fault)
 
 (* Client-side misbehaviour for the load generator: a pure function of
    (seed, client, request), independent of the global switch so a
    loadgen process can abuse a healthy server. *)
 
 type client_action = Client_ok | Client_torn | Client_disconnect | Client_slow
-
-let client_action_to_string = function
-  | Client_ok -> "ok"
-  | Client_torn -> "torn-request"
-  | Client_disconnect -> "disconnect-before-read"
-  | Client_slow -> "slow-loris"
 
 let client_plan ~seed ~client ~request =
   let p =

@@ -9,21 +9,17 @@
     [test/golden/chaos] rules that [dune runtest] runs diff a chaos
     pipeline's stdout byte for byte against a committed golden.
 
-    Two mechanisms:
-    - per-workload {!session}s keyed on (seed, workload name), with
-      counters owned by the session and reset at each supervised
-      attempt — a plan dooms at most one of: the Nth task attempt, the
-      Nth interpreter tick advance, the Nth DOM/canvas access;
-    - a pool-submit site whose doom decision is taken at push time
-      (program order, hence deterministic) and fires when the job runs.
+    Workload faults come from per-workload {!session}s keyed on (seed,
+    workload name), with counters owned by the session and reset at
+    each supervised attempt — a plan dooms at most one of: the Nth
+    task attempt, the Nth interpreter tick advance, the Nth DOM/canvas
+    access. Transport faults are keyed on connection and request
+    ordinals.
 
-    Everything is zero-cost when off: sessions are [None], no
-    interpreter hook is installed, [Pool.submit] pays one atomic
-    load. *)
+    Everything is zero-cost when off: sessions are [None] and no
+    interpreter hook is installed. *)
 
-type site = Task | Tick | Dom | Submit | Accept | Torn | Disconnect
-
-val site_to_string : site -> string
+type site = Task | Tick | Dom | Accept | Torn | Disconnect
 
 exception Injected of { site : site; key : string; ordinal : int }
 (** The injected failure. Registered with {!Printexc} so rendered
@@ -37,7 +33,7 @@ val fire : site -> string -> int -> 'a
 (** {1 Global switch} *)
 
 val enable : seed:int -> unit
-(** Turn chaos on process-wide and reset the submit-site ordinal. *)
+(** Turn chaos on process-wide. *)
 
 val disable : unit -> unit
 val enabled : unit -> bool
@@ -57,11 +53,9 @@ type session
 val session : key:string -> session option
 (** The (seed, key)-derived session, or [None] when chaos is off. *)
 
-val session_plan : session -> string
-(** Human-readable plan, e.g. ["fail interp-tick #8123"]. *)
-
 val describe_plan : seed:int -> key:string -> string
-(** The plan [key] would receive under [seed] (pure; no global state). *)
+(** The plan [key] would receive under [seed], e.g.
+    ["fail interp-tick #8123"] (pure; no global state). *)
 
 val attempt_gate : session option -> unit
 (** Call at the top of each supervised attempt: counts the attempt,
@@ -78,13 +72,6 @@ val with_session : session option -> (unit -> 'a) -> 'a
 
 val current_session : unit -> session option
 
-(** {1 Pool-submit site} *)
-
-val submit_doom : unit -> int option
-(** Called by [Pool.submit] at push time: [Some ordinal] when the
-    pushed job is doomed (the pool substitutes a job that calls
-    {!fire}), [None] otherwise or when chaos is off. *)
-
 (** {1 Transport sites (socket server / loadgen)} *)
 
 type transport_plan = {
@@ -96,20 +83,13 @@ type transport_plan = {
       (** cut the connection right after the Nth response *)
 }
 
-val no_transport_fault : transport_plan
-
 val transport_plan : conn:int -> transport_plan option
 (** The (seed, connection-ordinal)-keyed plan for an accepted
     connection, or [None] when chaos is off. The server applies it
     only under its explicit transport-chaos flag, so workload-only
     chaos keeps response streams byte-deterministic. *)
 
-val transport_plan_of : seed:int -> conn:int -> transport_plan
-(** Pure form of {!transport_plan} (no global state). *)
-
 type client_action = Client_ok | Client_torn | Client_disconnect | Client_slow
-
-val client_action_to_string : client_action -> string
 
 val client_plan : seed:int -> client:int -> request:int -> client_action
 (** Seed-keyed misbehaviour schedule for loadgen clients: send a torn

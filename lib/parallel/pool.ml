@@ -5,13 +5,13 @@
    per-deque mutexes, so the only contention left is actual stealing.
    A participant that finds no work spins for a short constant window
    and then parks on one pool-wide condition until a wake epoch moves;
-   every push ([submit], [parallel_for]'s chunks), the chunk that
-   completes a loop, and [shutdown] bump the epoch and broadcast. A
-   parked domain therefore costs nothing while the caller interprets
-   between loops, and picks up its chunk as soon as it is pushed.
-   Every scheduling event feeds the Telemetry counters (tasks, steal
-   attempts/successes, idle spins and parks, per-loop wall/fork/join
-   times), exportable as JSON. *)
+   every push of [parallel_for]'s chunks, the chunk that completes a
+   loop, and [shutdown] bump the epoch and broadcast. A parked domain
+   therefore costs nothing while the caller interprets between loops,
+   and picks up its chunk as soon as it is pushed. [parallel_for] is
+   the only way onto the pool. Every scheduling event feeds the
+   Telemetry counters (tasks, steal attempts/successes, idle spins and
+   parks, per-loop wall/fork/join times), exportable as JSON. *)
 
 type job = unit -> unit
 
@@ -76,10 +76,7 @@ type t = {
   deques : Deque.t array; (* one per participant *)
   counters : Telemetry.counters array; (* one per participant *)
   down : bool Atomic.t;
-  rr : int Atomic.t; (* round-robin cursor for submit *)
-  submitted : int Atomic.t;
   loops : Telemetry.loop_log;
-  on_error : exn -> unit; (* escaping submitted-job exceptions *)
   epoch : int Atomic.t; (* moves on every push, loop completion, shutdown *)
   wake_m : Mutex.t;
   wake_c : Condition.t; (* broadcast under [wake_m] when [epoch] moves *)
@@ -151,19 +148,14 @@ let try_get t id =
       probe 1
     end
 
-(* Run a job on behalf of participant [id]. parallel_for chunk tasks
-   catch and report their own exceptions before this handler is
-   reached, so anything caught here escaped a plain submitted job: it
-   is counted in the tasks_failed telemetry and routed to the pool's
-   [on_error] handler instead of being silently swallowed. *)
+(* Run a job on behalf of participant [id]. Every job is a
+   [parallel_for] chunk, which catches its own exception and hands it
+   to the loop's caller, so nothing escapes here. *)
 let exec t id job =
   Telemetry.note_task t.counters.(id);
   let traced = Telemetry.Trace.active () in
   if traced then Telemetry.Trace.note ~domain:id Telemetry.Trace.Task_start;
-  (try job ()
-   with exn ->
-     Telemetry.note_task_failed t.counters.(id);
-     (try t.on_error exn with _ -> ()));
+  job ();
   if traced then Telemetry.Trace.note ~domain:id Telemetry.Trace.Task_stop
 
 let rec worker_loop t id =
@@ -179,11 +171,7 @@ let rec worker_loop t id =
       worker_loop t id
     end
 
-let default_on_error exn =
-  Printf.eprintf "jsceres pool: submitted job raised: %s\n%!"
-    (Printexc.to_string exn)
-
-let create ?domains ?(on_error = default_on_error) () =
+let create ?domains () =
   let requested =
     match domains with
     | Some d -> d
@@ -195,10 +183,7 @@ let create ?domains ?(on_error = default_on_error) () =
       deques = Array.init n (fun _ -> Deque.create ());
       counters = Array.init n (fun _ -> Telemetry.make_counters ());
       down = Atomic.make false;
-      rr = Atomic.make 0;
-      submitted = Atomic.make 0;
       loops = Telemetry.make_loop_log ();
-      on_error;
       epoch = Atomic.make 0;
       wake_m = Mutex.create ();
       wake_c = Condition.create ();
@@ -210,33 +195,10 @@ let create ?domains ?(on_error = default_on_error) () =
 
 let size t = t.n
 
-let submit t job =
-  if Atomic.get t.down then
-    invalid_arg "Js_parallel.Pool.submit: pool is shut down";
-  Atomic.incr t.submitted;
-  (* Chaos: the doom decision is taken here, in submission (program)
-     order, so which job fails is deterministic even though the raise
-     happens whenever a participant executes it. *)
-  let job =
-    match Fault.submit_doom () with
-    | None -> job
-    | Some ordinal -> fun () -> Fault.fire Fault.Submit "pool" ordinal
-  in
-  (* Deal onto the worker deques round-robin and wake the parked ones;
-     an idle worker that lands on nothing steals it from wherever it
-     went. With no worker domain the caller runs it at once: nothing
-     else would before [shutdown], which joins no one. *)
-  if t.n = 1 then exec t 0 job
-  else begin
-    Deque.push t.deques.(1 + (Atomic.fetch_and_add t.rr 1 mod (t.n - 1))) job;
-    wake t
-  end
-
 let shutdown t =
   (* compare_and_set makes idempotence race-safe: exactly one caller
      observes the transition and joins the workers. Workers drain every
-     deque before exiting, preserving the old "closed and drained"
-     semantics; the wake gets the parked ones to notice. *)
+     deque before exiting; the wake gets the parked ones to notice. *)
   if Atomic.compare_and_set t.down false true then begin
     wake t;
     Array.iter Domain.join t.workers
@@ -244,16 +206,13 @@ let shutdown t =
 
 (* ------------------------------------------------------------------ *)
 
-let stats t =
-  Telemetry.snapshot ~participants:t.n
-    ~jobs_submitted:(Atomic.get t.submitted) t.counters t.loops
+let stats t = Telemetry.snapshot ~participants:t.n t.counters t.loops
 
 let stats_json t = Telemetry.to_json (stats t)
 
 let reset_stats t =
   Array.iter Telemetry.reset_participant t.counters;
-  Telemetry.reset_loop_log t.loops;
-  Atomic.set t.submitted 0
+  Telemetry.reset_loop_log t.loops
 
 (* ------------------------------------------------------------------ *)
 
@@ -295,7 +254,7 @@ let parallel_for t ~lo ~hi ?chunk f =
     let t_fork = now_ms () in
     (* Join: the caller participates until every chunk has finished,
        helping with whatever work it can find (its own chunks first,
-       then steals — including unrelated submitted jobs). *)
+       then steals). *)
     let t_busy_end = ref t_fork in
     while Atomic.get pending > 0 do
       let e = Atomic.get t.epoch in
@@ -312,46 +271,6 @@ let parallel_for t ~lo ~hi ?chunk f =
     Telemetry.note_loop t.loops ~chunks:nchunks ~wall_ms:(t_end -. t0)
       ~fork_ms:(t_fork -. t0) ~join_ms:(t_end -. !t_busy_end);
     match Atomic.get failure with None -> () | Some exn -> raise exn
-  end
-
-(* Chunk-local folds, combined deterministically. Each chunk seeds its
-   accumulator from its first element (not from [init], which the old
-   code folded into every chunk *and* the final combine, counting a
-   non-identity [init] chunks+1 times); the partials land in an array
-   slot per chunk and are folded left-to-right onto a single [init],
-   so an associative — even non-commutative — [combine] sees exactly
-   the sequential association order. *)
-let parallel_reduce t ~lo ~hi ?chunk ~init ~body ~combine () =
-  if hi <= lo then init
-  else begin
-    let chunk =
-      match chunk with
-      | Some c -> max 1 c
-      | None -> default_chunk t ~lo ~hi
-    in
-    let nchunks = (hi - lo + chunk - 1) / chunk in
-    let partials = Array.make nchunks None in
-    parallel_for t ~lo:0 ~hi:nchunks ~chunk:1 (fun ci ->
-        let start = lo + (ci * chunk) in
-        let stop = min hi (start + chunk) in
-        let acc = ref (body start) in
-        for i = start + 1 to stop - 1 do
-          acc := combine !acc (body i)
-        done;
-        partials.(ci) <- Some !acc);
-    Array.fold_left
-      (fun acc p -> match p with Some v -> combine acc v | None -> acc)
-      init partials
-  end
-
-let map_array t f src =
-  let n = Array.length src in
-  if n = 0 then [||]
-  else begin
-    let first = f src.(0) in
-    let dst = Array.make n first in
-    parallel_for t ~lo:1 ~hi:n (fun i -> dst.(i) <- f src.(i));
-    dst
   end
 
 let with_pool ?domains f =

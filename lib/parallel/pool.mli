@@ -20,13 +20,11 @@
 
 type t
 
-val create : ?domains:int -> ?on_error:(exn -> unit) -> unit -> t
+val create : ?domains:int -> unit -> t
 (** [create ~domains ()] spawns [domains - 1] worker domains (the
     caller is the remaining participant). [domains] defaults to
     [Domain.recommended_domain_count ()], and is clamped to at least
-    1. [on_error] receives every exception escaping a submitted job
-    (it may run on any participant's domain); the default prints a
-    one-line warning to stderr. *)
+    1. *)
 
 val size : t -> int
 (** Number of participants (workers + caller). *)
@@ -35,15 +33,6 @@ val spin_window : int
 (** Spins an idle participant makes before it parks. One idle wait
     counts at most [spin_window + 1] idle spins: the spins, then the
     park. *)
-
-val submit : t -> (unit -> unit) -> unit
-(** Enqueue a fire-and-forget job on a worker deque (round-robin)
-    and wake the parked workers; on a pool without worker domains the
-    caller runs the job before [submit] returns. An exception escaping the job is counted in the [tasks_failed]
-    telemetry and routed to the pool's [on_error] handler.
-    @raise Invalid_argument if the pool has been shut down — a
-    silently-parked job that no worker will ever run is never
-    created. *)
 
 val shutdown : t -> unit
 (** Drain every deque and join all workers. The pool must not be used
@@ -56,28 +45,7 @@ val parallel_for : t -> lo:int -> hi:int -> ?chunk:int -> (int -> unit) -> unit
     iterations completed. If any [f i] raises, one such exception is
     re-raised in the caller after the loop drains (remaining chunks are
     cancelled). [chunk] defaults to a size yielding ~8 chunks per
-    participant. *)
-
-val parallel_reduce :
-  t ->
-  lo:int ->
-  hi:int ->
-  ?chunk:int ->
-  init:'a ->
-  body:(int -> 'a) ->
-  combine:('a -> 'a -> 'a) ->
-  unit ->
-  'a
-(** Fold [combine] over the per-index values [body i]. Each chunk folds
-    its own elements locally (seeded from its first element, not from
-    [init]); the per-chunk partials are then folded onto [init] in
-    ascending chunk order, so the association order matches the
-    sequential [List.fold_left]. [combine] must be associative, but
-    need not be commutative and [init] need not be an identity — it is
-    used exactly once. Returns [init] on an empty range. *)
-
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel array map built on {!parallel_for}. *)
+    participant. This is the only way to run work on the pool. *)
 
 val stats : t -> Telemetry.pool_stats
 (** Snapshot of the scheduling telemetry: per-participant task/steal/
@@ -87,9 +55,9 @@ val stats_json : t -> string
 (** {!stats} rendered as one-line JSON. *)
 
 val reset_stats : t -> unit
-(** Zero this pool's participant counters, loop log and submit count
-    (e.g. between bench sections). The process-wide registry is left
-    alone; {!Telemetry.reset_counters} zeroes it. *)
+(** Zero this pool's participant counters and loop log (e.g. between
+    bench sections). The process-wide registry is left alone;
+    {!Telemetry.reset_counters} zeroes it. *)
 
 val with_pool : ?domains:int -> (t -> 'a) -> 'a
 (** Create, run, and always shut down. *)

@@ -66,8 +66,22 @@ let virtual_ms_now () =
 
 (* ------------------------------------------------------------------ *)
 
-let run ?(retries = 0) ?(backoff = Backoff.default) ?budget
-    ?(classify = default_classify) f =
+(* Retry k waits 1 ms doubling per retry up to a 50 ms cap, scaled into
+   [0.75, 1.25) by a jitter drawn from a [Ceres_util.Prng] stream keyed
+   on k alone. Keying on the attempt number — rather than sharing one
+   mutable generator — makes every delay a pure function of k, so
+   supervised runs are reproducible no matter how many workloads retry,
+   in what order, or on which domain. *)
+let backoff_ms ~attempt =
+  let raw = Float.min 50. (Float.pow 2. (float_of_int (attempt - 1))) in
+  let stream =
+    Ceres_util.Prng.create
+      (Int64.logxor 0x6a73L
+         (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int attempt)))
+  in
+  raw *. (0.75 +. (0.5 *. Ceres_util.Prng.float stream))
+
+let run ?(retries = 0) ?budget f =
   let t0 = Unix.gettimeofday () in
   let prev_budget = Tls.get budget_key in
   let prev_probe = Tls.get probe_key in
@@ -78,12 +92,11 @@ let run ?(retries = 0) ?(backoff = Backoff.default) ?budget
     | v -> Ok v
     | exception exn ->
       let backtrace = Printexc.get_backtrace () in
-      let classification = classify exn in
+      let classification = default_classify exn in
       let virtual_ms = virtual_ms_now () in
       if classification = Transient && k <= retries then begin
         Telemetry.(incr retries);
-        let delay = Backoff.delay_ms backoff ~attempt:k in
-        if delay > 0. then Thread.delay (delay /. 1000.);
+        Thread.delay (backoff_ms ~attempt:k /. 1000.);
         attempt (k + 1)
       end
       else

@@ -8,13 +8,14 @@
     classification — so one crashed workload degrades into a reported
     row while the rest of the pipeline completes.
 
-    Transient failures are retried up to [retries] times with
-    exponential {!Backoff} (deterministic jitter). The watchdog rides
-    the interpreter's existing vclock budget: [run ~budget] publishes
-    the cap domain-locally; [Workloads.Harness.prepare] reads it via
-    {!active_budget} when building interpreter states, so a
-    non-terminating workload degrades into a reported
-    {!Interp.Value.Budget_exhausted} failure instead of a hang. *)
+    Transient failures are retried up to [retries] times on one fixed
+    exponential schedule with deterministic jitter ({!backoff_ms}).
+    The watchdog rides the interpreter's existing vclock budget: [run
+    ~budget] publishes the cap domain-locally;
+    [Workloads.Harness.prepare] reads it via {!active_budget} when
+    building interpreter states, so a non-terminating workload
+    degrades into a reported {!Interp.Value.Budget_exhausted} failure
+    instead of a hang. *)
 
 type classification = Transient | Permanent
 
@@ -39,18 +40,18 @@ val default_classify : exn -> classification
     parse errors — is deterministic under the virtual clock and
     classified permanent. *)
 
-val run :
-  ?retries:int ->
-  ?backoff:Backoff.t ->
-  ?budget:int64 ->
-  ?classify:(exn -> classification) ->
-  (unit -> 'a) ->
-  ('a, failure) result
+val backoff_ms : attempt:int -> float
+(** Delay in milliseconds before retrying after failed attempt
+    [attempt] (1-based): [2^(attempt-1)] capped at 50, times a jitter
+    factor between 0.75 and 1.25 drawn from a {!Ceres_util.Prng}
+    stream keyed on [attempt]. A pure function of [attempt]. *)
+
+val run : ?retries:int -> ?budget:int64 -> (unit -> 'a) -> ('a, failure) result
 (** [run f] executes [f] under supervision. [retries] (default 0)
-    bounds *re*-attempts after transient failures; [backoff] (default
-    {!Backoff.default}) paces them; [budget] is the vclock watchdog
-    published to interpreter states built inside the attempt;
-    [classify] overrides {!default_classify}. *)
+    bounds *re*-attempts after failures {!default_classify} calls
+    transient, each preceded by {!backoff_ms}; [budget] is the vclock
+    watchdog published to interpreter states built inside the
+    attempt. *)
 
 (** {1 Wiring for interpreter states built inside an attempt} *)
 

@@ -10,7 +10,6 @@
 
 type counters = {
   tasks : int Atomic.t; (* jobs executed by this participant *)
-  failed : int Atomic.t; (* jobs whose exception escaped to the pool *)
   steal_attempts : int Atomic.t; (* probes of another participant's deque *)
   steals : int Atomic.t; (* probes that yielded a job *)
   idle_spins : int Atomic.t; (* idle spins and parks, nothing to run *)
@@ -18,20 +17,17 @@ type counters = {
 
 let make_counters () =
   { tasks = Atomic.make 0;
-    failed = Atomic.make 0;
     steal_attempts = Atomic.make 0;
     steals = Atomic.make 0;
     idle_spins = Atomic.make 0 }
 
 let note_task c = Atomic.incr c.tasks
-let note_task_failed c = Atomic.incr c.failed
 let note_steal_attempt c = Atomic.incr c.steal_attempts
 let note_steal_success c = Atomic.incr c.steals
 let note_idle c = Atomic.incr c.idle_spins
 
 let reset_participant c =
   Atomic.set c.tasks 0;
-  Atomic.set c.failed 0;
   Atomic.set c.steal_attempts 0;
   Atomic.set c.steals 0;
   Atomic.set c.idle_spins 0
@@ -172,7 +168,6 @@ end
 type domain_stats = {
   domain : int;
   tasks_executed : int;
-  tasks_failed : int;
   steals_attempted : int;
   steals_succeeded : int;
   idle_spins : int;
@@ -215,20 +210,18 @@ let reset_loop_log log =
 
 type pool_stats = {
   participants : int;
-  jobs_submitted : int;
   loops_run : int;
   domains : domain_stats list; (* by participant id, caller first *)
   recent_loops : loop_stats list; (* oldest first *)
 }
 
-let snapshot ~participants ~jobs_submitted (cs : counters array) log =
+let snapshot ~participants (cs : counters array) log =
   let domains =
     Array.to_list
       (Array.mapi
          (fun i c ->
             { domain = i;
               tasks_executed = Atomic.get c.tasks;
-              tasks_failed = Atomic.get c.failed;
               steals_attempted = Atomic.get c.steal_attempts;
               steals_succeeded = Atomic.get c.steals;
               idle_spins = Atomic.get c.idle_spins })
@@ -237,13 +230,10 @@ let snapshot ~participants ~jobs_submitted (cs : counters array) log =
   Mutex.lock log.m;
   let loops_run = log.count and recent_loops = List.rev log.recent in
   Mutex.unlock log.m;
-  { participants; jobs_submitted; loops_run; domains; recent_loops }
+  { participants; loops_run; domains; recent_loops }
 
 let total_tasks s =
   List.fold_left (fun a d -> a + d.tasks_executed) 0 s.domains
-
-let total_failed s =
-  List.fold_left (fun a d -> a + d.tasks_failed) 0 s.domains
 
 let total_steals s =
   List.fold_left (fun a d -> a + d.steals_succeeded) 0 s.domains
@@ -255,10 +245,8 @@ let json_of_stats s : Ceres_util.Json.t =
   let open Ceres_util.Json in
   Obj
     ([ ("participants", Int s.participants);
-       ("jobs_submitted", Int s.jobs_submitted);
        ("loops_run", Int s.loops_run);
        ("tasks_executed", Int (total_tasks s));
-       ("tasks_failed", Int (total_failed s));
        ("steals_succeeded", Int (total_steals s)) ]
      @ fields pool_counters
      @ [ ( "domains",
@@ -268,7 +256,6 @@ let json_of_stats s : Ceres_util.Json.t =
                    Obj
                      [ ("domain", Int d.domain);
                        ("tasks_executed", Int d.tasks_executed);
-                       ("tasks_failed", Int d.tasks_failed);
                        ("steals_attempted", Int d.steals_attempted);
                        ("steals_succeeded", Int d.steals_succeeded);
                        ("idle_spins", Int d.idle_spins) ])

@@ -23,7 +23,6 @@ type counters
 
 val make_counters : unit -> counters
 val note_task : counters -> unit
-val note_task_failed : counters -> unit
 val note_steal_attempt : counters -> unit
 val note_steal_success : counters -> unit
 val note_idle : counters -> unit
@@ -135,7 +134,6 @@ val reset_loop_log : loop_log -> unit
 type domain_stats = {
   domain : int; (** participant id; 0 is the calling domain *)
   tasks_executed : int;
-  tasks_failed : int; (** jobs whose exception escaped to the pool *)
   steals_attempted : int; (** probes of another participant's deque *)
   steals_succeeded : int; (** probes that yielded a job *)
   idle_spins : int;
@@ -153,18 +151,14 @@ type loop_stats = {
 
 type pool_stats = {
   participants : int;
-  jobs_submitted : int; (** via [Pool.submit], excluding loop chunks *)
   loops_run : int;
   domains : domain_stats list; (** by participant id, caller first *)
   recent_loops : loop_stats list; (** oldest first; last 64 loops *)
 }
 
-val snapshot :
-  participants:int -> jobs_submitted:int -> counters array -> loop_log ->
-  pool_stats
+val snapshot : participants:int -> counters array -> loop_log -> pool_stats
 
 val total_tasks : pool_stats -> int
-val total_failed : pool_stats -> int
 val total_steals : pool_stats -> int
 
 val json_of_stats : pool_stats -> Ceres_util.Json.t

@@ -1,5 +1,4 @@
-(* Domain pool, parallel combinators, telemetry and the native
-   kernels. Every test here checks correctness (results, exceptions,
+(* Domain pool, parallel_for, telemetry and the native kernels. Every test here checks correctness (results, exceptions,
    counters), never speedup, so the suite passes on any core count. *)
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -37,87 +36,10 @@ let test_parallel_for_exception_propagates () =
          Js_parallel.Pool.parallel_for p ~lo:0 ~hi:10 (fun _ ->
              failwith "first")
        with Failure _ -> ());
-      let sum =
-        Js_parallel.Pool.parallel_reduce p ~lo:1 ~hi:11 ~init:0
-          ~body:(fun i -> i)
-          ~combine:( + ) ()
-      in
-      Alcotest.(check int) "pool survives exceptions" 55 sum)
-
-let test_parallel_reduce_sum () =
-  Js_parallel.Pool.with_pool ~domains:4 (fun p ->
-      let sum =
-        Js_parallel.Pool.parallel_reduce p ~lo:0 ~hi:100_000 ~init:0
-          ~body:(fun i -> i)
-          ~combine:( + ) ()
-      in
-      Alcotest.(check int) "gauss" (100_000 * 99_999 / 2) sum)
-
-let prop_reduce_matches_sequential_fold =
-  QCheck.Test.make ~name:"parallel_reduce = List fold" ~count:30
-    QCheck.(pair (int_range 1 4) (int_range 0 500))
-    (fun (domains, n) ->
-       Js_parallel.Pool.with_pool ~domains (fun p ->
-           let body i = (i * 7) mod 13 in
-           let par =
-             Js_parallel.Pool.parallel_reduce p ~lo:0 ~hi:n ~init:0 ~body
-               ~combine:( + ) ()
-           in
-           let seq = List.fold_left ( + ) 0 (List.init n body) in
-           par = seq))
-
-(* Regression: a non-identity [init] must be counted exactly once. The
-   old pool seeded every chunk accumulator with [init] *and* used it
-   as the base of the final combine, so any init <> 0 here was counted
-   chunks+1 times. *)
-let prop_reduce_non_identity_init =
-  QCheck.Test.make ~name:"parallel_reduce with non-identity init" ~count:30
-    QCheck.(
-      triple (int_range 1 4) (int_range 0 500) (int_range (-50) 50))
-    (fun (domains, n, init) ->
-       Js_parallel.Pool.with_pool ~domains (fun p ->
-           let body i = ((i * 7) mod 13) - 5 in
-           let par =
-             Js_parallel.Pool.parallel_reduce p ~lo:0 ~hi:n ~init ~body
-               ~combine:( + ) ()
-           in
-           let seq =
-             List.fold_left
-               (fun acc i -> acc + body i)
-               init
-               (List.init n Fun.id)
-           in
-           par = seq))
-
-(* String concatenation is associative but not commutative, and ">" is
-   not its identity: the reduce must combine the chunk partials in
-   ascending index order onto a single init for this to hold. *)
-let prop_reduce_associative_non_commutative =
-  QCheck.Test.make ~name:"parallel_reduce ordered (string concat)" ~count:20
-    QCheck.(pair (int_range 1 4) (int_range 0 120))
-    (fun (domains, n) ->
-       Js_parallel.Pool.with_pool ~domains (fun p ->
-           let body i = String.make 1 (Char.chr (97 + (i mod 26))) in
-           let par =
-             Js_parallel.Pool.parallel_reduce p ~lo:0 ~hi:n ~init:">" ~body
-               ~combine:( ^ ) ()
-           in
-           let seq =
-             List.fold_left
-               (fun acc i -> acc ^ body i)
-               ">"
-               (List.init n Fun.id)
-           in
-           String.equal par seq))
-
-let test_map_array () =
-  Js_parallel.Pool.with_pool ~domains:3 (fun p ->
-      let src = Array.init 1000 (fun i -> i) in
-      let dst = Js_parallel.Pool.map_array p (fun x -> x * x) src in
-      Alcotest.(check bool) "squares" true
-        (Array.for_all2 (fun a b -> a * a = b) src dst);
-      Alcotest.(check (array int)) "empty array" [||]
-        (Js_parallel.Pool.map_array p (fun x -> x) [||]))
+      let sum = Atomic.make 0 in
+      Js_parallel.Pool.parallel_for p ~lo:1 ~hi:11 (fun i ->
+          ignore (Atomic.fetch_and_add sum i));
+      Alcotest.(check int) "pool survives exceptions" 55 (Atomic.get sum))
 
 let test_pool_shutdown_idempotent () =
   let p = Js_parallel.Pool.create ~domains:2 () in
@@ -129,36 +51,6 @@ let test_pool_size_clamped () =
   Js_parallel.Pool.with_pool ~domains:0 (fun p ->
       Alcotest.(check int) "at least one participant" 1
         (Js_parallel.Pool.size p))
-
-let test_submit_after_shutdown_raises () =
-  let p = Js_parallel.Pool.create ~domains:2 () in
-  Js_parallel.Pool.shutdown p;
-  match Js_parallel.Pool.submit p (fun () -> ()) with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "submit on a shut-down pool must raise"
-
-let test_submitted_jobs_run () =
-  Js_parallel.Pool.with_pool ~domains:3 (fun p ->
-      let count = Atomic.make 0 in
-      for _ = 1 to 20 do
-        Js_parallel.Pool.submit p (fun () -> Atomic.incr count)
-      done;
-      (* a loop barrier also drains previously submitted jobs *)
-      Js_parallel.Pool.parallel_for p ~lo:0 ~hi:1 (fun _ -> ());
-      let deadline = Unix.gettimeofday () +. 5.0 in
-      while Atomic.get count < 20 && Unix.gettimeofday () < deadline do
-        Thread.yield ()
-      done;
-      Alcotest.(check int) "all submitted jobs ran" 20 (Atomic.get count))
-
-(* Regression: with no worker domain, [submit] used to push onto the
-   caller's own deque, which nothing ran: [shutdown] joined no worker
-   and the job was silently dropped. *)
-let test_submit_single_participant () =
-  let count = ref 0 in
-  Js_parallel.Pool.with_pool ~domains:1 (fun p ->
-      Js_parallel.Pool.submit p (fun () -> incr count));
-  Alcotest.(check int) "the job ran once" 1 !count
 
 (* An idle participant spins for [Pool.spin_window] rounds and then
    parks until work arrives, so a worker idle for ~50 ms has counted
@@ -178,65 +70,31 @@ let test_idle_worker_parks () =
         Alcotest.failf "idle worker counted %d idle spins, more than %d"
           worker.idle_spins bound)
 
-(* Round after round, a parked pool must wake for a loop and a
-   submitted job: every index runs exactly once, every job runs (by
-   the latest in [shutdown], which drains), and [shutdown] of a pool
-   whose workers are parked returns. *)
+(* Round after round, a parked pool must wake for a loop: every index
+   runs exactly once, and [shutdown] of a pool whose workers are parked
+   returns. *)
 let test_wake_from_park () =
   List.iter
     (fun domains ->
        let rounds = 200 and n = 16 in
        let hits = Array.make (rounds * n) 0 in
-       let jobs = Atomic.make 0 in
        Js_parallel.Pool.with_pool ~domains (fun p ->
            for r = 0 to rounds - 1 do
              (* long enough for every idle participant to park *)
              Unix.sleepf 0.0005;
              Js_parallel.Pool.parallel_for p ~lo:(r * n) ~hi:((r + 1) * n)
-               ~chunk:1 (fun i -> hits.(i) <- hits.(i) + 1);
-             Js_parallel.Pool.submit p (fun () -> Atomic.incr jobs)
+               ~chunk:1 (fun i -> hits.(i) <- hits.(i) + 1)
            done;
            Unix.sleepf 0.005);
        Alcotest.(check bool)
          (Printf.sprintf "%d domains: every index ran once" domains)
          true
-         (Array.for_all (fun h -> h = 1) hits);
-       Alcotest.(check int)
-         (Printf.sprintf "%d domains: every submitted job ran" domains)
-         rounds (Atomic.get jobs))
+         (Array.for_all (fun h -> h = 1) hits))
     [ 2; 3 ]
-
-(* Satellite regression: an exception escaping a submitted job must not
-   vanish — it is counted in the tasks_failed telemetry and routed to
-   the pool's [on_error] handler. *)
-let test_submit_failure_reported () =
-  let seen = Atomic.make 0 in
-  let p =
-    Js_parallel.Pool.create ~domains:2
-      ~on_error:(fun exn ->
-          if exn = Failure "submitted boom" then Atomic.incr seen)
-      ()
-  in
-  Fun.protect
-    ~finally:(fun () -> Js_parallel.Pool.shutdown p)
-    (fun () ->
-       Js_parallel.Pool.submit p (fun () -> failwith "submitted boom");
-       Js_parallel.Pool.submit p (fun () -> ());
-       let deadline = Unix.gettimeofday () +. 5.0 in
-       while Atomic.get seen < 1 && Unix.gettimeofday () < deadline do
-         ignore (Js_parallel.Pool.parallel_for p ~lo:0 ~hi:1 (fun _ -> ()));
-         Thread.yield ()
-       done;
-       Alcotest.(check int) "on_error saw the exception" 1 (Atomic.get seen);
-       Alcotest.(check int) "tasks_failed counted" 1
-         (Js_parallel.Telemetry.total_failed (Js_parallel.Pool.stats p));
-       Alcotest.(check bool) "json mentions tasks_failed" true
-         (Helpers.contains ~sub:"\"tasks_failed\":1"
-            (Js_parallel.Pool.stats_json p)))
 
 (* Property: whatever chunking and whichever index fails, the raise is
    re-raised in the caller, no chunk is left parked, and the same pool
-   then runs a clean parallel_for and parallel_reduce. *)
+   then runs a clean parallel_for. *)
 let prop_pool_reusable_after_failure =
   QCheck.Test.make ~name:"pool reusable after any failing index" ~count:30
     QCheck.(
@@ -256,12 +114,7 @@ let prop_pool_reusable_after_failure =
            let hits = Array.make n 0 in
            Js_parallel.Pool.parallel_for p ~lo:0 ~hi:n ~chunk (fun i ->
                hits.(i) <- hits.(i) + 1);
-           let clean = Array.for_all (fun h -> h = 1) hits in
-           let sum =
-             Js_parallel.Pool.parallel_reduce p ~lo:0 ~hi:n ~chunk ~init:0
-               ~body:Fun.id ~combine:( + ) ()
-           in
-           raised && clean && sum = n * (n - 1) / 2))
+           raised && Array.for_all (fun h -> h = 1) hits))
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry *)
@@ -356,16 +209,16 @@ let test_telemetry_wire_format () =
     | _ -> Alcotest.failf "expected a non-empty %s list" key
   in
   let pool_keys =
-    [ "participants"; "jobs_submitted"; "loops_run"; "tasks_executed";
-      "tasks_failed"; "steals_succeeded"; "retries"; "faults_injected";
-      "cache_hits"; "cache_misses"; "cache_evictions"; "domains"; "loops" ]
+    [ "participants"; "loops_run"; "tasks_executed"; "steals_succeeded";
+      "retries"; "faults_injected"; "cache_hits"; "cache_misses";
+      "cache_evictions"; "domains"; "loops" ]
   in
   Js_parallel.Pool.with_pool ~domains:2 (fun p ->
       Js_parallel.Pool.parallel_for p ~lo:0 ~hi:8 (fun _ -> ());
       let doc = Js_parallel.Telemetry.json_of_stats (Js_parallel.Pool.stats p) in
       Alcotest.(check (list string)) "pool snapshot keys" pool_keys (keys doc);
       Alcotest.(check (list string)) "domain record keys"
-        [ "domain"; "tasks_executed"; "tasks_failed"; "steals_attempted";
+        [ "domain"; "tasks_executed"; "steals_attempted";
           "steals_succeeded"; "idle_spins" ]
         (keys (first_of "domains" doc));
       Alcotest.(check (list string)) "loop record keys"
@@ -427,16 +280,8 @@ let suite =
   [ ("parallel_for coverage", `Quick, test_parallel_for_covers_range);
     ("parallel_for edge ranges", `Quick, test_parallel_for_empty_and_tiny);
     ("parallel_for exceptions", `Quick, test_parallel_for_exception_propagates);
-    ("parallel_reduce sum", `Quick, test_parallel_reduce_sum);
-    qtest prop_reduce_matches_sequential_fold;
-    qtest prop_reduce_non_identity_init;
-    qtest prop_reduce_associative_non_commutative;
-    ("map_array", `Quick, test_map_array);
     ("shutdown idempotent", `Quick, test_pool_shutdown_idempotent);
     ("pool size clamped", `Quick, test_pool_size_clamped);
-    ("submit after shutdown raises", `Quick, test_submit_after_shutdown_raises);
-    ("submitted jobs run", `Quick, test_submitted_jobs_run);
-    ("submit failures reported", `Quick, test_submit_failure_reported);
     qtest prop_pool_reusable_after_failure;
     ("telemetry tasks = chunks", `Quick, test_telemetry_tasks_sum_to_chunks);
     ("telemetry steals under imbalance", `Slow,
@@ -446,7 +291,5 @@ let suite =
     ("telemetry wire format", `Quick, test_telemetry_wire_format);
     ("reset_stats spares the registry", `Quick,
      test_reset_stats_spares_registry);
-    ("submit on a one-participant pool runs", `Quick,
-     test_submit_single_participant);
     ("idle worker parks", `Quick, test_idle_worker_parks);
     ("parked pool wakes for every round", `Quick, test_wake_from_park) ]

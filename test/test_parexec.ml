@@ -286,20 +286,6 @@ console.log(a.length + "," + a[99] + "," + a[900]);
       Alcotest.(check (pair int int)) "no instances, no fallbacks" (0, 0)
         (total (fun s -> s.PE.instances), total (fun s -> s.PE.fallbacks)))
 
-(* [parallel_reduce]'s merged partials against the plain fold. *)
-let parallel_reduce_equals_fold pool =
-  QCheck.Test.make ~name:"parallel_reduce = fold_left" ~count:50
-    QCheck.(list_of_size (Gen.int_range 0 200) (int_range (-1000) 1000))
-    (fun xs ->
-       let arr = Array.of_list xs in
-       let sum =
-         Js_parallel.Pool.parallel_reduce pool ~lo:0 ~hi:(Array.length arr)
-           ~init:0
-           ~body:(fun i -> arr.(i))
-           ~combine:( + ) ()
-       in
-       sum = List.fold_left ( + ) 0 xs)
-
 (* ------------------------------------------------------------------ *)
 (* Chunks run in place on the master heap, behind the write barrier:
    chunks run concurrently on the pool must end exactly as the same
@@ -973,7 +959,6 @@ let suite =
     Alcotest.test_case "CLI par-exec run matches plain run" `Slow
       test_cli_par_exec;
     qtest (generated_reductions_deterministic (Lazy.force shared_pool));
-    qtest (parallel_reduce_equals_fold (Lazy.force shared_pool));
     Alcotest.test_case "chunks in place: concurrent = serial" `Quick
       test_concurrent_chunks_match_serial;
     Alcotest.test_case "a break in a proven loop stays sequential" `Quick

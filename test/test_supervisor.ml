@@ -1,6 +1,6 @@
-(* Supervisor, backoff, and deterministic fault injection. Chaos is a
-   process-wide switch, so every test that enables it disables it again
-   in a [Fun.protect] finalizer. *)
+(* Supervisor, its retry schedule, and deterministic fault injection.
+   Chaos is a process-wide switch, so every test that enables it
+   disables it again in a [Fun.protect] finalizer. *)
 
 let with_chaos seed f =
   Js_parallel.Fault.enable ~seed;
@@ -19,8 +19,7 @@ let test_run_ok () =
 let test_permanent_not_retried () =
   let calls = ref 0 in
   match
-    Js_parallel.Supervisor.run ~retries:3 ~backoff:Js_parallel.Backoff.none
-      (fun () ->
+    Js_parallel.Supervisor.run ~retries:3 (fun () ->
          incr calls;
          failwith "deterministic bug")
   with
@@ -33,16 +32,19 @@ let test_permanent_not_retried () =
     Alcotest.(check bool) "exception text kept" true
       (Helpers.contains ~sub:"deterministic bug" fl.exn_text)
 
+(* A chaos fault is what [default_classify] calls transient. *)
+let injected ordinal =
+  Js_parallel.Fault.Injected
+    { site = Js_parallel.Fault.Task; key = "flaky"; ordinal }
+
 let test_transient_retry_recovers () =
   let calls = ref 0 in
   let before = Js_parallel.Telemetry.(count retries) in
   match
-    Js_parallel.Supervisor.run ~retries:2 ~backoff:Js_parallel.Backoff.none
-      ~classify:(fun _ -> Js_parallel.Supervisor.Transient)
-      (fun () ->
-         incr calls;
-         if !calls < 3 then failwith "flaky";
-         "ok")
+    Js_parallel.Supervisor.run ~retries:2 (fun () ->
+        incr calls;
+        if !calls < 3 then raise (injected !calls);
+        "ok")
   with
   | Ok v ->
     Alcotest.(check string) "value from third attempt" "ok" v;
@@ -56,11 +58,9 @@ let test_transient_retry_recovers () =
 let test_transient_retries_exhausted () =
   let calls = ref 0 in
   match
-    Js_parallel.Supervisor.run ~retries:2 ~backoff:Js_parallel.Backoff.none
-      ~classify:(fun _ -> Js_parallel.Supervisor.Transient)
-      (fun () ->
-         incr calls;
-         failwith "always")
+    Js_parallel.Supervisor.run ~retries:2 (fun () ->
+        incr calls;
+        raise (injected !calls))
   with
   | Ok _ -> Alcotest.fail "must fail"
   | Error fl ->
@@ -116,27 +116,40 @@ let test_failure_to_string_deterministic_fields () =
          (Js_parallel.Supervisor.failure_details fl))
 
 (* ------------------------------------------------------------------ *)
-(* Backoff *)
+(* Retry schedule *)
 
-let test_backoff_deterministic_and_bounded () =
-  let b = Js_parallel.Backoff.make ~base_ms:2. ~factor:2. ~max_ms:20. () in
-  for attempt = 1 to 8 do
-    let d1 = Js_parallel.Backoff.delay_ms b ~attempt in
-    let d2 = Js_parallel.Backoff.delay_ms b ~attempt in
-    Alcotest.(check (float 0.)) "pure function of (config, attempt)" d1 d2;
-    Alcotest.(check bool) "non-negative" true (d1 >= 0.);
-    Alcotest.(check bool) "within jittered cap" true (d1 <= 20. *. 1.25)
-  done
-
-let test_backoff_no_jitter_is_exact_exponential () =
-  let b =
-    Js_parallel.Backoff.make ~base_ms:1. ~factor:2. ~max_ms:1000. ~jitter:0. ()
-  in
+(* The one retry schedule: 1 ms doubling to a 50 ms cap, times a
+   jitter in [0.75, 1.25) keyed on the attempt alone, so attempts 1-6
+   wait exactly these delays on every call. *)
+let test_backoff_schedule () =
   List.iter
     (fun (attempt, expect) ->
-       Alcotest.(check (float 1e-9)) "base * factor^(attempt-1)" expect
-         (Js_parallel.Backoff.delay_ms b ~attempt))
-    [ (1, 1.); (2, 2.); (3, 4.); (4, 8.); (5, 16.) ]
+       let d = Js_parallel.Supervisor.backoff_ms ~attempt in
+       Alcotest.(check (float 1e-12))
+         (Printf.sprintf "attempt %d" attempt) expect d;
+       Alcotest.(check (float 0.)) "repeats identically" d
+         (Js_parallel.Supervisor.backoff_ms ~attempt))
+    [ (1, 0.927359770215199); (2, 2.3408251887421869);
+      (3, 3.4583918631092914); (4, 6.9461899860488137);
+      (5, 13.047836908380315); (6, 34.757528771730613) ]
+
+(* [default_classify] retries an interrupted syscall and nothing
+   deterministic: EINTR gets its one retry, a [failwith] none. *)
+let test_default_classify () =
+  let attempts exn =
+    let calls = ref 0 in
+    (match
+       Js_parallel.Supervisor.run ~retries:1 (fun () ->
+           incr calls;
+           raise exn)
+     with
+     | Ok () -> Alcotest.fail "must fail"
+     | Error _ -> ());
+    !calls
+  in
+  Alcotest.(check int) "EINTR retried" 2
+    (attempts (Unix.Unix_error (Unix.EINTR, "read", "")));
+  Alcotest.(check int) "failwith not retried" 1 (attempts (Failure "bug"))
 
 (* ------------------------------------------------------------------ *)
 (* Fault plans *)
@@ -201,11 +214,10 @@ let test_task_fault_recovered_by_retry () =
       let session = Js_parallel.Fault.session ~key in
       let runs = ref 0 in
       match
-        Js_parallel.Supervisor.run ~retries:1
-          ~backoff:Js_parallel.Backoff.none (fun () ->
-              Js_parallel.Fault.attempt_gate session;
-              incr runs;
-              "survived")
+        Js_parallel.Supervisor.run ~retries:1 (fun () ->
+            Js_parallel.Fault.attempt_gate session;
+            incr runs;
+            "survived")
       with
       | Ok v ->
         Alcotest.(check string) "second attempt survived" "survived" v;
@@ -276,10 +288,9 @@ let suite =
     ("watchdog budget end-to-end", `Quick, test_watchdog_budget_end_to_end);
     ("failure rendering deterministic", `Quick,
      test_failure_to_string_deterministic_fields);
-    ("backoff deterministic and bounded", `Quick,
-     test_backoff_deterministic_and_bounded);
-    ("backoff exact without jitter", `Quick,
-     test_backoff_no_jitter_is_exact_exponential);
+    ("backoff deterministic and bounded", `Quick, test_backoff_schedule);
+    ("default_classify: EINTR retried, failwith not", `Quick,
+     test_default_classify);
     ("fault plans deterministic", `Quick, test_plan_deterministic);
     ("fault plans vary", `Quick, test_plans_vary_and_include_faults);
     ("sessions only under chaos", `Quick, test_session_only_under_chaos);
