@@ -119,9 +119,24 @@ let test_failure_to_string_deterministic_fields () =
 (* Retry schedule *)
 
 (* The one retry schedule: 1 ms doubling to a 50 ms cap, times a
-   jitter in [0.75, 1.25) keyed on the attempt alone, so attempts 1-6
-   wait exactly these delays on every call. *)
-let test_backoff_schedule () =
+   jitter factor in [0.75, 1.25). Each delay is a pure function of the
+   attempt and stays inside that band, past the cap too. *)
+let test_backoff_deterministic_and_bounded () =
+  for attempt = 1 to 12 do
+    let d = Js_parallel.Supervisor.backoff_ms ~attempt in
+    let raw = Float.min 50. (Float.pow 2. (float_of_int (attempt - 1))) in
+    Alcotest.(check (float 0.)) "pure function of the attempt" d
+      (Js_parallel.Supervisor.backoff_ms ~attempt);
+    Alcotest.(check bool)
+      (Printf.sprintf "attempt %d within [0.75, 1.25) of %g ms" attempt raw)
+      true
+      (d >= 0.75 *. raw && d < 1.25 *. raw)
+  done
+
+(* The jitter is keyed on the attempt alone, not drawn from a shared
+   random stream, so there is no run-to-run jitter: attempts 1-6 wait
+   exactly these delays on every call. *)
+let test_backoff_exact_without_jitter () =
   List.iter
     (fun (attempt, expect) ->
        let d = Js_parallel.Supervisor.backoff_ms ~attempt in
@@ -288,7 +303,10 @@ let suite =
     ("watchdog budget end-to-end", `Quick, test_watchdog_budget_end_to_end);
     ("failure rendering deterministic", `Quick,
      test_failure_to_string_deterministic_fields);
-    ("backoff deterministic and bounded", `Quick, test_backoff_schedule);
+    ("backoff deterministic and bounded", `Quick,
+     test_backoff_deterministic_and_bounded);
+    ("backoff exact without jitter", `Quick,
+     test_backoff_exact_without_jitter);
     ("default_classify: EINTR retried, failwith not", `Quick,
      test_default_classify);
     ("fault plans deterministic", `Quick, test_plan_deterministic);
