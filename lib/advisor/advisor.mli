@@ -94,14 +94,11 @@ type report = {
           price inner loops the plan does not list; not serialized *)
 }
 
-val default_cores : int list
-(** [[2; 4; 8; 16]] *)
-
 val analyze : ?cores:int list -> Workloads.Workload.t -> report
 (** The deterministic advisor pass: the ranked plan of a
     {!Workloads.Harness.study} over every root nest. [cores] is
     sanitized (positive, sorted, deduplicated; default
-    {!default_cores}). *)
+    [[2; 4; 8; 16]]). *)
 
 (** {1 Measured nests} *)
 

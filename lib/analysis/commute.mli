@@ -7,11 +7,6 @@
 
 open Jsir
 
-val sum_addend_bound : float
-(** Magnitude bound (2^25) on addends of a provably-exact [+]
-    reduction; chosen so the executor's 1e8 trip cap keeps every
-    partial under 2^53. *)
-
 val order_insensitive :
   Range.t ->
   Scope.fid ->

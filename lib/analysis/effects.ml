@@ -86,11 +86,6 @@ let join a b =
 
 let equal_summary (a : summary) (b : summary) = compare a b = 0
 
-let is_pure s =
-  equal_summary
-    { s with returns_shared = false; returns_params = IS.empty }
-    bottom
-
 type t = { scope : Scope.t; summaries : summary array }
 
 (* ------------------------------------------------------------------ *)
@@ -583,30 +578,3 @@ let scope t = t.scope
 
 let region_of t ?param_as_root ?local_env fid e =
   region_of_gen t ?param_as_root ?local_env fid e
-
-let describe (s : summary) =
-  let parts = ref [] in
-  let addp p = parts := p :: !parts in
-  if not (RS.is_empty s.greads) then
-    addp
-      ("reads-globals("
-       ^ String.concat "," (List.map Scope.root_name (RS.elements s.greads))
-       ^ ")");
-  if not (RS.is_empty s.gwrites) then
-    addp
-      ("writes-globals("
-       ^ String.concat "," (List.map Scope.root_name (RS.elements s.gwrites))
-       ^ ")");
-  if
-    (not (RS.is_empty s.hread_roots))
-    || (not (IS.is_empty s.hread_params))
-    || s.hread_unknown || s.this_reads
-  then addp "reads-heap";
-  if
-    (not (RS.is_empty s.hwrite_roots))
-    || (not (IS.is_empty s.hwrite_params))
-    || s.hwrite_unknown || s.this_writes
-  then addp "writes-heap";
-  if s.io then addp "io";
-  if s.calls_unknown then addp "calls-unknown";
-  if !parts = [] then "pure" else String.concat " " (List.rev !parts)

@@ -40,7 +40,6 @@ type summary = {
 
 val bottom : summary
 val join : summary -> summary -> summary
-val is_pure : summary -> bool
 
 type t
 
@@ -61,9 +60,6 @@ val region_of :
     [param_as_root] treats the function's own parameters as roots
     (loop-level view) instead of [Param] positions (call-boundary
     view); [local_env] overlays per-iteration knowledge. *)
-
-val scalar_shaped : Ast.expr -> bool
-(** Syntactically cannot carry an object reference. *)
 
 (** How a call site behaves; shared with the loop-dependence walk. *)
 type call_kind =
@@ -92,5 +88,3 @@ val apply :
     frame: parameter-indexed heap effects land on the argument
     regions, [this] effects on the receiver ([new] receivers are
     fresh, so their [this] writes vanish). *)
-
-val describe : summary -> string

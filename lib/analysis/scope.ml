@@ -6,16 +6,14 @@
    on this), and function declarations/parameters bind in their own
    frame. This module indexes every function in the program (the top
    level is function 0), resolves each name occurrence to the frame
-   that owns it, records every definition reaching a binding (the
-   effect and alias stages consume these), and tabulates the direct
-   global reads/writes per function. *)
+   that owns it, and records every definition reaching a binding (the
+   effect and alias stages consume these). *)
 
 open Jsir
 
 type fid = int
 
 module SS = Set.Make (String)
-module SM = Map.Make (String)
 
 type root =
   | Rglobal of string
@@ -23,10 +21,6 @@ type root =
 
 let root_compare = compare
 let root_name = function Rglobal n -> n | Rlocal (_, n) -> n
-
-let root_to_string = function
-  | Rglobal n -> n
-  | Rlocal (f, n) -> Printf.sprintf "%s@%d" n f
 
 module Root = struct
   type t = root
@@ -62,8 +56,6 @@ type t = {
       (* call sites with an identifier callee, newest first *)
   prop_funcs : (string, fid list) Hashtbl.t;
       (* functions assigned to a property of that name anywhere *)
-  direct_global_reads : (fid, SS.t) Hashtbl.t;
-  direct_global_writes : (fid, SS.t) Hashtbl.t;
   mutable sites_memo : (root, string list option) Hashtbl.t;
   swap_defs : (string, root * root) Hashtbl.t;
       (* position of a stored def RHS -> the (canonical) root pair it
@@ -107,34 +99,16 @@ let push tbl key v =
   let old = match Hashtbl.find_opt tbl key with Some l -> l | None -> [] in
   Hashtbl.replace tbl key (v :: old)
 
-let add_set tbl key name =
-  let old =
-    match Hashtbl.find_opt tbl key with Some s -> s | None -> SS.empty
-  in
-  Hashtbl.replace tbl key (SS.add name old)
-
 let resolve_program (p : Ast.program) : t =
   let funcs = ref [] in
   let next = ref 0 in
   let t_defs = Hashtbl.create 64 in
   let t_calls = Hashtbl.create 64 in
   let t_props = Hashtbl.create 16 in
-  let t_greads = Hashtbl.create 16 in
-  let t_gwrites = Hashtbl.create 16 in
   let t_swap_redirect : (string, Ast.expr) Hashtbl.t = Hashtbl.create 8 in
   let t_swap_defs : (string, root * root) Hashtbl.t = Hashtbl.create 8 in
   let t_swap_pairs : (root * root, unit) Hashtbl.t = Hashtbl.create 8 in
   (* chain: innermost first, list of (fid, locals) *)
-  let note_read chain name =
-    match resolve_chain chain name with
-    | Rglobal n -> add_set t_greads (fst (List.hd chain)) n
-    | Rlocal _ -> ()
-  in
-  let note_write chain name =
-    match resolve_chain chain name with
-    | Rglobal n -> add_set t_gwrites (fst (List.hd chain)) n
-    | Rlocal _ -> ()
-  in
   let add_def chain name d = push t_defs (resolve_chain chain name) d in
   (* Walk returns the fid when the expression is syntactically a
      function, so definitions and call arguments can be linked to it. *)
@@ -215,7 +189,6 @@ let resolve_program (p : Ast.program) : t =
       walk_stmt chain b
     | Ast.For_in (_, (Ast.Binder_var n | Ast.Binder_ident n), _, _) ->
       add_def chain n Dunknown;
-      note_write chain n;
       children chain st
     | Ast.Try (b, catch, fin) ->
       walk_stmts chain b;
@@ -231,8 +204,7 @@ let resolve_program (p : Ast.program) : t =
       (match f.fname with
        | Some n ->
          add_def chain n
-           (Dexpr (cur chain, Ast.mk (Ast.Function_expr f), Some fid));
-         note_write chain n
+           (Dexpr (cur chain, Ast.mk (Ast.Function_expr f), Some fid))
        | None -> ())
     | Ast.Switch (scr, cases) ->
       walk_sub chain scr;
@@ -250,8 +222,7 @@ let resolve_program (p : Ast.program) : t =
          match init with
          | Some e ->
            let vf = walk_expr chain e in
-           add_def chain n (Dexpr (cur chain, e, vf));
-           note_write chain n
+           add_def chain n (Dexpr (cur chain, e, vf))
          | None -> ())
       ds
   and walk_sub chain e = ignore (walk_expr chain e)
@@ -259,9 +230,7 @@ let resolve_program (p : Ast.program) : t =
     match e.e with
     | Ast.Function_expr f ->
       Some (walk_func ~fname:f.fname ~parent:(Some (cur chain)) f chain)
-    | Ast.Ident x ->
-      note_read chain x;
-      None
+    | Ast.Ident _ -> None
     | Ast.Object_lit props ->
       List.iter
         (fun (p, v) ->
@@ -274,16 +243,13 @@ let resolve_program (p : Ast.program) : t =
       let arg_fids = List.map (fun a -> (a, walk_expr chain a)) args in
       (match callee.e with
        | Ast.Ident f ->
-         note_read chain f;
          push t_calls (resolve_chain chain f) (cur chain, arg_fids)
        | _ -> walk_sub chain callee);
       None
     | Ast.Unop (Ast.Delete, { e = Ast.Ident x; _ }) ->
       add_def chain x Dunknown;
-      note_write chain x;
       None
-    | Ast.Assign (Ast.Tgt_ident n, op, rhs) ->
-      if op <> None then note_read chain n;
+    | Ast.Assign (Ast.Tgt_ident n, _, rhs) ->
       let vf = walk_expr chain rhs in
       (* The closing move of a recognized swap idiom stores the
          value the temp copied out of the pair's other binding. *)
@@ -293,7 +259,6 @@ let resolve_program (p : Ast.program) : t =
         | None -> (rhs, vf)
       in
       add_def chain n (Dexpr (cur chain, de, dvf));
-      note_write chain n;
       None
     | Ast.Assign (Ast.Tgt_member (o, p), _, rhs) ->
       walk_sub chain o;
@@ -302,8 +267,6 @@ let resolve_program (p : Ast.program) : t =
        | None -> ());
       None
     | Ast.Update (_, _, Ast.Tgt_ident n) ->
-      note_read chain n;
-      note_write chain n;
       add_def chain n Dunknown;
       None
     | _ ->
@@ -330,8 +293,6 @@ let resolve_program (p : Ast.program) : t =
     defs = t_defs;
     calls = t_calls;
     prop_funcs = t_props;
-    direct_global_reads = t_greads;
-    direct_global_writes = t_gwrites;
     sites_memo = Hashtbl.create 32;
     swap_defs = t_swap_defs;
     swap_pairs = t_swap_pairs }
@@ -348,43 +309,6 @@ let classify t fid name =
   match resolve_in t fid name with
   | Rglobal _ -> Global
   | Rlocal (owner, _) -> if owner = fid then Local else Captured owner
-
-(* Free names of a function that are bound by an enclosing function
-   frame: its closure captures. *)
-let captures t fid : (string * fid) list =
-  let fr = t.funcs.(fid) in
-  let acc = ref SM.empty in
-  (* Scan identifier occurrences of [fid]'s own body (excluding nested
-     functions, which report their own captures) and classify each. *)
-  let note x =
-    match classify t fid x with
-    | Captured owner -> acc := SM.add x owner !acc
-    | _ -> ()
-  in
-  let rec stmt (st : Ast.stmt) =
-    match st.s with Ast.Func_decl _ -> () | _ -> Ast.iter_stmt ~stmt ~expr st
-  and expr (e : Ast.expr) =
-    match e.e with
-    | Ast.Function_expr _ -> ()
-    | Ast.Ident x
-    | Ast.Assign (Ast.Tgt_ident x, _, _)
-    | Ast.Update (_, _, Ast.Tgt_ident x) ->
-      note x;
-      Ast.iter_expr ~stmt ~expr e
-    | _ -> Ast.iter_expr ~stmt ~expr e
-  in
-  List.iter stmt fr.body;
-  SM.bindings !acc
-
-let global_reads t fid =
-  match Hashtbl.find_opt t.direct_global_reads fid with
-  | Some s -> SS.elements s
-  | None -> []
-
-let global_writes t fid =
-  match Hashtbl.find_opt t.direct_global_writes fid with
-  | Some s -> SS.elements s
-  | None -> []
 
 (* ------------------------------------------------------------------ *)
 (* Definitions, call-site parameter binding, function candidates. *)

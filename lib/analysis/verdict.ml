@@ -124,56 +124,3 @@ let to_string = function
   | Needs_runtime_check fs ->
     Printf.sprintf "needs-runtime-check: %s" (facts_to_string fs)
   | Sequential fs -> Printf.sprintf "sequential: %s" (facts_to_string fs)
-
-(* Minimal JSON string escaping: the strings we render are identifier
-   lists and fixed English phrases, but source fragments could carry
-   quotes or backslashes. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let facts_to_json (fs : fact list) =
-  fs
-  |> List.map (fun (f : fact) ->
-      Printf.sprintf "{\"text\":\"%s\",\"line\":%d,\"pass\":\"%s\"}"
-        (json_escape f.why) f.line (json_escape f.pass))
-  |> String.concat ","
-
-let strings_to_json l =
-  String.concat ","
-    (List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape s)) l)
-
-let accs_to_json (accs : acc list) =
-  accs
-  |> List.map (fun a ->
-      Printf.sprintf
-        "{\"name\":\"%s\",\"op\":\"%s\",\"order_insensitive\":%b}"
-        (json_escape a.aname) (op_name a.op) a.order_insensitive)
-  |> String.concat ","
-
-let to_json = function
-  | Parallel { war_roots } ->
-    Printf.sprintf "{\"verdict\":\"parallel\",\"war_roots\":[%s]}"
-      (strings_to_json war_roots)
-  | Reduction { accs; war_roots } ->
-    Printf.sprintf
-      "{\"verdict\":\"reduction\",\"accumulators\":[%s],\"reductions\":[%s],\"war_roots\":[%s]}"
-      (strings_to_json (List.map (fun a -> a.aname) accs))
-      (accs_to_json accs) (strings_to_json war_roots)
-  | Needs_runtime_check fs ->
-    Printf.sprintf "{\"verdict\":\"needs-runtime-check\",\"reasons\":[%s]}"
-      (facts_to_json (normalize_facts fs))
-  | Sequential fs ->
-    Printf.sprintf "{\"verdict\":\"sequential\",\"deps\":[%s]}"
-      (facts_to_json (normalize_facts fs))

@@ -50,8 +50,4 @@ val facts : t -> fact list
 
 val normalize_facts : fact list -> fact list
 val op_name : acc_op -> string
-val pass_rank : string -> int
-
 val to_string : t -> string
-val to_json : t -> string
-val json_escape : string -> string

@@ -18,18 +18,13 @@ type site = {
   arities : (int, unit) Hashtbl.t;
 }
 
-type t = {
-  sites : (int, site) Hashtbl.t; (* keyed by source line *)
-  saved : (int -> value -> int -> unit) option;
-  st : state;
-}
+type t = { sites : (int, site) Hashtbl.t (* keyed by source line *) }
 
 let attach (st : state) : t =
-  let t = { sites = Hashtbl.create 256; saved = st.on_call_site; st } in
+  let t = { sites = Hashtbl.create 256 } in
   st.on_call_site <-
     Some
       (fun line callee argc ->
-         (match t.saved with Some f -> f line callee argc | None -> ());
          let site =
            match Hashtbl.find_opt t.sites line with
            | Some s -> s
@@ -47,8 +42,6 @@ let attach (st : state) : t =
           | _ -> ());
          Hashtbl.replace site.arities argc ());
   t
-
-let detach t = t.st.on_call_site <- t.saved
 
 type census = {
   sites_total : int;
@@ -68,12 +61,3 @@ let census t : census =
          calls_total = acc.calls_total + s.calls })
     t.sites
     { sites_total = 0; monomorphic = 0; non_variadic = 0; calls_total = 0 }
-
-let polymorphic_sites t =
-  Hashtbl.fold
-    (fun _ (s : site) acc ->
-       if Hashtbl.length s.callees > 1 then
-         (s.line, Hashtbl.length s.callees) :: acc
-       else acc)
-    t.sites []
-  |> List.sort compare

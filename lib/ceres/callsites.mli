@@ -10,7 +10,6 @@
 type t
 
 val attach : Interp.Value.state -> t
-val detach : t -> unit
 
 type census = {
   sites_total : int;
@@ -20,6 +19,3 @@ type census = {
 }
 
 val census : t -> census
-
-val polymorphic_sites : t -> (int * int) list
-(** (line, distinct callees) for sites with more than one callee. *)

@@ -16,7 +16,6 @@ type difficulty = Very_easy | Easy | Medium | Hard | Very_hard
 
 val difficulty_to_string : difficulty -> string
 val difficulty_rank : difficulty -> int
-val worse : difficulty -> difficulty -> difficulty
 
 val divergence_of :
   iter_cv:float -> recursion:bool -> avg_trips:float -> divergence

@@ -397,8 +397,3 @@ let program mode (p : program) : program =
     stmts = List.map (tx_stmt mode) p.stmts;
     glayout = None;
     resolved_for = None }
-
-let mode_name = function
-  | Lightweight -> "lightweight"
-  | Loop_profile -> "loop-profile"
-  | Dependence -> "dependence"

@@ -20,5 +20,3 @@ type mode =
 
 val program : mode -> Jsir.Ast.program -> Jsir.Ast.program
 (** Instrument a whole program. Loop identifiers are preserved. *)
-
-val mode_name : mode -> string

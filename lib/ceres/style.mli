@@ -5,9 +5,6 @@
     that developers who *say* they prefer functional operators still
     write their compute-intensive loops imperatively. *)
 
-val functional_operators : string list
-(** map, forEach, filter, reduce, some, every, sort. *)
-
 type census = {
   loops : int; (** syntactic loops (for/while/do-while/for-in) *)
   operator_calls : int; (** HOF call sites (syntactic) *)

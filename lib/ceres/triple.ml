@@ -47,14 +47,6 @@ type level = {
 type characterization = level list
 (** One verdict per open loop, outermost first. *)
 
-let is_problematic (c : characterization) =
-  List.exists (fun l -> l.flags <> Ok_ok) c
-
-(* A dependence is loop-carried (the paper's reportable flow case) when
-   a level that was aligned with the stamp carries a non-ok flag. *)
-let has_carried_dependence (c : characterization) =
-  List.exists (fun l -> l.aligned && l.flags <> Ok_ok) c
-
 (* The loop whose *iterations* carry the dependence: the outermost
    aligned level where the two contexts are in the same instance but
    different iterations. Dependences between different instances of a

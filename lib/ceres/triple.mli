@@ -38,12 +38,6 @@ type characterization = level list
 (** One verdict per open loop, outermost first — the paper's
     ["while(line 24) ok ok -> for(line 6) ok dependence"] lists. *)
 
-val is_problematic : characterization -> bool
-(** Some level differs from [Ok_ok]: the access is reported. *)
-
-val has_carried_dependence : characterization -> bool
-(** Some aligned level carries a non-[Ok_ok] flag. *)
-
 val iteration_carrier : characterization -> Jsir.Ast.loop_id option
 (** The outermost loop whose *iterations* carry the dependence (same
     instance, different iteration). Cross-instance sharing returns
@@ -53,10 +47,6 @@ val iteration_carrier : characterization -> Jsir.Ast.loop_id option
 val sharing_carrier : characterization -> Jsir.Ast.loop_id option
 (** The outermost level with any sharing at all; used to attribute
     write advisories to a nest. *)
-
-val flags_strings : flags -> string * string
-(** The paper's (instance, iteration) words, e.g.
-    [("ok", "dependence")]. *)
 
 val to_string : Jsir.Loops.info array -> characterization -> string
 (** Render in the paper's arrow notation, resolving loop labels through

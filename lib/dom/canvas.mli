@@ -30,8 +30,6 @@ val make_context_obj :
 val get_pixel : t -> int -> int -> int * int * int * int
 (** RGBA at (x, y); (0,0,0,0) outside the canvas. *)
 
-val set_pixel : t -> int -> int -> int * int * int * int -> unit
-
 val parse_color : string -> int * int * int * int
 (** ["#rgb"], ["#rrggbb"], ["rgb(...)"], ["rgba(...)"]; anything else
     falls back to opaque black. *)

@@ -251,17 +251,6 @@ let dispatch t el ty ~x ~y =
   !fired
 
 (* Schedule a dispatch on the event loop at an absolute virtual time. *)
-let dispatch_at t el ty ~x ~y ~at_ms =
-  let st = t.st in
-  let thunk =
-    make_host_fn st "dispatch-event" (fun _ _ _ ->
-        ignore (dispatch t el ty ~x ~y);
-        Undefined)
-  in
-  let now_ms = Ceres_util.Vclock.to_ms st.clock (Ceres_util.Vclock.now st.clock) in
-  let delay = Float.max 0. (at_ms -. now_ms) in
-  ignore (Interp.Events.schedule_value st ~delay_ms:delay (Obj thunk) [])
-
 let stats t = (t.dom_accesses, t.canvas_accesses)
 
 let canvas_of_element t el =

@@ -29,8 +29,6 @@ val install : Interp.Value.state -> t
     globals; returns the handle the harness uses for dispatch and
     statistics. *)
 
-val make_element : t -> string -> Interp.Value.obj
-
 val find_by_id :
   Interp.Value.state -> Interp.Value.obj -> string -> Interp.Value.obj option
 (** Depth-first search under the given root by the [id] property. *)
@@ -39,11 +37,6 @@ val dispatch :
   t -> Interp.Value.obj -> string -> x:float -> y:float -> int
 (** Synchronously fire all listeners of (element, event type) with a
     mouse-like event payload; returns how many listeners ran. *)
-
-val dispatch_at :
-  t -> Interp.Value.obj -> string -> x:float -> y:float -> at_ms:float -> unit
-(** Queue a {!dispatch} on the event loop at an absolute virtual time —
-    how the harness scripts the paper's "user exercises the app". *)
 
 val stats : t -> int * int
 (** (DOM accesses, canvas accesses) so far. *)

@@ -17,6 +17,3 @@ val install : Value.state -> unit
 val arg : int -> Value.value list -> Value.value
 (** n-th argument or [Undefined]. *)
 
-val num_arg : Value.state -> int -> Value.value list -> float
-val str_arg : Value.state -> int -> Value.value list -> string
-val int_arg : Value.state -> int -> Value.value list -> int

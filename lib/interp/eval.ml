@@ -443,10 +443,10 @@ let run_closure st fo (cl : closure) this slots args =
     cl.body st frame this
 
 let leave st =
-  (match st.on_call_exit with None -> () | Some f -> f ());
+  (match st.on_call_boundary with None -> () | Some f -> f ());
   st.call_depth <- st.call_depth - 1
 
-(* Run a callee under the depth limit and the enter/exit hooks; one
+(* Run a callee under the depth limit and the call-boundary hook; one
    handler, no closures: [leave] on the normal and the exceptional path
    alike. *)
 let enter st fo c this slots args =
@@ -455,16 +455,12 @@ let enter st fo c this slots args =
     st.call_depth <- st.call_depth - 1;
     throw_error st "RangeError" "maximum call stack size exceeded"
   end;
+  (match st.on_call_boundary with None -> () | Some f -> f ());
   match
     match c with
-    | Host (name, fn) ->
-      (match st.on_call_enter with None -> () | Some f -> f (Some name));
-      fn st this args
-    | Closure cl ->
-      (match st.on_call_enter with None -> () | Some f -> f cl.fn.fname);
-      run_closure st fo cl this slots args
-    | Host_unary (name, fn) ->
-      (match st.on_call_enter with None -> () | Some f -> f (Some name));
+    | Host (_, fn) -> fn st this args
+    | Closure cl -> run_closure st fo cl this slots args
+    | Host_unary (_, fn) ->
       Num (fn (match args with v :: _ -> to_number st v | [] -> Float.nan))
   with
   | v -> leave st; v
@@ -525,8 +521,8 @@ let invoke st sc th line fn recv args =
 let unary st sc th line fn recv args (a : code) f =
   match a st sc th with
   | Num x
-    when st.on_call_site == None && st.on_call_enter == None
-         && st.on_call_exit == None && st.call_depth < st.max_call_depth ->
+    when st.on_call_site == None && st.on_call_boundary == None
+         && st.call_depth < st.max_call_depth ->
     tick st cost_call; Num (f x)
   | v -> site st line fn args; call st fn recv [ v ]
 
@@ -1282,7 +1278,7 @@ let create ?(seed = 20150207) ?(budget = default_budget)
       error_proto = dummy_obj; next_oid = 1; next_sid = 1; call_depth = 0;
       max_call_depth = 2000; budget = Int64.to_int budget; console = [];
       echo_console = false; intrinsics = Hashtbl.create 32;
-      on_call_enter = None; on_call_exit = None;
+      on_call_boundary = None;
       on_host_access = (fun _ _ -> ()); on_tick = None; on_call_site = None;
       apply = (fun _ _ _ _ -> Undefined); events = []; next_event_seq = 0;
       host_time_reads = 0; on_loop = None; write_floor = 0; scope_floor = 0;

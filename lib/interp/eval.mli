@@ -87,5 +87,3 @@ val tick : state -> int -> unit
     {!Ceres_util.Vclock.advance}); fires the state's [on_tick] probe (if
     armed) and raises {!Value.Budget_exhausted} past the state's
     budget. *)
-
-val default_budget : int64

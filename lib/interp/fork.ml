@@ -138,8 +138,7 @@ let fork (master : state) inst ~(frame : scope) ~write_floor ~scope_floor
       next_sid = next_sid + 1;
       console = [];
       echo_console = false;
-      on_call_enter = None;
-      on_call_exit = None;
+      on_call_boundary = None;
       on_host_access =
         (fun cat op -> master_write ("host access " ^ cat ^ "/" ^ op));
       on_tick = None;

@@ -10,11 +10,3 @@
 
 val install : Value.state -> unit
 (** Installed by {!Builtins.install}. *)
-
-val stringify_value :
-  Value.state -> seen:int list -> Value.value -> string option
-(** [None] for values JSON omits (undefined, functions).
-    @raise Cycle on cyclic structures (internal; the JS-facing
-    [JSON.stringify] converts it to a TypeError). *)
-
-exception Cycle

@@ -131,8 +131,7 @@ and state = {
       (* handler factories, looked up when a program is compiled *)
   (* instrumentation and embedding hooks; [None] (the default) costs a
      load + branch where an installed hook would be called *)
-  mutable on_call_enter : (string option -> unit) option;
-  mutable on_call_exit : (unit -> unit) option;
+  mutable on_call_boundary : (unit -> unit) option;
   mutable on_host_access : string -> string -> unit;
       (* category (e.g. "dom"), operation *)
   mutable on_tick : (int -> unit) option;
@@ -335,8 +334,6 @@ let make_function st call =
   o
 
 let make_host_fn st name fn = make_function st (Host (name, fn))
-
-let is_array o = o.arr <> None
 
 (* Canonical array index of a property key, allocation- and
    exception-free. Matches the round-trip check

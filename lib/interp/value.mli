@@ -44,7 +44,7 @@ and obj = {
 and shape = {
   mutable keys : string array;
       (** slot -> key in insertion order; a dictionary's may hold
-          {!hole}s and spare room *)
+          deleted-slot markers and spare room *)
   mutable size : int;  (** slots in use, holes included *)
   mutable index : int Strtbl.t;
       (** key -> slot; empty in a shared shape of at most 8 keys *)
@@ -135,13 +135,10 @@ and state = {
       (** handler factories for {!Jsir.Ast.Intrinsic} nodes, registered
           by {!Ceres.Install} and looked up when a program is
           compiled *)
-  mutable on_call_enter : (string option -> unit) option;
-      (** every call, with the callee's name (a host function's, or the
-          closure's [fname]) *)
-  mutable on_call_exit : (unit -> unit) option;
-      (** every call's return, normal or exceptional. The three call
-          hooks are [None] by default: an unset hook costs one load +
-          branch and is never called *)
+  mutable on_call_boundary : (unit -> unit) option;
+      (** every call's entry, and its return, normal or exceptional.
+          The two call hooks are [None] by default: an unset hook costs
+          one load + branch and is never called *)
   mutable on_host_access : string -> string -> unit;
       (** (category, operation): the DOM/canvas report channel *)
   mutable on_tick : (int -> unit) option;
@@ -230,9 +227,6 @@ val type_of : value -> string
 val root_shape : shape
 (** The shape of an object with no own keys. *)
 
-val hole : string
-(** A dictionary's deleted slot, told apart physically ([==]). *)
-
 val slot_of : shape -> string -> int
 (** The key's slot, or -1. *)
 
@@ -248,12 +242,10 @@ val dict_of : shape -> shape
 
 (** {1 Objects} *)
 
-val fresh_oid : state -> int
 val make_obj : ?proto:obj option -> state -> obj
 val make_array : state -> value array -> obj
 val make_function : state -> callable -> obj
 val make_host_fn : state -> string -> host_fn -> obj
-val is_array : obj -> bool
 
 val array_index_of_key : string -> int option
 (** [Some i] when the key is a canonical array index. *)
@@ -282,15 +274,11 @@ val get_prop_obj : obj -> string -> value
 (** Prototype-chain lookup, array-index aware. *)
 
 val set_prop_obj : obj -> string -> value -> unit
-val has_prop_obj : obj -> string -> bool
 
 (** {1 Coercions} *)
 
 val v_true : value
 val v_false : value
-
-val vbool : bool -> value
-(** One of the two preallocated [Bool] values above: allocation-free. *)
 
 val to_boolean : value -> bool
 val number_of_string : string -> float
@@ -299,9 +287,7 @@ val to_string : state -> value -> string
 
 val default_obj_string : state -> obj -> string
 val to_number : state -> value -> float
-val to_primitive : state -> value -> value
 val to_int32 : state -> value -> int32
-val to_uint32 : state -> value -> int
 val abstract_eq : state -> value -> value -> bool
 (** JavaScript [==] over the coercion lattice. *)
 
@@ -325,9 +311,6 @@ val fresh_scope : state -> scope option -> scope
 val declare : scope -> string -> unit
 (** Bind the name to [Undefined] if not already bound here (slotted
     names count as bound). *)
-
-val scope_slot : scope -> string -> int
-(** Slot of the name at this level only, or -1. *)
 
 val var_home : scope -> string -> (scope * int) option
 (** Where the name lives, walking out from [scope]: the owning scope

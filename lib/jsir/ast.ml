@@ -187,10 +187,6 @@ let lex_free_sym lex = -2 - lex
    no meaningful source location. *)
 
 let mk ?(at = no_span) e = { e; at; lex = lex_unresolved }
-let mk_func ?(fname = None) ~params ~body fspan =
-  { fname; params; body; fspan; layout = None }
-let mk_program ~stmts ~loop_count =
-  { stmts; loop_count; glayout = None; resolved_for = None }
 let mk_stmt ?(at = no_span) s = { s; sat = at; slex = [||] }
 let number f = mk (Number f)
 let string_lit s = mk (String s)

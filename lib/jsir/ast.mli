@@ -18,8 +18,6 @@ type pos = { line : int; col : int }
 
 type span = { left : pos; right : pos }
 
-val no_pos : pos
-val no_span : span
 (** Used for synthesised (instrumentation) nodes. *)
 
 type loop_id = int
@@ -189,10 +187,6 @@ val lex_free_sym : int -> int
 
 val mk : ?at:span -> expr_desc -> expr
 
-val mk_func :
-  ?fname:string option -> params:string list -> body:stmt list -> span -> func
-
-val mk_program : stmts:stmt list -> loop_count:int -> program
 val mk_stmt : ?at:span -> stmt_desc -> stmt
 val number : float -> expr
 val string_lit : string -> expr

@@ -69,21 +69,9 @@ let find infos id =
 let label info =
   Printf.sprintf "%s(line %d)" (loop_kind_name info.kind) info.line
 
-let nest_of infos id =
-  let rec up acc (info : info) =
-    match info.parent with
-    | None -> info :: acc
-    | Some pid -> up (info :: acc) (find infos pid)
-  in
-  up [] (find infos id)
-
 let roots infos =
   Array.to_list infos
   |> List.filter (fun (info : info) -> info.parent = None)
-
-let children infos id =
-  Array.to_list infos
-  |> List.filter (fun (info : info) -> info.parent = Some id)
 
 let in_nest infos ~root id =
   let rec up i =

@@ -25,15 +25,8 @@ val find : info array -> Ast.loop_id -> info
 val label : info -> string
 (** The paper's notation, e.g. ["for(line 6)"]. *)
 
-val nest_of : info array -> Ast.loop_id -> info list
-(** Outermost-first chain of syntactic ancestors ending at the loop
-    itself — the paper's report rows follow this order. *)
-
 val roots : info array -> info list
 (** Top-level loops (no enclosing loop), in source order. *)
-
-val children : info array -> Ast.loop_id -> info list
-(** Loops whose syntactic parent is the given loop. *)
 
 val in_nest : info array -> root:Ast.loop_id -> Ast.loop_id -> bool
 (** Whether a loop belongs to the nest rooted at [root], i.e. is

@@ -458,5 +458,3 @@ let program_to_string (p : program) =
   List.iter (fun s -> stmt_buf buf 0 s) p.stmts;
   Buffer.contents buf
 
-let pp_expr ppf e = Format.pp_print_string ppf (expr_to_string e)
-let pp_program ppf p = Format.pp_print_string ppf (program_to_string p)

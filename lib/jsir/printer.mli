@@ -22,6 +22,3 @@ val stmt_to_string : ?indent:int -> Ast.stmt -> string
 
 val program_to_string : Ast.program -> string
 (** Full-script rendering. *)
-
-val pp_expr : Format.formatter -> Ast.expr -> unit
-val pp_program : Format.formatter -> Ast.program -> unit

@@ -14,11 +14,6 @@ let speedup ~parallel_fraction ~workers =
 
 let asymptote ~parallel_fraction = speedup ~parallel_fraction ~workers:0
 
-(* Minimum parallel fraction needed to reach a target speedup with
-   unlimited workers: p >= 1 - 1/s. *)
-let fraction_for ~target_speedup =
-  if target_speedup <= 1. then 0. else 1. -. (1. /. target_speedup)
-
 (* Karp–Flatt experimentally-determined serial fraction: inverts
    Amdahl's law on a *measured* speedup, e = (1/s - 1/n) / (1 - 1/n).
    A fraction that grows with n exposes scheduling overhead the

@@ -12,10 +12,6 @@ val speedup : parallel_fraction:float -> workers:int -> float
 val asymptote : parallel_fraction:float -> float
 (** [speedup ~workers:0]; [infinity] when the fraction is 1. *)
 
-val fraction_for : target_speedup:float -> float
-(** Minimum parallel fraction needed to reach a speedup with unlimited
-    workers: [1 - 1/s]. *)
-
 val karp_flatt : measured_speedup:float -> workers:int -> float
 (** Karp–Flatt experimentally-determined serial fraction,
     [(1/s - 1/n) / (1 - 1/n)] for a measured speedup [s] on [n]

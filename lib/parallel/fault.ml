@@ -49,7 +49,6 @@ let enable ~seed = Atomic.set chaos_seed (Some seed)
 
 let disable () = Atomic.set chaos_seed None
 let enabled () = Atomic.get chaos_seed <> None
-let current_seed () = Atomic.get chaos_seed
 
 let env_var = "JSCERES_CHAOS"
 
@@ -100,12 +99,6 @@ let plan_of ~seed ~key =
     | 0 -> Fail (Task, 1)
     | 1 -> Fail (Tick, 1 + Ceres_util.Prng.int p 200_000)
     | _ -> Fail (Dom, 1 + Ceres_util.Prng.int p 300)
-
-let plan_to_string = function
-  | No_fault -> "no fault"
-  | Fail (site, n) -> Printf.sprintf "fail %s #%d" (site_to_string site) n
-
-let describe_plan ~seed ~key = plan_to_string (plan_of ~seed ~key)
 
 (* ------------------------------------------------------------------ *)
 (* Per-workload sessions *)

@@ -37,7 +37,6 @@ val enable : seed:int -> unit
 
 val disable : unit -> unit
 val enabled : unit -> bool
-val current_seed : unit -> int option
 
 val env_var : string
 (** ["JSCERES_CHAOS"]. *)
@@ -52,10 +51,6 @@ type session
 
 val session : key:string -> session option
 (** The (seed, key)-derived session, or [None] when chaos is off. *)
-
-val describe_plan : seed:int -> key:string -> string
-(** The plan [key] would receive under [seed], e.g.
-    ["fail interp-tick #8123"] (pure; no global state). *)
 
 val attempt_gate : session option -> unit
 (** Call at the top of each supervised attempt: counts the attempt,

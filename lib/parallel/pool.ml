@@ -208,8 +208,6 @@ let shutdown t =
 
 let stats t = Telemetry.snapshot ~participants:t.n t.counters t.loops
 
-let stats_json t = Telemetry.to_json (stats t)
-
 let reset_stats t =
   Array.iter Telemetry.reset_participant t.counters;
   Telemetry.reset_loop_log t.loops

@@ -51,9 +51,6 @@ val stats : t -> Telemetry.pool_stats
 (** Snapshot of the scheduling telemetry: per-participant task/steal/
     idle counters and recent per-loop fork/join timings. *)
 
-val stats_json : t -> string
-(** {!stats} rendered as one-line JSON. *)
-
 val reset_stats : t -> unit
 (** Zero this pool's participant counters and loop log (e.g. between
     bench sections). The process-wide registry is left alone;

@@ -91,7 +91,7 @@ module Trace : sig
   (** ["task_start" | "task_stop" | "steal" | "idle_start"] *)
 
   val capacity : int
-  (** Event-buffer bound; events past it are counted as {!dropped}. *)
+  (** Event-buffer bound; events past it are dropped and counted. *)
 
   val start : unit -> unit
   (** Reset the buffer, stamp t=0 and arm recording. *)
@@ -103,18 +103,15 @@ module Trace : sig
   (** Record one event for pool participant [domain]. The caller
       checks {!active} first (the pool's hooks do). *)
 
-  val dropped : unit -> int
   val events : unit -> (float * int * kind) list
   (** (ms since {!start}, participant, kind), by time; ties in
       recorded order. *)
 
-  val to_jsonl : unit -> string
-  (** One [{"t_ms":..,"domain":..,"ev":..}] object per line (the
-      [--timeline] export schema, documented in DESIGN.md §14); a
-      final [{"dropped":N}] line is appended by {!write_file} when
-      the buffer overflowed. *)
-
   val write_file : string -> unit
+  (** Write the events as one [{"t_ms":..,"domain":..,"ev":..}] object
+      per line (the [--timeline] export schema, documented in
+      DESIGN.md §14), and a final [{"dropped":N}] line when the buffer
+      overflowed. *)
 end
 
 (** {1 Per-loop records} *)

@@ -9,32 +9,17 @@
     The model: virtual time is cut into fixed windows; a window counts
     as active only if at least one function boundary (call entry or
     exit) occurs in it. Call-dense code keeps the sampler fed; long
-    call-free loop bodies and event-loop idle time starve it. Samples
-    are attributed to the function on top of the call stack, yielding a
-    Gecko-like per-function profile. *)
+    call-free loop bodies and event-loop idle time starve it. The one
+    number it yields is Table 2's active time. *)
 
 type t
 
 val attach : ?period_ms:float -> Interp.Value.state -> t
-(** Chain onto the state's call hooks and start sampling. Default
+(** Set the state's call-boundary hook and start sampling. Default
     period 1 ms (Gecko's default interval). *)
-
-val detach : t -> unit
-(** Restore the hooks saved at {!attach}. *)
 
 val active_ms : t -> float
 (** Estimated active time: serviced windows x period, capped by the
     interpreter's true busy time — a sampler books at most one full
     window per sample, but it cannot report more activity than the
     program actually performed. *)
-
-val busy_ms : t -> float
-(** The interpreter's true busy time, for comparison. *)
-
-val period_ms : t -> float
-val boundary_count : t -> int
-
-val profile : t -> (string * int) list
-(** Serviced windows per function name, descending. *)
-
-val report : t -> string

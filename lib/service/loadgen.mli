@@ -41,6 +41,3 @@ val run : config -> report
 
 val report_json : report -> Ceres_util.Json.t
 
-val request_line : seed:int -> client:int -> request:int -> string
-(** The deterministic request stream (exposed so tests can replay the
-    exact stream a client sent). *)

@@ -9,9 +9,6 @@ type config = {
 
 type t = { pass : pass; workload : string; config : config }
 
-let default_config =
-  { scale = None; focus = None; max_nests = None; cores = None }
-
 (* [cores] is normalized on construction (positive, sorted,
    deduplicated) so that [to_json]/[of_json] round-trip exactly and
    equal requests cannot differ in cache key. *)

@@ -30,8 +30,6 @@ type t = {
   config : config;
 }
 
-val default_config : config
-
 val make :
   ?scale:float ->
   ?focus:int ->
@@ -42,7 +40,6 @@ val make :
   t
 
 val pass_name : pass -> string
-val pass_of_name : string -> pass option
 val all_passes : (string * pass) list
 (** Name/constructor pairs, in declaration order — the single source
     for CLI enums and help text. *)

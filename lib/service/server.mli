@@ -35,8 +35,6 @@ type config = {
   chaos_transport : bool;  (** inject seed-keyed transport faults *)
 }
 
-val default_config : socket_path:string -> config
-
 type t
 
 val create :
@@ -58,4 +56,3 @@ val begin_drain : t -> unit
 (** Request drain from outside (used by tests); idempotent. *)
 
 val draining : t -> bool
-val live_sessions : t -> int

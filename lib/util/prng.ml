@@ -17,10 +17,6 @@ let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
-let split t =
-  let seed = next_int64 t in
-  create (mix seed)
-
 let copy t = { state = t.state }
 let same_state a b = Int64.equal a.state b.state
 
@@ -34,8 +30,6 @@ let int t bound =
   let r = Int64.shift_right_logical (next_int64 t) 1 in
   Int64.to_int (Int64.rem r (Int64.of_int bound))
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let gaussian t =
   let rec draw () =
     let u = float t in
@@ -43,8 +37,6 @@ let gaussian t =
   in
   let u1 = draw () and u2 = float t in
   sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2)
-
-let gaussian_scaled t ~mean ~stddev = mean +. (stddev *. gaussian t)
 
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";

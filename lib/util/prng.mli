@@ -4,8 +4,7 @@
     respondents, workload inputs, the MiniJS [Math.random] builtin —
     draws from a seeded instance of this generator, so that every table
     and figure is reproducible bit-for-bit. SplitMix64 is used for its
-    tiny state, solid statistical quality and trivially splittable
-    streams (one independent stream per domain in parallel runs). *)
+    tiny state and solid statistical quality. *)
 
 type t
 (** Mutable generator state. *)
@@ -15,10 +14,6 @@ val create : int64 -> t
 
 val of_int : int -> t
 (** Convenience seeding from a native int. *)
-
-val split : t -> t
-(** [split t] advances [t] and returns a statistically independent
-    generator; used to give each parallel domain its own stream. *)
 
 val copy : t -> t
 (** Snapshot with identical state: the copy replays the exact same
@@ -38,14 +33,8 @@ val int : t -> int -> int
 (** [int t bound] is a uniform int in [\[0, bound)]. [bound] must be
     positive. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val gaussian : t -> float
 (** Standard normal via Box–Muller. *)
-
-val gaussian_scaled : t -> mean:float -> stddev:float -> float
-(** Normal with the given mean and standard deviation. *)
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)

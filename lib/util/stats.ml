@@ -16,8 +16,6 @@ let variance xs =
     !acc /. float_of_int (n - 1)
   end
 
-let stddev xs = sqrt (variance xs)
-
 let percentile xs p =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.percentile: empty input";
@@ -31,21 +29,6 @@ let percentile xs p =
   else
     let frac = rank -. float_of_int lo in
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
-
-let median xs = percentile xs 50.
-
-let histogram ~bins ~lo ~hi xs =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
-  if hi <= lo then invalid_arg "Stats.histogram: empty range";
-  let counts = Array.make bins 0 in
-  let width = (hi -. lo) /. float_of_int bins in
-  Array.iter
-    (fun x ->
-       let idx = int_of_float ((x -. lo) /. width) in
-       let idx = max 0 (min (bins - 1) idx) in
-       counts.(idx) <- counts.(idx) + 1)
-    xs;
-  counts
 
 let jaccard a b =
   let inter = ref 0 and union = ref 0 in

@@ -7,17 +7,9 @@ val variance : float array -> float
 (** Unbiased two-pass sample variance; [0.] when fewer than two
     observations. Used by tests as the oracle for {!Welford}. *)
 
-val stddev : float array -> float
-
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [\[0,100\]], linear interpolation
     between closest ranks. Raises [Invalid_argument] on empty input. *)
-
-val median : float array -> float
-
-val histogram : bins:int -> lo:float -> hi:float -> float array -> int array
-(** Fixed-width histogram; values outside [\[lo,hi\]] are clamped into
-    the end bins. *)
 
 val jaccard : ('a, unit) Hashtbl.t -> ('a, unit) Hashtbl.t -> float
 (** Jaccard coefficient |A∩B| / |A∪B| between two sets; [1.] when both

@@ -10,9 +10,7 @@
    warning aggregation) is computed once here, at intern time — the
    hot path never re-parses the string. So is the canonical *symbol*:
    every name whose canonical form is "[elem]" shares one id, so the
-   dependence runtime's warning keys compare ints, never strings. [parses] counts the
-   [int_of_string_opt] calls so a regression test can pin the
-   once-per-intern property. *)
+   dependence runtime's warning keys compare ints, never strings. *)
 
 type table = {
   by_name : (string, int) Hashtbl.t;
@@ -25,7 +23,6 @@ type table = {
   mutable by_index : int array; (* small array index -> sym, -1 unset *)
   mutable gslots : int array; (* sym -> global frame slot, -1 unset *)
   mutable gslot_count : int;
-  mutable parses : int; (* int_of_string_opt calls, for the tests *)
 }
 
 (* Symbols participate in packed int keys ((oid lsl bits) lor sym), so
@@ -46,7 +43,6 @@ let create () =
     by_index = Array.make 64 (-1);
     gslots = Array.make 64 (-1);
     gslot_count = 0;
-    parses = 0;
   }
 
 let grow arr len default =
@@ -73,7 +69,6 @@ let intern t s =
     t.names.(sym) <- s;
     (* canonical-array-index check, mirroring
        [Value.array_index_of_key], paid exactly once per name *)
-    t.parses <- t.parses + 1;
     (match int_of_string_opt s with
      | Some i ->
        (* Aggregation folds *anything* [int_of_string_opt] accepts (the
@@ -104,8 +99,6 @@ let canonical t sym = t.canon.(sym)
 let canonical_sym t sym = t.canon_sym.(sym)
 let array_index t sym = t.index.(sym)
 let count t = t.count
-let parse_count t = t.parses
-let find t s = Hashtbl.find_opt t.by_name s
 
 (* Small-int fast path: symbol of [string_of_int i] without building
    the string after the first time. *)

@@ -22,9 +22,6 @@ val intern : table -> string -> int
     ([int_of_string_opt] + round-trip) runs exactly once per distinct
     name, here, never on the hot path. *)
 
-val find : table -> string -> int option
-(** Lookup without interning. *)
-
 val name : table -> int -> string
 (** The interned string (shared, not copied). *)
 
@@ -48,10 +45,6 @@ val of_index : table -> int -> int
     allocate nothing. *)
 
 val count : table -> int
-
-val parse_count : table -> int
-(** How many [int_of_string_opt] canonicalization checks ran — pinned
-    by a regression test to one per distinct interned name. *)
 
 (** {1 Global frame slots}
 

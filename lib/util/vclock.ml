@@ -25,9 +25,5 @@ let advance_idle t ticks =
 let to_ms t ticks = Int64.to_float ticks /. float_of_int t.rate
 let ms_to_ticks t ms = Int64.of_float (ms *. float_of_int t.rate)
 
-let reset t =
-  t.busy_ticks <- 0;
-  t.idle_ticks <- 0
-
 let copy t =
   { rate = t.rate; busy_ticks = t.busy_ticks; idle_ticks = t.idle_ticks }

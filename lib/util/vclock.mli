@@ -25,9 +25,9 @@ type t = {
     dev profile ([-opaque]) a call to {!advance} would stay a
     cross-module call there; its costs are non-negative constants, so
     it skips {!advance}'s sign check. Everything else changes the clock
-    through {!advance}. [Ceres.Loop_profile] reads [busy_ticks] in
-    place, so a loop event boxes nothing; other readers use the
-    [int64] accessors below. *)
+    through {!advance}. [Ceres.Loop_profile] and [Profiler.Sampler]
+    read the counters in place, so a loop event or a call boundary
+    boxes nothing; other readers use the [int64] accessors below. *)
 
 val create : ?ticks_per_ms:int -> unit -> t
 (** Fresh clock at time zero. *)
@@ -55,9 +55,6 @@ val to_ms : t -> int64 -> float
 
 val ms_to_ticks : t -> float -> int64
 (** Inverse of {!to_ms}. *)
-
-val reset : t -> unit
-(** Back to time zero. *)
 
 val copy : t -> t
 (** Independent clock with the same rate and current readings; used to

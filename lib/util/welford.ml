@@ -3,12 +3,9 @@ type t = {
   mutable mean : float;
   mutable m2 : float;
   mutable sum : float;
-  mutable min_v : float;
-  mutable max_v : float;
 }
 
-let create () =
-  { n = 0; mean = 0.; m2 = 0.; sum = 0.; min_v = nan; max_v = nan }
+let create () = { n = 0; mean = 0.; m2 = 0.; sum = 0. }
 
 let add t x =
   t.n <- t.n + 1;
@@ -16,59 +13,10 @@ let add t x =
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.n);
   let delta2 = x -. t.mean in
-  t.m2 <- t.m2 +. (delta *. delta2);
-  if t.n = 1 then begin
-    t.min_v <- x;
-    t.max_v <- x
-  end
-  else begin
-    if x < t.min_v then t.min_v <- x;
-    if x > t.max_v then t.max_v <- x
-  end
+  t.m2 <- t.m2 +. (delta *. delta2)
 
 let count t = t.n
 let total t = t.sum
 let mean t = if t.n = 0 then 0. else t.mean
 let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
-
-let population_variance t =
-  if t.n = 0 then 0. else t.m2 /. float_of_int t.n
-
 let stddev t = sqrt (variance t)
-let min_value t = t.min_v
-let max_value t = t.max_v
-
-let copy t =
-  { n = t.n; mean = t.mean; m2 = t.m2; sum = t.sum;
-    min_v = t.min_v; max_v = t.max_v }
-
-let merge a b =
-  if a.n = 0 then copy b
-  else if b.n = 0 then copy a
-  else begin
-    let n = a.n + b.n in
-    let fn = float_of_int n in
-    let delta = b.mean -. a.mean in
-    let mean = a.mean +. (delta *. float_of_int b.n /. fn) in
-    let m2 =
-      a.m2 +. b.m2
-      +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. fn)
-    in
-    { n;
-      mean;
-      m2;
-      sum = a.sum +. b.sum;
-      min_v = Float.min a.min_v b.min_v;
-      max_v = Float.max a.max_v b.max_v }
-  end
-
-let reset t =
-  t.n <- 0;
-  t.mean <- 0.;
-  t.m2 <- 0.;
-  t.sum <- 0.;
-  t.min_v <- nan;
-  t.max_v <- nan
-
-let pp ppf t =
-  Format.fprintf ppf "%.3g±%.2g (n=%d)" (mean t) (stddev t) t.n

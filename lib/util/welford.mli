@@ -27,29 +27,5 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance (divides by [n-1]); [0.] when [n < 2]. *)
 
-val population_variance : t -> float
-(** Population variance (divides by [n]); [0.] when empty. *)
-
 val stddev : t -> float
 (** Square root of {!variance}. *)
-
-val min_value : t -> float
-(** Smallest observation; [nan] when empty. *)
-
-val max_value : t -> float
-(** Largest observation; [nan] when empty. *)
-
-val merge : t -> t -> t
-(** [merge a b] is a fresh accumulator equivalent to having folded all
-    observations of [a] then all of [b] (Chan's parallel update). The
-    inputs are not mutated. Useful when per-domain accumulators are
-    combined after a parallel run. *)
-
-val copy : t -> t
-(** An independent copy. *)
-
-val reset : t -> unit
-(** Return the accumulator to the empty state. *)
-
-val pp : Format.formatter -> t -> unit
-(** Renders as ["mean±stddev (n=..)"]. *)

@@ -67,9 +67,12 @@ let test_closure_capture_of_induction_var () =
   (match Analysis.Scope.classify scope anon.fid "i" with
    | Analysis.Scope.Captured owner ->
      Alcotest.(check int) "captured from mk" mk.fid owner
-   | _ -> Alcotest.fail "i should be captured");
-  Alcotest.(check bool) "mk's capture set names i" true
-    (List.mem_assoc "i" (Analysis.Scope.captures scope anon.fid))
+   | _ -> Alcotest.fail "i should be captured")
+
+(* The scalar global writes in a function's effect summary. *)
+let summary_gwrites scope fid =
+  (Analysis.Effects.summary (Analysis.Effects.infer scope) fid)
+    .Analysis.Effects.gwrites
 
 let test_shadowing () =
   (* A local [var x] shadows the global of the same name: reads and
@@ -82,13 +85,15 @@ let test_shadowing () =
    | Analysis.Scope.Local -> ()
    | _ -> Alcotest.fail "x should be the local");
   Alcotest.(check bool) "no global x write" false
-    (List.mem "x" (Analysis.Scope.global_writes scope f.fid))
+    (Analysis.Scope.RS.mem (Analysis.Scope.Rglobal "x")
+       (summary_gwrites scope f.fid))
 
 let test_delete_on_globals () =
   let scope = scope_of "var gd = 1; function f() { delete gd; }" in
   let f = func_named scope "f" in
   Alcotest.(check bool) "delete registers a global write" true
-    (List.mem "gd" (Analysis.Scope.global_writes scope f.fid));
+    (Analysis.Scope.RS.mem (Analysis.Scope.Rglobal "gd")
+       (summary_gwrites scope f.fid));
   (* ... and in a loop it is a privatizable-class plain write, like the
      dynamic analyzer's Var_write advisory. *)
   check_kind "delete in loop" "parallel"
@@ -120,8 +125,10 @@ let test_effect_purity () =
     effects_of "function p(x) { return Math.sin(x) + parseInt(\"4\"); }"
   in
   let p = func_named scope "p" in
+  let s = Analysis.Effects.summary fx p.fid in
   Alcotest.(check bool) "Math/parseInt callers are pure" true
-    (Analysis.Effects.is_pure (Analysis.Effects.summary fx p.fid))
+    ({ s with returns_shared = false; returns_params = Analysis.Effects.IS.empty }
+     = Analysis.Effects.bottom)
 
 let test_effect_io_builtin () =
   let scope, fx = effects_of "function l(x) { console.log(x); }" in

@@ -637,18 +637,33 @@ let test_budget_exact_tick () =
   Alcotest.(check int) "ticks probed" 4375 !ticks;
   Alcotest.(check int) "call depth unwound" 0 st.call_depth
 
-(* Every call that enters leaves: the exit hook runs and the depth
+(* Every call that enters leaves: the boundary hook runs and the depth
    drops on the exceptional path too, whether a JS exception is caught
-   above a host callback or the budget escapes the whole program. *)
-let count_calls st =
-  let enters = ref 0 and exits = ref 0 in
-  st.Interp.Value.on_call_enter <- Some (fun _ -> incr enters);
-  st.on_call_exit <- Some (fun () -> incr exits);
-  (enters, exits)
+   above a host callback or the budget escapes the whole program. A
+   call's entry and its leave see the same [call_depth], so a call that
+   entered and never left would leave an odd count at its depth. *)
+let count_boundaries st =
+  let depths = Hashtbl.create 8 in
+  st.Interp.Value.on_call_boundary <-
+    Some
+      (fun () ->
+         let d = st.Interp.Value.call_depth in
+         Hashtbl.replace depths d
+           (1 + Option.value ~default:0 (Hashtbl.find_opt depths d)));
+  depths
+
+let check_balanced what depths =
+  Hashtbl.iter
+    (fun d n ->
+       Alcotest.(check int)
+         (Printf.sprintf "boundaries at depth %d even (%s)" d what) 0 (n mod 2))
+    depths
+
+let boundary_total depths = Hashtbl.fold (fun _ n acc -> n + acc) depths 0
 
 let test_call_unwinding () =
   let st, _ = Helpers.fresh_state () in
-  let enters, exits = count_calls st in
+  let depths = count_boundaries st in
   Interp.Eval.run_program st
     (Jsir.Parser.parse_program
        "function inner(x) { if (x == 2) { throw \"boom\"; } return x; }\n\
@@ -658,11 +673,11 @@ let test_call_unwinding () =
         outer();");
   check_with_state st "exception caught" (Helpers.str "boom") "caught";
   Alcotest.(check int) "call depth after a caught throw" 0 st.call_depth;
-  Alcotest.(check bool) "calls observed" true (!enters >= 6);
-  Alcotest.(check int) "enters = exits (throw)" !enters !exits;
+  Alcotest.(check bool) "calls observed" true (boundary_total depths >= 12);
+  check_balanced "throw" depths;
   let st = Interp.Eval.create ~budget:20_000L () in
   Interp.Builtins.install st;
-  let enters, exits = count_calls st in
+  let depths = count_boundaries st in
   (match
      Interp.Eval.run_program st
        (Jsir.Parser.parse_program
@@ -674,8 +689,9 @@ let test_call_unwinding () =
    | exception Interp.Value.Budget_exhausted -> ()
    | () -> Alcotest.fail "expected Budget_exhausted");
   Alcotest.(check int) "call depth after the budget escaped" 0 st.call_depth;
-  Alcotest.(check int) "nested calls entered" 5 !enters;
-  Alcotest.(check int) "enters = exits (budget)" !enters !exits
+  Alcotest.(check int) "nested calls entered and left" 10
+    (boundary_total depths);
+  check_balanced "budget" depths
 
 (* The clock's counters are native ints: exact well past 2^32. *)
 let test_vclock_past_2_32 () =

@@ -333,7 +333,8 @@ let arb_program =
     ~print:(fun (p : Jsir.Ast.program) -> Jsir.Printer.program_to_string p)
     QCheck.Gen.(
       map
-        (fun stmts : Jsir.Ast.program -> Jsir.Ast.mk_program ~stmts ~loop_count:0)
+        (fun stmts : Jsir.Ast.program ->
+           { stmts; loop_count = 0; glayout = None; resolved_for = None })
         (list_size (int_range 1 6) gen_stmt))
 
 let prop_program_roundtrip =
@@ -364,13 +365,6 @@ let test_loops_in_functions () =
   (* loops in a nested function do not belong to the caller's nest *)
   Alcotest.(check bool) "inner for has no parent" true
     (infos.(1).parent = None)
-
-let test_loops_nest_of () =
-  let p = parse "while (a) { for (;;) { do {} while (b); } }" in
-  let infos = Jsir.Loops.index p in
-  let nest = Jsir.Loops.nest_of infos 2 in
-  Alcotest.(check (list int)) "outermost-first chain" [ 0; 1; 2 ]
-    (List.map (fun (i : Jsir.Loops.info) -> i.id) nest)
 
 let test_loops_label () =
   let p = parse "\n\nwhile (a) {}" in
@@ -530,6 +524,5 @@ let suite =
     qtest prop_expr_roundtrip;
     qtest prop_program_roundtrip;
     ("loops in functions", `Quick, test_loops_in_functions);
-    ("loops nest_of", `Quick, test_loops_nest_of);
     ("loops label", `Quick, test_loops_label);
     ("iterator children", `Quick, test_iter_children) ]

@@ -181,7 +181,7 @@ let test_telemetry_steals_under_imbalance () =
 let test_stats_json_shape () =
   Js_parallel.Pool.with_pool ~domains:2 (fun p ->
       Js_parallel.Pool.parallel_for p ~lo:0 ~hi:100 (fun _ -> ());
-      let json = Js_parallel.Pool.stats_json p in
+      let json = Js_parallel.Telemetry.to_json (Js_parallel.Pool.stats p) in
       List.iter
         (fun sub ->
            Alcotest.(check bool)

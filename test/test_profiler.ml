@@ -51,20 +51,6 @@ let test_idle_time_is_inactive () =
   let active = Profiler.Sampler.active_ms sampler in
   Alcotest.(check bool) "active far below the 10s window" true (active < 100.)
 
-let test_profile_attribution () =
-  let sampler, _ =
-    run_with_sampler
-      "function hot() { var x = 0; for (var i = 0; i < 300; i++) { x += i; } return x; }\n\
-       function cold() { return 1; }\n\
-       var a = 0;\n\
-       for (var r = 0; r < 200; r++) { a += hot(); a += cold(); }"
-  in
-  match Profiler.Sampler.profile sampler with
-  | [] -> Alcotest.fail "no samples recorded"
-  | (top, _) :: _ ->
-    Alcotest.(check bool) "hot function dominates the profile" true
-      (Helpers.contains ~sub:"hot" top)
-
 (* Regression for the active-time cap: a session dominated by idle
    event-loop time with one trivial callback per sample window used to
    report sampled-active time far above the interpreter's true busy
@@ -80,29 +66,19 @@ let test_active_capped_by_busy () =
         for (var i = 1; i <= 400; i++) { setTimeout(tick, i * 5); }");
   ignore (Interp.Events.run_until st ~until_ms:3000.);
   let active = Profiler.Sampler.active_ms sampler in
-  let busy = Profiler.Sampler.busy_ms sampler in
+  let busy =
+    Ceres_util.Vclock.to_ms st.Interp.Value.clock
+      (Ceres_util.Vclock.busy st.Interp.Value.clock)
+  in
   Alcotest.(check bool) "monolithic timer session has samples" true
-    (Profiler.Sampler.boundary_count sampler > 0);
+    (active > 0.);
   Alcotest.(check bool)
     (Printf.sprintf "active (%.1f ms) <= busy (%.1f ms)" active busy)
     true
     (active <= busy +. 1e-9)
 
-let test_detach_restores_hooks () =
-  let st = Interp.Eval.create () in
-  Interp.Builtins.install st;
-  let sampler = Profiler.Sampler.attach st in
-  Profiler.Sampler.detach sampler;
-  let before = Profiler.Sampler.boundary_count sampler in
-  Interp.Eval.run_program st
-    (Jsir.Parser.parse_program "function f() { return 1; } f(); f();");
-  Alcotest.(check int) "no boundaries counted after detach" before
-    (Profiler.Sampler.boundary_count sampler)
-
 let suite =
   [ ("call-dense loop fully sampled", `Quick, test_call_dense_loop_fully_sampled);
     ("call-free loop starves sampler", `Quick, test_call_free_loop_starves_sampler);
     ("idle time inactive", `Quick, test_idle_time_is_inactive);
-    ("profile attribution", `Quick, test_profile_attribution);
-    ("active capped by busy", `Quick, test_active_capped_by_busy);
-    ("detach restores hooks", `Quick, test_detach_restores_hooks) ]
+    ("active capped by busy", `Quick, test_active_capped_by_busy) ]

@@ -169,29 +169,39 @@ let test_default_classify () =
 (* ------------------------------------------------------------------ *)
 (* Fault plans *)
 
+(* What a fresh session for [key] does to its first attempt under the
+   current seed: kill it at the attempt gate, arm a tick probe on the
+   attempt's interpreter state, or neither. *)
+let first_attempt key =
+  let session = Js_parallel.Fault.session ~key in
+  match Js_parallel.Fault.attempt_gate session with
+  | exception Js_parallel.Fault.Injected { site = Task; ordinal; _ } ->
+    Printf.sprintf "task #%d" ordinal
+  | () ->
+    let st = Interp.Eval.create () in
+    Js_parallel.Fault.arm session st;
+    if st.Interp.Value.on_tick <> None then "tick probe" else "runs"
+
 let test_plan_deterministic () =
   List.iter
     (fun seed ->
-       List.iter
-         (fun key ->
-            Alcotest.(check string) "plan is a pure function"
-              (Js_parallel.Fault.describe_plan ~seed ~key)
-              (Js_parallel.Fault.describe_plan ~seed ~key))
-         [ "HAAR.js"; "Ace"; "fluidSim"; "pool" ])
+       with_chaos seed (fun () ->
+           List.iter
+             (fun key ->
+                Alcotest.(check string) "plan is a pure function"
+                  (first_attempt key) (first_attempt key))
+             [ "HAAR.js"; "Ace"; "fluidSim"; "pool" ]))
     [ 0; 1; 2; 3; 42 ]
 
 let test_plans_vary_and_include_faults () =
   let keys = List.init 60 (fun i -> Printf.sprintf "workload-%d" i) in
-  let plans =
-    List.map (fun key -> Js_parallel.Fault.describe_plan ~seed:7 ~key) keys
-  in
-  let faulted =
-    List.filter (fun p -> not (String.equal p "no fault")) plans
-  in
-  (* a third of keys draw a fault; 60 keys make both outcomes certain *)
-  Alcotest.(check bool) "some keys faulted" true (faulted <> []);
-  Alcotest.(check bool) "some keys clean" true
-    (List.length faulted < List.length plans)
+  let outcomes = with_chaos 7 (fun () -> List.map first_attempt keys) in
+  (* a ninth of keys draw a task fault and a ninth a tick fault; 60 keys
+     make every outcome certain *)
+  List.iter
+    (fun o ->
+       Alcotest.(check bool) ("some keys: " ^ o) true (List.mem o outcomes))
+    [ "task #1"; "tick probe"; "runs" ]
 
 let test_session_only_under_chaos () =
   Alcotest.(check bool) "no session when disabled" true
@@ -201,6 +211,8 @@ let test_session_only_under_chaos () =
         (Js_parallel.Fault.session ~key:"x" <> None))
 
 let test_enable_from_env () =
+  let keys = List.init 60 (fun i -> Printf.sprintf "workload-%d" i) in
+  let expected = with_chaos 42 (fun () -> List.map first_attempt keys) in
   Unix.putenv Js_parallel.Fault.env_var "42";
   Fun.protect
     ~finally:(fun () ->
@@ -209,8 +221,8 @@ let test_enable_from_env () =
     (fun () ->
        Alcotest.(check bool) "enabled from env" true
          (Js_parallel.Fault.enable_from_env ());
-       Alcotest.(check (option int)) "seed parsed" (Some 42)
-         (Js_parallel.Fault.current_seed ()));
+       Alcotest.(check (list string)) "seed parsed: seed 42's plans"
+         expected (List.map first_attempt keys));
   Alcotest.(check bool) "disabled again" false (Js_parallel.Fault.enabled ())
 
 (* Task faults always target attempt 1, so a supervisor with one retry
@@ -220,10 +232,7 @@ let test_task_fault_recovered_by_retry () =
       (* find a key whose plan is a first-attempt task fault *)
       let key =
         List.find
-          (fun key ->
-             String.equal
-               (Js_parallel.Fault.describe_plan ~seed:0 ~key)
-               "fail task-attempt #1")
+          (fun key -> String.equal (first_attempt key) "task #1")
           (List.init 1000 (fun i -> Printf.sprintf "k%d" i))
       in
       let session = Js_parallel.Fault.session ~key in

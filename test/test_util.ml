@@ -17,11 +17,7 @@ let test_welford_basic () =
   Alcotest.(check (float 1e-9)) "total" 40. (Ceres_util.Welford.total w);
   (* two-pass sample variance of that data is 32/7 *)
   Alcotest.(check (float 1e-9)) "variance" (32. /. 7.)
-    (Ceres_util.Welford.variance w);
-  Alcotest.(check (float 1e-9)) "population variance" 4.
-    (Ceres_util.Welford.population_variance w);
-  Alcotest.(check (float 1e-9)) "min" 2. (Ceres_util.Welford.min_value w);
-  Alcotest.(check (float 1e-9)) "max" 9. (Ceres_util.Welford.max_value w)
+    (Ceres_util.Welford.variance w)
 
 let test_welford_single () =
   let w = Ceres_util.Welford.create () in
@@ -30,16 +26,6 @@ let test_welford_single () =
     (Ceres_util.Welford.variance w);
   Alcotest.(check (float 0.)) "stddev of one sample" 0.
     (Ceres_util.Welford.stddev w)
-
-let test_welford_reset () =
-  let w = Ceres_util.Welford.create () in
-  Ceres_util.Welford.add w 1.;
-  Ceres_util.Welford.add w 2.;
-  Ceres_util.Welford.reset w;
-  Alcotest.(check int) "count after reset" 0 (Ceres_util.Welford.count w);
-  Ceres_util.Welford.add w 10.;
-  Alcotest.(check (float 1e-9)) "mean after reset" 10.
-    (Ceres_util.Welford.mean w)
 
 let prop_welford_matches_two_pass =
   QCheck.Test.make ~name:"welford variance = two-pass variance" ~count:300
@@ -54,26 +40,6 @@ let prop_welford_matches_two_pass =
        && close ~eps:1e-9 (Ceres_util.Welford.mean w)
             (Ceres_util.Stats.mean arr))
 
-let prop_welford_merge =
-  QCheck.Test.make ~name:"welford merge = concatenated stream" ~count:300
-    QCheck.(
-      pair
-        (list_of_size Gen.(int_range 0 40) (float_range (-100.) 100.))
-        (list_of_size Gen.(int_range 0 40) (float_range (-100.) 100.)))
-    (fun (xs, ys) ->
-       let a = Ceres_util.Welford.create ()
-       and b = Ceres_util.Welford.create ()
-       and all = Ceres_util.Welford.create () in
-       List.iter (Ceres_util.Welford.add a) xs;
-       List.iter (Ceres_util.Welford.add b) ys;
-       List.iter (Ceres_util.Welford.add all) (xs @ ys);
-       let merged = Ceres_util.Welford.merge a b in
-       Ceres_util.Welford.count merged = Ceres_util.Welford.count all
-       && close ~eps:1e-8 (Ceres_util.Welford.mean merged)
-            (Ceres_util.Welford.mean all)
-       && close ~eps:1e-6 (Ceres_util.Welford.variance merged)
-            (Ceres_util.Welford.variance all))
-
 (* ------------------------------------------------------------------ *)
 (* Prng *)
 
@@ -84,13 +50,6 @@ let test_prng_deterministic () =
       "same seed, same stream" (Ceres_util.Prng.next_int64 a)
       (Ceres_util.Prng.next_int64 b)
   done
-
-let test_prng_split_independent () =
-  let a = Ceres_util.Prng.of_int 7 in
-  let b = Ceres_util.Prng.split a in
-  let xa = Ceres_util.Prng.next_int64 a
-  and xb = Ceres_util.Prng.next_int64 b in
-  Alcotest.(check bool) "split streams differ" true (xa <> xb)
 
 let prop_prng_float_range =
   QCheck.Test.make ~name:"prng float in [0,1)" ~count:200 QCheck.int
@@ -159,9 +118,7 @@ let test_vclock_accounting () =
   Alcotest.(check int64) "now = busy + idle" 400L (Ceres_util.Vclock.now c);
   Alcotest.(check (float 1e-9)) "to_ms" 4. (Ceres_util.Vclock.to_ms c 400L);
   Alcotest.(check int64) "ms_to_ticks" 400L
-    (Ceres_util.Vclock.ms_to_ticks c 4.);
-  Ceres_util.Vclock.reset c;
-  Alcotest.(check int64) "reset" 0L (Ceres_util.Vclock.now c)
+    (Ceres_util.Vclock.ms_to_ticks c 4.)
 
 let test_vclock_rejects_negative () =
   let c = Ceres_util.Vclock.create () in
@@ -174,19 +131,13 @@ let test_vclock_rejects_negative () =
 
 let test_percentile () =
   let xs = [| 15.; 20.; 35.; 40.; 50. |] in
-  Alcotest.(check (float 1e-9)) "median" 35. (Ceres_util.Stats.median xs);
+  Alcotest.(check (float 1e-9)) "median" 35.
+    (Ceres_util.Stats.percentile xs 50.);
   Alcotest.(check (float 1e-9)) "p0" 15. (Ceres_util.Stats.percentile xs 0.);
   Alcotest.(check (float 1e-9)) "p100" 50.
     (Ceres_util.Stats.percentile xs 100.);
   Alcotest.(check (float 1e-9)) "p25 interpolates" 20.
     (Ceres_util.Stats.percentile xs 25.)
-
-let test_histogram () =
-  let h =
-    Ceres_util.Stats.histogram ~bins:4 ~lo:0. ~hi:4.
-      [| 0.5; 1.5; 1.9; 2.5; 3.5; -1.; 9. |]
-  in
-  Alcotest.(check (array int)) "bins incl. clamping" [| 2; 2; 1; 2 |] h
 
 let test_jaccard () =
   let set xs =
@@ -237,31 +188,8 @@ let test_symbol_intern_idempotent () =
     (Ceres_util.Symbol.intern t "foo");
   Alcotest.(check string) "name round-trips" "foo"
     (Ceres_util.Symbol.name t a);
-  Alcotest.(check (option int)) "find" (Some b)
-    (Ceres_util.Symbol.find t "bar");
-  Alcotest.(check (option int)) "find miss" None
-    (Ceres_util.Symbol.find t "baz")
-
-(* The whole point of interning the canonicalization: the
-   [int_of_string_opt] probe runs once per distinct name, never per
-   access. Pinned so a refactor cannot quietly move it back onto the
-   hot path. *)
-let test_symbol_parse_count () =
-  let t = Ceres_util.Symbol.create () in
-  for i = 0 to 9999 do
-    ignore (Ceres_util.Symbol.intern t (string_of_int i))
-  done;
-  Alcotest.(check int) "one parse per distinct name" 10000
-    (Ceres_util.Symbol.parse_count t);
-  (* hot-path operations must not re-parse *)
-  for i = 0 to 9999 do
-    let s = Ceres_util.Symbol.intern t (string_of_int i) in
-    ignore (Ceres_util.Symbol.canonical t s);
-    ignore (Ceres_util.Symbol.array_index t s);
-    ignore (Ceres_util.Symbol.of_index t i)
-  done;
-  Alcotest.(check int) "re-intern/canonical/of_index do not re-parse" 10000
-    (Ceres_util.Symbol.parse_count t)
+  Alcotest.(check string) "second name round-trips" "bar"
+    (Ceres_util.Symbol.name t b)
 
 let test_symbol_canonical_rule () =
   let t = Ceres_util.Symbol.create () in
@@ -308,11 +236,8 @@ let prop_symbol_of_index_consistent =
 let suite =
   [ ("welford basic", `Quick, test_welford_basic);
     ("welford single sample", `Quick, test_welford_single);
-    ("welford reset", `Quick, test_welford_reset);
     qtest prop_welford_matches_two_pass;
-    qtest prop_welford_merge;
     ("prng deterministic", `Quick, test_prng_deterministic);
-    ("prng split", `Quick, test_prng_split_independent);
     qtest prop_prng_float_range;
     qtest prop_prng_int_range;
     qtest prop_shuffle_is_permutation;
@@ -321,11 +246,9 @@ let suite =
     ("vclock accounting", `Quick, test_vclock_accounting);
     ("vclock negative", `Quick, test_vclock_rejects_negative);
     ("stats percentile", `Quick, test_percentile);
-    ("stats histogram", `Quick, test_histogram);
     ("stats jaccard", `Quick, test_jaccard);
     ("table render", `Quick, test_table_render);
     ("table bar chart", `Quick, test_bar_chart);
     ("symbol interning", `Quick, test_symbol_intern_idempotent);
-    ("symbol parse count pinned", `Quick, test_symbol_parse_count);
     ("symbol canonical rule", `Quick, test_symbol_canonical_rule);
     qtest prop_symbol_of_index_consistent ]

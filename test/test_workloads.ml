@@ -327,14 +327,14 @@ let test_allocation_budget () =
        Alcotest.(check (option int))
          (Printf.sprintf "%s %s: accesses checked" name mode)
          accesses checked)
-    [ ("Raytracing", "plain", plain, 5_959_824., 7_445_438, None);
-      ("fluidSim", "plain", plain, 6_917_107., 4_975_476, None);
-      ("Raytracing", "lightweight", light, 6_607_248., 7_548_644, None);
-      ("fluidSim", "lightweight", light, 10_155_462., 4_994_298, None);
-      ("Raytracing", "loop-profile", loops, 7_219_798., 7_823_406, None);
-      ("fluidSim", "loop-profile", loops, 7_293_861., 5_093_740, None);
-      ("Raytracing", "dependence", deps, 1_907_925., 3_043_008, Some 331_182);
-      ("fluidSim", "dependence", deps, 2_966_105., 2_454_091, Some 113_569) ]
+    [ ("Raytracing", "plain", plain, 5_959_822., 7_445_438, None);
+      ("fluidSim", "plain", plain, 6_917_105., 4_975_476, None);
+      ("Raytracing", "lightweight", light, 6_066_452., 7_548_644, None);
+      ("fluidSim", "lightweight", light, 6_996_604., 4_994_298, None);
+      ("Raytracing", "loop-profile", loops, 7_219_772., 7_823_406, None);
+      ("fluidSim", "loop-profile", loops, 7_293_793., 5_093_740, None);
+      ("Raytracing", "dependence", deps, 1_907_923., 3_043_008, Some 331_182);
+      ("fluidSim", "dependence", deps, 2_966_103., 2_454_091, Some 113_569) ]
 
 let suite =
   [ ("registry complete", `Quick, test_registry_complete);
