@@ -13,9 +13,11 @@ type loop_stats = {
   iter_time : Ceres_util.Welford.t; (* ms per iteration *)
 }
 
+(* An open loop instance. The records are preallocated, one per
+   nesting depth, and reused: a loop event allocates none. *)
 type open_instance = {
-  oloop : Jsir.Ast.loop_id;
-  started : int; (* busy vticks at instance entry *)
+  mutable oloop : Jsir.Ast.loop_id;
+  mutable started : int; (* busy vticks at instance entry *)
   mutable otrips : int;
   mutable last_iter_started : int;
 }
@@ -23,10 +25,14 @@ type open_instance = {
 type t = {
   clock : Ceres_util.Vclock.t;
   stats : loop_stats array;
-  mutable open_stack : open_instance list;
+  mutable open_stack : open_instance array; (* bottom first *)
+  mutable depth : int; (* open instances: [open_stack.(0 .. depth - 1)] *)
   mutable opened : int; (* busy vticks when the stack last became non-empty *)
   mutable in_loops : int; (* busy vticks with a loop open *)
 }
+
+let fresh_instance _ =
+  { oloop = 0; started = 0; otrips = 0; last_iter_started = 0 }
 
 let create clock (infos : Jsir.Loops.info array) =
   { clock;
@@ -36,7 +42,8 @@ let create clock (infos : Jsir.Loops.info array) =
             time = Ceres_util.Welford.create ();
             trips = Ceres_util.Welford.create ();
             iter_time = Ceres_util.Welford.create () });
-    open_stack = [];
+    open_stack = Array.init 16 fresh_instance;
+    depth = 0;
     opened = 0;
     in_loops = 0 }
 
@@ -47,10 +54,24 @@ let ms t ticks = float_of_int ticks /. float t.clock.Ceres_util.Vclock.rate
 
 let on_enter t id =
   let now = busy t in
-  if t.open_stack = [] then t.opened <- now;
-  t.open_stack <-
-    { oloop = id; started = now; otrips = 0; last_iter_started = now }
-    :: t.open_stack
+  if t.depth = 0 then t.opened <- now;
+  let n = Array.length t.open_stack in
+  if t.depth = n then
+    t.open_stack <-
+      Array.init (2 * n) (fun i ->
+          if i < n then t.open_stack.(i) else fresh_instance i);
+  let inst = t.open_stack.(t.depth) in
+  inst.oloop <- id;
+  inst.started <- now;
+  inst.otrips <- 0;
+  inst.last_iter_started <- now;
+  t.depth <- t.depth + 1
+
+(* Depth of the innermost open instance of [id], or -1. *)
+let find t id =
+  let i = ref (t.depth - 1) in
+  while !i >= 0 && t.open_stack.(!i).oloop <> id do decr i done;
+  !i
 
 let close_iteration t (inst : open_instance) now =
   if inst.otrips > 0 then
@@ -58,39 +79,32 @@ let close_iteration t (inst : open_instance) now =
       (ms t (now - inst.last_iter_started))
 
 let on_iter t id =
-  match t.open_stack with
-  | inst :: _ when inst.oloop = id ->
+  let d = find t id in
+  if d >= 0 then begin
+    let inst = t.open_stack.(d) in
     let now = busy t in
     close_iteration t inst now;
     inst.otrips <- inst.otrips + 1;
     inst.last_iter_started <- now
-  | _ ->
-    (match List.find_opt (fun i -> i.oloop = id) t.open_stack with
-     | Some inst ->
-       let now = busy t in
-       close_iteration t inst now;
-       inst.otrips <- inst.otrips + 1;
-       inst.last_iter_started <- now
-     | None -> ())
+  end
 
+(* Close the innermost open instance of [id]; instances opened inside
+   it stay open, one depth lower. *)
 let on_exit t id =
   let now = busy t in
-  let rec split acc = function
-    | [] -> (None, List.rev acc)
-    | inst :: rest when inst.oloop = id -> (Some inst, List.rev_append acc rest)
-    | inst :: rest -> split (inst :: acc) rest
-  in
-  let found, remaining = split [] t.open_stack in
-  t.open_stack <- remaining;
-  match found with
-  | None -> ()
-  | Some inst ->
-    if remaining = [] then
-      t.in_loops <- t.in_loops + (now - t.opened);
+  let d = find t id in
+  if d >= 0 then begin
+    let stack = t.open_stack in
+    let inst = stack.(d) in
+    Array.blit stack (d + 1) stack d (t.depth - 1 - d);
+    t.depth <- t.depth - 1;
+    stack.(t.depth) <- inst;
+    if t.depth = 0 then t.in_loops <- t.in_loops + (now - t.opened);
     close_iteration t inst now;
     let s = t.stats.(id) in
     Ceres_util.Welford.add s.time (ms t (now - inst.started));
     Ceres_util.Welford.add s.trips (float_of_int inst.otrips)
+  end
 
 let stats t id = t.stats.(id)
 

@@ -19,6 +19,13 @@ type draw_call = {
   h : float;
 }
 
+(* A path step. An arc stays one step until [stroke] or [closePath]
+   reads the path: [fill] only journals, so its points are never
+   needed there. *)
+type step =
+  | Point of (float * float)
+  | Arc of { cx : float; cy : float; r : float; a0 : float; a1 : float }
+
 type t = {
   width : int;
   height : int;
@@ -26,7 +33,7 @@ type t = {
   mutable fill_style : int * int * int * int;
   mutable stroke_style : int * int * int * int;
   mutable line_width : float;
-  mutable path : (float * float) list; (* current path points, reversed *)
+  mutable path : step list; (* current path, reversed *)
   mutable calls : draw_call list; (* reversed journal *)
   mutable call_count : int;
 }
@@ -106,27 +113,52 @@ let get_pixel t x y =
   end
   else (0, 0, 0, 0)
 
-let fill_rect t ~x ~y ~w ~h =
-  record t "fillRect" ~x ~y ~w ~h;
+(* Fill the rectangle, clipped once, with one RGBA pattern: the first
+   pixel is doubled across its row, and that row is copied to the
+   rows below. *)
+let fill_block t ~x ~y ~w ~h (r, g, b, a) =
   let x0 = max 0 (int_of_float x) and y0 = max 0 (int_of_float y) in
   let x1 = min t.width (int_of_float (x +. w)) in
   let y1 = min t.height (int_of_float (y +. h)) in
-  for py = y0 to y1 - 1 do
-    for px = x0 to x1 - 1 do
-      set_pixel t px py t.fill_style
+  if x1 > x0 && y1 > y0 then begin
+    let px = t.pixels and row = (x1 - x0) * 4 in
+    let first = ((y0 * t.width) + x0) * 4 in
+    Bytes.set px first (Char.chr (r land 255));
+    Bytes.set px (first + 1) (Char.chr (g land 255));
+    Bytes.set px (first + 2) (Char.chr (b land 255));
+    Bytes.set px (first + 3) (Char.chr (a land 255));
+    let filled = ref 4 in
+    while !filled < row do
+      let n = min !filled (row - !filled) in
+      Bytes.blit px first px (first + !filled) n;
+      filled := !filled + n
+    done;
+    for py = y0 + 1 to y1 - 1 do
+      Bytes.blit px first px (((py * t.width) + x0) * 4) row
     done
-  done
+  end
+
+let fill_rect t ~x ~y ~w ~h =
+  record t "fillRect" ~x ~y ~w ~h;
+  fill_block t ~x ~y ~w ~h t.fill_style
 
 let clear_rect t ~x ~y ~w ~h =
   record t "clearRect" ~x ~y ~w ~h;
-  let x0 = max 0 (int_of_float x) and y0 = max 0 (int_of_float y) in
-  let x1 = min t.width (int_of_float (x +. w)) in
-  let y1 = min t.height (int_of_float (y +. h)) in
-  for py = y0 to y1 - 1 do
-    for px = x0 to x1 - 1 do
-      set_pixel t px py (0, 0, 0, 0)
-    done
-  done
+  fill_block t ~x ~y ~w ~h (0, 0, 0, 0)
+
+(* Point [i] of an arc's 16-segment approximation. *)
+let arc_point ~cx ~cy ~r ~a0 ~a1 i =
+  let a = a0 +. ((a1 -. a0) *. float_of_int i /. 16.) in
+  (cx +. (r *. cos a), cy +. (r *. sin a))
+
+(* The path's points, first to last. *)
+let points t =
+  List.fold_left
+    (fun acc -> function
+       | Point p -> p :: acc
+       | Arc { cx; cy; r; a0; a1 } ->
+         List.init 17 (arc_point ~cx ~cy ~r ~a0 ~a1) @ acc)
+    [] t.path
 
 (* Bresenham raster of the current path on [stroke]. *)
 let draw_line t (x0, y0) (x1, y1) color =
@@ -154,7 +186,7 @@ let draw_line t (x0, y0) (x1, y1) color =
     end
   done
 
-let stroke t =
+let stroke t pts =
   record t "stroke" ~x:0. ~y:0. ~w:0. ~h:0.;
   let rec segments = function
     | a :: (b :: _ as rest) ->
@@ -162,7 +194,7 @@ let stroke t =
       segments rest
     | _ -> ()
   in
-  segments (List.rev t.path)
+  segments pts
 
 (* ------------------------------------------------------------------ *)
 (* JS-facing context object                                            *)
@@ -198,7 +230,10 @@ let make_context_obj st (reg : registry) t =
   let ctx = make_obj st in
   ctx.host_tag <- Some "canvas-context";
   Hashtbl.replace reg ctx.oid t;
-  let context_of st v = context_of_reg reg st v in
+  (* A method called on its own context needs no registry probe. *)
+  let context_of st v =
+    match v with Obj o when o == ctx -> t | _ -> context_of_reg reg st v
+  in
   let def name fn = raw_set_prop ctx name (Obj (make_host_fn st name fn)) in
   def "fillRect" (fun st this args ->
       touch st "fillRect";
@@ -227,12 +262,12 @@ let make_context_obj st (reg : registry) t =
   def "moveTo" (fun st this args ->
       touch st "moveTo";
       let t = context_of st this in
-      t.path <- [ (nth_num st args 0, nth_num st args 1) ];
+      t.path <- [ Point (nth_num st args 0, nth_num st args 1) ];
       Undefined);
   def "lineTo" (fun st this args ->
       touch st "lineTo";
       let t = context_of st this in
-      t.path <- (nth_num st args 0, nth_num st args 1) :: t.path;
+      t.path <- Point (nth_num st args 0, nth_num st args 1) :: t.path;
       Undefined);
   def "arc" (fun st this args ->
       touch st "arc";
@@ -241,17 +276,14 @@ let make_context_obj st (reg : registry) t =
       let cx = nth_num st args 0 and cy = nth_num st args 1 in
       let r = nth_num st args 2 in
       let a0 = nth_num st args 3 and a1 = nth_num st args 4 in
-      for i = 0 to 16 do
-        let a = a0 +. ((a1 -. a0) *. float_of_int i /. 16.) in
-        t.path <- (cx +. (r *. cos a), cy +. (r *. sin a)) :: t.path
-      done;
+      t.path <- Arc { cx; cy; r; a0; a1 } :: t.path;
       record t "arc" ~x:cx ~y:cy ~w:r ~h:0.;
       Undefined);
   def "closePath" (fun st this _ ->
       touch st "closePath";
       let t = context_of st this in
-      (match List.rev t.path with
-       | first :: _ :: _ -> t.path <- first :: t.path
+      (match points t with
+       | first :: _ :: _ -> t.path <- Point first :: t.path
        | _ -> ());
       Undefined);
   def "stroke" (fun st this _ ->
@@ -262,8 +294,9 @@ let make_context_obj st (reg : registry) t =
        with
        | Str s -> t.stroke_style <- parse_color s
        | _ -> ());
-      charge st (8 * List.length t.path);
-      stroke t;
+      let pts = points t in
+      charge st (8 * List.length pts);
+      stroke t pts;
       Undefined);
   def "fill" (fun st this _ ->
       touch st "fill";
@@ -288,15 +321,24 @@ let make_context_obj st (reg : registry) t =
       charge st (w * h);
       record t "getImageData" ~x:(float_of_int x) ~y:(float_of_int y)
         ~w:(float_of_int w) ~h:(float_of_int h);
+      (* One fresh [Num] per channel, never a shared box: a parallel
+         chunk's frame write-back tells a write from no write by box
+         identity. Channels outside the canvas read 0. *)
       let data = Array.make (w * h * 4) (Num 0.) in
       for row = 0 to h - 1 do
-        for col = 0 to w - 1 do
-          let r, g, b, a = get_pixel t (x + col) (y + row) in
-          let off = ((row * w) + col) * 4 in
-          data.(off) <- Num (float_of_int r);
-          data.(off + 1) <- Num (float_of_int g);
-          data.(off + 2) <- Num (float_of_int b);
-          data.(off + 3) <- Num (float_of_int a)
+        let py = y + row in
+        (* the row's channels [lo, hi) that lie on the canvas *)
+        let lo, hi =
+          if py < 0 || py >= t.height then (0, 0)
+          else (4 * max 0 (-x), 4 * min w (t.width - x))
+        in
+        let src = ((py * t.width) + x) * 4 and dst = row * w * 4 in
+        for k = 0 to (w * 4) - 1 do
+          let c =
+            if k >= lo && k < hi then Char.code (Bytes.get t.pixels (src + k))
+            else 0
+          in
+          data.(dst + k) <- Num (float_of_int c)
         done
       done;
       let img = make_obj st in
@@ -335,11 +377,36 @@ let make_context_obj st (reg : registry) t =
                 int_of_float (to_number st a.elems.(i))
               else 0
             in
+            let convert off px py =
+              set_pixel t px py
+                (byte off, byte (off + 1), byte (off + 2), byte (off + 3))
+            in
+            let chan dst f =
+              Bytes.set t.pixels dst (Char.chr (int_of_float f land 255))
+            in
             for row = 0 to h - 1 do
+              let py = y + row in
+              let on_row = py >= 0 && py < t.height in
               for col = 0 to w - 1 do
-                let off = ((row * w) + col) * 4 in
-                set_pixel t (x + col) (y + row)
-                  (byte off, byte (off + 1), byte (off + 2), byte (off + 3))
+                let off = ((row * w) + col) * 4 and px = x + col in
+                (* A pixel of four numbers goes straight into the buffer,
+                   or nowhere off the canvas; any other pixel is
+                   converted through [to_number], in the same order. *)
+                if off + 3 < a.len then
+                  match
+                    (a.elems.(off), a.elems.(off + 1), a.elems.(off + 2),
+                     a.elems.(off + 3))
+                  with
+                  | Num r, Num g, Num b, Num al ->
+                    if on_row && px >= 0 && px < t.width then begin
+                      let dst = ((py * t.width) + px) * 4 in
+                      chan dst r;
+                      chan (dst + 1) g;
+                      chan (dst + 2) b;
+                      chan (dst + 3) al
+                    end
+                  | _ -> convert off px py
+                else convert off px py
               done
             done
           | _ -> ())

@@ -516,14 +516,23 @@ let invoke st sc th line fn recv args =
     call st fn recv vs
 
 (* A one-argument call of a direct numeric builtin: on a number, with no
-   call hook to notify and room on the stack, it runs without an
-   argument list, charging the call's tick; else as [invoke]. *)
+   call-site hook and room on the stack, it runs without an argument
+   list, charging the call's tick. A call-boundary hook fires on entry
+   and exit at the callee's depth, as [enter] would. Else as [invoke]. *)
 let unary st sc th line fn recv args (a : code) f =
   match a st sc th with
   | Num x
-    when st.on_call_site == None && st.on_call_boundary == None
-         && st.call_depth < st.max_call_depth ->
-    tick st cost_call; Num (f x)
+    when st.on_call_site == None && st.call_depth < st.max_call_depth ->
+    tick st cost_call;
+    (match st.on_call_boundary with
+     | None -> Num (f x)
+     | Some hook ->
+       st.call_depth <- st.call_depth + 1;
+       hook ();
+       let r = f x in
+       hook ();
+       st.call_depth <- st.call_depth - 1;
+       Num r)
   | v -> site st line fn args; call st fn recv [ v ]
 
 (* [new fn(args)]. *)

@@ -30,30 +30,9 @@ let int t bound =
   let r = Int64.shift_right_logical (next_int64 t) 1 in
   Int64.to_int (Int64.rem r (Int64.of_int bound))
 
-let gaussian t =
-  let rec draw () =
-    let u = float t in
-    if u <= 1e-12 then draw () else u
-  in
-  let u1 = draw () and u2 = float t in
-  sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2)
-
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
   arr.(int t (Array.length arr))
-
-let weighted_index t weights =
-  let total = Array.fold_left ( +. ) 0. weights in
-  if total <= 0. then invalid_arg "Prng.weighted_index: no positive weight";
-  let target = float t *. total in
-  let n = Array.length weights in
-  let rec go i acc =
-    if i >= n - 1 then n - 1
-    else
-      let acc = acc +. weights.(i) in
-      if target < acc then i else go (i + 1) acc
-  in
-  go 0 0.
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

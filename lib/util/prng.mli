@@ -33,16 +33,8 @@ val int : t -> int -> int
 (** [int t bound] is a uniform int in [\[0, bound)]. [bound] must be
     positive. *)
 
-val gaussian : t -> float
-(** Standard normal via Box–Muller. *)
-
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val weighted_index : t -> float array -> int
-(** [weighted_index t w] samples an index with probability proportional
-    to the (non-negative) weights [w]. At least one weight must be
-    positive. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -84,28 +84,6 @@ let prop_shuffle_is_permutation =
        List.sort compare (Array.to_list arr)
        = List.sort compare (Array.to_list orig))
 
-let test_weighted_index () =
-  let p = Ceres_util.Prng.of_int 3 in
-  (* weight zero must never be picked *)
-  for _ = 1 to 200 do
-    let i = Ceres_util.Prng.weighted_index p [| 0.; 1.; 0.; 2. |] in
-    Alcotest.(check bool) "index has positive weight" true (i = 1 || i = 3)
-  done;
-  Alcotest.check_raises "no positive weight"
-    (Invalid_argument "Prng.weighted_index: no positive weight") (fun () ->
-        ignore (Ceres_util.Prng.weighted_index p [| 0.; 0. |]))
-
-let test_gaussian_moments () =
-  let p = Ceres_util.Prng.of_int 99 in
-  let w = Ceres_util.Welford.create () in
-  for _ = 1 to 20_000 do
-    Ceres_util.Welford.add w (Ceres_util.Prng.gaussian p)
-  done;
-  Alcotest.(check bool) "gaussian mean ~ 0" true
-    (Float.abs (Ceres_util.Welford.mean w) < 0.05);
-  Alcotest.(check bool) "gaussian variance ~ 1" true
-    (Float.abs (Ceres_util.Welford.variance w -. 1.) < 0.05)
-
 (* ------------------------------------------------------------------ *)
 (* Vclock *)
 
@@ -241,8 +219,6 @@ let suite =
     qtest prop_prng_float_range;
     qtest prop_prng_int_range;
     qtest prop_shuffle_is_permutation;
-    ("prng weighted index", `Quick, test_weighted_index);
-    ("prng gaussian moments", `Slow, test_gaussian_moments);
     ("vclock accounting", `Quick, test_vclock_accounting);
     ("vclock negative", `Quick, test_vclock_rejects_negative);
     ("stats percentile", `Quick, test_percentile);

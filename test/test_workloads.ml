@@ -327,14 +327,14 @@ let test_allocation_budget () =
        Alcotest.(check (option int))
          (Printf.sprintf "%s %s: accesses checked" name mode)
          accesses checked)
-    [ ("Raytracing", "plain", plain, 5_959_822., 7_445_438, None);
-      ("fluidSim", "plain", plain, 6_917_105., 4_975_476, None);
-      ("Raytracing", "lightweight", light, 6_066_452., 7_548_644, None);
-      ("fluidSim", "lightweight", light, 6_996_604., 4_994_298, None);
-      ("Raytracing", "loop-profile", loops, 7_219_772., 7_823_406, None);
-      ("fluidSim", "loop-profile", loops, 7_293_793., 5_093_740, None);
-      ("Raytracing", "dependence", deps, 1_907_923., 3_043_008, Some 331_182);
-      ("fluidSim", "dependence", deps, 2_966_103., 2_454_091, Some 113_569) ]
+    [ ("Raytracing", "plain", plain, 5_897_977., 7_445_438, None);
+      ("fluidSim", "plain", plain, 6_906_495., 4_975_476, None);
+      ("Raytracing", "lightweight", light, 5_931_412., 7_548_644, None);
+      ("fluidSim", "lightweight", light, 6_928_341., 4_994_298, None);
+      ("Raytracing", "loop-profile", loops, 6_848_407., 7_823_406, None);
+      ("fluidSim", "loop-profile", loops, 7_226_815., 5_093_740, None);
+      ("Raytracing", "dependence", deps, 1_893_302., 3_043_008, Some 331_182);
+      ("fluidSim", "dependence", deps, 2_960_955., 2_454_091, Some 113_569) ]
 
 let suite =
   [ ("registry complete", `Quick, test_registry_complete);
