@@ -875,8 +875,10 @@ let analyze_loop (fx : Effects.t) ~(rng : Range.t)
       heap_access st b sub ~is_write:false ln;
       heap_access st b sub ~is_write:true ln;
       st
-    | Ast.Intrinsic (_, args) ->
-      List.fold_left (fun st a -> walk_expr st a) st args
+    | Ast.Intrinsic _ ->
+      let st = ref st in
+      Ast.iter_expr ~stmt:ignore ~expr:(fun a -> st := walk_expr !st a) e;
+      !st
   and walk_call st ~is_new callee args ln : istate =
     (* receiver/argument subexpressions evaluate first *)
     let st =

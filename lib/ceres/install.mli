@@ -1,14 +1,16 @@
 (** Glue between instrumented programs and the analysis runtimes.
 
-    Each function registers the [__ceres_*] intrinsic handlers for one
-    analysis mode into an interpreter state and returns the runtime
-    that accumulates the results. Handlers receive *unevaluated*
-    operand expressions, so wrapped operations evaluate each operand
-    exactly once and in the original order.
+    Each function installs one analysis mode's compiler for
+    {!Jsir.Ast.intrinsic} nodes into an interpreter state and returns
+    the runtime that accumulates the results. The compiler receives
+    each node's operand expressions unevaluated, so wrapped operations
+    evaluate each operand exactly once and in the original order; an
+    intrinsic of another mode compiles to
+    {!Interp.Eval.unknown_intrinsic}.
 
     Attach exactly one mode per interpreter state (the paper runs its
-    stages as separate executions); re-registering replaces the
-    previous handlers. *)
+    stages as separate executions); installing another replaces the
+    previous compiler for programs compiled afterwards. *)
 
 val lightweight : Interp.Value.state -> Lightweight.t
 (** Sec. 3.1: total time spent under at least one syntactic loop. *)

@@ -14,20 +14,16 @@
 
    Loops are wrapped in [try]/[finally] so exit events fire on [break],
    [return] and exceptions; iteration events are prepended to the body
-   so they fire once per trip. All inserted calls are
-   {!Jsir.Ast.Intrinsic} nodes — the interpreter dispatches them to the
-   handlers {!Install} registers, and they cannot collide with user
-   identifiers. *)
+   so they fire once per trip. Every observation point is a typed
+   {!Jsir.Ast.Intrinsic} node carrying its literals (loop id, line,
+   variable, operator) as fields: the runtime {!Install} sets up
+   compiles each one, and none can collide with a user identifier. *)
 
 open Jsir.Ast
 
 type mode = Lightweight | Loop_profile | Dependence
 
-let num_of_int i = number (float_of_int i)
-let line_arg (at : span) = num_of_int at.left.line
-
-let call0 name = expr_stmt (intrinsic name [])
-let call1 name arg = expr_stmt (intrinsic name [ arg ])
+let call i = expr_stmt (intrinsic i)
 
 (* Wrap a transformed loop statement with enter/exit notifications.
    [finally] guarantees the exit fires however the loop terminates. *)
@@ -68,10 +64,10 @@ let rec tx_stmt mode (s : stmt) : stmt =
            | None -> None
            | Some e ->
              Some
-               (expr_stmt
-                  (intrinsic "__ceres_var_write"
-                     [ ident name; line_arg e.at; string_lit "=";
-                       tx_expr mode e ])))
+               (call
+                  (Var_write
+                     { var = name; line = e.at.left.line; op = None;
+                       rhs = tx_expr mode e; induction = false })))
         decls
     in
     mk_stmt ~at:s.sat (Block (decl_stmt :: writes))
@@ -139,9 +135,10 @@ let rec tx_stmt mode (s : stmt) : stmt =
                | None -> None
                | Some e ->
                  Some
-                   (intrinsic "__ceres_induction_write"
-                      [ ident name; line_arg e.at; string_lit "=";
-                        tx_expr mode e ]))
+                   (intrinsic
+                      (Var_write
+                         { var = name; line = e.at.left.line; op = None;
+                           rhs = tx_expr mode e; induction = true })))
             decls
         in
         let init_expr =
@@ -237,25 +234,21 @@ and relabel_loop name (s : stmt) : stmt =
 and instrument_loop mode id loop =
   match mode with
   | Lightweight ->
-    wrap_loop ~enter:(call0 "__ceres_light_enter")
-      ~exit_:(call0 "__ceres_light_exit") loop
+    wrap_loop ~enter:(call Light_enter) ~exit_:(call Light_exit) loop
   | Loop_profile | Dependence ->
-    wrap_loop
-      ~enter:(call1 "__ceres_loop_enter" (num_of_int id))
-      ~exit_:(call1 "__ceres_loop_exit" (num_of_int id))
-      loop
+    wrap_loop ~enter:(call (Loop_enter id)) ~exit_:(call (Loop_exit id)) loop
 
 and iter_body mode id body =
   match mode with
   | Lightweight -> body
   | Loop_profile | Dependence ->
-    prepend_to_body (call1 "__ceres_loop_iter" (num_of_int id)) body
+    prepend_to_body (call (Loop_iter id)) body
 
 and tx_func mode (f : func) : func =
   let body = List.map (tx_stmt mode) f.body in
   let body =
     match mode with
-    | Dependence -> call0 "__ceres_fn_scope" :: body
+    | Dependence -> call Fn_scope :: body
     | Lightweight | Loop_profile -> body
   in
   (* the rewritten body invalidates any slot layout computed for the
@@ -268,11 +261,14 @@ and tx_expr mode (e : expr) : expr =
   | Dependence -> tx_expr_dep e
 
 (* Light modes only recurse to reach nested functions and loops hidden
-   in function expressions. *)
+   in function expressions. Intrinsics are the instrumenter's own nodes
+   and are left as they are. *)
 and tx_expr_shallow mode (e : expr) : expr =
   let tx = tx_expr_shallow mode in
   match e.e with
-  | Number _ | String _ | Bool _ | Null | Undefined | Ident _ | This -> e
+  | Number _ | String _ | Bool _ | Null | Undefined | Ident _ | This
+  | Intrinsic _ ->
+    e
   | Array_lit elems -> { e with e = Array_lit (List.map tx elems) }
   | Object_lit props ->
     { e with e = Object_lit (List.map (fun (k, v) -> (k, tx v)) props) }
@@ -291,7 +287,6 @@ and tx_expr_shallow mode (e : expr) : expr =
   | Update (kind, prefix, tgt) ->
     { e with e = Update (kind, prefix, tx_target_shallow mode tgt) }
   | Seq (l, r) -> { e with e = Seq (tx l, tx r) }
-  | Intrinsic (name, args) -> { e with e = Intrinsic (name, List.map tx args) }
 
 and tx_target_shallow mode = function
   | Tgt_ident x -> Tgt_ident x
@@ -302,34 +297,37 @@ and tx_target_shallow mode = function
 (* Dependence mode: full access interception. *)
 and tx_expr_dep (e : expr) : expr =
   let tx = tx_expr_dep in
-  let line = line_arg e.at in
+  let line = e.at.left.line in
   match e.e with
-  | Number _ | String _ | Bool _ | Null | Undefined | Ident _ | This -> e
+  | Number _ | String _ | Bool _ | Null | Undefined | Ident _ | This
+  | Intrinsic _ ->
+    e
   | Array_lit elems ->
-    intrinsic "__ceres_created"
-      [ { e with e = Array_lit (List.map tx elems) } ]
+    intrinsic (Created { e with e = Array_lit (List.map tx elems) })
   | Object_lit props ->
-    intrinsic "__ceres_created"
-      [ { e with e = Object_lit (List.map (fun (k, v) -> (k, tx v)) props) } ]
+    intrinsic
+      (Created
+         { e with e = Object_lit (List.map (fun (k, v) -> (k, tx v)) props) })
   | Function_expr f ->
-    intrinsic "__ceres_created"
-      [ { e with e = Function_expr (tx_func Dependence f) } ]
+    intrinsic (Created { e with e = Function_expr (tx_func Dependence f) })
   | New (callee, args) ->
-    intrinsic "__ceres_created"
-      [ { e with e = New (tx callee, List.map tx args) } ]
-  | Member (o, f) ->
-    intrinsic "__ceres_prop_read" [ tx o; string_lit f; line ]
-  | Index (o, i) -> intrinsic "__ceres_index_read" [ tx o; tx i; line ]
+    intrinsic (Created { e with e = New (tx callee, List.map tx args) })
+  | Member (o, f) -> intrinsic (Prop_read { obj = tx o; key = Field f; line })
+  | Index (o, i) ->
+    intrinsic (Prop_read { obj = tx o; key = Computed (tx i); line })
   | Call (callee, args) ->
     (* Method calls keep their receiver binding and record the callee
        property read. *)
     (match callee.e with
      | Member (o, f) ->
-       intrinsic "__ceres_method_call"
-         (tx o :: string_lit f :: line :: List.map tx args)
+       intrinsic
+         (Method_call
+            { obj = tx o; key = Field f; line; args = List.map tx args })
      | Index (o, i) ->
-       intrinsic "__ceres_index_method_call"
-         (tx o :: tx i :: line :: List.map tx args)
+       intrinsic
+         (Method_call
+            { obj = tx o; key = Computed (tx i); line;
+              args = List.map tx args })
      | _ -> { e with e = Call (tx callee, List.map tx args) })
   | Unop (Typeof, operand) ->
     (* typeof must keep reference-error immunity for bare idents. *)
@@ -343,50 +341,35 @@ and tx_expr_dep (e : expr) : expr =
   | Binop (op, l, r) -> { e with e = Binop (op, tx l, tx r) }
   | Logical (op, l, r) -> { e with e = Logical (op, tx l, tx r) }
   | Cond (c, t, f) -> { e with e = Cond (tx c, tx t, tx f) }
-  | Assign (tgt, op, rhs) ->
-    let op_name =
-      match op with None -> "=" | Some bop -> binop_name bop
-    in
-    (match tgt with
-     | Tgt_ident x ->
-       intrinsic "__ceres_var_write"
-         [ ident x; line; string_lit op_name; tx rhs ]
-     | Tgt_member (o, f) ->
-       intrinsic "__ceres_prop_write"
-         [ tx o; string_lit f; line; string_lit op_name; tx rhs ]
-     | Tgt_index (o, i) ->
-       intrinsic "__ceres_index_write"
-         [ tx o; tx i; line; string_lit op_name; tx rhs ])
-  | Update (kind, prefix, tgt) ->
-    let kind_name = match kind with Incr -> "++" | Decr -> "--" in
-    let prefix_arg = mk (Bool prefix) in
-    (match tgt with
-     | Tgt_ident x ->
-       intrinsic "__ceres_var_update"
-         [ ident x; line; string_lit kind_name; prefix_arg ]
-     | Tgt_member (o, f) ->
-       intrinsic "__ceres_prop_update"
-         [ tx o; string_lit f; line; string_lit kind_name; prefix_arg ]
-     | Tgt_index (o, i) ->
-       intrinsic "__ceres_index_update"
-         [ tx o; tx i; line; string_lit kind_name; prefix_arg ])
+  | Assign (Tgt_ident var, op, rhs) ->
+    intrinsic (Var_write { var; line; op; rhs = tx rhs; induction = false })
+  | Assign (Tgt_member (o, f), op, rhs) ->
+    intrinsic
+      (Prop_write { obj = tx o; key = Field f; line; op; rhs = tx rhs })
+  | Assign (Tgt_index (o, i), op, rhs) ->
+    intrinsic
+      (Prop_write { obj = tx o; key = Computed (tx i); line; op; rhs = tx rhs })
+  | Update (kind, prefix, Tgt_ident var) ->
+    intrinsic (Var_update { var; line; kind; prefix; induction = false })
+  | Update (kind, prefix, Tgt_member (o, f)) ->
+    intrinsic (Prop_update { obj = tx o; key = Field f; line; kind; prefix })
+  | Update (kind, prefix, Tgt_index (o, i)) ->
+    intrinsic
+      (Prop_update { obj = tx o; key = Computed (tx i); line; kind; prefix })
   | Seq (l, r) -> { e with e = Seq (tx l, tx r) }
-  | Intrinsic (name, args) -> { e with e = Intrinsic (name, List.map tx args) }
 
 (* For-head expressions: writes to plain variables at the top level of
    the expression (through [,]-sequences) are induction-variable
    updates; anything else is instrumented normally. *)
 and tx_induction (e : expr) : expr =
+  let line = e.at.left.line in
   match e.e with
   | Seq (l, r) -> { e with e = Seq (tx_induction l, tx_induction r) }
-  | Assign (Tgt_ident x, op, rhs) ->
-    let op_name = match op with None -> "=" | Some b -> binop_name b in
-    intrinsic "__ceres_induction_write"
-      [ ident x; line_arg e.at; string_lit op_name; tx_expr_dep rhs ]
-  | Update (kind, prefix, Tgt_ident x) ->
-    let kind_name = match kind with Incr -> "++" | Decr -> "--" in
-    intrinsic "__ceres_induction_update"
-      [ ident x; line_arg e.at; string_lit kind_name; mk (Bool prefix) ]
+  | Assign (Tgt_ident var, op, rhs) ->
+    intrinsic
+      (Var_write { var; line; op; rhs = tx_expr_dep rhs; induction = true })
+  | Update (kind, prefix, Tgt_ident var) ->
+    intrinsic (Var_update { var; line; kind; prefix; induction = true })
   | _ -> tx_expr_dep e
 
 let program mode (p : program) : program =

@@ -1,7 +1,8 @@
 (** Source-level instrumentation (paper Sec. 3, Fig. 5 step 2).
 
-    AST-to-AST transform inserting [__ceres_*] {!Jsir.Ast.Intrinsic}
-    calls at the observation points of the selected mode. Loops are
+    AST-to-AST transform inserting a typed {!Jsir.Ast.intrinsic} node
+    (printed as a [__ceres_*] call) at each observation point of the
+    selected mode. Loops are
     wrapped in [try]/[finally] so exit events fire on [break],
     [return] and exceptions; iteration events are prepended to loop
     bodies; in dependence mode every property read/write, variable
@@ -9,8 +10,8 @@
 
     The transform is semantics-preserving (a qcheck property over
     random programs asserts it): an instrumented program produces the
-    same observable behaviour, merely notifying the registered
-    analysis runtime along the way. *)
+    same observable behaviour, merely notifying the installed analysis
+    runtime along the way. *)
 
 (** The paper's three staged modes, in increasing cost. *)
 type mode =

@@ -3,7 +3,7 @@
    The paper's workloads are dominated by Canvas traffic (Harmony draws
    strokes, CamanJS and Normal Mapping read/write ImageData, fluidSim
    blits a density field). The simulator keeps a real RGBA pixel
-   buffer per canvas plus a draw-call journal, and reports every
+   buffer and a draw-call count per canvas, and reports every
    operation through [state.on_host_access "canvas" op] so JS-CERES can
    attribute Canvas use to the loop nest that performed it — the
    paper's Table 3 "DOM access" column counts Canvas as DOM-family
@@ -11,16 +11,8 @@
 
 open Interp.Value
 
-type draw_call = {
-  op : string;
-  x : float;
-  y : float;
-  w : float;
-  h : float;
-}
-
 (* A path step. An arc stays one step until [stroke] or [closePath]
-   reads the path: [fill] only journals, so its points are never
+   reads the path: [fill] only counts the call, so its points are never
    needed there. *)
 type step =
   | Point of (float * float)
@@ -34,7 +26,6 @@ type t = {
   mutable stroke_style : int * int * int * int;
   mutable line_width : float;
   mutable path : step list; (* current path, reversed *)
-  mutable calls : draw_call list; (* reversed journal *)
   mutable call_count : int;
 }
 
@@ -46,15 +37,9 @@ let create ~width ~height =
     stroke_style = (0, 0, 0, 255);
     line_width = 1.;
     path = [];
-    calls = [];
     call_count = 0 }
 
-let record t op ~x ~y ~w ~h =
-  t.call_count <- t.call_count + 1;
-  (* Keep the journal bounded; counts stay exact. *)
-  if t.call_count <= 10_000 then t.calls <- { op; x; y; w; h } :: t.calls
-
-let journal t = List.rev t.calls
+let record t = t.call_count <- t.call_count + 1
 let call_count t = t.call_count
 
 let parse_hex_pair s i =
@@ -139,11 +124,11 @@ let fill_block t ~x ~y ~w ~h (r, g, b, a) =
   end
 
 let fill_rect t ~x ~y ~w ~h =
-  record t "fillRect" ~x ~y ~w ~h;
+  record t;
   fill_block t ~x ~y ~w ~h t.fill_style
 
 let clear_rect t ~x ~y ~w ~h =
-  record t "clearRect" ~x ~y ~w ~h;
+  record t;
   fill_block t ~x ~y ~w ~h (0, 0, 0, 0)
 
 (* Point [i] of an arc's 16-segment approximation. *)
@@ -187,7 +172,7 @@ let draw_line t (x0, y0) (x1, y1) color =
   done
 
 let stroke t pts =
-  record t "stroke" ~x:0. ~y:0. ~w:0. ~h:0.;
+  record t;
   let rec segments = function
     | a :: (b :: _ as rest) ->
       draw_line t a b t.stroke_style;
@@ -277,7 +262,7 @@ let make_context_obj st (reg : registry) t =
       let r = nth_num st args 2 in
       let a0 = nth_num st args 3 and a1 = nth_num st args 4 in
       t.path <- Arc { cx; cy; r; a0; a1 } :: t.path;
-      record t "arc" ~x:cx ~y:cy ~w:r ~h:0.;
+      record t;
       Undefined);
   def "closePath" (fun st this _ ->
       touch st "closePath";
@@ -301,7 +286,7 @@ let make_context_obj st (reg : registry) t =
   def "fill" (fun st this _ ->
       touch st "fill";
       let t = context_of st this in
-      record t "fill" ~x:0. ~y:0. ~w:0. ~h:0.;
+      record t;
       Undefined);
   def "save" (fun st this _ ->
       touch st "save";
@@ -319,8 +304,7 @@ let make_context_obj st (reg : registry) t =
       let w = int_of_float (nth_num st args 2) in
       let h = int_of_float (nth_num st args 3) in
       charge st (w * h);
-      record t "getImageData" ~x:(float_of_int x) ~y:(float_of_int y)
-        ~w:(float_of_int w) ~h:(float_of_int h);
+      record t;
       (* One fresh [Num] per channel, never a shared box: a parallel
          chunk's frame write-back tells a write from no write by box
          identity. Channels outside the canvas read 0. *)
@@ -368,8 +352,7 @@ let make_context_obj st (reg : registry) t =
          let w = int_of_float (to_number st (get_prop_obj img "width")) in
          let h = int_of_float (to_number st (get_prop_obj img "height")) in
          charge st (w * h);
-         record t "putImageData" ~x:(float_of_int x) ~y:(float_of_int y)
-           ~w:(float_of_int w) ~h:(float_of_int h);
+         record t;
          (match get_prop_obj img "data" with
           | Obj { arr = Some a; _ } ->
             let byte i =

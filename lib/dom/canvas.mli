@@ -1,6 +1,6 @@
 (** Canvas 2D context simulator.
 
-    Keeps a real RGBA pixel buffer per canvas plus a draw-call journal,
+    Keeps a real RGBA pixel buffer and a draw-call count per canvas,
     and reports every JS-facing operation through
     [state.on_host_access "canvas" op] so JS-CERES can attribute Canvas
     traffic to the open loop nest — the paper's Table 3 treats Canvas
@@ -8,8 +8,6 @@
     implementation. Host operations also charge the virtual clock in
     proportion to the touched area, so canvas-heavy phases show up as
     CPU-active time. *)
-
-type draw_call = { op : string; x : float; y : float; w : float; h : float }
 
 type t
 (** One canvas's backing store. *)
@@ -34,7 +32,5 @@ val parse_color : string -> int * int * int * int
 (** ["#rgb"], ["#rrggbb"], ["rgb(...)"], ["rgba(...)"]; anything else
     falls back to opaque black. *)
 
-val journal : t -> draw_call list
-(** Draw calls in order (journal bounded at 10k entries; counts exact). *)
-
 val call_count : t -> int
+(** Drawing calls made on the canvas so far. *)

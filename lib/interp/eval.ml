@@ -9,10 +9,10 @@
    chosen while compiling. Compiled code charges exactly the virtual
    clock ticks a node-by-node evaluation charges, at the same points,
    which keeps the reproduced timings deterministic. Instrumentation
-   reaches the compiler only through [Ast.Intrinsic] nodes, compiled by
-   the handler factories in [state.intrinsics]; an uninstrumented
-   program runs with zero analysis overhead, mirroring the paper's
-   staged methodology.
+   reaches the compiler only through [Ast.Intrinsic] nodes, each
+   compiled by the runtime's compiler in [state.intrinsics]; an
+   uninstrumented program runs with zero analysis overhead, mirroring
+   the paper's staged methodology.
 
    Compiled code allocates no closures, and its only mutable state is
    its inline caches: one cell per property site holding an immutable
@@ -667,7 +667,13 @@ let[@inline] slots_at st sc depth =
 
 let codes compile es = Array.of_list (List.map compile es)
 
-(* [hs] is the state's handler table, read only while compiling. *)
+(* An intrinsic no runtime compiles: raises the catchable TypeError
+   naming its printed call when it runs. *)
+let unknown_intrinsic i : code =
+  let msg = "unknown intrinsic " ^ fst (intrinsic_call i) in
+  fun st _ _ -> type_error st msg
+
+(* [hs] is the state's intrinsic compiler, read only while compiling. *)
 let rec expr hs (e : expr) : code =
   match e.e with
   | Number f -> let v = Num f in fun st _ _ -> node st; v
@@ -771,14 +777,13 @@ let rec expr hs (e : expr) : code =
   | Seq (l, r) ->
     let l = expr hs l and r = expr hs r in
     fun st sc th -> node st; ignore (l st sc th); r st sc th
-  | Intrinsic (name, args) ->
-    (match Hashtbl.find_opt hs name with
-     | Some factory ->
-       let h = factory ~compile:(expr hs) args in
-       fun st sc th -> node st; h st sc th
-     | None ->
-       let msg = "unknown intrinsic " ^ name in
-       fun st _ _ -> node st; type_error st msg)
+  | Intrinsic i ->
+    let h =
+      match hs with
+      | Some c -> c ~compile:(expr hs) ~lex:e.lex i
+      | None -> unknown_intrinsic i
+    in
+    fun st sc th -> node st; h st sc th
 
 (* A variable read: the slot decoded here; a free name goes straight to
    the global lookup, only an unresolved one walks the scope chain. *)
@@ -1286,7 +1291,7 @@ let create ?(seed = 20150207) ?(budget = default_budget)
       string_proto = dummy_obj; number_proto = dummy_obj;
       error_proto = dummy_obj; next_oid = 1; next_sid = 1; call_depth = 0;
       max_call_depth = 2000; budget = Int64.to_int budget; console = [];
-      echo_console = false; intrinsics = Hashtbl.create 32;
+      echo_console = false; intrinsics = None;
       on_call_boundary = None;
       on_host_access = (fun _ _ -> ()); on_tick = None; on_call_site = None;
       apply = (fun _ _ _ _ -> Undefined); events = []; next_event_seq = 0;

@@ -4,10 +4,9 @@
     included, into OCaml closures and runs them. Execution advances the
     state's virtual clock by a small cost per operation — this is what
     makes the reproduction's timings deterministic. Each
-    {!Jsir.Ast.Intrinsic} node is compiled by the handler factory
-    registered in [state.intrinsics] under its name; an uninstrumented
-    program runs with zero analysis overhead, mirroring the paper's
-    staged methodology. *)
+    {!Jsir.Ast.Intrinsic} node is compiled by the analysis runtime's
+    compiler in [state.intrinsics]; an uninstrumented program runs with
+    zero analysis overhead, mirroring the paper's staged methodology. *)
 
 open Value
 
@@ -27,11 +26,16 @@ val create :
 val run_program : ?resolve:bool -> state -> Jsir.Ast.program -> unit
 (** Resolve the program against the state's symbol table (unless
     [~resolve:false] — kept for differential testing of the dynamic
-    path), compile it with the intrinsic handlers registered now, hoist
+    path), compile it with the intrinsic compiler installed now, hoist
     into the global scope and execute; a [Js_throw] escaping the
-    program propagates to the caller. An [Intrinsic] node with no
-    handler compiles to code that raises a catchable TypeError
-    ["unknown intrinsic <name>"] when it runs. *)
+    program propagates to the caller. With no compiler installed, an
+    [Intrinsic] node compiles to {!unknown_intrinsic}. *)
+
+val unknown_intrinsic : Jsir.Ast.intrinsic -> code
+(** The code of an intrinsic that no runtime handles: when it runs it
+    raises a catchable TypeError ["unknown intrinsic __ceres_<name>"],
+    named by its printed call ({!Jsir.Ast.intrinsic_call}). An
+    installed compiler returns it for the intrinsics of other modes. *)
 
 val eval_in_global : state -> Jsir.Ast.expr -> value
 (** Compile one expression and run it in the global scope (tests,

@@ -127,8 +127,12 @@ and state = {
   mutable budget : int; (* max busy vticks; raise Budget_exhausted past it *)
   mutable console : string list; (* reversed log of console output *)
   mutable echo_console : bool;
-  intrinsics : (string, intrinsic) Hashtbl.t;
-      (* handler factories, looked up when a program is compiled *)
+  mutable intrinsics :
+    (compile:(Jsir.Ast.expr -> code) -> lex:int -> Jsir.Ast.intrinsic -> code)
+    option;
+      (* the analysis runtime's compiler for [Intrinsic] nodes, called
+         once per node (with the node's [lex] stamp) when a program is
+         compiled; [None] until one is installed *)
   (* instrumentation and embedding hooks; [None] (the default) costs a
      load + branch where an installed hook would be called *)
   mutable on_call_boundary : (unit -> unit) option;
@@ -176,12 +180,6 @@ and loop_visit = {
   lv_step : code; (* compiled update; its value is discarded *)
   lv_run : state -> scope -> value -> completion; (* compiled body *)
 }
-
-and intrinsic = compile:(Jsir.Ast.expr -> code) -> Jsir.Ast.expr list -> code
-(* a handler factory, called once per [Intrinsic] node at compile time
-   with the UNevaluated argument expressions: the analysis runtime
-   controls evaluation order so wrapped operations evaluate their
-   operands exactly once. *)
 
 and event = {
   due : int64; (* vclock time, in vticks *)
@@ -788,8 +786,6 @@ let set_lex st scope lex v =
   let f = if depth = 0xFFF then st.global_scope else frame_up scope depth in
   guard_scope st f;
   f.slots.(slot) <- v
-
-let register_intrinsic st name fn = Hashtbl.replace st.intrinsics name fn
 
 (* ------------------------------------------------------------------ *)
 (* Error helpers                                                       *)

@@ -131,10 +131,15 @@ and state = {
   mutable budget : int; (** max busy vticks; {!Budget_exhausted} past it *)
   mutable console : string list; (** reversed console output *)
   mutable echo_console : bool;
-  intrinsics : (string, intrinsic) Hashtbl.t;
-      (** handler factories for {!Jsir.Ast.Intrinsic} nodes, registered
-          by {!Ceres.Install} and looked up when a program is
-          compiled *)
+  mutable intrinsics :
+    (compile:(Jsir.Ast.expr -> code) -> lex:int -> Jsir.Ast.intrinsic -> code)
+    option;
+      (** the compiler of {!Jsir.Ast.Intrinsic} nodes, set by
+          {!Ceres.Install}: called once per node when a program is
+          compiled, with the compiler of the node's operand
+          expressions and the node's [lex] stamp; the code it returns
+          decides which operands run, in which order. [None] = no
+          analysis runtime installed *)
   mutable on_call_boundary : (unit -> unit) option;
       (** every call's entry, and its return, normal or exceptional.
           The two call hooks are [None] by default: an unset hook costs
@@ -189,13 +194,6 @@ and loop_visit = {
   lv_run : state -> scope -> value -> completion;  (** the compiled body *)
 }
 (** Built once per [for] loop when it is compiled. *)
-
-and intrinsic = compile:(Jsir.Ast.expr -> code) -> Jsir.Ast.expr list -> code
-(** A handler factory, called once per {!Jsir.Ast.Intrinsic} node when
-    the program is compiled, with the *unevaluated* argument
-    expressions and the compiler for them: the code it returns controls
-    which operands run, in which order, and reads literal operands
-    ahead of time. *)
 
 and event = { due : int64; seq : int; callback : value; args : value list }
 
@@ -357,10 +355,6 @@ val get_lex : state -> scope -> int -> value
 val set_lex : state -> scope -> int -> value -> unit
 (** Through {!guard_scope}, as every write to a frame other than the
     running one. *)
-
-val register_intrinsic : state -> string -> intrinsic -> unit
-(** Register an {!Jsir.Ast.Intrinsic} handler factory; programs
-    compiled afterwards use it. *)
 
 (** {1 Errors} *)
 

@@ -8,8 +8,9 @@
    dependence characterizations on that identifier.
 
    [Intrinsic] nodes never appear in parsed source; the Ceres
-   instrumenter inserts them and the interpreter dispatches them to the
-   registered analysis runtime. *)
+   instrumenter inserts them, one typed constructor per observation
+   point, and the interpreter hands each to the installed analysis
+   runtime's compiler. *)
 
 type pos = { line : int; col : int }
 type span = { left : pos; right : pos }
@@ -66,7 +67,9 @@ type assign_op = binop option
      it, no catch parameter or wrapper name intervenes): [-2 - sym],
      with [sym] the name's interned symbol;
    - [String]: the interned symbol of the literal;
-   - [Intrinsic]: the interned symbol of the intrinsic's name. *)
+   - [Intrinsic] of a [Var_write] or [Var_update]: the packed lexical
+     address of its variable, as for [Assign] of a [Tgt_ident]; -1 for
+     every other intrinsic. *)
 type expr = { e : expr_desc; at : span; mutable lex : int }
 
 and expr_desc =
@@ -91,9 +94,35 @@ and expr_desc =
   | Assign of target * assign_op * expr
   | Update of update_kind * bool * target  (* kind, prefix?, target *)
   | Seq of expr * expr
-  | Intrinsic of string * expr list
+  | Intrinsic of intrinsic
 
 and update_kind = Incr | Decr
+
+(* One observation point of the instrumented program. The literals the
+   paper's proxy passes to its hooks (loop ids, lines, names, operators,
+   update kinds, prefix flags) are fields here, not operand nodes. *)
+and intrinsic =
+  | Light_enter
+  | Light_exit
+  | Loop_enter of loop_id
+  | Loop_iter of loop_id
+  | Loop_exit of loop_id
+  | Fn_scope
+  | Created of expr
+  | Var_write of
+      { var : string; line : int; op : assign_op; rhs : expr; induction : bool }
+  | Var_update of
+      { var : string; line : int; kind : update_kind; prefix : bool;
+        induction : bool }
+  | Prop_read of { obj : expr; key : key; line : int }
+  | Prop_write of
+      { obj : expr; key : key; line : int; op : assign_op; rhs : expr }
+  | Prop_update of
+      { obj : expr; key : key; line : int; kind : update_kind; prefix : bool }
+  | Method_call of { obj : expr; key : key; line : int; args : expr list }
+
+(* How a property access names its key: [o.f] or [o[e]]. *)
+and key = Field of string | Computed of expr
 
 and target =
   | Tgt_ident of string
@@ -191,7 +220,7 @@ let mk_stmt ?(at = no_span) s = { s; sat = at; slex = [||] }
 let number f = mk (Number f)
 let string_lit s = mk (String s)
 let ident x = mk (Ident x)
-let intrinsic name args = mk (Intrinsic (name, args))
+let intrinsic i = mk (Intrinsic i)
 let expr_stmt e = mk_stmt (Expr_stmt e)
 
 (* Immediate children in source order; see ast.mli for the contract. *)
@@ -205,6 +234,25 @@ let iter_target expr = function
   | Tgt_index (o, i) ->
     expr o;
     expr i
+
+let iter_key expr = function Field _ -> () | Computed k -> expr k
+
+let iter_intrinsic expr = function
+  | Light_enter | Light_exit | Loop_enter _ | Loop_iter _ | Loop_exit _
+  | Fn_scope | Var_update _ ->
+    ()
+  | Created e | Var_write { rhs = e; _ } -> expr e
+  | Prop_read { obj; key; _ } | Prop_update { obj; key; _ } ->
+    expr obj;
+    iter_key expr key
+  | Prop_write { obj; key; rhs; _ } ->
+    expr obj;
+    iter_key expr key;
+    expr rhs
+  | Method_call { obj; key; args; _ } ->
+    expr obj;
+    iter_key expr key;
+    List.iter expr args
 
 let iter_stmt ~stmt ~expr (s : stmt) =
   match s.s with
@@ -251,7 +299,8 @@ let iter_stmt ~stmt ~expr (s : stmt) =
 let iter_expr ~stmt ~expr (e : expr) =
   match e.e with
   | Number _ | String _ | Bool _ | Null | Undefined | Ident _ | This -> ()
-  | Array_lit es | Intrinsic (_, es) -> List.iter expr es
+  | Array_lit es -> List.iter expr es
+  | Intrinsic i -> iter_intrinsic expr i
   | Object_lit props -> List.iter (fun (_, v) -> expr v) props
   | Function_expr f -> List.iter stmt f.body
   | Member (o, _) | Unop (_, o) -> expr o
@@ -312,3 +361,44 @@ let binop_name = function
   | In -> "in"
 
 let logop_name = function And -> "&&" | Or -> "||"
+
+(* The [__ceres_<name>(...)] call an intrinsic prints as, its literals
+   passed as literal operands: the printer, structural equality and the
+   unknown-intrinsic message all read it from here. *)
+let intrinsic_call i =
+  let num n = number (float_of_int n) in
+  let op_lit op =
+    string_lit (match op with None -> "=" | Some b -> binop_name b)
+  in
+  let kind_lit k = string_lit (match k with Incr -> "++" | Decr -> "--") in
+  let key_lit = function Field f -> string_lit f | Computed k -> k in
+  let by_key key field computed =
+    match key with Field _ -> field | Computed _ -> computed
+  in
+  match i with
+  | Light_enter -> ("__ceres_light_enter", [])
+  | Light_exit -> ("__ceres_light_exit", [])
+  | Loop_enter id -> ("__ceres_loop_enter", [ num id ])
+  | Loop_iter id -> ("__ceres_loop_iter", [ num id ])
+  | Loop_exit id -> ("__ceres_loop_exit", [ num id ])
+  | Fn_scope -> ("__ceres_fn_scope", [])
+  | Created e -> ("__ceres_created", [ e ])
+  | Var_write { var; line; op; rhs; induction } ->
+    ( (if induction then "__ceres_induction_write" else "__ceres_var_write"),
+      [ ident var; num line; op_lit op; rhs ] )
+  | Var_update { var; line; kind; prefix; induction } ->
+    ( (if induction then "__ceres_induction_update"
+       else "__ceres_var_update"),
+      [ ident var; num line; kind_lit kind; mk (Bool prefix) ] )
+  | Prop_read { obj; key; line } ->
+    ( by_key key "__ceres_prop_read" "__ceres_index_read",
+      [ obj; key_lit key; num line ] )
+  | Prop_write { obj; key; line; op; rhs } ->
+    ( by_key key "__ceres_prop_write" "__ceres_index_write",
+      [ obj; key_lit key; num line; op_lit op; rhs ] )
+  | Prop_update { obj; key; line; kind; prefix } ->
+    ( by_key key "__ceres_prop_update" "__ceres_index_update",
+      [ obj; key_lit key; num line; kind_lit kind; mk (Bool prefix) ] )
+  | Method_call { obj; key; line; args } ->
+    ( by_key key "__ceres_method_call" "__ceres_index_method_call",
+      obj :: key_lit key :: num line :: args )

@@ -10,8 +10,9 @@
     Every syntactic loop carries a {!loop_id} assigned by the parser in
     source order; JS-CERES keys all per-loop statistics and dependence
     characterizations on it. {!Intrinsic} nodes never appear in parsed
-    source: the instrumenter inserts them and the interpreter
-    dispatches them to the registered analysis runtime. *)
+    source: the instrumenter inserts them, one typed {!intrinsic} per
+    observation point, and the interpreter hands each to the installed
+    analysis runtime's compiler. *)
 
 type pos = { line : int; col : int }
 (** 1-based source position. *)
@@ -50,8 +51,10 @@ type expr = { e : expr_desc; at : span; mutable lex : int }
     unresolved (dynamic path). For [Ident] and [Assign]/[Update] with
     a [Tgt_ident] it packs a lexical address; an [Ident] read of a free
     name (see {!lex_free}) carries the name's symbol instead; for
-    [String] it is the literal's interned symbol; for [Intrinsic] the
-    symbol of the intrinsic's name. *)
+    [String] it is the literal's interned symbol; for an [Intrinsic] of
+    a [Var_write] or [Var_update] the packed lexical address of its
+    variable, as for [Assign] of a [Tgt_ident] ([-1] for every other
+    intrinsic). *)
 
 and expr_desc =
   | Number of float
@@ -75,11 +78,44 @@ and expr_desc =
   | Assign of target * assign_op * expr
   | Update of update_kind * bool * target (** kind, prefix?, target *)
   | Seq of expr * expr (** the comma operator *)
-  | Intrinsic of string * expr list
-      (** instrumentation hook; arguments are passed unevaluated to the
-          registered handler *)
+  | Intrinsic of intrinsic
+      (** instrumentation hook, compiled by the installed runtime *)
 
 and update_kind = Incr | Decr
+
+(** One observation point of an instrumented program (paper Sec. 3).
+    The literals the paper's proxy passes to its hooks (loop ids,
+    source lines, names, operators, update kinds, prefix flags) are
+    fields; the expressions are the wrapped operation's operands, each
+    evaluated once and in source order by the runtime's code. *)
+and intrinsic =
+  | Light_enter  (** Sec. 3.1: a loop is entered *)
+  | Light_exit  (** ... and left, however it ends *)
+  | Loop_enter of loop_id  (** Sec. 3.2: an instance of the loop starts *)
+  | Loop_iter of loop_id  (** an iteration starts *)
+  | Loop_exit of loop_id  (** the instance ends, however it ends *)
+  | Fn_scope  (** Sec. 3.3: a function's scope was created *)
+  | Created of expr  (** the object (or function) the expression creates *)
+  | Var_write of
+      { var : string; line : int; op : assign_op; rhs : expr; induction : bool }
+      (** [var op= rhs]; [induction]: a for-head write of the loop
+          variable *)
+  | Var_update of
+      { var : string; line : int; kind : update_kind; prefix : bool;
+        induction : bool }
+      (** [var++] and kin *)
+  | Prop_read of { obj : expr; key : key; line : int }
+  | Prop_write of
+      { obj : expr; key : key; line : int; op : assign_op; rhs : expr }
+  | Prop_update of
+      { obj : expr; key : key; line : int; kind : update_kind; prefix : bool }
+  | Method_call of { obj : expr; key : key; line : int; args : expr list }
+      (** [obj.key(args)], keeping the receiver binding *)
+
+(** How a property access names its key. *)
+and key =
+  | Field of string  (** [o.f] *)
+  | Computed of expr  (** [o[e]] *)
 
 and target =
   | Tgt_ident of string
@@ -191,7 +227,7 @@ val mk_stmt : ?at:span -> stmt_desc -> stmt
 val number : float -> expr
 val string_lit : string -> expr
 val ident : string -> expr
-val intrinsic : string -> expr list -> expr
+val intrinsic : intrinsic -> expr
 val expr_stmt : expr -> stmt
 
 (** {1 Traversal}
@@ -217,8 +253,10 @@ val iter_expr : stmt:(stmt -> unit) -> expr:(expr -> unit) -> expr -> unit
     [Function_expr]'s body statements are its children (passed to
     [stmt]). An [Assign]'s or [Update]'s target sub-expressions (the
     object, then the index) come before the right-hand side; a
-    [Tgt_ident] target has none. Leaves ([Number], [Ident], [This], …)
-    have no children. *)
+    [Tgt_ident] target has none. An [Intrinsic]'s children are its
+    expressions in source order: the object, a computed key, then the
+    right-hand side or the call's arguments; its literal fields are not
+    nodes. Leaves ([Number], [Ident], [This], …) have no children. *)
 
 (** {1 Names} *)
 
@@ -228,3 +266,9 @@ val loop_kind_name : loop_kind -> string
 val unop_name : unop -> string
 val binop_name : binop -> string
 val logop_name : logop -> string
+
+val intrinsic_call : intrinsic -> string * expr list
+(** The [__ceres_<name>(…)] call an intrinsic prints as: its name and
+    its operands, every literal field a fresh literal node (a loop id
+    or line a number, a name, operator or update kind a string, a
+    prefix flag a boolean, a variable an identifier). *)

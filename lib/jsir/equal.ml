@@ -36,7 +36,8 @@ let rec eq_expr ign (a : expr) (b : expr) =
   | Update (k1, p1, t1), Update (k2, p2, t2) ->
     k1 = k2 && p1 = p2 && eq_target ign t1 t2
   | Seq (l1, r1), Seq (l2, r2) -> eq_expr ign l1 l2 && eq_expr ign r1 r2
-  | Intrinsic (n1, a1), Intrinsic (n2, a2) ->
+  | Intrinsic i1, Intrinsic i2 ->
+    let n1, a1 = intrinsic_call i1 and n2, a2 = intrinsic_call i2 in
     String.equal n1 n2 && eq_list (eq_expr ign) a1 a2
   | _ -> false
 

@@ -127,7 +127,8 @@ let rec expr_buf buf ctx (e : expr) =
    | Call (callee, args) ->
      expr_buf buf 15 callee;
      args_buf buf args
-   | Intrinsic (name, args) ->
+   | Intrinsic i ->
+     let name, args = intrinsic_call i in
      Buffer.add_string buf name;
      args_buf buf args
    | New (callee, args) ->

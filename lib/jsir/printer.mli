@@ -2,9 +2,10 @@
 
     Output re-parses to a structurally equal AST (the property tests
     rely on this), with one documented exception: {!Ast.Intrinsic}
-    nodes — which only the instrumenter creates — are printed as calls
-    to their [__ceres_*] name, so printed instrumented code is readable
-    but round-trips to a plain {!Ast.Call}. *)
+    nodes — which only the instrumenter creates — are printed as the
+    [__ceres_<name>(…)] call {!Ast.intrinsic_call} gives, literals
+    included, so printed instrumented code is readable but round-trips
+    to a plain {!Ast.Call}. *)
 
 val number_to_string : float -> string
 (** JavaScript-style number rendering: integral values print without a

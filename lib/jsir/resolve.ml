@@ -3,9 +3,8 @@
    execution.
 
    It does three things in one walk:
-   - interns every identifier, property-name string literal and
-     intrinsic name into the state's symbol table (canonicalization is
-     computed there, once per name);
+   - interns every identifier and string literal into the state's
+     symbol table (canonicalization is computed there, once per name);
    - computes a slot [layout] for every function frame and for the
      global frame, mirroring the evaluator's hoisting semantics
      exactly ([var] declarations, for/for-in heads, named function
@@ -88,7 +87,10 @@ let mentions_arguments body =
     match e.e with
     | Ident "arguments"
     | Assign (Tgt_ident "arguments", _, _)
-    | Update (_, _, Tgt_ident "arguments") ->
+    | Update (_, _, Tgt_ident "arguments")
+    | Intrinsic
+        ( Var_write { var = "arguments"; _ }
+        | Var_update { var = "arguments"; _ } ) ->
       found := true
     | Function_expr _ -> ()
     | _ -> iter_expr ~stmt ~expr e
@@ -256,9 +258,11 @@ and rx env (e : expr) =
     (match e.e with
      | String s -> Symbol.intern env.tab s
      | Ident name -> lookup env name
-     | Assign (Tgt_ident name, _, _) | Update (_, _, Tgt_ident name) ->
+     | Assign (Tgt_ident name, _, _)
+     | Update (_, _, Tgt_ident name)
+     | Intrinsic (Var_write { var = name; _ } | Var_update { var = name; _ })
+       ->
        Option.value (resolve_name env name) ~default:lex_unresolved
-     | Intrinsic (name, _) -> Symbol.intern env.tab name
      | _ -> lex_unresolved);
   match e.e with
   | Function_expr f ->

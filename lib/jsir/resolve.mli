@@ -1,9 +1,9 @@
 (** Front-end resolution: symbol interning + lexical addressing.
 
     Runs once per program against an interpreter state's symbol table,
-    before execution. Interns every identifier / property-name literal
-    / intrinsic name, computes a slot {!Ast.layout} for every function
-    frame and for the global frame (mirroring the evaluator's hoisting
+    before execution. Interns every identifier and string literal,
+    computes a slot {!Ast.layout} for every function frame and for the
+    global frame (mirroring the evaluator's hoisting
     semantics exactly — catch parameters are {e not} hoisted), and
     stamps every variable reference with a packed [(depth, slot)]
     address in [expr.lex] and every [var] declarator in [stmt.slex].

@@ -751,6 +751,32 @@ let test_report_clean_program () =
   Alcotest.(check bool) "no warnings message" true
     (Helpers.contains ~sub:"no problematic accesses" report)
 
+(* A runtime compiles only its own mode's intrinsics: a program
+   instrumented for another mode runs until it reaches one, which
+   raises the catchable TypeError named by its printed call. *)
+let test_other_mode_intrinsic_is_unknown () =
+  List.iter
+    (fun (mode, install, src, name) ->
+       let program = Jsir.Parser.parse_program src in
+       let st, _ = Helpers.fresh_state () in
+       install st (Jsir.Loops.index program);
+       Interp.Eval.run_program st (Ceres.Instrument.program mode program);
+       Interp.Eval.run_program st
+         (Jsir.Parser.parse_program
+            "try { f(); console.log(\"ran\"); }\n\
+             catch (e) { console.log(e.name + \": \" + e.message); }");
+       Alcotest.(check (list string)) (name ^ " raises a catchable TypeError")
+         [ "TypeError: unknown intrinsic " ^ name ]
+         (List.rev st.Interp.Value.console))
+    [ ( Ceres.Instrument.Dependence,
+        (fun st infos -> ignore (Ceres.Install.loop_profile st infos)),
+        "function f() { var o = {}; o.p = 1; }",
+        "__ceres_fn_scope" );
+      ( Ceres.Instrument.Lightweight,
+        (fun st infos -> ignore (Ceres.Install.dependence st infos)),
+        "function f() { while (true) { break; } }",
+        "__ceres_light_enter" ) ]
+
 let suite =
   [ ("triple same iteration", `Quick, test_triple_same_iteration);
     ("triple different iteration", `Quick, test_triple_different_iteration);
@@ -789,4 +815,6 @@ let suite =
     ("classify parallelization", `Quick, test_classify_parallelization);
     ("amdahl math", `Quick, test_amdahl_math);
     ("report rendering", `Quick, test_report_rendering);
-    ("report clean program", `Quick, test_report_clean_program) ]
+    ("report clean program", `Quick, test_report_clean_program);
+    ("other mode's intrinsic is unknown", `Quick,
+     test_other_mode_intrinsic_is_unknown) ]

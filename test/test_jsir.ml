@@ -431,7 +431,10 @@ let child_table stmts =
 let test_iter_children () =
   let p = parse iter_program_src in
   let intrinsic =
-    Jsir.Ast.(expr_stmt (intrinsic "__ceres_x" [ ident "a"; number 1. ]))
+    Jsir.Ast.(
+      expr_stmt
+        (intrinsic
+           (Prop_read { obj = ident "a"; key = Computed (number 1.); line = 7 })))
   in
   (* Function bodies are children of [function f] and [function h];
      the declarator [j], binders, labels and the catch name are not
@@ -493,8 +496,8 @@ E typeof o.p => E o.p
 E o.p => E o
 E o[i][0] => E o[i] | E 0
 E o[i] => E o | E i
-S __ceres_x(a, 1); => E __ceres_x(a, 1)
-E __ceres_x(a, 1) => E a | E 1|} in
+S __ceres_index_read(a, 1, 7); => E __ceres_index_read(a, 1, 7)
+E __ceres_index_read(a, 1, 7) => E a | E 1|} in
   Alcotest.(check (list string))
     "immediate children of every node, in source order"
     (String.split_on_char '\n' expected)
