@@ -142,7 +142,7 @@ let emit ?(render = Service.Response.render_text) ?json format
      (match (json, resp.result) with
       | Some j, Ok _ -> print_string (j resp)
       | _ ->
-        print_endline (Service.Json.to_string (Service.Response.to_json resp))));
+        print_endline (Service.Response.line resp)));
   let code = Service.Response.exit_code resp in
   if code <> Service.Exit.ok then exit code
 
@@ -427,11 +427,7 @@ let pipeline_cmd =
     let resps = Service.run_batch svc reqs in
     (match format with
      | `Json ->
-       List.iter
-         (fun r ->
-            print_endline
-              (Service.Json.to_string (Service.Response.to_json r)))
-         resps
+       List.iter (fun r -> print_endline (Service.Response.line r)) resps
      | `Text ->
        List.iter2
          (fun (w : Workloads.Workload.t) (r : Service.Response.t) ->

@@ -87,13 +87,16 @@ let resolve_chain chain name : root =
   in
   go chain
 
+(* [resolve_chain] over the frames from [fid] up to the root, innermost
+   first, walked through the parent links without building the chain. *)
 let resolve_in t fid name : root =
-  let rec chain f acc =
+  let rec go f =
     let fr = t.funcs.(f) in
-    let acc = (f, fr.locals) :: acc in
-    match fr.parent with None -> List.rev acc | Some p -> chain p acc
+    if SS.mem name fr.locals then
+      if f = 0 then Rglobal name else Rlocal (f, name)
+    else match fr.parent with None -> Rglobal name | Some p -> go p
   in
-  resolve_chain (chain fid []) name
+  go fid
 
 let push tbl key v =
   let old = match Hashtbl.find_opt tbl key with Some l -> l | None -> [] in

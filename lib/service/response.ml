@@ -36,12 +36,15 @@ type body =
 type t = {
   request : Request.t option;
   result : (body, error) result;
+  mutable line : string option;
 }
 
-let ok request body = { request = Some request; result = Ok body }
+let ok request body = { request = Some request; result = Ok body; line = None }
 
 let error ?request ?retry_after_ms code message =
-  { request; result = Error { code; message; failure = None; retry_after_ms } }
+  { request;
+    result = Error { code; message; failure = None; retry_after_ms };
+    line = None }
 
 let overloaded ~retry_after_ms message =
   error ~retry_after_ms Overloaded message
@@ -53,7 +56,8 @@ let of_failure request fl =
         { code = Workload_failed;
           message = Js_parallel.Supervisor.failure_to_string fl;
           failure = Some fl;
-          retry_after_ms = None } }
+          retry_after_ms = None };
+    line = None }
 
 (* The watchdog's printer text (registered in Interp.Value): a failed
    response whose exception was the vclock budget is a deadline
@@ -189,6 +193,16 @@ let to_json (t : t) : Ceres_util.Json.t =
                 match e.retry_after_ms with
                 | None -> []
                 | Some ms -> [ ("retry_after_ms", Int ms) ]) ) ])
+
+(* Two sessions rendering one fresh record both store equal bytes, so
+   either store may win. *)
+let line (t : t) =
+  match t.line with
+  | Some l -> l
+  | None ->
+    let l = Ceres_util.Json.to_string (to_json t) in
+    t.line <- Some l;
+    l
 
 (* ------------------------------------------------------------------ *)
 (* CLI text renderings — the historical byte formats. *)

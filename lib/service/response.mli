@@ -40,6 +40,9 @@ type t = {
       (** echo of the request, workload name normalized; [None] only
           for protocol-level errors with no parsed request *)
   result : (body, error) result;
+  mutable line : string option;
+      (** the protocol line, kept by {!line} the first time it renders
+          this response; [None] until then *)
 }
 
 val ok : Request.t -> body -> t
@@ -71,6 +74,14 @@ val to_json : t -> Ceres_util.Json.t
     success, [{"v":1,"error":{"code":..,"message":..},..}] on error.
     Deterministic: rendering the same response twice (or a cached
     copy of it) is byte-identical. *)
+
+val line : t -> string
+(** [Json.to_string (to_json t)], the response's one protocol line.
+    The first call renders it and keeps it in [t.line]; later calls
+    return that same string. The service cache hands one record to
+    every hit, so a cached response carries its encoded line and is
+    rendered at most once (two sessions racing on a fresh record may
+    both render it, to equal bytes). *)
 
 (** {1 CLI text renderings (legacy byte formats)} *)
 

@@ -2,7 +2,9 @@
    core (it receives the exec functions in a [handler] record) so the
    protocol layer is testable line-by-line without a process, and so
    the stdin loop and the socket server (Server) share one protocol
-   implementation — the two transports cannot drift. *)
+   implementation — the two transports cannot drift. A response line
+   is [Response.line], so a cache hit writes the bytes its cached
+   response already carries instead of re-encoding the JSON tree. *)
 
 type handler = {
   exec : Request.t -> Response.t;
@@ -20,8 +22,7 @@ type step =
 
 let default_max_request_bytes = 1 lsl 20 (* 1 MiB *)
 
-let error_line code message =
-  Ceres_util.Json.to_string (Response.to_json (Response.error code message))
+let error_line code message = Response.line (Response.error code message)
 
 let invalid_json_line msg =
   error_line Response.Bad_request ("invalid JSON: " ^ msg)
@@ -29,8 +30,6 @@ let invalid_json_line msg =
 let oversized_line max_bytes =
   error_line Response.Bad_request
     (Printf.sprintf "request exceeds %d bytes" max_bytes)
-
-let response_line resp = Ceres_util.Json.to_string (Response.to_json resp)
 
 (* Op replies are hand-built (they are not [Response.t]s), so each one
    leads with the same versioned envelope as the response lines. *)
@@ -141,7 +140,7 @@ let handle_doc h (doc : Ceres_util.Json.t) : step =
        Reply (error_line Response.Bad_request "\"op\" must be a string"))
   | Obj _ ->
     (match Request.of_json doc with
-     | Ok req -> Reply (response_line (h.exec req))
+     | Ok req -> Reply (Response.line (h.exec req))
      | Error msg -> Reply (error_line Response.Bad_request msg))
   | List items ->
     (match List.find_map version_mismatch items with
@@ -157,9 +156,11 @@ let handle_doc h (doc : Ceres_util.Json.t) : step =
        let reqs =
          List.filter_map (function Ok r -> Some r | Error _ -> None) parsed
        in
+       (* The same bytes as rendering the batch as one [List]: a hit's
+          stored line is spliced in, not re-encoded. *)
        Reply
-         (Ceres_util.Json.to_string
-            (List (List.map Response.to_json (h.exec_batch reqs))))))
+         ("[" ^ String.concat "," (List.map Response.line (h.exec_batch reqs))
+          ^ "]")))
   | _ ->
     Reply (error_line Response.Bad_request "request must be an object or array")
 

@@ -80,10 +80,8 @@ let health_doc t () : Ceres_util.Json.t =
       ("sessions", Int (live_sessions t)) ]
 
 let shed_line retry_after_ms =
-  Ceres_util.Json.to_string
-    (Response.to_json
-       (Response.overloaded ~retry_after_ms
-          "server overloaded; retry later"))
+  Response.line
+    (Response.overloaded ~retry_after_ms "server overloaded; retry later")
 
 (* ------------------------------------------------------------------ *)
 (* One client session. *)

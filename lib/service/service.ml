@@ -171,7 +171,6 @@ let run_batch t reqs =
     items
 
 let cache_stats t = Cache.stats t.cache
-let cache t = t.cache
 
 let pool_stats t = Option.map Js_parallel.Pool.stats t.pool
 

@@ -55,8 +55,11 @@ val jobs : t -> int
 val run : t -> Request.t -> Response.t
 (** Serve one request: cache probe, then supervised execution on a
     miss (successful responses are cached; failures are not, so a
-    transient fault cannot poison the cache). Never raises — unknown
-    workloads and workload crashes come back as error responses. *)
+    transient fault cannot poison the cache). A hit returns the cached
+    record itself, so the protocol line {!Response.line} kept on it is
+    rendered once for all hits; [run] renders nothing. Never raises —
+    unknown workloads and workload crashes come back as error
+    responses. *)
 
 val run_batch : t -> Request.t list -> Response.t list
 (** Serve a wave: each request is cache-probed in order, the distinct
@@ -66,7 +69,6 @@ val run_batch : t -> Request.t list -> Response.t list
     suite asserts response-level equality. *)
 
 val cache_stats : t -> Cache.stats
-val cache : t -> Response.t Cache.t
 
 val pool_stats : t -> Js_parallel.Telemetry.pool_stats option
 (** Scheduling telemetry of the batch pool, when [jobs > 1]. *)

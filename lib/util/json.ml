@@ -14,23 +14,33 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | '\b' -> Buffer.add_string buf "\\b"
-       | '\012' -> Buffer.add_string buf "\\f"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Appends [s]'s JSON string body to [buf]. Almost every string needs
+   no escaping, so one scan finds the first byte that does: the bytes
+   before it are added whole, the rest escaped straight into [buf]. *)
+let add_escaped buf s =
+  let n = String.length s in
+  let rec clean i =
+    if i = n then n
+    else
+      match s.[i] with
+      | '"' | '\\' | '\000' .. '\031' -> i
+      | _ -> clean (i + 1)
+  in
+  let first = clean 0 in
+  Buffer.add_substring buf s 0 first;
+  for i = first to n - 1 do
+    match s.[i] with
+    | '"' -> Buffer.add_string buf "\\\""
+    | '\\' -> Buffer.add_string buf "\\\\"
+    | '\n' -> Buffer.add_string buf "\\n"
+    | '\t' -> Buffer.add_string buf "\\t"
+    | '\r' -> Buffer.add_string buf "\\r"
+    | '\b' -> Buffer.add_string buf "\\b"
+    | '\012' -> Buffer.add_string buf "\\f"
+    | '\000' .. '\031' as c ->
+      Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    | c -> Buffer.add_char buf c
+  done
 
 (* Canonical number rendering: integral floats print without a
    fractional part, everything else as %.12g — both are deterministic
@@ -52,7 +62,7 @@ let rec emit buf = function
     else Buffer.add_string buf (Printf.sprintf "%.*f" places f)
   | Str s ->
     Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
+    add_escaped buf s;
     Buffer.add_char buf '"'
   | List xs ->
     Buffer.add_char buf '[';
@@ -68,7 +78,7 @@ let rec emit buf = function
       (fun i (k, v) ->
          if i > 0 then Buffer.add_char buf ',';
          Buffer.add_char buf '"';
-         Buffer.add_string buf (escape k);
+         add_escaped buf k;
          Buffer.add_string buf "\":";
          emit buf v)
       kvs;
@@ -103,7 +113,7 @@ let rec emit_pretty buf indent = function
          if i > 0 then Buffer.add_string buf ",\n";
          Buffer.add_string buf inner;
          Buffer.add_char buf '"';
-         Buffer.add_string buf (escape k);
+         add_escaped buf k;
          Buffer.add_string buf "\": ";
          emit_pretty buf (indent + 2) v)
       kvs;

@@ -19,9 +19,6 @@ type t =
   | List of t list
   | Obj of (string * t) list  (** keys serialized in list order *)
 
-val escape : string -> string
-(** JSON string-body escaping (no surrounding quotes). *)
-
 val to_string : t -> string
 (** Compact one-line rendering: [{"k":v,...}], no whitespace. *)
 

@@ -447,6 +447,100 @@ let test_pipeline_stats_cli () =
     (Helpers.int_at [ "tasks_executed" ] pool > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Encode once: a cached response carries its protocol line. *)
+
+let served h req =
+  match
+    reply
+      (Service.Serve.handle_line h
+         (Service.Json.to_string (Service.Request.to_json req)))
+  with
+  | Some l -> l
+  | None -> Alcotest.fail "request got no response"
+
+(* Every hit writes the string its cached response already carries:
+   no re-encoding, so two hits return the very same string. *)
+let test_hits_share_one_line () =
+  let h = Service.handler (Service.create ()) in
+  let req = Service.Request.make Service.Request.Analyze "MyScript" in
+  let miss = served h req in
+  let hit1 = served h req and hit2 = served h req in
+  Alcotest.(check string) "hit bytes = miss bytes" miss hit1;
+  Alcotest.(check bool) "two hits share one string" true (hit1 == hit2)
+
+(* The batch reply splices the members' lines; it must stay the bytes
+   of rendering the batch as one JSON list, cold and warm. *)
+let test_batch_line_matches_list_rendering () =
+  let reqs =
+    List.map
+      (fun (pass, w) -> Service.Request.make pass w)
+      Service.Request.
+        [ (Analyze, "MyScript"); (Analyze, "MyScript"); (Analyze, "ace");
+          (Analyze, "nosuch"); (Profile, "MyScript") ]
+  in
+  let expected =
+    Service.Json.to_string
+      (List
+         (List.map Service.Response.to_json
+            (Service.run_batch (Service.create ()) reqs)))
+  in
+  let h = Service.handler (Service.create ()) in
+  let line =
+    Service.Json.to_string (List (List.map Service.Request.to_json reqs))
+  in
+  List.iter
+    (fun label ->
+       match reply (Service.Serve.handle_line h line) with
+       | Some l -> Alcotest.(check string) label expected l
+       | None -> Alcotest.fail "batch got no response")
+    [ "cold batch = list rendering"; "warm batch = list rendering" ]
+
+(* A failed request is never stored: each one renders its own line,
+   echoing its own request. *)
+let test_failed_lines_not_stored () =
+  let h = Service.handler (Service.create ()) in
+  let unknown w = Service.Request.make Service.Request.Analyze w in
+  let a1 = served h (unknown "nosuch") and a2 = served h (unknown "nosuch") in
+  let b = served h (unknown "other") in
+  Alcotest.(check string) "same failure, same bytes" a1 a2;
+  Alcotest.(check bool) "rendered per request" false (a1 == a2);
+  Alcotest.(check bool) "each line echoes its request" true
+    (Helpers.contains ~sub:"\"workload\":\"nosuch\"" a1
+     && Helpers.contains ~sub:"\"workload\":\"other\"" b);
+  let svc = Service.create ~watchdog_ms:1 () in
+  let h = Service.handler svc in
+  let req = Service.Request.make Service.Request.Profile "myscript" in
+  let f1 = served h req and f2 = served h req in
+  Alcotest.(check bool) "watchdog failure answered" true
+    (Helpers.contains ~sub:"workload-failed" f1
+     && Helpers.contains ~sub:"\"workload\":\"MyScript\"" f1);
+  Alcotest.(check string) "same failure, same bytes" f1 f2;
+  Alcotest.(check bool) "rendered per request" false (f1 == f2);
+  Alcotest.(check int) "nothing cached" 0 (Service.cache_stats svc).entries
+
+(* For every pass the cache stores, a hit's line equals the line a
+   fresh service renders for the same request. *)
+let test_hit_line_matches_fresh_render () =
+  let svc = Service.create () in
+  let h = Service.handler svc in
+  let workloads = [ "MyScript"; "Normal Mapping" ] in
+  List.iter
+    (fun w ->
+       List.iter
+         (fun (name, pass) ->
+            let req = Service.Request.make pass w in
+            ignore (served h req);
+            Alcotest.(check string)
+              (Printf.sprintf "%s %s hit = fresh render" name w)
+              (render (Service.run (Service.create ()) req))
+              (served h req))
+         Service.Request.all_passes)
+    workloads;
+  Alcotest.(check int) "every second request hit"
+    (List.length workloads * List.length Service.Request.all_passes)
+    (Service.cache_stats svc).hits
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [ Alcotest.test_case "request JSON round trip" `Quick test_request_roundtrip;
@@ -481,4 +575,12 @@ let suite =
     Alcotest.test_case "pipeline --stats runs pool tasks" `Quick
       test_pipeline_stats_cli;
     Alcotest.test_case "cache keyed on workload" `Quick
-      test_cache_keyed_on_workload ]
+      test_cache_keyed_on_workload;
+    Alcotest.test_case "hits share one stored line" `Quick
+      test_hits_share_one_line;
+    Alcotest.test_case "batch line = list rendering" `Quick
+      test_batch_line_matches_list_rendering;
+    Alcotest.test_case "failed lines are not stored" `Quick
+      test_failed_lines_not_stored;
+    Alcotest.test_case "hit line = fresh render (every pass)" `Quick
+      test_hit_line_matches_fresh_render ]

@@ -211,6 +211,46 @@ let prop_symbol_of_index_consistent =
        && Ceres_util.Symbol.array_index t a = i
        && String.equal (Ceres_util.Symbol.name t a) (string_of_int i))
 
+(* The encoder's escape against a per-character reference: quotes,
+   backslashes and every control byte are escaped; any other byte, the
+   bytes of UTF-8 sequences included, passes through. *)
+let reference_escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+       Buffer.add_string buf
+         (match c with
+          | '"' -> "\\\""
+          | '\\' -> "\\\\"
+          | '\n' -> "\\n"
+          | '\t' -> "\\t"
+          | '\r' -> "\\r"
+          | '\b' -> "\\b"
+          | '\012' -> "\\f"
+          | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
+          | c -> String.make 1 c))
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let prop_json_escape_matches_reference =
+  let piece =
+    QCheck.Gen.(
+      oneof
+        [ oneofl [ "\""; "\\"; "a"; "Ace"; " "; "\x7f"; "\xc3\xa9"; "\xe2\x82\xac" ];
+          map (fun i -> String.make 1 (Char.chr i)) (int_range 0 0x1f);
+          map (fun i -> String.make 1 (Char.chr i)) (int_range 0 255) ])
+  in
+  QCheck.Test.make ~name:"json string = per-character reference escape"
+    ~count:500
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(map (String.concat "") (list_size (int_range 0 24) piece)))
+    (fun s ->
+       String.equal
+         (Ceres_util.Json.to_string (Ceres_util.Json.Str s))
+         (reference_escape s))
+
 let suite =
   [ ("welford basic", `Quick, test_welford_basic);
     ("welford single sample", `Quick, test_welford_single);
@@ -227,4 +267,5 @@ let suite =
     ("table bar chart", `Quick, test_bar_chart);
     ("symbol interning", `Quick, test_symbol_intern_idempotent);
     ("symbol canonical rule", `Quick, test_symbol_canonical_rule);
-    qtest prop_symbol_of_index_consistent ]
+    qtest prop_symbol_of_index_consistent;
+    qtest prop_json_escape_matches_reference ]
