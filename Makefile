@@ -1,7 +1,7 @@
 # js-ceres — OCaml reproduction of "Are web applications ready for
 # parallelism?" (PPoPP 2015)
 
-.PHONY: all build test check serve-stress-smoke bench-smoke clean
+.PHONY: all build test check serve-stress-smoke clean
 
 all: build
 
@@ -14,13 +14,15 @@ build:
 test:
 	dune runtest
 
-# Tier-1 plus the two gates that cannot live in it: the socket stress
-# round and the wall-clock perf gate.
+# Tier-1 plus the one gate that cannot live in it: the socket stress
+# round. Performance is gated by perfbench (BENCHMARK.json), which
+# compares a change against its parent on every PR; run one workload
+# by hand with `python3 perfbench/run.py --workload W` (exec, analysis
+# or serve).
 check:
 	dune build @all
 	dune runtest
 	$(MAKE) serve-stress-smoke
-	$(MAKE) bench-smoke
 
 # Server stress smoke (socket and signal handling, so outside Tier-1):
 # a loadgen burst above a tiny admission gate must shed (> 0) with zero
@@ -70,23 +72,6 @@ serve-stress-smoke: build
 	kill -TERM $$pid; wait $$pid; rc=$$?; \
 	test $$rc -eq 0 || { echo "serve-stress-smoke: chaos drain exited $$rc"; exit 1; }; \
 	echo "serve-stress smoke OK under chaos (ok: $$ok, drain exit: 0)"
-
-# Perf regression gate: the two heaviest workloads' total pass wall
-# time, cold, against BENCH_baseline.json; a workload fails only when
-# both >25% and >25 ms over it. After an intentional perf change,
-# refresh the whole baseline with BENCH_REGEN=1 (all 12 workloads).
-BENCH_SMOKE_WORKLOADS = HAAR.js fluidSim
-
-bench-smoke: build
-	@if [ -n "$(BENCH_REGEN)" ]; then \
-	  dune exec bench/main.exe -- --json > BENCH_baseline.json; \
-	  echo "bench baseline regenerated"; \
-	else \
-	  dune exec bench/main.exe -- --json \
-	    --check-against BENCH_baseline.json $(BENCH_SMOKE_WORKLOADS) \
-	    > _build/bench-smoke.json; \
-	  echo "bench smoke OK"; \
-	fi
 
 clean:
 	dune clean

@@ -2,37 +2,14 @@
    evaluation, printing measured values side by side with the published
    ones (EXPERIMENTS.md records the comparison).
 
-   Sections (select on the command line; default: all):
-     table1 figure1 figure2 figure3 figure4 table2 table3 amdahl
-     speedup parexec overhead nbody
+   Sections are selected by name on the command line (default: all);
+   [sections] in [bench_main] lists them in run order, and an unknown
+   name prints that list.
 
    `overhead` uses Bechamel to measure the wall-clock cost of the four
    instrumentation stages on a fixed program, backing the paper's
    claims that the lightweight and loop-profiling modes have minimal
    impact while dependence analysis is expensive. *)
-
-module PE = Js_parallel.Par_exec
-
-(* The plain session once sequential (Measure mode also times each
-   proven nest — the per-nest baseline) and once with the proven nests
-   forked across [pool], a 2-domain pool the caller spawns outside the
-   timed pass. The two Par_exec instances are joined by loop id into
-   the per-nest speedup rows. *)
-let exec_passes pool =
-  let measure_pe = ref None and par_pe = ref None in
-  let passes =
-    [ ( "exec-seq",
-        fun w ->
-          let pe = PE.create ~mode:PE.Measure ~jobs:1 () in
-          measure_pe := Some pe;
-          ignore (Workloads.Harness.run_plain ~par:pe w) );
-      ( "exec-par-j2",
-        fun w ->
-          let pe = PE.create ~mode:(PE.Parallel pool) ~jobs:2 () in
-          par_pe := Some pe;
-          ignore (Workloads.Harness.run_plain ~par:pe w) ) ]
-  in
-  (passes, measure_pe, par_pe)
 
 let section_requested args name = args = [] || List.mem name args
 
@@ -182,14 +159,6 @@ let table2 () =
 (* Shared by table3/amdahl: inspection is the expensive pass. *)
 let inspection = lazy (batch Service.Request.Pipeline rows_of)
 
-let difficulty_rank = function
-  | "very easy" -> 0
-  | "easy" -> 1
-  | "medium" -> 2
-  | "hard" -> 3
-  | "very hard" -> 4
-  | _ -> -10
-
 let table3 () =
   header "Table 3: detailed inspection of loop nests (measured | paper)";
   let tbl =
@@ -232,40 +201,11 @@ let table3 () =
        Ceres_util.Table.add_separator tbl)
     (Lazy.force inspection);
   Ceres_util.Table.print tbl;
-  (* agreement summary over the ordinal columns *)
-  let cells = ref 0 and agree = ref 0 and near = ref 0 in
-  List.iter
-    (fun ((w : Workloads.Workload.t), rows) ->
-       let paper_rows =
-         List.filter
-           (fun (r : Workloads.Paper_data.t3_row) -> r.app = w.name)
-           Workloads.Paper_data.table3
-       in
-       List.iteri
-         (fun i (r : Workloads.Harness.nest_row) ->
-            match List.nth_opt paper_rows i with
-            | None -> ()
-            | Some p ->
-              let check mine theirs =
-                incr cells;
-                let dm = difficulty_rank mine
-                and dt = difficulty_rank theirs in
-                if dm = dt then incr agree
-                else if abs (dm - dt) <= 1 then incr near
-              in
-              check
-                (Ceres.Classify.difficulty_to_string r.dep_difficulty)
-                p.deps;
-              check
-                (Ceres.Classify.difficulty_to_string r.par_difficulty)
-                p.par;
-              incr cells;
-              if r.dom_access = p.dom then incr agree)
-         rows)
-    (Lazy.force inspection);
+  (* agreement over the ordinal columns: deps, par and DOM *)
+  let ag = Workloads.Harness.table3_agreement (Lazy.force inspection) in
   Printf.printf
     "ordinal agreement with the paper: %d/%d cells exact, +%d within one level\n"
-    !agree !cells !near;
+    (ag.exact + ag.dom_exact) (3 * ag.rows) ag.adjacent;
   (* static column totals over the inspected nests, five-way *)
   let statics =
     List.concat_map
@@ -353,22 +293,7 @@ let amdahl () =
        match List.assq_opt w (Lazy.force timings) with
        | None -> () (* workload failed in the timing pass: no row *)
        | Some t ->
-       let easy_pct =
-         List.fold_left
-           (fun acc (r : Workloads.Harness.nest_row) ->
-              match r.par_difficulty with
-              | Ceres.Classify.Very_easy | Ceres.Classify.Easy
-              | Ceres.Classify.Medium ->
-                acc +. r.pct_loop_time
-              | Ceres.Classify.Hard | Ceres.Classify.Very_hard -> acc)
-           0. rows
-       in
-       (* A root that runs inside another root's instance overlaps it,
-          so the shares can add past 100%; their union cannot. *)
-       let p =
-         if t.busy_ms <= 0. then 0.
-         else t.in_loops_ms *. (Float.min 100. easy_pct /. 100.) /. t.busy_ms
-       in
+       let p = Workloads.Harness.parallel_fraction t rows in
        let bound n =
          Js_parallel.Amdahl.speedup ~parallel_fraction:p ~workers:n
        in
@@ -841,7 +766,7 @@ let ablation_chunk () =
         [ 1; 64; 4096; n ]);
   print_string
     "reading: tiny chunks drown in the atomic counter, one big chunk
-     serialises; the default (range / 8 participants) sits between.
+     serialises; the default (~8 chunks per participant) sits between.
 "
 
 (* ------------------------------------------------------------------ *)
@@ -849,208 +774,6 @@ let ablation_chunk () =
 let nbody () =
   header "Sec 3.3 walkthrough: the N-body example";
   print_string (Examples_support.Nbody.report ())
-
-(* ------------------------------------------------------------------ *)
-(* `--json`: the machine-readable perf baseline behind
-   BENCH_baseline.json and `make bench-smoke`. Runs each requested
-   workload (default: all) cold through the four analysis passes plus
-   the two execution passes (sequential and pool-parallel sessions) on
-   a fresh interpreter state, fixed scale, and prints per-pass wall
-   milliseconds plus GC minor/major words and the per-nest
-   parallel-execution speedup rows. With
-   `--check-against FILE` the run additionally compares itself against
-   a committed baseline and exits 1 on a wall-time regression. *)
-
-let bench_passes : (string * (Workloads.Workload.t -> unit)) list =
-  [ ("profile", fun w -> ignore (Workloads.Harness.run_lightweight w));
-    ("loops", fun w -> ignore (Workloads.Harness.run_loop_profile w));
-    ("deps", fun w -> ignore (Workloads.Harness.run_dependence w));
-    ("pipeline", fun w -> ignore (Workloads.Harness.inspect w)) ]
-
-(* Allocation via [Gc.quick_stat], which sums every domain: the
-   pool-parallel pass allocates mostly on its worker domains, which
-   [Gc.counters] (calling domain only) would miss. *)
-let measure f =
-  let s0 = Gc.quick_stat () in
-  let t0 = Unix.gettimeofday () in
-  f ();
-  let wall = 1000. *. (Unix.gettimeofday () -. t0) in
-  let s1 = Gc.quick_stat () in
-  (wall, s1.minor_words -. s0.minor_words, s1.major_words -. s0.major_words)
-
-let json_bench names : Ceres_util.Json.t =
-  let open Ceres_util.Json in
-  let ws =
-    match names with
-    | [] -> Workloads.Registry.all
-    | names ->
-      List.map
-        (fun n ->
-           match Workloads.Registry.find n with
-           | Some w -> w
-           | None ->
-             Printf.eprintf "bench --json: unknown workload %S\n" n;
-             exit 1)
-        names
-  in
-  (* one pool for the whole run: domain spawn and join stay outside
-     every [measure] *)
-  Js_parallel.Pool.with_pool ~domains:2 @@ fun pool ->
-  Obj
-    [ ("schema", Str "jsceres-bench-1");
-      ("jobs", Int 1);
-      ( "workloads",
-        List
-          (List.map
-             (fun (w : Workloads.Workload.t) ->
-                let exec, measure_pe, par_pe = exec_passes pool in
-                let passes_json =
-                  List
-                    (List.map
-                       (fun (pass, run) ->
-                          let wall, minor, major =
-                            measure (fun () -> run w)
-                          in
-                          Obj
-                            [ ("pass", Str pass);
-                              ("wall_ms", Fixed (3, wall));
-                              ("minor_words", Fixed (0, minor));
-                              ("major_words", Fixed (0, major)) ])
-                       (bench_passes @ exec))
-                in
-                (* [passes_json] is forced above, so both Par_exec
-                   instances exist by the time the nest rows render. *)
-                let parexec_json =
-                  match (!measure_pe, !par_pe) with
-                  | Some seq, Some par ->
-                    List.map
-                      (fun (s : Advisor.nest_sample) ->
-                          let ps = s.s_stats in
-                          Obj
-                            [ ("id", Int s.s_id);
-                              ("label", Str s.s_label);
-                              ("instances", Int ps.instances);
-                              ("chunks", Int ps.chunks);
-                              ("fallbacks", Int ps.fallbacks);
-                              ("refused", Int ps.refused);
-                              ("seq_ms", Fixed (3, s.s_seq_ms));
-                              ("par_ms", Fixed (3, s.s_par_ms));
-                              ("speedup", Fixed (2, Advisor.speedup s)) ])
-                      (Advisor.join_nests ~seq ~par)
-                  | _ -> []
-                in
-                Obj
-                  [ ("name", Str w.name);
-                    ("passes", passes_json);
-                    ("parexec", List parexec_json) ])
-             ws) ) ]
-
-(* Wall time of one workload across all passes in a bench document. *)
-let bench_workload_wall doc name =
-  let open Ceres_util.Json in
-  match member "workloads" doc with
-  | Some (List ws) ->
-    List.find_map
-      (fun w ->
-         match member "name" w with
-         | Some (Str n) when String.equal n name ->
-           (match member "passes" w with
-            | Some (List ps) ->
-              Some
-                (List.fold_left
-                   (fun acc p ->
-                      match
-                        Option.bind (member "wall_ms" p) float_opt
-                      with
-                      | Some ms -> acc +. ms
-                      | None -> acc)
-                   0. ps)
-            | _ -> None)
-         | _ -> None)
-      ws
-  | _ -> None
-
-(* Regression gate for `make bench-smoke`: a workload regresses when
-   its total pass wall time exceeds the committed baseline by more
-   than 25% *and* by more than 25 ms (the absolute floor keeps timer
-   noise on sub-100ms passes from tripping the relative gate). *)
-let json_check ~baseline_file (doc : Ceres_util.Json.t) =
-  let baseline =
-    let text =
-      try
-        let ic = open_in_bin baseline_file in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      with Sys_error m ->
-        Printf.eprintf "bench --json: cannot read %s: %s\n" baseline_file m;
-        exit 1
-    in
-    match Ceres_util.Json.of_string text with
-    | Ok doc -> doc
-    | Error m ->
-      Printf.eprintf "bench --json: %s does not parse: %s\n" baseline_file m;
-      exit 1
-  in
-  let failed = ref false in
-  (match doc with
-   | Ceres_util.Json.Obj _ ->
-     (match Ceres_util.Json.member "workloads" doc with
-      | Some (Ceres_util.Json.List ws) ->
-        List.iter
-          (fun w ->
-             match Ceres_util.Json.member "name" w with
-             | Some (Ceres_util.Json.Str name) ->
-               (match
-                  ( bench_workload_wall doc name,
-                    bench_workload_wall baseline name )
-                with
-                | Some cur, Some base ->
-                  if cur > (base *. 1.25) +. 0.0 && cur -. base > 25. then begin
-                    Printf.eprintf
-                      "bench --json: %s regressed: %.1f ms vs baseline \
-                       %.1f ms (>25%%)\n"
-                      name cur base;
-                    failed := true
-                  end
-                  else
-                    Printf.eprintf "bench --json: %s ok: %.1f ms vs %.1f ms\n"
-                      name cur base
-                | _, None ->
-                  Printf.eprintf
-                    "bench --json: %s not in baseline; skipping gate\n" name
-                | None, _ -> ())
-             | _ -> ())
-          ws
-      | _ -> ())
-   | _ -> ());
-  if !failed then exit 1
-
-let json_main rest =
-  let check, names =
-    let rec go check acc = function
-      | [] -> (check, List.rev acc)
-      | "--check-against" :: file :: rest -> go (Some file) acc rest
-      | [ "--check-against" ] ->
-        Printf.eprintf "--check-against expects a file\n";
-        exit 1
-      | a :: rest -> go check (a :: acc) rest
-    in
-    go None [] rest
-  in
-  let doc = json_bench names in
-  let rendered = Ceres_util.Json.to_string_pretty doc in
-  (* self-check: the document we print must re-parse *)
-  (match Ceres_util.Json.of_string rendered with
-   | Ok _ -> ()
-   | Error m ->
-     Printf.eprintf "bench --json: emitted JSON does not parse: %s\n" m;
-     exit 1);
-  print_string rendered;
-  (match check with
-   | Some file -> json_check ~baseline_file:file doc
-   | None -> ())
 
 (* Pull `--jobs N` (or `--jobs=N`) out of argv; everything else is a
    section name. *)
@@ -1122,7 +845,4 @@ let bench_main argv =
      | None -> ());
     Service.shutdown s
 
-let () =
-  match List.tl (Array.to_list Sys.argv) with
-  | "--json" :: rest -> json_main rest
-  | argv -> bench_main argv
+let () = bench_main (List.tl (Array.to_list Sys.argv))

@@ -116,12 +116,6 @@ type nest_sample = {
 val speedup : nest_sample -> float
 (** [s_seq_ms / s_par_ms]; 0 when either is 0. *)
 
-val join_nests :
-  seq:Js_parallel.Par_exec.t -> par:Js_parallel.Par_exec.t ->
-  nest_sample list
-(** One Measure-mode and one Parallel-mode run's nest rows, joined by
-    loop id, in the Parallel run's order. *)
-
 val sample_nests :
   pool:Js_parallel.Pool.t -> jobs:int -> Workloads.Workload.t ->
   nest_sample list

@@ -41,9 +41,9 @@ let cost_alloc = 3
 
 (* Allocation- and call-free: the clock's counters are native ints, so a
    tick is an add, the probe's load + branch, and an int compare. The
-   add is done here rather than through [Vclock.advance]: dune's dev
-   profile compiles with [-opaque], so that would be a cross-module call
-   on every node, plus a sign check the constant costs never need. *)
+   add is done here rather than through [Vclock.advance]: the costs are
+   non-negative constants, so [advance]'s sign check is never needed on
+   this per-node path. *)
 let[@inline] tick st n =
   let clock = st.clock in
   clock.busy_ticks <- clock.busy_ticks + n;

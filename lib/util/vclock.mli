@@ -21,13 +21,12 @@ type t = {
     advancing the clock never allocates. The record is exposed so the
     interpreter's per-node tick can do its add and budget check in
     place: [Eval.tick] is the one writer besides {!advance} and
-    {!advance_idle}. It runs on every evaluated node, and under dune's
-    dev profile ([-opaque]) a call to {!advance} would stay a
-    cross-module call there; its costs are non-negative constants, so
-    it skips {!advance}'s sign check. Everything else changes the clock
-    through {!advance}. [Ceres.Loop_profile] and [Profiler.Sampler]
-    read the counters in place, so a loop event or a call boundary
-    boxes nothing; other readers use the [int64] accessors below. *)
+    {!advance_idle}. It runs on every evaluated node, and its costs are
+    non-negative constants, so it skips {!advance}'s sign check.
+    Everything else changes the clock through {!advance}.
+    [Ceres.Loop_profile] and [Profiler.Sampler] read the counters in
+    place, so a loop event or a call boundary boxes nothing; other
+    readers use the [int64] accessors below. *)
 
 val create : ?ticks_per_ms:int -> unit -> t
 (** Fresh clock at time zero. *)

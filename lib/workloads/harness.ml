@@ -273,6 +273,65 @@ let inspect ?max_nests (w : Workload.t) : nest_row list =
   let nests = Option.value ~default:w.hot_nest_count max_nests in
   nest_rows w (study ~nests w)
 
+(* Sec. 4.2: the in-loop share of busy time, scaled by the loop-time
+   share of the nests at most medium to parallelize. A root that runs
+   inside another root's instance overlaps it, so the shares can add
+   past 100%; their union cannot. *)
+let parallel_fraction (t : timing) rows =
+  let easy_pct =
+    List.fold_left
+      (fun acc (r : nest_row) ->
+         match r.par_difficulty with
+         | Ceres.Classify.Very_easy | Easy | Medium -> acc +. r.pct_loop_time
+         | Hard | Very_hard -> acc)
+      0. rows
+  in
+  if t.busy_ms <= 0. then 0.
+  else t.in_loops_ms *. (Float.min 100. easy_pct /. 100.) /. t.busy_ms
+
+type agreement = { rows : int; exact : int; adjacent : int; dom_exact : int }
+
+(* A paper difficulty cell on [Classify.difficulty_rank]'s scale; a cell
+   naming no level is never within one of a measured one. *)
+let paper_rank s =
+  match
+    List.find_opt
+      (fun d -> String.equal (Ceres.Classify.difficulty_to_string d) s)
+      Ceres.Classify.[ Very_easy; Easy; Medium; Hard; Very_hard ]
+  with
+  | Some d -> Ceres.Classify.difficulty_rank d
+  | None -> -10
+
+let table3_agreement inspected =
+  let rows = ref 0 and exact = ref 0 and adjacent = ref 0
+  and dom_exact = ref 0 in
+  let cell mine theirs =
+    match abs (Ceres.Classify.difficulty_rank mine - paper_rank theirs) with
+    | 0 -> incr exact
+    | 1 -> incr adjacent
+    | _ -> ()
+  in
+  List.iter
+    (fun ((w : Workload.t), measured) ->
+       let paper =
+         List.filter
+           (fun (p : Paper_data.t3_row) -> p.app = w.name)
+           Paper_data.table3
+       in
+       List.iteri
+         (fun i (r : nest_row) ->
+            match List.nth_opt paper i with
+            | None -> ()
+            | Some p ->
+              incr rows;
+              cell r.dep_difficulty p.deps;
+              cell r.par_difficulty p.par;
+              if r.dom_access = p.dom then incr dom_exact)
+         measured)
+    inspected;
+  { rows = !rows; exact = !exact; adjacent = !adjacent;
+    dom_exact = !dom_exact }
+
 (* ------------------------------------------------------------------ *)
 (* Cross-validation of the static analyzer against the dynamic one.
 

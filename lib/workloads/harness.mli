@@ -108,6 +108,24 @@ val inspect : ?max_nests:int -> Workload.t -> nest_row list
     count of nests ([w.hot_nest_count]) by default; [max_nests] widens
     it (the Amdahl bench classifies every nest). *)
 
+val parallel_fraction : timing -> nest_row list -> float
+(** Sec. 4.2's Amdahl parallel fraction of one workload:
+    [in_loops_ms * min(100, easy%) / 100 / busy_ms], where [easy%] sums
+    the loop-time share of the rows at most medium to parallelize; 0
+    when the session was never busy. *)
+
+(** Agreement of measured Table 3 rows with the paper's, each measured
+    row paired with the paper's row of the same rank in its app. *)
+type agreement = {
+  rows : int;  (** measured rows that have a paper row *)
+  exact : int;  (** deps and par difficulty cells at the paper's level *)
+  adjacent : int;  (** difficulty cells exactly one level off *)
+  dom_exact : int;  (** DOM cells equal to the paper's *)
+}
+
+val table3_agreement : (Workload.t * nest_row list) list -> agreement
+(** The ordinal agreement of each workload's {!inspect} rows. *)
+
 (** One loop of the static-vs-dynamic cross-validation. *)
 type crossval_row = {
   loop : Jsir.Loops.info;

@@ -181,21 +181,7 @@ let test_amdahl_five_over_three () =
       (fun acc (w : Workloads.Workload.t) ->
          let t = Workloads.Harness.run_lightweight w in
          let rows = Workloads.Harness.inspect ~max_nests:16 w in
-         let easy_pct =
-           List.fold_left
-             (fun acc (r : Workloads.Harness.nest_row) ->
-                match r.par_difficulty with
-                | Ceres.Classify.Very_easy | Ceres.Classify.Easy
-                | Ceres.Classify.Medium ->
-                  acc +. r.pct_loop_time
-                | _ -> acc)
-             0. rows
-         in
-         (* nested roots overlap: their union is at most 100% *)
-         let p =
-           if t.busy_ms <= 0. then 0.
-           else t.in_loops_ms *. (Float.min 100. easy_pct /. 100.) /. t.busy_ms
-         in
+         let p = Workloads.Harness.parallel_fraction t rows in
          if Js_parallel.Amdahl.asymptote ~parallel_fraction:p > 3. then
            acc + 1
          else acc)
@@ -205,48 +191,21 @@ let test_amdahl_five_over_three () =
     Workloads.Paper_data.amdahl_easy_apps over_3
 
 let test_table3_agreement_regression () =
-  (* Pin the paper-agreement level of the ordinal Table 3 columns so
-     classifier changes cannot silently drift away from the paper. *)
-  let difficulty_rank = function
-    | "very easy" -> 0 | "easy" -> 1 | "medium" -> 2 | "hard" -> 3
-    | "very hard" -> 4 | _ -> -10
+  (* Pin the paper-agreement level of the ordinal Table 3 difficulty
+     columns so classifier changes cannot silently drift away from the
+     paper. *)
+  let ag =
+    Workloads.Harness.table3_agreement
+      (List.map (fun w -> (w, Workloads.Harness.inspect w)) all)
   in
-  let cells = ref 0 and exact = ref 0 and near = ref 0 in
-  List.iter
-    (fun (w : Workloads.Workload.t) ->
-       let rows = Workloads.Harness.inspect w in
-       let paper_rows =
-         List.filter
-           (fun (r : Workloads.Paper_data.t3_row) -> r.app = w.name)
-           Workloads.Paper_data.table3
-       in
-       List.iteri
-         (fun i (r : Workloads.Harness.nest_row) ->
-            match List.nth_opt paper_rows i with
-            | None -> ()
-            | Some p ->
-              let check mine theirs =
-                incr cells;
-                let dm = difficulty_rank mine
-                and dt = difficulty_rank theirs in
-                if dm = dt then incr exact;
-                if abs (dm - dt) <= 1 then incr near
-              in
-              check
-                (Ceres.Classify.difficulty_to_string r.dep_difficulty)
-                p.deps;
-              check
-                (Ceres.Classify.difficulty_to_string r.par_difficulty)
-                p.par)
-         rows)
-    all;
-  Alcotest.(check int) "44 ordinal difficulty cells" 44 !cells;
+  let cells = 2 * ag.rows and near = ag.exact + ag.adjacent in
+  Alcotest.(check int) "44 ordinal difficulty cells" 44 cells;
   Alcotest.(check bool)
-    (Printf.sprintf "at least 17 exact matches (got %d)" !exact)
-    true (!exact >= 17);
+    (Printf.sprintf "at least 17 exact matches (got %d)" ag.exact)
+    true (ag.exact >= 17);
   Alcotest.(check bool)
-    (Printf.sprintf "at least 33 within one level (got %d)" !near)
-    true (!near >= 33)
+    (Printf.sprintf "at least 33 within one level (got %d)" near)
+    true (near >= 33)
 
 (* The staging law (paper Sec. 3): a dependence session focused on
    some root nests sees, on each of them, what the full session sees.
