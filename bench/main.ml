@@ -314,65 +314,6 @@ let amdahl () =
 
 (* ------------------------------------------------------------------ *)
 
-let speedup () =
-  header "Measured kernel speedups under the domain pool";
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "machine reports %d available core(s); measured scaling is bounded by\n\
-     the hardware. Checksum equality below validates parallel correctness\n\
-     independently of core count.\n\n"
-    cores;
-  let domain_counts =
-    List.filter (fun d -> d <= max 2 (2 * cores)) [ 1; 2; 4; 8 ]
-  in
-  let tbl =
-    Ceres_util.Table.create
-      (("kernel" :: "workload" :: "seq (ms)"
-        :: List.map (fun d -> Printf.sprintf "x%d dom" d) domain_counts)
-       @ [ "checksums" ])
-  in
-  List.iter
-    (fun (k : Workloads.Kernels.kernel) ->
-       let time f =
-         let t0 = Unix.gettimeofday () in
-         let r = f () in
-         (r, 1000. *. (Unix.gettimeofday () -. t0))
-       in
-       let seq_sum, seq_ms = time (fun () -> k.run k.default_size) in
-       let speedups =
-         List.map
-           (fun d ->
-              let sum, ms =
-                Js_parallel.Pool.with_pool ~domains:d (fun p ->
-                    time (fun () -> k.run ~pool:p k.default_size))
-              in
-              (d, seq_ms /. ms, sum))
-           domain_counts
-       in
-       let all_equal =
-         List.for_all
-           (fun (_, _, sum) ->
-              Float.abs (sum -. seq_sum)
-              < (1e-6 *. Float.abs seq_sum) +. 1e-9)
-           speedups
-       in
-       (match List.rev speedups with
-        | (d, s, _) :: _ when d > 1 ->
-          Printf.printf
-            "  %-12s Karp-Flatt serial fraction at x%d domains: %.2f\n"
-            k.kname d
-            (Js_parallel.Amdahl.karp_flatt ~measured_speedup:s ~workers:d)
-        | _ -> ());
-       Ceres_util.Table.add_row tbl
-         ((k.kname :: k.workload
-           :: Printf.sprintf "%.1f" seq_ms
-           :: List.map (fun (_, s, _) -> Printf.sprintf "%.2fx" s) speedups)
-          @ [ (if all_equal then "equal" else "MISMATCH") ]))
-    Workloads.Kernels.all;
-  Ceres_util.Table.print tbl
-
-(* ------------------------------------------------------------------ *)
-
 (* The Amdahl table above is a *bound*; this section closes the loop
    with measured execution: [Advisor.sample_nests] runs every app
    sequentially (each proven nest individually timed) and forked over
@@ -737,37 +678,38 @@ let ablation_focus () =
 "
     (float_of_int full_acc /. float_of_int (max 1 foc_acc))
 
-(* Pool chunking: dynamic chunk size vs fixed extremes on one kernel. *)
+(* Pool chunking: one loop timed under a plain [for] and under
+   [parallel_for] at fixed chunk sizes and at the default. *)
 let ablation_chunk () =
-  header "Ablation: pool chunk size (normal-map kernel)";
-  let k = Option.get (Workloads.Kernels.find "normal-map") in
-  let size = k.default_size / 2 in
+  let n = 192 * 192 in
+  header
+    (Printf.sprintf "Ablation: pool chunk size (one %d-trip loop, -j 2)" n);
+  let sink = Array.make n 0. in
+  let body i = sink.(i) <- sqrt (float_of_int (i land 1023)) in
   let time f =
     let t0 = Unix.gettimeofday () in
-    ignore (f ());
+    f ();
     1000. *. (Unix.gettimeofday () -. t0)
   in
-  let seq_ms = time (fun () -> k.run size) in
-  Printf.printf "  sequential:         %7.1f ms
-" seq_ms;
+  Printf.printf "  sequential for      %7.2f ms\n"
+    (time (fun () ->
+         for i = 0 to n - 1 do
+           body i
+         done));
   Js_parallel.Pool.with_pool ~domains:2 (fun p ->
-      (* exercise the chunked loop through parallel_for directly *)
-      let n = size * size in
-      let sink = Array.make n 0. in
       List.iter
-        (fun chunk ->
+        (fun (label, chunk) ->
            let ms =
              time (fun () ->
-                 Js_parallel.Pool.parallel_for p ~lo:0 ~hi:n ~chunk (fun i ->
-                     sink.(i) <- sqrt (float_of_int (i land 1023))))
+                 Js_parallel.Pool.parallel_for p ~lo:0 ~hi:n ?chunk body)
            in
-           Printf.printf "  chunk %-8d      %7.1f ms
-" chunk ms)
-        [ 1; 64; 4096; n ]);
+           Printf.printf "  chunk %-8s      %7.2f ms\n" label ms)
+        [ ("1", Some 1); ("64", Some 64); ("4096", Some 4096);
+          (string_of_int n, Some n); ("default", None) ]);
   print_string
-    "reading: tiny chunks drown in the atomic counter, one big chunk
-     serialises; the default (~8 chunks per participant) sits between.
-"
+    "reading: at chunk 1 every trip is its own deque task (a closure, a\n\
+     push, a pop and an atomic decrement), and the loop runs many times\n\
+     slower than at every amortised chunk size.\n"
 
 (* ------------------------------------------------------------------ *)
 
@@ -809,7 +751,7 @@ let bench_main argv =
     [ ("table1", table1); ("figure1", figure1); ("figure2", figure2);
       ("figure3", figure3); ("figure4", figure4); ("table2", table2);
       ("table3", table3); ("crossval", crossval);
-      ("amdahl", amdahl); ("speedup", speedup);
+      ("amdahl", amdahl);
       ("parexec", parexec);
       ("advise", advise);
       ("overhead", overhead);

@@ -3,8 +3,11 @@
 
    The MiniJS program paints a synthetic photo on a canvas and applies
    a filter chain. We (1) verify with JS-CERES that the filter loop has
-   no loop-carried dependences, and (2) run the equivalent native
-   kernel under the domain pool and compare checksums.
+   no loop-carried dependences, and (2) run the same program again with
+   its statically proven loops forked over a 2-domain pool
+   ({!Js_parallel.Par_exec}, default work gate) and compare its console
+   with a plain run. The example exits 1 when the consoles differ or a
+   parallel instance falls back to sequential execution.
 
    Run with: dune exec examples/image_pipeline.exe *)
 
@@ -37,12 +40,30 @@ for (i = 0; i < W * H * 4; i++) { checksum += data[i]; }
 console.log("filtered checksum:", checksum);
 |}
 
-let () =
-  (* 1. analyse the app *)
-  print_endline "--- dependence analysis of the filter app ---";
+let fresh_state () =
   let st = Interp.Eval.create () in
   Interp.Builtins.install st;
   ignore (Dom.Document.install st);
+  st
+
+(* One session of [app], its proven nests run through [par] when
+   given (the pattern of [Workloads.Harness.run_plain]); returns the
+   console, oldest first. *)
+let session ?par () =
+  let st = fresh_state () in
+  let program = Jsir.Parser.parse_program app in
+  Option.iter
+    (fun pe ->
+       Js_parallel.Par_exec.install pe st
+         ~report:(Analysis.Driver.analyze program))
+    par;
+  Interp.Eval.run_program st program;
+  List.rev st.Interp.Value.console
+
+let () =
+  (* 1. analyse the app *)
+  print_endline "--- dependence analysis of the filter app ---";
+  let st = fresh_state () in
   st.Interp.Value.echo_console <- true;
   let program = Jsir.Parser.parse_program app in
   let infos = Jsir.Loops.index program in
@@ -51,13 +72,30 @@ let () =
     (Ceres.Instrument.program Ceres.Instrument.Dependence program);
   print_string (Ceres.Report.dependence_report rt infos);
 
-  (* 2. native kernel under the pool *)
-  print_endline "\n--- native kernel, sequential vs pool ---";
-  let k = Option.get (Workloads.Kernels.find "caman-filter") in
-  let seq = k.run 128 in
-  let par =
-    Js_parallel.Pool.with_pool ~domains:2 (fun p -> k.run ~pool:p 128)
+  (* 2. the same JS, its proven loops forked over the pool *)
+  print_endline "\n--- the app on Par_exec (-j 2) vs a plain run ---";
+  let plain = session () in
+  let pe, par =
+    Js_parallel.Pool.with_pool ~domains:2 (fun pool ->
+        let pe =
+          Js_parallel.Par_exec.create ~mode:(Parallel pool) ~jobs:2 ()
+        in
+        (pe, session ~par:pe ()))
   in
-  Printf.printf "sequential checksum %.1f, parallel checksum %.1f -> %s\n" seq
-    par
-    (if Float.abs (seq -. par) < 1e-6 then "equal" else "MISMATCH")
+  List.iter print_endline par;
+  print_endline (Js_parallel.Par_exec.stats_json pe);
+  let fallbacks = ref 0 in
+  List.iter
+    (fun (id, label, (s : Js_parallel.Par_exec.nest_stats)) ->
+       fallbacks := !fallbacks + s.fallbacks;
+       if s.refused > 0 then
+         Printf.printf "loop %d (%s): the work gate ran %d instance(s) \
+                        sequentially\n"
+           id label s.refused)
+    (Js_parallel.Par_exec.nest_rows pe);
+  let same = par = plain in
+  Printf.printf "nests forked: %d, fallbacks: %d, console %s the plain run\n"
+    (Js_parallel.Par_exec.nests_run pe) !fallbacks
+    (if same then "matches" else "DIFFERS from");
+  if not same then List.iter (Printf.printf "plain: %s\n") plain;
+  if (not same) || !fallbacks > 0 then exit 1

@@ -31,8 +31,6 @@
     chunks only when its predicted busy vticks reach a fixed
     break-even. *)
 
-type kind = Kparallel | Kreduction of Analysis.Verdict.acc list
-
 type mode =
   | Measure
       (** run eligible nests sequentially but individually timed — the

@@ -2,9 +2,10 @@
     loops and scheduling telemetry.
 
     The paper's thesis is that emerging web workloads have latent *data*
-    parallelism; this pool is the substrate the reproduction uses to
-    actually run the parallelizable kernels in parallel and measure the
-    speedups that Table 3 and the Amdahl discussion predict.
+    parallelism; this pool is the substrate {!Par_exec} uses to
+    actually run the apps' statically proven loop nests in parallel and
+    measure the speedups that Table 3 and the Amdahl discussion
+    predict.
 
     Scheduling is dynamic: [parallel_for] deals fixed-size index chunks
     round-robin onto one deque per participant; owners pop their share

@@ -17,7 +17,8 @@
     degrades into a reported {!Interp.Value.Budget_exhausted} failure
     instead of a hang. *)
 
-type classification = Transient | Permanent
+type classification
+(** Transient or permanent (see {!default_classify}). *)
 
 val classification_to_string : classification -> string
 

@@ -1,5 +1,6 @@
-(* Domain pool, parallel_for, telemetry and the native kernels. Every test here checks correctness (results, exceptions,
-   counters), never speedup, so the suite passes on any core count. *)
+(* Domain pool, parallel_for and telemetry. Every test here checks
+   correctness (results, exceptions, counters), never speedup, so the
+   suite passes on any core count. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -259,23 +260,6 @@ let test_reset_stats_spares_registry () =
   Alcotest.(check int) "shed count unchanged" before
     Js_parallel.Telemetry.(count requests_shed)
 
-(* ------------------------------------------------------------------ *)
-(* Native kernels: parallel equals sequential *)
-
-let test_kernels_parallel_equals_sequential () =
-  List.iter
-    (fun (k : Workloads.Kernels.kernel) ->
-       let size = max 32 (k.default_size / 8) in
-       let seq = k.run size in
-       let par =
-         Js_parallel.Pool.with_pool ~domains:2 (fun p -> k.run ~pool:p size)
-       in
-       Alcotest.(check bool)
-         (k.kname ^ " checksum equality")
-         true
-         (Float.abs (seq -. par) < (1e-9 *. Float.abs seq) +. 1e-9))
-    Workloads.Kernels.all
-
 let suite =
   [ ("parallel_for coverage", `Quick, test_parallel_for_covers_range);
     ("parallel_for edge ranges", `Quick, test_parallel_for_empty_and_tiny);
@@ -287,7 +271,6 @@ let suite =
     ("telemetry steals under imbalance", `Slow,
      test_telemetry_steals_under_imbalance);
     ("telemetry json shape", `Quick, test_stats_json_shape);
-    ("kernels parallel = sequential", `Slow, test_kernels_parallel_equals_sequential);
     ("telemetry wire format", `Quick, test_telemetry_wire_format);
     ("reset_stats spares the registry", `Quick,
      test_reset_stats_spares_registry);

@@ -6,7 +6,8 @@
 
    Each test builds a real Unix-domain server on a fresh socket path
    and talks to it over real connections — the same code path
-   `jsceres serve --socket` runs. *)
+   `jsceres serve --socket` runs; the two stress rounds at the end run
+   that built CLI itself, under `jsceres loadgen` and SIGTERM. *)
 
 module Serve = Service.Serve
 module Server = Service.Server
@@ -262,6 +263,124 @@ let test_shutdown_op () =
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path);
   Service.shutdown svc
 
+(* The socket stress rounds, end to end through the built CLI: a
+   [jsceres serve --socket] child, a [jsceres loadgen] burst against it,
+   then SIGTERM. [wait_bounded pid] is [pid]'s exit status, or [None]
+   when it was still running after 60 s and had to be killed: a hang
+   fails the test instead of stalling the suite. *)
+let wait_bounded pid =
+  let rec go n =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when n > 0 ->
+      Unix.sleepf 0.05;
+      go (n - 1)
+    | 0, _ ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      None
+    | _, st -> Some st
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go n
+  in
+  go 1200
+
+let spawn ?(stdout = Unix.stdout) args =
+  let argv = Array.of_list (Helpers.jsceres :: args) in
+  Unix.create_process Helpers.jsceres argv Unix.stdin stdout Unix.stderr
+
+(* [f ~path ~drain] runs once the server's socket is bound; [drain ()]
+   sends SIGTERM and returns the server's exit status. A server still
+   running when [f] returns is drained. *)
+let with_cli_server serve_args f =
+  if not (Sys.file_exists Helpers.jsceres) then Alcotest.skip ();
+  let path = socket_path () in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let pid = spawn ("serve" :: "--socket" :: path :: serve_args) in
+  let status = ref None in
+  let stop () =
+    if !status = None then begin
+      Unix.kill pid Sys.sigterm;
+      status := Some (wait_bounded pid)
+    end
+  in
+  let drain () =
+    stop ();
+    match !status with
+    | Some (Some st) -> st
+    | _ -> Alcotest.fail "server still running 60 s after SIGTERM"
+  in
+  let bound () =
+    match Unix.stat path with
+    | { Unix.st_kind = Unix.S_SOCK; _ } -> true
+    | _ | (exception Unix.Unix_error _) -> false
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      stop ();
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+    (fun () ->
+      let rec await n =
+        if (not (bound ())) && n > 0 then begin
+          Unix.sleepf 0.05;
+          await (n - 1)
+        end
+      in
+      await 100;
+      if not (bound ()) then Alcotest.fail "server never bound its socket";
+      f ~path ~drain)
+
+(* One [loadgen] run against [path]: its exit status and its JSON
+   report. *)
+let loadgen path args =
+  let out = Filename.temp_file "jsceres-loadgen" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      let pid =
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            spawn ~stdout:fd ("loadgen" :: "--socket" :: path :: args))
+      in
+      match wait_bounded pid with
+      | Some st -> (st, Helpers.json (Helpers.read_file out))
+      | None -> Alcotest.fail "loadgen still running after 60 s")
+
+let check_exit what st =
+  Alcotest.(check bool) (what ^ " exits 0") true (st = Unix.WEXITED 0)
+
+(* A burst above a tiny admission gate sheds (> 0) without dropping a
+   well-behaved exchange, and SIGTERM drains to exit 0 and unlinks the
+   socket. *)
+let test_cli_stress_shed_and_drain () =
+  with_cli_server
+    [ "-j"; "2"; "--max-inflight"; "1"; "--queue-capacity"; "0";
+      "--deadline-ms"; "60000" ]
+    (fun ~path ~drain ->
+      let st, report = loadgen path [ "-c"; "8"; "-n"; "40" ] in
+      check_exit "loadgen (no dropped connection)" st;
+      Alcotest.(check bool) "burst above --max-inflight sheds" true
+        (Helpers.int_at [ "shed" ] report > 0);
+      Alcotest.(check int) "dropped connections" 0
+        (Helpers.int_at [ "dropped_connections" ] report);
+      check_exit "SIGTERM drain" (drain ());
+      Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path))
+
+(* Server-side transport faults and misbehaving clients under a chaos
+   seed: well-behaved requests still complete (ok > 0), and the drain
+   still exits 0. *)
+let test_cli_stress_chaos () =
+  with_cli_server
+    [ "-j"; "2"; "--max-inflight"; "2"; "--queue-capacity"; "2";
+      "--deadline-ms"; "60000"; "--chaos-seed"; "7"; "--chaos-transport" ]
+    (fun ~path ~drain ->
+      let _, report =
+        loadgen path [ "-c"; "4"; "-n"; "25"; "-s"; "7"; "--chaos-clients" ]
+      in
+      Alcotest.(check bool) "a request survives the chaos round" true
+        (Helpers.int_at [ "ok" ] report > 0);
+      check_exit "chaos drain" (drain ()))
+
 (* Satellite (a): Serve.serve must survive a Sys_error mid-response
    (broken pipe) instead of dying. The stdio loop writes into a closed
    pipe. *)
@@ -437,6 +556,10 @@ let suite =
     Alcotest.test_case "interleaved = serial under chaos" `Slow
       test_determinism_chaos;
     Alcotest.test_case "shutdown op drains and exits" `Slow test_shutdown_op;
+    Alcotest.test_case "CLI stress: shed, 0 dropped, SIGTERM drain" `Slow
+      test_cli_stress_shed_and_drain;
+    Alcotest.test_case "CLI stress under chaos: ok > 0, drain" `Slow
+      test_cli_stress_chaos;
     Alcotest.test_case "serve survives broken pipe" `Quick
       test_serve_survives_broken_pipe;
     Alcotest.test_case "bounded line reader" `Quick test_read_line_bounded;
