@@ -9,7 +9,9 @@
    when a callee cannot be resolved. Intrinsics and the DOM/canvas
    builtins carry hand-written summaries; user functions reached
    through variables, parameters (via discovered call sites),
-   properties and prototypes are joined over all candidates. *)
+   properties and prototypes are joined over all candidates. The
+   fixpoint ([infer]) logs which summaries each walk reads and walks a
+   function again only when one of those has changed. *)
 
 open Jsir
 module SS = Scope.SS
@@ -86,7 +88,18 @@ let join a b =
 
 let equal_summary (a : summary) (b : summary) = compare a b = 0
 
-type t = { scope : Scope.t; summaries : summary array }
+type t = {
+  scope : Scope.t;
+  summaries : summary array;
+  mutable tracking : bool; (* [infer] is running: log the reads *)
+  mutable reads : IS.t; (* the summaries the current walk has read *)
+}
+
+(* Every read of a summary goes through here, so [infer] knows what
+   each walk depended on. *)
+let read_summary t f =
+  if t.tracking then t.reads <- IS.add f t.reads;
+  t.summaries.(f)
 
 (* ------------------------------------------------------------------ *)
 (* Builtin tables. *)
@@ -212,7 +225,7 @@ let rec region_of_gen (t : t) ?(param_as_root = false)
       | Some fids when fids <> [] ->
         List.fold_left
           (fun acc f ->
-             let s = t.summaries.(f) in
+             let s = read_summary t f in
              if s.returns_shared then RUnknown
              else
                IS.fold
@@ -300,7 +313,7 @@ let apply t ~(callees : Scope.fid list) ~(arg_region : int -> region)
     ~(receiver : region option) ~(is_new : bool) : summary =
   List.fold_left
     (fun acc f ->
-       let s = t.summaries.(f) in
+       let s = read_summary t f in
        let eff =
          { bottom with
            greads = s.greads;
@@ -552,25 +565,56 @@ let summarize_function (t : t) (fr : Scope.func_rec) : summary =
 
 let max_rounds = 24
 
+(* Rounds over the functions in order, until one changes nothing or
+   [max_rounds] is reached. A walk reads no state but the summaries it
+   logs through [read_summary], so a function none of whose read
+   summaries changed since its last walk would compute the same
+   summary again: it is skipped, and the rounds, the states they pass
+   through and the result are those of walking every function every
+   round. Steps number the walks; [walked.(f)] is the step of [f]'s
+   last walk and [changed_at.(f)] the step that last changed [f]'s
+   summary. A walk that reads its own summary sees the value from
+   before its own step, hence the [>=]. *)
 let infer (scope : Scope.t) : t =
-  let n = List.length (Scope.functions scope) in
-  let t = { scope; summaries = Array.make n bottom } in
+  let funcs = Scope.functions scope in
+  let n = List.length funcs in
+  let t =
+    { scope; summaries = Array.make n bottom; tracking = true;
+      reads = IS.empty }
+  in
+  let walked = Array.make n (-1) in
+  let changed_at = Array.make n (-1) in
+  let deps = Array.make n IS.empty in
+  let step = ref 0 in
+  let stale f =
+    walked.(f) < 0 || IS.exists (fun g -> changed_at.(g) >= walked.(f)) deps.(f)
+  in
   let rec loop round =
     if round >= max_rounds then ()
     else begin
       let changed = ref false in
       List.iter
         (fun (fr : Scope.func_rec) ->
-           let s = summarize_function t fr in
-           if not (equal_summary s t.summaries.(fr.fid)) then begin
-             t.summaries.(fr.fid) <- s;
-             changed := true
+           let f = fr.fid in
+           if stale f then begin
+             walked.(f) <- !step;
+             t.reads <- IS.empty;
+             let s = summarize_function t fr in
+             deps.(f) <- t.reads;
+             if not (equal_summary s t.summaries.(f)) then begin
+               t.summaries.(f) <- s;
+               changed_at.(f) <- !step;
+               changed := true
+             end;
+             incr step
            end)
-        (Scope.functions scope);
+        funcs;
       if !changed then loop (round + 1)
     end
   in
   loop 0;
+  t.tracking <- false;
+  t.reads <- IS.empty;
   t
 
 let summary t fid = t.summaries.(fid)

@@ -56,17 +56,18 @@ type t = {
       (* call sites with an identifier callee, newest first *)
   prop_funcs : (string, fid list) Hashtbl.t;
       (* functions assigned to a property of that name anywhere *)
+  resolved : root Ceres_util.Strtbl.t array;
+      (* per function: name -> root, filled on first query *)
   mutable sites_memo : (root, string list option) Hashtbl.t;
-  swap_defs : (string, root * root) Hashtbl.t;
+  swap_defs : (Ast.pos, root * root) Hashtbl.t;
       (* position of a stored def RHS -> the (canonical) root pair it
          is a swap move of *)
   swap_pairs : (root * root, unit) Hashtbl.t;
       (* canonical pairs joined by a recognized swap idiom *)
 }
 
-(* Stable key for a source position; allocation-site keys and
-   swap-def tags both hang off it. *)
-let pos_key (e : Ast.expr) = Printf.sprintf "%d:%d" e.at.left.line e.at.left.col
+(* Swap-def tags are keyed by an expression's source position. *)
+let pos_key (e : Ast.expr) = e.at.left
 
 (* The names one function body binds (its [var]s, for/for-in heads,
    function declarations and catch parameters), without descending
@@ -108,8 +109,8 @@ let resolve_program (p : Ast.program) : t =
   let t_defs = Hashtbl.create 64 in
   let t_calls = Hashtbl.create 64 in
   let t_props = Hashtbl.create 16 in
-  let t_swap_redirect : (string, Ast.expr) Hashtbl.t = Hashtbl.create 8 in
-  let t_swap_defs : (string, root * root) Hashtbl.t = Hashtbl.create 8 in
+  let t_swap_redirect : (Ast.pos, Ast.expr) Hashtbl.t = Hashtbl.create 8 in
+  let t_swap_defs : (Ast.pos, root * root) Hashtbl.t = Hashtbl.create 8 in
   let t_swap_pairs : (root * root, unit) Hashtbl.t = Hashtbl.create 8 in
   (* chain: innermost first, list of (fid, locals) *)
   let add_def chain name d = push t_defs (resolve_chain chain name) d in
@@ -296,6 +297,7 @@ let resolve_program (p : Ast.program) : t =
     defs = t_defs;
     calls = t_calls;
     prop_funcs = t_props;
+    resolved = Array.init !next (fun _ -> Ceres_util.Strtbl.create 16);
     sites_memo = Hashtbl.create 32;
     swap_defs = t_swap_defs;
     swap_pairs = t_swap_pairs }
@@ -304,12 +306,19 @@ let resolve_program (p : Ast.program) : t =
 
 let functions t = Array.to_list t.funcs
 let func t fid = t.funcs.(fid)
-let resolve = resolve_in
+let resolve t fid name =
+  let memo = t.resolved.(fid) in
+  match Ceres_util.Strtbl.find memo name with
+  | r -> r
+  | exception Not_found ->
+    let r = resolve_in t fid name in
+    Ceres_util.Strtbl.add memo name r;
+    r
 
 type binding = Local | Captured of fid | Global
 
 let classify t fid name =
-  match resolve_in t fid name with
+  match resolve t fid name with
   | Rglobal _ -> Global
   | Rlocal (owner, _) -> if owner = fid then Local else Captured owner
 
@@ -475,7 +484,7 @@ let alloc_sites t root : string list option =
            (Some [])
       |> Option.map (List.sort_uniq String.compare)
     and eval_expr fid e =
-      eval_sites_expr ~on_ident:(fun fid x -> eval_root (resolve_in t fid x))
+      eval_sites_expr ~on_ident:(fun fid x -> eval_root (resolve t fid x))
         fid e
     in
     ignore (eval_root root);
@@ -497,7 +506,7 @@ let alloc_sites t root : string list option =
     Hashtbl.find t.sites_memo root
 
 let expr_sites t fid e =
-  eval_sites_expr ~on_ident:(fun fid x -> alloc_sites t (resolve_in t fid x))
+  eval_sites_expr ~on_ident:(fun fid x -> alloc_sites t (resolve t fid x))
     fid e
 
 (* A pair joined by the swap idiom never aliases when each root has
@@ -587,8 +596,7 @@ and param_pair_alias t depth r1 r2 =
 and arg_may_alias t depth caller (e1 : Ast.expr) (e2 : Ast.expr) =
   match (e1.e, e2.e) with
   | Ast.Ident x1, Ast.Ident x2 ->
-    may_alias_k t (depth - 1) (resolve_in t caller x1)
-      (resolve_in t caller x2)
+    may_alias_k t (depth - 1) (resolve t caller x1) (resolve t caller x2)
   | _ -> (
       match (expr_sites t caller e1, expr_sites t caller e2) with
       | Some s1, Some s2 -> List.exists (fun s -> List.mem s s2) s1

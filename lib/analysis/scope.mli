@@ -49,6 +49,8 @@ val resolve_program : Ast.program -> t
 val functions : t -> func_rec list
 val func : t -> fid -> func_rec
 val resolve : t -> fid -> string -> root
+(** The binding a name used inside function [fid] refers to. Each
+    function keeps a table of the names already resolved. *)
 
 type binding = Local | Captured of fid | Global
 

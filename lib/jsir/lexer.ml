@@ -1,3 +1,7 @@
+(* Hand-rolled pull scanner for MiniJS: [next] scans one token on
+   demand and records its span; [tokenize] loops over it. See
+   lexer.mli. *)
+
 type token =
   | NUMBER of float
   | STRING of string
@@ -33,10 +37,19 @@ let keywords =
     "null", KW_null; "undefined", KW_undefined; "void", KW_void;
     "switch", KW_switch; "case", KW_case; "default", KW_default ]
 
-let keyword_table =
-  let tbl = Hashtbl.create 37 in
-  List.iter (fun (k, v) -> Hashtbl.replace tbl k v) keywords;
-  tbl
+(* The same table as a [match], which compiles to a string decision
+   tree: no hashing and no polymorphic comparison per identifier. *)
+let keyword_or_ident = function
+  | "var" -> KW_var | "function" -> KW_function | "return" -> KW_return
+  | "if" -> KW_if | "else" -> KW_else | "while" -> KW_while | "do" -> KW_do
+  | "for" -> KW_for | "break" -> KW_break | "continue" -> KW_continue
+  | "new" -> KW_new | "delete" -> KW_delete | "typeof" -> KW_typeof
+  | "instanceof" -> KW_instanceof | "in" -> KW_in | "this" -> KW_this
+  | "throw" -> KW_throw | "try" -> KW_try | "catch" -> KW_catch
+  | "finally" -> KW_finally | "true" -> KW_true | "false" -> KW_false
+  | "null" -> KW_null | "undefined" -> KW_undefined | "void" -> KW_void
+  | "switch" -> KW_switch | "case" -> KW_case | "default" -> KW_default
+  | text -> IDENT text
 
 let token_name = function
   | NUMBER f -> Printf.sprintf "number %g" f
@@ -80,6 +93,7 @@ type scanner = {
   mutable off : int;
   mutable line : int;
   mutable col : int;
+  mutable span : Ast.span; (* of the token [next] returned last *)
 }
 
 let pos sc : Ast.pos = { line = sc.line; col = sc.col }
@@ -213,12 +227,15 @@ let scan_token sc =
     NUMBER (scan_number sc)
   else if c = '\'' || c = '"' then STRING (scan_string sc c)
   else if is_ident_start c then begin
+    (* An identifier never spans a newline: only the column moves. *)
     let start = sc.off in
-    while is_ident_char (peek sc) do advance sc done;
-    let text = String.sub sc.src start (sc.off - start) in
-    match Hashtbl.find_opt keyword_table text with
-    | Some kw -> kw
-    | None -> IDENT text
+    let stop = ref (start + 1) in
+    while !stop < sc.len && is_ident_char (String.unsafe_get sc.src !stop) do
+      incr stop
+    done;
+    sc.off <- !stop;
+    sc.col <- sc.col + (!stop - start);
+    keyword_or_ident (String.sub sc.src start (!stop - start))
   end
   else begin
     let adv n =
@@ -277,15 +294,28 @@ let scan_token sc =
     | _ -> error sc (Printf.sprintf "unexpected character %C" c)
   end
 
+let no_span : Ast.span =
+  { left = { line = 1; col = 1 }; right = { line = 1; col = 1 } }
+
+let scanner src =
+  { src; len = String.length src; off = 0; line = 1; col = 1; span = no_span }
+
+let next sc =
+  skip_trivia sc;
+  let left = pos sc in
+  let tok = scan_token sc in
+  sc.span <- { left; right = pos sc };
+  tok
+
+let span sc = sc.span
+
+let rec drain sc = if next sc <> EOF then drain sc
+
 let tokenize src =
-  let sc = { src; len = String.length src; off = 0; line = 1; col = 1 } in
+  let sc = scanner src in
   let rec loop acc =
-    skip_trivia sc;
-    let left = pos sc in
-    let tok = scan_token sc in
-    let right = pos sc in
-    let span : Ast.span = { left; right } in
-    if tok = EOF then List.rev ((EOF, span) :: acc)
-    else loop ((tok, span) :: acc)
+    let tok = next sc in
+    let acc = (tok, sc.span) :: acc in
+    if tok = EOF then List.rev acc else loop acc
   in
   loop []

@@ -1,6 +1,8 @@
 (** Hand-rolled scanner for MiniJS source text.
 
-    Produces the token stream consumed by {!Parser}. Covers decimal,
+    A pull scanner: {!Parser} asks {!next} for one token at a time, so
+    no token list or array is ever built for a parse. {!tokenize} is a
+    loop over the same scanner. Covers decimal,
     hexadecimal and exponent number literals, single/double quoted
     strings with the usual escapes, line and block comments, and the
     full pre-ES6 operator set (no regex literals — the workloads do not
@@ -41,6 +43,23 @@ val keywords : (string * token) list
 
 val token_name : token -> string
 (** Printable token description for error messages. *)
+
+type scanner
+(** Scanning state over one source string. *)
+
+val scanner : string -> scanner
+
+val next : scanner -> token
+(** Skip whitespace and comments, then scan one token. At the end of
+    the input it returns [EOF], and keeps returning it.
+    @raise Lex_error on malformed input. *)
+
+val span : scanner -> Ast.span
+(** The span of the token {!next} returned last. *)
+
+val drain : scanner -> unit
+(** Scan to the end of the input, discarding the tokens.
+    @raise Lex_error if the rest of the input is malformed. *)
 
 val tokenize : string -> (token * Ast.span) list
 (** Scan an entire source string. The resulting list always ends with

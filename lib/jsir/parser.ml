@@ -1,22 +1,50 @@
+(* Recursive-descent parser over a pull scanner: the state holds the
+   current token and at most one token of look-ahead (labels and
+   [for (x in o)] need it), pulled from {!Lexer.next} on demand. No
+   token list or array is built, so a token dies young unless the AST
+   keeps its span. Every lex error still wins over an earlier parse
+   error: {!parse_program} drains the scanner before it reports a parse
+   error, so the answer is the one a lex-everything-first parser gives. *)
+
 open Ast
 
 exception Parse_error of string * Ast.pos
 
 type state = {
-  toks : (Lexer.token * span) array;
-  mutable idx : int;
+  sc : Lexer.scanner;
+  mutable tok : Lexer.token;
+  mutable span : span;
+  mutable ahead : bool; (* [next_tok]/[next_span] hold the look-ahead *)
+  mutable next_tok : Lexer.token;
+  mutable next_span : span;
   mutable loops : int;
 }
 
-let peek st = fst st.toks.(st.idx)
-let peek_span st = snd st.toks.(st.idx)
+let peek st = st.tok
+let peek_span st = st.span
 
-let peek_ahead st n =
-  let i = min (st.idx + n) (Array.length st.toks - 1) in
-  fst st.toks.(i)
+(* The token after the current one; [EOF] repeats at the end. *)
+let peek_next st =
+  if st.tok == Lexer.EOF then Lexer.EOF
+  else begin
+    if not st.ahead then begin
+      st.next_tok <- Lexer.next st.sc;
+      st.next_span <- Lexer.span st.sc;
+      st.ahead <- true
+    end;
+    st.next_tok
+  end
 
 let advance st =
-  if st.idx < Array.length st.toks - 1 then st.idx <- st.idx + 1
+  if st.ahead then begin
+    st.tok <- st.next_tok;
+    st.span <- st.next_span;
+    st.ahead <- false
+  end
+  else if st.tok != Lexer.EOF then begin
+    st.tok <- Lexer.next st.sc;
+    st.span <- Lexer.span st.sc
+  end
 
 let error st msg = raise (Parse_error (msg, (peek_span st).left))
 
@@ -613,7 +641,7 @@ and parse_stmt st : stmt =
              (Lexer.token_name tok))
     in
     mk_stmt ~at:sat (Switch (scrutinee, cases []))
-  | Lexer.IDENT name when peek_ahead st 1 = Lexer.COLON ->
+  | Lexer.IDENT name when peek_next st = Lexer.COLON ->
     (* labeled statement: "name: stmt" *)
     advance st;
     advance st;
@@ -669,7 +697,7 @@ and parse_for st sat : stmt =
   | Lexer.SEMI ->
     advance st;
     parse_for_classic st sat id None
-  | Lexer.IDENT name when peek_ahead st 1 = Lexer.KW_in ->
+  | Lexer.IDENT name when peek_next st = Lexer.KW_in ->
     advance st;
     advance st;
     let obj = parse_expr_seq st in
@@ -700,23 +728,31 @@ and parse_stmts_until st closing : stmt list =
   in
   go []
 
-let make_state src =
-  { toks = Array.of_list (Lexer.tokenize src); idx = 0; loops = 0 }
+(* Run [parse] over a fresh scanner. A lex error anywhere in the
+   source wins over a parse error, as if the whole input had been
+   scanned first. *)
+let with_scanner src parse =
+  let sc = Lexer.scanner src in
+  try
+    let tok = Lexer.next sc in
+    let st =
+      { sc; tok; span = Lexer.span sc; ahead = false; next_tok = Lexer.EOF;
+        next_span = Lexer.span sc; loops = 0 }
+    in
+    try parse st
+    with Parse_error _ as e ->
+      Lexer.drain sc;
+      raise e
+  with Lexer.Lex_error (msg, pos) -> raise (Parse_error (msg, pos))
 
 let parse_program src =
-  let st =
-    try make_state src
-    with Lexer.Lex_error (msg, pos) -> raise (Parse_error (msg, pos))
-  in
-  let stmts = parse_stmts_until st Lexer.EOF in
-  expect st Lexer.EOF;
-  { stmts; loop_count = st.loops; glayout = None; resolved_for = None }
+  with_scanner src (fun st ->
+      let stmts = parse_stmts_until st Lexer.EOF in
+      expect st Lexer.EOF;
+      { stmts; loop_count = st.loops; glayout = None; resolved_for = None })
 
 let parse_expression src =
-  let st =
-    try make_state src
-    with Lexer.Lex_error (msg, pos) -> raise (Parse_error (msg, pos))
-  in
-  let e = parse_expr_seq st in
-  expect st Lexer.EOF;
-  e
+  with_scanner src (fun st ->
+      let e = parse_expr_seq st in
+      expect st Lexer.EOF;
+      e)

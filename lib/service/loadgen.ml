@@ -10,10 +10,10 @@
    requests still complete.
 
    [dropped_connections] counts only drops the *server* inflicted on a
-   well-behaved exchange (EOF or I/O error where a response line was
-   owed). Drops the client inflicted on purpose are counted as
-   [client_faults]: the acceptance bar is [dropped_connections = 0]
-   even under a chaos run. *)
+   well-behaved exchange (EOF, an I/O error, or no reply within the
+   reply deadline, where a response line was owed). Drops the client
+   inflicted on purpose are counted as [client_faults]: the acceptance
+   bar is [dropped_connections = 0] even under a chaos run. *)
 
 type config = {
   socket_path : string;
@@ -85,9 +85,17 @@ type client_tally = {
   mutable c_latencies : float list; (* ms, [Ok_resp] exchanges only *)
 }
 
-let connect path =
+(* How long a client waits for one reply before it counts the exchange
+   as dropped and reconnects: a server that never answers must not hang
+   the generator. *)
+let default_reply_timeout_s = 30.
+
+(* The receive timeout makes a read that waits longer fail with
+   [Sys_blocked_io]. *)
+let connect ~reply_timeout_s path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   try
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO reply_timeout_s;
     Unix.connect fd (Unix.ADDR_UNIX path);
     Some (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
   with Unix.Unix_error _ ->
@@ -96,7 +104,8 @@ let connect path =
 
 let close_conn (_, _, oc) = try close_out oc with Sys_error _ -> ()
 
-let run_client cfg ~client tally =
+let run_client cfg ~reply_timeout_s ~client tally =
+  let connect path = connect ~reply_timeout_s path in
   let conn = ref (connect cfg.socket_path) in
   let reconnect () =
     (match !conn with Some c -> close_conn c | None -> ());
@@ -178,7 +187,7 @@ let run_client cfg ~client tally =
                  | Timed_out_resp ->
                    tally.c_timed_out <- tally.c_timed_out + 1
                  | Error_resp -> tally.c_errors <- tally.c_errors + 1)
-              | exception (End_of_file | Sys_error _) ->
+              | exception (End_of_file | Sys_error _ | Sys_blocked_io) ->
                 tally.c_dropped <- tally.c_dropped + 1;
                 reconnect ()))
   done;
@@ -193,7 +202,7 @@ let percentile sorted q =
     let idx = int_of_float (Float.of_int (n - 1) *. q +. 0.5) in
     sorted.(max 0 (min (n - 1) idx))
 
-let run cfg =
+let run ?(reply_timeout_s = default_reply_timeout_s) cfg =
   (* Chaos rounds make the server close sockets under us mid-write;
      that must surface as [Sys_error] per client, not kill the whole
      generator. *)
@@ -208,7 +217,9 @@ let run cfg =
     Array.to_list
       (Array.mapi
          (fun i tally ->
-            Thread.create (fun () -> run_client cfg ~client:(i + 1) tally) ())
+            Thread.create
+              (fun () -> run_client cfg ~reply_timeout_s ~client:(i + 1) tally)
+              ())
          tallies)
   in
   List.iter Thread.join threads;

@@ -36,8 +36,12 @@ type report = {
   max_ms : float;
 }
 
-val run : config -> report
-(** Blocks until every client finishes its stream. *)
+val run : ?reply_timeout_s:float -> config -> report
+(** Blocks until every client finishes its stream. A client waits at
+    most [reply_timeout_s] seconds (default 30) for each reply; a wait
+    that expires counts as a dropped connection, and the client
+    reconnects. Tests shorten the deadline; the CLI keeps the
+    default. *)
 
 val report_json : report -> Ceres_util.Json.t
 

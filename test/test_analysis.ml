@@ -136,6 +136,56 @@ let test_effect_io_builtin () =
   Alcotest.(check bool) "console.log is I/O" true
     (Analysis.Effects.summary fx l.fid).Analysis.Effects.io
 
+(* Effects that must travel back through callers declared before their
+   callees: [a] calls [b] calls [c], and [c] writes a global and an
+   element of its parameter. [b] passes [c] the result of
+   [util.join(arr)]. The call itself counts as a builtin receiver read
+   (its name is [Array.prototype.join]'s), so [b]'s walk reads the user
+   method's summary only to learn the region of its result: the
+   argument it returns, through [ident], which that summary records
+   only in round 2, after [b]'s round-2 walk. So the fixpoint must
+   re-walk [b] in round 3 for a summary that only a call's result
+   read, then [a], then the top level. *)
+let effect_chain_src =
+  "var G = 0; var A = [1, 2, 3, 4];\n\
+   function a(arr, i) { b(arr, i); }\n\
+   function b(arr, i) { var r = util.join(arr); c(r, i); }\n\
+   function c(arr, i) { G = i; arr[0] = i; }\n\
+   var util = { join: function (x) { return ident(x); } };\n\
+   function ident(y) { return y; }\n\
+   for (var i = 0; i < 4; i++) { a(A, i); }"
+
+let test_effect_fixpoint_chain () =
+  let scope, fx = effects_of effect_chain_src in
+  let summary name = Analysis.Effects.summary fx (func_named scope name).fid in
+  List.iter
+    (fun name ->
+       let s = summary name in
+       Alcotest.(check bool) (name ^ " writes G") true
+         (Analysis.Scope.RS.mem (Analysis.Scope.Rglobal "G") s.gwrites);
+       Alcotest.(check (list int)) (name ^ " writes its parameter 0") [ 0 ]
+         (Analysis.Effects.IS.elements s.hwrite_params))
+    [ "a"; "b"; "c" ];
+  let join =
+    List.find
+      (fun (fr : Analysis.Scope.func_rec) -> fr.params = [ "x" ])
+      (Analysis.Scope.functions scope)
+  in
+  Alcotest.(check (list int)) "util.join returns its argument" [ 0 ]
+    (Analysis.Effects.IS.elements
+       (Analysis.Effects.summary fx join.fid).returns_params);
+  match (analyze effect_chain_src).rows with
+  | [ { verdict; _ } ] ->
+    Alcotest.(check string) "verdict" "sequential"
+      (Analysis.Verdict.kind_name verdict);
+    Alcotest.(check (list string)) "why not"
+      [ "effects: callee writes shared scalar G (line 7)" ]
+      (List.map
+         (fun (f : Analysis.Verdict.fact) ->
+            Printf.sprintf "%s: %s (line %d)" f.pass f.why f.line)
+         (Analysis.Verdict.facts verdict))
+  | _ -> Alcotest.fail "expected one loop"
+
 (* ------------------------------------------------------------------ *)
 (* Loop-carried dependence verdicts *)
 
@@ -399,4 +449,6 @@ let suite =
       test_proven_floor;
     Alcotest.test_case "crossval: 12 workloads sound" `Slow
       test_crossval_all_workloads;
-    qtest fuzz_soundness ]
+    qtest fuzz_soundness;
+    Alcotest.test_case "effects: fixpoint through callees declared later"
+      `Quick test_effect_fixpoint_chain ]

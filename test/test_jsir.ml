@@ -69,6 +69,112 @@ let test_lexer_positions () =
     Alcotest.(check int) "b col" 3 sb.Jsir.Ast.left.col
   | _ -> Alcotest.fail "expected two tokens"
 
+let test_lexer_keywords () =
+  (* [Printer] reads the [keywords] table; the scanner matches words
+     by a [match]: the two must agree, word for word. *)
+  List.iter
+    (fun (word, tok) ->
+       Alcotest.(check bool) word true (toks word = [ tok; Jsir.Lexer.EOF ]);
+       Alcotest.(check bool) (word ^ "_ is an identifier") true
+         (toks (word ^ "_") = [ Jsir.Lexer.IDENT (word ^ "_"); Jsir.Lexer.EOF ]))
+    Jsir.Lexer.keywords;
+  Alcotest.(check bool) "case matters" true
+    (toks "Var IN" = Jsir.Lexer.[ IDENT "Var"; IDENT "IN"; EOF ])
+
+(* The tokens [Lexer.next] pulls one at a time, with their spans, or
+   the lex error that stops them. *)
+let pulled src =
+  let sc = Jsir.Lexer.scanner src in
+  let rec go acc =
+    match Jsir.Lexer.next sc with
+    | tok ->
+      let acc = (tok, Jsir.Lexer.span sc) :: acc in
+      if tok = Jsir.Lexer.EOF then Ok (List.rev acc) else go acc
+    | exception Jsir.Lexer.Lex_error (msg, pos) -> Error (msg, pos)
+  in
+  go []
+
+let tokenized src =
+  match Jsir.Lexer.tokenize src with
+  | toks -> Ok toks
+  | exception Jsir.Lexer.Lex_error (msg, pos) -> Error (msg, pos)
+
+(* Every word token's span covers exactly its text in the source. *)
+let word_spans_match src toks =
+  let starts =
+    let acc = ref [ 0 ] in
+    String.iteri (fun i c -> if c = '\n' then acc := (i + 1) :: !acc) src;
+    Array.of_list (List.rev !acc)
+  in
+  let off (p : Jsir.Ast.pos) = starts.(p.line - 1) + p.col - 1 in
+  List.for_all
+    (fun (tok, (sp : Jsir.Ast.span)) ->
+       let text () = String.sub src (off sp.left) (off sp.right - off sp.left) in
+       match tok with
+       | Jsir.Lexer.IDENT name -> text () = name
+       | tok -> (
+           match List.find_opt (fun (_, t) -> t = tok) Jsir.Lexer.keywords with
+           | Some (word, _) -> text () = word
+           | None -> true))
+    toks
+
+(* What a parse answers: the program or expression, or the error. *)
+let parse_outcome parse src =
+  match parse src with
+  | _ -> Ok ()
+  | exception Jsir.Parser.Parse_error (msg, pos) -> Error (Some (msg, pos))
+  | exception _ -> Error None
+
+(* The 12 workload sources, each with a few random edits: cuts,
+   duplicated spans and inserted characters that open strings and
+   comments or are not MiniJS at all. *)
+let gen_mutated_source =
+  let open QCheck.Gen in
+  let sources =
+    List.map (fun (w : Workloads.Workload.t) -> w.source) Workloads.Registry.all
+  in
+  let edit src =
+    let n = String.length src in
+    let* i = int_bound n in
+    let* kind = int_bound 2 in
+    match kind with
+    | 0 ->
+      let* len = int_bound (min 40 (n - i)) in
+      return (String.sub src 0 i ^ String.sub src (i + len) (n - i - len))
+    | 1 ->
+      let* len = int_bound (min 40 (n - i)) in
+      return (String.sub src 0 i ^ String.sub src i len ^ String.sub src i (n - i))
+    | _ ->
+      let* c =
+        oneofl [ '"'; '\''; '/'; '*'; '@'; '#'; '\n'; '{'; '}'; '('; ';';
+                 ':'; '.'; 'x'; '0'; '\\'; '`' ]
+      in
+      return (String.sub src 0 i ^ String.make 1 c ^ String.sub src i (n - i))
+  in
+  let* src = oneofl sources in
+  let* edits = int_range 0 3 in
+  let rec apply k src = if k = 0 then return src else edit src >>= apply (k - 1) in
+  apply edits src
+
+let prop_pull_matches_tokenize =
+  QCheck.Test.make ~name:"pulled tokens = tokenize; lex errors win parses"
+    ~count:150
+    (QCheck.make ~print:(fun s -> s) gen_mutated_source)
+    (fun src ->
+       let reference = tokenized src in
+       pulled src = reference
+       && (match reference with
+           | Ok toks -> word_spans_match src toks
+           | Error _ -> true)
+       && List.for_all
+            (fun parse ->
+               match (parse_outcome parse src, reference) with
+               | Error None, _ -> false (* only [Parse_error] escapes *)
+               | Error (Some err), Error lex -> err = lex
+               | (Ok () | Error (Some _)), _ -> true)
+            [ (fun s -> ignore (Jsir.Parser.parse_program s));
+              (fun s -> ignore (Jsir.Parser.parse_expression s)) ])
+
 (* ------------------------------------------------------------------ *)
 (* Parser *)
 
@@ -158,6 +264,45 @@ let test_parser_lenient_semicolons () =
   (* statements before '}' or EOF do not need the semicolon *)
   let p = parse "function f() { return 1 }\nvar x = f()" in
   Alcotest.(check int) "two statements" 2 (List.length p.stmts)
+
+(* The parser pulls tokens while it parses, but a lex error anywhere in
+   the source still wins over an earlier parse error, with the lexer's
+   message and position, and no [Lex_error] escapes. *)
+let test_parser_lex_error_wins () =
+  let answer parse src =
+    match parse src with
+    | _ -> "parsed"
+    | exception Jsir.Parser.Parse_error (msg, pos) ->
+      Printf.sprintf "%s at %d:%d" msg pos.line pos.col
+  in
+  List.iter
+    (fun (src, expected) ->
+       Alcotest.(check string) (String.escaped src) expected (answer parse src);
+       Alcotest.(check string) ("expression " ^ String.escaped src) expected
+         (answer pexpr src))
+    [ ("var = 1;\nx = \"abc", "unterminated string literal at 2:9");
+      ("f(;\n/* open", "unterminated block comment at 2:8");
+      ("x = 1 @ 2;", "unexpected character '@' at 1:7");
+      ("f(;\n\"abc\" #", "unexpected character '#' at 2:7");
+      ("1e", "malformed exponent at 1:3") ];
+  Alcotest.(check string) "parse error without a lex error"
+    "expected ';' but found identifier b at 2:3" (answer parse "a\n  b c")
+
+(* Allocation budget of a parse: minor words are deterministic, so a
+   bound catches a token list or array that comes back. Each bound is
+   the measured count plus 10% headroom. *)
+let test_parse_allocation_budget () =
+  List.iter
+    (fun (name, measured) ->
+       let src = (Option.get (Workloads.Registry.find name)).source in
+       let before = Gc.minor_words () in
+       ignore (Sys.opaque_identity (parse src));
+       let words = Gc.minor_words () -. before in
+       let bound = 1.1 *. measured in
+       if words > bound then
+         Alcotest.failf "%s: %.0f minor words, over the budget of %.0f" name
+           words bound)
+    [ ("HAAR.js", 27_898.); ("fluidSim", 30_271.) ]
 
 let test_parse_expression_rejects_trailing () =
   match pexpr "1 + 2 3" with
@@ -528,4 +673,8 @@ let suite =
     qtest prop_program_roundtrip;
     ("loops in functions", `Quick, test_loops_in_functions);
     ("loops label", `Quick, test_loops_label);
-    ("iterator children", `Quick, test_iter_children) ]
+    ("iterator children", `Quick, test_iter_children);
+    ("lexer keywords", `Quick, test_lexer_keywords);
+    qtest prop_pull_matches_tokenize;
+    ("parser: a lex error wins", `Quick, test_parser_lex_error_wins);
+    ("parse allocation budget", `Quick, test_parse_allocation_budget) ]

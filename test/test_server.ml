@@ -160,6 +160,44 @@ let test_loadgen_samples_ok_only () =
       Alcotest.(check bool) "shed reported" true (r.shed > 0);
       Alcotest.(check int) "one sample per ok reply" r.ok r.samples)
 
+(* A server that reads each request and never answers must not hang
+   the load generator: every reply wait ends at the reply deadline,
+   counts as a dropped connection, and the client reconnects. *)
+let test_loadgen_reply_deadline () =
+  let path = socket_path () in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX path);
+  Unix.listen listener 8;
+  let stop = Atomic.make false in
+  let held = ref [] in
+  let stub () =
+    while not (Atomic.get stop) do
+      match Unix.select [ listener ] [] [] 0.05 with
+      | [], _, _ -> ()
+      | _ ->
+        let fd, _ = Unix.accept listener in
+        held := fd :: !held;
+        ignore (input_line (Unix.in_channel_of_descr fd))
+    done
+  in
+  let server = Thread.create stub () in
+  let t0 = Unix.gettimeofday () in
+  let r =
+    Service.Loadgen.run ~reply_timeout_s:0.3
+      { Service.Loadgen.socket_path = path; clients = 1;
+        requests_per_client = 2; seed = 1; chaos_clients = false }
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  Atomic.set stop true;
+  Thread.join server;
+  List.iter Unix.close !held;
+  Unix.close listener;
+  Unix.unlink path;
+  Alcotest.(check int) "every unanswered request dropped" 2
+    r.dropped_connections;
+  Alcotest.(check int) "no reply" 0 r.ok;
+  if wall > 5. then Alcotest.failf "loadgen took %.1f s" wall
+
 (* Deadline: a watchdog budget small enough that real workloads
    overrun it turns into a workload-failed response naming the vclock
    budget, and the timed-out counter moves. *)
@@ -569,4 +607,6 @@ let suite =
       test_stdio_shutdown_and_health;
     Alcotest.test_case "admission gate unit" `Quick test_admission_gate;
     Alcotest.test_case "telemetry server section" `Quick
-      test_telemetry_server_section ]
+      test_telemetry_server_section;
+    Alcotest.test_case "loadgen reply deadline" `Slow
+      test_loadgen_reply_deadline ]

@@ -290,8 +290,8 @@ let test_allocation_budget () =
       ("fluidSim", "plain", plain, 6_906_495., 4_975_476, None);
       ("Raytracing", "lightweight", light, 5_931_412., 7_548_644, None);
       ("fluidSim", "lightweight", light, 6_928_341., 4_994_298, None);
-      ("Raytracing", "loop-profile", loops, 6_848_407., 7_823_406, None);
-      ("fluidSim", "loop-profile", loops, 7_226_815., 5_093_740, None);
+      ("Raytracing", "loop-profile", loops, 6_148_814., 7_823_406, None);
+      ("fluidSim", "loop-profile", loops, 6_987_368., 5_093_740, None);
       ("Raytracing", "dependence", deps, 1_893_302., 3_043_008, Some 331_182);
       ("fluidSim", "dependence", deps, 2_960_955., 2_454_091, Some 113_569) ]
 
